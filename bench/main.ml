@@ -352,14 +352,16 @@ let json_subjects () =
     Pim_sim.Engine.run eng;
     ignore (Sys.opaque_identity eng)
   in
-  (* 2000-router wide-area scale point: two-level transit-stub topology,
-     static unicast routing everywhere, one PIM shared tree built by 8
-     stub members, then a short data stream — end to end through the
-     batched Net layer and the timer wheel. *)
-  let transit_stub_2000n () =
+  (* Wide-area scale points: two-level transit-stub topology (40 routers
+     per transit router), static unicast routing everywhere, one PIM
+     shared tree built by 8 stub members, then a short data stream — end
+     to end through the batched Net layer and the timer wheel.  At 10000
+     routers an all-pairs unicast RIB would not fit in memory; routes are
+     built only for the routers that ask. *)
+  let transit_stub ~transit () =
     let prng = Pim_util.Prng.create 7 in
     let ts =
-      Pim_graph.Transit_stub.generate ~transit:50 ~stubs_per_transit:3 ~stub_size:13
+      Pim_graph.Transit_stub.generate ~transit ~stubs_per_transit:3 ~stub_size:13
         ~backbone_delay:0.5 ~access_delay:0.5 ~prng ()
     in
     let eng = Pim_sim.Engine.create () in
@@ -427,7 +429,8 @@ let json_subjects () =
     ("engine-1k-events", engine_events);
     ("engine-1M-events", engine_events_1m);
     ("failover-election", failover_election);
-    ("transit-stub-2000n", transit_stub_2000n);
+    ("transit-stub-2000n", transit_stub ~transit:50);
+    ("transit-stub-10000n", transit_stub ~transit:250);
     ("workload-zap-2000n", workload_zap_2000n);
     ("workload-flashcrowd", workload_flashcrowd);
   ]
@@ -488,9 +491,10 @@ let run_json path =
 
 (* {1 Regression gate}
 
-   [--check PATH] re-measures the engine subjects plus the BSR
-   failover-election run and compares them against the committed
-   baseline.  Wall clock differs across machines
+   [--check PATH] re-measures the engine subjects, the BSR
+   failover-election run, the 10000-router scale point and the 2000-router
+   workloads (whose allocation is mostly unicast routes) and compares them
+   against the committed baseline.  Wall clock differs across machines
    and noisy CI runners, so it only fails on a large factor — chosen so
    that reverting the timer wheel to the old heap (a ~5.8x slowdown on
    engine-1k-events) trips the gate with margin.  Allocation per run is
@@ -501,6 +505,7 @@ let check_subjects =
     "engine-1k-events";
     "engine-1M-events";
     "failover-election";
+    "transit-stub-10000n";
     "workload-zap-2000n";
     "workload-flashcrowd";
   ]

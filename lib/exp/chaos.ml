@@ -290,11 +290,13 @@ let pim_setup ~rp_mode ~source net =
        upstream until its own oif times out — one oif holdtime per hop,
        bounded by the source's eccentricity. *)
     drain_wait =
-      (let src_addr = Addr.router source in
+      (let src_rib = Pim_routing.Static.rib static source in
        let n = Topology.n_nodes (Net.topo net) in
        let ecc = ref 0 in
+       (* Links cost the same both ways, so the source's own table gives
+          every router's distance to it. *)
        for u = 0 to n - 1 do
-         match (Pim_routing.Static.rib static u).Pim_routing.Rib.distance src_addr with
+         match src_rib.Pim_routing.Rib.distance (Addr.router u) with
          | Some d -> ecc := max !ecc d
          | None -> ()
        done;

@@ -100,11 +100,11 @@ let add_spt_flows scratch flows (tree : Spt.tree) group =
   let rec up v =
     if v <> src && mark.(v) <> epoch then begin
       mark.(v) <- epoch;
-      match (parent.(v), via.(v)) with
-      | Some p, Some lid ->
-        flows.(lid) <- flows.(lid) + 1;
+      let p = parent.(v) in
+      if p >= 0 then begin
+        flows.(via.(v)) <- flows.(via.(v)) + 1;
         up p
-      | _ -> ()
+      end
     end
   in
   Array.iter up group
@@ -128,15 +128,16 @@ let build_cbt scratch (core_tree : Spt.tree) group =
             if not (Bitset.mem scratch.on_tree v) then begin
               Bitset.add scratch.on_tree v;
               cnt.(v) <- 0;
-              (match core_tree.Spt.via.(v) with
-              | Some lid ->
+              let lid = core_tree.Spt.via.(v) in
+              if lid >= 0 then begin
                 scratch.edge_child.(scratch.n_edges) <- v;
                 scratch.edge_link.(scratch.n_edges) <- lid;
                 scratch.n_edges <- scratch.n_edges + 1
-              | None -> ())
+              end
             end;
             cnt.(v) <- cnt.(v) + 1;
-            match core_tree.Spt.parent.(v) with Some p -> up p | None -> ()
+            let p = core_tree.Spt.parent.(v) in
+            if p >= 0 then up p
           end
         in
         up m
@@ -164,12 +165,12 @@ let add_off_tree_sender_flows scratch flows (core_tree : Spt.tree) s =
      the core. *)
   let core = core_tree.Spt.src in
   let rec up v =
-    if v <> core then
-      match (core_tree.Spt.parent.(v), core_tree.Spt.via.(v)) with
-      | Some p, Some lid ->
-        flows.(lid) <- flows.(lid) + 1;
-        up p
-      | _ -> ()
+    let p = core_tree.Spt.parent.(v) in
+    if v <> core && p >= 0 then begin
+      let lid = core_tree.Spt.via.(v) in
+      flows.(lid) <- flows.(lid) + 1;
+      up p
+    end
   in
   up s;
   for i = 0 to scratch.n_edges - 1 do

@@ -1,14 +1,14 @@
 type tree = {
   src : Topology.node;
   dist : int array;
-  parent : Topology.node option array;
-  via : Topology.link_id option array;
+  parent : int array;
+  via : int array;
 }
 
 type scratch = {
   s_dist : int array;
-  s_parent : Topology.node option array;
-  s_via : Topology.link_id option array;
+  s_parent : int array;
+  s_via : int array;
   s_heap : Pim_util.Indexed_heap.t;
 }
 
@@ -16,8 +16,8 @@ let make_scratch ~n =
   if n < 0 then invalid_arg "Spt.make_scratch: negative size";
   {
     s_dist = Array.make n max_int;
-    s_parent = Array.make n None;
-    s_via = Array.make n None;
+    s_parent = Array.make n (-1);
+    s_via = Array.make n (-1);
     s_heap = Pim_util.Indexed_heap.create ~capacity:n;
   }
 
@@ -36,32 +36,33 @@ let single_source_into ?(usable = fun _ _ _ -> true) scratch topo src =
   let dist = scratch.s_dist and parent = scratch.s_parent and via = scratch.s_via in
   let heap = scratch.s_heap in
   Array.fill dist 0 n max_int;
-  Array.fill parent 0 n None;
-  Array.fill via 0 n None;
+  Array.fill parent 0 n (-1);
+  Array.fill via 0 n (-1);
   Pim_util.Indexed_heap.clear heap;
   dist.(src) <- 0;
   Pim_util.Indexed_heap.insert heap src ~key:0;
+  (* Loops rather than closures over the adjacency arrays, and take_min
+     rather than pop_min: the search allocates nothing. *)
   let rec loop () =
-    match Pim_util.Indexed_heap.pop_min heap with
-    | None -> ()
-    | Some (u, d) ->
-      Array.iter
-        (fun (_, lid) ->
-          let l = Topology.link topo lid in
-          let nd = d + l.Topology.cost in
-          (* Iterate the link ends in place rather than via
-             [Topology.others_on_link], which allocates a list per edge. *)
-          Array.iter
-            (fun v ->
-              if v <> u && usable u v lid && nd < dist.(v) then begin
-                dist.(v) <- nd;
-                parent.(v) <- Some u;
-                via.(v) <- Some lid;
-                Pim_util.Indexed_heap.push heap v ~key:nd
-              end)
-            l.Topology.ends)
-        (Topology.ifaces topo u);
+    let u = Pim_util.Indexed_heap.take_min heap in
+    if u >= 0 then begin
+      let d = dist.(u) and ifaces = Topology.ifaces topo u in
+      for i = 0 to Array.length ifaces - 1 do
+        let lid = snd ifaces.(i) in
+        let l = Topology.link topo lid in
+        let nd = d + l.Topology.cost and ends = l.Topology.ends in
+        for j = 0 to Array.length ends - 1 do
+          let v = ends.(j) in
+          if v <> u && usable u v lid && nd < dist.(v) then begin
+            dist.(v) <- nd;
+            parent.(v) <- u;
+            via.(v) <- lid;
+            Pim_util.Indexed_heap.push heap v ~key:nd
+          end
+        done
+      done;
       loop ()
+    end
   in
   loop ();
   { src; dist; parent; via }
@@ -75,47 +76,30 @@ let path t v =
   if t.dist.(v) = max_int then None
   else begin
     let rec up v acc =
-      if v = t.src then v :: acc
-      else
-        match t.parent.(v) with
-        | None -> v :: acc (* v = src handled above; unreachable has no parent *)
-        | Some p -> up p (v :: acc)
+      if v = t.src || t.parent.(v) < 0 then v :: acc else up t.parent.(v) (v :: acc)
     in
     Some (up v [])
   end
 
 let first_hop topo t =
   let n = Topology.n_nodes topo in
-  let hop = Array.make n None in
-  let hop_iface = Array.make n None in
+  let hop = Array.make n (-1) and hop_iface = Array.make n (-1) in
   (* Walk parent pointers once per node, memoizing the answer. *)
   let rec resolve v =
-    if v = t.src then None
-    else
-      match hop.(v) with
-      | Some _ as h -> h
-      | None -> (
-        match t.parent.(v) with
-        | None -> None
-        | Some p ->
-          let answer =
-            if p = t.src then begin
-              (match t.via.(v) with
-              | Some lid -> hop_iface.(v) <- Some (Topology.iface_of_link topo t.src lid)
-              | None -> ());
-              Some v
-            end
-            else begin
-              let h = resolve p in
-              hop_iface.(v) <- hop_iface.(p);
-              h
-            end
-          in
-          hop.(v) <- answer;
-          answer)
+    let p = t.parent.(v) in
+    if hop.(v) < 0 && p >= 0 then
+      if p = t.src then begin
+        hop.(v) <- v;
+        hop_iface.(v) <- Topology.iface_of_link topo t.src t.via.(v)
+      end
+      else begin
+        resolve p;
+        hop.(v) <- hop.(p);
+        hop_iface.(v) <- hop_iface.(p)
+      end
   in
   for v = 0 to n - 1 do
-    ignore (resolve v)
+    resolve v
   done;
   (hop, hop_iface)
 
@@ -125,11 +109,11 @@ let tree_edges t ~members =
   let rec up v =
     if v <> t.src && not (Hashtbl.mem seen v) then begin
       Hashtbl.add seen v ();
-      match (t.parent.(v), t.via.(v)) with
-      | Some p, Some lid ->
-        edges := (p, v, lid) :: !edges;
+      let p = t.parent.(v) in
+      if p >= 0 then begin
+        edges := (p, v, t.via.(v)) :: !edges;
         up p
-      | _ -> ()
+      end
     end
   in
   List.iter (fun m -> if t.dist.(m) <> max_int then up m) members;

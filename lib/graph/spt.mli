@@ -7,8 +7,8 @@
 type tree = {
   src : Topology.node;
   dist : int array;  (** cost from [src]; [max_int] when unreachable *)
-  parent : Topology.node option array;  (** predecessor on the shortest path *)
-  via : Topology.link_id option array;  (** link used to reach the node from its parent *)
+  parent : int array;  (** predecessor on the shortest path; [-1] for the root and unreachable nodes *)
+  via : int array;  (** link used to reach the node from its parent; [-1] where [parent] is *)
 }
 
 type scratch
@@ -52,10 +52,10 @@ val distance : tree -> Topology.node -> int option
 val path : tree -> Topology.node -> Topology.node list option
 (** Node sequence from the root to the given node, inclusive. *)
 
-val first_hop : Topology.t -> tree -> (Topology.node option array * Topology.iface option array)
+val first_hop : Topology.t -> tree -> int array * int array
 (** For every destination, the neighbor and root-side interface of the first
-    link on the shortest path from the root.  Used to derive unicast
-    forwarding tables. *)
+    link on the shortest path from the root, [-1] for the root itself and
+    unreachable nodes.  Used to derive unicast forwarding tables. *)
 
 val tree_edges :
   tree ->

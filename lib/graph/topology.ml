@@ -33,6 +33,7 @@ let check_node b u =
 
 let add_link b ends ~cost ~delay ~is_lan =
   List.iter (check_node b) (Array.to_list ends);
+  if cost < 1 then invalid_arg (Printf.sprintf "Topology: link cost %d below 1" cost);
   let id = b.count in
   b.blinks <- { id; ends; cost; delay; is_lan } :: b.blinks;
   b.count <- b.count + 1;

@@ -21,7 +21,7 @@ type iface = int
 type link = {
   id : link_id;
   ends : node array;  (** two nodes for point-to-point, two or more for a LAN *)
-  cost : int;  (** unicast routing metric *)
+  cost : int;  (** unicast routing metric, at least 1 *)
   delay : float;  (** propagation delay in simulated seconds *)
   is_lan : bool;
 }
@@ -34,11 +34,14 @@ val builder : int -> builder
 (** [builder n] starts a topology with [n] router nodes and no links. *)
 
 val add_p2p : ?cost:int -> ?delay:float -> builder -> node -> node -> link_id
-(** Add a point-to-point link.  Default cost 1, default delay 1.0. *)
+(** Add a point-to-point link.  Default cost 1, default delay 1.0.
+    @raise Invalid_argument on a cost below 1: shortest-path code relies
+    on every hop lengthening a path. *)
 
 val add_lan : ?cost:int -> ?delay:float -> builder -> node list -> link_id
 (** Add a multi-access LAN joining the given routers (at least one; a
-    single-router LAN is a stub subnet where hosts live). *)
+    single-router LAN is a stub subnet where hosts live).
+    @raise Invalid_argument on a cost below 1, as {!add_p2p}. *)
 
 val freeze : builder -> t
 

@@ -1,4 +1,5 @@
 module Topology = Pim_graph.Topology
+module Spt = Pim_graph.Spt
 module Net = Pim_sim.Net
 module Engine = Pim_sim.Engine
 module Packet = Pim_net.Packet
@@ -30,8 +31,8 @@ type state = {
   lsdb : (Topology.node, lsa) Hashtbl.t;
   mutable own_seq : int;
   mutable dist : int array;
-  mutable hop_node : Topology.node option array;
-  mutable hop_iface : Topology.iface option array;
+  mutable hop_node : int array;  (* -1 = no route *)
+  mutable hop_iface : int array;
   mutable spf_pending : bool;
   subs : (unit -> unit) Pim_util.Vec.t;
 }
@@ -74,58 +75,22 @@ let flood t st ~except lsa =
       end)
     (Topology.ifaces topo st.u)
 
+(* Dijkstra over the router's own database: an adjacency counts when its
+   origin advertises it and the neighbor advertises the origin back.  LSA
+   costs are the topology's link costs, so the walk is the topology's,
+   restricted to advertised adjacencies. *)
 let run_spf t st =
   let topo = Net.topo t.net in
-  let n = Topology.n_nodes topo in
   t.spf_count <- t.spf_count + 1;
-  let bidirectional o v =
-    match Hashtbl.find_opt st.lsdb v with
-    | None -> false
-    | Some lsa -> List.exists (fun (w, _, _) -> w = o) lsa.adj
+  let advertises o p =
+    match Hashtbl.find_opt st.lsdb o with None -> false | Some lsa -> List.exists p lsa.adj
   in
-  let dist = Array.make n max_int in
-  let hop_node = Array.make n None in
-  let hop_iface = Array.make n None in
-  let cmp (d1, n1) (d2, n2) =
-    match Int.compare d1 d2 with 0 -> Int.compare n1 n2 | c -> c
+  let usable o v lid =
+    advertises o (fun (w, _, l) -> w = v && l = lid) && advertises v (fun (w, _, _) -> w = o)
   in
-  let heap = Pim_util.Heap.create ~cmp in
-  let done_ = Array.make n false in
-  dist.(st.u) <- 0;
-  Pim_util.Heap.push heap (0, st.u);
-  let rec loop () =
-    match Pim_util.Heap.pop heap with
-    | None -> ()
-    | Some (d, o) ->
-      if not done_.(o) then begin
-        done_.(o) <- true;
-        (match Hashtbl.find_opt st.lsdb o with
-        | None -> ()
-        | Some lsa ->
-          List.iter
-            (fun (v, cost, lid) ->
-              if bidirectional o v then begin
-                let nd = d + cost in
-                if nd < dist.(v) then begin
-                  dist.(v) <- nd;
-                  (if o = st.u then begin
-                     hop_node.(v) <- Some v;
-                     hop_iface.(v) <- Topology.iface_of_link_opt topo st.u lid
-                   end
-                   else begin
-                     hop_node.(v) <- hop_node.(o);
-                     hop_iface.(v) <- hop_iface.(o)
-                   end);
-                  Pim_util.Heap.push heap (nd, v)
-                end
-              end)
-            lsa.adj);
-        loop ()
-      end
-      else loop ()
-  in
-  loop ();
-  st.dist <- dist;
+  let tree = Spt.single_source ~usable topo st.u in
+  let hop_node, hop_iface = Spt.first_hop topo tree in
+  st.dist <- tree.Spt.dist;
   st.hop_node <- hop_node;
   st.hop_iface <- hop_iface;
   Pim_util.Vec.iter (fun f -> f ()) st.subs
@@ -169,8 +134,8 @@ let create ?(config = default_config) net =
           lsdb = Hashtbl.create 16;
           own_seq = 0;
           dist = Array.make n max_int;
-          hop_node = Array.make n None;
-          hop_iface = Array.make n None;
+          hop_node = Array.make n (-1);
+          hop_iface = Array.make n (-1);
           spf_pending = false;
           subs = Pim_util.Vec.create ();
         })
@@ -205,9 +170,8 @@ let rib t u =
     | Some d ->
       if d = u then None
       else (
-        match (st.hop_iface.(d), st.hop_node.(d)) with
-        | Some i, Some v when st.dist.(d) <> max_int -> Some (i, v)
-        | _ -> None)
+        let v = st.hop_node.(d) in
+        if v < 0 then None else Some (st.hop_iface.(d), v))
   in
   let dist_fn addr =
     match Rib.resolve addr with None -> None | Some d -> distance t u d

@@ -1,59 +1,155 @@
 module Topology = Pim_graph.Topology
 module Spt = Pim_graph.Spt
+module Net = Pim_sim.Net
+module Bitset = Pim_util.Bitset
+module Vec = Pim_util.Vec
 
-type t = {
-  net : Pim_sim.Net.t;
-  mutable trees : Spt.tree array;  (* indexed by source node *)
-  mutable hops : (Topology.node option array * Topology.iface option array) array;
-  subs : (unit -> unit) Pim_util.Vec.t array;  (* per node *)
+(* One router's routes: its shortest-path tree flattened into unboxed
+   arrays indexed by destination, -1 where there is no route. *)
+type table = {
+  dist : int array;  (* max_int when unreachable *)
+  parent : int array;
+  via : int array;  (* link from [parent] *)
+  hop : int array;  (* first router on the path *)
+  hop_iface : int array;  (* this router's interface toward [hop] *)
+  asked : Bitset.t;  (* destinations the router has looked up *)
 }
 
-let usable net u v lid =
-  Pim_sim.Net.link_up net lid && Pim_sim.Net.node_up net u && Pim_sim.Net.node_up net v
+type t = {
+  topo : Topology.t;
+  usable : Topology.node -> Topology.node -> Topology.link_id -> bool;
+  scratch : Spt.scratch;
+  tables : table option array;  (* per router, built on its first lookup *)
+  subs : (unit -> unit) Vec.t array;  (* per router *)
+  mutable dijkstras : int;
+}
 
-let compute net =
-  let topo = Pim_sim.Net.topo net in
-  let n = Topology.n_nodes topo in
-  let trees =
-    Array.init n (fun u -> Spt.single_source ~usable:(usable net) topo u)
+let build t u ~asked =
+  let tree = Spt.single_source_into ~usable:t.usable t.scratch t.topo u in
+  t.dijkstras <- t.dijkstras + 1;
+  let hop, hop_iface = Spt.first_hop t.topo tree in
+  {
+    dist = Array.copy tree.Spt.dist;
+    parent = Array.copy tree.Spt.parent;
+    via = Array.copy tree.Spt.via;
+    hop;
+    hop_iface;
+    asked;
+  }
+
+let table t u =
+  match t.tables.(u) with
+  | Some tb -> tb
+  | None ->
+    let tb = build t u ~asked:(Bitset.create (Topology.n_nodes t.topo)) in
+    t.tables.(u) <- Some tb;
+    tb
+
+(* Whether [tb], built before [lids] changed, is still what Dijkstra would
+   build now.  Dijkstra settles nodes by (distance, id), since every link
+   costs at least 1, and gives each node the first parent, in settle
+   order and then interface order, that reaches it at its distance.  So
+   the tree stands unless one of its edges over [lids] died, or a live
+   edge over [lids] reaches a node sooner than its parent, or as soon
+   but from earlier in that order. *)
+let still_valid t tb lids =
+  let earlier a lid b =
+    let p = tb.parent.(b) in
+    tb.dist.(a) < tb.dist.(p)
+    || (tb.dist.(a) = tb.dist.(p)
+       && (a < p
+          || (a = p
+             && Topology.iface_of_link t.topo a lid < Topology.iface_of_link t.topo a tb.via.(b))))
   in
-  let hops = Array.map (fun tr -> Spt.first_hop topo tr) trees in
-  (trees, hops)
+  let edge_holds lid cost a b =
+    if tb.via.(b) = lid && tb.parent.(b) = a then t.usable a b lid
+    else if not (t.usable a b lid) || tb.dist.(a) = max_int then true
+    else
+      let d = tb.dist.(a) + cost in
+      d > tb.dist.(b) || (d = tb.dist.(b) && (tb.parent.(b) < 0 || not (earlier a lid b)))
+  in
+  List.for_all
+    (fun lid ->
+      let l = Topology.link t.topo lid in
+      Array.for_all
+        (fun a -> Array.for_all (fun b -> a = b || edge_holds lid l.Topology.cost a b) l.Topology.ends)
+        l.Topology.ends)
+    lids
 
-let refresh t =
-  let trees, hops = compute t.net in
-  t.trees <- trees;
-  t.hops <- hops;
-  Array.iter (fun subs -> Pim_util.Vec.iter (fun f -> f ()) subs) t.subs
+let same_answers a b =
+  let same = ref true in
+  Bitset.iter
+    (fun d ->
+      if a.hop.(d) <> b.hop.(d) || a.hop_iface.(d) <> b.hop_iface.(d) || a.dist.(d) <> b.dist.(d)
+      then same := false)
+    a.asked;
+  !same
+
+(* Rebuild every table [stale] picks, then notify, in router order, each
+   router whose answer toward a destination it asked about changed.  A
+   router nobody listens to just drops its table until its next lookup. *)
+let reconcile t ~stale =
+  let changed = ref [] in
+  Array.iteri
+    (fun u slot ->
+      match slot with
+      | Some tb when stale tb ->
+        if Vec.length t.subs.(u) = 0 then t.tables.(u) <- None
+        else begin
+          let fresh = build t u ~asked:tb.asked in
+          t.tables.(u) <- Some fresh;
+          if not (same_answers tb fresh) then changed := u :: !changed
+        end
+      | Some _ | None -> ())
+    t.tables;
+  List.iter (fun u -> Vec.iter (fun f -> f ()) t.subs.(u)) (List.rev !changed)
+
+let refresh t = reconcile t ~stale:(fun _ -> true)
 
 let create net =
-  let topo = Pim_sim.Net.topo net in
-  let trees, hops = compute net in
-  let subs = Array.init (Topology.n_nodes topo) (fun _ -> Pim_util.Vec.create ()) in
-  let t = { net; trees; hops; subs } in
-  Pim_sim.Net.on_link_change net (fun _ _ -> refresh t);
+  let topo = Net.topo net in
+  let n = Topology.n_nodes topo in
+  let t =
+    {
+      topo;
+      (* One closure of arity 3, so Dijkstra's per-edge calls allocate
+         nothing. *)
+      usable = (fun u v lid -> Net.link_up net lid && Net.node_up net u && Net.node_up net v);
+      scratch = Spt.make_scratch ~n;
+      tables = Array.make n None;
+      subs = Array.init n (fun _ -> Vec.create ());
+      dijkstras = 0;
+    }
+  in
+  Net.on_change net (fun lids -> reconcile t ~stale:(fun tb -> not (still_valid t tb lids)));
   t
+
+(* The table of router [u], noting that it asked about [d]. *)
+let lookup t u d =
+  let tb = table t u in
+  Bitset.add tb.asked d;
+  tb
 
 let rib t u =
   let next_hop addr =
     match Rib.resolve addr with
     | None -> None
+    | Some d when d = u -> None
     | Some d ->
-      if d = u then None
-      else
-        let hop, hop_iface = t.hops.(u) in
-        (match (hop.(d), hop_iface.(d)) with
-        | Some v, Some i -> Some (i, v)
-        | _ -> None)
+      let tb = lookup t u d in
+      if tb.hop.(d) < 0 then None else Some (tb.hop_iface.(d), tb.hop.(d))
   in
   let distance addr =
     match Rib.resolve addr with
     | None -> None
+    | Some d when d = u -> Some 0
     | Some d ->
-      let dd = t.trees.(u).Spt.dist.(d) in
+      let dd = (lookup t u d).dist.(d) in
       if dd = max_int then None else Some dd
   in
-  let subscribe f = Pim_util.Vec.push t.subs.(u) f in
+  let subscribe f = Vec.push t.subs.(u) f in
   { Rib.node = u; next_hop; distance; subscribe }
 
-let distance_matrix t = Array.map (fun tr -> tr.Spt.dist) t.trees
+let distance_matrix t = Array.init (Topology.n_nodes t.topo) (fun u -> (table t u).dist)
+
+let dijkstras t = t.dijkstras

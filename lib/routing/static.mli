@@ -1,24 +1,36 @@
-(** Oracle unicast routing: all-pairs shortest paths over the live
-    topology.
+(** Oracle unicast routing: shortest paths over the live topology.
 
-    Routes are recomputed instantly whenever a link or node changes state,
-    so this substrate has zero convergence time.  It is the default for
+    Routes always reflect the current link and node state, so this
+    substrate has zero convergence time.  It is the default for
     experiments, where unicast convergence noise would obscure the
     multicast measurements; {!Distance_vector} and {!Link_state} exist to
     demonstrate that the multicast protocols are oblivious to the
-    substrate. *)
+    substrate.
+
+    A router's table is its shortest-path tree (Dijkstra, ties toward
+    smaller node ids), built on the router's first lookup: PIM asks only
+    the routers on its trees, and only about sources, RPs and cores.  On a
+    link or node change a table is rebuilt only if the change alters its
+    tree, and a router is notified only if its answer toward some
+    destination it has looked up changed.  A node change is handled once,
+    not once per link. *)
 
 type t
 
 val create : Pim_sim.Net.t -> t
-(** Builds routes immediately and subscribes to link-change notifications
-    from the network. *)
+(** Builds no routes yet; subscribes to the network's state changes. *)
 
 val rib : t -> Pim_graph.Topology.node -> Rib.t
 (** The per-router RIB view handed to multicast protocols. *)
 
 val distance_matrix : t -> int array array
-(** Current router-to-router distances ([max_int] = unreachable). *)
+(** Current router-to-router distances ([max_int] = unreachable).  Builds
+    every router's table. *)
 
 val refresh : t -> unit
-(** Force recomputation (normally automatic). *)
+(** Rebuild every table built so far from the current network state, and
+    notify the routers whose answers changed.  Changes the network reports
+    do this on their own, for the tables they affect. *)
+
+val dijkstras : t -> int
+(** Tables built or rebuilt so far: one Dijkstra each. *)

@@ -28,6 +28,7 @@ type t = {
   node_state : bool array;
   mutable hosts : host array;
   link_subs : (Topology.link_id -> bool -> unit) Vec.t;
+  change_subs : (Topology.link_id list -> unit) Vec.t;
   deliver_subs : (Topology.link_id -> Packet.t -> unit) Vec.t;
   send_subs : (Topology.link_id -> Packet.t -> unit) Vec.t;
   drop_subs : (Topology.link_id -> Packet.t -> unit) Vec.t;
@@ -58,6 +59,7 @@ let create eng topo =
     node_state = Array.make (Topology.n_nodes topo) true;
     hosts = [||];
     link_subs = Vec.create ();
+    change_subs = Vec.create ();
     deliver_subs = Vec.create ();
     send_subs = Vec.create ();
     drop_subs = Vec.create ();
@@ -88,22 +90,34 @@ let link_up t lid = t.link_state.(lid)
 
 let node_up t u = t.node_state.(u)
 
-let notify_link t lid up = Vec.iter (fun f -> f lid up) t.link_subs
+(* One state change: the change subscribers hear it once, with every link
+   it touched, before the per-link subscribers hear each link. *)
+let notify t lids up =
+  if lids <> [] then begin
+    Vec.iter (fun f -> f lids) t.change_subs;
+    List.iter (fun lid -> Vec.iter (fun f -> f lid up) t.link_subs) lids
+  end
 
 let set_link_up t lid up =
   if t.link_state.(lid) <> up then begin
     t.link_state.(lid) <- up;
-    notify_link t lid up
+    notify t [ lid ] up
   end
 
 let set_node_up t u up =
   if t.node_state.(u) <> up then begin
     t.node_state.(u) <- up;
     (* Neighbors perceive the node's links flapping. *)
-    Array.iter (fun (_, lid) -> if t.link_state.(lid) then notify_link t lid up) (Topology.ifaces t.topo u)
+    let lids =
+      Array.to_list (Topology.ifaces t.topo u)
+      |> List.filter_map (fun (_, lid) -> if t.link_state.(lid) then Some lid else None)
+    in
+    notify t lids up
   end
 
 let on_link_change t f = Vec.push t.link_subs f
+
+let on_change t f = Vec.push t.change_subs f
 
 let on_deliver t f = Vec.push t.deliver_subs f
 

@@ -47,7 +47,8 @@ val host_addr : t -> host_id -> Pim_net.Addr.t
 val host_link : t -> host_id -> Pim_graph.Topology.link_id
 
 val set_link_up : t -> Pim_graph.Topology.link_id -> bool -> unit
-(** Change link state and notify {!on_link_change} subscribers. *)
+(** Change link state and notify {!on_change} and {!on_link_change}
+    subscribers. *)
 
 val link_up : t -> Pim_graph.Topology.link_id -> bool
 
@@ -97,7 +98,17 @@ val tamper_next : t -> Pim_graph.Topology.link_id -> tamper -> unit
 
 val on_link_change : t -> (Pim_graph.Topology.link_id -> bool -> unit) -> unit
 (** Subscribe to link up/down transitions (unicast protocols re-converge,
-    PIM re-runs its RPF checks — section 3.8). *)
+    PIM re-runs its RPF checks — section 3.8).  A node changing state is
+    heard as each of its up links changing. *)
+
+val on_change : t -> (Pim_graph.Topology.link_id list -> unit) -> unit
+(** Subscribe to state changes, heard once per {!set_link_up} or
+    {!set_node_up} call that changes something, with every link whose
+    usability it changed: the link itself, or each up link of the node.
+    By the time it runs the network is already in its new state, so a
+    subscriber that recomputes from it does the work once per change
+    rather than once per link.  Change subscribers run before the
+    {!on_link_change} subscribers of the same change. *)
 
 val on_send : t -> (Pim_graph.Topology.link_id -> Pim_net.Packet.t -> unit) -> unit
 (** Observe every transmission accepted onto a link, at send time and

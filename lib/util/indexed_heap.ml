@@ -92,10 +92,10 @@ let push t e ~key =
 
 let peek_min t = if t.size = 0 then None else Some (t.elts.(0), t.keys.(0))
 
-let pop_min t =
-  if t.size = 0 then None
+let take_min t =
+  if t.size = 0 then -1
   else begin
-    let e = t.elts.(0) and k = t.keys.(0) in
+    let e = t.elts.(0) in
     t.pos.(e) <- -1;
     t.size <- t.size - 1;
     if t.size > 0 then begin
@@ -105,8 +105,14 @@ let pop_min t =
       t.pos.(t.elts.(0)) <- 0;
       sift_down t 0
     end;
-    Some (e, k)
+    e
   end
+
+let pop_min t =
+  if t.size = 0 then None
+  else
+    let k = t.keys.(0) in
+    Some (take_min t, k)
 
 let clear t =
   for i = 0 to t.size - 1 do

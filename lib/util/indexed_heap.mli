@@ -7,7 +7,7 @@
     pop order — and anything built on it, like Dijkstra settle order — is
     deterministic.
 
-    Unlike {!Heap} this heap never allocates after {!create}: {!clear} plus
+    This heap never allocates after {!create}: {!clear} plus
     reuse is the intended pattern for scratch-buffer Dijkstra
     ({!Pim_graph.Spt.single_source_into} via its scratch). *)
 
@@ -46,6 +46,10 @@ val peek_min : t -> (int * int) option
 
 val pop_min : t -> (int * int) option
 (** Remove and return the [(element, key)] with the smallest key. *)
+
+val take_min : t -> int
+(** {!pop_min} without the key and without allocating: the element with
+    the smallest key, removed, or [-1] when the heap is empty. *)
 
 val clear : t -> unit
 (** Empty the heap in O(length); the structure is immediately reusable. *)

@@ -42,7 +42,9 @@ let test_builder_rejects_self_loop () =
 let test_builder_rejects_bad_node () =
   let b = Topology.builder 2 in
   Alcotest.check_raises "out of range" (Invalid_argument "Topology: node 5 out of range")
-    (fun () -> ignore (Topology.add_p2p b 0 5))
+    (fun () -> ignore (Topology.add_p2p b 0 5));
+  Alcotest.check_raises "zero cost" (Invalid_argument "Topology: link cost 0 below 1") (fun () ->
+      ignore (Topology.add_lan ~cost:0 b [ 0; 1 ]))
 
 let test_lan () =
   let b = Topology.builder 4 in
@@ -183,10 +185,10 @@ let test_first_hop () =
   let t = Classic.line 4 in
   let tr = Spt.single_source t 0 in
   let hop, hop_iface = Spt.first_hop t tr in
-  Alcotest.(check (option int)) "hop to 3 is 1" (Some 1) hop.(3);
-  Alcotest.(check (option int)) "hop to 1 is 1" (Some 1) hop.(1);
-  Alcotest.(check (option int)) "iface toward 3" (Some 0) hop_iface.(3);
-  Alcotest.(check (option int)) "self" None hop.(0)
+  Alcotest.(check int) "hop to 3 is 1" 1 hop.(3);
+  Alcotest.(check int) "hop to 1 is 1" 1 hop.(1);
+  Alcotest.(check int) "iface toward 3" 0 hop_iface.(3);
+  Alcotest.(check int) "self" (-1) hop.(0)
 
 let test_tree_edges_cover_members () =
   let t = Classic.grid 4 4 in

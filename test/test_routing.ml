@@ -41,6 +41,7 @@ let test_static_line () =
   let _, net = mk (Classic.line 4) in
   let s = Static.create net in
   let r0 = Static.rib s 0 in
+  Alcotest.(check int) "no routes built up front" 0 (Static.dijkstras s);
   (match r0.Rib.next_hop (Addr.router 3) with
   | Some (iface, next) ->
     Alcotest.(check int) "iface" 0 iface;
@@ -48,7 +49,10 @@ let test_static_line () =
   | None -> Alcotest.fail "route expected");
   Alcotest.(check (option int)) "distance" (Some 3) (r0.Rib.distance (Addr.router 3));
   Alcotest.(check bool) "self route none" true (r0.Rib.next_hop (Addr.router 0) = None);
-  Alcotest.(check (option int)) "self distance" (Some 0) (r0.Rib.distance (Addr.router 0))
+  Alcotest.(check (option int)) "self distance" (Some 0) (r0.Rib.distance (Addr.router 0));
+  Alcotest.(check int) "one table for router 0" 1 (Static.dijkstras s);
+  ignore ((Static.rib s 2).Rib.next_hop (Addr.router 0));
+  Alcotest.(check int) "router 2 builds its own" 2 (Static.dijkstras s)
 
 let test_static_host_routes () =
   let _, net = mk (Classic.line 3) in
@@ -67,11 +71,18 @@ let test_static_reroute_on_failure () =
   Alcotest.(check (option int)) "direct" (Some 1) (next_to_1 ());
   let notified = ref 0 in
   r0.Rib.subscribe (fun () -> incr notified);
+  (* Router 0 reaches 2 over 1, not 3 (ties go to the smaller id), so the
+     2-3 link is on none of its paths either way: no rebuild, no
+     notification. *)
+  Net.set_link_up net 2 false;
+  Net.set_link_up net 2 true;
+  Alcotest.(check int) "table kept" 1 (Static.dijkstras s);
+  Alcotest.(check int) "not notified" 0 !notified;
   (* Kill the 0-1 link: the ring reroutes the long way. *)
   Net.set_link_up net 0 false;
   Alcotest.(check (option int)) "detour" (Some 3) (next_to_1 ());
   Alcotest.(check (option int)) "detour distance" (Some 3) (r0.Rib.distance (Addr.router 1));
-  Alcotest.(check bool) "subscriber notified" true (!notified > 0)
+  Alcotest.(check int) "subscriber notified once" 1 !notified
 
 let test_static_node_failure () =
   let _, net = mk (Classic.line 3) in
@@ -86,6 +97,90 @@ let test_static_distance_matrix () =
   let m = Static.distance_matrix s in
   Alcotest.(check int) "0->2" 2 m.(0).(2);
   Alcotest.(check int) "2->0" 2 m.(2).(0)
+
+(* The reference Static is measured against: every router's tree rebuilt
+   from scratch over the live network, as the all-pairs implementation
+   did on creation and on every link change. *)
+let all_pairs_answers net =
+  let topo = Net.topo net in
+  let usable u v lid = Net.link_up net lid && Net.node_up net u && Net.node_up net v in
+  Array.init (Topology.n_nodes topo) (fun u ->
+      let tree = Pim_graph.Spt.single_source ~usable topo u in
+      let hop, hop_iface = Pim_graph.Spt.first_hop topo tree in
+      fun d ->
+        let next = if hop.(d) < 0 then None else Some (hop_iface.(d), hop.(d)) in
+        let dist = tree.Pim_graph.Spt.dist.(d) in
+        (next, if dist = max_int then None else Some dist))
+
+(* Small graphs with parallel links, LANs and costs 1-3, so equal-cost
+   ties and interface order matter. *)
+let random_topo prng =
+  let n = 4 + Prng.int prng 9 in
+  let b = Topology.builder n in
+  let cost () = 1 + Prng.int prng 3 in
+  for v = 1 to n - 1 do
+    ignore (Topology.add_p2p ~cost:(cost ()) b (Prng.int prng v) v)
+  done;
+  for _ = 1 to Prng.int prng n do
+    let u = Prng.int prng n and v = Prng.int prng n in
+    if u <> v then ignore (Topology.add_p2p ~cost:(cost ()) b u v)
+  done;
+  for _ = 1 to Prng.int prng 3 do
+    match List.sort_uniq Int.compare (List.init 3 (fun _ -> Prng.int prng n)) with
+    | _ :: _ :: _ as lan -> ignore (Topology.add_lan ~cost:(cost ()) b lan)
+    | _ -> ()
+  done;
+  Topology.freeze b
+
+let prop_static_matches_all_pairs =
+  QCheck.Test.make
+    ~name:"Static answers like all-pairs and notifies exactly the routers whose answers changed"
+    ~count:300
+    QCheck.(pair (int_range 0 100000) (int_range 1 15))
+    (fun (seed, steps) ->
+      let prng = Prng.create seed in
+      let topo = random_topo prng in
+      let n = Topology.n_nodes topo in
+      let _, net = mk topo in
+      let s = Static.create net in
+      let ribs = Array.init n (Static.rib s) in
+      let notified = Array.make n 0 in
+      Array.iteri (fun u r -> r.Rib.subscribe (fun () -> notified.(u) <- notified.(u) + 1)) ribs;
+      (* A second instance nobody subscribes to drops stale tables instead
+         of rebuilding them. *)
+      let unwatched = Static.create net in
+      let answer_of rib d = (rib.Rib.next_hop (Addr.router d), rib.Rib.distance (Addr.router d)) in
+      let answer u d = answer_of ribs.(u) d in
+      let asked = ref [] in
+      let ok = ref true in
+      for _ = 1 to steps do
+        let expected = all_pairs_answers net in
+        for _ = 1 to 1 + Prng.int prng 4 do
+          let u = Prng.int prng n and d = Prng.int prng n in
+          asked := (u, d) :: !asked;
+          if answer u d <> expected.(u) d then ok := false;
+          if answer_of (Static.rib unwatched u) d <> expected.(u) d then ok := false
+        done;
+        Array.fill notified 0 n 0;
+        (if Prng.bool prng then
+           let lid = Prng.int prng (Topology.n_links topo) in
+           Net.set_link_up net lid (not (Net.link_up net lid))
+         else
+           let u = Prng.int prng n in
+           Net.set_node_up net u (not (Net.node_up net u)));
+        let now = all_pairs_answers net in
+        for u = 0 to n - 1 do
+          let changed = List.exists (fun (v, d) -> v = u && now.(u) d <> expected.(u) d) !asked in
+          if notified.(u) <> Bool.to_int changed then ok := false
+        done
+      done;
+      let expected = all_pairs_answers net in
+      for u = 0 to n - 1 do
+        for d = 0 to n - 1 do
+          if answer u d <> expected.(u) d then ok := false
+        done
+      done;
+      !ok)
 
 (* Distance vector *)
 
@@ -249,6 +344,7 @@ let () =
           Alcotest.test_case "reroute on failure" `Quick test_static_reroute_on_failure;
           Alcotest.test_case "node failure" `Quick test_static_node_failure;
           Alcotest.test_case "distance matrix" `Quick test_static_distance_matrix;
+          QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_static_matches_all_pairs;
         ] );
       ( "distance-vector",
         [

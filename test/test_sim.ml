@@ -200,7 +200,6 @@ let prop_wheel_matches_heap =
     QCheck.(pair (int_range 0 100000) (int_range 1 400))
     (fun (seed, ops) ->
       let module Tw = Pim_util.Timer_wheel in
-      let module Heap = Pim_util.Heap in
       let prng = Pim_util.Prng.create seed in
       (* Reference: (time, seq, id, cancelled ref) in a heap, tombstone
          cancellation — the pre-wheel engine's design. *)
@@ -476,10 +475,14 @@ let test_net_link_change_notify () =
 let test_net_node_change_notifies_links () =
   let _, net = mk_line () in
   let events = ref [] in
+  let changes = ref [] in
+  Net.on_change net (fun lids -> changes := (lids, List.length !events) :: !changes);
   Net.on_link_change net (fun lid up -> events := (lid, up) :: !events);
   Net.set_node_up net 1 false;
   (* node 1 is on both links of the line *)
-  Alcotest.(check int) "both links flap" 2 (List.length !events)
+  Alcotest.(check int) "both links flap" 2 (List.length !events);
+  Alcotest.(check (list (pair (list int) int)))
+    "one change naming both links, before the per-link events" [ ([ 0; 1 ], 0) ] !changes
 
 let test_net_hosts () =
   let b = Topology.builder 2 in

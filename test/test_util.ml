@@ -14,7 +14,6 @@ let qcheck_rand () =
 
 module Prng = Pim_util.Prng
 module Vec = Pim_util.Vec
-module Heap = Pim_util.Heap
 module Ih = Pim_util.Indexed_heap
 module Bitset = Pim_util.Bitset
 module Stats = Pim_util.Stats
