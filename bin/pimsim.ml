@@ -224,6 +224,13 @@ let loss_cmd =
     (Cmd.info "loss" ~doc:"E8: robustness to control-message loss (footnote 4).")
     Term.(const run $ seed_arg)
 
+(* "a, b or c": the choices an error message offers. *)
+let one_of names =
+  match List.rev names with
+  | [] -> ""
+  | [ only ] -> only
+  | last :: rest -> String.concat ", " (List.rev rest) ^ " or " ^ last
+
 (* A single protocol name, canonicalized through Stack.of_string so typos
    become Cmdliner usage errors instead of silently filtering to nothing. *)
 let protocol_conv ~allow_dvmrp =
@@ -261,13 +268,9 @@ let chaos_cmd =
       | "rp-crash" -> `Rp_crash
       | s -> Format.eprintf "chaos: unknown fault kind %S (use random or rp-crash)@." s; exit 2
     in
-    if
-      not
-        (List.mem rp_strategy [ "static"; "random"; "center"; "locality"; "vns"; "bsr" ])
-    then begin
-      Format.eprintf
-        "chaos: unknown RP strategy %S (use static, random, center, locality, vns or bsr)@."
-        rp_strategy;
+    if not (List.mem rp_strategy Pim_exp.Failover.all_strategies) then begin
+      Format.eprintf "chaos: unknown RP strategy %S (use %s)@." rp_strategy
+        (one_of Pim_exp.Failover.all_strategies);
       exit 2
     end;
     let protocols =
@@ -385,11 +388,9 @@ let rp_cmd =
   let run seed nodes degree groups members strategy json =
     let module Prng = Pim_util.Prng in
     let module Addr = Pim_net.Addr in
-    if
-      not (List.mem strategy [ "static"; "random"; "center"; "locality"; "vns" ])
-    then begin
-      Format.eprintf
-        "rp: unknown strategy %S (use static, random, center, locality or vns)@." strategy;
+    if not (List.mem strategy Pim_exp.Rp_placement.all_strategies) then begin
+      Format.eprintf "rp: unknown strategy %S (use %s)@." strategy
+        (one_of Pim_exp.Rp_placement.all_strategies);
       exit 2
     end;
     let prng = Prng.create seed in

@@ -7,18 +7,21 @@ module Group = Pim_net.Group
 module Addr = Pim_net.Addr
 module Topology = Pim_graph.Topology
 module Random_graph = Pim_graph.Random_graph
-module Fwd = Pim_mcast.Fwd
 module Mdata = Pim_mcast.Mdata
 
 let group = Group.of_index 7
 
+(* The protocols the harness compares, in report order (DVMRP shares
+   PIM-DM's dense-mode machinery, so PIM-DM stands for both). *)
+let compared = Stack.[ Pim_sm; Pim_dm; Cbt; Mospf ]
+
 (* Timeline (virtual seconds; all protocols use their fast configs):
    joins at 0, steady 2 pkt/s stream from [stream_start], faults injected
    in [fault_start, fault_end) with every outage healed by [fault_end],
-   then a per-protocol [recover_wait], then the oracle checkpoint: probe
-   burst (loop freedom + reachability on the wire) and state checks.
-   Finally all members leave and after [drain_wait] any state above the
-   protocol's residual floor is orphaned. *)
+   then the protocol's one-hop {!Stack.settle_hint}, then the oracle
+   checkpoint: probe burst (loop freedom + reachability on the wire) and
+   state checks.  Finally all members leave and after [drain_wait] any
+   state above the protocol's residual floor is orphaned. *)
 let stream_start = 10.0
 
 let stream_interval = 0.5
@@ -33,20 +36,6 @@ let burst_spacing = 0.4
    link delays); wide-area transit-stub runs compute their own bound
    from the topology's link delays. *)
 let default_delay_bound = 10.0
-
-type setup = {
-  name : string;
-  join : Topology.node -> (Pim_net.Packet.t -> unit) -> unit;
-  leave : Topology.node -> unit;
-  send : unit -> unit;
-  entries : unit -> int;
-  restart : Topology.node -> unit;
-  state_checks : (string * (unit -> string list)) list;
-  max_copies : int;  (* legitimate per-link copies of one packet *)
-  recover_wait : float;  (* post-heal settle time before the checkpoint *)
-  drain_wait : float;  (* post-leave time before the orphan check *)
-  residual_floor : int;  (* state entries legitimately left after drain *)
-}
 
 type row = {
   protocol : string;
@@ -78,18 +67,80 @@ let fault_onsets schedule =
       | _ -> None)
     schedule
 
-let run_protocol ~topo ~schedule ~fault_end ~members ~source ~delay_bound
-    ~(build : Net.t -> setup) =
+(* Soft state tears down serially, so each protocol needs its own wait
+   after every member left before leftover state counts as orphaned. *)
+let drain_wait ~topo ~source = function
+  | Stack.Pim_sm ->
+    (* The RP's entry lingers past the last data, then each hop toward
+       the source keeps refreshing its upstream until its own oif times
+       out — one oif holdtime per hop, bounded by the source's
+       eccentricity (links cost the same both ways). *)
+    let c = Pim_core.Config.fast in
+    let tree = Pim_graph.Spt.single_source topo source in
+    let ecc =
+      List.init (Topology.n_nodes topo) (fun u -> Pim_graph.Spt.distance tree u)
+      |> List.fold_left (fun acc d -> match d with Some d -> max acc d | None -> acc) 0
+    in
+    c.Pim_core.Config.entry_linger
+    +. (float_of_int (ecc + 2) *. c.Pim_core.Config.oif_holdtime)
+    +. (3. *. c.Pim_core.Config.sweep_interval)
+  | Stack.Pim_dm | Stack.Dvmrp ->
+    let c = Pim_dense.Router.fast_config in
+    c.Pim_dense.Router.entry_linger +. (3. *. c.Pim_dense.Router.sweep_interval)
+  | Stack.Cbt ->
+    let c = Pim_cbt.Router.fast_config in
+    c.Pim_cbt.Router.child_timeout +. (4. *. c.Pim_cbt.Router.echo_interval)
+  | Stack.Mospf -> 10.
+
+(* MOSPF floods membership, so every live router must know every live
+   member — the whole premise of its design.  What a router knows is the
+   member list of its one mroute line (format documented in stack.mli). *)
+let membership_sync (s : Stack.t) ~net ~members () =
+  let known u =
+    match s.Stack.mroute u with
+    | [ line ] -> (
+      match String.index_opt line '{' with
+      | Some i ->
+        String.sub line (i + 1) (String.length line - i - 2)
+        |> String.split_on_char ',' |> List.filter_map int_of_string_opt
+      | None -> [])
+    | _ -> []
+  in
+  List.init (Topology.n_nodes (Net.topo net)) Fun.id
+  |> List.filter (Net.node_up net)
+  |> List.concat_map (fun u ->
+         let k = known u in
+         List.filter (fun m -> Net.node_up net m && not (List.mem m k)) members
+         |> List.map (fun m ->
+                Printf.sprintf "router %d does not know member %d of %s" u m
+                  (Group.to_string group)))
+  |> List.rev
+
+let run_protocol ~topo ~schedule ~fault_end ~members ~source ~delay_bound ~placement
+    ~rp_election ~cbsr_forbidden protocol =
   let eng = Engine.create () in
   let net = Net.create eng topo in
   let metrics = Metrics.attach net in
-  let s = build net in
+  let s =
+    snd
+      (List.hd
+         (Stack.create_many ~placement ~rp_election ~cbsr_forbidden ~groups:[ group ] ~net
+            protocol))
+  in
+  let state_checks =
+    match protocol with
+    | Stack.Mospf ->
+      s.Stack.state_checks @ [ ("membership-sync", membership_sync s ~net ~members) ]
+    | Stack.Pim_sm | Stack.Pim_dm | Stack.Dvmrp | Stack.Cbt -> s.Stack.state_checks
+  in
+  let send () = s.Stack.send_from source in
+  let drain_wait = drain_wait ~topo ~source protocol in
   (* While faults are active, an in-flight packet crossing an RPF change
      can legitimately traverse one link an extra time; only sustained
      duplication there means a loop.  The quiet checkpoint below drops
      back to the protocol's strict bound. *)
   let oracle =
-    Oracle.create ~max_copies:(s.max_copies + 2) net ~probe_id:(fun pkt ->
+    Oracle.create ~max_copies:(s.Stack.max_copies + 2) net ~probe_id:(fun pkt ->
         Option.map (fun (i : Mdata.info) -> i.Mdata.seq) (Mdata.info pkt))
   in
   let n_recv = List.length members in
@@ -102,7 +153,8 @@ let run_protocol ~topo ~schedule ~fault_end ~members ~source ~delay_bound
   List.iter
     (fun m ->
       Hashtbl.replace per_recv m (ref []);
-      s.join m (fun pkt ->
+      s.Stack.join m;
+      s.Stack.on_data m (fun pkt ->
           match Mdata.info pkt with
           | None -> ()
           | Some { Mdata.seq; sent_at } ->
@@ -126,13 +178,13 @@ let run_protocol ~topo ~schedule ~fault_end ~members ~source ~delay_bound
             end))
     members;
   (* Steady stream up to the checkpoint, then the probe burst. *)
-  let checkpoint_start = fault_end +. s.recover_wait in
+  let checkpoint_start = fault_end +. Stack.settle_hint ~rp_election ~hops:1 protocol in
   let n_stream =
     int_of_float (Float.round ((checkpoint_start -. stream_start) /. stream_interval))
   in
   for i = 0 to n_stream - 1 do
     ignore
-      (Engine.schedule_at eng (stream_start +. (stream_interval *. float_of_int i)) s.send)
+      (Engine.schedule_at eng (stream_start +. (stream_interval *. float_of_int i)) send)
   done;
   (* Control-plane cost attributable to the churn itself. *)
   let ctl_start = ref 0 and ctl_end = ref 0 in
@@ -140,13 +192,13 @@ let run_protocol ~topo ~schedule ~fault_end ~members ~source ~delay_bound
     (Engine.schedule_at eng fault_start (fun () -> ctl_start := Metrics.control_traversals metrics));
   ignore
     (Engine.schedule_at eng fault_end (fun () -> ctl_end := Metrics.control_traversals metrics));
-  ignore (Fault.install ~restart:s.restart net schedule);
+  ignore (Fault.install ~restart:s.Stack.restart net schedule);
   (* Checkpoint: fresh probe epoch so reconvergence-era duplicates (which
      are legitimate, e.g. SPT-switchover overlap) are not charged as
      loops; every burst probe must reach every member within the bound. *)
   ignore
     (Engine.schedule_at eng checkpoint_start (fun () ->
-         Oracle.set_max_copies oracle s.max_copies;
+         Oracle.set_max_copies oracle s.Stack.max_copies;
          Oracle.reset_probes oracle));
   let burst_seqs = List.init burst_probes (fun k -> n_stream + k) in
   List.iteri
@@ -154,14 +206,14 @@ let run_protocol ~topo ~schedule ~fault_end ~members ~source ~delay_bound
       ignore
         (Engine.schedule_at eng
            (checkpoint_start +. 0.01 +. (burst_spacing *. float_of_int k))
-           s.send))
+           send))
     burst_seqs;
   let checkpoint_end =
     checkpoint_start +. (burst_spacing *. float_of_int burst_probes) +. delay_bound
   in
   ignore
     (Engine.schedule_at eng checkpoint_end (fun () ->
-         List.iter (fun (inv, f) -> Oracle.run_check oracle ~invariant:inv f) s.state_checks;
+         List.iter (fun (inv, f) -> Oracle.run_check oracle ~invariant:inv f) state_checks;
          List.iter
            (fun probe ->
              let got = Oracle.received_by oracle ~probe in
@@ -174,14 +226,14 @@ let run_protocol ~topo ~schedule ~fault_end ~members ~source ~delay_bound
                members)
            burst_seqs;
          Oracle.check_blackhole oracle ~source ~members ~probes:burst_seqs;
-         List.iter s.leave members));
-  let t_end = checkpoint_end +. s.drain_wait in
+         List.iter s.Stack.leave members));
+  let t_end = checkpoint_end +. drain_wait in
   Engine.run ~until:t_end eng;
-  let residual = s.entries () in
-  if residual > s.residual_floor then
+  let residual = s.Stack.entries () in
+  if residual > s.Stack.residual_floor then
     Oracle.record oracle ~invariant:"orphaned-state"
       (Printf.sprintf "%d state entries remain %.0fs after all members left (floor %d)"
-         residual s.drain_wait s.residual_floor);
+         residual drain_wait s.Stack.residual_floor);
   (* Convergence: for each fault onset, the earliest send at-or-after it
      that every member received. *)
   let full_sorted = List.sort Float.compare !full_times in
@@ -213,7 +265,7 @@ let run_protocol ~topo ~schedule ~fault_end ~members ~source ~delay_bound
       per_recv 0.
   in
   {
-    protocol = s.name;
+    protocol = Stack.to_string protocol;
     deliveries = !deliveries;
     expected = (n_stream + burst_probes) * n_recv;
     dup_deliveries = !dups;
@@ -230,186 +282,6 @@ let run_protocol ~topo ~schedule ~fault_end ~members ~source ~delay_bound
            schedule);
     residual_entries = residual;
     violations = Oracle.violations oracle;
-  }
-
-(* {1 Protocol adapters} *)
-
-(* The PIM structural invariants now live in {!Stack} (shared with the
-   scenario DSL); this is the chaos-flavored phrasing over a static
-   deployment. *)
-let pim_state_checks ~net ~static ~deployment:d =
-  Stack.pim_state_checks ~net
-    ~rib:(Pim_routing.Static.rib static)
-    ~fib:(fun u -> Pim_core.Router.fib (Pim_core.Deployment.router d u))
-
-let pim_setup ~rp_mode ~source net =
-  let config = Pim_core.Config.fast in
-  let static = Pim_routing.Static.create net in
-  let bsr, rp_set, election_wait =
-    match rp_mode with
-    | `Static rp_set -> (None, rp_set, 0.)
-    | `Bsr roles ->
-      let b =
-        Pim_core.Bsr.deploy ~config:Pim_core.Bsr.fast ~net
-          ~ribs:(Pim_routing.Static.rib static) ~roles ()
-      in
-      (* A crashed-and-restarted RP re-enters the mapping only after its
-         advert reaches the BSR and a bootstrap flood spreads it; routers
-         then notice stale shared trees via rp_timeout.  Both waits come
-         on top of the usual join/prune refresh settle time. *)
-      ( Some b,
-        Pim_core.Rp_set.empty,
-        Pim_core.Bsr.failover_budget Pim_core.Bsr.fast +. config.Pim_core.Config.rp_timeout )
-  in
-  let d =
-    Pim_core.Deployment.create ~config ?bsr ~net ~ribs:(Pim_routing.Static.rib static) ~rp_set ()
-  in
-  {
-    name = "PIM-SM";
-    join =
-      (fun m cb ->
-        let r = Pim_core.Deployment.router d m in
-        Pim_core.Router.join_local r group;
-        Pim_core.Router.on_local_data r cb);
-    leave = (fun m -> Pim_core.Router.leave_local (Pim_core.Deployment.router d m) group);
-    send =
-      (fun () -> Pim_core.Router.send_local_data (Pim_core.Deployment.router d source) ~group ());
-    entries = (fun () -> Pim_core.Deployment.total_entries d);
-    restart =
-      (fun u ->
-        Pim_core.Router.restart (Pim_core.Deployment.router d u);
-        Option.iter (fun b -> Pim_core.Bsr.restart b u) bsr);
-    state_checks = pim_state_checks ~net ~static ~deployment:d;
-    max_copies = 1;
-    (* A few jp_periods: crashed transit routers are rebuilt by their
-       downstream neighbors' periodic refresh, one hop per period worst
-       case. *)
-    recover_wait = (5. *. config.Pim_core.Config.jp_period) +. election_wait;
-    (* Soft state tears down serially: the RP's entry lingers past the
-       last data, then each hop toward the source keeps refreshing its
-       upstream until its own oif times out — one oif holdtime per hop,
-       bounded by the source's eccentricity. *)
-    drain_wait =
-      (let src_rib = Pim_routing.Static.rib static source in
-       let n = Topology.n_nodes (Net.topo net) in
-       let ecc = ref 0 in
-       (* Links cost the same both ways, so the source's own table gives
-          every router's distance to it. *)
-       for u = 0 to n - 1 do
-         match src_rib.Pim_routing.Rib.distance (Addr.router u) with
-         | Some d -> ecc := max !ecc d
-         | None -> ()
-       done;
-       config.Pim_core.Config.entry_linger
-       +. (float_of_int (!ecc + 2) *. config.Pim_core.Config.oif_holdtime)
-       +. (3. *. config.Pim_core.Config.sweep_interval));
-    residual_floor = 0;
-  }
-
-let dense_setup ~source net =
-  let config = { Pim_dense.Router.fast_config with mode = Pim_dense.Router.Pim_dm; graft = true } in
-  let d = Pim_dense.Router.Deployment.create_static ~config net in
-  {
-    name = "PIM-DM";
-    join =
-      (fun m cb ->
-        let r = Pim_dense.Router.Deployment.router d m in
-        Pim_dense.Router.join_local r group;
-        Pim_dense.Router.on_local_data r cb);
-    leave = (fun m -> Pim_dense.Router.leave_local (Pim_dense.Router.Deployment.router d m) group);
-    send =
-      (fun () ->
-        Pim_dense.Router.send_local_data (Pim_dense.Router.Deployment.router d source) ~group ());
-    entries = (fun () -> Pim_dense.Router.Deployment.total_entries d);
-    restart = (fun u -> Pim_dense.Router.restart (Pim_dense.Router.Deployment.router d u));
-    state_checks = [];
-    (* Broadcast-and-prune legitimately puts one copy per link direction
-       on the wire (the flood, then the prune); only a third copy of the
-       same packet on one link indicates a loop. *)
-    max_copies = 2;
-    (* A stale-iif entry heals only after the prune/grow-back cycle lets
-       it expire: prune_timeout + entry_linger. *)
-    recover_wait =
-      config.Pim_dense.Router.prune_timeout +. config.Pim_dense.Router.entry_linger +. 5.;
-    drain_wait =
-      config.Pim_dense.Router.entry_linger +. (3. *. config.Pim_dense.Router.sweep_interval);
-    residual_floor = 0;
-  }
-
-let cbt_setup ~core ~source net =
-  let config = Pim_cbt.Router.fast_config in
-  let core_of g = if Group.equal g group then Some (Addr.router core) else None in
-  let d = Pim_cbt.Router.Deployment.create_static ~config net ~core_of in
-  {
-    name = "CBT";
-    join =
-      (fun m cb ->
-        let r = Pim_cbt.Router.Deployment.router d m in
-        Pim_cbt.Router.join_local r group;
-        Pim_cbt.Router.on_local_data r cb);
-    leave = (fun m -> Pim_cbt.Router.leave_local (Pim_cbt.Router.Deployment.router d m) group);
-    send =
-      (fun () ->
-        Pim_cbt.Router.send_local_data (Pim_cbt.Router.Deployment.router d source) ~group ());
-    entries = (fun () -> Pim_cbt.Router.Deployment.total_entries d);
-    restart = (fun u -> Pim_cbt.Router.restart (Pim_cbt.Router.Deployment.router d u));
-    state_checks = [];
-    max_copies = 1;
-    (* Hard state heals slowest: a child only notices a dead parent after
-       parent_timeout, then flushes and rejoins. *)
-    recover_wait =
-      config.Pim_cbt.Router.parent_timeout +. config.Pim_cbt.Router.rejoin_delay
-      +. (3. *. config.Pim_cbt.Router.echo_interval);
-    drain_wait =
-      config.Pim_cbt.Router.child_timeout +. (4. *. config.Pim_cbt.Router.echo_interval);
-    (* The core never tears down its own entry. *)
-    residual_floor = 1;
-  }
-
-let mospf_setup ~source ~members net =
-  let lsa_refresh = 5. in
-  let d = Pim_mospf.Router.Deployment.create ~lsa_refresh net in
-  let topo = Net.topo net in
-  let n = Topology.n_nodes topo in
-  (* Flooded membership must be in sync domain-wide: every live router
-     knows every live member (the whole premise of MOSPF's design). *)
-  let membership_check () =
-    let problems = ref [] in
-    for u = 0 to n - 1 do
-      if Net.node_up net u then
-        List.iter
-          (fun m ->
-            if
-              Net.node_up net m
-              && not (Pim_mospf.Router.knows_member (Pim_mospf.Router.Deployment.router d u) m group)
-            then
-              problems :=
-                Printf.sprintf "router %d does not know member %d of %s" u m
-                  (Group.to_string group)
-                :: !problems)
-          members
-    done;
-    !problems
-  in
-  {
-    name = "MOSPF";
-    join =
-      (fun m cb ->
-        let r = Pim_mospf.Router.Deployment.router d m in
-        Pim_mospf.Router.join_local r group;
-        Pim_mospf.Router.on_local_data r cb);
-    leave = (fun m -> Pim_mospf.Router.leave_local (Pim_mospf.Router.Deployment.router d m) group);
-    send =
-      (fun () ->
-        Pim_mospf.Router.send_local_data (Pim_mospf.Router.Deployment.router d source) ~group ());
-    entries = (fun () -> Pim_mospf.Router.Deployment.total_membership_entries d);
-    restart = (fun u -> Pim_mospf.Router.restart (Pim_mospf.Router.Deployment.router d u));
-    state_checks = [ ("membership-sync", membership_check) ];
-    max_copies = 1;
-    (* A restarted router relearns the domain's LSAs within one refresh. *)
-    recover_wait = (2. *. lsa_refresh) +. 5.;
-    drain_wait = 10.;
-    residual_floor = 0;
   }
 
 (* {1 The experiment} *)
@@ -471,45 +343,29 @@ let run ?(nodes = 30) ?(degree = 4.) ?(receivers = 5) ?(events = 8) ?(fault_wind
      source or receivers; the legacy "static" strategy keeps the first
      member as RP except in rp-crash runs, where it falls back to the
      first two non-endpoint routers. *)
+  let computed spec =
+    Pim_core.Placement.compute ~topo ~groups:[ (group, endpoints) ] ~forbidden:endpoints ~seed spec
+    |> List.map (fun (g, rps) -> (g, List.filter_map Addr.router_index rps))
+  in
   let placement =
     match rp_strategy with
     | "static" -> (
       match fault with
-      | `Random -> [ (group, [ Addr.router rp ]) ]
+      | `Random -> [ (group, [ rp ]) ]
       | `Rp_crash ->
         let pool =
           List.init nodes Fun.id
           |> List.filter (fun u -> not (List.mem u endpoints))
           |> List.filteri (fun i _ -> i < 2)
         in
-        [ (group, List.map Addr.router pool) ])
-    | "bsr" ->
-      Pim_core.Placement.compute ~topo ~groups:[ (group, endpoints) ] ~forbidden:endpoints
-        ~seed (Pim_core.Placement.Centered 2)
+        [ (group, pool) ])
+    | "bsr" -> computed (Pim_core.Placement.Centered 2)
     | s -> (
       match Pim_core.Placement.named s with
-      | Some spec ->
-        Pim_core.Placement.compute ~topo ~groups:[ (group, endpoints) ] ~forbidden:endpoints
-          ~seed spec
+      | Some spec -> computed spec
       | None -> invalid_arg (Printf.sprintf "Chaos.run: unknown RP strategy %S" s))
   in
-  let rp_nodes =
-    List.concat_map (fun (_, rps) -> List.filter_map Addr.router_index rps) placement
-    |> List.sort_uniq Int.compare
-  in
-  let rp_mode =
-    if String.equal rp_strategy "bsr" then
-      (* Candidate BSRs sit off both the endpoints and the RP targets so
-         the election substrate itself survives the targeted faults. *)
-      let cbsrs =
-        List.init nodes Fun.id
-        |> List.filter (fun u -> not (List.mem u endpoints) && not (List.mem u rp_nodes))
-        |> List.filteri (fun i _ -> i < 2)
-        |> List.mapi (fun i u -> (u, 2 - i))
-      in
-      `Bsr (Pim_core.Placement.roles placement ~n_nodes:nodes ~cbsrs)
-    else `Static (Pim_core.Placement.rp_set_of placement)
-  in
+  let rp_nodes = List.concat_map snd placement |> List.sort_uniq Int.compare in
   let fault_end = fault_start +. fault_window in
   (* One schedule, decided before any protocol runs, replayed verbatim
      against each of them. *)
@@ -522,15 +378,14 @@ let run ?(nodes = 30) ?(degree = 4.) ?(receivers = 5) ?(events = 8) ?(fault_wind
       Fault.targeted_schedule ~prng:(Prng.split prng) ~targets:rp_nodes ~start:fault_start
         ~until:fault_end ~events ~mean_outage ()
   in
-  let go build = run_protocol ~topo ~schedule ~fault_end ~members ~source ~delay_bound ~build in
-  (* Canonical report order: the fixed protocol list below — the report
-     row order is part of the byte-identical reproducibility contract.
-     [protocols] selects a subset (large-topology scale runs exercise
-     one protocol at a time) without disturbing that order.  RP-crash
-     runs default to PIM-SM alone: only it consumes the RP placement
-     under test (CBT keeps its legacy member-homed core). *)
+  (* Canonical report order: the fixed protocol list [compared] — the
+     report row order is part of the byte-identical reproducibility
+     contract.  [protocols] selects a subset (large-topology scale runs
+     exercise one protocol at a time) without disturbing that order.
+     RP-crash runs default to PIM-SM alone: only it consumes the RP
+     placement under test. *)
   (* A typo in the filter must fail loudly, not silently run nothing. *)
-  let known = [ "PIM-SM"; "PIM-DM"; "CBT"; "MOSPF" ] in
+  let known = List.map Stack.to_string compared in
   Option.iter
     (List.iter (fun p ->
          if not (List.exists (String.equal p) known) then
@@ -538,19 +393,23 @@ let run ?(nodes = 30) ?(degree = 4.) ?(receivers = 5) ?(events = 8) ?(fault_wind
              (Printf.sprintf "Chaos.run: unknown protocol %S (expected one of %s)" p
                 (String.concat ", " known))))
     protocols;
-  let wanted name =
-    match protocols with
-    | Some ps -> List.exists (String.equal name) ps
-    | None -> ( match fault with `Random -> true | `Rp_crash -> String.equal name "PIM-SM")
+  let wanted protocol =
+    match (protocols, fault) with
+    | Some ps, _ -> List.exists (String.equal (Stack.to_string protocol)) ps
+    | None, `Random -> true
+    | None, `Rp_crash -> ( match protocol with Stack.Pim_sm -> true | _ -> false)
   in
   let rows =
-    [
-      ("PIM-SM", pim_setup ~rp_mode ~source);
-      ("PIM-DM", dense_setup ~source);
-      ("CBT", cbt_setup ~core:rp ~source);
-      ("MOSPF", mospf_setup ~source ~members);
-    ]
-    |> List.filter_map (fun (name, build) -> if wanted name then Some (go build) else None)
+    List.filter wanted compared
+    |> List.map (fun protocol ->
+           (* CBT keeps its legacy member-homed core.  Candidate BSRs sit
+              off both the endpoints and the RP targets so the election
+              substrate itself survives the targeted faults. *)
+           let placement =
+             match protocol with Stack.Cbt -> [ (group, [ rp ]) ] | _ -> placement
+           in
+           run_protocol ~topo ~schedule ~fault_end ~members ~source ~delay_bound ~placement
+             ~rp_election:(String.equal rp_strategy "bsr") ~cbsr_forbidden:endpoints protocol)
   in
   { seed; schedule; rows }
 

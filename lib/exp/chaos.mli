@@ -1,10 +1,11 @@
 (** Differential chaos experiment: one seeded fault schedule, replayed
     verbatim against PIM sparse mode, PIM dense mode, CBT and MOSPF.
 
-    Each protocol gets an identical topology, member set, source and
-    {!Pim_sim.Fault} schedule, a steady data stream, and a
-    {!Pim_sim.Oracle} watching the wire.  After the last fault heals and
-    a per-protocol settle time passes, a probe burst checks loop freedom
+    Each protocol is deployed through {!Stack.create_many} and gets an
+    identical topology, member set, source and {!Pim_sim.Fault} schedule,
+    a steady data stream, and a {!Pim_sim.Oracle} watching the wire.
+    After the last fault heals and a per-protocol settle time
+    ({!Stack.settle_hint}) passes, a probe burst checks loop freedom
     and receiver reachability, protocol-specific state checks run (PIM:
     iif/RPF consistency and stale-oif detection; MOSPF: domain-wide
     membership sync), and after all members leave an orphaned-state
@@ -83,18 +84,6 @@ val run :
     [protocols] restricts the run to the named subset of
     [["PIM-SM"; "PIM-DM"; "CBT"; "MOSPF"]], preserving that canonical
     row order — large scale runs exercise one protocol at a time. *)
-
-val pim_state_checks :
-  net:Pim_sim.Net.t ->
-  static:Pim_routing.Static.t ->
-  deployment:Pim_core.Deployment.t ->
-  (string * (unit -> string list)) list
-(** The PIM-SM invariants the chaos run feeds to
-    {!Pim_sim.Oracle.run_check}: ["iif-consistency"] (every entry's
-    incoming interface matches the RPF interface toward its target) and
-    ["stale-oif"] (every live non-local oif has matching downstream
-    state behind it).  Exposed so tests can corrupt a deployment and
-    assert the oracle notices. *)
 
 val total_violations : report -> int
 (** Zero means every invariant held for every protocol — the pass/fail

@@ -451,8 +451,10 @@ let run ?trace_file ?capture_file ?metrics_file ?protocol ?switchover_fallback (
   let capture = Option.map (fun _ -> Capture.attach net) capture_file in
   let trace = Trace.create eng in
   let stack =
-    Stack.create ~rp:ctx.rp_nodes ~rp_election:p.rp_election ~switchover_fallback ~trace ~group
-      ~net protocol
+    snd
+      (List.hd
+         (Stack.create_many ~placement:[ (group, ctx.rp_nodes) ] ~rp_election:p.rp_election
+            ~switchover_fallback ~trace ~groups:[ group ] ~net protocol))
   in
   let oracle =
     (* Churn-tolerant bound while the scenario perturbs; [checkpoint]
@@ -696,7 +698,7 @@ let run ?trace_file ?capture_file ?metrics_file ?protocol ?switchover_fallback (
     metrics_file;
   let violations = Oracle.violations oracle in
   {
-    protocol = stack.Stack.name;
+    protocol = Stack.to_string stack.Stack.protocol;
     nodes = ctx.nodes;
     members = members ();
     source = ctx.source0;

@@ -28,7 +28,6 @@ let of_string s =
 
 type t = {
   protocol : protocol;
-  name : string;
   join : Topology.node -> unit;
   leave : Topology.node -> unit;
   on_data : Topology.node -> (Pim_net.Packet.t -> unit) -> unit;
@@ -44,9 +43,15 @@ type t = {
 
 (* Settle bounds in virtual seconds under each protocol's fast config:
    how long after a perturbation (or a membership change) the deployment
-   needs before a probe window is a fair test.  Mirrors the chaos
-   harness's recover_wait reasoning; constants so the explorer can plan
-   without instantiating a deployment. *)
+   needs before a probe window is a fair test.  PIM-SM: a few jp_periods,
+   since crashed transit routers are rebuilt by their downstream
+   neighbors' periodic refresh, one hop per period worst case; under an
+   election a restarted RP re-enters the mapping only after its advert
+   reaches the BSR and a bootstrap flood spreads it, and routers notice
+   stale shared trees via rp_timeout.  Dense: a stale-iif entry heals only
+   after the prune/grow-back cycle lets it expire.  MOSPF: a restarted
+   router relearns the domain's LSAs within one refresh.  Constants, so
+   the explorer can plan without instantiating a deployment. *)
 let settle_hint ?(rp_election = false) ?(hops = 8) protocol =
   match protocol with
   | Pim_sm ->
@@ -151,169 +156,27 @@ let pim_state_checks ~net ~rib ~fib =
   in
   [ ("iif-consistency", iif_check); ("stale-oif", stale_oif_check) ]
 
-(* {1 Per-protocol constructors} *)
+(* {1 Deployments}
+
+   One deployment per protocol, one [t] view per group; a single group is
+   a list of one.  Workloads drive dozens of Zipf-popular groups over
+   thousands of routers, where a deployment per group would multiply
+   every router's timer load by the group count.  Views share entries/
+   restart/state_checks/spt_switches; join/leave/send_from/mroute act per
+   group, and on_data callbacks fire only for the view's group. *)
 
 let fwd_mroute fib u = List.map (Format.asprintf "%a" Fwd.pp_entry) (Fwd.entries (fib u))
-
-let pim_sm_stack ?(rp_election = false) ?(switchover_fallback = true) ?trace ~group ~rp net =
-  if rp = [] then invalid_arg "Stack.create: PIM-SM needs at least one RP";
-  let config =
-    { Pim_core.Config.fast with Pim_core.Config.switchover_fallback }
-  in
-  let static = Pim_routing.Static.create net in
-  let ribs = Pim_routing.Static.rib static in
-  let bsr, rp_set =
-    if rp_election then begin
-      (* The RP list becomes C-RP roles (priority = list position) and the
-         first two non-RP routers become C-BSRs, so the scenario's RP set
-         emerges from a live election instead of configuration. *)
-      let n_nodes = Topology.n_nodes (Net.topo net) in
-      let placement = [ (group, List.map Addr.router rp) ] in
-      let cbsrs =
-        List.init n_nodes Fun.id
-        |> List.filter (fun u -> not (List.mem u rp))
-        |> List.filteri (fun i _ -> i < 2)
-        |> List.mapi (fun i u -> (u, 2 - i))
-      in
-      let roles = Pim_core.Placement.roles placement ~n_nodes ~cbsrs in
-      let b = Pim_core.Bsr.deploy ~config:Pim_core.Bsr.fast ~net ~ribs ~roles () in
-      (Some b, Pim_core.Rp_set.empty)
-    end
-    else (None, Pim_core.Rp_set.of_list [ (group, List.map Addr.router rp) ])
-  in
-  let d = Pim_core.Deployment.create ~config ?bsr ?trace ~net ~ribs ~rp_set () in
-  let router u = Pim_core.Deployment.router d u in
-  let fib u = Pim_core.Router.fib (router u) in
-  {
-    protocol = Pim_sm;
-    name = to_string Pim_sm;
-    join = (fun m -> Pim_core.Router.join_local (router m) group);
-    leave = (fun m -> Pim_core.Router.leave_local (router m) group);
-    on_data = (fun m cb -> Pim_core.Router.on_local_data (router m) cb);
-    send_from = (fun u -> Pim_core.Router.send_local_data (router u) ~group ());
-    entries = (fun () -> Pim_core.Deployment.total_entries d);
-    restart =
-      (fun u ->
-        Pim_core.Router.restart (router u);
-        Option.iter (fun b -> Pim_core.Bsr.restart b u) bsr);
-    state_checks = pim_state_checks ~net ~rib:ribs ~fib;
-    mroute = fwd_mroute fib;
-    max_copies = 1;
-    residual_floor = 0;
-    spt_switches = (fun () -> (Pim_core.Deployment.total_stats d).Pim_core.Router.spt_switches);
-  }
-
-let dense_stack ~mode ?trace ~group net =
-  let config = { Pim_dense.Router.fast_config with mode; graft = true } in
-  let d = Pim_dense.Router.Deployment.create_static ~config ?trace net in
-  let router u = Pim_dense.Router.Deployment.router d u in
-  let protocol = match mode with Pim_dense.Router.Pim_dm -> Pim_dm | Pim_dense.Router.Dvmrp -> Dvmrp in
-  {
-    protocol;
-    name = to_string protocol;
-    join = (fun m -> Pim_dense.Router.join_local (router m) group);
-    leave = (fun m -> Pim_dense.Router.leave_local (router m) group);
-    on_data = (fun m cb -> Pim_dense.Router.on_local_data (router m) cb);
-    send_from = (fun u -> Pim_dense.Router.send_local_data (router u) ~group ());
-    entries = (fun () -> Pim_dense.Router.Deployment.total_entries d);
-    restart = (fun u -> Pim_dense.Router.restart (router u));
-    state_checks = [];
-    mroute = (fun u -> fwd_mroute (fun v -> Pim_dense.Router.fib (router v)) u);
-    (* Broadcast-and-prune legitimately puts one copy per link direction
-       on the wire (the flood, then the re-flood after grow-back). *)
-    max_copies = 2;
-    residual_floor = 0;
-    spt_switches = (fun () -> 0);
-  }
-
-let cbt_stack ?trace ~group ~core net =
-  let config = Pim_cbt.Router.fast_config in
-  let core_of g = if Group.equal g group then Some (Addr.router core) else None in
-  let d = Pim_cbt.Router.Deployment.create_static ~config ?trace net ~core_of in
-  let router u = Pim_cbt.Router.Deployment.router d u in
-  {
-    protocol = Cbt;
-    name = to_string Cbt;
-    join = (fun m -> Pim_cbt.Router.join_local (router m) group);
-    leave = (fun m -> Pim_cbt.Router.leave_local (router m) group);
-    on_data = (fun m cb -> Pim_cbt.Router.on_local_data (router m) cb);
-    send_from = (fun u -> Pim_cbt.Router.send_local_data (router u) ~group ());
-    entries = (fun () -> Pim_cbt.Router.Deployment.total_entries d);
-    restart = (fun u -> Pim_cbt.Router.restart (router u));
-    state_checks = [];
-    mroute =
-      (fun u ->
-        let r = router u in
-        if Pim_cbt.Router.on_tree r group then
-          [
-            Printf.sprintf "%s ifaces={%s}" (Group.to_string group)
-              (Pim_cbt.Router.tree_ifaces r group
-              |> List.sort Int.compare |> List.map string_of_int |> String.concat ",");
-          ]
-        else []);
-    max_copies = 1;
-    (* The core never tears down its own entry. *)
-    residual_floor = 1;
-    spt_switches = (fun () -> 0);
-  }
-
-let mospf_stack ?trace ~group net =
-  let d = Pim_mospf.Router.Deployment.create ?trace ~lsa_refresh:5. net in
-  let router u = Pim_mospf.Router.Deployment.router d u in
-  let n = Topology.n_nodes (Net.topo net) in
-  {
-    protocol = Mospf;
-    name = to_string Mospf;
-    join = (fun m -> Pim_mospf.Router.join_local (router m) group);
-    leave = (fun m -> Pim_mospf.Router.leave_local (router m) group);
-    on_data = (fun m cb -> Pim_mospf.Router.on_local_data (router m) cb);
-    send_from = (fun u -> Pim_mospf.Router.send_local_data (router u) ~group ());
-    entries = (fun () -> Pim_mospf.Router.Deployment.total_membership_entries d);
-    restart = (fun u -> Pim_mospf.Router.restart (router u));
-    state_checks = [];
-    mroute =
-      (fun u ->
-        let known =
-          List.init n Fun.id
-          |> List.filter (fun m -> Pim_mospf.Router.knows_member (router u) m group)
-        in
-        match known with
-        | [] -> []
-        | ms ->
-          [
-            Printf.sprintf "%s members={%s}" (Group.to_string group)
-              (String.concat "," (List.map string_of_int ms));
-          ]);
-    max_copies = 1;
-    residual_floor = 0;
-    spt_switches = (fun () -> 0);
-  }
-
-let create ?(rp = []) ?(rp_election = false) ?(switchover_fallback = true) ?trace ~group ~net
-    protocol =
-  match protocol with
-  | Pim_sm -> pim_sm_stack ~rp_election ~switchover_fallback ?trace ~group ~rp net
-  | Pim_dm -> dense_stack ~mode:Pim_dense.Router.Pim_dm ?trace ~group net
-  | Dvmrp -> dense_stack ~mode:Pim_dense.Router.Dvmrp ?trace ~group net
-  | Cbt -> (
-    match rp with
-    | core :: _ -> cbt_stack ?trace ~group ~core net
-    | [] -> invalid_arg "Stack.create: CBT needs an rp/core node")
-  | Mospf -> mospf_stack ?trace ~group net
-
-(* {1 Multi-group deployments}
-
-   One deployment per protocol, one [t] view per group — the form the
-   workload harness needs (dozens of Zipf-popular groups over thousands
-   of routers; a deployment per group would multiply every router's
-   timer load by the group count).  Views share entries/restart/
-   state_checks/spt_switches; join/leave/send_from/mroute act per group,
-   and on_data callbacks fire only for the view's group. *)
 
 let rp_nodes_for ~placement ~protocol group =
   match List.find_opt (fun (g, _) -> Group.equal g group) placement with
   | Some (_, (_ :: _ as nodes)) -> nodes
-  | Some (_, []) | None ->
+  | Some (_, []) ->
+    (* The texts a .scn run without an rp directive has always reported. *)
+    invalid_arg
+      (match protocol with
+      | Cbt -> "Stack.create: CBT needs an rp/core node"
+      | _ -> Printf.sprintf "Stack.create: %s needs at least one RP" (to_string protocol))
+  | None ->
     invalid_arg
       (Printf.sprintf "Stack.create_many: %s needs an RP/core placement for group %s"
          (to_string protocol) (Group.to_string group))
@@ -327,8 +190,7 @@ let group_filtered group cb pkt =
   | Some g when Group.equal g group -> cb pkt
   | Some _ | None -> ()
 
-let pim_sm_many ?(rp_election = false) ?(switchover_fallback = true) ?trace ~placement ~groups
-    net =
+let pim_sm_many ~rp_election ~cbsr_forbidden ~switchover_fallback ?trace ~placement ~groups net =
   let rps_of g = rp_nodes_for ~placement ~protocol:Pim_sm g in
   let addr_placement = List.map (fun g -> (g, List.map Addr.router (rps_of g))) groups in
   let config = { Pim_core.Config.fast with Pim_core.Config.switchover_fallback } in
@@ -338,14 +200,15 @@ let pim_sm_many ?(rp_election = false) ?(switchover_fallback = true) ?trace ~pla
     if rp_election then begin
       (* Every distinct RP node becomes a C-RP advertising exactly the
          groups it is placed for (Placement.roles groups the placement by
-         node); the first two non-RP routers become C-BSRs.  The whole
-         group-to-RP mapping then emerges from the live election — the
-         multi-RP sharding path the BSR hash mapping implements. *)
+         node); the first two routers that are neither RPs nor in
+         [cbsr_forbidden] become C-BSRs.  The whole group-to-RP mapping
+         then emerges from the live election — the multi-RP sharding path
+         the BSR hash mapping implements. *)
       let n_nodes = Topology.n_nodes (Net.topo net) in
       let all_rps = List.sort_uniq Int.compare (List.concat_map rps_of groups) in
       let cbsrs =
         List.init n_nodes Fun.id
-        |> List.filter (fun u -> not (List.mem u all_rps))
+        |> List.filter (fun u -> not (List.mem u all_rps || List.mem u cbsr_forbidden))
         |> List.filteri (fun i _ -> i < 2)
         |> List.mapi (fun i u -> (u, 2 - i))
       in
@@ -362,7 +225,6 @@ let pim_sm_many ?(rp_election = false) ?(switchover_fallback = true) ?trace ~pla
   let view group =
     {
       protocol = Pim_sm;
-      name = to_string Pim_sm;
       join = (fun m -> Pim_core.Router.join_local (router m) group);
       leave = (fun m -> Pim_core.Router.leave_local (router m) group);
       on_data = (fun m cb -> Pim_core.Router.on_local_data (router m) (group_filtered group cb));
@@ -390,7 +252,6 @@ let dense_many ~mode ?trace ~groups net =
   let view group =
     {
       protocol;
-      name = to_string protocol;
       join = (fun m -> Pim_dense.Router.join_local (router m) group);
       leave = (fun m -> Pim_dense.Router.leave_local (router m) group);
       on_data = (fun m cb -> Pim_dense.Router.on_local_data (router m) (group_filtered group cb));
@@ -399,6 +260,8 @@ let dense_many ~mode ?trace ~groups net =
       restart = (fun u -> Pim_dense.Router.restart (router u));
       state_checks = [];
       mroute = (fun u -> fwd_mroute (fun v -> Pim_dense.Router.fib (router v)) u);
+      (* Broadcast-and-prune legitimately puts one copy per link direction
+         on the wire (the flood, then the re-flood after grow-back). *)
       max_copies = 2;
       residual_floor = 0;
       spt_switches = (fun () -> 0);
@@ -421,7 +284,6 @@ let cbt_many ?trace ~placement ~groups net =
   let view group =
     {
       protocol = Cbt;
-      name = to_string Cbt;
       join = (fun m -> Pim_cbt.Router.join_local (router m) group);
       leave = (fun m -> Pim_cbt.Router.leave_local (router m) group);
       on_data = (fun m cb -> Pim_cbt.Router.on_local_data (router m) (group_filtered group cb));
@@ -440,6 +302,7 @@ let cbt_many ?trace ~placement ~groups net =
             ]
           else []);
       max_copies = 1;
+      (* The core never tears down its own entry. *)
       residual_floor = 1;
       spt_switches = (fun () -> 0);
     }
@@ -453,7 +316,6 @@ let mospf_many ?trace ~groups net =
   let view group =
     {
       protocol = Mospf;
-      name = to_string Mospf;
       join = (fun m -> Pim_mospf.Router.join_local (router m) group);
       leave = (fun m -> Pim_mospf.Router.leave_local (router m) group);
       on_data = (fun m cb -> Pim_mospf.Router.on_local_data (router m) (group_filtered group cb));
@@ -481,10 +343,11 @@ let mospf_many ?trace ~groups net =
   in
   List.map (fun g -> (g, view g)) groups
 
-let create_many ?(placement = []) ?(rp_election = false) ?(switchover_fallback = true) ?trace
-    ~groups ~net protocol =
+let create_many ?(placement = []) ?(rp_election = false) ?(cbsr_forbidden = [])
+    ?(switchover_fallback = true) ?trace ~groups ~net protocol =
   match protocol with
-  | Pim_sm -> pim_sm_many ~rp_election ~switchover_fallback ?trace ~placement ~groups net
+  | Pim_sm ->
+    pim_sm_many ~rp_election ~cbsr_forbidden ~switchover_fallback ?trace ~placement ~groups net
   | Pim_dm -> dense_many ~mode:Pim_dense.Router.Pim_dm ?trace ~groups net
   | Dvmrp -> dense_many ~mode:Pim_dense.Router.Dvmrp ?trace ~groups net
   | Cbt -> cbt_many ?trace ~placement ~groups net

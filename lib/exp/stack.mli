@@ -1,12 +1,13 @@
 (** Uniform adapter over the five protocol deployments.
 
-    The chaos harness, the scenario DSL, and the explorer all need the
-    same small surface — join/leave a member, inject data at a node,
-    restart a router, count state, render per-node mroute state — phrased
-    identically for PIM-SM, PIM-DM, DVMRP, CBT and MOSPF.  [Stack]
-    builds a deployment for one protocol over an existing {!Pim_sim.Net}
-    and exposes exactly that surface, plus the canonical state {!digest}
-    the explorer dedups on. *)
+    The chaos harness, the scenario DSL, the explorer and the workload
+    harness all need the same small surface — join/leave a member, inject
+    data at a node, restart a router, count state, render per-node mroute
+    state — phrased identically for PIM-SM, PIM-DM, DVMRP, CBT and MOSPF.
+    {!create_many} is the one way to deploy a protocol (fast config) over
+    an existing {!Pim_sim.Net}: it returns one view per group exposing
+    exactly that surface, and a single-group experiment passes a list of
+    one group.  {!digest} is the canonical state the explorer dedups on. *)
 
 type protocol = Pim_sm | Pim_dm | Dvmrp | Cbt | Mospf
 
@@ -21,8 +22,7 @@ val of_string : string -> protocol option
     abbreviations ([sm], [pimdm], ...). *)
 
 type t = {
-  protocol : protocol;
-  name : string;
+  protocol : protocol;  (** {!to_string} names it in reports *)
   join : Pim_graph.Topology.node -> unit;  (** add a local member at the node *)
   leave : Pim_graph.Topology.node -> unit;
   on_data : Pim_graph.Topology.node -> (Pim_net.Packet.t -> unit) -> unit;
@@ -36,7 +36,10 @@ type t = {
   mroute : Pim_graph.Topology.node -> string list;
       (** canonical, timer-free rendering of the node's multicast routing
           state, in a stable order — the unit the {!digest} hashes and
-          [assert-mroute] matches against *)
+          [assert-mroute] matches against.  MOSPF renders one
+          ["<group> members={m1,m2,...}"] line listing the members the
+          router knows (none when it knows no member), which chaos's
+          membership-sync check reads *)
   max_copies : int;  (** legitimate per-link copies of one quiet-period packet *)
   residual_floor : int;  (** entries legitimately left after every member leaves *)
   spt_switches : unit -> int;
@@ -45,45 +48,29 @@ type t = {
           reads per-window deltas to count switchover storms) *)
 }
 
-val create :
-  ?rp:Pim_graph.Topology.node list ->
-  ?rp_election:bool ->
-  ?switchover_fallback:bool ->
-  ?trace:Pim_sim.Trace.t ->
-  group:Pim_net.Group.t ->
-  net:Pim_sim.Net.t ->
-  protocol ->
-  t
-(** Deploy [protocol] (fast config) on [net] for [group].  [rp] is the
-    ordered RP list for PIM-SM (failover order) and the core for CBT
-    (first element); required for both, ignored by the dense protocols
-    and MOSPF.  [rp_election] (PIM-SM only) turns the RP list into C-RP
-    roles elected through a live BSR instead of static configuration.
-    [switchover_fallback] (PIM-SM only) gates the shared-fallback
-    forwarding fix for the RP-tree/SPT switchover loss — scenarios turn
-    it off to reproduce the historical bug.
-
-    @raise Invalid_argument if a protocol that needs an RP gets none. *)
-
 val create_many :
   ?placement:(Pim_net.Group.t * Pim_graph.Topology.node list) list ->
   ?rp_election:bool ->
+  ?cbsr_forbidden:Pim_graph.Topology.node list ->
   ?switchover_fallback:bool ->
   ?trace:Pim_sim.Trace.t ->
   groups:Pim_net.Group.t list ->
   net:Pim_sim.Net.t ->
   protocol ->
   (Pim_net.Group.t * t) list
-(** Deploy [protocol] once and expose a per-group view for every group in
-    [groups] — the multi-group form {!create} lacks (it builds one
-    deployment per call, infeasible for workloads driving dozens of
-    Zipf-popular groups over thousands of routers).  [placement] maps
-    each group to its ordered RP list (PIM-SM) or core (CBT, first
-    element); required for both, ignored by the dense protocols and
-    MOSPF.  [rp_election] (PIM-SM only) turns the whole placement into
-    C-RP roles elected through a live BSR — each distinct RP node
-    advertises the groups it is placed for, reproducing multi-RP
-    sharding via the hash mapping.
+(** Deploy [protocol] once (fast config) on [net] and expose a view for
+    every group in [groups].  [placement] maps each group to its ordered
+    RP list (PIM-SM: failover order) or core (CBT: first element);
+    required for both, ignored by the dense protocols and MOSPF.
+
+    PIM-SM only: [rp_election] turns the whole placement into C-RP roles
+    elected through a live BSR — each distinct RP node advertises the
+    groups it is placed for, reproducing multi-RP sharding via the hash
+    mapping — with the first two routers that are neither RPs nor in
+    [cbsr_forbidden] (default none) as candidate BSRs.
+    [switchover_fallback] gates the shared-fallback forwarding fix for the
+    RP-tree/SPT switchover loss; scenarios turn it off to reproduce the
+    historical bug.
 
     Views share the deployment: [entries], [restart], [state_checks] and
     [spt_switches] are deployment-wide and identical across views, while
@@ -91,12 +78,13 @@ val create_many :
     callbacks only fire for that view's group.
 
     @raise Invalid_argument if PIM-SM or CBT is given a group without a
-    placement entry. *)
+    placement entry, or with an empty RP list. *)
 
 val settle_hint : ?rp_election:bool -> ?hops:int -> protocol -> float
 (** Conservative virtual-seconds bound for the protocol (fast config) to
     reconverge after a healed perturbation — the wait the explorer
-    inserts before each probe window.  No deployment needed.  [hops]
+    inserts before each probe window, and the chaos harness (with
+    [~hops:1]) before its checkpoint.  No deployment needed.  [hops]
     (default 8) bounds the tree depth the recovery may have to walk; it
     only matters for CBT, whose hard-state teardown cascades one
     parent_timeout per level (paper footnote 4). *)
@@ -107,8 +95,9 @@ val pim_state_checks :
   fib:(Pim_graph.Topology.node -> Pim_mcast.Fwd.t) ->
   (string * (unit -> string list)) list
 (** The PIM structural invariants ([iif-consistency], [stale-oif]) over
-    any deployment exposing per-node RIBs and FIBs — shared between the
-    chaos harness and the stacks built here. *)
+    any deployment exposing per-node RIBs and FIBs — the PIM-SM views'
+    [state_checks], and the chaos tests' checks over a hand-built
+    deployment. *)
 
 val digest : t -> net:Pim_sim.Net.t -> members:Pim_graph.Topology.node list -> string
 (** Hex MD5 of the canonical global state: every node's {!field-mroute}

@@ -126,7 +126,10 @@ let converged_line () =
   done;
   Engine.run ~until:30. eng;
   let oracle = Oracle.create net ~probe_id:(fun _ -> None) in
-  let checks = Chaos.pim_state_checks ~net ~static ~deployment:d in
+  let checks =
+    Pim_exp.Stack.pim_state_checks ~net ~rib:(Pim_routing.Static.rib static)
+      ~fib:(fun u -> Router.fib (Deployment.router d u))
+  in
   (eng, d, oracle, checks)
 
 let run_checks oracle checks =

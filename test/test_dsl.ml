@@ -298,6 +298,35 @@ let test_chaos_rejects_unknown_protocol () =
   | exception Invalid_argument msg ->
     Alcotest.(check bool) ("names the offender: " ^ msg) true (contains ~needle:"PIMX" msg)
 
+(* {2 Stack constructor (satellite)} *)
+
+(* PIM-SM and CBT cannot deploy a group whose placement names no RP or
+   core — an empty RP list and a missing entry both raise at
+   construction — while the other stacks ignore the placement. *)
+let test_create_many_needs_rp () =
+  let g = Pim_net.Group.of_index 1 in
+  let deploy placement protocol =
+    let net = Pim_sim.Net.create (Pim_sim.Engine.create ()) (Pim_graph.Classic.line 3) in
+    Stack.create_many ~placement ~groups:[ g ] ~net protocol
+  in
+  List.iter
+    (fun protocol ->
+      let name = Stack.to_string protocol in
+      List.iter
+        (fun (what, placement) ->
+          match deploy placement protocol with
+          | _ -> Alcotest.failf "%s with %s: expected Invalid_argument" name what
+          | exception Invalid_argument msg ->
+            Alcotest.(check bool) (what ^ " names " ^ name ^ ": " ^ msg) true
+              (contains ~needle:name msg))
+        [ ("an empty RP list", [ (g, []) ]); ("no placement", []) ])
+    [ Stack.Pim_sm; Stack.Cbt ];
+  List.iter
+    (fun protocol ->
+      Alcotest.(check int) (Stack.to_string protocol ^ " ignores the placement") 1
+        (List.length (deploy [ (g, []) ] protocol)))
+    [ Stack.Pim_dm; Stack.Dvmrp; Stack.Mospf ]
+
 let () =
   Alcotest.run "pim_dsl"
     [
@@ -324,4 +353,6 @@ let () =
         [
           Alcotest.test_case "rejects unknown protocol" `Quick test_chaos_rejects_unknown_protocol;
         ] );
+      ( "stack",
+        [ Alcotest.test_case "create_many needs an RP" `Quick test_create_many_needs_rp ] );
     ]
