@@ -419,6 +419,24 @@ let json_subjects () =
     in
     ignore (Sys.opaque_identity (Pim_exp.Workload.run spec))
   in
+  (* The multicast side at the size perfbench's baseline-protocol zap run
+     uses: MOSPF over 100 routers, 16 groups, 200 receivers.  Nearly all of
+     its cost is flooding membership and computing per-router forwarding
+     plans, none of it unicast routes. *)
+  let workload_zap_mospf () =
+    let spec =
+      {
+        (Pim_exp.Workload.default_spec Pim_exp.Workload.Zap) with
+        Pim_exp.Workload.nodes = 100;
+        groups = 16;
+        scale = 200;
+        duration = 60.;
+        protocol = Pim_exp.Stack.Mospf;
+        seed;
+      }
+    in
+    ignore (Sys.opaque_identity (Pim_exp.Workload.run spec))
+  in
   [
     ("fig2a-trial", fig2a_trial);
     ("fig2a-degree-sweep-20", fig2a_degree_sweep);
@@ -433,6 +451,7 @@ let json_subjects () =
     ("transit-stub-10000n", transit_stub ~transit:250);
     ("workload-zap-2000n", workload_zap_2000n);
     ("workload-flashcrowd", workload_flashcrowd);
+    ("workload-zap-100n-mospf", workload_zap_mospf);
   ]
 
 let run_json path =
@@ -492,9 +511,10 @@ let run_json path =
 (* {1 Regression gate}
 
    [--check PATH] re-measures the engine subjects, the BSR
-   failover-election run, the 10000-router scale point and the 2000-router
-   workloads (whose allocation is mostly unicast routes) and compares them
-   against the committed baseline.  Wall clock differs across machines
+   failover-election run, the 10000-router scale point, the 2000-router
+   workloads (whose allocation is mostly unicast routes) and the MOSPF
+   zap workload (multicast forwarding and plan computation) and compares
+   them against the committed baseline.  Wall clock differs across machines
    and noisy CI runners, so it only fails on a large factor — chosen so
    that reverting the timer wheel to the old heap (a ~5.8x slowdown on
    engine-1k-events) trips the gate with margin.  Allocation per run is
@@ -508,6 +528,7 @@ let check_subjects =
     "transit-stub-10000n";
     "workload-zap-2000n";
     "workload-flashcrowd";
+    "workload-zap-100n-mospf";
   ]
 
 let wall_budget = 3.0
@@ -542,14 +563,14 @@ let run_check path =
         (* +4 kB grace: tiny subjects would otherwise fail on measurement
            noise from the harness itself. *)
         let alloc_ok = r.alloc_bytes_per_run <= (alloc_budget *. ba) +. 4096. in
-        Format.printf "  %-20s wall %12.0f ns (baseline %12.0f) %s@." name r.wall_ns_per_run bw
+        Format.printf "  %-24s wall %12.0f ns (baseline %12.0f) %s@." name r.wall_ns_per_run bw
           (if wall_ok then "ok" else "REGRESSED");
-        Format.printf "  %-20s alloc %11.0f B  (baseline %12.0f) %s@." name
+        Format.printf "  %-24s alloc %11.0f B  (baseline %12.0f) %s@." name
           r.alloc_bytes_per_run ba
           (if alloc_ok then "ok" else "REGRESSED");
         if not (wall_ok && alloc_ok) then incr failures
       | _ ->
-        Format.printf "  %-20s missing from baseline — regenerate with --json@." name;
+        Format.printf "  %-24s missing from baseline — regenerate with --json@." name;
         incr failures)
     (List.filter (fun (n, _) -> List.mem n check_subjects) (json_subjects ()));
   if !failures > 0 then begin

@@ -39,6 +39,16 @@ let with_json_output ~experiment ~json ~params ~row_to_json f =
     json;
   rows
 
+(* Library entry points check their parameters before simulating and
+   raise [Invalid_argument] on bad ones: report that as bad input, with
+   exit code 2, rather than as an uncaught exception. *)
+let or_bad_input cmd f =
+  match f () with
+  | v -> v
+  | exception Invalid_argument msg ->
+    Format.eprintf "%s: %s@." cmd msg;
+    exit 2
+
 let trials_arg default =
   let doc = "Random networks per node degree." in
   Arg.(value & opt int default & info [ "trials" ] ~doc)
@@ -316,8 +326,9 @@ let chaos_cmd =
     ignore
       (with_json_output ~experiment:"chaos" ~json ~params ~row_to_json (fun () ->
            let r =
-             Pim_exp.Chaos.run ~nodes ~receivers ~events ~topology ~fault ~rp_strategy
-               ?protocols ~seed ()
+             or_bad_input "chaos" (fun () ->
+                 Pim_exp.Chaos.run ~nodes ~receivers ~events ~topology ~fault ~rp_strategy
+                   ?protocols ~seed ())
            in
            report := Some r;
            r.Pim_exp.Chaos.rows));
@@ -394,7 +405,9 @@ let rp_cmd =
       exit 2
     end;
     let prng = Prng.create seed in
-    let topo = Pim_graph.Random_graph.generate ~prng ~nodes ~degree () in
+    let topo =
+      or_bad_input "rp" (fun () -> Pim_graph.Random_graph.generate ~prng ~nodes ~degree ())
+    in
     let group_list = List.init groups (fun i -> Pim_net.Group.of_index (i + 1)) in
     let gmembers =
       List.map
@@ -954,9 +967,11 @@ let workload_cmd =
       }
     in
     if schedule_only then
-      print_string (Pim_exp.Workload.render_schedule (Pim_exp.Workload.generate spec))
+      print_string
+        (Pim_exp.Workload.render_schedule
+           (or_bad_input "workload" (fun () -> Pim_exp.Workload.generate spec)))
     else begin
-      let report = Pim_exp.Workload.run spec in
+      let report = or_bad_input "workload" (fun () -> Pim_exp.Workload.run spec) in
       Format.printf "%a@?" Pim_exp.Workload.pp_report report;
       (* Deliberately NOT the [with_json_output] envelope: the workload
          JSON carries no wall-clock or allocation fields, so two runs with

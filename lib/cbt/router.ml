@@ -115,6 +115,8 @@ let stats t = t.stats
 
 let now t = Engine.now t.eng
 
+let tracing t = Trace.active t.trace
+
 let tr t tag fmt =
   match t.trace with
   | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
@@ -135,7 +137,8 @@ let send_join t (e : entry) =
   | Some (iface, up) ->
     e.join_outstanding <- true;
     t.stats.joins_sent <- t.stats.joins_sent + 1;
-    ev t (Event.Join { route = { Event.group = Group.to_string e.group; source = None }; iface });
+    if tracing t then
+      ev t (Event.Join { route = { Event.group = Group.to_string e.group; source = None }; iface });
     let b = { group = e.group; core = e.core; origin = t.node; target = Addr.router up } in
     Net.send t.net t.node ~iface (ctrl t (Join_request b))
 
@@ -194,7 +197,7 @@ let confirm t (e : entry) =
     e.confirmed <- true;
     e.join_outstanding <- false;
     e.parent_deadline <- now t +. t.cfg.parent_timeout;
-    tr t "on-tree" "%s confirmed" (Group.to_string e.group);
+    if tracing t then tr t "on-tree" "%s confirmed" (Group.to_string e.group);
     List.iter
       (fun i ->
         add_child t e i;
@@ -226,7 +229,7 @@ let handle_join_ack t ~iface (b : body) =
 
 let flush t (e : entry) =
   t.stats.flushes <- t.stats.flushes + 1;
-  tr t "flush" "%s: parent silent, flushing" (Group.to_string e.group);
+  if tracing t then tr t "flush" "%s: parent silent, flushing" (Group.to_string e.group);
   Hashtbl.remove t.entries e.group;
   if e.local then begin
     let g = e.group and core = e.core in
@@ -338,7 +341,7 @@ let handle_encap t inner =
 
 let join_local t g =
   match t.core_of g with
-  | None -> tr t "ignore" "%s has no core configured" (Group.to_string g)
+  | None -> if tracing t then tr t "ignore" "%s has no core configured" (Group.to_string g)
   | Some core ->
     if not (List.exists (Group.equal g) t.local_joined) then
       t.local_joined <- g :: t.local_joined;
@@ -369,7 +372,7 @@ let send_local_data t ~group ?size () =
    behaviour that distinguishes explicit-ack hard state from PIM's
    periodic soft-state refresh (paper footnote 4). *)
 let restart t =
-  tr t "restart" "rebooted: tree state wiped";
+  if tracing t then tr t "restart" "rebooted: tree state wiped";
   Hashtbl.reset t.entries;
   List.iter (fun g -> join_local t g) t.local_joined
 
@@ -422,7 +425,7 @@ let tick t =
         match e.parent with
         | Some (iface, up) ->
           t.stats.quits_sent <- t.stats.quits_sent + 1;
-          tr t "quit" "%s: leaving tree" (Group.to_string g);
+          if tracing t then tr t "quit" "%s: leaving tree" (Group.to_string g);
           let b = { group = g; core = e.core; origin = t.node; target = Addr.router up } in
           Net.send t.net t.node ~iface (ctrl t (Quit b));
           Hashtbl.remove t.entries g

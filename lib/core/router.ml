@@ -115,6 +115,8 @@ let igmp t = t.igmp
 
 let now t = Engine.now t.eng
 
+let tracing t = Trace.active t.trace
+
 let tr t tag fmt =
   match t.trace with
   | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
@@ -183,9 +185,12 @@ let current_rp t g = Option.bind (Fwd.find_star t.fib g) (fun e -> e.Fwd.rp)
 
 let pruned_mask t e =
   let a = aux t e in
-  let n = now t in
-  Hashtbl.fold (fun i exp acc -> if exp > n then i :: acc else acc) a.pruned []
-  |> List.sort Int.compare
+  if Hashtbl.length a.pruned = 0 then []
+  else begin
+    let n = now t in
+    Hashtbl.fold (fun i exp acc -> if exp > n then i :: acc else acc) a.pruned []
+    |> List.sort Int.compare
+  end
 
 (* Effective outgoing-interface list for a data packet matching [e]:
    SPT entries inherit the shared-tree interfaces (so receivers that stayed
@@ -217,6 +222,44 @@ let shared_olist t (e : Fwd.entry) ~exclude =
     Fwd.live_oifs star ~now:(now t)
     |> List.filter (fun i -> (not (List.mem i mask)) && Some i <> exclude)
 
+(* Whether [effective_olist] and [shared_olist] would be empty, answered
+   by walking the oif lists in place instead of building the lists: the
+   periodic sweep and refresh ask this of every entry. *)
+
+let not_iface iif i = match iif with Some j -> j <> i | None -> true
+
+let masked (a : aux) i ~now =
+  Hashtbl.length a.pruned > 0
+  && match Hashtbl.find a.pruned i with exp -> exp > now | exception Not_found -> false
+
+(* Is some oif of [oifs] (an entry with incoming interface [iif]) live, not
+   [skip] and outside [a]'s prune mask? *)
+let rec any_unmasked a ~now ~iif ~skip = function
+  | (o : Fwd.oif) :: tl ->
+    let i = o.Fwd.iface in
+    ((o.Fwd.local || o.Fwd.expires > now)
+     && not_iface iif i && not_iface skip i
+     && not (masked a i ~now))
+    || any_unmasked a ~now ~iif ~skip tl
+  | [] -> false
+
+(* [shared_olist t e ~exclude:None <> []], where [a] is [e]'s aux. *)
+let has_shared_oif t (e : Fwd.entry) a =
+  match Fwd.find_star t.fib e.group with
+  | None -> false
+  | Some star -> any_unmasked a ~now:(now t) ~iif:star.Fwd.iif ~skip:None star.Fwd.oifs
+
+(* [effective_olist t e ~exclude:None <> []], where [a] is [e]'s aux. *)
+let has_effective_oif t (e : Fwd.entry) a =
+  let n = now t in
+  if Fwd.is_star e then Fwd.has_live_oif e ~now:n
+  else
+    ((not e.rp_bit) && any_unmasked a ~now:n ~iif:e.iif ~skip:None e.oifs)
+    ||
+    match Fwd.find_star t.fib e.group with
+    | None -> false
+    | Some star -> any_unmasked a ~now:n ~iif:star.Fwd.iif ~skip:e.iif star.Fwd.oifs
+
 (* {1 Sending control messages} *)
 
 let send_jp t ~iface ~target ~group ~joins ~prunes =
@@ -242,7 +285,7 @@ let triggered_join t e =
   let a = aux t e in
   match (a.upstream, jp_entry_of e) with
   | Some (iface, up), Some je ->
-    ev t (Event.Join { route = route_of_entry e; iface });
+    if tracing t then ev t (Event.Join { route = route_of_entry e; iface });
     send_jp t ~iface ~target:(Addr.router up) ~group:e.Fwd.group ~joins:[ je ] ~prunes:[]
   | _ -> ()
 
@@ -250,7 +293,7 @@ let triggered_prune t e =
   let a = aux t e in
   match (a.upstream, jp_entry_of e) with
   | Some (iface, up), Some je ->
-    ev t (Event.Prune { route = route_of_entry e; iface });
+    if tracing t then ev t (Event.Prune { route = route_of_entry e; iface });
     send_jp t ~iface ~target:(Addr.router up) ~group:e.Fwd.group ~joins:[] ~prunes:[ je ]
   | _ -> ()
 
@@ -262,7 +305,7 @@ let divergence_prune t (e : Fwd.entry) =
     let a = aux t star in
     match a.upstream with
     | Some (iface, up) ->
-      ev t (Event.Prune { route = route_of_sg e.Fwd.group s; iface });
+      if tracing t then ev t (Event.Prune { route = route_of_sg e.Fwd.group s; iface });
       send_jp t ~iface ~target:(Addr.router up) ~group:e.Fwd.group ~joins:[]
         ~prunes:[ Message.jp_entry ~rp:true s ]
     | None -> ())
@@ -283,7 +326,7 @@ let ensure_star t g ~rp =
     e.Fwd.rp_deadline <- now t +. t.cfg.rp_timeout;
     Fwd.insert t.fib e;
     (aux t e).upstream <- upstream;
-    ev t (Event.Entry_install { route = route_of_entry e });
+    if tracing t then ev t (Event.Entry_install { route = route_of_entry e });
     triggered_join t e;
     e
 
@@ -306,12 +349,12 @@ let ensure_sg t g s ~rp_bit =
     let e = Fwd.make_sg ~group:g ~source:s ?rp ~rp_bit ~iif ~expires:(now t +. t.cfg.entry_linger) () in
     Fwd.insert t.fib e;
     (aux t e).upstream <- upstream;
-    ev t (Event.Entry_install { route = route_of_entry e });
+    if tracing t then ev t (Event.Entry_install { route = route_of_entry e });
     if not rp_bit then triggered_join t e;
     e
 
 let delete_entry t (e : Fwd.entry) =
-  ev t (Event.Entry_expire { route = route_of_entry e });
+  if tracing t then ev t (Event.Entry_expire { route = route_of_entry e });
   Hashtbl.remove t.auxes (Fwd.key e);
   Fwd.remove t.fib e.Fwd.group e.Fwd.source
 
@@ -324,13 +367,14 @@ let dst_group_string pkt =
 
 let local_deliver t pkt =
   t.stats.data_delivered_local <- t.stats.data_delivered_local + 1;
-  ev t
-    (Event.Pkt_deliver
-       {
-         src = Addr.to_string pkt.Packet.src;
-         group = dst_group_string pkt;
-         iface = local_iface;
-       });
+  if tracing t then
+    ev t
+      (Event.Pkt_deliver
+         {
+           src = Addr.to_string pkt.Packet.src;
+           group = dst_group_string pkt;
+           iface = local_iface;
+         });
   Pim_util.Vec.iter (fun f -> f pkt) t.local_cbs
 
 let on_local_data t f = Pim_util.Vec.push t.local_cbs f
@@ -341,12 +385,13 @@ let add_local_member t g ~iface =
   if not (List.mem (g, iface) t.local_members) then
     t.local_members <- (g, iface) :: t.local_members;
   match select_rp t g with
-  | None -> tr t "ignore" "group %s has no RP yet: not sparse-mode" (Group.to_string g)
+  | None ->
+    if tracing t then tr t "ignore" "group %s has no RP yet: not sparse-mode" (Group.to_string g)
   | Some rp ->
     let e = ensure_star t g ~rp in
     Fwd.add_oif e iface ~expires:(now t) ~local:true;
     keepalive t e;
-    tr t "member" "local member for %s on iface %d" (Group.to_string g) iface
+    if tracing t then tr t "member" "local member for %s on iface %d" (Group.to_string g) iface
 
 let drop_local_member t g ~iface =
   t.local_members <- List.filter (fun m -> m <> (g, iface)) t.local_members;
@@ -376,7 +421,7 @@ let add_proxy_iface t iface =
    machinery — triggered joins now, periodic refresh thereafter
    (section 3.4's robustness argument, which the chaos harness tests). *)
 let restart t =
-  tr t "restart" "rebooted: forwarding state wiped";
+  if tracing t then tr t "restart" "rebooted: forwarding state wiped";
   Fwd.clear t.fib;
   Hashtbl.reset t.auxes;
   Hashtbl.reset t.spt_counters;
@@ -433,14 +478,15 @@ let forward_sg t a pkt ~olist =
     | Some i ->
       if seen_id a i.Mdata.seq then begin
         t.stats.data_dup_suppressed <- t.stats.data_dup_suppressed + 1;
-        ev t
-          (Event.Pkt_drop
-             {
-               src = Addr.to_string pkt.Packet.src;
-               group = dst_group_string pkt;
-               iface = local_iface;
-               reason = Printf.sprintf "dup id=%d" i.Mdata.seq;
-             })
+        if tracing t then
+          ev t
+            (Event.Pkt_drop
+               {
+                 src = Addr.to_string pkt.Packet.src;
+                 group = dst_group_string pkt;
+                 iface = local_iface;
+                 reason = Printf.sprintf "dup id=%d" i.Mdata.seq;
+               })
       end
       else begin
         record_id a i.Mdata.seq;
@@ -455,7 +501,8 @@ let forward_sg t a pkt ~olist =
 let maybe_spt_switch t g src =
   let switch () =
     t.stats.spt_switches <- t.stats.spt_switches + 1;
-    ev t (Event.Spt_switch { group = Group.to_string g; source = Addr.to_string src });
+    if tracing t then
+      ev t (Event.Spt_switch { group = Group.to_string g; source = Addr.to_string src });
     ignore (ensure_sg t g src ~rp_bit:false)
   in
   if has_local_members t g && Fwd.find_sg t.fib g src = None
@@ -492,14 +539,15 @@ let handle_data t ~iface pkt =
     match Fwd.match_data t.fib g ~src with
     | None ->
       t.stats.data_dropped_no_state <- t.stats.data_dropped_no_state + 1;
-      ev t
-            (Event.Pkt_drop
-               {
-                 src = Addr.to_string src;
-                 group = Group.to_string g;
-                 iface;
-                 reason = "no-state";
-               })
+      if tracing t then
+        ev t
+          (Event.Pkt_drop
+             {
+               src = Addr.to_string src;
+               group = Group.to_string g;
+               iface;
+               reason = "no-state";
+             })
     | Some e when (not (Fwd.is_star e)) && e.Fwd.iif = None ->
       (* An (S,G) entry with a null iif means we are the source's first-hop
          router: data for S arriving from the network is a looped copy
@@ -515,14 +563,15 @@ let handle_data t ~iface pkt =
         end
         else begin
           t.stats.data_dropped_iif <- t.stats.data_dropped_iif + 1;
-          ev t
-            (Event.Pkt_drop
-               {
-                 src = Addr.to_string src;
-                 group = Group.to_string g;
-                 iface;
-                 reason = "star-iif";
-               })
+          if tracing t then
+            ev t
+              (Event.Pkt_drop
+                 {
+                   src = Addr.to_string src;
+                   group = Group.to_string g;
+                   iface;
+                   reason = "star-iif";
+                 })
         end
       end
       else if e.Fwd.rp_bit then begin
@@ -531,14 +580,15 @@ let handle_data t ~iface pkt =
           forward_data t pkt ~olist:(shared_olist t e ~exclude:(Some iface))
         else begin
           t.stats.data_dropped_iif <- t.stats.data_dropped_iif + 1;
-          ev t
-            (Event.Pkt_drop
-               {
-                 src = Addr.to_string src;
-                 group = Group.to_string g;
-                 iface;
-                 reason = "neg-cache-iif";
-               })
+          if tracing t then
+            ev t
+              (Event.Pkt_drop
+                 {
+                   src = Addr.to_string src;
+                   group = Group.to_string g;
+                   iface;
+                   reason = "neg-cache-iif";
+                 })
         end
       end
       else if e.Fwd.spt_bit then begin
@@ -559,21 +609,23 @@ let handle_data t ~iface pkt =
             forward_sg t (aux t e) pkt ~olist:(shared_olist t e ~exclude:(Some iface))
           | _ ->
             t.stats.data_dropped_iif <- t.stats.data_dropped_iif + 1;
-            ev t
-            (Event.Pkt_drop
-               {
-                 src = Addr.to_string src;
-                 group = Group.to_string g;
-                 iface;
-                 reason = "spt-iif";
-               })
+            if tracing t then
+              ev t
+                (Event.Pkt_drop
+                   {
+                     src = Addr.to_string src;
+                     group = Group.to_string g;
+                     iface;
+                     reason = "spt-iif";
+                   })
         end
       end
       else if Some iface = e.Fwd.iif then begin
         (* First packet over the new shortest path: transition completes
            (section 3.5, second exception). *)
         e.Fwd.spt_bit <- true;
-        tr t "spt-bit" "SPT established for (%s, %s)" (Addr.to_string src) (Group.to_string g);
+        if tracing t then
+          tr t "spt-bit" "SPT established for (%s, %s)" (Addr.to_string src) (Group.to_string g);
         divergence_prune t e;
         forward_sg t (aux t e) pkt ~olist:(effective_olist t e ~exclude:(Some iface))
       end
@@ -585,14 +637,15 @@ let handle_data t ~iface pkt =
           forward_sg t (aux t e) pkt ~olist:(shared_olist t e ~exclude:(Some iface))
         | _ ->
           t.stats.data_dropped_iif <- t.stats.data_dropped_iif + 1;
-          ev t
-            (Event.Pkt_drop
-               {
-                 src = Addr.to_string src;
-                 group = Group.to_string g;
-                 iface;
-                 reason = "pre-spt-iif";
-               })
+          if tracing t then
+            ev t
+              (Event.Pkt_drop
+                 {
+                   src = Addr.to_string src;
+                   group = Group.to_string g;
+                   iface;
+                   reason = "pre-spt-iif";
+                 })
       end)
 
 (* {1 Register path (section 3)} *)
@@ -661,7 +714,8 @@ and originate_data t ~incoming pkt =
             ignore (ensure_sg t g src ~rp_bit:false)
           else if not (register_suppressed t g src rp) then begin
             t.stats.registers_sent <- t.stats.registers_sent + 1;
-            ev t (Event.Register { group = Group.to_string g; source = Addr.to_string src });
+            if tracing t then
+              ev t (Event.Register { group = Group.to_string g; source = Addr.to_string src });
             let reg = Message.register_packet ~src:t.addr ~rp pkt in
             send_unicast t reg
           end
@@ -675,7 +729,10 @@ and originate_data t ~incoming pkt =
               let a = aux t e in
               if not a.reg_stop_seen then begin
                 a.reg_stop_seen <- true;
-                ev t (Event.Register_stop { group = Group.to_string g; source = Addr.to_string src })
+                if tracing t then
+                  ev t
+                    (Event.Register_stop
+                       { group = Group.to_string g; source = Addr.to_string src })
               end
             | None -> ())
         rps
@@ -749,8 +806,9 @@ let process_join t ~iface (je : Message.jp_entry) g =
        (* The joiner rendezvouses at a different RP (failover, section
           3.9): re-target the shared-tree entry toward it. *)
        let upstream = compute_upstream t je.Message.addr in
-       tr t "rp-retarget" "group %s: shared tree moves to RP %s" (Group.to_string g)
-         (Addr.to_string je.Message.addr);
+       if tracing t then
+         tr t "rp-retarget" "group %s: shared tree moves to RP %s" (Group.to_string g)
+           (Addr.to_string je.Message.addr);
        e.Fwd.rp <- Some je.Message.addr;
        e.Fwd.iif <- Option.map fst upstream;
        (match e.Fwd.iif with Some i -> Fwd.remove_oif e i | None -> ());
@@ -798,7 +856,7 @@ let process_prune t ~iface (pe : Message.jp_entry) g =
         o.Fwd.expires <- Float.min o.Fwd.expires (now t +. t.cfg.prune_override_window)
       else begin
         Fwd.remove_oif e iface;
-        if Fwd.live_oifs e ~now:(now t) = [] then triggered_prune t e
+        if not (Fwd.has_live_oif e ~now:(now t)) then triggered_prune t e
       end
     | None -> ()
   in
@@ -813,7 +871,7 @@ let process_prune t ~iface (pe : Message.jp_entry) g =
       keepalive t e;
       (* Propagate toward the RP once nothing downstream wants the
          source's RP-tree traffic any more. *)
-      if shared_olist t e ~exclude:None = [] then triggered_prune t e
+      if not (has_shared_oif t e a) then triggered_prune t e
     end
     else begin
       (* An SPT entry already exists here: the pruned iface must stop
@@ -840,7 +898,7 @@ let overhear_join t ~iface (je : Message.jp_entry) g ~target =
       if same_upstream && e.Fwd.iif = Some iface then begin
         a.suppress_until <- now t +. (0.9 *. t.cfg.jp_period);
         a.override_pending <- false;
-        tr t "suppress" "join suppressed for %a" Fwd.pp_entry e
+        if tracing t then tr t "suppress" "join suppressed for %a" Fwd.pp_entry e
       end
     | None -> ()
   in
@@ -857,7 +915,7 @@ let schedule_override t (e : Fwd.entry) ~iface ~target je =
       (Engine.schedule t.eng ~after:delay (fun () ->
            if a.override_pending then begin
              a.override_pending <- false;
-             tr t "override" "overriding prune for %a" Message.pp_jp_entry je;
+             if tracing t then tr t "override" "overriding prune for %a" Message.pp_jp_entry je;
              send_jp t ~iface ~target ~group:e.Fwd.group ~joins:[ je ] ~prunes:[]
            end))
   end
@@ -869,7 +927,7 @@ let overhear_prune t ~iface (pe : Message.jp_entry) g ~target =
     if pe.Message.wc then begin
       match Fwd.find_star t.fib g with
       | Some e
-        when e.Fwd.iif = Some iface && effective_olist t e ~exclude:None <> [] ->
+        when e.Fwd.iif = Some iface && has_effective_oif t e (aux t e) ->
         schedule_override t e ~iface ~target (Message.jp_entry ~wc:true ~rp:true pe.Message.addr)
       | _ -> ()
     end
@@ -885,7 +943,7 @@ let overhear_prune t ~iface (pe : Message.jp_entry) g ~target =
       match Fwd.find_star t.fib g with
       | Some star
         when wants_via_shared && star.Fwd.iif = Some iface
-             && effective_olist t star ~exclude:None <> [] ->
+             && has_effective_oif t star (aux t star) ->
         schedule_override t star ~iface ~target (Message.jp_entry ~rp:true pe.Message.addr)
       | _ -> ()
     end
@@ -893,7 +951,7 @@ let overhear_prune t ~iface (pe : Message.jp_entry) g ~target =
       match Fwd.find_sg t.fib g pe.Message.addr with
       | Some e
         when (not e.Fwd.rp_bit) && e.Fwd.iif = Some iface
-             && effective_olist t e ~exclude:None <> [] ->
+             && has_effective_oif t e (aux t e) ->
         schedule_override t e ~iface ~target (Message.jp_entry pe.Message.addr)
       | _ -> ()
     end
@@ -945,17 +1003,19 @@ let rp_failover t (e : Fwd.entry) =
   | [] -> e.Fwd.rp_deadline <- now t +. t.cfg.rp_timeout (* keep waiting *)
   | rp :: _ ->
     t.stats.rp_failovers <- t.stats.rp_failovers + 1;
-    ev t
-      (Event.Rp_failover
-         {
-           group = Group.to_string e.Fwd.group;
-           from_rp = Option.map Addr.to_string current;
-           to_rp = Addr.to_string rp;
-         });
-    tr t "rp-failover" "group %s: RP %s unreachable, joining %s"
-      (Group.to_string e.Fwd.group)
-      (match current with Some a -> Addr.to_string a | None -> "?")
-      (Addr.to_string rp);
+    if tracing t then
+      ev t
+        (Event.Rp_failover
+           {
+             group = Group.to_string e.Fwd.group;
+             from_rp = Option.map Addr.to_string current;
+             to_rp = Addr.to_string rp;
+           });
+    if tracing t then
+      tr t "rp-failover" "group %s: RP %s unreachable, joining %s"
+        (Group.to_string e.Fwd.group)
+        (match current with Some a -> Addr.to_string a | None -> "?")
+        (Addr.to_string rp);
     let upstream = compute_upstream t rp in
     e.Fwd.rp <- Some rp;
     e.Fwd.iif <- Option.map fst upstream;
@@ -978,9 +1038,10 @@ let update_rpf t =
         let a = aux t e in
         let fresh = compute_upstream t target in
         if fresh <> a.upstream then begin
-          tr t "rpf-change" "%a: upstream %s -> %s" Fwd.pp_entry e
-            (match a.upstream with Some (_, n) -> string_of_int n | None -> "-")
-            (match fresh with Some (_, n) -> string_of_int n | None -> "-");
+          if tracing t then
+            tr t "rpf-change" "%a: upstream %s -> %s" Fwd.pp_entry e
+              (match a.upstream with Some (_, n) -> string_of_int n | None -> "-")
+              (match fresh with Some (_, n) -> string_of_int n | None -> "-");
           (* Prune from the old upstream if the old path still works. *)
           (match (a.upstream, jp_entry_of e) with
           | Some (old_iface, old_up), Some je ->
@@ -1041,7 +1102,7 @@ let periodic_refresh t =
       | Some (iface, up) ->
         let suppressed = n < a.suppress_until in
         if Fwd.is_star e then begin
-          if (not suppressed) && Fwd.live_oifs e ~now:n <> [] then
+          if (not suppressed) && Fwd.has_live_oif e ~now:n then
             match jp_entry_of e with
             | Some je ->
               let joins, _ = bucket iface up e.Fwd.group in
@@ -1051,7 +1112,7 @@ let periodic_refresh t =
         else if e.Fwd.rp_bit then begin
           (* Negative cache with nothing downstream: keep the prune state
              alive toward the RP (footnote 13). *)
-          if shared_olist t e ~exclude:None = [] then
+          if not (has_shared_oif t e a) then
             match (jp_entry_of e, e.Fwd.source) with
             | Some _, Some s ->
               let _, prunes = bucket iface up e.Fwd.group in
@@ -1059,9 +1120,7 @@ let periodic_refresh t =
             | _ -> ()
         end
         else begin
-          let wanted =
-            effective_olist t e ~exclude:None <> [] || is_rp_for t e.Fwd.group
-          in
+          let wanted = has_effective_oif t e a || is_rp_for t e.Fwd.group in
           if (not suppressed) && wanted then begin
             match e.Fwd.source with
             | Some s ->
@@ -1166,11 +1225,13 @@ let sweep t =
       let a = aux t e in
       (* Expired shared-tree prune masks grow back (section 1.1 style
          soft state). *)
-      let dead_masks =
-        Hashtbl.fold (fun i exp acc -> if exp <= n then i :: acc else acc) a.pruned []
-        |> List.sort Int.compare
-      in
-      List.iter (Hashtbl.remove a.pruned) dead_masks;
+      if Hashtbl.length a.pruned > 0 then begin
+        let dead_masks =
+          Hashtbl.fold (fun i exp acc -> if exp <= n then i :: acc else acc) a.pruned []
+          |> List.sort Int.compare
+        in
+        List.iter (Hashtbl.remove a.pruned) dead_masks
+      end;
       (* Directly connected members are authoritative: their presence keeps
          the entry alive without downstream joins (section 3.1). *)
       if List.exists (fun (o : Fwd.oif) -> o.Fwd.local) e.Fwd.oifs then keepalive t e;
@@ -1180,9 +1241,7 @@ let sweep t =
          shared-tree interfaces, so a last-hop (S,G) entry whose receivers
          left via the shared tree also prunes promptly instead of letting
          the upstream oifs age out one holdtime per hop. *)
-      let wanted =
-        effective_olist t e ~exclude:None <> [] || is_rp_for t e.Fwd.group
-      in
+      let wanted = has_effective_oif t e a || is_rp_for t e.Fwd.group in
       if a.was_wanted && not wanted then triggered_prune t e;
       a.was_wanted <- wanted;
       (* RP failover at routers with directly connected members: either

@@ -126,6 +126,8 @@ let stats t = t.stats
 
 let now t = Engine.now t.eng
 
+let tracing t = Trace.active t.trace
+
 let tr t tag fmt =
   match t.trace with
   | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
@@ -225,7 +227,7 @@ let send_prune_upstream t (e : Fwd.entry) src g =
       a.last_prune_up <- now t;
       a.pruned_upstream <- true;
       t.stats.prunes_sent <- t.stats.prunes_sent + 1;
-      ev t (Event.Prune { route = route_of_sg g src; iface });
+      if tracing t then ev t (Event.Prune { route = route_of_sg g src; iface });
       let pkt =
         Message.prune_packet ~src:t.addr ~target:(Addr.router up) ~origin:t.node ~source:src
           ~group:g ~holdtime:t.cfg.prune_timeout
@@ -238,7 +240,7 @@ let send_join_upstream t src g =
   | None -> ()
   | Some (iface, up) ->
     t.stats.joins_sent <- t.stats.joins_sent + 1;
-    ev t (Event.Graft { route = route_of_sg g src; iface });
+    if tracing t then ev t (Event.Graft { route = route_of_sg g src; iface });
     let pkt =
       Message.join_packet ~src:t.addr ~target:(Addr.router up) ~origin:t.node ~source:src
         ~group:g
@@ -258,7 +260,7 @@ let ensure_entry t g src =
     in
     let e = Fwd.make_sg ~group:g ~source:src ~iif ~expires:(now t +. t.cfg.entry_linger) () in
     Fwd.insert t.fib e;
-    ev t (Event.Entry_install { route = route_of_sg g src });
+    if tracing t then ev t (Event.Entry_install { route = route_of_sg g src });
     e
 
 let handle_data t ~iface pkt =
@@ -357,9 +359,10 @@ let overhear_prune t ~iface (b : Message.body) =
                if a.override_pending then begin
                  a.override_pending <- false;
                  t.stats.joins_sent <- t.stats.joins_sent + 1;
-                 tr t "override" "overriding prune for (%s,%s)"
-                   (Addr.to_string b.Message.source)
-                   (Group.to_string b.Message.group);
+                 if tracing t then
+                   tr t "override" "overriding prune for (%s,%s)"
+                     (Addr.to_string b.Message.source)
+                     (Group.to_string b.Message.group);
                  let pkt =
                    Message.join_packet ~src:t.addr ~target:b.Message.target ~origin:t.node
                      ~source:b.Message.source ~group:b.Message.group
@@ -529,15 +532,16 @@ let sweep t =
       in
       List.iter (Hashtbl.remove a.last_join) stale_joins;
       if e.Fwd.expires < n then begin
-        ev t
-          (Event.Entry_expire
-             {
-               route =
-                 {
-                   Event.group = Group.to_string e.Fwd.group;
-                   source = Option.map Addr.to_string e.Fwd.source;
-                 };
-             });
+        if tracing t then
+          ev t
+            (Event.Entry_expire
+               {
+                 route =
+                   {
+                     Event.group = Group.to_string e.Fwd.group;
+                     source = Option.map Addr.to_string e.Fwd.source;
+                   };
+               });
         Hashtbl.remove t.auxes (Fwd.key e);
         Fwd.remove t.fib e.Fwd.group e.Fwd.source
       end)
@@ -551,7 +555,7 @@ let sweep t =
    accurate view.  [advert_seq] stays monotonic across the reboot,
    otherwise peers would discard the post-reboot adverts as stale. *)
 let restart t =
-  tr t "restart" "rebooted: forwarding state wiped";
+  if tracing t then tr t "restart" "rebooted: forwarding state wiped";
   Fwd.clear t.fib;
   Hashtbl.reset t.auxes;
   Hashtbl.reset t.region_db;

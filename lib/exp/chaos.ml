@@ -297,6 +297,7 @@ let transit_stub_sizes ~nodes =
 let run ?(nodes = 30) ?(degree = 4.) ?(receivers = 5) ?(events = 8) ?(fault_window = 40.)
     ?(mean_outage = 8.) ?(topology = `Random) ?(fault = `Random) ?(rp_strategy = "static")
     ?protocols ~seed () =
+  if receivers < 1 then invalid_arg "Chaos.run: need at least one receiver";
   let prng = Prng.create seed in
   let topo, members, delay_bound =
     match topology with

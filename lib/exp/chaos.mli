@@ -83,7 +83,12 @@ val run :
 
     [protocols] restricts the run to the named subset of
     [["PIM-SM"; "PIM-DM"; "CBT"; "MOSPF"]], preserving that canonical
-    row order — large scale runs exercise one protocol at a time. *)
+    row order — large scale runs exercise one protocol at a time.
+
+    @raise Invalid_argument before simulating anything when a parameter
+    is unusable: a [`Random] topology of fewer than 2 nodes, no
+    receivers, more receivers than stub routers, or an unknown protocol
+    or RP strategy. *)
 
 val total_violations : report -> int
 (** Zero means every invariant held for every protocol — the pass/fail

@@ -54,25 +54,48 @@ let key e = (e.group, e.source)
 
 let find_oif e iface = List.find_opt (fun o -> o.iface = iface) e.oifs
 
+(* [oifs] is kept in ascending interface order, so the live list comes
+   out sorted without a sort. *)
 let add_oif e iface ~expires ~local =
   match find_oif e iface with
   | Some o ->
     o.expires <- max o.expires expires;
     o.local <- o.local || local
-  | None -> e.oifs <- { iface; expires; local } :: e.oifs
+  | None ->
+    let rec ins = function
+      | o :: tl when o.iface < iface -> o :: ins tl
+      | l -> { iface; expires; local } :: l
+    in
+    e.oifs <- ins e.oifs
 
 let remove_oif e iface = e.oifs <- List.filter (fun o -> o.iface <> iface) e.oifs
 
-let live_oifs e ~now =
-  e.oifs
-  |> List.filter (fun o -> (o.local || o.expires > now) && Some o.iface <> e.iif)
-  |> List.map (fun o -> o.iface)
-  |> List.sort Int.compare
+let not_iif e i = match e.iif with Some j -> j <> i | None -> true
+
+let is_live e o ~now = (o.local || o.expires > now) && not_iif e o.iface
+
+let expired o ~now = not (o.local || o.expires > now)
+
+(* Top-level recursions with explicit arguments rather than local closures:
+   the emptiness tests below allocate nothing. *)
+let rec live_in e ~now = function
+  | o :: tl -> if is_live e o ~now then o.iface :: live_in e ~now tl else live_in e ~now tl
+  | [] -> []
+
+let rec any_live e ~now = function o :: tl -> is_live e o ~now || any_live e ~now tl | [] -> false
+
+let rec any_expired ~now = function o :: tl -> expired o ~now || any_expired ~now tl | [] -> false
+
+let live_oifs e ~now = live_in e ~now e.oifs
+
+let has_live_oif e ~now = any_live e ~now e.oifs
 
 let prune_expired_oifs e ~now =
-  let before = List.length e.oifs in
-  e.oifs <- List.filter (fun o -> o.local || o.expires > now) e.oifs;
-  List.length e.oifs <> before
+  any_expired ~now e.oifs
+  && begin
+    e.oifs <- List.filter (fun o -> not (expired o ~now)) e.oifs;
+    true
+  end
 
 let pp_entry ppf e =
   let src =

@@ -24,7 +24,7 @@ type entry = {
   source : Pim_net.Addr.t option;  (** [None] for "(*,G)" *)
   mutable rp : Pim_net.Addr.t option;  (** the group's RP *)
   mutable iif : Pim_graph.Topology.iface option;
-  mutable oifs : oif list;
+  mutable oifs : oif list;  (** ascending by interface, one oif per interface *)
   mutable wc_bit : bool;
   mutable rp_bit : bool;
   mutable spt_bit : bool;
@@ -59,15 +59,21 @@ val find_oif : entry -> Pim_graph.Topology.iface -> oif option
 
 val add_oif : entry -> Pim_graph.Topology.iface -> expires:float -> local:bool -> unit
 (** Add or refresh: an existing oif gets its timer extended (never
-    shortened) and its [local] flag or'ed. *)
+    shortened) and its [local] flag or'ed.  A new oif is inserted in
+    interface order. *)
 
 val remove_oif : entry -> Pim_graph.Topology.iface -> unit
 
 val live_oifs : entry -> now:float -> Pim_graph.Topology.iface list
-(** Interfaces whose timers have not expired, excluding the entry's iif. *)
+(** Interfaces whose timers have not expired, excluding the entry's iif,
+    in ascending order. *)
+
+val has_live_oif : entry -> now:float -> bool
+(** [live_oifs e ~now <> []], without building the list. *)
 
 val prune_expired_oifs : entry -> now:float -> bool
-(** Drop expired, non-local oifs; returns true if any were dropped. *)
+(** Drop expired, non-local oifs; returns true if any were dropped.  When
+    none has expired the list is left as it is. *)
 
 val pp_entry : Format.formatter -> entry -> unit
 

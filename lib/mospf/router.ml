@@ -51,12 +51,34 @@ type plan = {
   on_tree : bool;
 }
 
+(* What a deployment's routers share: the shortest-path tree from each
+   source router over the live topology (computed on first use, dropped
+   on every network change), and the visit marks of [compute_plan]'s
+   walk, fresh for each walk by bumping [walk]. *)
+type shared = {
+  trees : Spt.tree option array;
+  visited : int array;
+  mutable walk : int;
+}
+
+let make_shared n = { trees = Array.make n None; visited = Array.make n 0; walk = 0 }
+
+let source_tree sh net src =
+  match sh.trees.(src) with
+  | Some tree -> tree
+  | None ->
+    let usable u v lid = Net.link_up net lid && Net.node_up net u && Net.node_up net v in
+    let tree = Spt.single_source ~usable (Net.topo net) src in
+    sh.trees.(src) <- Some tree;
+    tree
+
 type t = {
   node : Topology.node;
   addr : Addr.t;
   net : Net.t;
   eng : Engine.t;
   trace : Trace.t option;
+  shared : shared;
   lsdb : (Topology.node, int * GroupSet.t) Hashtbl.t;
   cache : (Topology.node * Group.t, plan) Hashtbl.t;
   stats : stats;
@@ -69,6 +91,8 @@ type t = {
 let node t = t.node
 
 let stats t = t.stats
+
+let tracing t = Trace.active t.trace
 
 let tr t tag fmt =
   match t.trace with
@@ -126,37 +150,41 @@ let install_lsa t ~iface (l : lsa) =
 (* Compute this router's part of the source-rooted shortest-path tree to
    the group members — the per-(source, group) Dijkstra MOSPF performs on
    demand ("the processing cost ... performed to compute the delivery
-   trees", section 1.1). *)
+   trees", section 1.1).  Every router of a deployment would run the same
+   Dijkstra from the same source over the same live topology, so the
+   deployment runs it once per source and shares the tree; each router
+   still pays (and counts) one SPF run per plan.  The router's part is
+   read off the tree by walking parent pointers up from every member it
+   knows of, in node-id order, stopping where an earlier walk already
+   passed: the links on those walks are the delivery tree. *)
 let compute_plan t src_router g =
   t.stats.spf_runs <- t.stats.spf_runs + 1;
+  let sh = t.shared in
+  let tree = source_tree sh t.net src_router in
   let topo = Net.topo t.net in
-  let usable u v lid =
-    Net.link_up t.net lid && Net.node_up t.net u && Net.node_up t.net v
-  in
-  let tree = Spt.single_source ~usable topo src_router in
-  let members =
-    List.init (Topology.n_nodes topo) Fun.id
-    |> List.filter (fun u -> knows_member t u g)
-  in
-  let edges = Spt.tree_edges tree ~members in
-  let olist =
-    List.filter_map
-      (fun (p, _, lid) ->
-        if p = t.node then Topology.iface_of_link_opt topo t.node lid else None)
-      edges
-    |> List.sort_uniq Int.compare
-  in
-  let iif =
-    if t.node = src_router then None
-    else
-      List.find_map
-        (fun (_, c, lid) ->
-          if c = t.node then Topology.iface_of_link_opt topo t.node lid else None)
-        edges
-  in
+  sh.walk <- sh.walk + 1;
+  let walk = sh.walk and visited = sh.visited in
+  let iif = ref None and olist = ref [] in
+  for m = 0 to Array.length visited - 1 do
+    if tree.Spt.dist.(m) <> max_int && knows_member t m g then begin
+      let v = ref m in
+      while !v <> src_router && visited.(!v) <> walk do
+        let c = !v in
+        visited.(c) <- walk;
+        let p = tree.Spt.parent.(c) in
+        if c = t.node then iif := Topology.iface_of_link_opt topo t.node tree.Spt.via.(c)
+        else if p = t.node then begin
+          match Topology.iface_of_link_opt topo t.node tree.Spt.via.(c) with
+          | Some i -> olist := i :: !olist
+          | None -> ()
+        end;
+        v := p
+      done
+    end
+  done;
   let member_here = GroupSet.mem g t.local_groups in
-  let on_tree = t.node = src_router || iif <> None in
-  { iif; olist; member_here; on_tree }
+  let on_tree = t.node = src_router || !iif <> None in
+  { iif = !iif; olist = List.sort_uniq Int.compare !olist; member_here; on_tree }
 
 let ev t event =
   match t.trace with None -> () | Some trc -> Trace.emit trc ~node:t.node event
@@ -169,28 +197,30 @@ let plan_for t src_router g =
     Hashtbl.replace t.cache (src_router, g) p;
     (* The on-demand Dijkstra result is MOSPF's forwarding state; caching
        it is this protocol's analogue of a PIM entry install. *)
-    ev t
-      (Event.Entry_install
-         {
-           route =
-             {
-               Event.group = Group.to_string g;
-               source = Some (Addr.to_string (Addr.router src_router));
-             };
-         });
+    if tracing t then
+      ev t
+        (Event.Entry_install
+           {
+             route =
+               {
+                 Event.group = Group.to_string g;
+                 source = Some (Addr.to_string (Addr.router src_router));
+               };
+           });
     p
 
 let local_deliver t pkt =
   t.stats.data_delivered_local <- t.stats.data_delivered_local + 1;
   (match Mdata.group pkt with
   | Some g ->
-    ev t
-      (Event.Pkt_deliver
-         {
-           src = Addr.to_string pkt.Packet.src;
-           group = Group.to_string g;
-           iface = -1;
-         })
+    if tracing t then
+      ev t
+        (Event.Pkt_deliver
+           {
+             src = Addr.to_string pkt.Packet.src;
+             group = Group.to_string g;
+             iface = -1;
+           })
   | None -> ());
   Pim_util.Vec.iter (fun f -> f pkt) t.local_cbs
 
@@ -229,7 +259,7 @@ let handle_data t ~iface pkt =
 let join_local t g =
   if not (GroupSet.mem g t.local_groups) then begin
     t.local_groups <- GroupSet.add g t.local_groups;
-    tr t "member" "local member for %s; flooding LSA" (Group.to_string g);
+    if tracing t then tr t "member" "local member for %s; flooding LSA" (Group.to_string g);
     originate_lsa t
   end
 
@@ -277,12 +307,12 @@ let handle_packet t ~iface pkt =
    from their next flooded LSA, which is why deployments that exercise
    restarts need [lsa_refresh] (real OSPF re-floods every LSRefreshTime). *)
 let restart t =
-  tr t "restart" "rebooted: LSDB and forwarding cache wiped";
+  if tracing t then tr t "restart" "rebooted: LSDB and forwarding cache wiped";
   Hashtbl.reset t.lsdb;
   Hashtbl.reset t.cache;
   originate_lsa t
 
-let create ?trace ?lsa_refresh ~net node =
+let create ?trace ?lsa_refresh ~shared ~net node =
   let t =
     {
       node;
@@ -290,6 +320,7 @@ let create ?trace ?lsa_refresh ~net node =
       net;
       eng = Net.engine net;
       trace;
+      shared;
       lsdb = Hashtbl.create 32;
       cache = Hashtbl.create 64;
       stats = fresh_stats ();
@@ -320,7 +351,11 @@ module Deployment = struct
 
   let create ?trace ?lsa_refresh net =
     let n = Topology.n_nodes (Net.topo net) in
-    { routers = Array.init n (fun u -> create ?trace ?lsa_refresh ~net u) }
+    let shared = make_shared n in
+    (* Heard before any router's [on_link_change]: by the time a router
+       drops its cached plans the stale trees are already gone. *)
+    Net.on_change net (fun _ -> Array.fill shared.trees 0 n None);
+    { routers = Array.init n (fun u -> create ?trace ?lsa_refresh ~shared ~net u) }
 
   let router t u = t.routers.(u)
 

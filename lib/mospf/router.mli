@@ -13,11 +13,19 @@
     runs ({!stats}'s [spf_runs]).
 
     The SPT is computed over the topology restricted to live links/nodes —
-    the converged state link-state routing maintains at every router. *)
+    the converged state link-state routing maintains at every router.
+    Every router would compute the same tree from a given source, so a
+    {!Deployment} computes it once per source and shares it among its
+    routers until the network next changes; each router then reads its
+    own part (incoming interface, downstream interfaces) off the shared
+    tree.  [spf_runs] still counts one run per router plan — the cost
+    the modelled protocol pays — not the simulator's shared work. *)
 
 type stats = {
   mutable lsa_sent : int;  (** membership-LSA transmissions (flooding) *)
-  mutable spf_runs : int;  (** source-tree Dijkstra computations *)
+  mutable spf_runs : int;
+      (** per-router forwarding plans computed: one source-tree Dijkstra
+          each in the modelled protocol *)
   mutable data_forwarded : int;
   mutable data_dropped_iif : int;
   mutable data_dropped_off_tree : int;
@@ -26,16 +34,15 @@ type stats = {
 
 type t
 
-val create :
-  ?trace:Pim_sim.Trace.t ->
-  ?lsa_refresh:float ->
-  net:Pim_sim.Net.t ->
-  Pim_graph.Topology.node ->
-  t
-(** [lsa_refresh] enables periodic re-origination of this router's
-    membership LSA (real OSPF's LSRefreshTime), off by default.  Without
-    it a router that {!restart}s never relearns other routers' membership
-    until they next change. *)
+type plan = {
+  iif : Pim_graph.Topology.iface option;
+      (** where data from the source must arrive; [None] at the source's
+          first-hop router and off the tree *)
+  olist : Pim_graph.Topology.iface list;  (** downstream tree interfaces, ascending *)
+  member_here : bool;  (** a local member of the group is attached *)
+  on_tree : bool;  (** the source's first hop, or on the path to a member *)
+}
+(** One router's share of the (source, group) delivery tree. *)
 
 val node : t -> Pim_graph.Topology.node
 
@@ -58,6 +65,11 @@ val send_local_data : t -> group:Pim_net.Group.t -> ?size:int -> unit -> unit
 
 val local_source_addr : t -> Pim_net.Addr.t
 
+val plan_for : t -> Pim_graph.Topology.node -> Pim_net.Group.t -> plan
+(** [plan_for t src g] is the plan this router forwards [g]'s data from
+    router [src]'s subnetwork with.  A cache miss computes it (one
+    [spf_runs]); membership and topology changes invalidate the cache. *)
+
 val restart : t -> unit
 (** Crash-and-reboot: wipe the LSDB and forwarding cache; local
     memberships survive and the own LSA is re-flooded at once with a
@@ -70,6 +82,11 @@ module Deployment : sig
   type t
 
   val create : ?trace:Pim_sim.Trace.t -> ?lsa_refresh:float -> Pim_sim.Net.t -> t
+  (** One router per topology node, sharing one table of source trees.
+      [lsa_refresh] enables periodic re-origination of each router's
+      membership LSA (real OSPF's LSRefreshTime), off by default.  Without
+      it a router that {!restart}s never relearns other routers'
+      membership until they next change. *)
 
   val router : t -> Pim_graph.Topology.node -> router
 

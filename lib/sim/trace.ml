@@ -16,6 +16,8 @@ let create ?(enabled = true) eng = { eng; enabled; entries = [] }
 
 let enable t b = t.enabled <- b
 
+let active = function Some t -> t.enabled | None -> false
+
 let log t ~node ~tag detail =
   if t.enabled then
     t.entries <- { time = Engine.now t.eng; node; tag; detail; event = None } :: t.entries

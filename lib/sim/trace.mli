@@ -22,6 +22,11 @@ val create : ?enabled:bool -> Engine.t -> t
 
 val enable : t -> bool -> unit
 
+val active : t option -> bool
+(** [active trace] is true when a trace is attached and enabled: the one
+    test protocols put in front of every emission site, so that an
+    untraced run builds no event payloads or log strings. *)
+
 val log : t -> node:int -> tag:string -> string -> unit
 
 val logf : t -> node:int -> tag:string -> ('a, Format.formatter, unit, unit) format4 -> 'a

@@ -450,6 +450,77 @@ let prop_workload_domains_identity =
       let reference = render 1 in
       List.for_all (fun d -> String.equal reference (render d)) [ 2; 3; 8 ])
 
+(* {1 Allocation budget of the forwarding path}
+
+   With no trace attached, forwarding builds no event payloads: every
+   emission site sits behind the router's [tracing] test.  A 3x3 grid with
+   three members is warmed up (trees built, SPT switch done, MOSPF plans
+   cached), then 400 packets are forwarded, the network drains, and the
+   minor words allocated per link traversal — data, control and timers
+   together — must stay under a fixed budget.  The budgets are the figures measured when the
+   guard went in (PIM-SM ~267, MOSPF ~157 words) plus ~11%; one unguarded
+   per-packet event (e.g. [Pkt_deliver]) costs 70-80 words a traversal
+   here and breaks them.  The traced run checks the guard still lets
+   events through when a trace is attached. *)
+
+let forwarding_words ~traced protocol =
+  let module Engine = Pim_sim.Engine in
+  let module Net = Pim_sim.Net in
+  let module Trace = Pim_sim.Trace in
+  let module Stack = Pim_exp.Stack in
+  let g = Pim_net.Group.of_index 1 in
+  let eng = Engine.create () in
+  let net = Net.create eng (Pim_graph.Classic.grid 3 3) in
+  let trace = if traced then Some (Trace.create eng) else None in
+  let s =
+    List.assoc g (Stack.create_many ?trace ~placement:[ (g, [ 4 ]) ] ~groups:[ g ] ~net protocol)
+  in
+  List.iter s.Stack.join [ 2; 6; 8 ];
+  let delivered = ref 0 in
+  List.iter (fun m -> s.Stack.on_data m (fun _ -> incr delivered)) [ 2; 6; 8 ];
+  let send_burst ~start ~every n =
+    for i = 0 to n - 1 do
+      ignore
+        (Engine.schedule_at eng
+           (start +. (every *. float_of_int i))
+           (fun () -> s.Stack.send_from 0))
+    done
+  in
+  Engine.run ~until:10. eng;
+  send_burst ~start:10. ~every:0.5 20;
+  Engine.run ~until:30. eng;
+  let n = 400 in
+  send_burst ~start:30. ~every:0.05 n;
+  let t0 = Net.total_traversals net and d0 = !delivered and w0 = Gc.minor_words () in
+  Engine.run ~until:(40. +. (0.05 *. float_of_int n)) eng;
+  let words = Gc.minor_words () -. w0 and traversals = Net.total_traversals net - t0 in
+  Alcotest.(check int) "every packet reached every member" (3 * n) (!delivered - d0);
+  let pkt_delivers =
+    match trace with
+    | None -> 0
+    | Some tr ->
+      List.length
+        (List.filter
+           (fun (_, _, e) -> match e with Pim_sim.Event.Pkt_deliver _ -> true | _ -> false)
+           (Trace.events tr))
+  in
+  (words /. float_of_int traversals, pkt_delivers)
+
+let test_forwarding_alloc_budget () =
+  List.iter
+    (fun (protocol, budget) ->
+      let name = Pim_exp.Stack.to_string protocol in
+      let untraced, none = forwarding_words ~traced:false protocol in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f words per traversal <= %.0f" name untraced budget)
+        true (untraced <= budget);
+      Alcotest.(check int) (name ^ ": no trace, no events") 0 none;
+      let _, delivers = forwarding_words ~traced:true protocol in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: traced run records Pkt_deliver (%d)" name delivers)
+        true (delivers > 0))
+    [ (Pim_exp.Stack.Pim_sm, 300.); (Pim_exp.Stack.Mospf, 175.) ]
+
 let () =
   Alcotest.run "pim_exp"
     [
@@ -489,4 +560,6 @@ let () =
             test_workload_rp_concentration_contrast;
           QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_workload_domains_identity;
         ] );
+      ( "alloc",
+        [ Alcotest.test_case "forwarding allocation budget" `Quick test_forwarding_alloc_budget ] );
     ]

@@ -175,6 +175,86 @@ let test_delivery () =
   Delivery.clear d;
   Alcotest.(check int) "cleared" 0 (Delivery.total d)
 
+(* The oif list as it was kept before [add_oif] sorted it: newest first,
+   with [live_oifs] filtering, mapping and sorting on every call.  The
+   sorted list must answer exactly as this reference does. *)
+module Ref_oifs = struct
+  type t = { mutable oifs : Fwd.oif list }
+
+  let add r iface ~expires ~local =
+    match List.find_opt (fun (o : Fwd.oif) -> o.iface = iface) r.oifs with
+    | Some o ->
+      o.expires <- max o.expires expires;
+      o.local <- o.local || local
+    | None -> r.oifs <- { Fwd.iface; expires; local } :: r.oifs
+
+  let remove r iface = r.oifs <- List.filter (fun (o : Fwd.oif) -> o.iface <> iface) r.oifs
+
+  let live r ~iif ~now =
+    r.oifs
+    |> List.filter (fun (o : Fwd.oif) -> (o.local || o.expires > now) && Some o.iface <> iif)
+    |> List.map (fun (o : Fwd.oif) -> o.iface)
+    |> List.sort Int.compare
+
+  let prune_expired r ~now =
+    let before = List.length r.oifs in
+    r.oifs <- List.filter (fun (o : Fwd.oif) -> o.local || o.expires > now) r.oifs;
+    List.length r.oifs <> before
+
+  (* Compared as sets of (iface, expires, local): the reference's order is
+     insertion order, the entry's is interface order. *)
+  let canon oifs =
+    List.map (fun (o : Fwd.oif) -> (o.iface, o.expires, o.local)) oifs |> List.sort compare
+end
+
+let prop_oifs_match_reference =
+  QCheck.Test.make ~name:"oifs: sorted list answers like the filter-map-sort reference"
+    ~count:300
+    QCheck.(pair (int_bound 100000) (int_range 1 60))
+    (fun (seed, steps) ->
+      let prng = Pim_util.Prng.create seed in
+      let iif = if Pim_util.Prng.bool prng then Some (Pim_util.Prng.int prng 8) else None in
+      let e = Fwd.make_sg ~group:g ~source:s ~iif ~expires:100. () in
+      let r = { Ref_oifs.oifs = [] } in
+      let ok = ref true in
+      let now = ref 0. in
+      let sorted l = List.sort_uniq Int.compare l = l in
+      for _ = 1 to steps do
+        (* Interfaces 0..7, including the iif and the local pseudo-iface -1,
+           drawn in any order. *)
+        let iface = Pim_util.Prng.int prng 9 - 1 in
+        (match Pim_util.Prng.int prng 10 with
+        | 0 | 1 | 2 | 3 | 4 ->
+          let expires = !now +. float_of_int (Pim_util.Prng.int prng 20) in
+          let local = Pim_util.Prng.int prng 5 = 0 in
+          Fwd.add_oif e iface ~expires ~local;
+          Ref_oifs.add r iface ~expires ~local
+        | 5 ->
+          Fwd.remove_oif e iface;
+          Ref_oifs.remove r iface
+        | 6 | 7 ->
+          let a = Fwd.prune_expired_oifs e ~now:!now and b = Ref_oifs.prune_expired r ~now:!now in
+          if a <> b then ok := false
+        | _ -> now := !now +. float_of_int (Pim_util.Prng.int prng 6));
+        let live = Fwd.live_oifs e ~now:!now in
+        if live <> Ref_oifs.live r ~iif ~now:!now then ok := false;
+        if Fwd.has_live_oif e ~now:!now <> (live <> []) then ok := false;
+        if Ref_oifs.canon e.Fwd.oifs <> Ref_oifs.canon r.Ref_oifs.oifs then ok := false;
+        if not (sorted (List.map (fun (o : Fwd.oif) -> o.iface) e.Fwd.oifs)) then ok := false
+      done;
+      !ok)
+
+(* Nothing expired: [prune_expired_oifs] reports so and keeps the very
+   same list. *)
+let test_prune_nothing_expired () =
+  let e = Fwd.make_star ~group:g ~rp ~iif:None ~expires:100. in
+  Fwd.add_oif e 4 ~expires:50. ~local:false;
+  Fwd.add_oif e 1 ~expires:0. ~local:true;
+  let before = e.Fwd.oifs in
+  Alcotest.(check bool) "nothing pruned" false (Fwd.prune_expired_oifs e ~now:10.);
+  Alcotest.(check bool) "list untouched" true (e.Fwd.oifs == before);
+  Alcotest.(check (list int)) "ascending" [ 1; 4 ] (Fwd.live_oifs e ~now:10.)
+
 let () =
   Alcotest.run "pim_mcast"
     [
@@ -187,6 +267,8 @@ let () =
           Alcotest.test_case "local flag" `Quick test_oif_local_flag;
           Alcotest.test_case "live excludes iif" `Quick test_live_oifs_exclude_iif;
           Alcotest.test_case "local flag merge" `Quick test_oif_or_local_flag_merge;
+          Alcotest.test_case "prune with nothing expired" `Quick test_prune_nothing_expired;
+          QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_oifs_match_reference;
         ] );
       ( "fib",
         [

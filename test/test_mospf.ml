@@ -1,10 +1,23 @@
+(* Pin the qcheck exploration seed so [dune runtest] draws the same property
+   cases on every run; export QCHECK_SEED to explore a different slice of the
+   input space. *)
+let qcheck_rand () =
+  let seed =
+    match Sys.getenv_opt "QCHECK_SEED" with
+    | Some s -> ( try int_of_string s with _ -> 1994)
+    | None -> 1994
+  in
+  Random.State.make [| seed |]
+
 (* Tests for the MOSPF-style link-state multicast baseline (Pim_mospf). *)
 
 module Engine = Pim_sim.Engine
 module Net = Pim_sim.Net
+module Topology = Pim_graph.Topology
 module Classic = Pim_graph.Classic
 module Group = Pim_net.Group
 module Mospf = Pim_mospf.Router
+module Prng = Pim_util.Prng
 
 let g = Group.of_index 1
 
@@ -132,6 +145,76 @@ let test_groups_independent () =
   Engine.run ~until:15. eng;
   Alcotest.(check int) "no cross-group delivery" 0 !got
 
+(* Every router's plan, read off the deployment's shared source tree,
+   equals the plan its own Dijkstra gave before trees were shared — under
+   membership churn, LSAs still in flight, link and node failures and
+   router restarts, on graphs with LANs and equal-cost ties.  Plans are
+   asked both right after a change (cache invalidation) and after the
+   network settles. *)
+let prop_shared_tree_matches_reference =
+  QCheck.Test.make ~name:"shared-tree plans equal per-router Dijkstra plans" ~count:150
+    QCheck.(pair (int_bound 100000) (int_range 1 8))
+    (fun (seed, steps) ->
+      let prng = Prng.create seed in
+      let topo = Small_topo.random prng in
+      let n = Topology.n_nodes topo in
+      let eng, net, dep = mk topo in
+      let ok = ref true in
+      let check () =
+        for u = 0 to n - 1 do
+          let r = Mospf.Deployment.router dep u in
+          for src = 0 to n - 1 do
+            List.iter
+              (fun grp ->
+                if Mospf.plan_for r src grp <> Mospf_reference.plan ~net r src grp then ok := false)
+              [ g; g2 ]
+          done
+        done
+      in
+      for _ = 1 to steps do
+        for _ = 1 to 1 + Prng.int prng 3 do
+          let r = Mospf.Deployment.router dep (Prng.int prng n) in
+          let grp = if Prng.bool prng then g else g2 in
+          if Prng.int prng 3 = 0 then Mospf.leave_local r grp else Mospf.join_local r grp
+        done;
+        Engine.run ~until:(Engine.now eng +. float_of_int (Prng.int prng 4)) eng;
+        check ();
+        (match Prng.int prng 3 with
+        | 0 ->
+          let lid = Prng.int prng (Topology.n_links topo) in
+          Net.set_link_up net lid (not (Net.link_up net lid))
+        | 1 ->
+          let u = Prng.int prng n in
+          Net.set_node_up net u (not (Net.node_up net u))
+        | _ -> Mospf.restart (Mospf.Deployment.router dep (Prng.int prng n)));
+        check ()
+      done;
+      !ok)
+
+(* The modelled cost does not move with the shared tree: each router still
+   counts one SPF run per (source, group) plan it computes.  The figures
+   are those of the per-router Dijkstra on this scripted run. *)
+let test_spf_runs_pinned () =
+  let eng, net, dep = mk (Classic.grid 3 3) in
+  List.iter (fun m -> Mospf.join_local (Mospf.Deployment.router dep m) g) [ 2; 6; 8 ];
+  Engine.run ~until:10. eng;
+  send_n eng dep ~from:0 ~start:10. 5;
+  Engine.run ~until:20. eng;
+  let after_first = (Mospf.Deployment.total_stats dep).Mospf.spf_runs in
+  (* A link failure drops every cached plan; a new member floods an LSA,
+     which drops them again. *)
+  Net.set_link_up net 0 false;
+  send_n eng dep ~from:0 ~start:20. 3;
+  Engine.run ~until:30. eng;
+  Mospf.join_local (Mospf.Deployment.router dep 4) g;
+  Engine.run ~until:35. eng;
+  send_n eng dep ~from:4 ~start:35. 3;
+  Engine.run ~until:50. eng;
+  let st = Mospf.Deployment.total_stats dep in
+  Alcotest.(check int) "spf runs after the first burst" 7 after_first;
+  Alcotest.(check int) "spf runs at the end" 22 st.Mospf.spf_runs;
+  Alcotest.(check int) "data forwarded" 69 st.Mospf.data_forwarded
+
 let () =
   Alcotest.run "pim_mospf"
     [
@@ -146,5 +229,7 @@ let () =
           Alcotest.test_case "leave stops delivery" `Quick test_leave_stops_delivery;
           Alcotest.test_case "link failure reroutes" `Quick test_link_failure_reroutes;
           Alcotest.test_case "groups independent" `Quick test_groups_independent;
+          Alcotest.test_case "spf runs pinned" `Quick test_spf_runs_pinned;
+          QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_shared_tree_matches_reference;
         ] );
     ]

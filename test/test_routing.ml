@@ -112,26 +112,6 @@ let all_pairs_answers net =
         let dist = tree.Pim_graph.Spt.dist.(d) in
         (next, if dist = max_int then None else Some dist))
 
-(* Small graphs with parallel links, LANs and costs 1-3, so equal-cost
-   ties and interface order matter. *)
-let random_topo prng =
-  let n = 4 + Prng.int prng 9 in
-  let b = Topology.builder n in
-  let cost () = 1 + Prng.int prng 3 in
-  for v = 1 to n - 1 do
-    ignore (Topology.add_p2p ~cost:(cost ()) b (Prng.int prng v) v)
-  done;
-  for _ = 1 to Prng.int prng n do
-    let u = Prng.int prng n and v = Prng.int prng n in
-    if u <> v then ignore (Topology.add_p2p ~cost:(cost ()) b u v)
-  done;
-  for _ = 1 to Prng.int prng 3 do
-    match List.sort_uniq Int.compare (List.init 3 (fun _ -> Prng.int prng n)) with
-    | _ :: _ :: _ as lan -> ignore (Topology.add_lan ~cost:(cost ()) b lan)
-    | _ -> ()
-  done;
-  Topology.freeze b
-
 let prop_static_matches_all_pairs =
   QCheck.Test.make
     ~name:"Static answers like all-pairs and notifies exactly the routers whose answers changed"
@@ -139,7 +119,7 @@ let prop_static_matches_all_pairs =
     QCheck.(pair (int_range 0 100000) (int_range 1 15))
     (fun (seed, steps) ->
       let prng = Prng.create seed in
-      let topo = random_topo prng in
+      let topo = Small_topo.random prng in
       let n = Topology.n_nodes topo in
       let _, net = mk topo in
       let s = Static.create net in
