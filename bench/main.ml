@@ -437,6 +437,26 @@ let json_subjects () =
     in
     ignore (Sys.opaque_identity (Pim_exp.Workload.run spec))
   in
+  (* The same zap spec under CBT and PIM-DM, the two protocols whose data
+     path walks tree and interface state in place rather than building an
+     oif list per packet. *)
+  let workload_zap_cbt_dm () =
+    List.iter
+      (fun protocol ->
+        let spec =
+          {
+            (Pim_exp.Workload.default_spec Pim_exp.Workload.Zap) with
+            Pim_exp.Workload.nodes = 100;
+            groups = 16;
+            scale = 200;
+            duration = 60.;
+            protocol;
+            seed;
+          }
+        in
+        ignore (Sys.opaque_identity (Pim_exp.Workload.run spec)))
+      [ Pim_exp.Stack.Cbt; Pim_exp.Stack.Pim_dm ]
+  in
   [
     ("fig2a-trial", fig2a_trial);
     ("fig2a-degree-sweep-20", fig2a_degree_sweep);
@@ -452,6 +472,7 @@ let json_subjects () =
     ("workload-zap-2000n", workload_zap_2000n);
     ("workload-flashcrowd", workload_flashcrowd);
     ("workload-zap-100n-mospf", workload_zap_mospf);
+    ("workload-zap-100n-cbt-dm", workload_zap_cbt_dm);
   ]
 
 let run_json path =
@@ -512,8 +533,9 @@ let run_json path =
 
    [--check PATH] re-measures the engine subjects, the BSR
    failover-election run, the 10000-router scale point, the 2000-router
-   workloads (whose allocation is mostly unicast routes) and the MOSPF
-   zap workload (multicast forwarding and plan computation) and compares
+   workloads (whose allocation is mostly unicast routes), the MOSPF
+   zap workload (multicast forwarding and plan computation) and the CBT
+   and PIM-DM zap workload (their in-place forwarding walks) and compares
    them against the committed baseline.  Wall clock differs across machines
    and noisy CI runners, so it only fails on a large factor — chosen so
    that reverting the timer wheel to the old heap (a ~5.8x slowdown on
@@ -529,6 +551,7 @@ let check_subjects =
     "workload-zap-2000n";
     "workload-flashcrowd";
     "workload-zap-100n-mospf";
+    "workload-zap-100n-cbt-dm";
   ]
 
 let wall_budget = 3.0

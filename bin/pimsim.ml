@@ -84,7 +84,8 @@ let fig2a_cmd =
     in
     let rows =
       with_json_output ~experiment:"fig2a" ~json ~params ~row_to_json (fun () ->
-          Pim_exp.Fig2a.run ~nodes ~members ~trials ~domains ~seed ())
+          or_bad_input "fig2a" (fun () ->
+              Pim_exp.Fig2a.run ~nodes ~members ~trials ~domains ~seed ()))
     in
     Format.printf "%a" Pim_exp.Fig2a.pp_rows rows
   in
@@ -122,7 +123,8 @@ let fig2b_cmd =
     in
     let rows =
       with_json_output ~experiment:"fig2b" ~json ~params ~row_to_json (fun () ->
-          Pim_exp.Fig2b.run ~nodes ~groups ~members ~senders ~trials ~seed ())
+          or_bad_input "fig2b" (fun () ->
+              Pim_exp.Fig2b.run ~nodes ~groups ~members ~senders ~trials ~seed ()))
     in
     Format.printf "%a" Pim_exp.Fig2b.pp_rows rows
   in
@@ -145,7 +147,7 @@ let fig1_cmd =
 
 let overhead_cmd =
   let run seed nodes packets =
-    let rows = Pim_exp.Overhead.run ~nodes ~packets ~seed () in
+    let rows = or_bad_input "overhead" (fun () -> Pim_exp.Overhead.run ~nodes ~packets ~seed ()) in
     Format.printf "%a" Pim_exp.Overhead.pp_rows rows
   in
   let packets = Arg.(value & opt int 30 & info [ "packets" ] ~doc:"Data packets to send.") in

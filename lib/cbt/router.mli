@@ -66,7 +66,23 @@ val on_tree : t -> Pim_net.Group.t -> bool
     seen the group). *)
 
 val tree_ifaces : t -> Pim_net.Group.t -> Pim_graph.Topology.iface list
-(** Parent and confirmed child interfaces. *)
+(** Parent and confirmed child interfaces, ascending: the interfaces
+    among [0 .. degree - 1] that pass {!on_tree_iface}. *)
+
+val on_tree_iface :
+  now:float ->
+  children:(Pim_graph.Topology.iface, float) Hashtbl.t ->
+  parent:(Pim_graph.Topology.iface * Pim_graph.Topology.node) option ->
+  confirmed:bool ->
+  core:bool ->
+  Pim_graph.Topology.iface ->
+  bool
+(** The per-packet tree test over one group's state: is the interface a
+    child whose timer ([children]) runs past [now], or the [parent]
+    interface of a [confirmed] router that is not the group's [core]?
+    Data is accepted only on such an interface and copied onto every
+    other one; forwarding walks the router's interfaces through this test
+    instead of building {!tree_ifaces}. *)
 
 val entry_count : t -> int
 (** Per-group tree state entries held by this router. *)

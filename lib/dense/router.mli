@@ -69,6 +69,9 @@ val node : t -> Pim_graph.Topology.node
 
 val fib : t -> Pim_mcast.Fwd.t
 
+val igmp : t -> Pim_igmp.Router.t
+(** The router's IGMP side: which leaf subnets have members. *)
+
 val stats : t -> stats
 
 val join_local : t -> Pim_net.Group.t -> unit
@@ -87,6 +90,27 @@ val restart : t -> unit
     re-report).  Data-driven broadcast-and-prune rebuilds forwarding state
     on the next packet; the membership advert is re-originated immediately
     with a higher sequence number. *)
+
+(** {1 Forwarding state} *)
+
+val apply_prune :
+  t -> Pim_mcast.Fwd.entry -> iface:Pim_graph.Topology.iface -> holdtime:float -> unit
+(** Cut a branch as an accepted Prune does, without the LAN override
+    window: data matching the (S,G) entry stops going out [iface] for
+    [holdtime] seconds. *)
+
+val broadcast_ifaces :
+  t ->
+  Pim_mcast.Fwd.entry ->
+  exclude:Pim_graph.Topology.iface option ->
+  Pim_graph.Topology.iface list
+(** Where data matching an (S,G) entry is copied under truncated
+    reverse-path broadcast, in forwarding order: the local pseudo
+    interface [-1] when the router itself has joined, then ascending
+    every interface that is not the entry's iif or [exclude], not pruned,
+    up, and either a leaf subnetwork with members or a transit link (in
+    DVMRP mode, only one with child routers for the source).  Data
+    forwarding walks the same set in place; this is its list view. *)
 
 (** {1 Region membership (for dense/sparse border routers)} *)
 

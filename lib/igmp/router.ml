@@ -98,6 +98,8 @@ let create ?(config = default_config) net ~node =
 
 let has_member t g = Hashtbl.fold (fun (_, g') _ acc -> acc || Group.equal g g') t.members false
 
+let member_on t ~iface g = Hashtbl.mem t.members (iface, g)
+
 let member_ifaces t g =
   Hashtbl.fold (fun (i, g') _ acc -> if Group.equal g g' then i :: acc else acc) t.members []
   |> List.sort_uniq Int.compare

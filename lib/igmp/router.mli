@@ -31,6 +31,9 @@ val has_member : t -> Pim_net.Group.t -> bool
 val member_ifaces : t -> Pim_net.Group.t -> Pim_graph.Topology.iface list
 (** Interfaces with live local members of the group, sorted. *)
 
+val member_on : t -> iface:Pim_graph.Topology.iface -> Pim_net.Group.t -> bool
+(** [List.mem iface (member_ifaces t g)], without building the list. *)
+
 val groups : t -> Pim_net.Group.t list
 (** Groups with at least one live local member. *)
 

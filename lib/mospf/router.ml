@@ -190,9 +190,9 @@ let ev t event =
   match t.trace with None -> () | Some trc -> Trace.emit trc ~node:t.node event
 
 let plan_for t src_router g =
-  match Hashtbl.find_opt t.cache (src_router, g) with
-  | Some p -> p
-  | None ->
+  match Hashtbl.find t.cache (src_router, g) with
+  | p -> p
+  | exception Not_found ->
     let p = compute_plan t src_router g in
     Hashtbl.replace t.cache (src_router, g) p;
     (* The on-demand Dijkstra result is MOSPF's forwarding state; caching
@@ -222,17 +222,23 @@ let local_deliver t pkt =
              iface = -1;
            })
   | None -> ());
-  Pim_util.Vec.iter (fun f -> f pkt) t.local_cbs
+  for i = 0 to Pim_util.Vec.length t.local_cbs - 1 do
+    Pim_util.Vec.get t.local_cbs i pkt
+  done
+
+(* Top-level recursion rather than [List.iter] with a closure over the
+   copy: forwarding allocates only the copy. *)
+let rec send_all t pkt' = function
+  | i :: rest ->
+    t.stats.data_forwarded <- t.stats.data_forwarded + 1;
+    Net.send t.net t.node ~iface:i pkt';
+    send_all t pkt' rest
+  | [] -> ()
 
 let forward t pkt olist =
   match Packet.decr_ttl pkt with
   | None -> ()
-  | Some pkt' ->
-    List.iter
-      (fun i ->
-        t.stats.data_forwarded <- t.stats.data_forwarded + 1;
-        Net.send t.net t.node ~iface:i pkt')
-      olist
+  | Some pkt' -> send_all t pkt' olist
 
 let src_router_of pkt =
   match Addr.router_index pkt.Packet.src with
@@ -249,7 +255,7 @@ let handle_data t ~iface pkt =
       forward t pkt p.olist;
       if p.member_here then local_deliver t pkt
     end
-    else if p.iif = Some iface then begin
+    else if (match p.iif with Some i -> i = iface | None -> false) then begin
       forward t pkt p.olist;
       if p.member_here then local_deliver t pkt
     end

@@ -38,6 +38,13 @@ let schedule_at t time action =
   if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
   Tw.add t.queue ~time ~seq:(next_seq t) action
 
+(* The node must be unlinked: it has fired (and is not re-armed yet) or
+   was cancelled.  It takes a fresh sequence number, exactly as a new
+   [schedule_at] would, so re-arming never changes tie-break order. *)
+let rearm_at t hdl time =
+  if time < t.clock then invalid_arg "Engine.rearm_at: time in the past";
+  Tw.readd hdl ~time ~seq:(next_seq t)
+
 let every t ?start ~interval action =
   if interval <= 0. then invalid_arg "Engine.every: non-positive interval";
   let first = Option.value start ~default:interval in
@@ -50,7 +57,7 @@ let every t ?start ~interval action =
       when Tw.value n == tick (* pimlint: allow H2 — cancel swaps the payload; identity is the test *)
       ->
       (* Not cancelled mid-tick: re-arm in place, reusing the node. *)
-      Tw.readd n ~time:(t.clock +. interval) ~seq:(next_seq t)
+      rearm_at t n (t.clock +. interval)
     | _ -> ()
   in
   let n = Tw.add t.queue ~time:(t.clock +. first) ~seq:(next_seq t) tick in

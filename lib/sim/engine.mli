@@ -33,6 +33,16 @@ val every : t -> ?start:float -> interval:float -> (unit -> unit) -> handle
 (** Recurring timer: first fires after [start] (default [interval]) and then
     every [interval] seconds until cancelled. *)
 
+val rearm_at : t -> handle -> float -> unit
+(** [rearm_at t h time] schedules the callback of [h] again at an absolute
+    time (not earlier than [now]), reusing [h]'s allocation.  [h] must not
+    be queued: call it from [h]'s own callback, or after [h] fired.  It
+    takes the next sequence number, as {!schedule_at} would, so events at
+    the same instant keep their scheduling order.  A cancelled handle runs
+    a no-op when re-armed.  Recurring timers ({!every}) and the network's
+    per-link delivery timers re-arm through it.
+    @raise Invalid_argument if [h] is still queued or [time] is past. *)
+
 val cancel : handle -> unit
 (** Remove the event from the queue in O(1).  Cancelling an already-fired
     one-shot event (or cancelling twice) is a no-op. *)

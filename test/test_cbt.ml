@@ -139,6 +139,43 @@ let test_traffic_concentrates_at_core () =
     (fun lid c -> Alcotest.(check int) (Printf.sprintf "link %d flows" lid) 5 c)
     data_per_link
 
+(* Pin the qcheck exploration seed so [dune runtest] draws the same property
+   cases on every run; export QCHECK_SEED to explore a different slice of the
+   input space. *)
+let qcheck_rand () =
+  let seed =
+    match Sys.getenv_opt "QCHECK_SEED" with
+    | Some s -> ( try int_of_string s with _ -> 1994)
+    | None -> 1994
+  in
+  Random.State.make [| seed |]
+
+(* Forwarding walks a router's interfaces through [on_tree_iface]; over
+   random tree state (child timers on both sides of [now] = 10 and exactly
+   at it, a parent or none, confirmed or not, core or not) the interfaces
+   it passes are exactly the list [tree_ifaces_of] used to build. *)
+let prop_on_tree_iface_matches_list =
+  QCheck.Test.make ~count:1000 ~name:"on_tree_iface walk yields the old tree list"
+    QCheck.(
+      make
+        Gen.(
+          int_range 1 6 >>= fun deg ->
+          quad
+            (list_size (int_bound 6) (pair (int_bound (deg - 1)) (oneofl [ 5.; 10.; 10.01; 15. ])))
+            (opt (int_bound (deg - 1)))
+            (pair bool bool) (return deg)))
+    (fun (children_l, parent_iface, (confirmed, core), deg) ->
+      let now = 10. in
+      let children = Hashtbl.create 4 in
+      List.iter (fun (i, exp) -> Hashtbl.replace children i exp) children_l;
+      let parent = Option.map (fun i -> (i, 7)) parent_iface in
+      let walked =
+        List.filter
+          (Cbt.on_tree_iface ~now ~children ~parent ~confirmed ~core)
+          (List.init deg Fun.id)
+      in
+      walked = Oif_reference.tree_ifaces_of ~now ~children ~parent ~confirmed ~core)
+
 let () =
   Alcotest.run "pim_cbt"
     [
@@ -156,5 +193,6 @@ let () =
             test_off_tree_sender_encapsulates;
           Alcotest.test_case "traffic concentrates at core" `Quick
             test_traffic_concentrates_at_core;
+          QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_on_tree_iface_matches_list;
         ] );
     ]

@@ -244,6 +244,82 @@ let test_adverts_off_by_default () =
   Alcotest.(check bool) "no advert machinery when disabled" false
     (Dense.region_has_member (Dense.Deployment.router dep 0) g)
 
+(* Pin the qcheck exploration seed so [dune runtest] draws the same property
+   cases on every run; export QCHECK_SEED to explore a different slice of the
+   input space. *)
+let qcheck_rand () =
+  let seed =
+    match Sys.getenv_opt "QCHECK_SEED" with
+    | Some s -> ( try int_of_string s with _ -> 1994)
+    | None -> 1994
+  in
+  Random.State.make [| seed |]
+
+(* Data forwarding walks the router's interface array in place; over
+   random topologies (point-to-point links, shared LANs, leaf stub LANs)
+   and random state — iif, exclude, prune masks alive and expired, IGMP
+   members, the router's own membership, links and neighbours down, both
+   PIM-DM and DVMRP's child check — the walk yields exactly the list
+   [broadcast_olist] used to build, in the same order. *)
+let prop_broadcast_walk_matches_list =
+  QCheck.Test.make ~count:300 ~name:"broadcast walk yields the old olist"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let pick n = Random.State.int rs n and coin p = Random.State.float rs 1. < p in
+      let n = 2 + pick 5 in
+      let b = Topology.builder n in
+      for u = 0 to n - 1 do
+        if coin 0.4 then ignore (Topology.add_lan b [ u ])
+      done;
+      for _ = 1 to n + pick n do
+        let u = pick n and v = pick n in
+        if u <> v then ignore (Topology.add_p2p b u v)
+      done;
+      if n >= 3 && coin 0.5 then ignore (Topology.add_lan b [ 0; 1 + pick (n - 2); n - 1 ]);
+      let topo = Topology.freeze b in
+      let node = pick n in
+      let deg = Topology.degree topo node in
+      let eng = Engine.create () in
+      let net = Net.create eng topo in
+      let static = Pim_routing.Static.create net in
+      let dvmrp = coin 0.5 in
+      let mode = if dvmrp then Dense.Dvmrp else Dense.Pim_dm in
+      let config = { Dense.fast_config with Dense.mode } in
+      let r =
+        Dense.create ~config ~net ~rib:(Pim_routing.Static.rib static node)
+          ~neighbor_rib:(Pim_routing.Static.rib static) node
+      in
+      let src = Pim_net.Addr.host ~router:(pick n) 1 in
+      let iif = if deg > 0 && coin 0.8 then Some (pick deg) else None in
+      let e = Pim_mcast.Fwd.make_sg ~group:g ~source:src ~iif ~expires:100. () in
+      Pim_mcast.Fwd.insert (Dense.fib r) e;
+      let joined = coin 0.3 in
+      if joined then Dense.join_local r g;
+      let pruned = ref [] in
+      for i = 0 to deg - 1 do
+        if coin 0.3 then begin
+          let holdtime = List.nth [ -1.; 0.; 0.5; 3. ] (pick 4) in
+          Dense.apply_prune r e ~iface:i ~holdtime;
+          pruned := (i, holdtime) :: !pruned
+        end;
+        if coin 0.4 then
+          ignore
+            (Pim_igmp.Router.handle_packet (Dense.igmp r) ~iface:i
+               (Pim_igmp.Message.report_packet ~src:(Pim_net.Addr.host ~router:node 2) ~group:g ()))
+      done;
+      Array.iter
+        (fun (l : Topology.link) -> if coin 0.15 then Net.set_link_up net l.Topology.id false)
+        (Topology.links topo);
+      for v = 0 to n - 1 do
+        if v <> node && coin 0.15 then Net.set_node_up net v false
+      done;
+      let exclude = if deg > 0 && coin 0.5 then Some (pick deg) else None in
+      Dense.broadcast_ifaces r e ~exclude
+      = Oif_reference.broadcast_olist ~net ~node ~igmp:(Dense.igmp r)
+          ~neighbor_rib:(Pim_routing.Static.rib static) ~dvmrp ~pruned:!pruned ~joined ~now:0. e
+          ~exclude src g)
+
 let () =
   Alcotest.run "pim_dense"
     [
@@ -270,4 +346,6 @@ let () =
           Alcotest.test_case "graft" `Quick test_graft;
           Alcotest.test_case "no graft waits" `Quick test_no_graft_waits_for_growback;
         ] );
+      ( "walk",
+        [ QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_broadcast_walk_matches_list ] );
     ]
