@@ -286,7 +286,8 @@ let handle_quit t ~iface (b : body) =
 let local_deliver t pkt =
   t.stats.data_delivered_local <- t.stats.data_delivered_local + 1;
   for i = 0 to Pim_util.Vec.length t.local_cbs - 1 do
-    Pim_util.Vec.get t.local_cbs i pkt
+    let cb = Pim_util.Vec.get t.local_cbs i in
+    cb pkt
   done
 
 (* Copy the packet onto every tree interface but [exclude], in ascending
@@ -404,6 +405,9 @@ let sorted_entries t =
   |> List.sort (fun (g, _) (g', _) -> Group.compare g g')
 
 let tick t =
+  (* Sends and join retransmits add and remove no entry, so one snapshot
+     serves both passes. *)
+  let entries = sorted_entries t in
   List.iter
     (fun (_, (e : entry)) ->
       if e.confirmed && not (is_core t e) then begin
@@ -419,23 +423,25 @@ let tick t =
            JOIN-REQUEST or JOIN-ACK must be retransmitted, there is no
            periodic refresh to fall back on. *)
         send_join t e)
-    (sorted_entries t);
+    entries;
   (* Age out children and flush on silent parents. *)
   let n = now t in
   let doomed = ref [] in
   List.iter
     (fun (g, (e : entry)) ->
-      let dead =
-        Hashtbl.fold (fun i exp acc -> if exp <= n then i :: acc else acc) e.children []
-        |> List.sort Int.compare
-      in
-      List.iter (Hashtbl.remove e.children) dead;
+      if Hashtbl.length e.children > 0 then begin
+        let dead =
+          Hashtbl.fold (fun i exp acc -> if exp <= n then i :: acc else acc) e.children []
+          |> List.sort Int.compare
+        in
+        List.iter (Hashtbl.remove e.children) dead
+      end;
       if e.confirmed && (not (is_core t e)) && e.parent_deadline < n then doomed := `Flush e :: !doomed
       else if
         e.confirmed && (not (is_core t e)) && (not e.local)
         && Hashtbl.length e.children = 0 && e.pending = []
       then doomed := `Quit (g, e) :: !doomed)
-    (sorted_entries t);
+    entries;
   List.iter
     (function
       | `Flush e -> flush t e

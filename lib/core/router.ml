@@ -51,10 +51,11 @@ let fresh_stats () =
 type key = Group.t * Addr.t option
 
 (* Per-entry protocol state that is not part of the forwarding entry
-   proper: the upstream neighbor joins are sent to, LAN suppression and
-   override timers, and the shared-tree prune mask (our representation of
-   the paper's negative-cache oif deletions: an interface in the mask does
-   not receive this source's shared-tree traffic). *)
+   proper, kept on the entry through [Fwd.ext]: the upstream neighbor
+   joins are sent to, LAN suppression and override timers, and the
+   shared-tree prune mask (our representation of the paper's
+   negative-cache oif deletions: an interface in the mask does not
+   receive this source's shared-tree traffic). *)
 type aux = {
   mutable upstream : (Topology.iface * Topology.node) option;
   mutable suppress_until : float;
@@ -89,7 +90,6 @@ type t = {
   igmp : Pim_igmp.Router.t;
   fib : Fwd.t;
   trace : Trace.t option;
-  auxes : (key, aux) Hashtbl.t;
   no_mask : (Topology.iface, float) Hashtbl.t;
       (* always empty: the mask handed to oif walks over "(*,G)" entries,
          which have none *)
@@ -133,11 +133,13 @@ let route_of_sg g s = { Event.group = Group.to_string g; source = Some (Addr.to_
 let route_of_entry (e : Fwd.entry) =
   { Event.group = Group.to_string e.Fwd.group; source = Option.map Addr.to_string e.Fwd.source }
 
-let aux t e =
-  let k = Fwd.key e in
-  match Hashtbl.find t.auxes k with
-  | a -> a
-  | exception Not_found ->
+type Fwd.ext += Aux of aux
+
+(* [e]'s aux, attached on first use. *)
+let aux (e : Fwd.entry) =
+  match e.Fwd.ext with
+  | Aux a -> a
+  | _ ->
     let a =
       {
         upstream = None;
@@ -151,7 +153,7 @@ let aux t e =
         seen_next = 0;
       }
     in
-    Hashtbl.replace t.auxes k a;
+    e.Fwd.ext <- Aux a;
     a
 
 (* The address periodic joins chase: the source for an SPT entry, the RP
@@ -182,6 +184,9 @@ let select_rp t g =
   | Some rp -> Some rp
   | None -> ( match candidates with rp :: _ -> Some rp | [] -> None)
 
+(* [e.rp = Some rp], without building the option. *)
+let rp_is (e : Fwd.entry) rp = match e.Fwd.rp with Some a -> Addr.equal a rp | None -> false
+
 let current_rp t g = Option.bind (Fwd.find_star t.fib g) (fun e -> e.Fwd.rp)
 
 (* {1 Outgoing-interface computation} *)
@@ -205,7 +210,7 @@ let walk_data t e ~pruned ~shared ~exclude f x y z =
   else walk_effective t e ~pruned ~exclude f x y z
 
 (* [e]'s prune mask, without creating an aux for a "(*,G)" entry. *)
-let mask_of t (e : Fwd.entry) = if Fwd.is_star e then t.no_mask else (aux t e).pruned
+let mask_of t (e : Fwd.entry) = if Fwd.is_star e then t.no_mask else (aux e).pruned
 
 (* Whether those sets are non-empty, where [a] is [e]'s aux: the periodic
    sweep and refresh ask this of every entry. *)
@@ -237,7 +242,7 @@ let jp_entry_of (e : Fwd.entry) =
   | None, None -> None
 
 let triggered_join t e =
-  let a = aux t e in
+  let a = aux e in
   match (a.upstream, jp_entry_of e) with
   | Some (iface, up), Some je ->
     if tracing t then ev t (Event.Join { route = route_of_entry e; iface });
@@ -245,7 +250,7 @@ let triggered_join t e =
   | _ -> ()
 
 let triggered_prune t e =
-  let a = aux t e in
+  let a = aux e in
   match (a.upstream, jp_entry_of e) with
   | Some (iface, up), Some je ->
     if tracing t then ev t (Event.Prune { route = route_of_entry e; iface });
@@ -257,7 +262,7 @@ let triggered_prune t e =
 let divergence_prune t (e : Fwd.entry) =
   match (Fwd.find_star t.fib e.group, e.source) with
   | Some star, Some s when star.Fwd.iif <> e.Fwd.iif -> (
-    let a = aux t star in
+    let a = aux star in
     match a.upstream with
     | Some (iface, up) ->
       if tracing t then ev t (Event.Prune { route = route_of_sg e.Fwd.group s; iface });
@@ -280,7 +285,7 @@ let ensure_star t g ~rp =
     let e = Fwd.make_star ~group:g ~rp ~iif:(Option.map fst upstream) ~expires:(now t +. t.cfg.entry_linger) in
     e.Fwd.rp_deadline <- now t +. t.cfg.rp_timeout;
     Fwd.insert t.fib e;
-    (aux t e).upstream <- upstream;
+    (aux e).upstream <- upstream;
     if tracing t then ev t (Event.Entry_install { route = route_of_entry e });
     triggered_join t e;
     e
@@ -303,14 +308,13 @@ let ensure_sg t g s ~rp_bit =
     in
     let e = Fwd.make_sg ~group:g ~source:s ?rp ~rp_bit ~iif ~expires:(now t +. t.cfg.entry_linger) () in
     Fwd.insert t.fib e;
-    (aux t e).upstream <- upstream;
+    (aux e).upstream <- upstream;
     if tracing t then ev t (Event.Entry_install { route = route_of_entry e });
     if not rp_bit then triggered_join t e;
     e
 
 let delete_entry t (e : Fwd.entry) =
   if tracing t then ev t (Event.Entry_expire { route = route_of_entry e });
-  Hashtbl.remove t.auxes (Fwd.key e);
   Fwd.remove t.fib e.Fwd.group e.Fwd.source
 
 (* {1 Local members and data delivery} *)
@@ -331,7 +335,8 @@ let local_deliver t pkt =
            iface = local_iface;
          });
   for i = 0 to Pim_util.Vec.length t.local_cbs - 1 do
-    Pim_util.Vec.get t.local_cbs i pkt
+    let cb = Pim_util.Vec.get t.local_cbs i in
+    cb pkt
   done
 
 let on_local_data t f = Pim_util.Vec.push t.local_cbs f
@@ -380,7 +385,6 @@ let add_proxy_iface t iface =
 let restart t =
   if tracing t then tr t "restart" "rebooted: forwarding state wiped";
   Fwd.clear t.fib;
-  Hashtbl.reset t.auxes;
   Hashtbl.reset t.spt_counters;
   let members = t.local_members in
   t.local_members <- [];
@@ -435,7 +439,7 @@ let forward_data t e ~pruned ~shared ~exclude pkt =
    Identification field, modelled by [Mdata.seq]) tells a straggler — an
    RP-tree copy whose SPT twin never existed — from a true duplicate. *)
 let forward_sg t e pkt ~shared ~exclude =
-  let a = aux t e in
+  let a = aux e in
   if walk_data t e ~pruned:a.pruned ~shared ~exclude Fwd.skip () () () > 0 then begin
     match Mdata.info pkt with
     | Some i ->
@@ -540,7 +544,7 @@ let handle_data t ~iface pkt =
       else if e.Fwd.rp_bit then begin
         (* Negative cache: data still arriving via the RP tree. *)
         if Fwd.iif_is e iface then
-          forward_data t e ~pruned:(aux t e).pruned ~shared:true ~exclude:iface pkt
+          forward_data t e ~pruned:(aux e).pruned ~shared:true ~exclude:iface pkt
         else begin
           t.stats.data_dropped_iif <- t.stats.data_dropped_iif + 1;
           if tracing t then
@@ -639,7 +643,7 @@ let rec handle_register t inner =
         (* The shared tree, minus the interfaces pruned for this source. *)
         match Fwd.find_sg t.fib g src with
         | Some sg ->
-          forward_data t sg ~pruned:(aux t sg).pruned ~shared:true ~exclude:Topology.no_iface inner
+          forward_data t sg ~pruned:(aux sg).pruned ~shared:true ~exclude:Topology.no_iface inner
         | None -> forward_data t star ~pruned:t.no_mask ~shared:false ~exclude:Topology.no_iface inner)
       | _ -> ());
       (* ...and join toward the source so data starts flowing natively
@@ -685,7 +689,7 @@ and originate_data t ~incoming pkt =
                entry so captures show when encapsulation ceased. *)
             match Fwd.find_sg t.fib g src with
             | Some e ->
-              let a = aux t e in
+              let a = aux e in
               if not a.reg_stop_seen then begin
                 a.reg_stop_seen <- true;
                 if tracing t then
@@ -771,7 +775,7 @@ let process_join t ~iface (je : Message.jp_entry) g =
        e.Fwd.iif <- Option.map fst upstream;
        (match e.Fwd.iif with Some i -> Fwd.remove_oif e i | None -> ());
        e.Fwd.rp_deadline <- now t +. t.cfg.rp_timeout;
-       (aux t e).upstream <- upstream;
+       (aux e).upstream <- upstream;
        triggered_join t e
      end);
     Fwd.add_oif e iface ~expires:holdtime_end ~local:false;
@@ -792,7 +796,7 @@ let process_join t ~iface (je : Message.jp_entry) g =
        interface (prune override on the shared tree). *)
     match Fwd.find_sg t.fib g je.Message.addr with
     | Some e when e.Fwd.rp_bit ->
-      Hashtbl.remove (aux t e).pruned iface;
+      Hashtbl.remove (aux e).pruned iface;
       keepalive t e
     | _ -> ()
   end
@@ -824,7 +828,7 @@ let process_prune t ~iface (pe : Message.jp_entry) g =
        traffic down [iface] (section 3.3). *)
     let e = ensure_sg t g pe.Message.addr ~rp_bit:true in
     if e.Fwd.rp_bit then begin
-      let a = aux t e in
+      let a = aux e in
       Hashtbl.replace a.pruned iface (now t +. t.cfg.oif_holdtime);
       keepalive t e;
       (* Propagate toward the RP once nothing downstream wants the
@@ -834,7 +838,7 @@ let process_prune t ~iface (pe : Message.jp_entry) g =
     else begin
       (* An SPT entry already exists here: the pruned iface must stop
          receiving this source's traffic through the shared limb. *)
-      let a = aux t e in
+      let a = aux e in
       Hashtbl.replace a.pruned iface (now t +. t.cfg.oif_holdtime);
       window_removal e
     end
@@ -847,7 +851,7 @@ let overhear_join t ~iface (je : Message.jp_entry) g ~target =
   let consider e =
     match e with
     | Some (e : Fwd.entry) ->
-      let a = aux t e in
+      let a = aux e in
       let same_upstream =
         match a.upstream with
         | Some (i, up) -> i = iface && Addr.equal (Addr.router up) target
@@ -864,7 +868,7 @@ let overhear_join t ~iface (je : Message.jp_entry) g ~target =
   else if not je.Message.rp then consider (Fwd.find_sg t.fib g je.Message.addr)
 
 let schedule_override t (e : Fwd.entry) ~iface ~target je =
-  let a = aux t e in
+  let a = aux e in
   if not a.override_pending then begin
     a.override_pending <- true;
     let jitter = 0.5 +. (0.5 *. float_of_int (t.node mod 8) /. 8.) in
@@ -885,7 +889,7 @@ let overhear_prune t ~iface (pe : Message.jp_entry) g ~target =
     if pe.Message.wc then begin
       match Fwd.find_star t.fib g with
       | Some e
-        when Fwd.iif_is e iface && has_effective_oif t e (aux t e) ->
+        when Fwd.iif_is e iface && has_effective_oif t e (aux e) ->
         schedule_override t e ~iface ~target (Message.jp_entry ~wc:true ~rp:true pe.Message.addr)
       | _ -> ()
     end
@@ -901,7 +905,7 @@ let overhear_prune t ~iface (pe : Message.jp_entry) g ~target =
       match Fwd.find_star t.fib g with
       | Some star
         when wants_via_shared && Fwd.iif_is star iface
-             && has_effective_oif t star (aux t star) ->
+             && has_effective_oif t star (aux star) ->
         schedule_override t star ~iface ~target (Message.jp_entry ~rp:true pe.Message.addr)
       | _ -> ()
     end
@@ -909,7 +913,7 @@ let overhear_prune t ~iface (pe : Message.jp_entry) g ~target =
       match Fwd.find_sg t.fib g pe.Message.addr with
       | Some e
         when (not e.Fwd.rp_bit) && Fwd.iif_is e iface
-             && has_effective_oif t e (aux t e) ->
+             && has_effective_oif t e (aux e) ->
         schedule_override t e ~iface ~target (Message.jp_entry pe.Message.addr)
       | _ -> ()
     end
@@ -929,7 +933,7 @@ let handle_jp t ~iface (m : Message.join_prune) =
 
 let handle_rp_reach t ~iface ~group ~rp =
   match Fwd.find_star t.fib group with
-  | Some e when Fwd.iif_is e iface && e.Fwd.rp = Some rp ->
+  | Some e when Fwd.iif_is e iface && rp_is e rp ->
     e.Fwd.rp_deadline <- now t +. t.cfg.rp_timeout;
     keepalive t e;
     let pkt = Message.rp_reachability_packet ~src:t.addr ~group ~rp in
@@ -937,14 +941,12 @@ let handle_rp_reach t ~iface ~group ~rp =
   | _ -> ()
 
 let originate_rp_reach t =
-  List.iter
-    (fun (e : Fwd.entry) ->
-      if Fwd.is_star e && e.Fwd.rp = Some t.addr then begin
+  Fwd.iter t.fib (fun (e : Fwd.entry) ->
+      if Fwd.is_star e && rp_is e t.addr then begin
         let pkt = Message.rp_reachability_packet ~src:t.addr ~group:e.Fwd.group ~rp:t.addr in
         t.stats.rp_reach_sent <- t.stats.rp_reach_sent + 1;
         ignore (walk_effective t e ~pruned:t.no_mask ~exclude:Topology.no_iface send_ctrl t pkt ())
       end)
-    (Fwd.entries t.fib)
 
 let rp_failover t (e : Fwd.entry) =
   let current = e.Fwd.rp in
@@ -977,19 +979,18 @@ let rp_failover t (e : Fwd.entry) =
        the new RP (section 3.9). *)
     e.Fwd.oifs <- List.filter (fun (o : Fwd.oif) -> o.local) e.Fwd.oifs;
     e.Fwd.rp_deadline <- now t +. t.cfg.rp_timeout;
-    (aux t e).upstream <- upstream;
+    (aux e).upstream <- upstream;
     keepalive t e;
     triggered_join t e
 
 (* {1 Reaction to unicast routing changes (section 3.8)} *)
 
 let update_rpf t =
-  List.iter
-    (fun (e : Fwd.entry) ->
+  Fwd.iter t.fib (fun (e : Fwd.entry) ->
       match entry_target e with
       | None -> ()
       | Some target ->
-        let a = aux t e in
+        let a = aux e in
         let fresh = compute_upstream t target in
         if fresh <> a.upstream then begin
           if tracing t then
@@ -1008,7 +1009,6 @@ let update_rpf t =
           (match e.Fwd.iif with Some i -> Fwd.remove_oif e i | None -> ());
           triggered_join t e
         end)
-    (Fwd.entries t.fib)
 
 (* {1 Periodic soft-state machinery (sections 3.4, 3.6)} *)
 
@@ -1048,9 +1048,8 @@ let periodic_refresh t =
       b
   in
   let n = now t in
-  List.iter
-    (fun (e : Fwd.entry) ->
-      let a = aux t e in
+  Fwd.iter t.fib (fun (e : Fwd.entry) ->
+      let a = aux e in
       match a.upstream with
       | None -> ()
       | Some (iface, up) ->
@@ -1087,15 +1086,14 @@ let periodic_refresh t =
           if e.Fwd.spt_bit then begin
             match (Fwd.find_star t.fib e.Fwd.group, e.Fwd.source) with
             | Some star, Some s when star.Fwd.iif <> e.Fwd.iif -> (
-              match (aux t star).upstream with
+              match (aux star).upstream with
               | Some (siface, sup) ->
                 let _, prunes = bucket siface sup e.Fwd.group in
                 prunes := Message.jp_entry ~rp:true s :: !prunes
               | None -> ())
             | _ -> ()
           end
-        end)
-    (Fwd.entries t.fib);
+        end);
   (* Optional source aggregation (section 4): collapse plain /32 joins
      whose sources share a first-hop subnet into one /24 entry. *)
   let aggregate entries =
@@ -1174,9 +1172,8 @@ let periodic_refresh t =
 
 let sweep t =
   let n = now t in
-  List.iter
-    (fun (e : Fwd.entry) ->
-      let a = aux t e in
+  Fwd.iter t.fib (fun (e : Fwd.entry) ->
+      let a = aux e in
       (* Expired shared-tree prune masks grow back (section 1.1 style
          soft state). *)
       if Hashtbl.length a.pruned > 0 then begin
@@ -1210,8 +1207,7 @@ let sweep t =
            | _ -> false
          in
          if stale || e.Fwd.rp_deadline < n then rp_failover t e);
-      if e.Fwd.expires < n then delete_entry t e)
-    (Fwd.entries t.fib);
+      if e.Fwd.expires < n then delete_entry t e);
   (* Memberships recorded before any RP mapping was known (election still
      converging at join time): retry until one appears. *)
   List.iter
@@ -1263,7 +1259,6 @@ let create ?(config = Config.default) ?igmp_config ?trace ?rp_lookup ~net ~rib ~
       igmp;
       fib = Fwd.create ();
       trace;
-      auxes = Hashtbl.create 32;
       no_mask = Hashtbl.create 1;
       spt_counters = Hashtbl.create 8;
       stats = fresh_stats ();

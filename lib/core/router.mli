@@ -124,6 +124,16 @@ val send_local_data : t -> group:Pim_net.Group.t -> ?host:int -> ?size:int -> un
 val local_source_addr : ?host:int -> t -> Pim_net.Addr.t
 (** The source address {!send_local_data} uses for [host]. *)
 
+val periodic_refresh : t -> unit
+(** One periodic Join/Prune refresh (sections 3.4, 4): every entry's
+    join or prune state, bundled per upstream neighbor.  The router's own
+    timer runs it every [jp_period]. *)
+
+val sweep : t -> unit
+(** One soft-state sweep (sections 3.4, 3.6): expire prune masks, oifs
+    and entries, prune when an oif list empties, fail over to another RP.
+    The router's own timer runs it every [sweep_interval]. *)
+
 val restart : t -> unit
 (** Crash-and-reboot: wipe the forwarding table and every per-entry
     protocol timer, keeping only configuration (RP set, {!Config}) and

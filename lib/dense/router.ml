@@ -63,8 +63,7 @@ type stats = {
   mutable joins_sent : int;
 }
 
-type key = Group.t * Addr.t option
-
+(* Per-entry prune and join state, kept on the entry through [Fwd.ext]. *)
 type aux = {
   pruned : (Topology.iface, float) Hashtbl.t;
   last_join : (Topology.iface, float) Hashtbl.t;
@@ -72,6 +71,8 @@ type aux = {
   mutable pruned_upstream : bool;
   mutable override_pending : bool;
 }
+
+type Fwd.ext += Aux of aux
 
 module GroupSet = Set.Make (Group)
 
@@ -107,7 +108,6 @@ type t = {
   igmp : Pim_igmp.Router.t;
   fib : Fwd.t;
   trace : Trace.t option;
-  auxes : (key, aux) Hashtbl.t;
   stats : stats;
   mutable local_groups : GroupSet.t;
   local_cbs : (Packet.t -> unit) Pim_util.Vec.t;
@@ -140,11 +140,11 @@ let ev t event =
 
 let route_of_sg g s = { Event.group = Group.to_string g; source = Some (Addr.to_string s) }
 
-let aux t e =
-  let k = Fwd.key e in
-  match Hashtbl.find t.auxes k with
-  | a -> a
-  | exception Not_found ->
+(* [e]'s aux, attached on first use. *)
+let aux (e : Fwd.entry) =
+  match e.Fwd.ext with
+  | Aux a -> a
+  | _ ->
     let a =
       {
         pruned = Hashtbl.create 4;
@@ -154,7 +154,7 @@ let aux t e =
         override_pending = false;
       }
     in
-    Hashtbl.replace t.auxes k a;
+    e.Fwd.ext <- Aux a;
     a
 
 let has_local_members t g =
@@ -198,7 +198,7 @@ let broadcasts_on t (e : Fwd.entry) a ~now ~exclude src g i lid =
    joined, then every qualifying interface in ascending order, each handed
    to [f t x y].  Returns how many there were. *)
 let broadcast t (e : Fwd.entry) ~exclude src g f x y =
-  let a = aux t e in
+  let a = aux e in
   let now = now t in
   let count = ref 0 in
   if GroupSet.mem g t.local_groups then begin
@@ -218,7 +218,8 @@ let broadcast t (e : Fwd.entry) ~exclude src g f x y =
 let local_deliver t pkt =
   t.stats.data_delivered_local <- t.stats.data_delivered_local + 1;
   for i = 0 to Pim_util.Vec.length t.local_cbs - 1 do
-    Pim_util.Vec.get t.local_cbs i pkt
+    let cb = Pim_util.Vec.get t.local_cbs i in
+    cb pkt
   done
 
 (* Broadcast sink: [pkt'] is the copy with its TTL decremented; local
@@ -247,11 +248,11 @@ let broadcast_ifaces t (e : Fwd.entry) ~exclude =
     List.rev !acc
 
 let send_prune_upstream t (e : Fwd.entry) src g =
-  if now t -. (aux t e).last_prune_up >= t.cfg.prune_rate_limit then begin
+  if now t -. (aux e).last_prune_up >= t.cfg.prune_rate_limit then begin
     match t.rib.Rib.next_hop src with
     | None -> ()
     | Some (iface, up) ->
-      let a = aux t e in
+      let a = aux e in
       a.last_prune_up <- now t;
       a.pruned_upstream <- true;
       t.stats.prunes_sent <- t.stats.prunes_sent + 1;
@@ -336,7 +337,7 @@ let lan_with_peers t iface =
   && List.length (Topology.others_on_link (Net.topo t.net) link.Topology.id t.node) >= 2
 
 let apply_prune t (e : Fwd.entry) ~iface ~holdtime =
-  Hashtbl.replace (aux t e).pruned iface (now t +. holdtime)
+  Hashtbl.replace (aux e).pruned iface (now t +. holdtime)
 
 let handle_prune t ~iface (b : Message.body) =
   match Fwd.find_sg t.fib b.Message.group b.Message.source with
@@ -347,11 +348,15 @@ let handle_prune t ~iface (b : Message.body) =
       let asked_at = now t in
       ignore
         (Engine.schedule t.eng ~after:t.cfg.prune_override_window (fun () ->
-             (* Re-validate on fire: a join heard during the window (or
-                state wiped by a reboot) cancels the cut. *)
-             match Hashtbl.find_opt (aux t e).last_join iface with
-             | Some tj when tj >= asked_at -> ()
-             | _ -> apply_prune t e ~iface ~holdtime:b.Message.holdtime))
+             (* Re-validate on fire against the entry then holding the
+                route: no entry (wiped by a reboot, or expired) or a join
+                heard during the window cancels the cut. *)
+             match Fwd.find_sg t.fib b.Message.group b.Message.source with
+             | None -> ()
+             | Some e -> (
+               match Hashtbl.find_opt (aux e).last_join iface with
+               | Some tj when tj >= asked_at -> ()
+               | _ -> apply_prune t e ~iface ~holdtime:b.Message.holdtime)))
     end
     else apply_prune t e ~iface ~holdtime:b.Message.holdtime
 
@@ -359,7 +364,7 @@ let handle_join t ~iface (b : Message.body) =
   match Fwd.find_sg t.fib b.Message.group b.Message.source with
   | None -> ()
   | Some e ->
-    let a = aux t e in
+    let a = aux e in
     Hashtbl.remove a.pruned iface;
     Hashtbl.replace a.last_join iface (now t);
     (* Hop-by-hop graft propagation: if we had pruned ourselves off the
@@ -378,7 +383,7 @@ let overhear_prune t ~iface (b : Message.body) =
         || broadcast t e ~exclude:Topology.no_iface b.Message.source b.Message.group Fwd.skip () ()
            > 0
       in
-      let a = aux t e in
+      let a = aux e in
       if interested && not a.override_pending then begin
         a.override_pending <- true;
         let jitter = 0.5 +. (0.5 *. float_of_int (t.node mod 8) /. 8.) in
@@ -404,7 +409,7 @@ let overhear_prune t ~iface (b : Message.body) =
 let overhear_join t ~iface (b : Message.body) =
   ignore iface;
   match Fwd.find_sg t.fib b.Message.group b.Message.source with
-  | Some e -> (aux t e).override_pending <- false
+  | Some e -> (aux e).override_pending <- false
   | None -> ()
 
 (* {1 Region membership advertisements (section 4 interoperation)} *)
@@ -493,8 +498,8 @@ let graft_if_needed t g =
     List.iter
       (fun (e : Fwd.entry) ->
         match e.Fwd.source with
-        | Some src when (aux t e).pruned_upstream ->
-          (aux t e).pruned_upstream <- false;
+        | Some src when (aux e).pruned_upstream ->
+          (aux e).pruned_upstream <- false;
           send_join_upstream t src g
         | _ -> ())
       (Fwd.group_entries t.fib g)
@@ -539,25 +544,30 @@ let is_local_origin t ~iface src =
 
 let sweep t =
   let n = now t in
-  List.iter
-    (fun (e : Fwd.entry) ->
-      let a = aux t e in
-      let dead =
-        Hashtbl.fold (fun i exp acc -> if exp <= n then i :: acc else acc) a.pruned []
-        |> List.sort Int.compare
-      in
-      List.iter (Hashtbl.remove a.pruned) dead;
-      (* A join timestamp can only override prunes whose window is still
-         open, i.e. callbacks firing by [tj + prune_override_window];
-         strictly past that it is dead soft state. *)
-      let stale_joins =
-        Hashtbl.fold
-          (fun i tj acc ->
-            if tj +. t.cfg.prune_override_window < n then i :: acc else acc)
-          a.last_join []
-        |> List.sort Int.compare
-      in
-      List.iter (Hashtbl.remove a.last_join) stale_joins;
+  Fwd.iter t.fib (fun (e : Fwd.entry) ->
+      (match e.Fwd.ext with
+      | Aux a ->
+        if Hashtbl.length a.pruned > 0 then begin
+          let dead =
+            Hashtbl.fold (fun i exp acc -> if exp <= n then i :: acc else acc) a.pruned []
+            |> List.sort Int.compare
+          in
+          List.iter (Hashtbl.remove a.pruned) dead
+        end;
+        (* A join timestamp can only override prunes whose window is still
+           open, i.e. callbacks firing by [tj + prune_override_window];
+           strictly past that it is dead soft state. *)
+        if Hashtbl.length a.last_join > 0 then begin
+          let stale_joins =
+            Hashtbl.fold
+              (fun i tj acc ->
+                if tj +. t.cfg.prune_override_window < n then i :: acc else acc)
+              a.last_join []
+            |> List.sort Int.compare
+          in
+          List.iter (Hashtbl.remove a.last_join) stale_joins
+        end
+      | _ -> ());
       if e.Fwd.expires < n then begin
         if tracing t then
           ev t
@@ -569,10 +579,8 @@ let sweep t =
                      source = Option.map Addr.to_string e.Fwd.source;
                    };
                });
-        Hashtbl.remove t.auxes (Fwd.key e);
         Fwd.remove t.fib e.Fwd.group e.Fwd.source
       end)
-    (Fwd.entries t.fib)
 
 (* Crash-and-reboot: all data-driven state ((S,G) entries, prune state,
    learned region adverts) is lost; configured local memberships survive
@@ -584,7 +592,6 @@ let sweep t =
 let restart t =
   if tracing t then tr t "restart" "rebooted: forwarding state wiped";
   Fwd.clear t.fib;
-  Hashtbl.reset t.auxes;
   Hashtbl.reset t.region_db;
   sync_presence t;
   originate_advert t
@@ -620,7 +627,6 @@ let create ?(config = default_config) ?igmp_config ?trace ~net ~rib ~neighbor_ri
       igmp;
       fib = Fwd.create ();
       trace;
-      auxes = Hashtbl.create 32;
       stats =
         {
           data_forwarded = 0;

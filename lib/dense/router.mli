@@ -84,6 +84,10 @@ val send_local_data : t -> group:Pim_net.Group.t -> ?size:int -> unit -> unit
 
 val local_source_addr : t -> Pim_net.Addr.t
 
+val sweep : t -> unit
+(** One soft-state sweep: expire prune masks, stale join timestamps and
+    entries.  The router's own timer runs it every [sweep_interval]. *)
+
 val restart : t -> unit
 (** Crash-and-reboot: wipe (S,G) entries, prune state, and learned region
     adverts; configured local memberships survive (attached hosts

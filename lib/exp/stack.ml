@@ -181,14 +181,42 @@ let rp_nodes_for ~placement ~protocol group =
       (Printf.sprintf "Stack.create_many: %s needs an RP/core placement for group %s"
          (to_string protocol) (Group.to_string group))
 
-(* Dispatch a local-delivery callback only for the view's group.  Every
-   protocol hands decapsulated multicast data to its local callbacks, so
-   the group is readable off the packet; anything unreadable is not data
-   for this group. *)
-let group_filtered group cb pkt =
-  match Pim_mcast.Mdata.group pkt with
-  | Some g when Group.equal g group -> cb pkt
-  | Some _ | None -> ()
+module Group_tbl = Hashtbl.Make (Group)
+
+(* Local delivery by group for a deployment whose routers take callbacks
+   through [register].  A router gets one dispatcher, registered on its
+   first [on_data]; it reads the packet's group once and runs only that
+   group's callbacks, in registration order.  Every protocol hands
+   decapsulated multicast data to its local callbacks, so the group is
+   readable off the packet; anything unreadable is data for no view. *)
+let local_dispatch net register =
+  let by_node = Array.make (Topology.n_nodes (Net.topo net)) None in
+  fun node group cb ->
+    let by_group =
+      match by_node.(node) with
+      | Some tbl -> tbl
+      | None ->
+        let tbl = Group_tbl.create 4 in
+        by_node.(node) <- Some tbl;
+        register node (fun pkt ->
+            match Pim_mcast.Mdata.group pkt with
+            | Some g -> (
+              match Group_tbl.find tbl g with
+              | cbs ->
+                for i = 0 to Pim_util.Vec.length cbs - 1 do
+                  let cb = Pim_util.Vec.get cbs i in
+                  cb pkt
+                done
+              | exception Not_found -> ())
+            | None -> ());
+        tbl
+    in
+    match Group_tbl.find_opt by_group group with
+    | Some cbs -> Pim_util.Vec.push cbs cb
+    | None ->
+      let cbs = Pim_util.Vec.create () in
+      Pim_util.Vec.push cbs cb;
+      Group_tbl.replace by_group group cbs
 
 let pim_sm_many ~rp_election ~cbsr_forbidden ~switchover_fallback ?trace ~placement ~groups net =
   let rps_of g = rp_nodes_for ~placement ~protocol:Pim_sm g in
@@ -222,12 +250,13 @@ let pim_sm_many ~rp_election ~cbsr_forbidden ~switchover_fallback ?trace ~placem
   let router u = Pim_core.Deployment.router d u in
   let fib u = Pim_core.Router.fib (router u) in
   let checks = pim_state_checks ~net ~rib:ribs ~fib in
+  let on_data = local_dispatch net (fun u f -> Pim_core.Router.on_local_data (router u) f) in
   let view group =
     {
       protocol = Pim_sm;
       join = (fun m -> Pim_core.Router.join_local (router m) group);
       leave = (fun m -> Pim_core.Router.leave_local (router m) group);
-      on_data = (fun m cb -> Pim_core.Router.on_local_data (router m) (group_filtered group cb));
+      on_data = (fun m cb -> on_data m group cb);
       send_from = (fun u -> Pim_core.Router.send_local_data (router u) ~group ());
       entries = (fun () -> Pim_core.Deployment.total_entries d);
       restart =
@@ -249,12 +278,13 @@ let dense_many ~mode ?trace ~groups net =
   let d = Pim_dense.Router.Deployment.create_static ~config ?trace net in
   let router u = Pim_dense.Router.Deployment.router d u in
   let protocol = match mode with Pim_dense.Router.Pim_dm -> Pim_dm | Pim_dense.Router.Dvmrp -> Dvmrp in
+  let on_data = local_dispatch net (fun u f -> Pim_dense.Router.on_local_data (router u) f) in
   let view group =
     {
       protocol;
       join = (fun m -> Pim_dense.Router.join_local (router m) group);
       leave = (fun m -> Pim_dense.Router.leave_local (router m) group);
-      on_data = (fun m cb -> Pim_dense.Router.on_local_data (router m) (group_filtered group cb));
+      on_data = (fun m cb -> on_data m group cb);
       send_from = (fun u -> Pim_dense.Router.send_local_data (router u) ~group ());
       entries = (fun () -> Pim_dense.Router.Deployment.total_entries d);
       restart = (fun u -> Pim_dense.Router.restart (router u));
@@ -281,12 +311,13 @@ let cbt_many ?trace ~placement ~groups net =
   in
   let d = Pim_cbt.Router.Deployment.create_static ~config ?trace net ~core_of in
   let router u = Pim_cbt.Router.Deployment.router d u in
+  let on_data = local_dispatch net (fun u f -> Pim_cbt.Router.on_local_data (router u) f) in
   let view group =
     {
       protocol = Cbt;
       join = (fun m -> Pim_cbt.Router.join_local (router m) group);
       leave = (fun m -> Pim_cbt.Router.leave_local (router m) group);
-      on_data = (fun m cb -> Pim_cbt.Router.on_local_data (router m) (group_filtered group cb));
+      on_data = (fun m cb -> on_data m group cb);
       send_from = (fun u -> Pim_cbt.Router.send_local_data (router u) ~group ());
       entries = (fun () -> Pim_cbt.Router.Deployment.total_entries d);
       restart = (fun u -> Pim_cbt.Router.restart (router u));
@@ -313,12 +344,13 @@ let mospf_many ?trace ~groups net =
   let d = Pim_mospf.Router.Deployment.create ?trace ~lsa_refresh:5. net in
   let router u = Pim_mospf.Router.Deployment.router d u in
   let n = Topology.n_nodes (Net.topo net) in
+  let on_data = local_dispatch net (fun u f -> Pim_mospf.Router.on_local_data (router u) f) in
   let view group =
     {
       protocol = Mospf;
       join = (fun m -> Pim_mospf.Router.join_local (router m) group);
       leave = (fun m -> Pim_mospf.Router.leave_local (router m) group);
-      on_data = (fun m cb -> Pim_mospf.Router.on_local_data (router m) (group_filtered group cb));
+      on_data = (fun m cb -> on_data m group cb);
       send_from = (fun u -> Pim_mospf.Router.send_local_data (router u) ~group ());
       entries = (fun () -> Pim_mospf.Router.Deployment.total_membership_entries d);
       restart = (fun u -> Pim_mospf.Router.restart (router u));

@@ -393,6 +393,7 @@ type report = {
   rp_loads : (Topology.node * int) list;
   rp_concentration : float;
   oracle : (string * int) list;
+  oracle_problems : string list;
   entries_end : int;
 }
 
@@ -562,8 +563,12 @@ let run ?trace spec =
   in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
   let rp_loads = List.map (fun (rp, a) -> (rp, Array.fold_left ( + ) 0 a)) a_rp in
-  let oracle =
-    List.map (fun (name, check) -> (name, List.length (check ()))) (stack 0).Stack.state_checks
+  let found = List.map (fun (name, check) -> (name, check ())) (stack 0).Stack.state_checks in
+  let oracle = List.map (fun (name, problems) -> (name, List.length problems)) found in
+  let oracle_problems =
+    List.concat_map
+      (fun (name, problems) -> List.map (Printf.sprintf "[%s] %s" name) problems)
+      found
   in
   {
     schedule = sched;
@@ -578,6 +583,7 @@ let run ?trace spec =
     rp_loads;
     rp_concentration = concentration (List.map snd rp_loads);
     oracle;
+    oracle_problems;
     entries_end = (stack 0).Stack.entries ();
   }
 
@@ -689,4 +695,5 @@ let pp_report ppf rep =
     (fun (name, problems) ->
       Format.fprintf ppf "# oracle %s: %s@." name
         (if problems = 0 then "clean" else Printf.sprintf "%d problem(s)" problems))
-    rep.oracle
+    rep.oracle;
+  List.iter (fun line -> Format.fprintf ppf "#   %s@." line) rep.oracle_problems

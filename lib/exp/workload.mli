@@ -134,6 +134,10 @@ type report = {
   oracle : (string * int) list;
       (** structural state-check name to problem count at end of run
           (all zero = oracle-clean) *)
+  oracle_problems : string list;
+      (** every problem those checks found, as ["[check] detail"], in
+          check order; {!pp_report} prints them, the JSON only counts
+          them *)
   entries_end : int;  (** protocol state entries at end of run *)
 }
 

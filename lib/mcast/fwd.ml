@@ -7,6 +7,10 @@ type oif = {
   mutable local : bool;
 }
 
+type ext = ..
+
+type ext += No_ext
+
 type entry = {
   group : Group.t;
   source : Addr.t option;
@@ -18,6 +22,7 @@ type entry = {
   mutable spt_bit : bool;
   mutable expires : float;
   mutable rp_deadline : float;
+  mutable ext : ext;
 }
 
 let make_star ~group ~rp ~iif ~expires =
@@ -32,6 +37,7 @@ let make_star ~group ~rp ~iif ~expires =
     spt_bit = false;
     expires;
     rp_deadline = infinity;
+    ext = No_ext;
   }
 
 let make_sg ~group ~source ?rp ?(rp_bit = false) ~iif ~expires () =
@@ -46,11 +52,10 @@ let make_sg ~group ~source ?rp ?(rp_bit = false) ~iif ~expires () =
     spt_bit = false;
     expires;
     rp_deadline = infinity;
+    ext = No_ext;
   }
 
 let is_star e = e.source = None
-
-let key e = (e.group, e.source)
 
 let iif_is e i = match e.iif with Some j -> j = i | None -> false
 
@@ -142,14 +147,18 @@ type slot = {
    state for G lives at [slots.(gid)], an array index instead of a
    hash-table probe on a (group, source option) tuple key.  A lookup for
    a group the router has no state for uses [Interner.id] and touches
-   nothing, so data-plane probes never grow the interner. *)
+   nothing, so data-plane probes never grow the interner.  [order] holds
+   the interned ids sorted by group, updated as each group is interned,
+   so walks in canonical order need no sort. *)
 type t = {
   interner : Group.Interner.t;
   mutable slots : slot array;
+  mutable order : int array;
   mutable size : int;
 }
 
-let create () = { interner = Group.Interner.create (); slots = [||]; size = 0 }
+let create () =
+  { interner = Group.Interner.create (); slots = [||]; order = [||]; size = 0 }
 
 (* The group's slot index, or -1 when the router has no slot for [g].
    Lookups index the slot array directly: no option per probe, and no
@@ -188,8 +197,26 @@ let ensure_slot t gid =
   end;
   t.slots.(gid)
 
+(* Insertion step for a newly interned [gid]: groups are interned rarely
+   and few per router, so a linear shift is cheap. *)
+let index_group t gid =
+  if gid >= Array.length t.order then begin
+    let a = Array.make (Int.max 16 (2 * Array.length t.order)) 0 in
+    Array.blit t.order 0 a 0 gid;
+    t.order <- a
+  end;
+  let g = Group.Interner.group_of t.interner gid in
+  let k = ref gid in
+  while !k > 0 && Group.compare (Group.Interner.group_of t.interner t.order.(!k - 1)) g > 0 do
+    t.order.(!k) <- t.order.(!k - 1);
+    decr k
+  done;
+  t.order.(!k) <- gid
+
 let insert t e =
+  let known = Group.Interner.count t.interner in
   let gid = Group.Interner.intern t.interner e.group in
+  if gid = known then index_group t gid;
   let sl = ensure_slot t gid in
   (match e.source with
   | None ->
@@ -226,9 +253,9 @@ let remove t g s =
   end
 
 (* Canonical (group, source) order, with the "(*,G)" entry ahead of its
-   (S,G) siblings.  [entries] enumerates in this order so that every
-   consumer — sweeps, periodic refresh, invariant checks — visits the
-   table in an order independent of interner id assignment. *)
+   (S,G) siblings.  [iter] walks in this order so that every consumer —
+   sweeps, periodic refresh, invariant checks — visits the table in an
+   order independent of interner id assignment. *)
 let compare_entry a b =
   match Group.compare a.group b.group with
   | 0 -> Option.compare Addr.compare a.source b.source
@@ -236,16 +263,21 @@ let compare_entry a b =
 
 let slot_entries sl = (match sl.star with Some e -> [ e ] | None -> []) @ sl.sgs
 
+(* Groups through [order], then each slot's "(*,G)" and its source-sorted
+   (S,G) list.  [f] removing the entry it was given replaces [sl.star] or
+   [sl.sgs] while the walk goes on over the list it already holds;
+   inserting would intern groups under the loop, hence the contract. *)
+let iter t f =
+  for k = 0 to Group.Interner.count t.interner - 1 do
+    let sl = t.slots.(t.order.(k)) in
+    (match sl.star with Some e -> f e | None -> ());
+    List.iter f sl.sgs
+  done
+
 let entries t =
-  let per_group = ref [] in
-  for gid = Array.length t.slots - 1 downto 0 do
-    match slot_entries t.slots.(gid) with
-    | [] -> ()
-    | es -> per_group := (Group.Interner.group_of t.interner gid, es) :: !per_group
-  done;
-  !per_group
-  |> List.sort (fun (g1, _) (g2, _) -> Group.compare g1 g2)
-  |> List.concat_map snd
+  let acc = ref [] in
+  iter t (fun e -> acc := e :: !acc);
+  List.rev !acc
 
 let group_entries t g =
   let gid = gid_of t g in
@@ -263,4 +295,4 @@ let clear t =
     t.slots;
   t.size <- 0
 
-let pp ppf t = List.iter (fun e -> Format.fprintf ppf "%a@." pp_entry e) (entries t)
+let pp ppf t = iter t (fun e -> Format.fprintf ppf "%a@." pp_entry e)

@@ -19,6 +19,14 @@ type oif = {
   mutable local : bool;  (** kept alive by directly-connected members, not by joins *)
 }
 
+type ext = ..
+(** Protocol state kept on an entry by the protocol that owns the FIB
+    (timers, prune masks, upstream neighbor), so a walk over the FIB
+    reaches it without a second lookup.  Each protocol adds its own
+    constructor. *)
+
+type ext += No_ext  (** nothing attached yet *)
+
 type entry = {
   group : Pim_net.Group.t;
   source : Pim_net.Addr.t option;  (** [None] for "(*,G)" *)
@@ -30,6 +38,7 @@ type entry = {
   mutable spt_bit : bool;
   mutable expires : float;  (** entry timer *)
   mutable rp_deadline : float;  (** RP-reachability timer ("(*,G)" at routers with members) *)
+  mutable ext : ext;  (** [No_ext] when made *)
 }
 
 val make_star :
@@ -52,8 +61,6 @@ val make_sg :
 (** An (S,G) entry; SPT bit initially cleared (section 3.3). *)
 
 val is_star : entry -> bool
-
-val key : entry -> Pim_net.Group.t * Pim_net.Addr.t option
 
 val iif_is : entry -> Pim_graph.Topology.iface -> bool
 (** [iif_is e i] is [e.iif = Some i], as an int test that allocates
@@ -116,9 +123,19 @@ val remove : t -> Pim_net.Group.t -> Pim_net.Addr.t option -> unit
 val compare_entry : entry -> entry -> int
 (** Canonical (group, source) order; "(*,G)" sorts before its (S,G)s. *)
 
+val iter : t -> (entry -> unit) -> unit
+(** [iter t f] applies [f] to every entry in {!compare_entry} order:
+    groups ascending, and within a group the "(*,G)" entry before its
+    (S,G) entries by source.  So traversal-driven protocol actions
+    (sweeps, refreshes) are independent of hash layout.  The walk
+    allocates nothing.
+
+    [f] may remove the entry it is given, and no other; the walk then
+    visits exactly the entries a walk over a snapshot would.  [f] must
+    insert nothing. *)
+
 val entries : t -> entry list
-(** All entries in {!compare_entry} order, so traversal-driven protocol
-    actions (sweeps, refreshes) are independent of hash layout. *)
+(** The entries {!iter} visits, in its order, as a list. *)
 
 val group_entries : t -> Pim_net.Group.t -> entry list
 (** All entries of a group: the "(*,G)" first if present, then (S,G)s in

@@ -223,7 +223,8 @@ let local_deliver t pkt =
            })
   | None -> ());
   for i = 0 to Pim_util.Vec.length t.local_cbs - 1 do
-    Pim_util.Vec.get t.local_cbs i pkt
+    let cb = Pim_util.Vec.get t.local_cbs i in
+    cb pkt
   done
 
 (* Top-level recursion rather than [List.iter] with a closure over the

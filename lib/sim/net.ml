@@ -170,10 +170,14 @@ let set_jitter t ?prng amplitude =
 let jitter t = t.jitter
 
 (* Subscribers and handlers are called by index rather than through
-   [Vec.iter], which would build a closure per frame. *)
+   [Vec.iter], which would build a closure per frame.  The callback is
+   bound before it is applied: [Vec.get subs i lid pkt] over-applies
+   [Vec.get], and the generic application builds a partial closure per
+   call. *)
 let notify_pkt subs lid pkt =
   for i = 0 to Vec.length subs - 1 do
-    Vec.get subs i lid pkt
+    let f = Vec.get subs i in
+    f lid pkt
   done
 
 let receive t v ~iface pkt =

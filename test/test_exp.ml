@@ -458,12 +458,13 @@ let prop_workload_domains_identity =
    cached), then 400 packets are forwarded, the network drains, and the
    minor words allocated per link traversal — data, control and timers
    together — must stay under a fixed budget.  The budgets are the figures
-   measured once the link layer stopped allocating per frame and PIM-SM,
-   PIM-DM and CBT walked their oif state in place (PIM-SM 66.3, PIM-DM
-   57.2, CBT 49.0, MOSPF 54.4 words; before, 267, 248, 239 and 157) plus
-   ~10%.  One unguarded per-packet event (e.g. [Pkt_deliver]) costs 70-80
-   words a traversal here, and a receiver list built per frame 15-30;
-   either breaks them.  The traced run checks the guard still lets events
+   measured once the link layer stopped allocating per frame, PIM-SM,
+   PIM-DM and CBT walked their oif state in place, and callbacks were no
+   longer over-applied through [Vec.get] (PIM-SM 56.7, PIM-DM 48.9, CBT
+   46.0, MOSPF 52.2 words; before, 267, 248, 239 and 157) plus ~10%.
+   One unguarded per-packet event (e.g. [Pkt_deliver]) costs 70-80 words
+   a traversal here, and a receiver list built per frame 15-30; either
+   breaks them.  The traced run checks the guard still lets events
    through when a trace is attached. *)
 
 let forwarding_words ~traced protocol =
@@ -523,11 +524,89 @@ let test_forwarding_alloc_budget () =
            seen)
         true (seen > 0))
     [
-      (Pim_exp.Stack.Pim_sm, 73., true);
-      (Pim_exp.Stack.Pim_dm, 63., false);
-      (Pim_exp.Stack.Cbt, 54., false);
-      (Pim_exp.Stack.Mospf, 60., true);
+      (Pim_exp.Stack.Pim_sm, 62., true);
+      (Pim_exp.Stack.Pim_dm, 54., false);
+      (Pim_exp.Stack.Cbt, 51., false);
+      (Pim_exp.Stack.Mospf, 57., true);
     ]
+
+(* {1 Allocation budget of the soft-state ticks}
+
+   The periodic sweep and refresh walk every FIB entry in place
+   ([Fwd.iter]) and reach its protocol state on the entry itself, so a
+   tick allocates in proportion to what it changes or sends, not to a
+   snapshot of the table.  A 6x6 grid carries 24 groups.  PIM-SM builds
+   its "(*,G)" trees from joins alone.  PIM-DM floods one packet per group
+   to build its (S,G) entries and prune state, then forwards no more
+   data.  Each tick is then run by hand on every router, a few rounds,
+   with the network drained between rounds and outside the measurement,
+   and the minor words per FIB entry per tick must stay under a budget:
+   the figures measured with the in-place walks (PIM-SM sweep 3.9,
+   refresh 77.8, PIM-DM sweep 22.0 words; before, 36.5, 110.4 and 110.3)
+   plus ~10%.  Walking a [Fwd.entries] snapshot instead costs about 6
+   words an entry, so it breaks them. *)
+
+let tick_words ~rounds ~routers ~entries ~drain tick =
+  let words = ref 0. in
+  for _ = 1 to rounds do
+    let w0 = Gc.minor_words () in
+    Array.iter tick routers;
+    words := !words +. (Gc.minor_words () -. w0);
+    drain ()
+  done;
+  !words /. float_of_int (rounds * entries)
+
+let test_tick_alloc_budget () =
+  let module Engine = Pim_sim.Engine in
+  let module Net = Pim_sim.Net in
+  let module Group = Pim_net.Group in
+  let module Addr = Pim_net.Addr in
+  let n_groups = 24 and side = 6 in
+  let n = side * side in
+  let groups = List.init n_groups (fun k -> (k, Group.of_index (k + 1))) in
+  (* Members of group [k]: six routers spread over the grid. *)
+  let members k = List.init 6 (fun j -> ((k * 7) + (j * 11)) mod n) in
+  let setup () =
+    let eng = Engine.create () in
+    (eng, Net.create eng (Pim_graph.Classic.grid side side))
+  in
+  let drain eng () = Engine.run ~until:(Engine.now eng +. 0.5) eng in
+  let check name words budget =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.1f words per entry per tick <= %.1f" name words budget)
+      true (words <= budget)
+  in
+  (* PIM-SM: "(*,G)" trees from joins, no data. *)
+  let eng, net = setup () in
+  let rp_set =
+    Pim_core.Rp_set.of_list
+      (List.map (fun (k, g) -> (g, [ Addr.router ((k * 5) mod n) ])) groups)
+  in
+  let d = Pim_core.Deployment.create_static ~config:Pim_core.Config.fast net ~rp_set in
+  List.iter
+    (fun (k, g) ->
+      List.iter (fun m -> Pim_core.Router.join_local (Pim_core.Deployment.router d m) g) (members k))
+    groups;
+  Engine.run ~until:20. eng;
+  let routers = Pim_core.Deployment.routers d in
+  let entries = Pim_core.Deployment.total_entries d in
+  Alcotest.(check bool) (Printf.sprintf "PIM-SM: many entries (%d)" entries) true (entries > 200);
+  let tick = tick_words ~rounds:5 ~routers ~entries ~drain:(drain eng) in
+  check "PIM-SM sweep" (tick Pim_core.Router.sweep) 4.3;
+  check "PIM-SM refresh" (tick Pim_core.Router.periodic_refresh) 86.;
+  (* PIM-DM: one flooded packet per group builds the (S,G) entries and
+     the prunes; no data while measuring. *)
+  let eng, net = setup () in
+  let config = { Pim_dense.Router.fast_config with mode = Pim_dense.Router.Pim_dm; graft = true } in
+  let d = Pim_dense.Router.Deployment.create_static ~config net in
+  let router = Pim_dense.Router.Deployment.router d in
+  List.iter (fun (k, g) -> List.iter (fun m -> Pim_dense.Router.join_local (router m) g) (members k)) groups;
+  List.iter (fun (k, g) -> Pim_dense.Router.send_local_data (router ((k * 5) mod n)) ~group:g ()) groups;
+  Engine.run ~until:5. eng;
+  let routers = Array.init n router in
+  let entries = Pim_dense.Router.Deployment.total_entries d in
+  Alcotest.(check bool) (Printf.sprintf "PIM-DM: many entries (%d)" entries) true (entries > 200);
+  check "PIM-DM sweep" (tick_words ~rounds:5 ~routers ~entries ~drain:(drain eng) Pim_dense.Router.sweep) 24.
 
 let () =
   Alcotest.run "pim_exp"
@@ -569,5 +648,8 @@ let () =
           QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_workload_domains_identity;
         ] );
       ( "alloc",
-        [ Alcotest.test_case "forwarding allocation budget" `Quick test_forwarding_alloc_budget ] );
+        [
+          Alcotest.test_case "forwarding allocation budget" `Quick test_forwarding_alloc_budget;
+          Alcotest.test_case "tick allocation budget" `Quick test_tick_alloc_budget;
+        ] );
     ]

@@ -159,6 +159,63 @@ let prop_fib_find_after_insert =
       | None -> Fwd.find_star fib group <> None
       | Some src -> Fwd.find_sg fib group src <> None)
 
+(* [Fwd.iter] against a model: over random inserts and removes, with
+   groups interned in random order, the walk visits the model's entries
+   in (group, source) order, "(*,G)" first, exactly as [Fwd.entries]
+   lists them.  A walk that removes some of the entries it is given
+   visits what a walk over a snapshot would, and leaves the rest. *)
+let prop_fib_iter_order =
+  QCheck.Test.make ~name:"fib: iter walks entries in order" ~count:300
+    QCheck.(pair (int_bound 100000) (int_range 1 80))
+    (fun (seed, steps) ->
+      let prng = Pim_util.Prng.create seed in
+      let fib = Fwd.create () in
+      let model = ref [] in
+      let key_of (gi, si) = (Group.of_index gi, Option.map (fun i -> Addr.host ~router:i 1) si) in
+      for _ = 1 to steps do
+        let k =
+          ( Pim_util.Prng.int prng 8,
+            if Pim_util.Prng.int prng 4 = 0 then None else Some (Pim_util.Prng.int prng 6) )
+        in
+        let group, source = key_of k in
+        if List.mem k !model then begin
+          if Pim_util.Prng.bool prng then begin
+            Fwd.remove fib group source;
+            model := List.filter (( <> ) k) !model
+          end
+        end
+        else begin
+          (match source with
+          | None -> Fwd.insert fib (Fwd.make_star ~group ~rp ~iif:None ~expires:1.)
+          | Some source -> Fwd.insert fib (Fwd.make_sg ~group ~source ~iif:None ~expires:1. ()));
+          model := k :: !model
+        end
+      done;
+      let keys es = List.map (fun (e : Fwd.entry) -> (e.Fwd.group, e.Fwd.source)) es in
+      let expected =
+        List.map key_of !model
+        |> List.sort (fun (g1, s1) (g2, s2) ->
+               match Group.compare g1 g2 with 0 -> Option.compare Addr.compare s1 s2 | c -> c)
+      in
+      let visited = ref [] in
+      Fwd.iter fib (fun e -> visited := e :: !visited);
+      let in_order = keys (List.rev !visited) = expected && keys (Fwd.entries fib) = expected in
+      let snapshot = Fwd.entries fib in
+      let doomed (e : Fwd.entry) = Pim_util.Prng.bool prng || Fwd.is_star e in
+      let removed = ref [] and walked = ref [] in
+      Fwd.iter fib (fun e ->
+          walked := e :: !walked;
+          if doomed e then begin
+            removed := e :: !removed;
+            Fwd.remove fib e.Fwd.group e.Fwd.source
+          end);
+      let survivors = List.filter (fun e -> not (List.memq e !removed)) snapshot in
+      in_order
+      && List.length !walked = List.length snapshot
+      && List.for_all2 ( == ) (List.rev !walked) snapshot
+      && keys (Fwd.entries fib) = keys survivors
+      && Fwd.count fib = List.length survivors)
+
 (* Delivery recorder *)
 
 let test_delivery () =
@@ -276,6 +333,7 @@ let () =
           Alcotest.test_case "insert/remove" `Quick test_fib_insert_remove;
           Alcotest.test_case "group entries order" `Quick test_fib_group_entries_order;
           QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_fib_find_after_insert;
+          QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_fib_iter_order;
         ] );
       ("delivery", [ Alcotest.test_case "recorder" `Quick test_delivery ]);
     ]
