@@ -137,7 +137,7 @@ let fig2b_cmd =
 
 let fig1_cmd =
   let run packets =
-    let rows = Pim_exp.Fig1.run ~packets () in
+    let rows = or_bad_input "fig1" (fun () -> Pim_exp.Fig1.run ~packets ()) in
     Format.printf "%a" Pim_exp.Fig1.pp_results rows
   in
   let packets = Arg.(value & opt int 40 & info [ "packets" ] ~doc:"Data packets to send.") in
@@ -198,7 +198,9 @@ let refresh_cmd =
 
 let groups_cmd =
   let run seed counts =
-    let rows = Pim_exp.Groups_scaling.run ~group_counts:counts ~seed () in
+    let rows =
+      or_bad_input "groups" (fun () -> Pim_exp.Groups_scaling.run ~group_counts:counts ~seed ())
+    in
     Format.printf "%a" Pim_exp.Groups_scaling.pp_rows rows
   in
   let counts =
@@ -412,9 +414,10 @@ let rp_cmd =
     in
     let group_list = List.init groups (fun i -> Pim_net.Group.of_index (i + 1)) in
     let gmembers =
-      List.map
-        (fun g -> (g, Pim_graph.Random_graph.pick_members ~prng ~nodes ~count:members))
-        group_list
+      or_bad_input "rp" (fun () ->
+          List.map
+            (fun g -> (g, Pim_graph.Random_graph.pick_members ~prng ~nodes ~count:members))
+            group_list)
     in
     let placement =
       match strategy with

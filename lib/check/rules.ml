@@ -120,6 +120,20 @@ let is_loop_combinator path =
   | Some (_, ("iter" | "iteri" | "iter2" | "fold" | "fold_left" | "fold_right")) -> true
   | _ -> false
 
+(* [Vec.get v i x ...], also spelled [(Vec.get v i) x]: the number of
+   arguments an application headed by a path ending in [Vec.get]
+   receives, counted through parenthesised partial applications (the
+   compiler merges those into one application too).  [None] for any
+   other head. *)
+let rec vec_get_arity e n =
+  match e.pexp_desc with
+  | Pexp_ident _ -> (
+    match head_path e with
+    | Some p when p = "Vec.get" || String.ends_with ~suffix:".Vec.get" p -> Some n
+    | _ -> None)
+  | Pexp_apply (f, args) -> vec_get_arity f (n + List.length args)
+  | _ -> None
+
 let randomness_paths = [ "Unix.time"; "Unix.gettimeofday"; "Sys.time" ]
 
 let is_randomness path =
@@ -286,6 +300,13 @@ let make_iterator st =
               "r := !r @ ... grows quadratically; accumulate with :: or Vec.push"
           | _ -> ())
         | _ -> ())
+      | _ -> ());
+      (match vec_get_arity f (List.length args) with
+      | Some n when n > 2 ->
+        report st Finding.H5 e.pexp_loc
+          "Vec.get applied to the element's own arguments: under -opaque the call goes \
+           through caml_applyN and builds a partial closure per call; bind the element \
+           first (let f = Vec.get v i in f x)"
       | _ -> ());
       (* Recurse manually so function literals handed to iteration
          combinators count as loop bodies for H4. *)

@@ -111,6 +111,8 @@ let run_cbt ~packets ~interval =
     max_link_flows = maxl; deliveries = deliv; state_entries = entries }
 
 let run ?(packets = 40) ?(interval = 1.0) () =
+  if packets < 0 then
+    invalid_arg (Printf.sprintf "Fig1.run: packets must be >= 0 (got %d)" packets);
   [
     run_dense ~packets ~interval ~mode:Pim_dense.Router.Dvmrp ~name:"DVMRP (dense mode)";
     run_dense ~packets ~interval ~mode:Pim_dense.Router.Pim_dm ~name:"PIM dense mode";

@@ -21,6 +21,7 @@ val run : ?packets:int -> ?interval:float -> unit -> result list
 (** Runs DVMRP dense mode, PIM-SM on the shared tree only, PIM-SM with SPT
     switching, and CBT over the identical scenario (default: 40 packets,
     one per second — long enough for pruned DVMRP branches to grow back at
-    least once with the fast timer scale). *)
+    least once with the fast timer scale).
+    @raise Invalid_argument if [packets < 0]. *)
 
 val pp_results : Format.formatter -> result list -> unit

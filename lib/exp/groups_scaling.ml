@@ -149,6 +149,12 @@ let mospf_setup net =
 
 let run ?(nodes = 50) ?(degree = 4.) ?(members_per_group = 3) ?(packets = 5)
     ?(group_counts = [ 10; 40; 120 ]) ~seed () =
+  List.iter
+    (fun groups ->
+      if groups < 0 then
+        invalid_arg
+          (Printf.sprintf "Groups_scaling.run: group counts must be >= 0 (got %d)" groups))
+    group_counts;
   List.concat_map
     (fun groups ->
       let prng = Prng.create (seed + groups) in

@@ -33,6 +33,7 @@ val run :
   unit ->
   row list
 (** Defaults: 50 nodes, degree 4, 3 members/group, 5 packets/source,
-    group counts [10; 40; 120]. *)
+    group counts [10; 40; 120].
+    @raise Invalid_argument if a group count is negative. *)
 
 val pp_rows : Format.formatter -> row list -> unit

@@ -122,6 +122,8 @@ let mospf_setup net source =
 
 let run ?(nodes = 50) ?(degree = 4.) ?(packets = 30) ?(interval = 1.)
     ?(fractions = [ 0.04; 0.1; 0.2; 0.4; 0.8 ]) ~seed () =
+  if packets < 0 then
+    invalid_arg (Printf.sprintf "Overhead.run: packets must be >= 0 (got %d)" packets);
   List.concat_map
     (fun fraction ->
       (* Same topology and membership for every protocol at this point of

@@ -43,6 +43,7 @@ val run :
   unit ->
   row list
 (** Defaults: 50 nodes, degree 4, 30 packets at 1 Hz, fractions
-    [0.04; 0.1; 0.2; 0.4; 0.8]. *)
+    [0.04; 0.1; 0.2; 0.4; 0.8].
+    @raise Invalid_argument if [packets < 0]. *)
 
 val pp_rows : Format.formatter -> row list -> unit

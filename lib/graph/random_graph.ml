@@ -31,4 +31,9 @@ let generate ?(cost = 1) ?(delay = 1.0) ~prng ~nodes ~degree () =
   done;
   Topology.freeze b
 
-let pick_members ~prng ~nodes ~count = Prng.sample prng count nodes
+let pick_members ~prng ~nodes ~count =
+  if count < 0 || count > nodes then
+    invalid_arg
+      (Printf.sprintf "Random_graph.pick_members: cannot pick %d members among %d nodes" count
+         nodes);
+  Prng.sample prng count nodes

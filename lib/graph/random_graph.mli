@@ -24,4 +24,5 @@ val generate :
 val pick_members :
   prng:Pim_util.Prng.t -> nodes:int -> count:int -> Topology.node list
 (** [count] distinct nodes chosen uniformly — the group members of one
-    experiment trial. *)
+    experiment trial.
+    @raise Invalid_argument unless [0 <= count <= nodes]. *)

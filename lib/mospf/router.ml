@@ -38,6 +38,10 @@ type lsa = {
 
 type Packet.payload += Membership_lsa of lsa
 
+(* An LSDB slot no LSA has filled yet (or a restart emptied): origin
+   [Topology.no_node], so any received LSA is fresher. *)
+let no_lsa = { origin = Topology.no_node; seq = 0; groups = [] }
+
 let () =
   Packet.register_printer (function
     | Membership_lsa l ->
@@ -72,6 +76,19 @@ let source_tree sh net src =
     sh.trees.(src) <- Some tree;
     tree
 
+(* Plans keyed by [plan_key src g]: an int, so a lookup neither boxes
+   the group nor hashes a tuple polymorphically. *)
+module Plan_cache = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash = Hashtbl.hash
+end)
+
+let plan_key src g =
+  (src lsl 32) lor (Int32.to_int (Addr.to_int32 (Group.to_addr g)) land 0xFFFF_FFFF)
+
 type t = {
   node : Topology.node;
   addr : Addr.t;
@@ -79,8 +96,8 @@ type t = {
   eng : Engine.t;
   trace : Trace.t option;
   shared : shared;
-  lsdb : (Topology.node, int * GroupSet.t) Hashtbl.t;
-  cache : (Topology.node * Group.t, plan) Hashtbl.t;
+  lsdb : lsa array;
+  cache : plan Plan_cache.t;
   stats : stats;
   mutable own_seq : int;
   mutable local_groups : GroupSet.t;
@@ -100,50 +117,51 @@ let tr t tag fmt =
   | Some trc -> Format.kasprintf (fun s -> Trace.log trc ~node:t.node ~tag s) fmt
 
 let membership_entries t =
-  Hashtbl.fold (fun _ (_, gs) acc -> acc + GroupSet.cardinal gs) t.lsdb 0
-  + GroupSet.cardinal t.local_groups
+  Array.fold_left
+    (fun acc l -> acc + List.length l.groups)
+    (GroupSet.cardinal t.local_groups) t.lsdb
+
+let rec mem_group g = function [] -> false | x :: rest -> Group.equal x g || mem_group g rest
 
 let knows_member t u g =
-  if u = t.node then GroupSet.mem g t.local_groups
-  else
-    match Hashtbl.find_opt t.lsdb u with
-    | Some (_, gs) -> GroupSet.mem g gs
-    | None -> false
+  if u = t.node then GroupSet.mem g t.local_groups else mem_group g t.lsdb.(u).groups
 
+(* One packet, sent on every interface but [except] ([Topology.no_iface]
+   for none): LSAs and packets are immutable, so the copies share it. *)
 let flood t ~except lsa_v =
-  Array.iter
-    (fun (iface, _) ->
-      if Some iface <> except then begin
-        t.stats.lsa_sent <- t.stats.lsa_sent + 1;
-        let pkt =
-          Packet.unicast ~src:t.addr ~dst:Addr.all_pim_routers
-            ~size:(12 + (4 * List.length lsa_v.groups))
-            (Membership_lsa lsa_v)
-        in
-        Net.send t.net t.node ~iface pkt
-      end)
-    (Topology.ifaces (Net.topo t.net) t.node)
+  let pkt =
+    Packet.unicast ~src:t.addr ~dst:Addr.all_pim_routers
+      ~size:(12 + (4 * List.length lsa_v.groups))
+      (Membership_lsa lsa_v)
+  in
+  let ifaces = Topology.ifaces (Net.topo t.net) t.node in
+  for k = 0 to Array.length ifaces - 1 do
+    let iface, _ = ifaces.(k) in
+    if iface <> except then begin
+      t.stats.lsa_sent <- t.stats.lsa_sent + 1;
+      Net.send t.net t.node ~iface pkt
+    end
+  done
 
 let originate_lsa t =
   t.own_seq <- t.own_seq + 1;
   let lsa_v = { origin = t.node; seq = t.own_seq; groups = GroupSet.elements t.local_groups } in
-  Hashtbl.reset t.cache;
-  flood t ~except:None lsa_v
+  Plan_cache.reset t.cache;
+  flood t ~except:Topology.no_iface lsa_v
 
 let install_lsa t ~iface (l : lsa) =
   (* An echo of our own LSA flooded back around a cycle carries nothing we
      don't already know (local_groups is authoritative); installing it
      would leave a stale self-entry in the database after the final
      origination.  Real OSPF likewise special-cases self-originated
-     LSAs. *)
+     LSAs.  The database keeps the received record itself, so every
+     router's slot for [l.origin] holds the same LSA. *)
   if l.origin <> t.node then begin
-    let fresher =
-      match Hashtbl.find_opt t.lsdb l.origin with None -> true | Some (seq, _) -> l.seq > seq
-    in
-    if fresher then begin
-      Hashtbl.replace t.lsdb l.origin (l.seq, GroupSet.of_list l.groups);
-      Hashtbl.reset t.cache;
-      flood t ~except:(Some iface) l
+    let held = t.lsdb.(l.origin) in
+    if held.origin = Topology.no_node || l.seq > held.seq then begin
+      t.lsdb.(l.origin) <- l;
+      Plan_cache.reset t.cache;
+      flood t ~except:iface l
     end
   end
 
@@ -190,11 +208,12 @@ let ev t event =
   match t.trace with None -> () | Some trc -> Trace.emit trc ~node:t.node event
 
 let plan_for t src_router g =
-  match Hashtbl.find t.cache (src_router, g) with
+  let key = plan_key src_router g in
+  match Plan_cache.find t.cache key with
   | p -> p
   | exception Not_found ->
     let p = compute_plan t src_router g in
-    Hashtbl.replace t.cache (src_router, g) p;
+    Plan_cache.replace t.cache key p;
     (* The on-demand Dijkstra result is MOSPF's forwarding state; caching
        it is this protocol's analogue of a PIM entry install. *)
     if tracing t then
@@ -315,8 +334,8 @@ let handle_packet t ~iface pkt =
    restarts need [lsa_refresh] (real OSPF re-floods every LSRefreshTime). *)
 let restart t =
   if tracing t then tr t "restart" "rebooted: LSDB and forwarding cache wiped";
-  Hashtbl.reset t.lsdb;
-  Hashtbl.reset t.cache;
+  Array.fill t.lsdb 0 (Array.length t.lsdb) no_lsa;
+  Plan_cache.reset t.cache;
   originate_lsa t
 
 let create ?trace ?lsa_refresh ~shared ~net node =
@@ -328,8 +347,8 @@ let create ?trace ?lsa_refresh ~shared ~net node =
       eng = Net.engine net;
       trace;
       shared;
-      lsdb = Hashtbl.create 32;
-      cache = Hashtbl.create 64;
+      lsdb = Array.make (Topology.n_nodes (Net.topo net)) no_lsa;
+      cache = Plan_cache.create 64;
       stats = fresh_stats ();
       own_seq = 0;
       local_groups = GroupSet.empty;
@@ -338,7 +357,7 @@ let create ?trace ?lsa_refresh ~shared ~net node =
     }
   in
   Net.set_handler net node (fun ~iface pkt -> handle_packet t ~iface pkt);
-  Net.on_link_change net (fun _ _ -> Hashtbl.reset t.cache);
+  Net.on_link_change net (fun _ _ -> Plan_cache.reset t.cache);
   (match lsa_refresh with
   | None -> ()
   | Some period ->

@@ -34,6 +34,18 @@ type stats = {
 
 type t
 
+type lsa = {
+  origin : Pim_graph.Topology.node;
+  seq : int;  (** the origin's sequence number; a higher one supersedes *)
+  groups : Pim_net.Group.t list;  (** the origin's local groups, ascending *)
+}
+(** A group-membership LSA.  The record is immutable and shared: the
+    origin builds it once, floods one packet carrying it, and every router
+    that accepts it stores that same record in its link-state database
+    (one slot per origin router), so installing an LSA copies nothing. *)
+
+type Pim_net.Packet.payload += Membership_lsa of lsa
+
 type plan = {
   iif : Pim_graph.Topology.iface option;
       (** where data from the source must arrive; [None] at the source's
@@ -50,9 +62,13 @@ val stats : t -> stats
 
 val membership_entries : t -> int
 (** (router, group) membership pairs this router currently stores — the
-    per-router state burden of flooded membership. *)
+    per-router state burden of flooded membership: its own groups plus
+    those of the LSA it holds for every other origin. *)
 
 val knows_member : t -> Pim_graph.Topology.node -> Pim_net.Group.t -> bool
+(** [knows_member t u g]: whether router [u] has a local member of [g],
+    as far as [t] knows — its own groups when [u] is [t], else the LSA
+    [t] holds from [u].  [u] must be a node of the topology. *)
 
 val join_local : t -> Pim_net.Group.t -> unit
 (** Floods a membership LSA to the whole domain. *)

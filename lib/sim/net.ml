@@ -184,7 +184,8 @@ let receive t v ~iface pkt =
   if t.node_state.(v) then begin
     let hs = t.handlers.(v) in
     for i = 0 to Vec.length hs - 1 do
-      Vec.get hs i ~iface pkt
+      let h = Vec.get hs i in
+      h ~iface pkt
     done
   end
 

@@ -33,3 +33,44 @@ let plan ~net r src g : Mospf.plan =
   in
   let member_here = Mospf.knows_member r node g in
   { Mospf.iif; olist; member_here; on_tree = node = src || iif <> None }
+
+(* MOSPF's link-state database as it was kept before routers stored the
+   received LSA records themselves: per router, a hash table from origin
+   router to (sequence number, group set), rebuilt from the LSA's group
+   list on every install.  Kept as the reference the shared-record
+   database is checked against; fed the LSAs a router's Net handler sees,
+   and the same local joins, leaves and restarts. *)
+module Lsdb = struct
+  module GroupSet = Set.Make (Pim_net.Group)
+
+  type t = {
+    node : Topology.node;
+    lsdb : (Topology.node, int * GroupSet.t) Hashtbl.t;
+    mutable local_groups : GroupSet.t;
+  }
+
+  let create node = { node; lsdb = Hashtbl.create 8; local_groups = GroupSet.empty }
+
+  let install t (l : Mospf.lsa) =
+    if l.origin <> t.node then begin
+      let fresher =
+        match Hashtbl.find_opt t.lsdb l.origin with None -> true | Some (seq, _) -> l.seq > seq
+      in
+      if fresher then Hashtbl.replace t.lsdb l.origin (l.seq, GroupSet.of_list l.groups)
+    end
+
+  let join t g = t.local_groups <- GroupSet.add g t.local_groups
+
+  let leave t g = t.local_groups <- GroupSet.remove g t.local_groups
+
+  let restart t = Hashtbl.reset t.lsdb
+
+  let knows_member t u g =
+    if u = t.node then GroupSet.mem g t.local_groups
+    else
+      match Hashtbl.find_opt t.lsdb u with Some (_, gs) -> GroupSet.mem g gs | None -> false
+
+  let membership_entries t =
+    Hashtbl.fold (fun _ (_, gs) acc -> acc + GroupSet.cardinal gs) t.lsdb 0
+    + GroupSet.cardinal t.local_groups
+end

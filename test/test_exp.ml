@@ -459,9 +459,11 @@ let prop_workload_domains_identity =
    minor words allocated per link traversal — data, control and timers
    together — must stay under a fixed budget.  The budgets are the figures
    measured once the link layer stopped allocating per frame, PIM-SM,
-   PIM-DM and CBT walked their oif state in place, and callbacks were no
-   longer over-applied through [Vec.get] (PIM-SM 56.7, PIM-DM 48.9, CBT
-   46.0, MOSPF 52.2 words; before, 267, 248, 239 and 157) plus ~10%.
+   PIM-DM and CBT walked their oif state in place, callbacks and Net's
+   handlers were no longer over-applied through [Vec.get], and MOSPF
+   kept shared LSA records and int-keyed plans (PIM-SM 46.7, PIM-DM
+   38.9, CBT 36.0, MOSPF 36.8 words; before, 267, 248, 239 and 157) plus
+   ~10%.
    One unguarded per-packet event (e.g. [Pkt_deliver]) costs 70-80 words
    a traversal here, and a receiver list built per frame 15-30; either
    breaks them.  The traced run checks the guard still lets events
@@ -524,10 +526,10 @@ let test_forwarding_alloc_budget () =
            seen)
         true (seen > 0))
     [
-      (Pim_exp.Stack.Pim_sm, 62., true);
-      (Pim_exp.Stack.Pim_dm, 54., false);
-      (Pim_exp.Stack.Cbt, 51., false);
-      (Pim_exp.Stack.Mospf, 57., true);
+      (Pim_exp.Stack.Pim_sm, 52., true);
+      (Pim_exp.Stack.Pim_dm, 43., false);
+      (Pim_exp.Stack.Cbt, 40., false);
+      (Pim_exp.Stack.Mospf, 41., true);
     ]
 
 (* {1 Allocation budget of the soft-state ticks}

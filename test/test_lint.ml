@@ -50,6 +50,9 @@ let fixture_tests =
     ("h4_bad.ml", [ "H4"; "H4" ]);
     ("h4_suppressed.ml", []);
     ("h4_clean.ml", []);
+    ("h5_bad.ml", [ "H5"; "H5" ]);
+    ("h5_suppressed.ml", []);
+    ("h5_clean.ml", []);
   ]
   |> List.map (fun (name, expected) ->
          Alcotest.test_case name `Quick (check_fixture name expected))

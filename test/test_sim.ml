@@ -551,6 +551,41 @@ let test_net_traversals () =
   Alcotest.(check int) "total" 4 (Net.total_traversals net);
   Alcotest.(check int) "observer" 4 !observed
 
+(* Handing a frame to a router's handlers allocates nothing: a handler
+   fetched from the router's [Vec] is bound before it is applied.  Every
+   router of a 3x3 grid gets two no-op handlers; each round, every router
+   sends one shared frame on each interface (outside the measurement) and
+   the network drains with the minor-words counter running.  What is left
+   per delivered frame is the link layer's own cost, 3.4 words; the
+   budget is that plus ~10%.
+   Applying [Vec.get hs i ~iface pkt] directly builds a partial closure
+   per handler call, 10 words each: 23.4 words a frame. *)
+let test_net_dispatch_alloc () =
+  let eng = Engine.create () in
+  let topo = Pim_graph.Classic.grid 3 3 in
+  let net = Net.create eng topo in
+  let n = Topology.n_nodes topo in
+  for u = 0 to n - 1 do
+    Net.set_handler net u (fun ~iface:_ _ -> ());
+    Net.set_handler net u (fun ~iface:_ _ -> ())
+  done;
+  let pkt = Packet.unicast ~src:(Addr.router 0) ~dst:Addr.all_pim_routers ~size:1 raw in
+  let words = ref 0. and frames = ref 0 in
+  for _ = 1 to 50 do
+    for u = 0 to n - 1 do
+      Array.iter (fun (iface, _) -> Net.send net u ~iface pkt) (Topology.ifaces topo u)
+    done;
+    let t0 = Net.total_traversals net and w0 = Gc.minor_words () in
+    Engine.run eng;
+    words := !words +. (Gc.minor_words () -. w0);
+    frames := !frames + (Net.total_traversals net - t0)
+  done;
+  Alcotest.(check int) "every frame delivered" (50 * 2 * Topology.n_links topo) !frames;
+  let per = !words /. float_of_int !frames in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per delivered frame <= 3.8" per)
+    true (per <= 3.8)
+
 let test_net_loss () =
   let eng, net = mk_line () in
   let got = ref 0 in
@@ -843,6 +878,7 @@ let () =
           Alcotest.test_case "node change notifies links" `Quick test_net_node_change_notifies_links;
           Alcotest.test_case "hosts" `Quick test_net_hosts;
           Alcotest.test_case "traversal counting" `Quick test_net_traversals;
+          Alcotest.test_case "handler dispatch allocation" `Quick test_net_dispatch_alloc;
           Alcotest.test_case "loss injection" `Quick test_net_loss;
           Alcotest.test_case "loss filter" `Quick test_net_loss_filter;
           QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_net_matches_reference;
