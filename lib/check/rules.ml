@@ -10,7 +10,9 @@
      visit and not reported by D1.
    - [loop_depth]: bumped inside for/while bodies and inside function
      literals passed to iteration combinators (.iter/.fold/...), the
-     contexts where a list append (H4) goes quadratic. *)
+     contexts where a list append (H4) goes quadratic.
+
+   H6 is the one path-scoped rule: [deploy_scoped] is fixed per file. *)
 
 open Parsetree
 
@@ -20,6 +22,7 @@ type state = {
   sanctioned : (int, unit) Hashtbl.t;  (* loc_start.pos_cnum of blessed folds *)
   mutable loop_depth : int;
   mutable shadowed_compare : bool;  (* file defines its own [compare] *)
+  deploy_scoped : bool;  (* an experiment other than Stack: H6 applies *)
 }
 
 let path_of_longident lid =
@@ -144,7 +147,26 @@ let is_randomness path =
   | "Stdlib" :: "Random" :: _ :: _ -> true
   | _ -> false
 
+(* H6 scope: a file directly under a [lib/exp] directory, except the
+   deployment adapter itself. *)
+let is_experiment_file file =
+  let dir = Filename.dirname file in
+  Filename.basename dir = "exp"
+  && Filename.basename (Filename.dirname dir) = "lib"
+  && Filename.basename file <> "stack.ml"
+
+let is_deployment_create path =
+  match last_two path with
+  | Some ("Deployment", ("create" | "create_static")) -> true
+  | _ -> false
+
 let check_ident st loc path =
+  if st.deploy_scoped && is_deployment_create path then
+    report st Finding.H6 loc
+      (Printf.sprintf
+         "%s in an experiment: deploy through Stack.create_many (or say which PIM-SM-only \
+          state the experiment reads)"
+         path);
   if is_randomness path then
     report st Finding.D2 loc
       (Printf.sprintf "%s: use the seeded Pim_util.Prng instead of ambient randomness" path);
@@ -377,6 +399,7 @@ let check ~file structure =
       sanctioned = Hashtbl.create 16;
       loop_depth = 0;
       shadowed_compare = defines_compare structure;
+      deploy_scoped = is_experiment_file file;
     }
   in
   let it = make_iterator st in

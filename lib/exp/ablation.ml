@@ -2,7 +2,6 @@ module Engine = Pim_sim.Engine
 module Net = Pim_sim.Net
 module Prng = Pim_util.Prng
 module Group = Pim_net.Group
-module Addr = Pim_net.Addr
 module Mdata = Pim_mcast.Mdata
 module Random_graph = Pim_graph.Random_graph
 
@@ -17,21 +16,25 @@ type policy_row = {
 
 let group = Group.of_index 3
 
+(* PIM-SM alone, one group, the RP at [rp]: both ablations vary one knob
+   of the router config. *)
+let deploy ~rp sm net =
+  snd
+    (List.hd
+       (Stack.create_many ~placement:[ (group, [ rp ]) ] ~config:{ Stack.fast with sm }
+          ~groups:[ group ] ~net Stack.Pim_sm))
+
 let run_one_policy ~topo ~members ~senders ~name ~spt_policy =
   let eng = Engine.create () in
   let net = Net.create eng topo in
   let metrics = Metrics.attach net in
-  let rp = List.hd members in
-  let rp_set = Pim_core.Rp_set.single group (Addr.router rp) in
-  let config = Pim_core.Config.(with_spt_policy spt_policy fast) in
-  let dep = Pim_core.Deployment.create_static ~config net ~rp_set in
+  let v = deploy ~rp:(List.hd members) Pim_core.Config.(with_spt_policy spt_policy fast) net in
   let delays = ref [] in
   let deliveries = ref 0 in
   List.iter
     (fun m ->
-      let r = Pim_core.Deployment.router dep m in
-      Pim_core.Router.join_local r group;
-      Pim_core.Router.on_local_data r (fun pkt ->
+      v.Stack.join m;
+      v.Stack.on_data m (fun pkt ->
           incr deliveries;
           match Mdata.info pkt with
           | Some i -> delays := (Engine.now eng -. i.Mdata.sent_at) :: !delays
@@ -41,12 +44,11 @@ let run_one_policy ~topo ~members ~senders ~name ~spt_policy =
   Metrics.reset metrics;
   List.iteri
     (fun k s ->
-      let r = Pim_core.Deployment.router dep s in
       for i = 0 to 19 do
         ignore
           (Engine.schedule_at eng
              (20. +. float_of_int i +. (0.13 *. float_of_int k))
-             (fun () -> Pim_core.Router.send_local_data r ~group ()))
+             (fun () -> v.Stack.send_from s))
       done)
     senders;
   Engine.run ~until:60. eng;
@@ -54,7 +56,7 @@ let run_one_policy ~topo ~members ~senders ~name ~spt_policy =
     policy = name;
     mean_delay = Pim_util.Stats.mean !delays;
     max_delay = Pim_util.Stats.maximum !delays;
-    state_entries = Pim_core.Deployment.total_entries dep;
+    state_entries = v.Stack.entries ();
     max_link_flows = Metrics.max_link_data metrics;
     deliveries = !deliveries;
   }
@@ -100,19 +102,14 @@ let run_one_refresh period =
   let eng = Engine.create () in
   let net = Net.create eng topo in
   let metrics = Metrics.attach net in
-  let rp_set = Pim_core.Rp_set.single group (Addr.router 2) in
-  let config = Pim_core.Config.(with_jp_period period fast) in
-  let dep = Pim_core.Deployment.create_static ~config net ~rp_set in
-  let receiver = Pim_core.Deployment.router dep 5 in
-  Pim_core.Router.join_local receiver group;
+  let v = deploy ~rp:2 Pim_core.Config.(with_jp_period period fast) net in
+  let receiver = 5 in
+  v.Stack.join receiver;
   let deliveries = ref 0 in
-  Pim_core.Router.on_local_data receiver (fun _ -> incr deliveries);
-  let sender = Pim_core.Deployment.router dep 0 in
+  v.Stack.on_data receiver (fun _ -> incr deliveries);
   for i = 0 to 39 do
     ignore
-      (Engine.schedule_at eng
-         (10. +. (0.5 *. float_of_int i))
-         (fun () -> Pim_core.Router.send_local_data sender ~group ()))
+      (Engine.schedule_at eng (10. +. (0.5 *. float_of_int i)) (fun () -> v.Stack.send_from 0))
   done;
   (* Steady-state control cost over [10, 30). *)
   ignore (Engine.schedule_at eng 10. (fun () -> Metrics.reset metrics));
@@ -120,10 +117,10 @@ let run_one_refresh period =
   let control = Metrics.control_traversals metrics in
   (* Receiver silently leaves; watch stale state drain. *)
   let leave_at = 30. in
-  Pim_core.Router.leave_local receiver group;
+  v.Stack.leave receiver;
   let baseline = ref None in
   let probe = Engine.every eng ~start:0.25 ~interval:0.25 (fun () ->
-      if !baseline = None && Pim_core.Deployment.total_entries dep = 0 then
+      if !baseline = None && v.Stack.entries () = 0 then
         baseline := Some (Engine.now eng))
   in
   Engine.run ~until:(leave_at +. (10. *. period) +. 60.) eng;

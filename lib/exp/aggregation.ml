@@ -25,6 +25,7 @@ let one ~hops ~sources ~packets ~aggregated =
   (* RP next to the source router so the shared tree is short and the
      interesting joins are the (S,G) refreshes along the path. *)
   let rp_set = Pim_core.Rp_set.single group (Addr.router 1) in
+  (* pimlint: allow H6 — sends from distinct hosts (~host) and reads joins_sent *)
   let dep = Pim_core.Deployment.create_static ~config net ~rp_set in
   let receiver = Pim_core.Deployment.router dep hops in
   Pim_core.Router.join_local receiver group;

@@ -2,7 +2,6 @@ module Engine = Pim_sim.Engine
 module Net = Pim_sim.Net
 module Prng = Pim_util.Prng
 module Group = Pim_net.Group
-module Addr = Pim_net.Addr
 
 type row = {
   mean_on : float;
@@ -24,8 +23,11 @@ let one ~receivers ~duration ~mean_on ~mean_off ~seed =
   let metrics = Metrics.attach net in
   (* RP on the backbone: reachable from every stub. *)
   let rp = List.hd ts.Pim_graph.Transit_stub.transit in
-  let rp_set = Pim_core.Rp_set.single group (Addr.router rp) in
-  let dep = Pim_core.Deployment.create_static ~config:Pim_core.Config.fast net ~rp_set in
+  let v =
+    snd
+      (List.hd
+         (Stack.create_many ~placement:[ (group, [ rp ]) ] ~groups:[ group ] ~net Stack.Pim_sm))
+  in
   let source_node = Pim_graph.Transit_stub.random_stub_member ts ~prng in
   let latencies = ref [] in
   let deliveries = ref 0 in
@@ -33,9 +35,8 @@ let one ~receivers ~duration ~mean_on ~mean_off ~seed =
   (* Each churning receiver alternates joined/left with exponential
      holding times; join latency = first delivery after each join. *)
   let setup_receiver node =
-    let r = Pim_core.Deployment.router dep node in
     let waiting_since = ref None in
-    Pim_core.Router.on_local_data r (fun _ ->
+    v.Stack.on_data node (fun _ ->
         incr deliveries;
         match !waiting_since with
         | Some t0 ->
@@ -47,12 +48,12 @@ let one ~receivers ~duration ~mean_on ~mean_off ~seed =
       if Engine.now eng < duration then begin
         incr joins;
         waiting_since := Some (Engine.now eng);
-        Pim_core.Router.join_local r group;
+        v.Stack.join node;
         ignore
           (Engine.schedule eng
              ~after:(Float.max 1. (Prng.exponential stream mean_on))
              (fun () ->
-               Pim_core.Router.leave_local r group;
+               v.Stack.leave node;
                waiting_since := None;
                ignore
                  (Engine.schedule eng
@@ -69,12 +70,11 @@ let one ~receivers ~duration ~mean_on ~mean_off ~seed =
   done;
   List.iter setup_receiver !chosen;
   (* A steady source the whole time. *)
-  let sr = Pim_core.Deployment.router dep source_node in
   let rec send t0 =
     if t0 < duration then
       ignore
         (Engine.schedule_at eng t0 (fun () ->
-             Pim_core.Router.send_local_data sr ~group ();
+             v.Stack.send_from source_node;
              send (t0 +. 0.5)))
   in
   send 2.;

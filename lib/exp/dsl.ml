@@ -454,7 +454,8 @@ let run ?trace_file ?capture_file ?metrics_file ?protocol ?switchover_fallback (
     snd
       (List.hd
          (Stack.create_many ~placement:[ (group, ctx.rp_nodes) ] ~rp_election:p.rp_election
-            ~switchover_fallback ~trace ~groups:[ group ] ~net protocol))
+            ~config:{ Stack.fast with sm = { Pim_core.Config.fast with switchover_fallback } }
+            ~trace ~groups:[ group ] ~net protocol))
   in
   let oracle =
     (* Churn-tolerant bound while the scenario perturbs; [checkpoint]

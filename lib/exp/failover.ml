@@ -48,6 +48,7 @@ let one_timeout ~prng rp_timeout =
     Pim_core.Rp_set.single group (Addr.router rp_primary)
     |> fun s -> Pim_core.Rp_set.add s group [ Addr.router rp_primary; Addr.router rp_alternate ]
   in
+  (* pimlint: allow H6 — reads rp_failovers from the routers' stats *)
   let dep = Pim_core.Deployment.create_static ~config net ~rp_set in
   let r = Pim_core.Deployment.router dep receiver in
   Pim_core.Router.join_local r group;
@@ -170,6 +171,7 @@ let one_strategy ~prng ~seed strategy =
     else (None, Pim_core.Rp_set.of_list placement, strategy_rp_timeout)
   in
   let dep =
+    (* pimlint: allow H6 — rp_failovers, Bsr.stats, its own C-BSR choice, FIB walks *)
     Pim_core.Deployment.create ~config ?bsr ~net ~ribs:(Pim_routing.Static.rib static)
       ~rp_set ()
   in

@@ -2,7 +2,6 @@ module Engine = Pim_sim.Engine
 module Net = Pim_sim.Net
 module Prng = Pim_util.Prng
 module Group = Pim_net.Group
-module Addr = Pim_net.Addr
 module Random_graph = Pim_graph.Random_graph
 
 type row = {
@@ -28,29 +27,40 @@ let make_workloads ~prng ~nodes ~groups ~members_per_group =
       let source = Prng.int prng nodes in
       { group = Group.of_index (k + 1); members; source; rp = List.hd members })
 
-type setup = {
-  join : Group.t -> int -> (unit -> unit) -> unit;
-  send : Group.t -> int -> unit;
-  entries : unit -> int;
-}
-
-let run_protocol ~name ~topo ~workloads ~packets ~(build : Net.t -> setup) =
+let run_protocol ~topo ~workloads ~packets ?(sm = Pim_core.Config.fast) protocol name =
   let eng = Engine.create () in
   let net = Net.create eng topo in
   let metrics = Metrics.attach net in
-  let s = build net in
+  let views =
+    Stack.create_many
+      ~placement:(List.map (fun w -> (w.group, [ w.rp ])) workloads)
+      ~config:{ Stack.sm; lsa_refresh = None }
+      ~groups:(List.map (fun w -> w.group) workloads)
+      ~net protocol
+  in
+  let view w = List.assoc w.group views in
+  (* [entries] is deployment-wide: any view reads it, and no groups means
+     no state. *)
+  let entries () = match views with [] -> 0 | (_, v) :: _ -> v.Stack.entries () in
   let deliveries = ref 0 in
   List.iter
-    (fun w -> List.iter (fun m -> s.join w.group m (fun () -> incr deliveries)) w.members)
+    (fun w ->
+      let v = view w in
+      List.iter
+        (fun m ->
+          v.Stack.join m;
+          v.Stack.on_data m (fun _ -> incr deliveries))
+        w.members)
     workloads;
   Engine.run ~until:30. eng;
   List.iteri
     (fun k w ->
+      let v = view w in
       for i = 0 to packets - 1 do
         ignore
           (Engine.schedule_at eng
              (30. +. float_of_int i +. (0.001 *. float_of_int k))
-             (fun () -> s.send w.group w.source))
+             (fun () -> v.Stack.send_from w.source))
       done)
     workloads;
   (* Probe state while the flows are live: dense-mode (S,G) entries are
@@ -59,7 +69,7 @@ let run_protocol ~name ~topo ~workloads ~packets ~(build : Net.t -> setup) =
   ignore
     (Engine.schedule_at eng
        (32. +. float_of_int packets)
-       (fun () -> peak_entries := s.entries ()));
+       (fun () -> peak_entries := entries ()));
   Engine.run ~until:(60. +. float_of_int packets) eng;
   {
     protocol = name;
@@ -70,81 +80,6 @@ let run_protocol ~name ~topo ~workloads ~packets ~(build : Net.t -> setup) =
     deliveries = !deliveries;
     expected_deliveries =
       packets * List.fold_left (fun acc w -> acc + List.length w.members) 0 workloads;
-  }
-
-let pim_setup ~workloads net =
-  let rp_set =
-    Pim_core.Rp_set.of_list (List.map (fun w -> (w.group, [ Addr.router w.rp ])) workloads)
-  in
-  let config = Pim_core.Config.(with_spt_policy Never fast) in
-  let d = Pim_core.Deployment.create_static ~config net ~rp_set in
-  {
-    join =
-      (fun g m cb ->
-        let r = Pim_core.Deployment.router d m in
-        Pim_core.Router.join_local r g;
-        Pim_core.Router.on_local_data r (fun pkt ->
-            match Pim_mcast.Mdata.group pkt with
-            | Some gg when Group.equal gg g -> cb ()
-            | _ -> ()));
-    send =
-      (fun g src -> Pim_core.Router.send_local_data (Pim_core.Deployment.router d src) ~group:g ());
-    entries = (fun () -> Pim_core.Deployment.total_entries d);
-  }
-
-let dense_setup net =
-  let d = Pim_dense.Router.Deployment.create_static ~config:Pim_dense.Router.fast_config net in
-  {
-    join =
-      (fun g m cb ->
-        let r = Pim_dense.Router.Deployment.router d m in
-        Pim_dense.Router.join_local r g;
-        Pim_dense.Router.on_local_data r (fun pkt ->
-            match Pim_mcast.Mdata.group pkt with
-            | Some gg when Group.equal gg g -> cb ()
-            | _ -> ()));
-    send =
-      (fun g src ->
-        Pim_dense.Router.send_local_data (Pim_dense.Router.Deployment.router d src) ~group:g ());
-    entries = (fun () -> Pim_dense.Router.Deployment.total_entries d);
-  }
-
-let cbt_setup ~workloads net =
-  let cores =
-    List.map (fun w -> (w.group, Addr.router w.rp)) workloads
-  in
-  let core_of g = List.assoc_opt g cores in
-  let d = Pim_cbt.Router.Deployment.create_static ~config:Pim_cbt.Router.fast_config net ~core_of in
-  {
-    join =
-      (fun g m cb ->
-        let r = Pim_cbt.Router.Deployment.router d m in
-        Pim_cbt.Router.join_local r g;
-        Pim_cbt.Router.on_local_data r (fun pkt ->
-            match Pim_mcast.Mdata.group pkt with
-            | Some gg when Group.equal gg g -> cb ()
-            | _ -> ()));
-    send =
-      (fun g src ->
-        Pim_cbt.Router.send_local_data (Pim_cbt.Router.Deployment.router d src) ~group:g ());
-    entries = (fun () -> Pim_cbt.Router.Deployment.total_entries d);
-  }
-
-let mospf_setup net =
-  let d = Pim_mospf.Router.Deployment.create net in
-  {
-    join =
-      (fun g m cb ->
-        let r = Pim_mospf.Router.Deployment.router d m in
-        Pim_mospf.Router.join_local r g;
-        Pim_mospf.Router.on_local_data r (fun pkt ->
-            match Pim_mcast.Mdata.group pkt with
-            | Some gg when Group.equal gg g -> cb ()
-            | _ -> ()));
-    send =
-      (fun g src ->
-        Pim_mospf.Router.send_local_data (Pim_mospf.Router.Deployment.router d src) ~group:g ());
-    entries = (fun () -> Pim_mospf.Router.Deployment.total_membership_entries d);
   }
 
 let run ?(nodes = 50) ?(degree = 4.) ?(members_per_group = 3) ?(packets = 5)
@@ -160,11 +95,12 @@ let run ?(nodes = 50) ?(degree = 4.) ?(members_per_group = 3) ?(packets = 5)
       let prng = Prng.create (seed + groups) in
       let topo = Random_graph.generate ~prng ~nodes ~degree () in
       let workloads = make_workloads ~prng ~nodes ~groups ~members_per_group in
+      let go = run_protocol ~topo ~workloads ~packets in
       [
-        run_protocol ~name:"PIM-SM" ~topo ~workloads ~packets ~build:(pim_setup ~workloads);
-        run_protocol ~name:"DVMRP" ~topo ~workloads ~packets ~build:dense_setup;
-        run_protocol ~name:"CBT" ~topo ~workloads ~packets ~build:(cbt_setup ~workloads);
-        run_protocol ~name:"MOSPF" ~topo ~workloads ~packets ~build:mospf_setup;
+        go ~sm:Pim_core.Config.(with_spt_policy Never fast) Stack.Pim_sm "PIM-SM";
+        go Stack.Dvmrp "DVMRP";
+        go Stack.Cbt "CBT";
+        go Stack.Mospf "MOSPF";
       ])
     group_counts
 

@@ -2,7 +2,6 @@ module Engine = Pim_sim.Engine
 module Net = Pim_sim.Net
 module Prng = Pim_util.Prng
 module Group = Pim_net.Group
-module Addr = Pim_net.Addr
 
 type row = {
   protocol : string;
@@ -17,12 +16,7 @@ let group = Group.of_index 8
 
 let control_only pkt = not (Metrics.is_data pkt)
 
-type setup = {
-  join : int -> (unit -> unit) -> unit;
-  send : int -> unit;
-}
-
-let run_one ~name ~seed ~loss ~packets ~(build : Net.t -> setup) =
+let run_one ~seed ~loss ~packets ?(sm = Pim_core.Config.fast) protocol name =
   let prng = Prng.create seed in
   let topo = Pim_graph.Random_graph.generate ~prng ~nodes:25 ~degree:4. () in
   let members = Pim_graph.Random_graph.pick_members ~prng ~nodes:25 ~count:4 in
@@ -37,14 +31,23 @@ let run_one ~name ~seed ~loss ~packets ~(build : Net.t -> setup) =
   let net = Net.create eng topo in
   let metrics = Metrics.attach net in
   Net.set_loss_rate net ~prng:(Prng.create (seed + 1)) ~filter:control_only loss;
-  let s = build net in
+  let v =
+    snd
+      (List.hd
+         (Stack.create_many ~placement:[ (group, [ List.hd members ]) ]
+            ~config:{ Stack.fast with sm } ~groups:[ group ] ~net protocol))
+  in
   let deliveries = ref 0 in
-  List.iter (fun m -> s.join m (fun () -> incr deliveries)) members;
+  List.iter
+    (fun m ->
+      v.Stack.join m;
+      v.Stack.on_data m (fun _ -> incr deliveries))
+    members;
   (* Generous warm-up: under heavy loss the trees take several refresh
      rounds to assemble. *)
   Engine.run ~until:30. eng;
   for i = 0 to packets - 1 do
-    ignore (Engine.schedule_at eng (30. +. float_of_int i) (fun () -> s.send source))
+    ignore (Engine.schedule_at eng (30. +. float_of_int i) (fun () -> v.Stack.send_from source))
   done;
   Engine.run ~until:(60. +. float_of_int packets) eng;
   {
@@ -56,47 +59,14 @@ let run_one ~name ~seed ~loss ~packets ~(build : Net.t -> setup) =
     control_dropped = Net.dropped net;
   }
 
-let pim_build ~members net =
-  let rp_set = Pim_core.Rp_set.single group (Addr.router (List.hd members)) in
-  let config = Pim_core.Config.(with_spt_policy Never fast) in
-  let dep = Pim_core.Deployment.create_static ~config net ~rp_set in
-  {
-    join =
-      (fun m cb ->
-        let r = Pim_core.Deployment.router dep m in
-        Pim_core.Router.join_local r group;
-        Pim_core.Router.on_local_data r (fun _ -> cb ()));
-    send =
-      (fun src ->
-        Pim_core.Router.send_local_data (Pim_core.Deployment.router dep src) ~group ());
-  }
-
-let cbt_build ~members net =
-  let core_of g = if Group.equal g group then Some (Addr.router (List.hd members)) else None in
-  let dep = Pim_cbt.Router.Deployment.create_static ~config:Pim_cbt.Router.fast_config net ~core_of in
-  {
-    join =
-      (fun m cb ->
-        let r = Pim_cbt.Router.Deployment.router dep m in
-        Pim_cbt.Router.join_local r group;
-        Pim_cbt.Router.on_local_data r (fun _ -> cb ()));
-    send =
-      (fun src ->
-        Pim_cbt.Router.send_local_data (Pim_cbt.Router.Deployment.router dep src) ~group ());
-  }
-
 let run ?(loss_rates = [ 0.; 0.1; 0.25; 0.4 ]) ?(packets = 60) ~seed () =
-  (* Reuse the same topology/membership at every loss rate. *)
-  let prng = Prng.create seed in
-  let members =
-    ignore (Pim_graph.Random_graph.generate ~prng ~nodes:25 ~degree:4. ());
-    Pim_graph.Random_graph.pick_members ~prng ~nodes:25 ~count:4
-  in
+  (* Every run redraws the same topology/membership from [seed]. *)
   List.concat_map
     (fun loss ->
       [
-        run_one ~name:"PIM-SM" ~seed ~loss ~packets ~build:(pim_build ~members);
-        run_one ~name:"CBT" ~seed ~loss ~packets ~build:(cbt_build ~members);
+        run_one ~seed ~loss ~packets ~sm:Pim_core.Config.(with_spt_policy Never fast) Stack.Pim_sm
+          "PIM-SM";
+        run_one ~seed ~loss ~packets Stack.Cbt "CBT";
       ])
     loss_rates
 

@@ -2,7 +2,6 @@ module Engine = Pim_sim.Engine
 module Net = Pim_sim.Net
 module Prng = Pim_util.Prng
 module Group = Pim_net.Group
-module Addr = Pim_net.Addr
 module Random_graph = Pim_graph.Random_graph
 
 type row = {
@@ -19,29 +18,33 @@ type row = {
 
 let group = Group.of_index 42
 
-type setup = {
-  join : int -> (unit -> unit) -> unit;  (* member node, delivery callback *)
-  send : unit -> unit;  (* one packet from the source *)
-  entries : unit -> int;
-  spf : unit -> int;
-}
-
 (* One protocol, one membership set, one sending schedule; returns the
    overhead counters. *)
-let run_protocol ~name ~topo ~members ~fraction ~packets ~interval ~(build : Net.t -> int -> setup)
-    ~source =
+let run_protocol ~topo ~members ~fraction ~packets ~interval ~source ~rp
+    ?(sm = Pim_core.Config.fast) protocol name =
   let eng = Engine.create () in
   let net = Net.create eng topo in
   let metrics = Metrics.attach net in
-  let s = build net source in
+  let v =
+    snd
+      (List.hd
+         (Stack.create_many ~placement:[ (group, [ rp ]) ] ~config:{ Stack.sm; lsa_refresh = None }
+            ~groups:[ group ] ~net protocol))
+  in
   let deliveries = ref 0 in
-  List.iter (fun m -> s.join m (fun () -> incr deliveries)) members;
+  List.iter
+    (fun m ->
+      v.Stack.join m;
+      v.Stack.on_data m (fun _ -> incr deliveries))
+    members;
   (* Control is counted from t=0 so that protocols paying their cost up
      front (MOSPF's membership flooding, CBT's tree building) are charged
      for it; no data flows during the warm-up, so data counts are
      unaffected. *)
   for i = 0 to packets - 1 do
-    ignore (Engine.schedule_at eng (30. +. (interval *. float_of_int i)) s.send)
+    ignore
+      (Engine.schedule_at eng (30. +. (interval *. float_of_int i)) (fun () ->
+           v.Stack.send_from source))
   done;
   Engine.run ~until:(50. +. (interval *. float_of_int packets)) eng;
   {
@@ -50,74 +53,10 @@ let run_protocol ~name ~topo ~members ~fraction ~packets ~interval ~(build : Net
     members = List.length members;
     data_traversals = Metrics.data_traversals metrics;
     control_traversals = Metrics.control_traversals metrics;
-    state_entries = s.entries ();
+    state_entries = v.Stack.entries ();
     deliveries = !deliveries;
     expected_deliveries = packets * List.length members;
-    spf_runs = s.spf ();
-  }
-
-let pim_setup ~spt_policy ~rp net source =
-  let config = Pim_core.Config.(with_spt_policy spt_policy fast) in
-  let rp_set = Pim_core.Rp_set.single group (Addr.router rp) in
-  let d = Pim_core.Deployment.create_static ~config net ~rp_set in
-  {
-    join =
-      (fun m cb ->
-        let r = Pim_core.Deployment.router d m in
-        Pim_core.Router.join_local r group;
-        Pim_core.Router.on_local_data r (fun _ -> cb ()));
-    send =
-      (fun () ->
-        Pim_core.Router.send_local_data (Pim_core.Deployment.router d source) ~group ());
-    entries = (fun () -> Pim_core.Deployment.total_entries d);
-    spf = (fun () -> 0);
-  }
-
-let dense_setup ~mode net source =
-  let config = { Pim_dense.Router.fast_config with mode } in
-  let d = Pim_dense.Router.Deployment.create_static ~config net in
-  {
-    join =
-      (fun m cb ->
-        let r = Pim_dense.Router.Deployment.router d m in
-        Pim_dense.Router.join_local r group;
-        Pim_dense.Router.on_local_data r (fun _ -> cb ()));
-    send =
-      (fun () ->
-        Pim_dense.Router.send_local_data (Pim_dense.Router.Deployment.router d source) ~group ());
-    entries = (fun () -> Pim_dense.Router.Deployment.total_entries d);
-    spf = (fun () -> 0);
-  }
-
-let cbt_setup ~core net source =
-  let core_of g = if Group.equal g group then Some (Addr.router core) else None in
-  let d = Pim_cbt.Router.Deployment.create_static ~config:Pim_cbt.Router.fast_config net ~core_of in
-  {
-    join =
-      (fun m cb ->
-        let r = Pim_cbt.Router.Deployment.router d m in
-        Pim_cbt.Router.join_local r group;
-        Pim_cbt.Router.on_local_data r (fun _ -> cb ()));
-    send =
-      (fun () ->
-        Pim_cbt.Router.send_local_data (Pim_cbt.Router.Deployment.router d source) ~group ());
-    entries = (fun () -> Pim_cbt.Router.Deployment.total_entries d);
-    spf = (fun () -> 0);
-  }
-
-let mospf_setup net source =
-  let d = Pim_mospf.Router.Deployment.create net in
-  {
-    join =
-      (fun m cb ->
-        let r = Pim_mospf.Router.Deployment.router d m in
-        Pim_mospf.Router.join_local r group;
-        Pim_mospf.Router.on_local_data r (fun _ -> cb ()));
-    send =
-      (fun () ->
-        Pim_mospf.Router.send_local_data (Pim_mospf.Router.Deployment.router d source) ~group ());
-    entries = (fun () -> Pim_mospf.Router.Deployment.total_membership_entries d);
-    spf = (fun () -> (Pim_mospf.Router.Deployment.total_stats d).Pim_mospf.Router.spf_runs);
+    spf_runs = v.Stack.spf_runs ();
   }
 
 let run ?(nodes = 50) ?(degree = 4.) ?(packets = 30) ?(interval = 1.)
@@ -139,14 +78,15 @@ let run ?(nodes = 50) ?(degree = 4.) ?(packets = 30) ?(interval = 1.)
         | None -> 0
       in
       let rp = List.hd members in
-      let go name build = run_protocol ~name ~topo ~members ~fraction ~packets ~interval ~build ~source in
+      let go = run_protocol ~topo ~members ~fraction ~packets ~interval ~source ~rp in
+      let spt policy = Pim_core.Config.(with_spt_policy policy fast) in
       [
-        go "PIM-SM (SPT)" (pim_setup ~spt_policy:Pim_core.Config.Immediate ~rp);
-        go "PIM-SM (shared)" (pim_setup ~spt_policy:Pim_core.Config.Never ~rp);
-        go "DVMRP" (dense_setup ~mode:Pim_dense.Router.Dvmrp);
-        go "PIM-DM" (dense_setup ~mode:Pim_dense.Router.Pim_dm);
-        go "CBT" (cbt_setup ~core:rp);
-        go "MOSPF" mospf_setup;
+        go ~sm:(spt Pim_core.Config.Immediate) Stack.Pim_sm "PIM-SM (SPT)";
+        go ~sm:(spt Pim_core.Config.Never) Stack.Pim_sm "PIM-SM (shared)";
+        go Stack.Dvmrp "DVMRP";
+        go Stack.Pim_dm "PIM-DM";
+        go Stack.Cbt "CBT";
+        go Stack.Mospf "MOSPF";
       ])
     fractions
   (* Canonical report order: ascending fraction, protocols in the fixed

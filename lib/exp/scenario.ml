@@ -66,6 +66,7 @@ let run ?capture_file ?trace_file ?metrics_file spec =
   let rp_set = Rp_set.single group (Addr.router rp) in
   let trace = Trace.create eng in
   let config = { Config.fast with Config.switchover_fallback = spec.switchover_fallback } in
+  (* pimlint: allow H6 — data_dup_suppressed, export_metrics, local_source_addr *)
   let dep = Deployment.create_static ~config ~trace net ~rp_set in
   let delivery = Pim_mcast.Delivery.create () in
   let latency =

@@ -39,7 +39,12 @@ type t = {
   max_copies : int;
   residual_floor : int;
   spt_switches : unit -> int;
+  spf_runs : unit -> int;
 }
+
+type config = { sm : Pim_core.Config.t; lsa_refresh : float option }
+
+let fast = { sm = Pim_core.Config.fast; lsa_refresh = Some 5. }
 
 (* Settle bounds in virtual seconds under each protocol's fast config:
    how long after a perturbation (or a membership change) the deployment
@@ -218,10 +223,9 @@ let local_dispatch net register =
       Pim_util.Vec.push cbs cb;
       Group_tbl.replace by_group group cbs
 
-let pim_sm_many ~rp_election ~cbsr_forbidden ~switchover_fallback ?trace ~placement ~groups net =
+let pim_sm_many ~rp_election ~cbsr_forbidden ~config ?trace ~placement ~groups net =
   let rps_of g = rp_nodes_for ~placement ~protocol:Pim_sm g in
   let addr_placement = List.map (fun g -> (g, List.map Addr.router (rps_of g))) groups in
-  let config = { Pim_core.Config.fast with Pim_core.Config.switchover_fallback } in
   let static = Pim_routing.Static.create net in
   let ribs = Pim_routing.Static.rib static in
   let bsr, rp_set =
@@ -269,6 +273,7 @@ let pim_sm_many ~rp_election ~cbsr_forbidden ~switchover_fallback ?trace ~placem
       residual_floor = 0;
       spt_switches =
         (fun () -> (Pim_core.Deployment.total_stats d).Pim_core.Router.spt_switches);
+      spf_runs = (fun () -> 0);
     }
   in
   List.map (fun g -> (g, view g)) groups
@@ -295,6 +300,7 @@ let dense_many ~mode ?trace ~groups net =
       max_copies = 2;
       residual_floor = 0;
       spt_switches = (fun () -> 0);
+      spf_runs = (fun () -> 0);
     }
   in
   List.map (fun g -> (g, view g)) groups
@@ -336,12 +342,13 @@ let cbt_many ?trace ~placement ~groups net =
       (* The core never tears down its own entry. *)
       residual_floor = 1;
       spt_switches = (fun () -> 0);
+      spf_runs = (fun () -> 0);
     }
   in
   List.map (fun g -> (g, view g)) groups
 
-let mospf_many ?trace ~groups net =
-  let d = Pim_mospf.Router.Deployment.create ?trace ~lsa_refresh:5. net in
+let mospf_many ?lsa_refresh ?trace ~groups net =
+  let d = Pim_mospf.Router.Deployment.create ?trace ?lsa_refresh net in
   let router u = Pim_mospf.Router.Deployment.router d u in
   let n = Topology.n_nodes (Net.topo net) in
   let on_data = local_dispatch net (fun u f -> Pim_mospf.Router.on_local_data (router u) f) in
@@ -371,19 +378,21 @@ let mospf_many ?trace ~groups net =
       max_copies = 1;
       residual_floor = 0;
       spt_switches = (fun () -> 0);
+      spf_runs =
+        (fun () -> (Pim_mospf.Router.Deployment.total_stats d).Pim_mospf.Router.spf_runs);
     }
   in
   List.map (fun g -> (g, view g)) groups
 
-let create_many ?(placement = []) ?(rp_election = false) ?(cbsr_forbidden = [])
-    ?(switchover_fallback = true) ?trace ~groups ~net protocol =
+let create_many ?(placement = []) ?(rp_election = false) ?(cbsr_forbidden = []) ?(config = fast)
+    ?trace ~groups ~net protocol =
   match protocol with
   | Pim_sm ->
-    pim_sm_many ~rp_election ~cbsr_forbidden ~switchover_fallback ?trace ~placement ~groups net
+    pim_sm_many ~rp_election ~cbsr_forbidden ~config:config.sm ?trace ~placement ~groups net
   | Pim_dm -> dense_many ~mode:Pim_dense.Router.Pim_dm ?trace ~groups net
   | Dvmrp -> dense_many ~mode:Pim_dense.Router.Dvmrp ?trace ~groups net
   | Cbt -> cbt_many ?trace ~placement ~groups net
-  | Mospf -> mospf_many ?trace ~groups net
+  | Mospf -> mospf_many ?lsa_refresh:config.lsa_refresh ?trace ~groups net
 
 (* {1 State digest} *)
 

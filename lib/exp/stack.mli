@@ -1,13 +1,17 @@
 (** Uniform adapter over the five protocol deployments.
 
-    The chaos harness, the scenario DSL, the explorer and the workload
-    harness all need the same small surface — join/leave a member, inject
-    data at a node, restart a router, count state, render per-node mroute
-    state — phrased identically for PIM-SM, PIM-DM, DVMRP, CBT and MOSPF.
-    {!create_many} is the one way to deploy a protocol (fast config) over
-    an existing {!Pim_sim.Net}: it returns one view per group exposing
-    exactly that surface, and a single-group experiment passes a list of
-    one group.  {!digest} is the canonical state the explorer dedups on. *)
+    The chaos harness, the scenario DSL, the explorer, the workload
+    harness and the protocol comparisons (fig1, overhead, groups, loss,
+    churn, ablation) all need the same small surface — join/leave a
+    member, inject data at a node, restart a router, count state, render
+    per-node mroute state — phrased identically for PIM-SM, PIM-DM,
+    DVMRP, CBT and MOSPF.  {!create_many} is the one way to deploy a
+    protocol over an existing {!Pim_sim.Net}: it returns one view per
+    group exposing exactly that surface, and a single-group experiment
+    passes a list of one group.  Only the experiments that read PIM-SM
+    internals (aggregation, failover, scenario) build a
+    [Pim_core.Deployment] themselves.  {!digest} is the canonical state
+    the explorer dedups on. *)
 
 type protocol = Pim_sm | Pim_dm | Dvmrp | Cbt | Mospf
 
@@ -46,20 +50,37 @@ type t = {
       (** cumulative RP-tree to shortest-path-tree transitions deployment-wide
           (0 for protocols without the transition — the workload harness
           reads per-window deltas to count switchover storms) *)
+  spf_runs : unit -> int;
+      (** cumulative MOSPF Dijkstra runs deployment-wide (0 for the other
+          protocols — the overhead experiment reports it) *)
 }
+
+type config = {
+  sm : Pim_core.Config.t;  (** PIM-SM router config (SPT policy, jp_period, ...) *)
+  lsa_refresh : float option;
+      (** MOSPF LSA re-flood period; [None] floods only on membership
+          change, so a restarted router relearns another router's
+          membership only when that changes *)
+}
+(** The settable part of a deployment.  PIM-DM/DVMRP and CBT always run
+    their fast configs (dense mode with grafts on). *)
+
+val fast : config
+(** [{ sm = Pim_core.Config.fast; lsa_refresh = Some 5. }] — the default
+    of {!create_many}. *)
 
 val create_many :
   ?placement:(Pim_net.Group.t * Pim_graph.Topology.node list) list ->
   ?rp_election:bool ->
   ?cbsr_forbidden:Pim_graph.Topology.node list ->
-  ?switchover_fallback:bool ->
+  ?config:config ->
   ?trace:Pim_sim.Trace.t ->
   groups:Pim_net.Group.t list ->
   net:Pim_sim.Net.t ->
   protocol ->
   (Pim_net.Group.t * t) list
-(** Deploy [protocol] once (fast config) on [net] and expose a view for
-    every group in [groups].  [placement] maps each group to its ordered
+(** Deploy [protocol] once under [config] (default {!fast}) on [net] and
+    expose a view for every group in [groups].  [placement] maps each group to its ordered
     RP list (PIM-SM: failover order) or core (CBT: first element);
     required for both, ignored by the dense protocols and MOSPF.
 
@@ -68,12 +89,12 @@ val create_many :
     groups it is placed for, reproducing multi-RP sharding via the hash
     mapping — with the first two routers that are neither RPs nor in
     [cbsr_forbidden] (default none) as candidate BSRs.
-    [switchover_fallback] gates the shared-fallback forwarding fix for the
-    RP-tree/SPT switchover loss; scenarios turn it off to reproduce the
-    historical bug.
+    [config.sm]'s [switchover_fallback] gates the shared-fallback
+    forwarding fix for the RP-tree/SPT switchover loss; scenarios turn it
+    off to reproduce the historical bug.
 
-    Views share the deployment: [entries], [restart], [state_checks] and
-    [spt_switches] are deployment-wide and identical across views, while
+    Views share the deployment: [entries], [restart], [state_checks],
+    [spt_switches] and [spf_runs] are deployment-wide and identical across views, while
     [join]/[leave]/[send_from]/[mroute] act per group and [on_data]
     callbacks only fire for that view's group.
 

@@ -53,9 +53,37 @@ let fixture_tests =
     ("h5_bad.ml", [ "H5"; "H5" ]);
     ("h5_suppressed.ml", []);
     ("h5_clean.ml", []);
+    (* H6 only applies to experiments, so its fixtures live under lib/exp/. *)
+    ("lib/exp/h6_bad.ml", [ "H6"; "H6" ]);
+    ("lib/exp/h6_suppressed.ml", []);
+    ("lib/exp/h6_clean.ml", []);
   ]
   |> List.map (fun (name, expected) ->
          Alcotest.test_case name `Quick (check_fixture name expected))
+
+(* H6 is scoped by path: the same hand-built deployment is fine in the
+   adapter itself (lib/exp/stack.ml) and outside the experiments. *)
+let test_h6_scope () =
+  let source = In_channel.with_open_bin (fixture "lib/exp/h6_bad.ml") In_channel.input_all in
+  let root = Filename.temp_dir "pimlint_h6" "" in
+  let exp = Filename.concat "lib" "exp" in
+  let dirs = [ "lib"; exp; "bin" ] in
+  List.iter (fun d -> Sys.mkdir (Filename.concat root d) 0o755) dirs;
+  let lint_as rel =
+    let path = Filename.concat root rel in
+    Out_channel.with_open_bin path (fun oc -> output_string oc source);
+    Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> rules_of (Lint.lint_file path))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun d -> Sys.rmdir (Filename.concat root d)) (List.rev dirs);
+      Sys.rmdir root)
+    (fun () ->
+      Alcotest.(check (list string)) "another experiment" [ "H6"; "H6" ]
+        (lint_as (Filename.concat exp "fig9.ml"));
+      Alcotest.(check (list string)) "the adapter" [] (lint_as (Filename.concat exp "stack.ml"));
+      Alcotest.(check (list string)) "outside lib/exp" []
+        (lint_as (Filename.concat "bin" "demo.ml")))
 
 (* {1 Typed-tier golden fixtures}
 
@@ -299,7 +327,7 @@ let test_capture_digest () =
 let () =
   Alcotest.run "pim_lint"
     [
-      ("fixtures", fixture_tests);
+      ("fixtures", fixture_tests @ [ Alcotest.test_case "H6 path scope" `Quick test_h6_scope ]);
       ("typed-fixtures", typed_fixture_tests);
       ( "typed-exactness",
         [ Alcotest.test_case "shadowed compare" `Quick test_typed_exactness ] );
