@@ -90,7 +90,7 @@ let () =
     !campus_got;
   Format.printf "WAN member received    %d packets@." !wan_got;
   Format.printf "border registered %d packets as the campus's proxy DR@."
-    (Pim.stats (List.assoc 3 pim)).Pim.registers_sent;
+    (Pim_sim.Counters.get (Net.counters net) ~node:3 Registers_sent);
 
   (* The campus member leaves; the border withdraws. *)
   Dense.leave_local (List.assoc 6 dense) g;

@@ -1,5 +1,6 @@
 module Topology = Pim_graph.Topology
 module Net = Pim_sim.Net
+module Counters = Pim_sim.Counters
 module Engine = Pim_sim.Engine
 module Trace = Pim_sim.Trace
 module Event = Pim_sim.Event
@@ -23,31 +24,6 @@ let default_config =
    round trip (wide-area links in the scenarios have up to 5 s delay). *)
 let fast_config =
   { echo_interval = 3.; child_timeout = 25.; parent_timeout = 25.; rejoin_delay = 0.5 }
-
-type stats = {
-  mutable joins_sent : int;
-  mutable acks_sent : int;
-  mutable echoes_sent : int;
-  mutable quits_sent : int;
-  mutable flushes : int;
-  mutable data_forwarded : int;
-  mutable data_encapsulated : int;
-  mutable data_dropped_off_tree : int;
-  mutable data_delivered_local : int;
-}
-
-let fresh_stats () =
-  {
-    joins_sent = 0;
-    acks_sent = 0;
-    echoes_sent = 0;
-    quits_sent = 0;
-    flushes = 0;
-    data_forwarded = 0;
-    data_encapsulated = 0;
-    data_dropped_off_tree = 0;
-    data_delivered_local = 0;
-  }
 
 type body = {
   group : Group.t;
@@ -101,7 +77,7 @@ type t = {
   cfg : config;
   trace : Trace.t option;
   entries : (Group.t, entry) Hashtbl.t;
-  stats : stats;
+  counters : Counters.t;
   local_cbs : (Packet.t -> unit) Pim_util.Vec.t;
   mutable local_seq : int;
   (* Groups with directly-connected members, remembered outside [entries]
@@ -110,8 +86,6 @@ type t = {
 }
 
 let node t = t.node
-
-let stats t = t.stats
 
 let now t = Engine.now t.eng
 
@@ -136,7 +110,7 @@ let send_join t (e : entry) =
   | None -> ()
   | Some (iface, up) ->
     e.join_outstanding <- true;
-    t.stats.joins_sent <- t.stats.joins_sent + 1;
+    Counters.(incr t.counters ~node:t.node Joins_sent);
     if tracing t then
       ev t (Event.Join { route = { Event.group = Group.to_string e.group; source = None }; iface });
     let b = { group = e.group; core = e.core; origin = t.node; target = Addr.router up } in
@@ -196,7 +170,7 @@ let add_child t (e : entry) iface =
   Hashtbl.replace e.children iface (now t +. t.cfg.child_timeout)
 
 let send_ack t (e : entry) iface =
-  t.stats.acks_sent <- t.stats.acks_sent + 1;
+  Counters.(incr t.counters ~node:t.node Acks_sent);
   let b = { group = e.group; core = e.core; origin = t.node; target = Addr.all_pim_routers } in
   Net.send t.net t.node ~iface (ctrl t (Join_ack b))
 
@@ -236,7 +210,7 @@ let handle_join_ack t ~iface (b : body) =
   | _ -> ()
 
 let flush t (e : entry) =
-  t.stats.flushes <- t.stats.flushes + 1;
+  Counters.(incr t.counters ~node:t.node Flushes);
   if tracing t then tr t "flush" "%s: parent silent, flushing" (Group.to_string e.group);
   Hashtbl.remove t.entries e.group;
   if e.local then begin
@@ -284,7 +258,7 @@ let handle_quit t ~iface (b : body) =
 (* {1 Data} *)
 
 let local_deliver t pkt =
-  t.stats.data_delivered_local <- t.stats.data_delivered_local + 1;
+  Counters.(incr t.counters ~node:t.node Data_delivered_local);
   for i = 0 to Pim_util.Vec.length t.local_cbs - 1 do
     let cb = Pim_util.Vec.get t.local_cbs i in
     cb pkt
@@ -302,7 +276,7 @@ let forward_on_tree t (e : entry) ~exclude pkt =
       if i <> exclude
          && on_tree_iface ~now ~children:e.children ~parent:e.parent ~confirmed:e.confirmed ~core i
       then begin
-        t.stats.data_forwarded <- t.stats.data_forwarded + 1;
+        Counters.(incr t.counters ~node:t.node Data_forwarded);
         Net.send t.net t.node ~iface:i pkt'
       end
     done;
@@ -330,7 +304,7 @@ let originate t pkt =
       | _ ->
         (* Off-tree sender: tunnel the packet to the core (CBT non-member
            sending). *)
-        t.stats.data_encapsulated <- t.stats.data_encapsulated + 1;
+        Counters.(incr t.counters ~node:t.node Data_encapsulated);
         if Addr.equal core t.addr then ()
         else send_unicast t (Packet.unicast ~src:t.addr ~dst:core ~size:(pkt.Packet.size + 28) (Encap pkt))))
 
@@ -344,7 +318,7 @@ let handle_data t ~iface pkt =
              ~confirmed:e.confirmed ~core:(is_core t e) iface ->
       forward_on_tree t e ~exclude:iface pkt
     | _ | (exception Not_found) ->
-      t.stats.data_dropped_off_tree <- t.stats.data_dropped_off_tree + 1)
+      Counters.(incr t.counters ~node:t.node Data_dropped_off_tree))
 
 let handle_encap t inner =
   match Mdata.group inner with
@@ -413,7 +387,7 @@ let tick t =
       if e.confirmed && not (is_core t e) then begin
         match e.parent with
         | Some (iface, up) ->
-          t.stats.echoes_sent <- t.stats.echoes_sent + 1;
+          Counters.(incr t.counters ~node:t.node Echoes_sent);
           let b = { group = e.group; core = e.core; origin = t.node; target = Addr.router up } in
           Net.send t.net t.node ~iface (ctrl t (Echo_request b))
         | None -> ()
@@ -448,7 +422,7 @@ let tick t =
       | `Quit (g, (e : entry)) -> (
         match e.parent with
         | Some (iface, up) ->
-          t.stats.quits_sent <- t.stats.quits_sent + 1;
+          Counters.(incr t.counters ~node:t.node Quits_sent);
           if tracing t then tr t "quit" "%s: leaving tree" (Group.to_string g);
           let b = { group = g; core = e.core; origin = t.node; target = Addr.router up } in
           Net.send t.net t.node ~iface (ctrl t (Quit b));
@@ -488,7 +462,7 @@ let create ?(config = default_config) ?trace ~net ~rib ~core_of node =
       cfg = config;
       trace;
       entries = Hashtbl.create 16;
-      stats = fresh_stats ();
+      counters = Net.counters net;
       local_cbs = Pim_util.Vec.create ();
       local_seq = 0;
       local_joined = [];
@@ -518,22 +492,6 @@ module Deployment = struct
     { routers }
 
   let router t u = t.routers.(u)
-
-  let total_stats t =
-    let acc = fresh_stats () in
-    Array.iter
-      (fun r ->
-        acc.joins_sent <- acc.joins_sent + r.stats.joins_sent;
-        acc.acks_sent <- acc.acks_sent + r.stats.acks_sent;
-        acc.echoes_sent <- acc.echoes_sent + r.stats.echoes_sent;
-        acc.quits_sent <- acc.quits_sent + r.stats.quits_sent;
-        acc.flushes <- acc.flushes + r.stats.flushes;
-        acc.data_forwarded <- acc.data_forwarded + r.stats.data_forwarded;
-        acc.data_encapsulated <- acc.data_encapsulated + r.stats.data_encapsulated;
-        acc.data_dropped_off_tree <- acc.data_dropped_off_tree + r.stats.data_dropped_off_tree;
-        acc.data_delivered_local <- acc.data_delivered_local + r.stats.data_delivered_local)
-      t.routers;
-    acc
 
   let total_entries t = Array.fold_left (fun acc r -> acc + entry_count r) 0 t.routers
 end

@@ -15,7 +15,10 @@
     tree.
 
     The delay and traffic-concentration penalties of this single shared
-    tree are what Figure 2 of the paper quantifies. *)
+    tree are what Figure 2 of the paper quantifies.
+
+    Each router counts into its net's {!Pim_sim.Net.counters} under its
+    own node. *)
 
 type config = {
   echo_interval : float;  (** child-to-parent keepalive period *)
@@ -27,18 +30,6 @@ type config = {
 val default_config : config
 
 val fast_config : config
-
-type stats = {
-  mutable joins_sent : int;
-  mutable acks_sent : int;
-  mutable echoes_sent : int;
-  mutable quits_sent : int;
-  mutable flushes : int;
-  mutable data_forwarded : int;
-  mutable data_encapsulated : int;
-  mutable data_dropped_off_tree : int;
-  mutable data_delivered_local : int;
-}
 
 type t
 
@@ -52,8 +43,6 @@ val create :
   t
 
 val node : t -> Pim_graph.Topology.node
-
-val stats : t -> stats
 
 val join_local : t -> Pim_net.Group.t -> unit
 (** Local member: triggers the JOIN-REQUEST / JOIN-ACK exchange toward the
@@ -117,8 +106,6 @@ module Deployment : sig
     t
 
   val router : t -> Pim_graph.Topology.node -> router
-
-  val total_stats : t -> stats
 
   val total_entries : t -> int
 end

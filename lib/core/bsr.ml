@@ -1,5 +1,6 @@
 module Engine = Pim_sim.Engine
 module Net = Pim_sim.Net
+module Counters = Pim_sim.Counters
 module Trace = Pim_sim.Trace
 module Event = Pim_sim.Event
 module Topology = Pim_graph.Topology
@@ -30,23 +31,6 @@ type role = {
 }
 
 let silent = { cbsr_priority = None; crp_records = [] }
-
-type stats = {
-  mutable bootstraps_sent : int;
-  mutable bootstraps_forwarded : int;
-  mutable adverts_sent : int;
-  mutable elections_won : int;
-  mutable mapping_changes : int;
-}
-
-let fresh_stats () =
-  {
-    bootstraps_sent = 0;
-    bootstraps_forwarded = 0;
-    adverts_sent = 0;
-    elections_won = 0;
-    mapping_changes = 0;
-  }
 
 (* A candidate-RP record as this node has learned it: one per
    (address, coverage) pair, so a candidate can advertise distinct
@@ -87,12 +71,10 @@ type t = {
   trace : Trace.t option;
   forward_unicast : bool;
   agents : agent array;
-  stats : stats;
+  counters : Counters.t;
 }
 
 let config t = t.cfg
-
-let stats t = t.stats
 
 let ev t node event =
   match t.trace with None -> () | Some trc -> Trace.emit trc ~node event
@@ -178,7 +160,7 @@ let check_mappings t a ~now =
          if not (List.equal Addr.equal rps prev) then begin
            Hashtbl.replace a.last g rps;
            if rps <> [] then Hashtbl.replace a.cache g rps;
-           t.stats.mapping_changes <- t.stats.mapping_changes + 1;
+           Counters.(incr t.counters ~node:a.node Mapping_changes);
            ev t a.node
              (Event.Rp_mapping
                 {
@@ -231,7 +213,7 @@ let handle_bootstrap t a ~iface ~bsr ~bsr_priority ~seq ~crps =
         install_rec a.view (c.Message.crp_addr, c.Message.coverage)
           ~priority:c.Message.priority ~holdtime:c.Message.crp_holdtime ~now)
       crps;
-    t.stats.bootstraps_forwarded <- t.stats.bootstraps_forwarded + 1;
+    Counters.(incr t.counters ~node:a.node Bootstraps_forwarded);
     flood_bootstrap t a ~bsr ~bsr_priority ~seq ~crps ~except:(Some iface);
     check_mappings t a ~now
   end
@@ -258,7 +240,7 @@ let tick t a () =
       | Some (cur, curp) -> (not (Addr.equal cur a.addr)) && pref_compare sp (curp, cur) > 0
     in
     if step_up then begin
-      t.stats.elections_won <- t.stats.elections_won + 1;
+      Counters.(incr t.counters ~node:a.node Elections_won);
       accept_bsr t a ~bsr:a.addr ~bsr_priority:p ~seq:a.my_seq ~now
     end
   | None -> ());
@@ -280,7 +262,7 @@ let tick t a () =
           match a.rib.Rib.next_hop bsr_addr with
           | None -> ()
           | Some (iface, _) ->
-            t.stats.adverts_sent <- t.stats.adverts_sent + 1;
+            Counters.(incr t.counters ~node:a.node Adverts_sent);
             ev t a.node
               (Event.Candidate_rp
                  {
@@ -306,7 +288,7 @@ let tick t a () =
         install_rec a.view (c.Message.crp_addr, c.Message.coverage)
           ~priority:c.Message.priority ~holdtime:c.Message.crp_holdtime ~now)
       crps;
-    t.stats.bootstraps_sent <- t.stats.bootstraps_sent + 1;
+    Counters.(incr t.counters ~node:a.node Bootstraps_sent);
     flood_bootstrap t a
       ~bsr:a.addr
       ~bsr_priority:(match a.bsr with Some (_, p) -> p | None -> 0)
@@ -368,7 +350,7 @@ let deploy ?(config = default) ?trace ?(forward_unicast = false) ~net ~ribs ~rol
           last = Hashtbl.create 4;
         })
   in
-  let t = { net; eng; cfg = config; trace; forward_unicast; agents; stats = fresh_stats () } in
+  let t = { net; eng; cfg = config; trace; forward_unicast; agents; counters = Net.counters net } in
   Array.iter
     (fun a ->
       Net.set_handler net a.node (fun ~iface pkt -> handle_packet t a ~iface pkt);

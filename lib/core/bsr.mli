@@ -26,7 +26,10 @@
     next to the PIM {!Router} (which forwards transit adverts like any
     unicast traffic).  Routers consume the elected mapping through
     {!lookup}, passed as [?rp_lookup] to {!Router.create} — see
-    {!Deployment.create}. *)
+    {!Deployment.create}.
+
+    Each agent counts its bootstraps, adverts, election wins and mapping
+    changes into the net's {!Pim_sim.Net.counters} under its own node. *)
 
 type config = {
   bootstrap_period : float;  (** BSR origination and agent tick interval *)
@@ -57,14 +60,6 @@ type role = {
 
 val silent : role
 (** Neither candidate BSR nor candidate RP (the default role). *)
-
-type stats = {
-  mutable bootstraps_sent : int;  (** originations by elected BSRs *)
-  mutable bootstraps_forwarded : int;  (** accepted floods re-sent *)
-  mutable adverts_sent : int;  (** candidate-RP advert transmissions *)
-  mutable elections_won : int;  (** candidate-BSR step-ups *)
-  mutable mapping_changes : int;  (** watched-group mapping transitions *)
-}
 
 type t
 
@@ -103,7 +98,5 @@ val restart : t -> Pim_graph.Topology.node -> unit
 (** Crash-and-reboot of the node's agent: all learned election state is
     wiped; only the configured {!role} survives.  Pair with
     {!Router.restart} in chaos schedules. *)
-
-val stats : t -> stats
 
 val config : t -> config

@@ -1,5 +1,6 @@
 module Topology = Pim_graph.Topology
 module Net = Pim_sim.Net
+module Counters = Pim_sim.Counters
 
 type t = {
   net : Net.t;
@@ -87,33 +88,19 @@ let pp_shared_tree t g ppf () =
     List.iter (fun u -> render u 1) roots
   end
 
-let total_stats t =
-  let acc = Router.fresh_stats () in
-  Array.iter
-    (fun r ->
-      let s = Router.stats r in
-      acc.Router.jp_msgs_sent <- acc.Router.jp_msgs_sent + s.Router.jp_msgs_sent;
-      acc.Router.joins_sent <- acc.Router.joins_sent + s.Router.joins_sent;
-      acc.Router.prunes_sent <- acc.Router.prunes_sent + s.Router.prunes_sent;
-      acc.Router.registers_sent <- acc.Router.registers_sent + s.Router.registers_sent;
-      acc.Router.rp_reach_sent <- acc.Router.rp_reach_sent + s.Router.rp_reach_sent;
-      acc.Router.data_forwarded <- acc.Router.data_forwarded + s.Router.data_forwarded;
-      acc.Router.data_dropped_iif <- acc.Router.data_dropped_iif + s.Router.data_dropped_iif;
-      acc.Router.data_dup_suppressed <-
-        acc.Router.data_dup_suppressed + s.Router.data_dup_suppressed;
-      acc.Router.data_dropped_no_state <-
-        acc.Router.data_dropped_no_state + s.Router.data_dropped_no_state;
-      acc.Router.data_delivered_local <-
-        acc.Router.data_delivered_local + s.Router.data_delivered_local;
-      acc.Router.unicast_forwarded <- acc.Router.unicast_forwarded + s.Router.unicast_forwarded;
-      acc.Router.spt_switches <- acc.Router.spt_switches + s.Router.spt_switches;
-      acc.Router.rp_failovers <- acc.Router.rp_failovers + s.Router.rp_failovers)
-    t.routers;
-  acc
-
 module Metrics = Pim_util.Metrics
 
+(* The PIM-SM kinds exported, in export order: not [Unicast_forwarded] or
+   [Rp_failovers], which were never exported — adding rows would change
+   every metrics export and its pinned digest. *)
+let exported =
+  Counters.
+    [ Jp_msgs_sent; Joins_sent; Prunes_sent; Registers_sent; Rp_reach_sent; Data_forwarded;
+      Data_dropped_iif; Data_dup_suppressed; Data_dropped_no_state; Data_delivered_local;
+      Spt_switches ]
+
 let export_metrics t m =
+  let counters = Net.counters t.net in
   Array.iter
     (fun r ->
       let labels = [ ("node", string_of_int (Router.node r)) ] in
@@ -124,18 +111,9 @@ let export_metrics t m =
         let c = Metrics.counter m ~labels name in
         Metrics.incr ~by:(v - Metrics.counter_value c) c
       in
-      let s = Router.stats r in
-      set "router_jp_msgs_sent" s.Router.jp_msgs_sent;
-      set "router_joins_sent" s.Router.joins_sent;
-      set "router_prunes_sent" s.Router.prunes_sent;
-      set "router_registers_sent" s.Router.registers_sent;
-      set "router_rp_reach_sent" s.Router.rp_reach_sent;
-      set "router_data_forwarded" s.Router.data_forwarded;
-      set "router_data_dropped_iif" s.Router.data_dropped_iif;
-      set "router_data_dup_suppressed" s.Router.data_dup_suppressed;
-      set "router_data_dropped_no_state" s.Router.data_dropped_no_state;
-      set "router_data_delivered_local" s.Router.data_delivered_local;
-      set "router_spt_switches" s.Router.spt_switches;
+      List.iter
+        (fun k -> set ("router_" ^ Counters.name k) (Counters.get counters ~node:(Router.node r) k))
+        exported;
       let by_group = Hashtbl.create 4 in
       List.iter
         (fun e ->

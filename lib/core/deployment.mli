@@ -39,16 +39,20 @@ val total_entries : t -> int
 (** Multicast forwarding entries across all routers — the state metric of
     the paper's overhead definition. *)
 
-val total_stats : t -> Router.stats
-(** Field-wise sum over all routers. *)
-
 val export_metrics : t -> Pim_util.Metrics.t -> unit
-(** Snapshot every router's protocol counters into the registry as
-    [router_*] counters labelled [node], plus one [router_group_entries]
+(** Snapshot eleven of every router's {!Pim_sim.Net.counters} into the
+    registry as [router_*] counters labelled [node] — [jp_msgs_sent],
+    [joins_sent], [prunes_sent], [registers_sent], [rp_reach_sent],
+    [data_forwarded], [data_dropped_iif], [data_dup_suppressed],
+    [data_dropped_no_state], [data_delivered_local] and [spt_switches] —
+    plus one [router_group_entries]
     gauge per (router, group) with live forwarding state.  Idempotent:
     re-exporting updates the instruments in place rather than
     double-counting, so it can be called right before each
-    {!Pim_util.Metrics.to_json} dump. *)
+    {!Pim_util.Metrics.to_json} dump.  [unicast_forwarded] and
+    [rp_failovers] were never exported and stay out: a new row would
+    change every export, including the metrics digest the golden suite
+    pins. *)
 
 val pp_shared_tree : t -> Pim_net.Group.t -> Format.formatter -> unit -> unit
 (** Render the group's RP-rooted shared tree as indented ASCII, derived

@@ -1,5 +1,6 @@
 module Topology = Pim_graph.Topology
 module Net = Pim_sim.Net
+module Counters = Pim_sim.Counters
 module Engine = Pim_sim.Engine
 module Trace = Pim_sim.Trace
 module Event = Pim_sim.Event
@@ -14,39 +15,6 @@ module Rib = Pim_routing.Rib
    forwarding to it delivers to the router's local-data callbacks instead
    of transmitting on a link. *)
 let local_iface = -1
-
-type stats = {
-  mutable jp_msgs_sent : int;
-  mutable joins_sent : int;
-  mutable prunes_sent : int;
-  mutable registers_sent : int;
-  mutable rp_reach_sent : int;
-  mutable data_forwarded : int;
-  mutable data_dropped_iif : int;
-  mutable data_dup_suppressed : int;
-  mutable data_dropped_no_state : int;
-  mutable data_delivered_local : int;
-  mutable unicast_forwarded : int;
-  mutable spt_switches : int;
-  mutable rp_failovers : int;
-}
-
-let fresh_stats () =
-  {
-    jp_msgs_sent = 0;
-    joins_sent = 0;
-    prunes_sent = 0;
-    registers_sent = 0;
-    rp_reach_sent = 0;
-    data_forwarded = 0;
-    data_dropped_iif = 0;
-    data_dup_suppressed = 0;
-    data_dropped_no_state = 0;
-    data_delivered_local = 0;
-    unicast_forwarded = 0;
-    spt_switches = 0;
-    rp_failovers = 0;
-  }
 
 type key = Group.t * Addr.t option
 
@@ -94,7 +62,7 @@ type t = {
       (* always empty: the mask handed to oif walks over "(*,G)" entries,
          which have none *)
   spt_counters : (key, int ref * float ref) Hashtbl.t;
-  stats : stats;
+  counters : Counters.t;
   local_cbs : (Packet.t -> unit) Pim_util.Vec.t;
   mutable local_seq : int;
   mutable proxy_ifaces : Topology.iface list;
@@ -109,8 +77,6 @@ let node t = t.node
 let addr t = t.addr
 
 let fib t = t.fib
-
-let stats t = t.stats
 
 let config t = t.cfg
 
@@ -228,9 +194,9 @@ let send_jp t ~iface ~target ~group ~joins ~prunes =
       Message.join_prune_packet ~src:t.addr ~target ~origin:t.node ~group ~joins ~prunes
         ~holdtime:t.cfg.oif_holdtime
     in
-    t.stats.jp_msgs_sent <- t.stats.jp_msgs_sent + 1;
-    t.stats.joins_sent <- t.stats.joins_sent + List.length joins;
-    t.stats.prunes_sent <- t.stats.prunes_sent + List.length prunes;
+    Counters.(incr t.counters ~node:t.node Jp_msgs_sent);
+    Counters.(add t.counters ~node:t.node Joins_sent (List.length joins));
+    Counters.(add t.counters ~node:t.node Prunes_sent (List.length prunes));
     Net.send t.net t.node ~iface pkt
   end
 
@@ -325,7 +291,7 @@ let dst_group_string pkt =
   | Packet.Unicast a -> Addr.to_string a
 
 let local_deliver t pkt =
-  t.stats.data_delivered_local <- t.stats.data_delivered_local + 1;
+  Counters.(incr t.counters ~node:t.node Data_delivered_local);
   if tracing t then
     ev t
       (Event.Pkt_deliver
@@ -418,7 +384,7 @@ let record_id a id =
 let send_data t pkt pkt' i =
   if i = local_iface then local_deliver t pkt
   else begin
-    t.stats.data_forwarded <- t.stats.data_forwarded + 1;
+    Counters.(incr t.counters ~node:t.node Data_forwarded);
     Net.send t.net t.node ~iface:i pkt'
   end
 
@@ -444,7 +410,7 @@ let forward_sg t e pkt ~shared ~exclude =
     match Mdata.info pkt with
     | Some i ->
       if seen_id a i.Mdata.seq then begin
-        t.stats.data_dup_suppressed <- t.stats.data_dup_suppressed + 1;
+        Counters.(incr t.counters ~node:t.node Data_dup_suppressed);
         if tracing t then
           ev t
             (Event.Pkt_drop
@@ -467,7 +433,7 @@ let forward_sg t e pkt ~shared ~exclude =
    switch to the source's shortest-path tree (section 3.3). *)
 let maybe_spt_switch t g src =
   let switch () =
-    t.stats.spt_switches <- t.stats.spt_switches + 1;
+    Counters.(incr t.counters ~node:t.node Spt_switches);
     if tracing t then
       ev t (Event.Spt_switch { group = Group.to_string g; source = Addr.to_string src });
     ignore (ensure_sg t g src ~rp_bit:false)
@@ -505,7 +471,7 @@ let handle_data t ~iface pkt =
     let src = pkt.Packet.src in
     match Fwd.match_data t.fib g ~src with
     | None ->
-      t.stats.data_dropped_no_state <- t.stats.data_dropped_no_state + 1;
+      Counters.(incr t.counters ~node:t.node Data_dropped_no_state);
       if tracing t then
         ev t
           (Event.Pkt_drop
@@ -520,7 +486,7 @@ let handle_data t ~iface pkt =
          router: data for S arriving from the network is a looped copy
          (e.g. decapsulated by the RP) and must fail the incoming-interface
          check. *)
-      t.stats.data_dropped_iif <- t.stats.data_dropped_iif + 1
+      Counters.(incr t.counters ~node:t.node Data_dropped_iif)
     | Some e ->
       keepalive t e;
       if Fwd.is_star e then begin
@@ -529,7 +495,7 @@ let handle_data t ~iface pkt =
           forward_data t e ~pruned:t.no_mask ~shared:false ~exclude:iface pkt
         end
         else begin
-          t.stats.data_dropped_iif <- t.stats.data_dropped_iif + 1;
+          Counters.(incr t.counters ~node:t.node Data_dropped_iif);
           if tracing t then
             ev t
               (Event.Pkt_drop
@@ -546,7 +512,7 @@ let handle_data t ~iface pkt =
         if Fwd.iif_is e iface then
           forward_data t e ~pruned:(aux e).pruned ~shared:true ~exclude:iface pkt
         else begin
-          t.stats.data_dropped_iif <- t.stats.data_dropped_iif + 1;
+          Counters.(incr t.counters ~node:t.node Data_dropped_iif);
           if tracing t then
             ev t
               (Event.Pkt_drop
@@ -574,7 +540,7 @@ let handle_data t ~iface pkt =
           | Some star when t.cfg.switchover_fallback && Fwd.iif_is star iface ->
             forward_sg t e pkt ~shared:true ~exclude:iface
           | _ ->
-            t.stats.data_dropped_iif <- t.stats.data_dropped_iif + 1;
+            Counters.(incr t.counters ~node:t.node Data_dropped_iif);
             if tracing t then
               ev t
                 (Event.Pkt_drop
@@ -602,7 +568,7 @@ let handle_data t ~iface pkt =
         | Some star when Fwd.iif_is star iface ->
           forward_sg t e pkt ~shared:true ~exclude:iface
         | _ ->
-          t.stats.data_dropped_iif <- t.stats.data_dropped_iif + 1;
+          Counters.(incr t.counters ~node:t.node Data_dropped_iif);
           if tracing t then
             ev t
               (Event.Pkt_drop
@@ -676,7 +642,7 @@ and originate_data t ~incoming pkt =
                Just make sure the (S,G) entry exists. *)
             ignore (ensure_sg t g src ~rp_bit:false)
           else if not (register_suppressed t g src rp) then begin
-            t.stats.registers_sent <- t.stats.registers_sent + 1;
+            Counters.(incr t.counters ~node:t.node Registers_sent);
             if tracing t then
               ev t (Event.Register { group = Group.to_string g; source = Addr.to_string src });
             let reg = Message.register_packet ~src:t.addr ~rp pkt in
@@ -708,7 +674,7 @@ and send_unicast t pkt =
     match t.rib.Rib.next_hop dst with
     | None -> ()
     | Some (iface, next) ->
-      t.stats.unicast_forwarded <- t.stats.unicast_forwarded + 1;
+      Counters.(incr t.counters ~node:t.node Unicast_forwarded);
       Net.send t.net t.node ~iface ~to_node:next pkt)
 
 let local_source_addr ?(host = 1) t = Addr.host ~router:t.node host
@@ -944,7 +910,7 @@ let originate_rp_reach t =
   Fwd.iter t.fib (fun (e : Fwd.entry) ->
       if Fwd.is_star e && rp_is e t.addr then begin
         let pkt = Message.rp_reachability_packet ~src:t.addr ~group:e.Fwd.group ~rp:t.addr in
-        t.stats.rp_reach_sent <- t.stats.rp_reach_sent + 1;
+        Counters.(incr t.counters ~node:t.node Rp_reach_sent);
         ignore (walk_effective t e ~pruned:t.no_mask ~exclude:Topology.no_iface send_ctrl t pkt ())
       end)
 
@@ -958,7 +924,7 @@ let rp_failover t (e : Fwd.entry) =
   match alternates with
   | [] -> e.Fwd.rp_deadline <- now t +. t.cfg.rp_timeout (* keep waiting *)
   | rp :: _ ->
-    t.stats.rp_failovers <- t.stats.rp_failovers + 1;
+    Counters.(incr t.counters ~node:t.node Rp_failovers);
     if tracing t then
       ev t
         (Event.Rp_failover
@@ -1161,11 +1127,11 @@ let periodic_refresh t =
   in
   List.iter
     (fun ((iface, _), sections) ->
-      t.stats.jp_msgs_sent <- t.stats.jp_msgs_sent + 1;
+      Counters.(incr t.counters ~node:t.node Jp_msgs_sent);
       List.iter
         (fun (m : Message.join_prune) ->
-          t.stats.joins_sent <- t.stats.joins_sent + List.length m.Message.joins;
-          t.stats.prunes_sent <- t.stats.prunes_sent + List.length m.Message.prunes)
+          Counters.(add t.counters ~node:t.node Joins_sent (List.length m.Message.joins));
+          Counters.(add t.counters ~node:t.node Prunes_sent (List.length m.Message.prunes)))
         !sections;
       Net.send t.net t.node ~iface (Message.bundle_packet ~src:t.addr !sections))
     (sorted_bindings compare_upstream_key per_upstream)
@@ -1261,7 +1227,7 @@ let create ?(config = Config.default) ?igmp_config ?trace ?rp_lookup ~net ~rib ~
       trace;
       no_mask = Hashtbl.create 1;
       spt_counters = Hashtbl.create 8;
-      stats = fresh_stats ();
+      counters = Net.counters net;
       local_cbs = Pim_util.Vec.create ();
       local_seq = 0;
       proxy_ifaces = [];

@@ -24,30 +24,12 @@
     Local members can be real IGMP hosts on attached LANs, or synthetic
     members/sources injected with {!join_local} and {!send_local_data}
     (used by the graph-scale experiments, where per-host simulation would
-    only add noise). *)
+    only add noise).
+
+    Each router counts what it sends, forwards and drops into its net's
+    {!Pim_sim.Net.counters} under its own node. *)
 
 type t
-
-type stats = {
-  mutable jp_msgs_sent : int;  (** Join/Prune messages transmitted *)
-  mutable joins_sent : int;  (** join-list entries across those messages *)
-  mutable prunes_sent : int;  (** prune-list entries *)
-  mutable registers_sent : int;
-  mutable rp_reach_sent : int;
-  mutable data_forwarded : int;  (** data-packet link transmissions *)
-  mutable data_dropped_iif : int;  (** failed incoming-interface check *)
-  mutable data_dup_suppressed : int;
-      (** shared-tree copies suppressed by the (S,G) identity ring during
-          RP-tree to shortest-path-tree switchover *)
-  mutable data_dropped_no_state : int;  (** no matching entry (sparse mode drops) *)
-  mutable data_delivered_local : int;  (** handed to local members *)
-  mutable unicast_forwarded : int;
-  mutable spt_switches : int;
-  mutable rp_failovers : int;
-}
-
-val fresh_stats : unit -> stats
-(** All-zero counters (used for aggregation). *)
 
 val create :
   ?config:Config.t ->
@@ -73,8 +55,6 @@ val addr : t -> Pim_net.Addr.t
 
 val fib : t -> Pim_mcast.Fwd.t
 (** The live forwarding table (inspected by tests and examples). *)
-
-val stats : t -> stats
 
 val config : t -> Config.t
 

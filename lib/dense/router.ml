@@ -1,5 +1,6 @@
 module Topology = Pim_graph.Topology
 module Net = Pim_sim.Net
+module Counters = Pim_sim.Counters
 module Engine = Pim_sim.Engine
 module Trace = Pim_sim.Trace
 module Event = Pim_sim.Event
@@ -55,14 +56,6 @@ let fast_config =
     advert_interval = 3.;
   }
 
-type stats = {
-  mutable data_forwarded : int;
-  mutable data_dropped_iif : int;
-  mutable data_delivered_local : int;
-  mutable prunes_sent : int;
-  mutable joins_sent : int;
-}
-
 (* Per-entry prune and join state, kept on the entry through [Fwd.ext]. *)
 type aux = {
   pruned : (Topology.iface, float) Hashtbl.t;
@@ -108,7 +101,7 @@ type t = {
   igmp : Pim_igmp.Router.t;
   fib : Fwd.t;
   trace : Trace.t option;
-  stats : stats;
+  counters : Counters.t;
   mutable local_groups : GroupSet.t;
   local_cbs : (Packet.t -> unit) Pim_util.Vec.t;
   mutable local_seq : int;
@@ -123,8 +116,6 @@ let node t = t.node
 let fib t = t.fib
 
 let igmp t = t.igmp
-
-let stats t = t.stats
 
 let now t = Engine.now t.eng
 
@@ -216,7 +207,7 @@ let broadcast t (e : Fwd.entry) ~exclude src g f x y =
   !count
 
 let local_deliver t pkt =
-  t.stats.data_delivered_local <- t.stats.data_delivered_local + 1;
+  Counters.(incr t.counters ~node:t.node Data_delivered_local);
   for i = 0 to Pim_util.Vec.length t.local_cbs - 1 do
     let cb = Pim_util.Vec.get t.local_cbs i in
     cb pkt
@@ -227,7 +218,7 @@ let local_deliver t pkt =
 let send_data t pkt pkt' i =
   if i = local_iface then local_deliver t pkt
   else begin
-    t.stats.data_forwarded <- t.stats.data_forwarded + 1;
+    Counters.(incr t.counters ~node:t.node Data_forwarded);
     Net.send t.net t.node ~iface:i pkt'
   end
 
@@ -255,7 +246,7 @@ let send_prune_upstream t (e : Fwd.entry) src g =
       let a = aux e in
       a.last_prune_up <- now t;
       a.pruned_upstream <- true;
-      t.stats.prunes_sent <- t.stats.prunes_sent + 1;
+      Counters.(incr t.counters ~node:t.node Prunes_sent);
       if tracing t then ev t (Event.Prune { route = route_of_sg g src; iface });
       let pkt =
         Message.prune_packet ~src:t.addr ~target:(Addr.router up) ~origin:t.node ~source:src
@@ -268,7 +259,7 @@ let send_join_upstream t src g =
   match t.rib.Rib.next_hop src with
   | None -> ()
   | Some (iface, up) ->
-    t.stats.joins_sent <- t.stats.joins_sent + 1;
+    Counters.(incr t.counters ~node:t.node Joins_sent);
     if tracing t then ev t (Event.Graft { route = route_of_sg g src; iface });
     let pkt =
       Message.join_packet ~src:t.addr ~target:(Addr.router up) ~origin:t.node ~source:src
@@ -299,7 +290,7 @@ let handle_data t ~iface pkt =
     let src = pkt.Packet.src in
     let e = ensure_entry t g src in
     if not (Fwd.iif_is e iface) then begin
-      t.stats.data_dropped_iif <- t.stats.data_dropped_iif + 1;
+      Counters.(incr t.counters ~node:t.node Data_dropped_iif);
       (* PIM dense mode prunes useless parallel paths on point-to-point
          links when packets arrive off the reverse path. *)
       if t.cfg.mode = Pim_dm then begin
@@ -310,7 +301,7 @@ let handle_data t ~iface pkt =
             Message.prune_packet ~src:t.addr ~target:(Addr.router v) ~origin:t.node
               ~source:src ~group:g ~holdtime:t.cfg.prune_timeout
           in
-          t.stats.prunes_sent <- t.stats.prunes_sent + 1;
+          Counters.(incr t.counters ~node:t.node Prunes_sent);
           Net.send t.net t.node ~iface pkt'
         | _ -> ()
       end
@@ -391,7 +382,7 @@ let overhear_prune t ~iface (b : Message.body) =
           (Engine.schedule t.eng ~after:(t.cfg.prune_override_delay *. jitter) (fun () ->
                if a.override_pending then begin
                  a.override_pending <- false;
-                 t.stats.joins_sent <- t.stats.joins_sent + 1;
+                 Counters.(incr t.counters ~node:t.node Joins_sent);
                  if tracing t then
                    tr t "override" "overriding prune for (%s,%s)"
                      (Addr.to_string b.Message.source)
@@ -627,14 +618,7 @@ let create ?(config = default_config) ?igmp_config ?trace ~net ~rib ~neighbor_ri
       igmp;
       fib = Fwd.create ();
       trace;
-      stats =
-        {
-          data_forwarded = 0;
-          data_dropped_iif = 0;
-          data_delivered_local = 0;
-          prunes_sent = 0;
-          joins_sent = 0;
-        };
+      counters = Net.counters net;
       local_groups = GroupSet.empty;
       local_cbs = Pim_util.Vec.create ();
       local_seq = 0;
@@ -702,26 +686,6 @@ module Deployment = struct
     { routers }
 
   let router t u = t.routers.(u)
-
-  let total_stats t =
-    let acc =
-      {
-        data_forwarded = 0;
-        data_dropped_iif = 0;
-        data_delivered_local = 0;
-        prunes_sent = 0;
-        joins_sent = 0;
-      }
-    in
-    Array.iter
-      (fun r ->
-        acc.data_forwarded <- acc.data_forwarded + r.stats.data_forwarded;
-        acc.data_dropped_iif <- acc.data_dropped_iif + r.stats.data_dropped_iif;
-        acc.data_delivered_local <- acc.data_delivered_local + r.stats.data_delivered_local;
-        acc.prunes_sent <- acc.prunes_sent + r.stats.prunes_sent;
-        acc.joins_sent <- acc.joins_sent + r.stats.joins_sent)
-      t.routers;
-    acc
 
   let total_entries t =
     Array.fold_left (fun acc r -> acc + Fwd.count r.fib) 0 t.routers

@@ -13,7 +13,10 @@
 
     In both, pruned branches grow back after [prune_timeout] and the next
     data packet re-floods them — the periodic re-broadcast behaviour whose
-    cost Figure 1 illustrates and PIM sparse mode eliminates. *)
+    cost Figure 1 illustrates and PIM sparse mode eliminates.
+
+    Each router counts into its net's {!Pim_sim.Net.counters} under its
+    own node. *)
 
 type mode =
   | Dvmrp
@@ -43,14 +46,6 @@ val default_config : config
 val fast_config : config
 (** Timers divided by 10 for quick simulations. *)
 
-type stats = {
-  mutable data_forwarded : int;
-  mutable data_dropped_iif : int;
-  mutable data_delivered_local : int;
-  mutable prunes_sent : int;
-  mutable joins_sent : int;
-}
-
 type t
 
 val create :
@@ -71,8 +66,6 @@ val fib : t -> Pim_mcast.Fwd.t
 
 val igmp : t -> Pim_igmp.Router.t
 (** The router's IGMP side: which leaf subnets have members. *)
-
-val stats : t -> stats
 
 val join_local : t -> Pim_net.Group.t -> unit
 
@@ -143,8 +136,6 @@ module Deployment : sig
     t
 
   val router : t -> Pim_graph.Topology.node -> router
-
-  val total_stats : t -> stats
 
   val total_entries : t -> int
 end

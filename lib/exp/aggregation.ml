@@ -25,7 +25,7 @@ let one ~hops ~sources ~packets ~aggregated =
   (* RP next to the source router so the shared tree is short and the
      interesting joins are the (S,G) refreshes along the path. *)
   let rp_set = Pim_core.Rp_set.single group (Addr.router 1) in
-  (* pimlint: allow H6 — sends from distinct hosts (~host) and reads joins_sent *)
+  (* pimlint: allow H6 — sends from distinct hosts (~host) *)
   let dep = Pim_core.Deployment.create_static ~config net ~rp_set in
   let receiver = Pim_core.Deployment.router dep hops in
   Pim_core.Router.join_local receiver group;
@@ -44,11 +44,10 @@ let one ~hops ~sources ~packets ~aggregated =
   (* Run several holdtimes past the end of the stream so the periodic
      (prefix-)joins are what keeps the trees alive. *)
   Engine.run ~until:(20. +. float_of_int packets) eng;
-  let stats = Pim_core.Deployment.total_stats dep in
   {
     sources;
     aggregated;
-    join_entries = stats.Pim_core.Router.joins_sent;
+    join_entries = Pim_sim.Counters.total (Net.counters net) Joins_sent;
     control_bytes = Metrics.control_bytes metrics;
     deliveries = !deliveries;
     expected = packets * sources;

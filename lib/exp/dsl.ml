@@ -364,10 +364,14 @@ let parse text =
   |> Result.map (fun p -> { p with steps = List.rev p.steps })
 
 let parse_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> really_input_string ic n) in
-  parse text
+  match In_channel.with_open_text path In_channel.input_all with
+  | text -> parse text
+  | exception Sys_error msg ->
+    (* [msg] reads "<path>: <reason>"; callers name the path themselves. *)
+    let prefix = path ^ ": " in
+    let n = String.length prefix in
+    Error
+      (if String.starts_with ~prefix msg then String.sub msg n (String.length msg - n) else msg)
 
 (* {1 Role resolution} *)
 

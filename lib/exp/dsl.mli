@@ -96,6 +96,8 @@ val parse : string -> (program, string) result
 (** Parse scenario text; the error names the offending line. *)
 
 val parse_file : string -> (program, string) result
+(** {!parse} the file's contents; [Error] with the system's reason (no
+    path prefix) when it cannot be read. *)
 
 val to_string : program -> string
 (** Canonical text rendering; [parse (to_string p)] round-trips.  The

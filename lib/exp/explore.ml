@@ -181,6 +181,13 @@ let run ~(base : Dsl.program) ~protocol ?(depth = 3) ?(budget = 500) ?(probes = 
     | Some f, _ | None, Some f -> f
     | None, None -> true
   in
+  let at_least name bound v =
+    if v < bound then
+      invalid_arg (Printf.sprintf "Explore.run: %s must be >= %d (got %d)" name bound v)
+  in
+  at_least "depth" 0 depth;
+  at_least "budget" 1 budget;
+  at_least "probes" 1 probes;
   let ctx = Dsl.context base in
   if ctx.Dsl.source0 = None then invalid_arg "Explore.run: base scenario declares no source";
   let actions = alphabet ~ctx () in

@@ -62,6 +62,7 @@ val run :
     (default 6).  [switchover_fallback] defaults to the base program's
     directive, else on.  [log] receives one-line progress notes.
 
-    @raise Invalid_argument if [base] declares no source. *)
+    @raise Invalid_argument if [depth < 0], [budget < 1], [probes < 1]
+    or [base] declares no source. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -3,6 +3,7 @@ module Net = Pim_sim.Net
 module Group = Pim_net.Group
 module Addr = Pim_net.Addr
 module Prng = Pim_util.Prng
+module Counters = Pim_sim.Counters
 
 type row = {
   rp_timeout : float;
@@ -44,17 +45,15 @@ let one_timeout ~prng rp_timeout =
       spt_policy = Pim_core.Config.Never;
     }
   in
-  let rp_set =
-    Pim_core.Rp_set.single group (Addr.router rp_primary)
-    |> fun s -> Pim_core.Rp_set.add s group [ Addr.router rp_primary; Addr.router rp_alternate ]
+  let v =
+    List.assoc group
+      (Stack.create_many
+         ~placement:[ (group, [ rp_primary; rp_alternate ]) ]
+         ~config:{ Stack.fast with sm = config } ~groups:[ group ] ~net Stack.Pim_sm)
   in
-  (* pimlint: allow H6 — reads rp_failovers from the routers' stats *)
-  let dep = Pim_core.Deployment.create_static ~config net ~rp_set in
-  let r = Pim_core.Deployment.router dep receiver in
-  Pim_core.Router.join_local r group;
+  v.Stack.join receiver;
   let arrivals = ref [] in
-  Pim_core.Router.on_local_data r (fun _ -> arrivals := Engine.now eng :: !arrivals);
-  let s = Pim_core.Deployment.router dep source in
+  v.Stack.on_data receiver (fun _ -> arrivals := Engine.now eng :: !arrivals);
   (* Seeded per-packet send jitter: the stream phase relative to the crash
      and the timers varies with the seed, so E2 explores different
      interleavings instead of replaying one. *)
@@ -64,7 +63,7 @@ let one_timeout ~prng rp_timeout =
         (Engine.schedule_at eng
            (t0 +. Prng.float prng 0.25)
            (fun () ->
-             Pim_core.Router.send_local_data s ~group ();
+             v.Stack.send_from source;
              send_loop (t0 +. 0.5)))
   in
   send_loop 10.;
@@ -83,7 +82,7 @@ let one_timeout ~prng rp_timeout =
     gap;
     delivered_before = List.length (List.filter (fun t -> t <= crash_at) times);
     delivered_after = List.length (List.filter (fun t -> t > crash_at) times);
-    failovers = (Pim_core.Deployment.total_stats dep).Pim_core.Router.rp_failovers;
+    failovers = Counters.total (Net.counters net) Rp_failovers;
   }
 
 let run ?(timeouts = [ 5.; 10.; 20. ]) ~seed () =
@@ -171,7 +170,7 @@ let one_strategy ~prng ~seed strategy =
     else (None, Pim_core.Rp_set.of_list placement, strategy_rp_timeout)
   in
   let dep =
-    (* pimlint: allow H6 — rp_failovers, Bsr.stats, its own C-BSR choice, FIB walks *)
+    (* pimlint: allow H6 — its own single-C-BSR choice, FIB walks *)
     Pim_core.Deployment.create ~config ?bsr ~net ~ribs:(Pim_routing.Static.rib static)
       ~rp_set ()
   in
@@ -213,22 +212,16 @@ let one_strategy ~prng ~seed strategy =
             incr orphaned_entries)
         (Pim_mcast.Fwd.entries (Pim_core.Router.fib (Pim_core.Deployment.router dep u)))
   done;
-  let elections, mapping_changes =
-    match bsr with
-    | Some b ->
-      let st = Pim_core.Bsr.stats b in
-      (st.Pim_core.Bsr.elections_won, st.Pim_core.Bsr.mapping_changes)
-    | None -> (0, 0)
-  in
+  let counters = Net.counters net in
   {
     strategy;
     gap;
     budget;
     delivered_before = List.length (List.filter (fun t -> t <= crash_at) times);
     delivered_after = List.length (List.filter (fun t -> t > crash_at) times);
-    failovers = (Pim_core.Deployment.total_stats dep).Pim_core.Router.rp_failovers;
-    elections;
-    mapping_changes;
+    failovers = Counters.total (Net.counters net) Rp_failovers;
+    elections = Counters.total counters Elections_won;
+    mapping_changes = Counters.total counters Mapping_changes;
     control = Metrics.control_traversals metrics;
     orphaned_entries = !orphaned_entries;
   }

@@ -56,7 +56,7 @@ let run_protocol ~topo ~members ~fraction ~packets ~interval ~source ~rp
     state_entries = v.Stack.entries ();
     deliveries = !deliveries;
     expected_deliveries = packets * List.length members;
-    spf_runs = v.Stack.spf_runs ();
+    spf_runs = Pim_sim.Counters.total (Net.counters net) Spf_runs;
   }
 
 let run ?(nodes = 50) ?(degree = 4.) ?(packets = 30) ?(interval = 1.)

@@ -66,7 +66,7 @@ let run ?capture_file ?trace_file ?metrics_file spec =
   let rp_set = Rp_set.single group (Addr.router rp) in
   let trace = Trace.create eng in
   let config = { Config.fast with Config.switchover_fallback = spec.switchover_fallback } in
-  (* pimlint: allow H6 — data_dup_suppressed, export_metrics, local_source_addr *)
+  (* pimlint: allow H6 — export_metrics, local_source_addr *)
   let dep = Deployment.create_static ~config ~trace net ~rp_set in
   let delivery = Pim_mcast.Delivery.create () in
   let latency =
@@ -110,7 +110,7 @@ let run ?capture_file ?trace_file ?metrics_file spec =
   List.iter (fun m -> Router.leave_local (Deployment.router dep m) group) members;
   Engine.run ~until:220. eng;
   let residual_entries = Deployment.total_entries dep in
-  let dup_suppressed = (Deployment.total_stats dep).Router.data_dup_suppressed in
+  let dup_suppressed = Pim_sim.Counters.total (Net.counters net) Data_dup_suppressed in
   Option.iter (fun path -> Capture.save path (Capture.entries (Option.get capture))) capture_file;
   Option.iter
     (fun path ->

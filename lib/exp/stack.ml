@@ -39,7 +39,6 @@ type t = {
   max_copies : int;
   residual_floor : int;
   spt_switches : unit -> int;
-  spf_runs : unit -> int;
 }
 
 type config = { sm : Pim_core.Config.t; lsa_refresh : float option }
@@ -223,7 +222,8 @@ let local_dispatch net register =
       Pim_util.Vec.push cbs cb;
       Group_tbl.replace by_group group cbs
 
-let pim_sm_many ~rp_election ~cbsr_forbidden ~config ?trace ~placement ~groups net =
+let pim_sm_many ~spt_switches ~rp_election ~cbsr_forbidden ~config ?trace ~placement ~groups
+    net =
   let rps_of g = rp_nodes_for ~placement ~protocol:Pim_sm g in
   let addr_placement = List.map (fun g -> (g, List.map Addr.router (rps_of g))) groups in
   let static = Pim_routing.Static.create net in
@@ -271,14 +271,12 @@ let pim_sm_many ~rp_election ~cbsr_forbidden ~config ?trace ~placement ~groups n
       mroute = fwd_mroute fib;
       max_copies = 1;
       residual_floor = 0;
-      spt_switches =
-        (fun () -> (Pim_core.Deployment.total_stats d).Pim_core.Router.spt_switches);
-      spf_runs = (fun () -> 0);
+      spt_switches;
     }
   in
   List.map (fun g -> (g, view g)) groups
 
-let dense_many ~mode ?trace ~groups net =
+let dense_many ~spt_switches ~mode ?trace ~groups net =
   let config = { Pim_dense.Router.fast_config with mode; graft = true } in
   let d = Pim_dense.Router.Deployment.create_static ~config ?trace net in
   let router u = Pim_dense.Router.Deployment.router d u in
@@ -299,13 +297,12 @@ let dense_many ~mode ?trace ~groups net =
          on the wire (the flood, then the re-flood after grow-back). *)
       max_copies = 2;
       residual_floor = 0;
-      spt_switches = (fun () -> 0);
-      spf_runs = (fun () -> 0);
+      spt_switches;
     }
   in
   List.map (fun g -> (g, view g)) groups
 
-let cbt_many ?trace ~placement ~groups net =
+let cbt_many ~spt_switches ?trace ~placement ~groups net =
   let core_node g = List.hd (rp_nodes_for ~placement ~protocol:Cbt g) in
   (* Force the lookup for every group up front so a missing placement
      raises at construction, not mid-run. *)
@@ -341,13 +338,12 @@ let cbt_many ?trace ~placement ~groups net =
       max_copies = 1;
       (* The core never tears down its own entry. *)
       residual_floor = 1;
-      spt_switches = (fun () -> 0);
-      spf_runs = (fun () -> 0);
+      spt_switches;
     }
   in
   List.map (fun g -> (g, view g)) groups
 
-let mospf_many ?lsa_refresh ?trace ~groups net =
+let mospf_many ~spt_switches ?lsa_refresh ?trace ~groups net =
   let d = Pim_mospf.Router.Deployment.create ?trace ?lsa_refresh net in
   let router u = Pim_mospf.Router.Deployment.router d u in
   let n = Topology.n_nodes (Net.topo net) in
@@ -377,22 +373,23 @@ let mospf_many ?lsa_refresh ?trace ~groups net =
             ]);
       max_copies = 1;
       residual_floor = 0;
-      spt_switches = (fun () -> 0);
-      spf_runs =
-        (fun () -> (Pim_mospf.Router.Deployment.total_stats d).Pim_mospf.Router.spf_runs);
+      spt_switches;
     }
   in
   List.map (fun g -> (g, view g)) groups
 
 let create_many ?(placement = []) ?(rp_election = false) ?(cbsr_forbidden = []) ?(config = fast)
     ?trace ~groups ~net protocol =
+  (* Only PIM-SM routers count switches; elsewhere the total stays 0. *)
+  let spt_switches () = Pim_sim.Counters.total (Net.counters net) Spt_switches in
   match protocol with
   | Pim_sm ->
-    pim_sm_many ~rp_election ~cbsr_forbidden ~config:config.sm ?trace ~placement ~groups net
-  | Pim_dm -> dense_many ~mode:Pim_dense.Router.Pim_dm ?trace ~groups net
-  | Dvmrp -> dense_many ~mode:Pim_dense.Router.Dvmrp ?trace ~groups net
-  | Cbt -> cbt_many ?trace ~placement ~groups net
-  | Mospf -> mospf_many ?lsa_refresh:config.lsa_refresh ?trace ~groups net
+    pim_sm_many ~spt_switches ~rp_election ~cbsr_forbidden ~config:config.sm ?trace ~placement
+      ~groups net
+  | Pim_dm -> dense_many ~spt_switches ~mode:Pim_dense.Router.Pim_dm ?trace ~groups net
+  | Dvmrp -> dense_many ~spt_switches ~mode:Pim_dense.Router.Dvmrp ?trace ~groups net
+  | Cbt -> cbt_many ~spt_switches ?trace ~placement ~groups net
+  | Mospf -> mospf_many ~spt_switches ?lsa_refresh:config.lsa_refresh ?trace ~groups net
 
 (* {1 State digest} *)
 

@@ -47,12 +47,12 @@ type t = {
   max_copies : int;  (** legitimate per-link copies of one quiet-period packet *)
   residual_floor : int;  (** entries legitimately left after every member leaves *)
   spt_switches : unit -> int;
-      (** cumulative RP-tree to shortest-path-tree transitions deployment-wide
-          (0 for protocols without the transition — the workload harness
-          reads per-window deltas to count switchover storms) *)
-  spf_runs : unit -> int;
-      (** cumulative MOSPF Dijkstra runs deployment-wide (0 for the other
-          protocols — the overhead experiment reports it) *)
+      (** cumulative RP-tree to shortest-path-tree transitions on the net:
+          {!Pim_sim.Counters.total} of [Spt_switches] over
+          {!Pim_sim.Net.counters}, which only PIM-SM routers count (0 for
+          the other protocols).  The workload harness reads per-window
+          deltas to count switchover storms.  Every other counter is read
+          from the net's table directly. *)
 }
 
 type config = {
@@ -93,8 +93,8 @@ val create_many :
     forwarding fix for the RP-tree/SPT switchover loss; scenarios turn it
     off to reproduce the historical bug.
 
-    Views share the deployment: [entries], [restart], [state_checks],
-    [spt_switches] and [spf_runs] are deployment-wide and identical across views, while
+    Views share the deployment: [entries], [restart], [state_checks] and
+    [spt_switches] are deployment-wide and identical across views, while
     [join]/[leave]/[send_from]/[mroute] act per group and [on_data]
     callbacks only fire for that view's group.
 

@@ -1,6 +1,7 @@
 module Topology = Pim_graph.Topology
 module Spt = Pim_graph.Spt
 module Net = Pim_sim.Net
+module Counters = Pim_sim.Counters
 module Engine = Pim_sim.Engine
 module Trace = Pim_sim.Trace
 module Event = Pim_sim.Event
@@ -10,25 +11,6 @@ module Group = Pim_net.Group
 module Mdata = Pim_mcast.Mdata
 
 module GroupSet = Set.Make (Group)
-
-type stats = {
-  mutable lsa_sent : int;
-  mutable spf_runs : int;
-  mutable data_forwarded : int;
-  mutable data_dropped_iif : int;
-  mutable data_dropped_off_tree : int;
-  mutable data_delivered_local : int;
-}
-
-let fresh_stats () =
-  {
-    lsa_sent = 0;
-    spf_runs = 0;
-    data_forwarded = 0;
-    data_dropped_iif = 0;
-    data_dropped_off_tree = 0;
-    data_delivered_local = 0;
-  }
 
 type lsa = {
   origin : Topology.node;
@@ -98,7 +80,7 @@ type t = {
   shared : shared;
   lsdb : lsa array;
   cache : plan Plan_cache.t;
-  stats : stats;
+  counters : Counters.t;
   mutable own_seq : int;
   mutable local_groups : GroupSet.t;
   local_cbs : (Packet.t -> unit) Pim_util.Vec.t;
@@ -106,8 +88,6 @@ type t = {
 }
 
 let node t = t.node
-
-let stats t = t.stats
 
 let tracing t = Trace.active t.trace
 
@@ -138,7 +118,7 @@ let flood t ~except lsa_v =
   for k = 0 to Array.length ifaces - 1 do
     let iface, _ = ifaces.(k) in
     if iface <> except then begin
-      t.stats.lsa_sent <- t.stats.lsa_sent + 1;
+      Counters.(incr t.counters ~node:t.node Lsa_sent);
       Net.send t.net t.node ~iface pkt
     end
   done
@@ -176,7 +156,7 @@ let install_lsa t ~iface (l : lsa) =
    knows of, in node-id order, stopping where an earlier walk already
    passed: the links on those walks are the delivery tree. *)
 let compute_plan t src_router g =
-  t.stats.spf_runs <- t.stats.spf_runs + 1;
+  Counters.(incr t.counters ~node:t.node Spf_runs);
   let sh = t.shared in
   let tree = source_tree sh t.net src_router in
   let topo = Net.topo t.net in
@@ -229,7 +209,7 @@ let plan_for t src_router g =
     p
 
 let local_deliver t pkt =
-  t.stats.data_delivered_local <- t.stats.data_delivered_local + 1;
+  Counters.(incr t.counters ~node:t.node Data_delivered_local);
   (match Mdata.group pkt with
   | Some g ->
     if tracing t then
@@ -250,7 +230,7 @@ let local_deliver t pkt =
    copy: forwarding allocates only the copy. *)
 let rec send_all t pkt' = function
   | i :: rest ->
-    t.stats.data_forwarded <- t.stats.data_forwarded + 1;
+    Counters.(incr t.counters ~node:t.node Data_forwarded);
     Net.send t.net t.node ~iface:i pkt';
     send_all t pkt' rest
   | [] -> ()
@@ -269,7 +249,7 @@ let handle_data t ~iface pkt =
   match (Mdata.group pkt, src_router_of pkt) with
   | Some g, Some src_router ->
     let p = plan_for t src_router g in
-    if not p.on_tree then t.stats.data_dropped_off_tree <- t.stats.data_dropped_off_tree + 1
+    if not p.on_tree then Counters.(incr t.counters ~node:t.node Data_dropped_off_tree)
     else if t.node = src_router then begin
       (* First-hop router of the source subnetwork. *)
       forward t pkt p.olist;
@@ -279,7 +259,7 @@ let handle_data t ~iface pkt =
       forward t pkt p.olist;
       if p.member_here then local_deliver t pkt
     end
-    else t.stats.data_dropped_iif <- t.stats.data_dropped_iif + 1
+    else Counters.(incr t.counters ~node:t.node Data_dropped_iif)
   | _ -> ()
 
 let join_local t g =
@@ -349,7 +329,7 @@ let create ?trace ?lsa_refresh ~shared ~net node =
       shared;
       lsdb = Array.make (Topology.n_nodes (Net.topo net)) no_lsa;
       cache = Plan_cache.create 64;
-      stats = fresh_stats ();
+      counters = Net.counters net;
       own_seq = 0;
       local_groups = GroupSet.empty;
       local_cbs = Pim_util.Vec.create ();
@@ -384,19 +364,6 @@ module Deployment = struct
     { routers = Array.init n (fun u -> create ?trace ?lsa_refresh ~shared ~net u) }
 
   let router t u = t.routers.(u)
-
-  let total_stats t =
-    let acc = fresh_stats () in
-    Array.iter
-      (fun r ->
-        acc.lsa_sent <- acc.lsa_sent + r.stats.lsa_sent;
-        acc.spf_runs <- acc.spf_runs + r.stats.spf_runs;
-        acc.data_forwarded <- acc.data_forwarded + r.stats.data_forwarded;
-        acc.data_dropped_iif <- acc.data_dropped_iif + r.stats.data_dropped_iif;
-        acc.data_dropped_off_tree <- acc.data_dropped_off_tree + r.stats.data_dropped_off_tree;
-        acc.data_delivered_local <- acc.data_delivered_local + r.stats.data_delivered_local)
-      t.routers;
-    acc
 
   let total_membership_entries t =
     Array.fold_left (fun acc r -> acc + membership_entries r) 0 t.routers

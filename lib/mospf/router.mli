@@ -10,7 +10,9 @@
     wide areas, and both are surfaced as counters here: every router
     stores membership for {e every} group in the domain
     ({!membership_entries}), and forwarding cache misses trigger Dijkstra
-    runs ({!stats}'s [spf_runs]).
+    runs (the [Spf_runs] kind of {!Pim_sim.Net.counters}; routers count
+    [Lsa_sent], [Data_forwarded], [Data_dropped_iif],
+    [Data_dropped_off_tree] and [Data_delivered_local] there too).
 
     The SPT is computed over the topology restricted to live links/nodes —
     the converged state link-state routing maintains at every router.
@@ -18,19 +20,8 @@
     {!Deployment} computes it once per source and shares it among its
     routers until the network next changes; each router then reads its
     own part (incoming interface, downstream interfaces) off the shared
-    tree.  [spf_runs] still counts one run per router plan — the cost
+    tree.  [Spf_runs] still counts one run per router plan — the cost
     the modelled protocol pays — not the simulator's shared work. *)
-
-type stats = {
-  mutable lsa_sent : int;  (** membership-LSA transmissions (flooding) *)
-  mutable spf_runs : int;
-      (** per-router forwarding plans computed: one source-tree Dijkstra
-          each in the modelled protocol *)
-  mutable data_forwarded : int;
-  mutable data_dropped_iif : int;
-  mutable data_dropped_off_tree : int;
-  mutable data_delivered_local : int;
-}
 
 type t
 
@@ -58,8 +49,6 @@ type plan = {
 
 val node : t -> Pim_graph.Topology.node
 
-val stats : t -> stats
-
 val membership_entries : t -> int
 (** (router, group) membership pairs this router currently stores — the
     per-router state burden of flooded membership: its own groups plus
@@ -84,7 +73,7 @@ val local_source_addr : t -> Pim_net.Addr.t
 val plan_for : t -> Pim_graph.Topology.node -> Pim_net.Group.t -> plan
 (** [plan_for t src g] is the plan this router forwards [g]'s data from
     router [src]'s subnetwork with.  A cache miss computes it (one
-    [spf_runs]); membership and topology changes invalidate the cache. *)
+    [Spf_runs] count); membership and topology changes invalidate the cache. *)
 
 val restart : t -> unit
 (** Crash-and-reboot: wipe the LSDB and forwarding cache; local
@@ -105,8 +94,6 @@ module Deployment : sig
       membership until they next change. *)
 
   val router : t -> Pim_graph.Topology.node -> router
-
-  val total_stats : t -> stats
 
   val total_membership_entries : t -> int
 end

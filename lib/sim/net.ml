@@ -45,6 +45,7 @@ type t = {
   m_offered : Pim_util.Metrics.counter;
   m_delivered : Pim_util.Metrics.counter;
   m_dropped : Pim_util.Metrics.counter;
+  counters : Counters.t;
   counts : int array;
   rings : ring array;
   tampers : tamper Queue.t array;
@@ -76,6 +77,7 @@ let create eng topo =
     m_offered = Pim_util.Metrics.counter metrics "net_offered";
     m_delivered = Pim_util.Metrics.counter metrics "net_delivered";
     m_dropped = Pim_util.Metrics.counter metrics "net_dropped";
+    counters = Counters.create ~nodes:(Topology.n_nodes topo);
     counts = Array.make (Topology.n_links topo) 0;
     rings =
       Array.init (Topology.n_links topo) (fun _ ->
@@ -145,6 +147,8 @@ let on_send t f = Vec.push t.send_subs f
 let on_drop t f = Vec.push t.drop_subs f
 
 let metrics t = t.metrics
+
+let counters t = t.counters
 
 let traversals t lid = t.counts.(lid)
 

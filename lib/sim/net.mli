@@ -128,6 +128,10 @@ val metrics : t -> Pim_util.Metrics.t
     same registry, and experiments export it as JSON (see
     EXPERIMENTS.md). *)
 
+val counters : t -> Counters.t
+(** The protocol counters of every router deployed on this net, one slot
+    per node and {!Counters.kind}. *)
+
 val on_deliver : t -> (Pim_graph.Topology.link_id -> Pim_net.Packet.t -> unit) -> unit
 (** Observe every completed link traversal (one call per delivered
     transmission, not per receiver, at delivery time) — the hook the

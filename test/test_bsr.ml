@@ -60,7 +60,7 @@ let test_election_converges () =
       ~cbsrs:[ (0, 1); (15, 2) ]
       ~crps:[ (5, [ (10, [ group ]) ]); (10, [ (0, []) ]) ]
   in
-  let eng, _net, bsr = standalone topo ~roles in
+  let eng, net, bsr = standalone topo ~roles in
   Engine.run ~until:30. eng;
   for u = 0 to Topology.n_nodes topo - 1 do
     Alcotest.(check (option string))
@@ -76,7 +76,8 @@ let test_election_converges () =
   for u = 1 to Topology.n_nodes topo - 1 do
     Alcotest.check addr_list (Printf.sprintf "node %d agrees" u) reference (Bsr.lookup bsr u group)
   done;
-  Alcotest.(check bool) "elections were won" true ((Bsr.stats bsr).Bsr.elections_won >= 1)
+  Alcotest.(check bool) "elections were won" true
+    (Pim_sim.Counters.total (Net.counters net) Elections_won >= 1)
 
 let test_bsr_crash_reelects () =
   let topo = Classic.grid 4 4 in
@@ -191,15 +192,17 @@ let failover_run () =
   send_loop 10.;
   ignore (Engine.schedule_at eng 30. (fun () -> Net.set_node_up net 4 false));
   Engine.run ~until:85. eng;
-  (List.sort Float.compare !arrivals, Deployment.total_stats dep, config)
+  ( List.sort Float.compare !arrivals,
+    Pim_sim.Counters.total (Net.counters net) Rp_failovers,
+    config )
 
 let test_rp_crash_failover_through_election () =
-  let times, stats, config = failover_run () in
+  let times, failovers, config = failover_run () in
   let before = List.filter (fun t -> t <= 30.) times in
   let after = List.filter (fun t -> t > 30.) times in
   Alcotest.(check bool) "delivery established before the crash" true (List.length before > 10);
   Alcotest.(check bool) "delivery resumed after the crash" true (List.length after > 10);
-  Alcotest.(check bool) "receiver failed over" true (stats.Router.rp_failovers >= 1);
+  Alcotest.(check bool) "receiver failed over" true (failovers >= 1);
   (* Largest post-establishment gap stays within the failover budget:
      detection (rp_timeout or mapping change) + re-join latency. *)
   let rec max_gap acc = function

@@ -2,6 +2,7 @@
 
 module Engine = Pim_sim.Engine
 module Net = Pim_sim.Net
+module Counters = Pim_sim.Counters
 module Topology = Pim_graph.Topology
 module Classic = Pim_graph.Classic
 module Addr = Pim_net.Addr
@@ -21,7 +22,7 @@ let mk ?(config = Cbt.fast_config) topo =
   (eng, net, dep)
 
 let test_join_ack_builds_tree () =
-  let eng, _, dep = mk (Classic.line 5) in
+  let eng, net, dep = mk (Classic.line 5) in
   Cbt.join_local (Cbt.Deployment.router dep 4) g;
   Engine.run ~until:10. eng;
   (* 4, 3 and the core are on the tree; 0 and 1 are not. *)
@@ -33,7 +34,8 @@ let test_join_ack_builds_tree () =
   (* Transit router has both parent and child interfaces. *)
   Alcotest.(check int) "transit degree 2" 2
     (List.length (Cbt.tree_ifaces (Cbt.Deployment.router dep 3) g));
-  Alcotest.(check bool) "acks were sent" true ((Cbt.Deployment.total_stats dep).Cbt.acks_sent > 0)
+  Alcotest.(check bool) "acks were sent" true
+    (Counters.total (Net.counters net) Counters.Acks_sent > 0)
 
 let test_bidirectional_data () =
   (* Members at both ends; an on-tree sender's packets go both ways
@@ -56,7 +58,7 @@ let test_bidirectional_data () =
   Alcotest.(check int) "sender's own member hears too" 5 !got4
 
 let test_off_tree_sender_encapsulates () =
-  let eng, _, dep = mk (Classic.line 5) in
+  let eng, net, dep = mk (Classic.line 5) in
   Cbt.join_local (Cbt.Deployment.router dep 4) g;
   let got = ref 0 in
   Cbt.on_local_data (Cbt.Deployment.router dep 4) (fun _ -> incr got);
@@ -71,11 +73,11 @@ let test_off_tree_sender_encapsulates () =
   Engine.run ~until:30. eng;
   Alcotest.(check int) "delivered via core" 5 !got;
   Alcotest.(check bool) "encapsulation used" true
-    ((Cbt.stats sender).Cbt.data_encapsulated > 0);
+    (Counters.get (Net.counters net) ~node:(Cbt.node sender) Counters.Data_encapsulated > 0);
   Alcotest.(check bool) "sender stayed off-tree" false (Cbt.on_tree sender g)
 
 let test_quit_on_leave () =
-  let eng, _, dep = mk (Classic.line 5) in
+  let eng, net, dep = mk (Classic.line 5) in
   let r4 = Cbt.Deployment.router dep 4 in
   Cbt.join_local r4 g;
   Engine.run ~until:10. eng;
@@ -85,7 +87,8 @@ let test_quit_on_leave () =
   Engine.run ~until:80. eng;
   Alcotest.(check bool) "receiver left" false (Cbt.on_tree r4 g);
   Alcotest.(check bool) "transit quit too" false (Cbt.on_tree (Cbt.Deployment.router dep 3) g);
-  Alcotest.(check bool) "quits were sent" true ((Cbt.Deployment.total_stats dep).Cbt.quits_sent > 0)
+  Alcotest.(check bool) "quits were sent" true
+    (Counters.total (Net.counters net) Counters.Quits_sent > 0)
 
 let test_flush_and_rejoin_on_parent_death () =
   (* Ring topology so an alternate path exists after the failure. *)

@@ -143,15 +143,17 @@ let test_deployment_total_stats () =
   let dep = Pim_core.Deployment.create_static ~config:Config.fast net ~rp_set in
   Pim_core.Router.join_local (Pim_core.Deployment.router dep 3) g1;
   Pim_sim.Engine.run ~until:20. eng;
-  let total = Pim_core.Deployment.total_stats dep in
+  let counters = Pim_sim.Net.counters net in
   let by_hand =
     Array.fold_left
-      (fun acc r -> acc + (Pim_core.Router.stats r).Pim_core.Router.jp_msgs_sent)
+      (fun acc r ->
+        acc + Pim_sim.Counters.get counters ~node:(Pim_core.Router.node r) Jp_msgs_sent)
       0
       (Pim_core.Deployment.routers dep)
   in
-  Alcotest.(check int) "aggregation matches" by_hand total.Pim_core.Router.jp_msgs_sent;
-  Alcotest.(check bool) "joins flowed" true (total.Pim_core.Router.joins_sent > 0)
+  Alcotest.(check int) "aggregation matches" by_hand
+    (Pim_sim.Counters.total counters Jp_msgs_sent);
+  Alcotest.(check bool) "joins flowed" true (Pim_sim.Counters.total counters Joins_sent > 0)
 
 (* Olist: the in-place oif walks against the lists they replaced *)
 

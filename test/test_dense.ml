@@ -3,6 +3,7 @@
 
 module Engine = Pim_sim.Engine
 module Net = Pim_sim.Net
+module Counters = Pim_sim.Counters
 module Topology = Pim_graph.Topology
 module Classic = Pim_graph.Classic
 module Group = Pim_net.Group
@@ -60,7 +61,7 @@ let test_prunes_trim_tree () =
   let dead_branch_after = Net.traversals net 3 in
   Alcotest.(check int) "pruned branch stays quiet" 0 (dead_branch_after - dead_branch_before);
   Alcotest.(check bool) "prunes were sent" true
-    ((Dense.Deployment.total_stats dep).Dense.prunes_sent > 0)
+    (Counters.total (Net.counters net) Counters.Prunes_sent > 0)
 
 (* Pruned branches grow back after the prune timeout: the periodic
    re-broadcast of Figure 1(b). *)
@@ -109,7 +110,7 @@ let test_child_check_vs_pim_dm () =
     Dense.on_local_data (Dense.Deployment.router dep 8) (fun _ -> incr got);
     send_n eng dep ~from:0 ~start:1. ~interval:1. 10;
     Engine.run ~until:20. eng;
-    (!got, (Dense.Deployment.total_stats dep).Dense.data_forwarded)
+    (!got, Counters.total (Net.counters net) Counters.Data_forwarded)
   in
   let got_dvmrp, fwd_dvmrp = run Dense.Dvmrp in
   let got_dm, fwd_dm = run Dense.Pim_dm in
@@ -122,7 +123,7 @@ let test_child_check_vs_pim_dm () =
 (* Graft: a new member on a pruned branch pulls the flow back quickly. *)
 let test_graft () =
   let config = { Dense.fast_config with Dense.graft = true } in
-  let eng, _, dep = mk ~config (Classic.line 4) in
+  let eng, net, dep = mk ~config (Classic.line 4) in
   (* Steady flow with no members: everything pruned. *)
   send_n eng dep ~from:0 ~start:1. ~interval:0.5 60;
   Engine.run ~until:10. eng;
@@ -139,7 +140,8 @@ let test_graft () =
     (* Without graft the branch would wait for the 18 s prune timeout. *)
     Alcotest.(check bool) (Printf.sprintf "graft repaired fast (%.2f)" t) true (t < 18.)
   | None -> Alcotest.fail "member never received after graft");
-  Alcotest.(check bool) "joins sent" true ((Dense.Deployment.total_stats dep).Dense.joins_sent > 0)
+  Alcotest.(check bool) "joins sent" true
+    (Counters.total (Net.counters net) Counters.Joins_sent > 0)
 
 (* Without graft, the same scenario waits for prune grow-back. *)
 let test_no_graft_waits_for_growback () =
@@ -163,7 +165,7 @@ let test_no_graft_waits_for_growback () =
    all. *)
 let test_rpf_drops () =
   let config = { Dense.fast_config with Dense.mode = Dense.Pim_dm } in
-  let eng, _, dep = mk ~config (Classic.ring 4) in
+  let eng, net, dep = mk ~config (Classic.ring 4) in
   Dense.join_local (Dense.Deployment.router dep 2) g;
   let got = ref 0 in
   Dense.on_local_data (Dense.Deployment.router dep 2) (fun _ -> incr got);
@@ -173,7 +175,7 @@ let test_rpf_drops () =
      single delivery per packet. *)
   Alcotest.(check int) "no duplicates on the ring" 5 !got;
   Alcotest.(check bool) "off-path copies dropped" true
-    ((Dense.Deployment.total_stats dep).Dense.data_dropped_iif > 0)
+    (Counters.total (Net.counters net) Counters.Data_dropped_iif > 0)
 
 let test_state_expires () =
   let eng, _, dep = mk (Classic.line 3) in

@@ -215,6 +215,25 @@ join members
 advance 30
 |}
 
+(* An unreadable file is a parse error carrying the system's reason, not
+   an exception; the path is left for the caller to print. *)
+let test_parse_file_unreadable () =
+  match Dsl.parse_file "no-such-dir/missing.scn" with
+  | Ok _ -> Alcotest.fail "parsed a missing file"
+  | Error msg -> Alcotest.(check string) "reason only" "No such file or directory" msg
+
+let test_explore_rejects_bad_bounds () =
+  let base = parse_ok explore_base in
+  let explore ?depth ?budget ?probes () =
+    ignore (Explore.run ~base ~protocol:Stack.Pim_sm ?depth ?budget ?probes ())
+  in
+  Alcotest.check_raises "depth"
+    (Invalid_argument "Explore.run: depth must be >= 0 (got -1)") (explore ~depth:(-1));
+  Alcotest.check_raises "budget"
+    (Invalid_argument "Explore.run: budget must be >= 1 (got 0)") (explore ~budget:0);
+  Alcotest.check_raises "probes"
+    (Invalid_argument "Explore.run: probes must be >= 1 (got -1)") (explore ~probes:(-1))
+
 let test_explore_clean_smoke () =
   let base = parse_ok explore_base in
   let r = Explore.run ~base ~protocol:Stack.Pim_sm ~depth:1 ~budget:20 () in
@@ -335,6 +354,7 @@ let () =
           Alcotest.test_case "round-trip through to_string" `Quick test_parse_roundtrip;
           Alcotest.test_case "derived and random topologies" `Quick test_parse_derived_and_random;
           Alcotest.test_case "errors name the line" `Quick test_parse_errors_name_the_line;
+          Alcotest.test_case "unreadable file is an error" `Quick test_parse_file_unreadable;
         ] );
       ( "run",
         [
@@ -346,6 +366,7 @@ let () =
       ( "explore",
         [
           Alcotest.test_case "clean smoke at depth 1" `Quick test_explore_clean_smoke;
+          Alcotest.test_case "rejects bad bounds" `Quick test_explore_rejects_bad_bounds;
           Alcotest.test_case "rediscovers the switchover loss" `Slow
             test_explore_rediscovers_switchover_loss;
         ] );

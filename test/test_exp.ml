@@ -450,6 +450,204 @@ let prop_workload_domains_identity =
       let reference = render 1 in
       List.for_all (fun d -> String.equal reference (render d)) [ 2; 3; 8 ])
 
+(* {1 Every protocol counter, pinned}
+
+   One seeded scenario per protocol on a 14-router random graph: four
+   members join, a non-member source sends twice a second, one member
+   leaves, the first RP (or CBT core) is down for 30 s and reboots, the
+   member rejoins, and the second RP is down for 3 s and reboots.
+   PIM-SM runs under a live BSR election with two C-RPs for the group.
+   Deployments are built the way {!Pim_exp.Stack} builds them.  Every
+   counter's network-wide total and its value at the source, the first
+   RP and the first member are compared against a table generated once;
+   BSR counters have no per-node value. *)
+
+let counter_rows protocol =
+  let module Engine = Pim_sim.Engine in
+  let module Net = Pim_sim.Net in
+  let module Addr = Pim_net.Addr in
+  let module Stack = Pim_exp.Stack in
+  let module Counters = Pim_sim.Counters in
+  let prng = Pim_util.Prng.create 19 in
+  let topo = Pim_graph.Random_graph.generate ~prng ~nodes:14 ~degree:3. () in
+  let picks = Pim_graph.Random_graph.pick_members ~prng ~nodes:14 ~count:7 in
+  let rp1, rp2, source, members =
+    match picks with r1 :: r2 :: s :: ms -> (r1, r2, s, ms) | _ -> assert false
+  in
+  let g = Pim_net.Group.of_index 7 in
+  let eng = Engine.create () in
+  let net = Net.create eng topo in
+  let n = Pim_graph.Topology.n_nodes topo in
+  (* join, leave, send, restart, the kinds read per node as well, and
+     the kinds only read network-wide. *)
+  let join, leave, send, restart, kinds, total_only =
+    match protocol with
+    | Stack.Pim_sm ->
+      let module R = Pim_core.Router in
+      let ribs = Pim_routing.Static.rib (Pim_routing.Static.create net) in
+      let roles =
+        Pim_core.Placement.roles
+          [ (g, [ Addr.router rp1; Addr.router rp2 ]) ]
+          ~n_nodes:n
+          ~cbsrs:
+            (List.init n Fun.id
+            |> List.filter (fun u -> u <> rp1 && u <> rp2)
+            |> List.filteri (fun i _ -> i < 2)
+            |> List.mapi (fun i u -> (u, 2 - i)))
+      in
+      let b = Pim_core.Bsr.deploy ~config:Pim_core.Bsr.fast ~net ~ribs ~roles () in
+      let d =
+        Pim_core.Deployment.create ~config:Pim_core.Config.fast ~bsr:b ~net ~ribs
+          ~rp_set:Pim_core.Rp_set.empty ()
+      in
+      let r = Pim_core.Deployment.router d in
+      let kinds =
+        Counters.
+          [ Jp_msgs_sent; Joins_sent; Prunes_sent; Registers_sent; Rp_reach_sent; Data_forwarded;
+            Data_dropped_iif; Data_dup_suppressed; Data_dropped_no_state; Data_delivered_local;
+            Unicast_forwarded; Spt_switches; Rp_failovers ]
+      in
+      let bsr_kinds =
+        Counters.
+          [ Bootstraps_sent; Bootstraps_forwarded; Adverts_sent; Elections_won; Mapping_changes ]
+      in
+      ( (fun u -> R.join_local (r u) g),
+        (fun u -> R.leave_local (r u) g),
+        (fun u -> R.send_local_data (r u) ~group:g ()),
+        (fun u ->
+          R.restart (r u);
+          Pim_core.Bsr.restart b u),
+        kinds,
+        bsr_kinds )
+    | Stack.Pim_dm | Stack.Dvmrp ->
+      let module R = Pim_dense.Router in
+      let mode = if protocol = Stack.Pim_dm then R.Pim_dm else R.Dvmrp in
+      let d = R.Deployment.create_static ~config:{ R.fast_config with mode; graft = true } net in
+      let r = R.Deployment.router d in
+      let kinds =
+        Counters.
+          [ Joins_sent; Prunes_sent; Data_forwarded; Data_dropped_iif; Data_delivered_local ]
+      in
+      ( (fun u -> R.join_local (r u) g),
+        (fun u -> R.leave_local (r u) g),
+        (fun u -> R.send_local_data (r u) ~group:g ()),
+        (fun u -> R.restart (r u)),
+        kinds,
+        [] )
+    | Stack.Cbt ->
+      let module R = Pim_cbt.Router in
+      let d =
+        R.Deployment.create_static ~config:R.fast_config net ~core_of:(fun _ ->
+            Some (Addr.router rp1))
+      in
+      let r = R.Deployment.router d in
+      let kinds =
+        Counters.
+          [ Joins_sent; Acks_sent; Echoes_sent; Quits_sent; Flushes; Data_forwarded;
+            Data_encapsulated; Data_dropped_off_tree; Data_delivered_local ]
+      in
+      ( (fun u -> R.join_local (r u) g),
+        (fun u -> R.leave_local (r u) g),
+        (fun u -> R.send_local_data (r u) ~group:g ()),
+        (fun u -> R.restart (r u)),
+        kinds,
+        [] )
+    | Stack.Mospf ->
+      let module R = Pim_mospf.Router in
+      let d = R.Deployment.create ~lsa_refresh:5. net in
+      let r = R.Deployment.router d in
+      let kinds =
+        Counters.
+          [ Lsa_sent; Spf_runs; Data_forwarded; Data_dropped_iif; Data_dropped_off_tree;
+            Data_delivered_local ]
+      in
+      ( (fun u -> R.join_local (r u) g),
+        (fun u -> R.leave_local (r u) g),
+        (fun u -> R.send_local_data (r u) ~group:g ()),
+        (fun u -> R.restart (r u)),
+        kinds,
+        [] )
+  in
+  let at time f = ignore (Engine.schedule_at eng time f) in
+  at 0.5 (fun () -> List.iter join members);
+  for i = 0 to 129 do
+    at (3. +. (0.5 *. float_of_int i)) (fun () -> send source)
+  done;
+  at 12. (fun () -> leave (List.hd members));
+  at 15. (fun () -> Net.set_node_up net rp1 false);
+  at 45. (fun () ->
+      Net.set_node_up net rp1 true;
+      restart rp1);
+  at 50. (fun () -> join (List.hd members));
+  at 58. (fun () -> Net.set_node_up net rp2 false);
+  at 61. (fun () ->
+      Net.set_node_up net rp2 true;
+      restart rp2);
+  Engine.run ~until:75. eng;
+  let c = Net.counters net in
+  let row k nodes =
+    Printf.sprintf "%s %s %d%s" (Stack.to_string protocol) (Counters.name k) (Counters.total c k)
+      nodes
+  in
+  List.map
+    (fun k ->
+      [ source; rp1; List.hd members ]
+      |> List.map (fun u -> string_of_int (Counters.get c ~node:u k))
+      |> String.concat "," |> Printf.sprintf " [%s]" |> row k)
+    kinds
+  @ List.map (fun k -> row k "") total_only
+
+let expected_counters =
+  [
+    "PIM-SM jp_msgs_sent 174 [0,16,17]";
+    "PIM-SM joins_sent 152 [0,7,13]";
+    "PIM-SM prunes_sent 71 [0,10,8]";
+    "PIM-SM registers_sent 55 [55,0,0]";
+    "PIM-SM rp_reach_sent 24 [0,9,0]";
+    "PIM-SM data_forwarded 715 [110,22,0]";
+    "PIM-SM data_dropped_iif 25 [0,2,2]";
+    "PIM-SM data_dup_suppressed 8 [0,0,0]";
+    "PIM-SM data_dropped_no_state 2 [0,0,0]";
+    "PIM-SM data_delivered_local 378 [0,0,36]";
+    "PIM-SM unicast_forwarded 63 [18,1,1]";
+    "PIM-SM spt_switches 4 [0,0,1]";
+    "PIM-SM rp_failovers 4 [0,0,0]";
+    "PIM-SM bootstraps_sent 32";
+    "PIM-SM bootstraps_forwarded 376";
+    "PIM-SM adverts_sent 45";
+    "PIM-SM elections_won 2";
+    "PIM-SM mapping_changes 28";
+    "PIM-DM joins_sent 1 [0,0,1]";
+    "PIM-DM prunes_sent 290 [0,36,16]";
+    "PIM-DM data_forwarded 1195 [169,16,99]";
+    "PIM-DM data_dropped_iif 192 [0,24,8]";
+    "PIM-DM data_delivered_local 434 [0,0,50]";
+    "DVMRP joins_sent 1 [0,0,1]";
+    "DVMRP prunes_sent 100 [0,12,8]";
+    "DVMRP data_forwarded 814 [157,0,30]";
+    "DVMRP data_dropped_iif 12 [0,6,0]";
+    "DVMRP data_delivered_local 432 [0,0,50]";
+    "CBT joins_sent 20 [0,0,3]";
+    "CBT acks_sent 17 [0,6,0]";
+    "CBT echoes_sent 139 [0,0,12]";
+    "CBT quits_sent 1 [0,0,1]";
+    "CBT flushes 4 [0,0,0]";
+    "CBT data_forwarded 163 [0,73,0]";
+    "CBT data_encapsulated 130 [130,0,0]";
+    "CBT data_dropped_off_tree 4 [0,0,4]";
+    "CBT data_delivered_local 102 [0,0,48]";
+    "MOSPF lsa_sent 1683 [59,83,187]";
+    "MOSPF spf_runs 256 [41,0,18]";
+    "MOSPF data_forwarded 700 [130,0,0]";
+    "MOSPF data_dropped_iif 4 [0,0,0]";
+    "MOSPF data_dropped_off_tree 7 [0,0,5]";
+    "MOSPF data_delivered_local 431 [0,0,49]";
+  ]
+
+let test_counters_pinned () =
+  let got = List.concat_map counter_rows Pim_exp.Stack.all in
+  Alcotest.(check (list string)) "every counter" expected_counters got
+
 (* {1 Allocation budget of the forwarding path}
 
    With no trace attached, forwarding builds no event payloads: every
@@ -639,6 +837,7 @@ let () =
       ("churn", [ Alcotest.test_case "dynamic groups (E7)" `Quick test_churn ]);
       ("loss", [ Alcotest.test_case "control-loss robustness (E8)" `Quick test_loss_robustness ]);
       ("metrics", [ Alcotest.test_case "classification" `Quick test_metrics_classification ]);
+      ("counters", [ Alcotest.test_case "every kind pinned" `Quick test_counters_pinned ]);
       ( "workload",
         [
           Alcotest.test_case "schedule shape" `Quick test_workload_schedule_shape;

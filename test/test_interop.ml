@@ -118,7 +118,7 @@ let test_region_source_reaches_external_member () =
     true (!got >= 4);
   (* The border's sparse half registered the region source. *)
   Alcotest.(check bool) "border registered as proxy" true
-    ((Pim.stats (List.assoc 3 w.pim)).Pim.registers_sent > 0)
+    (Pim_sim.Counters.get (Net.counters w.net) ~node:3 Registers_sent > 0)
 
 let test_border_leaves_when_region_empties () =
   let w = mk_world () in
@@ -138,7 +138,7 @@ let test_second_region_member_no_rejoin_churn () =
   let w = mk_world () in
   Dense.join_local (List.assoc 6 w.dense) g;
   Engine.run ~until:10. w.eng;
-  let joins_before = (Pim.stats (List.assoc 3 w.pim)).Pim.joins_sent in
+  let joins_before = Pim_sim.Counters.get (Net.counters w.net) ~node:3 Joins_sent in
   (* A second member appears and the first leaves: region stays populated,
      so the border should not leave/rejoin the wide-area tree. *)
   Dense.join_local (List.assoc 7 w.dense) g;
@@ -146,7 +146,7 @@ let test_second_region_member_no_rejoin_churn () =
   Dense.leave_local (List.assoc 6 w.dense) g;
   Engine.run ~until:25. w.eng;
   Alcotest.(check int) "still joined" 1 (List.length (Border.joined_groups w.border));
-  let joins_after = (Pim.stats (List.assoc 3 w.pim)).Pim.joins_sent in
+  let joins_after = Pim_sim.Counters.get (Net.counters w.net) ~node:3 Joins_sent in
   (* Only periodic refreshes in between, no triggered leave/rejoin spike:
      15 s at one refresh per 6 s ~ 3 messages. *)
   Alcotest.(check bool)

@@ -13,6 +13,7 @@ let qcheck_rand () =
 
 module Engine = Pim_sim.Engine
 module Net = Pim_sim.Net
+module Counters = Pim_sim.Counters
 module Topology = Pim_graph.Topology
 module Classic = Pim_graph.Classic
 module Group = Pim_net.Group
@@ -42,7 +43,7 @@ let send_n eng dep ~from ~start n =
 
 (* Membership floods to every router — the state cost the paper cites. *)
 let test_membership_floods_everywhere () =
-  let eng, _, dep = mk (Classic.grid 3 3) in
+  let eng, net, dep = mk (Classic.grid 3 3) in
   Mospf.join_local (Mospf.Deployment.router dep 8) g;
   Engine.run ~until:10. eng;
   for u = 0 to 8 do
@@ -54,10 +55,10 @@ let test_membership_floods_everywhere () =
   (* 9 routers x 1 membership pair. *)
   Alcotest.(check int) "total membership entries" 9 (Mospf.Deployment.total_membership_entries dep);
   Alcotest.(check bool) "lsas flooded" true
-    ((Mospf.Deployment.total_stats dep).Mospf.lsa_sent > 0)
+    (Counters.total (Net.counters net) Counters.Lsa_sent > 0)
 
 let test_delivery_on_spt () =
-  let eng, _, dep = mk (Classic.grid 3 3) in
+  let eng, net, dep = mk (Classic.grid 3 3) in
   let members = [ 2; 6; 8 ] in
   let counts = Array.make 9 0 in
   List.iter
@@ -71,17 +72,18 @@ let test_delivery_on_spt () =
   List.iter
     (fun m -> Alcotest.(check int) (Printf.sprintf "member %d" m) 5 counts.(m))
     members;
-  Alcotest.(check bool) "dijkstras ran" true ((Mospf.Deployment.total_stats dep).Mospf.spf_runs > 0)
+  Alcotest.(check bool) "dijkstras ran" true
+    (Counters.total (Net.counters net) Counters.Spf_runs > 0)
 
 (* The forwarding cache amortises Dijkstra: per (source, group), not per
    packet. *)
 let test_spf_cached () =
-  let eng, _, dep = mk (Classic.line 4) in
+  let eng, net, dep = mk (Classic.line 4) in
   Mospf.join_local (Mospf.Deployment.router dep 3) g;
   Engine.run ~until:5. eng;
   send_n eng dep ~from:0 ~start:5. 10;
   Engine.run ~until:30. eng;
-  let runs = (Mospf.Deployment.total_stats dep).Mospf.spf_runs in
+  let runs = Counters.total (Net.counters net) Counters.Spf_runs in
   (* 4 routers, one (source, group): roughly one run per on-tree router,
      not one per packet per router. *)
   Alcotest.(check bool) (Printf.sprintf "cached (%d runs)" runs) true (runs <= 8)
@@ -312,7 +314,7 @@ let test_spf_runs_pinned () =
   Engine.run ~until:10. eng;
   send_n eng dep ~from:0 ~start:10. 5;
   Engine.run ~until:20. eng;
-  let after_first = (Mospf.Deployment.total_stats dep).Mospf.spf_runs in
+  let after_first = Counters.total (Net.counters net) Counters.Spf_runs in
   (* A link failure drops every cached plan; a new member floods an LSA,
      which drops them again. *)
   Net.set_link_up net 0 false;
@@ -322,10 +324,10 @@ let test_spf_runs_pinned () =
   Engine.run ~until:35. eng;
   send_n eng dep ~from:4 ~start:35. 3;
   Engine.run ~until:50. eng;
-  let st = Mospf.Deployment.total_stats dep in
+  let total = Counters.total (Net.counters net) in
   Alcotest.(check int) "spf runs after the first burst" 7 after_first;
-  Alcotest.(check int) "spf runs at the end" 22 st.Mospf.spf_runs;
-  Alcotest.(check int) "data forwarded" 69 st.Mospf.data_forwarded
+  Alcotest.(check int) "spf runs at the end" 22 (total Counters.Spf_runs);
+  Alcotest.(check int) "data forwarded" 69 (total Counters.Data_forwarded)
 
 let () =
   Alcotest.run "pim_mospf"

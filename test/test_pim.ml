@@ -8,6 +8,7 @@
 
 module Engine = Pim_sim.Engine
 module Net = Pim_sim.Net
+module Counters = Pim_sim.Counters
 module Topology = Pim_graph.Topology
 module Classic = Pim_graph.Classic
 module Addr = Pim_net.Addr
@@ -37,6 +38,11 @@ let mk ?(config = Config.fast) ?(rp = 2) topo =
   let rp_set = Rp_set.single g (Addr.router rp) in
   let dep = Deployment.create_static ~config net ~rp_set in
   (eng, net, dep)
+
+(* The protocol counters of the deployment's net. *)
+let count dep node k = Counters.get (Net.counters (Deployment.net dep)) ~node k
+
+let total dep k = Counters.total (Net.counters (Deployment.net dep)) k
 
 let deliveries dep node =
   let count = ref 0 in
@@ -88,7 +94,7 @@ let test_register_and_delivery () =
   let e = Option.get (Fwd.find_sg (Router.fib rp) g src) in
   Alcotest.(check (option int)) "RP (S,G) iif toward source" (Some 0) e.Fwd.iif;
   Alcotest.(check bool) "registers were sent" true
-    ((Router.stats (Deployment.router dep 0)).Router.registers_sent > 0)
+    (count dep 0 Counters.Registers_sent > 0)
 
 (* Registers stop once the native path is up (our stand-in for the
    behaviour the later Register-Stop provides). *)
@@ -98,7 +104,7 @@ let test_register_suppression () =
   Engine.run ~until:5. eng;
   send_n eng dep ~from:0 ~start:5. ~interval:1. 20;
   Engine.run ~until:40. eng;
-  let regs = (Router.stats (Deployment.router dep 0)).Router.registers_sent in
+  let regs = count dep 0 Counters.Registers_sent in
   Alcotest.(check bool)
     (Printf.sprintf "registers only during setup (%d)" regs)
     true
@@ -123,14 +129,14 @@ let test_spt_switch () =
   let src = Router.local_source_addr (Deployment.router dep 3) in
   let ea = Option.get (Fwd.find_sg (Router.fib a) g src) in
   Alcotest.(check bool) "A SPT bit" true ea.Fwd.spt_bit;
-  Alcotest.(check bool) "A switched" true ((Router.stats a).Router.spt_switches > 0);
+  Alcotest.(check bool) "A switched" true (count dep (Router.node a) Counters.Spt_switches > 0);
   (* B diverges: its shared iif (toward C) differs from its SPT iif
      (toward D) — it pruned Sn off the shared tree. *)
   let br = Deployment.router dep 1 in
   let eb = Option.get (Fwd.find_sg (Router.fib br) g src) in
   let star_b = Option.get (Fwd.find_star (Router.fib br) g) in
   Alcotest.(check bool) "B iifs diverge" true (eb.Fwd.iif <> star_b.Fwd.iif);
-  Alcotest.(check bool) "B sent prunes" true ((Router.stats br).Router.prunes_sent > 0);
+  Alcotest.(check bool) "B sent prunes" true (count dep (Router.node br) Counters.Prunes_sent > 0);
   ignore net;
   (* Steady state: packets reach A over the 2-hop shortest path D-B-A.
      (Data keeps flowing D-B-C natively — the RP stays joined to the
@@ -164,7 +170,7 @@ let test_policy_never () =
   Alcotest.(check bool) "no (S,G) at receiver" true
     (Fwd.find_sg (Router.fib (Deployment.router dep 4)) g src = None);
   Alcotest.(check int) "no switches" 0
-    (Router.stats (Deployment.router dep 4)).Router.spt_switches
+    (count dep 4 Counters.Spt_switches)
 
 (* Section 3.3: the m-packets-in-n-seconds threshold policy. *)
 let test_policy_threshold () =
@@ -255,7 +261,7 @@ let test_rp_failover () =
   Alcotest.(check (option string)) "failed over" (Some "10.0.0.2")
     (Option.map Addr.to_string (Router.current_rp receiver g));
   Alcotest.(check bool) "failover counted" true
-    ((Router.stats receiver).Router.rp_failovers > 0);
+    (count dep (Router.node receiver) Counters.Rp_failovers > 0);
   Alcotest.(check bool)
     (Printf.sprintf "delivery resumed (%d)" !got)
     true (!got > 40)
@@ -271,7 +277,7 @@ let test_lan_join_suppression () =
   Router.join_local (Deployment.router dep 1) g;
   Router.join_local (Deployment.router dep 2) g;
   Engine.run ~until:60. eng;
-  let jp r = (Router.stats (Deployment.router dep r)).Router.jp_msgs_sent in
+  let jp r = count dep r Counters.Jp_msgs_sent in
   (* Over 10 refresh periods, unsuppressed peers would send ~10 joins
      each; suppression keeps the combined count near one per period. *)
   let total = jp 1 + jp 2 in
@@ -303,7 +309,7 @@ let test_lan_prune_override () =
   Alcotest.(check bool) "receiver 2 got everything" true (!got2 >= 78);
   Alcotest.(check bool) "receiver 1 stopped early" true (!got1 < !got2);
   Alcotest.(check bool) "an override was sent" true
-    ((Deployment.total_stats dep).Router.joins_sent > 0)
+    (total dep Counters.Joins_sent > 0)
 
 (* Two groups with different RPs stay isolated. *)
 let test_group_isolation () =
@@ -615,7 +621,7 @@ let test_large_scale_soak () =
     true
     (float_of_int !got >= 0.95 *. float_of_int !expected);
   Alcotest.(check bool) "no flood-scale blowup" true
-    ((Deployment.total_stats dep).Router.data_dropped_no_state < !expected)
+    (total dep Counters.Data_dropped_no_state < !expected)
 
 (* Edge cases around group configuration and senders without receivers. *)
 let test_group_without_rp_ignored () =
@@ -646,7 +652,7 @@ let test_sender_without_receivers () =
   Alcotest.(check bool) "rp joined the source" true
     (Fwd.find_sg (Router.fib (Deployment.router dep 2)) g src <> None);
   Alcotest.(check int) "nobody delivered" 0
-    (Deployment.total_stats dep).Router.data_delivered_local
+    (total dep Counters.Data_delivered_local)
 
 let test_receiver_is_source () =
   (* A member that also sends hears its own packets (loopback via the

@@ -586,6 +586,56 @@ let test_net_dispatch_alloc () =
     (Printf.sprintf "%.1f words per delivered frame <= 3.8" per)
     true (per <= 3.8)
 
+(* Counters keep one slot per (node, kind): every kind counts apart at
+   every node, totals sum the nodes, and a node outside the table is
+   rejected rather than counted into another kind's slot. *)
+let test_counters_slots () =
+  let module C = Pim_sim.Counters in
+  let c = C.create ~nodes:3 in
+  List.iteri
+    (fun i k ->
+      C.add c ~node:(i mod 3) k (i + 1);
+      C.incr c ~node:((i + 1) mod 3) k)
+    C.all;
+  List.iteri
+    (fun i k ->
+      Alcotest.(check int) (C.name k ^ " added") (i + 1) (C.get c ~node:(i mod 3) k);
+      Alcotest.(check int) (C.name k ^ " incremented") 1 (C.get c ~node:((i + 1) mod 3) k);
+      Alcotest.(check int) (C.name k ^ " untouched") 0 (C.get c ~node:((i + 2) mod 3) k);
+      Alcotest.(check int) (C.name k ^ " total") (i + 2) (C.total c k))
+    C.all;
+  Alcotest.(check int) "26 kinds, distinct names" 26
+    (List.length (List.sort_uniq String.compare (List.map C.name C.all)));
+  Alcotest.(check string) "snake-case name" "jp_msgs_sent" (C.name C.Jp_msgs_sent);
+  List.iter
+    (fun node ->
+      Alcotest.check_raises (Printf.sprintf "node %d rejected" node)
+        (Invalid_argument "index out of bounds") (fun () -> C.incr c ~node C.Mapping_changes))
+    [ -1; 3 ]
+
+(* Counting is on every router's per-packet path and allocates nothing:
+   [incr] and [add] take labelled, never optional, arguments (an optional
+   [?by] would box), and the table is one flat int array. *)
+let test_counters_alloc () =
+  let module C = Pim_sim.Counters in
+  let c = C.create ~nodes:9 in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let count () =
+    for i = 0 to 9_999 do
+      C.incr c ~node:(i mod 9) C.Data_forwarded;
+      C.add c ~node:(i mod 9) C.Joins_sent 3
+    done
+  in
+  let extra = words count -. words ignore in
+  Alcotest.(check int) "every count landed" 10_000 (C.total c C.Data_forwarded);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for 10000 incr and add = 0" extra)
+    true (extra = 0.)
+
 let test_net_loss () =
   let eng, net = mk_line () in
   let got = ref 0 in
@@ -879,6 +929,8 @@ let () =
           Alcotest.test_case "hosts" `Quick test_net_hosts;
           Alcotest.test_case "traversal counting" `Quick test_net_traversals;
           Alcotest.test_case "handler dispatch allocation" `Quick test_net_dispatch_alloc;
+          Alcotest.test_case "counters: one slot per node and kind" `Quick test_counters_slots;
+          Alcotest.test_case "counters allocation" `Quick test_counters_alloc;
           Alcotest.test_case "loss injection" `Quick test_net_loss;
           Alcotest.test_case "loss filter" `Quick test_net_loss_filter;
           QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_net_matches_reference;
