@@ -14,40 +14,48 @@ let json_arg =
   in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
 
-(* Run [f], and when [--json PATH] was given wrap its rows (serialized by
-   [row_to_json]) in a timing envelope and write them to PATH. *)
-let with_json_output ~experiment ~json ~params ~row_to_json f =
-  let t0 = Unix.gettimeofday () in (* pimlint: allow D2 — wall-clock timing envelope, not randomness *)
-  let a0 = Gc.allocated_bytes () in
-  let rows = f () in
-  let wall_s = Unix.gettimeofday () -. t0 in (* pimlint: allow D2 — wall-clock timing envelope, not randomness *)
-  let alloc = Gc.allocated_bytes () -. a0 in
-  Option.iter
-    (fun path ->
-      Pim_util.Json.(
-        to_file path
-          (Obj
-             [
-               ("schema", Str "pim-exp/1");
-               ("experiment", Str experiment);
-               ("params", Obj params);
-               ("wall_s", Float wall_s);
-               ("alloc_bytes", Float alloc);
-               ("rows", Arr (List.map row_to_json rows));
-             ]));
-      Format.eprintf "# wrote %s (%.3f s)@." path wall_s)
-    json;
-  rows
-
 (* Library entry points check their parameters before simulating and
-   raise [Invalid_argument] on bad ones: report that as bad input, with
-   exit code 2, rather than as an uncaught exception. *)
-let or_bad_input cmd f =
+   raise [Invalid_argument] on bad ones, and an output file that cannot be
+   opened raises [Sys_error "<path>: <reason>"]: report either as bad
+   input, [<cmd>: <message>] with exit code 2, rather than as an uncaught
+   exception.  [input] names the file the parameters were read from. *)
+let or_bad_input ?input cmd f =
+  let fail msg =
+    Format.eprintf "%s: %s@." cmd msg;
+    exit 2
+  in
   match f () with
   | v -> v
   | exception Invalid_argument msg ->
-    Format.eprintf "%s: %s@." cmd msg;
-    exit 2
+    fail (match input with Some path -> path ^ ": " ^ msg | None -> msg)
+  | exception Sys_error msg -> fail msg
+
+(* Run [f], and when [--json PATH] was given wrap its rows (serialized by
+   [row_to_json]) in a timing envelope and write them to PATH; both under
+   [or_bad_input experiment]. *)
+let with_json_output ~experiment ~json ~params ~row_to_json f =
+  or_bad_input experiment (fun () ->
+      let t0 = Unix.gettimeofday () in (* pimlint: allow D2 — wall-clock timing envelope, not randomness *)
+      let a0 = Gc.allocated_bytes () in
+      let rows = f () in
+      let wall_s = Unix.gettimeofday () -. t0 in (* pimlint: allow D2 — wall-clock timing envelope, not randomness *)
+      let alloc = Gc.allocated_bytes () -. a0 in
+      Option.iter
+        (fun path ->
+          Pim_util.Json.(
+            to_file path
+              (Obj
+                 [
+                   ("schema", Str "pim-exp/1");
+                   ("experiment", Str experiment);
+                   ("params", Obj params);
+                   ("wall_s", Float wall_s);
+                   ("alloc_bytes", Float alloc);
+                   ("rows", Arr (List.map row_to_json rows));
+                 ]));
+          Format.eprintf "# wrote %s (%.3f s)@." path wall_s)
+        json;
+      rows)
 
 let trials_arg default =
   let doc = "Random networks per node degree." in
@@ -84,8 +92,7 @@ let fig2a_cmd =
     in
     let rows =
       with_json_output ~experiment:"fig2a" ~json ~params ~row_to_json (fun () ->
-          or_bad_input "fig2a" (fun () ->
-              Pim_exp.Fig2a.run ~nodes ~members ~trials ~domains ~seed ()))
+          Pim_exp.Fig2a.run ~nodes ~members ~trials ~domains ~seed ())
     in
     Format.printf "%a" Pim_exp.Fig2a.pp_rows rows
   in
@@ -123,8 +130,7 @@ let fig2b_cmd =
     in
     let rows =
       with_json_output ~experiment:"fig2b" ~json ~params ~row_to_json (fun () ->
-          or_bad_input "fig2b" (fun () ->
-              Pim_exp.Fig2b.run ~nodes ~groups ~members ~senders ~trials ~seed ()))
+          Pim_exp.Fig2b.run ~nodes ~groups ~members ~senders ~trials ~seed ())
     in
     Format.printf "%a" Pim_exp.Fig2b.pp_rows rows
   in
@@ -330,9 +336,8 @@ let chaos_cmd =
     ignore
       (with_json_output ~experiment:"chaos" ~json ~params ~row_to_json (fun () ->
            let r =
-             or_bad_input "chaos" (fun () ->
-                 Pim_exp.Chaos.run ~nodes ~receivers ~events ~topology ~fault ~rp_strategy
-                   ?protocols ~seed ())
+             Pim_exp.Chaos.run ~nodes ~receivers ~events ~topology ~fault ~rp_strategy
+               ?protocols ~seed ()
            in
            report := Some r;
            r.Pim_exp.Chaos.rows));
@@ -571,7 +576,9 @@ let trace_record_cmd =
       }
     in
     let o =
-      Pim_exp.Scenario.run ~capture_file:capture ?trace_file:trace_out ?metrics_file:metrics spec
+      or_bad_input "pimsim trace" (fun () ->
+          Pim_exp.Scenario.run ~capture_file:capture ?trace_file:trace_out
+            ?metrics_file:metrics spec)
     in
     Format.printf "scenario seed=%d members=[%s] rp=%d source=%d nodes=%d@." seed
       (String.concat ";" (List.map string_of_int o.Pim_exp.Scenario.members))
@@ -726,16 +733,13 @@ let fallback_override_arg =
 let scn_run_cmd =
   let run path protocol fallback trace_out capture metrics =
     let program = load_program_or_die path in
-    match
-      Pim_exp.Dsl.run ?protocol ?switchover_fallback:fallback ?trace_file:trace_out
-        ?capture_file:capture ?metrics_file:metrics program
-    with
-    | outcome ->
-      Format.printf "%s: %a" program.Pim_exp.Dsl.name Pim_exp.Dsl.pp_outcome outcome;
-      if not outcome.Pim_exp.Dsl.ok then exit 1
-    | exception Invalid_argument msg ->
-      Format.eprintf "pimsim scn: %s: %s@." path msg;
-      exit 2
+    let outcome =
+      or_bad_input ~input:path "pimsim scn" (fun () ->
+          Pim_exp.Dsl.run ?protocol ?switchover_fallback:fallback ?trace_file:trace_out
+            ?capture_file:capture ?metrics_file:metrics program)
+    in
+    Format.printf "%s: %a" program.Pim_exp.Dsl.name Pim_exp.Dsl.pp_outcome outcome;
+    if not outcome.Pim_exp.Dsl.ok then exit 1
   in
   let path = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE.scn") in
   let trace_out =
@@ -764,17 +768,15 @@ let scn_check_cmd =
     List.iter
       (fun path ->
         let program = load_program_or_die path in
-        match Pim_exp.Dsl.context program with
-        | ctx ->
-          Format.printf "%s: ok (%s, %s, %d nodes, %d steps)@." path program.Pim_exp.Dsl.name
-            (match program.Pim_exp.Dsl.protocol with
-            | Some p -> Pim_exp.Stack.to_string p
-            | None -> "protocol unset")
-            ctx.Pim_exp.Dsl.nodes
-            (List.length program.Pim_exp.Dsl.steps)
-        | exception Invalid_argument msg ->
-          Format.eprintf "pimsim scn: %s: %s@." path msg;
-          exit 2)
+        let ctx =
+          or_bad_input ~input:path "pimsim scn" (fun () -> Pim_exp.Dsl.context program)
+        in
+        Format.printf "%s: ok (%s, %s, %d nodes, %d steps)@." path program.Pim_exp.Dsl.name
+          (match program.Pim_exp.Dsl.protocol with
+          | Some p -> Pim_exp.Stack.to_string p
+          | None -> "protocol unset")
+          ctx.Pim_exp.Dsl.nodes
+          (List.length program.Pim_exp.Dsl.steps))
       paths
   in
   let paths = Arg.(non_empty & pos_all string [] & info [] ~docv:"FILE.scn") in
@@ -807,33 +809,30 @@ let explore_cmd =
     let found_any = ref false in
     List.iter
       (fun protocol ->
-        let report =
-          try
-            Pim_exp.Explore.run ~base ~protocol ~depth ~budget ~probes
-              ?switchover_fallback:fallback
-              ~log:(fun m -> Format.eprintf "# %s@." m)
-              ()
-          with Invalid_argument msg ->
-            Format.eprintf "pimsim explore: %s: %s@." base_file msg;
-            exit 2
-        in
-        Format.printf "%a" Pim_exp.Explore.pp_report report;
-        Option.iter
-          (fun (f : Pim_exp.Explore.found) ->
-            found_any := true;
-            let shrunk = f.Pim_exp.Explore.shrunk in
-            if not (Sys.file_exists out) then Sys.mkdir out 0o755;
-            let stem = Filename.concat out shrunk.Pim_exp.Dsl.name in
-            let scn = stem ^ ".scn" in
-            Out_channel.with_open_text scn (fun oc ->
-                Out_channel.output_string oc (Pim_exp.Dsl.to_string shrunk));
-            (* Replay the shrunk counterexample under full capture. *)
-            ignore
-              (Pim_exp.Dsl.run ~trace_file:(stem ^ ".trace.jsonl")
-                 ~capture_file:(stem ^ ".capture.jsonl") shrunk);
-            Format.printf "wrote %s (replayed: %s.trace.jsonl, %s.capture.jsonl)@." scn stem
-              stem)
-          report.Pim_exp.Explore.found)
+        or_bad_input ~input:base_file "pimsim explore" (fun () ->
+            let report =
+              Pim_exp.Explore.run ~base ~protocol ~depth ~budget ~probes
+                ?switchover_fallback:fallback
+                ~log:(fun m -> Format.eprintf "# %s@." m)
+                ()
+            in
+            Format.printf "%a" Pim_exp.Explore.pp_report report;
+            Option.iter
+              (fun (f : Pim_exp.Explore.found) ->
+                found_any := true;
+                let shrunk = f.Pim_exp.Explore.shrunk in
+                if not (Sys.file_exists out) then Sys.mkdir out 0o755;
+                let stem = Filename.concat out shrunk.Pim_exp.Dsl.name in
+                let scn = stem ^ ".scn" in
+                Out_channel.with_open_text scn (fun oc ->
+                    Out_channel.output_string oc (Pim_exp.Dsl.to_string shrunk));
+                (* Replay the shrunk counterexample under full capture. *)
+                ignore
+                  (Pim_exp.Dsl.run ~trace_file:(stem ^ ".trace.jsonl")
+                     ~capture_file:(stem ^ ".capture.jsonl") shrunk);
+                Format.printf "wrote %s (replayed: %s.trace.jsonl, %s.capture.jsonl)@." scn stem
+                  stem)
+              report.Pim_exp.Explore.found))
       protocols;
     if !found_any then exit 1
   in
@@ -975,19 +974,19 @@ let workload_cmd =
       print_string
         (Pim_exp.Workload.render_schedule
            (or_bad_input "workload" (fun () -> Pim_exp.Workload.generate spec)))
-    else begin
-      let report = or_bad_input "workload" (fun () -> Pim_exp.Workload.run spec) in
-      Format.printf "%a@?" Pim_exp.Workload.pp_report report;
-      (* Deliberately NOT the [with_json_output] envelope: the workload
-         JSON carries no wall-clock or allocation fields, so two runs with
-         the same seed are byte-identical (the determinism gate CI checks). *)
-      Option.iter
-        (fun path ->
-          Pim_util.Json.to_file path (Pim_exp.Workload.report_to_json report);
-          Format.eprintf "# wrote %s@." path)
-        json;
-      if List.exists (fun (_, n) -> n > 0) report.Pim_exp.Workload.oracle then exit 1
-    end
+    else
+      or_bad_input "workload" (fun () ->
+          let report = Pim_exp.Workload.run spec in
+          Format.printf "%a@?" Pim_exp.Workload.pp_report report;
+          (* Deliberately NOT the [with_json_output] envelope: the workload
+             JSON carries no wall-clock or allocation fields, so two runs with
+             the same seed are byte-identical (the determinism gate CI checks). *)
+          Option.iter
+            (fun path ->
+              Pim_util.Json.to_file path (Pim_exp.Workload.report_to_json report);
+              Format.eprintf "# wrote %s@." path)
+            json;
+          if List.exists (fun (_, n) -> n > 0) report.Pim_exp.Workload.oracle then exit 1)
   in
   let model =
     Arg.(

@@ -49,9 +49,11 @@ let () =
 
   Format.printf "@.--- protocol events ---@.";
   List.iter
-    (fun r ->
-      if List.mem r.Trace.tag [ "join"; "prune"; "register"; "spt-bit"; "spt-switch" ] then
-        Format.printf "%a@." Trace.pp_record r)
+    (fun (r : Trace.record) ->
+      match r.event with
+      | Join _ | Prune _ | Register _ | Spt_bit _ | Spt_switch _ ->
+        Format.printf "%a@." Trace.pp_record r
+      | _ -> ())
     (Trace.records trace);
 
   Format.printf "@.--- forwarding state ---@.";

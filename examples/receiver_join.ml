@@ -69,9 +69,11 @@ let () =
 
   Format.printf "@.=== IGMP and PIM events ===@.";
   List.iter
-    (fun r ->
-      if List.mem r.Trace.tag [ "member"; "join"; "register"; "entry-new" ] then
-        Format.printf "%a@." Trace.pp_record r)
+    (fun (r : Trace.record) ->
+      match r.event with
+      | Local_member _ | Join _ | Register _ | Entry_install _ ->
+        Format.printf "%a@." Trace.pp_record r
+      | _ -> ())
     (Trace.records trace);
 
   Format.printf "@.receiver host got %d of 3 data packets@." !got;

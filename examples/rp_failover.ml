@@ -61,9 +61,10 @@ let () =
 
   Format.printf "@.=== failover events ===@.";
   List.iter
-    (fun r ->
-      if List.mem r.Trace.tag [ "rp-failover"; "rp-retarget" ] then
-        Format.printf "%a@." Trace.pp_record r)
+    (fun (r : Trace.record) ->
+      match r.event with
+      | Rp_failover _ | Rp_retarget _ -> Format.printf "%a@." Trace.pp_record r
+      | _ -> ())
     (Trace.records trace);
 
   let times = List.sort compare !arrivals in

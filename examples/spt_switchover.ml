@@ -88,9 +88,10 @@ let () =
 
   Format.printf "@.=== switchover events ===@.";
   List.iter
-    (fun r ->
-      if List.mem r.Trace.tag [ "spt-switch"; "spt-bit"; "prune"; "join" ] then
-        Format.printf "%a@." Trace.pp_record r)
+    (fun (r : Trace.record) ->
+      match r.event with
+      | Spt_switch _ | Spt_bit _ | Prune _ | Join _ -> Format.printf "%a@." Trace.pp_record r
+      | _ -> ())
     (Trace.records trace);
 
   (* The first packets (via the RP) and the steady state (via the SPT)

@@ -91,11 +91,6 @@ let now t = Engine.now t.eng
 
 let tracing t = Trace.active t.trace
 
-let tr t tag fmt =
-  match t.trace with
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-  | Some trc -> Format.kasprintf (fun s -> Trace.log trc ~node:t.node ~tag s) fmt
-
 let ev t event =
   match t.trace with None -> () | Some trc -> Trace.emit trc ~node:t.node event
 
@@ -179,7 +174,7 @@ let confirm t (e : entry) =
     e.confirmed <- true;
     e.join_outstanding <- false;
     e.parent_deadline <- now t +. t.cfg.parent_timeout;
-    if tracing t then tr t "on-tree" "%s confirmed" (Group.to_string e.group);
+    if tracing t then ev t (Event.On_tree { group = Group.to_string e.group });
     List.iter
       (fun i ->
         add_child t e i;
@@ -211,7 +206,7 @@ let handle_join_ack t ~iface (b : body) =
 
 let flush t (e : entry) =
   Counters.(incr t.counters ~node:t.node Flushes);
-  if tracing t then tr t "flush" "%s: parent silent, flushing" (Group.to_string e.group);
+  if tracing t then ev t (Event.Flush { group = Group.to_string e.group });
   Hashtbl.remove t.entries e.group;
   if e.local then begin
     let g = e.group and core = e.core in
@@ -334,7 +329,7 @@ let handle_encap t inner =
 
 let join_local t g =
   match t.core_of g with
-  | None -> if tracing t then tr t "ignore" "%s has no core configured" (Group.to_string g)
+  | None -> if tracing t then ev t (Event.No_rp { group = Group.to_string g })
   | Some core ->
     if not (List.exists (Group.equal g) t.local_joined) then
       t.local_joined <- g :: t.local_joined;
@@ -365,7 +360,7 @@ let send_local_data t ~group ?size () =
    behaviour that distinguishes explicit-ack hard state from PIM's
    periodic soft-state refresh (paper footnote 4). *)
 let restart t =
-  if tracing t then tr t "restart" "rebooted: tree state wiped";
+  if tracing t then ev t Event.Restart;
   Hashtbl.reset t.entries;
   List.iter (fun g -> join_local t g) t.local_joined
 
@@ -423,7 +418,7 @@ let tick t =
         match e.parent with
         | Some (iface, up) ->
           Counters.(incr t.counters ~node:t.node Quits_sent);
-          if tracing t then tr t "quit" "%s: leaving tree" (Group.to_string g);
+          if tracing t then ev t (Event.Quit { group = Group.to_string g });
           let b = { group = g; core = e.core; origin = t.node; target = Addr.router up } in
           Net.send t.net t.node ~iface (ctrl t (Quit b));
           Hashtbl.remove t.entries g

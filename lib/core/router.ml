@@ -86,11 +86,6 @@ let now t = Engine.now t.eng
 
 let tracing t = Trace.active t.trace
 
-let tr t tag fmt =
-  match t.trace with
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-  | Some trc -> Format.kasprintf (fun s -> Trace.log trc ~node:t.node ~tag s) fmt
-
 let ev t event =
   match t.trace with None -> () | Some trc -> Trace.emit trc ~node:t.node event
 
@@ -314,12 +309,12 @@ let add_local_member t g ~iface =
     t.local_members <- (g, iface) :: t.local_members;
   match select_rp t g with
   | None ->
-    if tracing t then tr t "ignore" "group %s has no RP yet: not sparse-mode" (Group.to_string g)
+    if tracing t then ev t (Event.No_rp { group = Group.to_string g })
   | Some rp ->
     let e = ensure_star t g ~rp in
     Fwd.add_oif e iface ~expires:(now t) ~local:true;
     keepalive t e;
-    if tracing t then tr t "member" "local member for %s on iface %d" (Group.to_string g) iface
+    if tracing t then ev t (Event.Local_member { group = Group.to_string g; iface })
 
 let drop_local_member t g ~iface =
   t.local_members <- List.filter (fun m -> m <> (g, iface)) t.local_members;
@@ -349,7 +344,7 @@ let add_proxy_iface t iface =
    machinery — triggered joins now, periodic refresh thereafter
    (section 3.4's robustness argument, which the chaos harness tests). *)
 let restart t =
-  if tracing t then tr t "restart" "rebooted: forwarding state wiped";
+  if tracing t then ev t Event.Restart;
   Fwd.clear t.fib;
   Hashtbl.reset t.spt_counters;
   let members = t.local_members in
@@ -557,7 +552,7 @@ let handle_data t ~iface pkt =
            (section 3.5, second exception). *)
         e.Fwd.spt_bit <- true;
         if tracing t then
-          tr t "spt-bit" "SPT established for (%s, %s)" (Addr.to_string src) (Group.to_string g);
+          ev t (Event.Spt_bit { group = Group.to_string g; source = Addr.to_string src });
         divergence_prune t e;
         forward_sg t e pkt ~shared:false ~exclude:iface
       end
@@ -735,8 +730,8 @@ let process_join t ~iface (je : Message.jp_entry) g =
           3.9): re-target the shared-tree entry toward it. *)
        let upstream = compute_upstream t je.Message.addr in
        if tracing t then
-         tr t "rp-retarget" "group %s: shared tree moves to RP %s" (Group.to_string g)
-           (Addr.to_string je.Message.addr);
+         ev t
+           (Event.Rp_retarget { group = Group.to_string g; rp = Addr.to_string je.Message.addr });
        e.Fwd.rp <- Some je.Message.addr;
        e.Fwd.iif <- Option.map fst upstream;
        (match e.Fwd.iif with Some i -> Fwd.remove_oif e i | None -> ());
@@ -826,7 +821,7 @@ let overhear_join t ~iface (je : Message.jp_entry) g ~target =
       if same_upstream && Fwd.iif_is e iface then begin
         a.suppress_until <- now t +. (0.9 *. t.cfg.jp_period);
         a.override_pending <- false;
-        if tracing t then tr t "suppress" "join suppressed for %a" Fwd.pp_entry e
+        if tracing t then ev t (Event.Join_suppressed { route = route_of_entry e })
       end
     | None -> ()
   in
@@ -843,7 +838,7 @@ let schedule_override t (e : Fwd.entry) ~iface ~target je =
       (Engine.schedule t.eng ~after:delay (fun () ->
            if a.override_pending then begin
              a.override_pending <- false;
-             if tracing t then tr t "override" "overriding prune for %a" Message.pp_jp_entry je;
+             if tracing t then ev t (Event.Prune_override { route = route_of_entry e; iface });
              send_jp t ~iface ~target ~group:e.Fwd.group ~joins:[ je ] ~prunes:[]
            end))
   end
@@ -933,11 +928,6 @@ let rp_failover t (e : Fwd.entry) =
              from_rp = Option.map Addr.to_string current;
              to_rp = Addr.to_string rp;
            });
-    if tracing t then
-      tr t "rp-failover" "group %s: RP %s unreachable, joining %s"
-        (Group.to_string e.Fwd.group)
-        (match current with Some a -> Addr.to_string a | None -> "?")
-        (Addr.to_string rp);
     let upstream = compute_upstream t rp in
     e.Fwd.rp <- Some rp;
     e.Fwd.iif <- Option.map fst upstream;
@@ -960,9 +950,13 @@ let update_rpf t =
         let fresh = compute_upstream t target in
         if fresh <> a.upstream then begin
           if tracing t then
-            tr t "rpf-change" "%a: upstream %s -> %s" Fwd.pp_entry e
-              (match a.upstream with Some (_, n) -> string_of_int n | None -> "-")
-              (match fresh with Some (_, n) -> string_of_int n | None -> "-");
+            ev t
+              (Event.Rpf_change
+                 {
+                   route = route_of_entry e;
+                   from_nbr = Option.map snd a.upstream;
+                   to_nbr = Option.map snd fresh;
+                 });
           (* Prune from the old upstream if the old path still works. *)
           (match (a.upstream, jp_entry_of e) with
           | Some (old_iface, old_up), Some je ->

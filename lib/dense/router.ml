@@ -121,11 +121,6 @@ let now t = Engine.now t.eng
 
 let tracing t = Trace.active t.trace
 
-let tr t tag fmt =
-  match t.trace with
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-  | Some trc -> Format.kasprintf (fun s -> Trace.log trc ~node:t.node ~tag s) fmt
-
 let ev t event =
   match t.trace with None -> () | Some trc -> Trace.emit trc ~node:t.node event
 
@@ -384,9 +379,9 @@ let overhear_prune t ~iface (b : Message.body) =
                  a.override_pending <- false;
                  Counters.(incr t.counters ~node:t.node Joins_sent);
                  if tracing t then
-                   tr t "override" "overriding prune for (%s,%s)"
-                     (Addr.to_string b.Message.source)
-                     (Group.to_string b.Message.group);
+                   ev t
+                     (Event.Prune_override
+                        { route = route_of_sg b.Message.group b.Message.source; iface });
                  let pkt =
                    Message.join_packet ~src:t.addr ~target:b.Message.target ~origin:t.node
                      ~source:b.Message.source ~group:b.Message.group
@@ -581,7 +576,7 @@ let sweep t =
    accurate view.  [advert_seq] stays monotonic across the reboot,
    otherwise peers would discard the post-reboot adverts as stale. *)
 let restart t =
-  if tracing t then tr t "restart" "rebooted: forwarding state wiped";
+  if tracing t then ev t Event.Restart;
   Fwd.clear t.fib;
   Hashtbl.reset t.region_db;
   sync_presence t;

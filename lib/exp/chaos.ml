@@ -298,6 +298,7 @@ let run ?(nodes = 30) ?(degree = 4.) ?(receivers = 5) ?(events = 8) ?(fault_wind
     ?(mean_outage = 8.) ?(topology = `Random) ?(fault = `Random) ?(rp_strategy = "static")
     ?protocols ~seed () =
   if receivers < 1 then invalid_arg "Chaos.run: need at least one receiver";
+  if events < 0 then invalid_arg "Chaos.run: events must be >= 0";
   let prng = Prng.create seed in
   let topo, members, delay_bound =
     match topology with

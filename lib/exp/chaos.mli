@@ -87,8 +87,8 @@ val run :
 
     @raise Invalid_argument before simulating anything when a parameter
     is unusable: a [`Random] topology of fewer than 2 nodes, no
-    receivers, more receivers than stub routers, or an unknown protocol
-    or RP strategy. *)
+    receivers, more receivers than stub routers, a negative [events],
+    or an unknown protocol or RP strategy. *)
 
 val total_violations : report -> int
 (** Zero means every invariant held for every protocol — the pass/fail

@@ -693,11 +693,7 @@ let run ?trace_file ?capture_file ?metrics_file ?protocol ?switchover_fallback (
   Engine.run ~until:(Float.max !now !horizon) eng;
   let residual = stack.Stack.entries () in
   Option.iter (fun path -> Capture.save path (Capture.entries (Option.get capture))) capture_file;
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Trace.dump_jsonl oc trace))
-    trace_file;
+  Option.iter (fun path -> Trace.save path trace) trace_file;
   Option.iter
     (fun path -> Pim_util.Json.to_file path (Pim_util.Metrics.to_json (Net.metrics net)))
     metrics_file;

@@ -35,6 +35,9 @@ let trial prng ~scratch ~apsp ~nodes ~members ~degree =
    read-only. *)
 let run ?(nodes = 50) ?(members = 10) ?(trials = 500) ?(degrees = [ 3.; 4.; 5.; 6.; 7.; 8. ])
     ?(domains = 1) ~seed () =
+  if trials < 1 then invalid_arg "Fig2a.run: trials must be >= 1";
+  (* One member has no delay to compare: every trial would be skipped. *)
+  if members < 2 then invalid_arg "Fig2a.run: members must be >= 2";
   if domains < 1 then invalid_arg "Fig2a.run: domains must be >= 1";
   let prng = Prng.create seed in
   List.map

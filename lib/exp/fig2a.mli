@@ -29,7 +29,10 @@ val run :
     many OCaml domains; every trial draws from its own PRNG stream
     (split in trial order before the fan-out) and results are aggregated
     in trial order, so the rows are identical for any [domains] value —
-    parallelism changes wall-clock time only. *)
+    parallelism changes wall-clock time only.
+
+    @raise Invalid_argument when [trials] or [domains] is below 1, or
+    [members] below 2 (one member has no delay to compare). *)
 
 val pp_rows : Format.formatter -> row list -> unit
 (** Print the series the way the paper's figure plots it. *)

@@ -211,6 +211,9 @@ let network_trial prng ~nodes ~groups ~members ~senders ~degree =
 
 let run ?(nodes = 50) ?(groups = 300) ?(members = 40) ?(senders = 32) ?(trials = 30)
     ?(degrees = [ 3.; 4.; 5.; 6.; 7.; 8. ]) ~seed () =
+  if trials < 1 then invalid_arg "Fig2b.run: trials must be >= 1";
+  if groups < 1 then invalid_arg "Fig2b.run: groups must be >= 1";
+  if senders < 1 then invalid_arg "Fig2b.run: senders must be >= 1";
   if senders > members then invalid_arg "Fig2b.run: senders must be members";
   let prng = Prng.create seed in
   List.map

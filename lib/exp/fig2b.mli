@@ -41,6 +41,9 @@ val run :
   row list
 (** Defaults: 50 nodes, 300 groups, 40 members, 32 senders, degrees 3..8,
     30 networks per degree (the paper used 500; pass [~trials:500] to
-    match — the shape is stable well below that). *)
+    match — the shape is stable well below that).
+
+    @raise Invalid_argument when [trials], [groups] or [senders] is below
+    1, or [senders > members]. *)
 
 val pp_rows : Format.formatter -> row list -> unit

@@ -43,6 +43,7 @@ type outcome = {
 }
 
 let run ?capture_file ?trace_file ?metrics_file spec =
+  if spec.member_count < 1 then invalid_arg "Scenario.run: member_count must be >= 1";
   (* Mirror the property's derivation exactly: same PRNG draws in the same
      order, so the same seed reproduces the same scenario byte for byte. *)
   let prng = Pim_util.Prng.create spec.seed in
@@ -112,11 +113,7 @@ let run ?capture_file ?trace_file ?metrics_file spec =
   let residual_entries = Deployment.total_entries dep in
   let dup_suppressed = Pim_sim.Counters.total (Net.counters net) Data_dup_suppressed in
   Option.iter (fun path -> Capture.save path (Capture.entries (Option.get capture))) capture_file;
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Trace.dump_jsonl oc trace))
-    trace_file;
+  Option.iter (fun path -> Trace.save path trace) trace_file;
   Option.iter
     (fun path ->
       Deployment.export_metrics dep (Net.metrics net);

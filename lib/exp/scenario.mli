@@ -58,7 +58,10 @@ val run :
 (** Replay the scenario.  [capture_file] writes a JSONL packet capture
     ({!Pim_sim.Capture}), [trace_file] a JSONL typed-event trace,
     [metrics_file] the metrics-registry JSON — all deterministic, so two
-    runs of the same spec produce byte-identical files. *)
+    runs of the same spec produce byte-identical files.
+
+    @raise Invalid_argument when [member_count] is below 1 or above the
+    derived network's size. *)
 
 val shrink : spec -> spec
 (** Delta-debug a failing spec: greedily drop members and lower the

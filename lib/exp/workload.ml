@@ -297,6 +297,7 @@ let generate spec =
   if spec.groups < 1 then invalid_arg "Workload.generate: groups must be >= 1";
   if spec.scale < 1 then invalid_arg "Workload.generate: scale must be >= 1";
   if spec.window <= 0. then invalid_arg "Workload.generate: window must be > 0";
+  if spec.duration <= 0. then invalid_arg "Workload.generate: duration must be > 0";
   let master = Prng.create spec.seed in
   let topo_stream = Prng.split master in
   let ts = gen_topo spec topo_stream in

@@ -92,7 +92,10 @@ val generate : spec -> schedule
 (** Deterministic per [spec.seed]; byte-identical for any [spec.domains]
     (only wall-clock changes): every receiver draws from its own split
     stream, streams are split in receiver order before the fan-out, and
-    results merge in canonical order — the fig2a contract. *)
+    results merge in canonical order — the fig2a contract.
+
+    @raise Invalid_argument when [groups] or [scale] is below 1, or
+    [window] or [duration] is not positive. *)
 
 val render_schedule : schedule -> string
 (** Canonical text rendering (one line per event plus the source and RP

@@ -91,11 +91,6 @@ let node t = t.node
 
 let tracing t = Trace.active t.trace
 
-let tr t tag fmt =
-  match t.trace with
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-  | Some trc -> Format.kasprintf (fun s -> Trace.log trc ~node:t.node ~tag s) fmt
-
 let membership_entries t =
   Array.fold_left
     (fun acc l -> acc + List.length l.groups)
@@ -265,7 +260,7 @@ let handle_data t ~iface pkt =
 let join_local t g =
   if not (GroupSet.mem g t.local_groups) then begin
     t.local_groups <- GroupSet.add g t.local_groups;
-    if tracing t then tr t "member" "local member for %s; flooding LSA" (Group.to_string g);
+    if tracing t then ev t (Event.Local_member { group = Group.to_string g; iface = -1 });
     originate_lsa t
   end
 
@@ -313,7 +308,7 @@ let handle_packet t ~iface pkt =
    from their next flooded LSA, which is why deployments that exercise
    restarts need [lsa_refresh] (real OSPF re-floods every LSRefreshTime). *)
 let restart t =
-  if tracing t then tr t "restart" "rebooted: LSDB and forwarding cache wiped";
+  if tracing t then ev t Event.Restart;
   Array.fill t.lsdb 0 (Array.length t.lsdb) no_lsa;
   Plan_cache.reset t.cache;
   originate_lsa t

@@ -25,171 +25,61 @@ type t =
   | Fault_injected of { action : string }
   | Checkpoint_digest of { digest : string }
   | Window_roll of { index : int; t_start : float; t_end : float }
+  | Local_member of { group : string; iface : int }
+  | No_rp of { group : string }
+  | Restart
+  | Spt_bit of { group : string; source : string }
+  | Rp_retarget of { group : string; rp : string }
+  | Join_suppressed of { route : route }
+  | Prune_override of { route : route; iface : int }
+  | Rpf_change of { route : route; from_nbr : int option; to_nbr : int option }
+  | On_tree of { group : string }
+  | Flush of { group : string }
+  | Quit of { group : string }
 
-let tag = function
-  | Join _ -> "join"
-  | Prune _ -> "prune"
-  | Graft _ -> "graft"
-  | Register _ -> "register"
-  | Register_stop _ -> "register-stop"
-  | Spt_switch _ -> "spt-switch"
-  | Assert _ -> "assert"
-  | Entry_install _ -> "entry-new"
-  | Entry_expire _ -> "entry-del"
-  | Pkt_send _ -> "fwd"
-  | Pkt_deliver _ -> "deliver"
-  | Pkt_drop _ -> "drop"
-  | Candidate_rp _ -> "crp-advert"
-  | Bsr_elected _ -> "bsr-elected"
-  | Rp_mapping _ -> "rp-mapping-change"
-  | Rp_failover _ -> "rp-failover"
-  | Fault_injected _ -> "fault-injected"
-  | Checkpoint_digest _ -> "checkpoint-digest"
-  | Window_roll _ -> "window-roll"
+let nullable f = function Some x -> f x | None -> Json.Null
 
-let route_equal a b =
-  String.equal a.group b.group
-  &&
-  match (a.source, b.source) with
-  | None, None -> true
-  | Some x, Some y -> String.equal x y
-  | _ -> false
+let str_or_null = nullable (fun s -> Json.Str s)
 
-let routed_equal ra ia rb ib = route_equal ra rb && Int.equal ia ib
+let int_or_null = nullable (fun n -> Json.Int n)
 
-let sg_equal ga sa gb sb = String.equal ga gb && String.equal sa sb
+let route_fields r = [ ("group", Json.Str r.group); ("source", str_or_null r.source) ]
 
-let pkt_equal (sa, ga, ia) (sb, gb, ib) =
-  String.equal sa sb && String.equal ga gb && Int.equal ia ib
-
-let equal a b =
-  match (a, b) with
-  | Join x, Join y -> routed_equal x.route x.iface y.route y.iface
-  | Prune x, Prune y -> routed_equal x.route x.iface y.route y.iface
-  | Graft x, Graft y -> routed_equal x.route x.iface y.route y.iface
-  | Register x, Register y -> sg_equal x.group x.source y.group y.source
-  | Register_stop x, Register_stop y -> sg_equal x.group x.source y.group y.source
-  | Spt_switch x, Spt_switch y -> sg_equal x.group x.source y.group y.source
-  | Assert x, Assert y ->
-    String.equal x.group y.group && Int.equal x.iface y.iface && Int.equal x.winner y.winner
-  | Entry_install x, Entry_install y -> route_equal x.route y.route
-  | Entry_expire x, Entry_expire y -> route_equal x.route y.route
-  | Pkt_send x, Pkt_send y -> pkt_equal (x.src, x.group, x.iface) (y.src, y.group, y.iface)
-  | Pkt_deliver x, Pkt_deliver y -> pkt_equal (x.src, x.group, x.iface) (y.src, y.group, y.iface)
-  | Pkt_drop x, Pkt_drop y ->
-    pkt_equal (x.src, x.group, x.iface) (y.src, y.group, y.iface)
-    && String.equal x.reason y.reason
-  | Candidate_rp x, Candidate_rp y ->
-    String.equal x.rp y.rp && Int.equal x.priority y.priority && Int.equal x.groups y.groups
-  | Bsr_elected x, Bsr_elected y -> String.equal x.bsr y.bsr && Int.equal x.priority y.priority
-  | Rp_mapping x, Rp_mapping y ->
-    String.equal x.group y.group && Option.equal String.equal x.rp y.rp
-  | Rp_failover x, Rp_failover y ->
-    String.equal x.group y.group
-    && Option.equal String.equal x.from_rp y.from_rp
-    && String.equal x.to_rp y.to_rp
-  | Fault_injected x, Fault_injected y -> String.equal x.action y.action
-  | Checkpoint_digest x, Checkpoint_digest y -> String.equal x.digest y.digest
-  | Window_roll x, Window_roll y ->
-    Int.equal x.index y.index
-    && Float.equal x.t_start y.t_start
-    && Float.equal x.t_end y.t_end
-  | ( ( Join _ | Prune _ | Graft _ | Register _ | Register_stop _ | Spt_switch _ | Assert _
-      | Entry_install _ | Entry_expire _ | Pkt_send _ | Pkt_deliver _ | Pkt_drop _
-      | Candidate_rp _ | Bsr_elected _ | Rp_mapping _ | Rp_failover _ | Fault_injected _
-      | Checkpoint_digest _ | Window_roll _ ),
-      _ ) ->
-    false
-
-let pp_route ppf r =
-  match r.source with
-  | Some s -> Format.fprintf ppf "(%s, %s)" s r.group
-  | None -> Format.fprintf ppf "(*, %s)" r.group
-
-let pp ppf = function
-  | Join e -> Format.fprintf ppf "join %a iface %d" pp_route e.route e.iface
-  | Prune e -> Format.fprintf ppf "prune %a iface %d" pp_route e.route e.iface
-  | Graft e -> Format.fprintf ppf "graft %a iface %d" pp_route e.route e.iface
-  | Register e -> Format.fprintf ppf "register (%s, %s)" e.source e.group
-  | Register_stop e -> Format.fprintf ppf "register-stop (%s, %s)" e.source e.group
-  | Spt_switch e -> Format.fprintf ppf "spt switch (%s, %s)" e.source e.group
-  | Assert e -> Format.fprintf ppf "assert %s iface %d winner %d" e.group e.iface e.winner
-  (* No keyword prefix: the tag already says install/expire, and tooling
-     that keys on the route designator reads the detail verbatim. *)
-  | Entry_install e -> Format.fprintf ppf "%a" pp_route e.route
-  | Entry_expire e -> Format.fprintf ppf "%a" pp_route e.route
-  | Pkt_send e -> Format.fprintf ppf "send (%s, %s) iface %d" e.src e.group e.iface
-  | Pkt_deliver e -> Format.fprintf ppf "deliver (%s, %s) iface %d" e.src e.group e.iface
-  | Pkt_drop e ->
-    Format.fprintf ppf "drop (%s, %s) iface %d: %s" e.src e.group e.iface e.reason
-  | Candidate_rp e ->
-    Format.fprintf ppf "c-rp %s prio %d %s" e.rp e.priority
-      (if e.groups = 0 then "all groups" else Printf.sprintf "%d group(s)" e.groups)
-  | Bsr_elected e -> Format.fprintf ppf "bsr %s prio %d" e.bsr e.priority
-  | Rp_mapping e ->
-    Format.fprintf ppf "%s -> %s" e.group (match e.rp with Some rp -> rp | None -> "(none)")
-  | Rp_failover e ->
-    Format.fprintf ppf "%s: %s -> %s" e.group
-      (match e.from_rp with Some rp -> rp | None -> "(none)")
-      e.to_rp
-  | Fault_injected e -> Format.fprintf ppf "%s" e.action
-  | Checkpoint_digest e -> Format.fprintf ppf "%s" e.digest
-  | Window_roll e ->
-    Format.fprintf ppf "window %d [%.3f, %.3f)" e.index e.t_start e.t_end
-
-let route_fields r =
-  [
-    ("group", Json.Str r.group);
-    ("source", match r.source with Some s -> Json.Str s | None -> Json.Null);
-  ]
+let group_field g = ("group", Json.Str g)
 
 let to_json ev =
   let typed name fields = Json.Obj (("type", Json.Str name) :: fields) in
+  let routed name route iface = typed name (route_fields route @ [ ("iface", Json.Int iface) ]) in
+  let sg name group source = typed name [ group_field group; ("source", Json.Str source) ] in
+  let pkt name src group iface extra =
+    typed name
+      ([ ("src", Json.Str src); group_field group; ("iface", Json.Int iface) ] @ extra)
+  in
   match ev with
-  | Join e -> typed "join" (route_fields e.route @ [ ("iface", Json.Int e.iface) ])
-  | Prune e -> typed "prune" (route_fields e.route @ [ ("iface", Json.Int e.iface) ])
-  | Graft e -> typed "graft" (route_fields e.route @ [ ("iface", Json.Int e.iface) ])
-  | Register e -> typed "register" [ ("group", Json.Str e.group); ("source", Json.Str e.source) ]
-  | Register_stop e ->
-    typed "register-stop" [ ("group", Json.Str e.group); ("source", Json.Str e.source) ]
-  | Spt_switch e ->
-    typed "spt-switch" [ ("group", Json.Str e.group); ("source", Json.Str e.source) ]
+  | Join e -> routed "join" e.route e.iface
+  | Prune e -> routed "prune" e.route e.iface
+  | Graft e -> routed "graft" e.route e.iface
+  | Register e -> sg "register" e.group e.source
+  | Register_stop e -> sg "register-stop" e.group e.source
+  | Spt_switch e -> sg "spt-switch" e.group e.source
   | Assert e ->
     typed "assert"
-      [ ("group", Json.Str e.group); ("iface", Json.Int e.iface); ("winner", Json.Int e.winner) ]
+      [ group_field e.group; ("iface", Json.Int e.iface); ("winner", Json.Int e.winner) ]
   | Entry_install e -> typed "entry-install" (route_fields e.route)
   | Entry_expire e -> typed "entry-expire" (route_fields e.route)
-  | Pkt_send e ->
-    typed "pkt-send"
-      [ ("src", Json.Str e.src); ("group", Json.Str e.group); ("iface", Json.Int e.iface) ]
-  | Pkt_deliver e ->
-    typed "pkt-deliver"
-      [ ("src", Json.Str e.src); ("group", Json.Str e.group); ("iface", Json.Int e.iface) ]
-  | Pkt_drop e ->
-    typed "pkt-drop"
-      [
-        ("src", Json.Str e.src);
-        ("group", Json.Str e.group);
-        ("iface", Json.Int e.iface);
-        ("reason", Json.Str e.reason);
-      ]
+  | Pkt_send e -> pkt "pkt-send" e.src e.group e.iface []
+  | Pkt_deliver e -> pkt "pkt-deliver" e.src e.group e.iface []
+  | Pkt_drop e -> pkt "pkt-drop" e.src e.group e.iface [ ("reason", Json.Str e.reason) ]
   | Candidate_rp e ->
     typed "crp-advert"
       [ ("rp", Json.Str e.rp); ("priority", Json.Int e.priority); ("groups", Json.Int e.groups) ]
-  | Bsr_elected e -> typed "bsr-elected" [ ("bsr", Json.Str e.bsr); ("priority", Json.Int e.priority) ]
+  | Bsr_elected e ->
+    typed "bsr-elected" [ ("bsr", Json.Str e.bsr); ("priority", Json.Int e.priority) ]
   | Rp_mapping e ->
-    typed "rp-mapping-change"
-      [
-        ("group", Json.Str e.group);
-        ("rp", match e.rp with Some rp -> Json.Str rp | None -> Json.Null);
-      ]
+    typed "rp-mapping-change" [ group_field e.group; ("rp", str_or_null e.rp) ]
   | Rp_failover e ->
     typed "rp-failover"
-      [
-        ("group", Json.Str e.group);
-        ("from", match e.from_rp with Some rp -> Json.Str rp | None -> Json.Null);
-        ("to", Json.Str e.to_rp);
-      ]
+      [ group_field e.group; ("from", str_or_null e.from_rp); ("to", Json.Str e.to_rp) ]
   | Fault_injected e -> typed "fault-injected" [ ("action", Json.Str e.action) ]
   | Checkpoint_digest e -> typed "checkpoint-digest" [ ("digest", Json.Str e.digest) ]
   | Window_roll e ->
@@ -199,64 +89,80 @@ let to_json ev =
         ("t_start", Json.Float e.t_start);
         ("t_end", Json.Float e.t_end);
       ]
+  | Local_member e -> typed "member" [ group_field e.group; ("iface", Json.Int e.iface) ]
+  | No_rp e -> typed "no-rp" [ group_field e.group ]
+  | Restart -> typed "restart" []
+  | Spt_bit e -> sg "spt-bit" e.group e.source
+  | Rp_retarget e -> typed "rp-retarget" [ group_field e.group; ("rp", Json.Str e.rp) ]
+  | Join_suppressed e -> typed "suppress" (route_fields e.route)
+  | Prune_override e -> routed "override" e.route e.iface
+  | Rpf_change e ->
+    typed "rpf-change"
+      (route_fields e.route @ [ ("from", int_or_null e.from_nbr); ("to", int_or_null e.to_nbr) ])
+  | On_tree e -> typed "on-tree" [ group_field e.group ]
+  | Flush e -> typed "flush" [ group_field e.group ]
+  | Quit e -> typed "quit" [ group_field e.group ]
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
-let str_field j name =
-  match Option.bind (Json.member name j) Json.to_str with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "missing or non-string field %S" name)
+let field conv what j name =
+  match Option.bind (Json.member name j) conv with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing or non-%s field %S" what name)
 
-let int_field j name =
-  match Option.bind (Json.member name j) Json.to_int with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "missing or non-integer field %S" name)
+let str_field = field Json.to_str "string"
 
-let float_field j name =
-  match Option.bind (Json.member name j) Json.to_float with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "missing or non-number field %S" name)
+let int_field = field Json.to_int "integer"
 
-let opt_str_field j name =
+let float_field = field Json.to_float "number"
+
+(* A field that is present and either null or of [conv]'s type. *)
+let opt_field conv j name =
   match Json.member name j with
   | Some Json.Null -> Ok None
-  | Some (Json.Str s) -> Ok (Some s)
-  | _ -> Error (Printf.sprintf "missing or ill-typed field %S" name)
+  | m -> (
+    match Option.bind m conv with
+    | Some _ as v -> Ok v
+    | None -> Error (Printf.sprintf "missing or ill-typed field %S" name))
 
 let route_of j =
   let* group = str_field j "group" in
-  match Json.member "source" j with
-  | Some Json.Null -> Ok { group; source = None }
-  | Some (Json.Str s) -> Ok { group; source = Some s }
-  | _ -> Error "missing or ill-typed field \"source\""
+  let* source = opt_field Json.to_str j "source" in
+  Ok { group; source }
 
 let of_json j =
   let* ty = str_field j "type" in
   match ty with
-  | "join" | "prune" | "graft" ->
+  | "join" | "prune" | "graft" | "override" ->
     let* route = route_of j in
     let* iface = int_field j "iface" in
     Ok
       (match ty with
       | "join" -> Join { route; iface }
       | "prune" -> Prune { route; iface }
-      | _ -> Graft { route; iface })
-  | "register" | "register-stop" | "spt-switch" ->
+      | "graft" -> Graft { route; iface }
+      | _ -> Prune_override { route; iface })
+  | "register" | "register-stop" | "spt-switch" | "spt-bit" ->
     let* group = str_field j "group" in
     let* source = str_field j "source" in
     Ok
       (match ty with
       | "register" -> Register { group; source }
       | "register-stop" -> Register_stop { group; source }
-      | _ -> Spt_switch { group; source })
+      | "spt-switch" -> Spt_switch { group; source }
+      | _ -> Spt_bit { group; source })
   | "assert" ->
     let* group = str_field j "group" in
     let* iface = int_field j "iface" in
     let* winner = int_field j "winner" in
     Ok (Assert { group; iface; winner })
-  | "entry-install" | "entry-expire" ->
+  | "entry-install" | "entry-expire" | "suppress" ->
     let* route = route_of j in
-    Ok (if String.equal ty "entry-install" then Entry_install { route } else Entry_expire { route })
+    Ok
+      (match ty with
+      | "entry-install" -> Entry_install { route }
+      | "entry-expire" -> Entry_expire { route }
+      | _ -> Join_suppressed { route })
   | "pkt-send" | "pkt-deliver" ->
     let* src = str_field j "src" in
     let* group = str_field j "group" in
@@ -281,11 +187,11 @@ let of_json j =
     Ok (Bsr_elected { bsr; priority })
   | "rp-mapping-change" ->
     let* group = str_field j "group" in
-    let* rp = opt_str_field j "rp" in
+    let* rp = opt_field Json.to_str j "rp" in
     Ok (Rp_mapping { group; rp })
   | "rp-failover" ->
     let* group = str_field j "group" in
-    let* from_rp = opt_str_field j "from" in
+    let* from_rp = opt_field Json.to_str j "from" in
     let* to_rp = str_field j "to" in
     Ok (Rp_failover { group; from_rp; to_rp })
   | "fault-injected" ->
@@ -299,4 +205,26 @@ let of_json j =
     let* t_start = float_field j "t_start" in
     let* t_end = float_field j "t_end" in
     Ok (Window_roll { index; t_start; t_end })
+  | "member" ->
+    let* group = str_field j "group" in
+    let* iface = int_field j "iface" in
+    Ok (Local_member { group; iface })
+  | "restart" -> Ok Restart
+  | "rp-retarget" ->
+    let* group = str_field j "group" in
+    let* rp = str_field j "rp" in
+    Ok (Rp_retarget { group; rp })
+  | "rpf-change" ->
+    let* route = route_of j in
+    let* from_nbr = opt_field Json.to_int j "from" in
+    let* to_nbr = opt_field Json.to_int j "to" in
+    Ok (Rpf_change { route; from_nbr; to_nbr })
+  | "no-rp" | "on-tree" | "flush" | "quit" ->
+    let* group = str_field j "group" in
+    Ok
+      (match ty with
+      | "no-rp" -> No_rp { group }
+      | "on-tree" -> On_tree { group }
+      | "flush" -> Flush { group }
+      | _ -> Quit { group })
   | other -> Error (Printf.sprintf "unknown event type %S" other)

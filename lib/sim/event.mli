@@ -1,10 +1,11 @@
 (** Typed protocol events.
 
-    The structured counterpart of the free-form string trace: each
-    constructor captures one protocol decision with enough detail to
-    attribute a delivered, duplicated, or dropped packet to it (the
-    analysis the paper's Figure 2 evaluation relies on, and the one that
-    diagnosed the RP-tree/SPT switchover loss — see ARCHITECTURE.md).
+    The one vocabulary of the trace: each constructor captures one
+    protocol decision with enough detail to attribute a delivered,
+    duplicated, or dropped packet to it (the analysis the paper's
+    Figure 2 evaluation relies on, and the one that diagnosed the
+    RP-tree/SPT switchover loss — see ARCHITECTURE.md).  Each has one
+    name, its JSON ["type"], and one rendering, {!to_json}.
 
     This module lives below the protocol libraries, so addresses and
     groups appear in their string rendering ([Pim_net.Addr.to_string] /
@@ -34,7 +35,10 @@ type t =
   | Register_stop of { group : string; source : string }
       (** RP told the DR to stop encapsulating. *)
   | Spt_switch of { group : string; source : string }
-      (** RP-tree to shortest-path-tree transition completed (spt-bit set). *)
+      (** A last-hop router starts the RP-tree to shortest-path-tree
+          transition for [source] (section 3.3): it joins toward the
+          source and keeps taking data off the shared tree.  {!Spt_bit}
+          records when the transition completes. *)
   | Assert of { group : string; iface : int; winner : int }
       (** Assert election on a LAN; [winner] is the elected forwarder. *)
   | Entry_install of { route : route }  (** Forwarding entry created. *)
@@ -72,18 +76,45 @@ type t =
           {!Pim_util.Metrics.roll}), snapshotting per-window rows for
           virtual time [[t_start, t_end)).  Interleaves the measurement
           cadence with the protocol events it aggregates. *)
-
-val tag : t -> string
-(** Short event-class keyword, identical to the tag the string trace uses
-    for the same occurrence (["join"], ["spt-switch"], ["drop"], ...). *)
-
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable one-line rendering (the string trace's detail field). *)
+  | Local_member of { group : string; iface : int }
+      (** A host on [iface] joined [group] (PIM-SM; MOSPF, which floods
+          a membership LSA, reports the local interface [-1]). *)
+  | No_rp of { group : string }
+      (** A local join is ignored for now: PIM-SM has no RP mapping for
+          [group] yet, or CBT has no core configured. *)
+  | Restart
+      (** The router crashed and rebooted: its forwarding state is wiped
+          and only configuration and local memberships survive. *)
+  | Spt_bit of { group : string; source : string }
+      (** The first packet from [source] arrived over the new shortest
+          path: the transition {!Spt_switch} began is complete (section
+          3.5, the SPT bit is set). *)
+  | Rp_retarget of { group : string; rp : string }
+      (** A downstream join named a different RP: the shared-tree entry
+          moves toward [rp] (section 3.9). *)
+  | Join_suppressed of { route : route }
+      (** An overheard join to the same upstream suppresses this
+          router's own periodic join for [route]. *)
+  | Prune_override of { route : route; iface : int }
+      (** An overheard prune on the LAN [iface] would cut traffic this
+          router still needs: it sends a join to override it. *)
+  | Rpf_change of { route : route; from_nbr : int option; to_nbr : int option }
+      (** A unicast routing change moved [route]'s upstream neighbour
+          (a node, [None] for unreachable) from [from_nbr] to [to_nbr]
+          (section 3.8). *)
+  | On_tree of { group : string }
+      (** CBT: the join was acknowledged; this router is on [group]'s tree. *)
+  | Flush of { group : string }
+      (** CBT: the parent went silent, so the branch for [group] is
+          flushed. *)
+  | Quit of { group : string }
+      (** CBT: no children or members remain; this router quits
+          [group]'s tree. *)
 
 val to_json : t -> Pim_util.Json.t
-(** One flat object with a ["type"] discriminator. *)
+(** One flat object with a ["type"] discriminator: the event's name.  A
+    name is the keyword of the occurrence (["join"], ["spt-switch"],
+    ["pkt-drop"], ["member"], ...), and {!of_json} reads it back. *)
 
 val of_json : Pim_util.Json.t -> (t, string) result
 (** Inverse of {!to_json}; the error names the missing or ill-typed

@@ -700,7 +700,9 @@ let forwarding_words ~traced protocol =
   let words = Gc.minor_words () -. w0 and traversals = Net.total_traversals net - t0 in
   Alcotest.(check int) "every packet reached every member" (3 * n) (!delivered - d0);
   let events =
-    match trace with None -> [] | Some tr -> List.map (fun (_, _, e) -> e) (Trace.events tr)
+    match trace with
+    | None -> []
+    | Some tr -> List.map (fun (r : Trace.record) -> r.event) (Trace.records tr)
   in
   (words /. float_of_int traversals, events)
 

@@ -5,6 +5,7 @@
 module Engine = Pim_sim.Engine
 module Net = Pim_sim.Net
 module Trace = Pim_sim.Trace
+module Event = Pim_sim.Event
 module Topology = Pim_graph.Topology
 module Addr = Pim_net.Addr
 module Group = Pim_net.Group
@@ -45,14 +46,15 @@ let test_figure3_rendezvous () =
   (* The event order of the figure: receiver join, then register, then
      the RP's join toward the source. *)
   let records = Trace.records trace in
-  let time_of tag node =
+  let time_of is node =
     List.find_map
-      (fun r -> if r.Trace.tag = tag && r.Trace.node = node then Some r.Trace.time else None)
+      (fun (r : Trace.record) -> if is r.event && r.node = node then Some r.time else None)
       records
   in
-  let receiver_join = Option.get (time_of "join" 0) in
-  let register = Option.get (time_of "register" 4) in
-  let rp_join = Option.get (time_of "join" 2) in
+  let is_join = function Event.Join _ -> true | _ -> false in
+  let receiver_join = Option.get (time_of is_join 0) in
+  let register = Option.get (time_of (function Event.Register _ -> true | _ -> false) 4) in
+  let rp_join = Option.get (time_of is_join 2) in
   Alcotest.(check bool) "join before register" true (receiver_join < register);
   Alcotest.(check bool) "register before RP's join to source" true (register < rp_join);
   Alcotest.(check int) "data delivered" 1 !got
@@ -144,22 +146,27 @@ let test_figure5_spt_switch () =
      RP tree). *)
   let prune_events =
     Trace.records trace
-    |> List.filter (fun r -> r.Trace.tag = "prune" && r.Trace.node = 1)
+    |> List.filter (fun (r : Trace.record) ->
+           match r.event with Event.Prune _ -> r.node = 1 | _ -> false)
   in
   Alcotest.(check bool) "B pruned Sn off the shared tree" true (prune_events <> []);
   (* The entry creation order followed the figure: A before B's SPT
      entry confirmation... and A's entry existed before its SPT bit. *)
+  let sn = Some (Addr.to_string src) in
   let entry_new_a =
     Trace.records trace
-    |> List.find (fun r -> r.Trace.tag = "entry-new" && r.Trace.node = 0
-                           && String.length r.Trace.detail > 1
-                           && r.Trace.detail.[1] = '1' (* "(10.128..." = (Sn,G) *))
+    |> List.find (fun (r : Trace.record) ->
+           match r.event with
+           | Event.Entry_install { route } -> r.node = 0 && route.source = sn
+           | _ -> false)
   in
   let spt_bit_a =
-    Trace.records trace |> List.find (fun r -> r.Trace.tag = "spt-bit" && r.Trace.node = 0)
+    Trace.records trace
+    |> List.find (fun (r : Trace.record) ->
+           match r.event with Event.Spt_bit _ -> r.node = 0 | _ -> false)
   in
   Alcotest.(check bool) "created before transition completed" true
-    (entry_new_a.Trace.time < spt_bit_a.Trace.time)
+    (entry_new_a.time < spt_bit_a.time)
 
 (* {2 Replay-harness edge cases}
 

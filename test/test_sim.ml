@@ -863,28 +863,66 @@ let prop_net_matches_reference =
       end_ifaces_ok && Run_new.run sc = Run_reference.run sc)
 
 let test_trace () =
+  let module Event = Pim_sim.Event in
   let eng = Engine.create () in
   let trace = Trace.create eng in
-  Trace.log trace ~node:1 ~tag:"a" "one";
-  ignore (Engine.schedule eng ~after:2. (fun () -> Trace.logf trace ~node:2 ~tag:"b" "%d" 42));
+  Trace.emit trace ~node:1 Event.Restart;
+  ignore
+    (Engine.schedule eng ~after:2. (fun () ->
+         Trace.emit trace ~node:2 (Event.No_rp { group = "225.0.0.1" })));
+  ignore
+    (Engine.schedule eng ~after:1. (fun () ->
+         Trace.emit trace ~node:3 (Event.Flush { group = "225.0.0.2" })));
   Engine.run eng;
-  Alcotest.(check int) "count a" 1 (Trace.count trace ~tag:"a");
-  (match Trace.find trace ~tag:"b" with
-  | [ r ] ->
-    Alcotest.(check (float 1e-9)) "timestamped" 2. r.Trace.time;
-    Alcotest.(check string) "formatted" "42" r.Trace.detail
-  | _ -> Alcotest.fail "expected one b record");
-  Trace.clear trace;
-  Alcotest.(check int) "cleared" 0 (List.length (Trace.records trace))
+  Alcotest.(check (list (pair (float 1e-9) int)))
+    "records in time order, stamped by the engine"
+    [ (0., 1); (1., 3); (2., 2) ]
+    (List.map (fun (r : Trace.record) -> (r.time, r.node)) (Trace.records trace));
+  match Trace.records trace with
+  | [ { event = Restart; _ }; { event = Flush _; _ }; { event = No_rp _; _ } ] -> ()
+  | _ -> Alcotest.fail "records carry their events in order"
 
-let test_trace_disabled () =
+let test_trace_save () =
+  let module Event = Pim_sim.Event in
+  let module Json = Pim_util.Json in
   let eng = Engine.create () in
-  let trace = Trace.create ~enabled:false eng in
-  Trace.log trace ~node:1 ~tag:"a" "one";
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.records trace));
-  Trace.enable trace true;
-  Trace.log trace ~node:1 ~tag:"a" "two";
-  Alcotest.(check int) "recording resumes" 1 (List.length (Trace.records trace))
+  let trace = Trace.create eng in
+  let route = { Event.group = "225.0.0.1"; source = Some "10.128.2.1" } in
+  let events =
+    [
+      Event.Local_member { group = "225.0.0.1"; iface = -1 };
+      Event.Join { route; iface = 0 };
+      Event.Rpf_change { route; from_nbr = Some 2; to_nbr = None };
+    ]
+  in
+  List.iteri
+    (fun i ev ->
+      ignore (Engine.schedule eng ~after:(float_of_int i) (fun () -> Trace.emit trace ~node:i ev)))
+    events;
+  Engine.run eng;
+  let path = Filename.temp_file "trace" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Trace.save path trace;
+      let lines =
+        In_channel.with_open_text path In_channel.input_all |> String.split_on_char '\n'
+      in
+      let read line =
+        match Json.of_string line with
+        | Error msg -> Alcotest.failf "line %S: %s" line msg
+        | Ok j -> (
+          let field name conv = Option.bind (Json.member name j) conv in
+          match (field "t" Json.to_float, field "node" Json.to_int, Event.of_json j) with
+          | Some t, Some node, Ok ev -> (t, node, ev)
+          | _ -> Alcotest.failf "line %S does not read back" line)
+      in
+      Alcotest.(check bool)
+        "one line per record, each read back to its time, node and event" true
+        (List.map read (List.filter (fun l -> l <> "") lines)
+        = List.mapi (fun i ev -> (float_of_int i, i, ev)) events);
+      Alcotest.(check int) "trailing newline, no blank lines" (List.length events + 1)
+        (List.length lines))
 
 let () =
   Alcotest.run "pim_sim"
@@ -938,6 +976,6 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "basic" `Quick test_trace;
-          Alcotest.test_case "disabled" `Quick test_trace_disabled;
+          Alcotest.test_case "save and read back" `Quick test_trace_save;
         ] );
     ]
