@@ -294,6 +294,7 @@ let rp_placement_for spec ts =
   | Stack.Pim_dm | Stack.Dvmrp | Stack.Mospf -> []
 
 let generate spec =
+  if spec.nodes < 2 then invalid_arg "Workload.generate: nodes must be >= 2";
   if spec.groups < 1 then invalid_arg "Workload.generate: groups must be >= 1";
   if spec.scale < 1 then invalid_arg "Workload.generate: scale must be >= 1";
   if spec.window <= 0. then invalid_arg "Workload.generate: window must be > 0";

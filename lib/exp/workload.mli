@@ -94,7 +94,8 @@ val generate : spec -> schedule
     stream, streams are split in receiver order before the fan-out, and
     results merge in canonical order — the fig2a contract.
 
-    @raise Invalid_argument when [groups] or [scale] is below 1, or
+    @raise Invalid_argument when [nodes] is below 2, [groups] or [scale]
+    is below 1, or
     [window] or [duration] is not positive. *)
 
 val render_schedule : schedule -> string

@@ -13,7 +13,7 @@ type tree = {
 
 type scratch
 (** Reusable working storage for Dijkstra: the distance/parent/via arrays
-    and the indexed heap, allocated once and recycled across runs.  The
+    and the bucket queue, allocated once and recycled across runs.  The
     Figure 2 experiments run Dijkstra hundreds of thousands of times on
     same-sized graphs; reusing a scratch removes all per-call allocation. *)
 
@@ -27,11 +27,16 @@ val single_source :
   Topology.t ->
   Topology.node ->
   tree
-(** Dijkstra from [src].  Ties are broken toward smaller node ids, so the
-    result is deterministic.  [usable u v lid] (default: always true) gates
-    each directed edge, letting callers exclude failed links or nodes.
-    Allocates a fresh result; see {!single_source_into} for the
-    allocation-free variant. *)
+(** Dijkstra from [src] over {!Topology.adjacency}, with a bucket queue
+    of more than {!Topology.max_cost} buckets (costs are at least 1).
+    Its space and the distances it steps through grow with the largest
+    cost, which suits small integer metrics like the generators' 1-3.
+    The tree is deterministic: a node's parent is the first node, in
+    (distance, id) order, that reaches it at its distance, over that
+    node's first interface that does.  [usable u v lid] (default: always
+    true) gates each directed edge, letting callers exclude failed links
+    or nodes; it must not depend on when it is called.  Allocates a fresh
+    result; see {!single_source_into} for the allocation-free variant. *)
 
 val single_source_into :
   ?usable:(Topology.node -> Topology.node -> Topology.link_id -> bool) ->

@@ -16,11 +16,20 @@ type link = {
   is_lan : bool;
 }
 
+type adjacency = {
+  edge_start : int array;
+  edge_nbr : node array;
+  edge_link : link_id array;
+  edge_cost : int array;
+}
+
 type t = {
   n : int;
   links : link array;
   adj : (iface * link_id) array array;  (* per node, indexed by iface *)
   end_ifaces : iface array array;  (* per link, parallel to [ends] *)
+  flat : adjacency;
+  max_cost : int;
 }
 
 type builder = {
@@ -54,6 +63,36 @@ let add_lan ?(cost = 1) ?(delay = 1.0) b nodes =
   if List.length sorted <> List.length nodes then invalid_arg "Topology.add_lan: duplicate node";
   add_link b (Array.of_list nodes) ~cost ~delay ~is_lan:true
 
+(* One directed edge per (node, interface, other end of its link), in
+   node, interface and end order. *)
+let flatten n links adj =
+  let edge_start = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    edge_start.(u + 1) <-
+      Array.fold_left
+        (fun acc (_, lid) -> acc + Array.length links.(lid).ends - 1)
+        edge_start.(u) adj.(u)
+  done;
+  let m = edge_start.(n) in
+  let edge_nbr = Array.make m 0 and edge_link = Array.make m 0 and edge_cost = Array.make m 0 in
+  for u = 0 to n - 1 do
+    let k = ref edge_start.(u) in
+    Array.iter
+      (fun (_, lid) ->
+        let l = links.(lid) in
+        Array.iter
+          (fun v ->
+            if v <> u then begin
+              edge_nbr.(!k) <- v;
+              edge_link.(!k) <- lid;
+              edge_cost.(!k) <- l.cost;
+              incr k
+            end)
+          l.ends)
+      adj.(u)
+  done;
+  { edge_start; edge_nbr; edge_link; edge_cost }
+
 let freeze b =
   let links = Array.of_list (List.rev b.blinks) in
   let counts = Array.make b.bn 0 in
@@ -70,7 +109,14 @@ let freeze b =
           next.(u) <- next.(u) + 1)
         l.ends)
     links;
-  { n = b.bn; links; adj; end_ifaces }
+  {
+    n = b.bn;
+    links;
+    adj;
+    end_ifaces;
+    flat = flatten b.bn links adj;
+    max_cost = Array.fold_left (fun m l -> max m l.cost) 1 links;
+  }
 
 let n_nodes t = t.n
 
@@ -90,18 +136,25 @@ let link_of_iface t u i =
 
 let end_ifaces t lid = t.end_ifaces.(lid)
 
+let adjacency t = t.flat
+
+let max_cost t = t.max_cost
+
+(* The interface on [lid] among [arr.(i..)], [no_iface] if none: a
+   top-level loop, so a lookup allocates no closure. *)
+let rec find_iface arr lid i =
+  if i >= Array.length arr then no_iface
+  else
+    let iface, l = arr.(i) in
+    if l = lid then iface else find_iface arr lid (i + 1)
+
 let iface_of_link_opt t u lid =
-  let arr = t.adj.(u) in
-  let rec find i =
-    if i >= Array.length arr then None
-    else
-      let iface, l = arr.(i) in
-      if l = lid then Some iface else find (i + 1)
-  in
-  find 0
+  let i = find_iface t.adj.(u) lid 0 in
+  if i = no_iface then None else Some i
 
 let iface_of_link t u lid =
-  match iface_of_link_opt t u lid with Some i -> i | None -> raise Not_found
+  let i = find_iface t.adj.(u) lid 0 in
+  if i = no_iface then raise Not_found else i
 
 let others_on_link t lid u =
   let l = t.links.(lid) in

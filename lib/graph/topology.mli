@@ -81,6 +81,26 @@ val end_ifaces : t -> link_id -> iface array
     Recorded once by {!freeze}, so per-frame delivery needs no search.
     Read-only: the array is shared, not copied. *)
 
+type adjacency = {
+  edge_start : int array;
+      (** node [u]'s edges are [edge_start.(u)] to [edge_start.(u + 1) - 1];
+          [n_nodes + 1] entries *)
+  edge_nbr : node array;  (** the router the edge leads to *)
+  edge_link : link_id array;  (** the link it crosses *)
+  edge_cost : int array;  (** that link's cost *)
+}
+(** Every directed router-to-router edge in flat unboxed arrays: one edge
+    per (node, interface, other router on that interface's link), in node,
+    then interface, then [ends] order.  A LAN of [k] routers gives each
+    member [k - 1] edges. *)
+
+val adjacency : t -> adjacency
+(** Built once by {!freeze}, for the inner loop of Dijkstra.  Read-only:
+    the arrays are shared, not copied. *)
+
+val max_cost : t -> int
+(** The largest link cost; 1 for a topology without links. *)
+
 val neighbors : t -> node -> (iface * node) list
 (** Every (interface, neighbor) adjacency; a LAN with [k] other routers
     contributes [k] pairs on the same interface. *)

@@ -4,14 +4,13 @@ module Net = Pim_sim.Net
 module Bitset = Pim_util.Bitset
 module Vec = Pim_util.Vec
 
-(* One router's routes: its shortest-path tree flattened into unboxed
-   arrays indexed by destination, -1 where there is no route. *)
+(* One router's routes: its shortest-path tree as unboxed arrays indexed
+   by destination, -1 where there is no route.  The first hop toward a
+   destination is found on lookup, by walking parents up to the root. *)
 type table = {
   dist : int array;  (* max_int when unreachable *)
   parent : int array;
   via : int array;  (* link from [parent] *)
-  hop : int array;  (* first router on the path *)
-  hop_iface : int array;  (* this router's interface toward [hop] *)
   asked : Bitset.t;  (* destinations the router has looked up *)
 }
 
@@ -27,15 +26,25 @@ type t = {
 let build t u ~asked =
   let tree = Spt.single_source_into ~usable:t.usable t.scratch t.topo u in
   t.dijkstras <- t.dijkstras + 1;
-  let hop, hop_iface = Spt.first_hop t.topo tree in
   {
     dist = Array.copy tree.Spt.dist;
     parent = Array.copy tree.Spt.parent;
     via = Array.copy tree.Spt.via;
-    hop;
-    hop_iface;
     asked;
   }
+
+(* The first router on the path from [tb]'s root to [d], -1 for the root
+   and unreachable nodes: the node on that path whose parent is the root,
+   the only node at distance 0. *)
+let hop tb d =
+  if tb.parent.(d) < 0 then -1
+  else begin
+    let v = ref d in
+    while tb.dist.(tb.parent.(!v)) > 0 do
+      v := tb.parent.(!v)
+    done;
+    !v
+  end
 
 let table t u =
   match t.tables.(u) with
@@ -76,12 +85,16 @@ let still_valid t tb lids =
         l.Topology.ends)
     lids
 
+(* Same distance and first hop toward every destination [a] asked about.
+   The interface toward a hop is the router's interface on the hop's [via]
+   link, so equal hops and links mean equal interfaces. *)
 let same_answers a b =
   let same = ref true in
   Bitset.iter
     (fun d ->
-      if a.hop.(d) <> b.hop.(d) || a.hop_iface.(d) <> b.hop_iface.(d) || a.dist.(d) <> b.dist.(d)
-      then same := false)
+      let ha = hop a d and hb = hop b d in
+      if ha <> hb || a.dist.(d) <> b.dist.(d) || (ha >= 0 && a.via.(ha) <> b.via.(hb)) then
+        same := false)
     a.asked;
   !same
 
@@ -137,7 +150,8 @@ let rib t u =
     | Some d when d = u -> None
     | Some d ->
       let tb = lookup t u d in
-      if tb.hop.(d) < 0 then None else Some (tb.hop_iface.(d), tb.hop.(d))
+      let h = hop tb d in
+      if h < 0 then None else Some (Topology.iface_of_link t.topo u tb.via.(h), h)
   in
   let distance addr =
     match Rib.resolve addr with

@@ -8,12 +8,13 @@
     substrate.
 
     A router's table is its shortest-path tree (Dijkstra, ties toward
-    smaller node ids), built on the router's first lookup: PIM asks only
-    the routers on its trees, and only about sources, RPs and cores.  On a
-    link or node change a table is rebuilt only if the change alters its
-    tree, and a router is notified only if its answer toward some
-    destination it has looked up changed.  A node change is handled once,
-    not once per link. *)
+    smaller node ids) and nothing more: a lookup walks the tree's parents
+    to find the first hop.  A table is built on the router's first lookup:
+    PIM asks only the routers on its trees, and only about sources, RPs
+    and cores.  On a link or node change a table is rebuilt only if the
+    change alters its tree, and a router is notified only if its answer
+    toward some destination it has looked up changed.  A node change is
+    handled once, not once per link. *)
 
 type t
 

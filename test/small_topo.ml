@@ -3,12 +3,12 @@
 module Topology = Pim_graph.Topology
 module Prng = Pim_util.Prng
 
-(* Small graphs with parallel links, LANs and costs 1-3, so equal-cost
-   ties and interface order matter. *)
-let random prng =
+(* Small graphs with parallel links, LANs and costs 1 to [max_cost]
+   (default 3), so equal-cost ties and interface order matter. *)
+let random ?(max_cost = 3) prng =
   let n = 4 + Prng.int prng 9 in
   let b = Topology.builder n in
-  let cost () = 1 + Prng.int prng 3 in
+  let cost () = 1 + Prng.int prng max_cost in
   for v = 1 to n - 1 do
     ignore (Topology.add_p2p ~cost:(cost ()) b (Prng.int prng v) v)
   done;

@@ -276,6 +276,60 @@ let prop_dijkstra_path_length_matches =
       | None, None -> true
       | _ -> false)
 
+(* The bucket queue against the O(n^2) reference: the same distances and
+   the same tree, parents and links alike, from every source, on graphs
+   with LANs, parallel links and costs 1-5 (paths outrun the ring of 8
+   buckets, so it wraps), with links, routers and single directions of
+   links out of use.  One scratch serves every source. *)
+let prop_spt_matches_reference =
+  QCheck.Test.make ~name:"dijkstra: same trees as the reference" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let prng = Prng.create seed in
+      let t = Small_topo.random ~max_cost:5 prng in
+      let n = Topology.n_nodes t in
+      let link_up = Array.init (Topology.n_links t) (fun _ -> Prng.int prng 5 > 0) in
+      let node_up = Array.init n (fun _ -> Prng.int prng 6 > 0) in
+      let one_way = Prng.int prng 1000 in
+      let usable u v lid =
+        link_up.(lid) && node_up.(u) && node_up.(v) && ((u * 31) + (v * 7) + lid + one_way) mod 9 > 0
+      in
+      let scratch = Spt.make_scratch ~n in
+      List.for_all
+        (fun usable ->
+          List.for_all
+            (fun src ->
+              let want = Spt_reference.single_source ?usable t src in
+              let got = Spt.single_source_into ?usable scratch t src in
+              want.Spt.dist = got.Spt.dist && want.Spt.parent = got.Spt.parent
+              && want.Spt.via = got.Spt.via)
+            (List.init n Fun.id))
+        [ None; Some usable ])
+
+let test_flat_adjacency () =
+  let prng = Prng.create 5 in
+  for _ = 1 to 20 do
+    let t = Small_topo.random ~max_cost:5 prng in
+    let adj = Topology.adjacency t in
+    let max_cost = Array.fold_left (fun m l -> max m l.Topology.cost) 1 (Topology.links t) in
+    Alcotest.(check int) "max cost" max_cost (Topology.max_cost t);
+    for u = 0 to Topology.n_nodes t - 1 do
+      let want =
+        List.map (fun (iface, v) -> (v, snd (Topology.ifaces t u).(iface))) (Topology.neighbors t u)
+      in
+      let got =
+        List.init
+          (adj.Topology.edge_start.(u + 1) - adj.Topology.edge_start.(u))
+          (fun i ->
+            let k = adj.Topology.edge_start.(u) + i in
+            Alcotest.(check int) "cost" (Topology.link t adj.Topology.edge_link.(k)).Topology.cost
+              adj.Topology.edge_cost.(k);
+            (adj.Topology.edge_nbr.(k), adj.Topology.edge_link.(k)))
+      in
+      Alcotest.(check (list (pair int int))) "edges in interface order" want got
+    done
+  done
+
 (* Tree *)
 
 let test_tree_rejects_cycle () =
@@ -434,6 +488,7 @@ let () =
           Alcotest.test_case "iface mapping" `Quick test_iface_mapping;
           Alcotest.test_case "invalid iface" `Quick test_link_of_iface_invalid;
           Alcotest.test_case "connected" `Quick test_connected;
+          Alcotest.test_case "flat adjacency" `Quick test_flat_adjacency;
         ] );
       ( "classic",
         [
@@ -460,6 +515,7 @@ let () =
           Alcotest.test_case "all pairs symmetric" `Quick test_all_pairs_symmetric;
           QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_dijkstra_edge_relaxed;
           QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_dijkstra_path_length_matches;
+          QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_spt_matches_reference;
         ] );
       ( "tree",
         [

@@ -98,6 +98,67 @@ let test_static_distance_matrix () =
   Alcotest.(check int) "0->2" 2 m.(0).(2);
   Alcotest.(check int) "2->0" 2 m.(2).(0)
 
+(* The RIB's work on a fixed wide-area run: a 480-router transit-stub
+   (the workload harness's sizing for 500), nine stub routers asking
+   about every backbone router and three stub routers, then a scripted
+   sequence of link and node flaps.  Each step pins the exact count of
+   trees built, so a RIB that builds eagerly, or rebuilds trees a change
+   does not alter, fails here. *)
+let test_static_work_pin () =
+  let ts =
+    Pim_graph.Transit_stub.generate ~transit:12 ~stubs_per_transit:3 ~stub_size:13
+      ~prng:(Prng.create 500) ()
+  in
+  let topo = ts.Pim_graph.Transit_stub.topo in
+  let _, net = mk topo in
+  let s = Static.create net in
+  let stubs = Array.of_list ts.Pim_graph.Transit_stub.stubs in
+  let routers = List.init 9 (fun i -> List.nth stubs.(4 * i) 1) in
+  let dests = ts.Pim_graph.Transit_stub.transit @ List.map (fun i -> List.nth stubs.(i) 2) [ 1; 17; 30 ] in
+  let notified = ref 0 in
+  List.iter (fun u -> (Static.rib s u).Rib.subscribe (fun () -> incr notified)) routers;
+  let ask () =
+    List.iter
+      (fun u ->
+        let r = Static.rib s u in
+        List.iter (fun d -> ignore (r.Rib.next_hop (Addr.router d))) dests)
+      routers
+  in
+  let link_between u v =
+    let lids = Array.to_list (Array.map snd (Topology.ifaces topo u)) in
+    List.find (fun lid -> Array.mem v (Topology.link topo lid).Topology.ends) lids
+  in
+  let ring = link_between 0 1 and chord = link_between 37 30 in
+  let access = link_between (List.hd stubs.(8)) (8 / 3) in
+  let stub_link = link_between (List.nth stubs.(8) 1) (List.hd stubs.(8)) in
+  let stub_router = List.nth stubs.(20) 5 in
+  (* Step, then the trees built and the notifications sent so far. *)
+  let steps =
+    [
+      ("lookups", ask, 9, 0);
+      ("lookups again", ask, 9, 0);
+      ("idle chord down", (fun () -> Net.set_link_up net chord false), 9, 0);
+      ("idle chord up", (fun () -> Net.set_link_up net chord true), 9, 0);
+      ("ring link down", (fun () -> Net.set_link_up net ring false), 12, 3);
+      ("ring link up", (fun () -> Net.set_link_up net ring true), 15, 6);
+      ("access link down", (fun () -> Net.set_link_up net access false), 24, 7);
+      ("access link up", (fun () -> Net.set_link_up net access true), 33, 8);
+      ("stub link down", (fun () -> Net.set_link_up net stub_link false), 42, 9);
+      ("stub link up", (fun () -> Net.set_link_up net stub_link true), 51, 10);
+      ("transit router down", (fun () -> Net.set_node_up net 6 false), 60, 19);
+      ("transit router up", (fun () -> Net.set_node_up net 6 true), 69, 28);
+      ("stub router down", (fun () -> Net.set_node_up net stub_router false), 78, 28);
+      ("stub router up", (fun () -> Net.set_node_up net stub_router true), 87, 28);
+      ("refresh", (fun () -> Static.refresh s), 96, 28);
+    ]
+  in
+  List.iter
+    (fun (name, step, dijkstras, notifications) ->
+      step ();
+      Alcotest.(check int) (name ^ ": trees built") dijkstras (Static.dijkstras s);
+      Alcotest.(check int) (name ^ ": notifications") notifications !notified)
+    steps
+
 (* The reference Static is measured against: every router's tree rebuilt
    from scratch over the live network, as the all-pairs implementation
    did on creation and on every link change. *)
@@ -323,6 +384,7 @@ let () =
           Alcotest.test_case "host routes" `Quick test_static_host_routes;
           Alcotest.test_case "reroute on failure" `Quick test_static_reroute_on_failure;
           Alcotest.test_case "node failure" `Quick test_static_node_failure;
+          Alcotest.test_case "work pin" `Quick test_static_work_pin;
           Alcotest.test_case "distance matrix" `Quick test_static_distance_matrix;
           QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_static_matches_all_pairs;
         ] );

@@ -14,7 +14,6 @@ let qcheck_rand () =
 
 module Prng = Pim_util.Prng
 module Vec = Pim_util.Vec
-module Ih = Pim_util.Indexed_heap
 module Bitset = Pim_util.Bitset
 module Stats = Pim_util.Stats
 module Json = Pim_util.Json
@@ -214,111 +213,6 @@ let prop_heap_interleaved =
               x = m
             | _ -> false)
         ops)
-
-(* Indexed heap *)
-
-let test_ih_basic () =
-  let h = Ih.create ~capacity:10 in
-  Alcotest.(check bool) "empty" true (Ih.is_empty h);
-  Ih.insert h 3 ~key:30;
-  Ih.insert h 7 ~key:10;
-  Ih.insert h 1 ~key:20;
-  Alcotest.(check int) "length" 3 (Ih.length h);
-  Alcotest.(check bool) "mem" true (Ih.mem h 7);
-  Alcotest.(check bool) "not mem" false (Ih.mem h 2);
-  Alcotest.(check (option int)) "key" (Some 20) (Ih.key h 1);
-  Alcotest.(check (option (pair int int))) "peek" (Some (7, 10)) (Ih.peek_min h);
-  Alcotest.(check (option (pair int int))) "pop 1" (Some (7, 10)) (Ih.pop_min h);
-  Alcotest.(check (option (pair int int))) "pop 2" (Some (1, 20)) (Ih.pop_min h);
-  Alcotest.(check (option (pair int int))) "pop 3" (Some (3, 30)) (Ih.pop_min h);
-  Alcotest.(check (option (pair int int))) "pop empty" None (Ih.pop_min h);
-  Alcotest.(check bool) "mem after pop" false (Ih.mem h 7)
-
-let test_ih_decrease_key () =
-  let h = Ih.create ~capacity:8 in
-  Ih.insert h 0 ~key:50;
-  Ih.insert h 1 ~key:40;
-  Ih.insert h 2 ~key:30;
-  Ih.decrease_key h 0 ~key:10;
-  Alcotest.(check (option int)) "new key" (Some 10) (Ih.key h 0);
-  Alcotest.(check (option (pair int int))) "reordered" (Some (0, 10)) (Ih.pop_min h);
-  Alcotest.check_raises "absent element"
-    (Invalid_argument "Indexed_heap.decrease_key: element not present") (fun () ->
-      Ih.decrease_key h 5 ~key:1);
-  Alcotest.check_raises "key increase"
-    (Invalid_argument "Indexed_heap.decrease_key: key increase") (fun () ->
-      Ih.decrease_key h 1 ~key:99)
-
-let test_ih_push_upserts () =
-  let h = Ih.create ~capacity:4 in
-  Ih.push h 2 ~key:9;
-  Ih.push h 2 ~key:4;
-  (* decreases *)
-  Ih.push h 2 ~key:7;
-  (* no-op: larger than current *)
-  Alcotest.(check (option int)) "kept the decrease" (Some 4) (Ih.key h 2);
-  Alcotest.(check int) "still one entry" 1 (Ih.length h)
-
-let test_ih_tie_breaks_on_element () =
-  let h = Ih.create ~capacity:6 in
-  List.iter (fun e -> Ih.insert h e ~key:5) [ 4; 1; 3 ];
-  Alcotest.(check (option (pair int int))) "smallest id first" (Some (1, 5)) (Ih.pop_min h);
-  Alcotest.(check (option (pair int int))) "then next" (Some (3, 5)) (Ih.pop_min h);
-  Alcotest.(check (option (pair int int))) "then last" (Some (4, 5)) (Ih.pop_min h)
-
-let test_ih_clear_reusable () =
-  let h = Ih.create ~capacity:5 in
-  Ih.insert h 0 ~key:1;
-  Ih.insert h 4 ~key:2;
-  Ih.clear h;
-  Alcotest.(check bool) "cleared" true (Ih.is_empty h);
-  Alcotest.(check bool) "pos reset" false (Ih.mem h 0);
-  Ih.insert h 0 ~key:8;
-  Alcotest.(check (option (pair int int))) "usable after clear" (Some (0, 8)) (Ih.pop_min h)
-
-let test_ih_rejects_duplicates_and_range () =
-  let h = Ih.create ~capacity:3 in
-  Ih.insert h 1 ~key:0;
-  Alcotest.check_raises "duplicate"
-    (Invalid_argument "Indexed_heap.insert: element already present") (fun () ->
-      Ih.insert h 1 ~key:5);
-  Alcotest.check_raises "out of capacity"
-    (Invalid_argument "Indexed_heap.insert: element 3 out of capacity 3") (fun () ->
-      Ih.insert h 3 ~key:5)
-
-(* Model check: a sequence of insert/decrease/pop operations agrees with a
-   sorted-association-list model. *)
-let prop_ih_model =
-  QCheck.Test.make ~name:"indexed heap agrees with model" ~count:300
-    QCheck.(list (pair (int_bound 15) (int_bound 100)))
-    (fun ops ->
-      let h = Ih.create ~capacity:16 in
-      let model = Hashtbl.create 16 in
-      List.iter
-        (fun (e, k) ->
-          match Hashtbl.find_opt model e with
-          | None ->
-            Hashtbl.replace model e k;
-            Ih.insert h e ~key:k
-          | Some cur when k < cur ->
-            Hashtbl.replace model e k;
-            Ih.decrease_key h e ~key:k
-          | Some _ -> ())
-        ops;
-      let drained = ref [] in
-      let rec drain () =
-        match Ih.pop_min h with
-        | None -> ()
-        | Some (e, k) ->
-          drained := (k, e) :: !drained;
-          drain ()
-      in
-      drain ();
-      let expected =
-        Hashtbl.fold (fun e k acc -> (k, e) :: acc) model []
-        |> List.sort compare |> List.rev
-      in
-      !drained = expected)
 
 (* Bitset *)
 
@@ -612,16 +506,6 @@ let () =
           Alcotest.test_case "no retention after clear" `Quick test_heap_no_retention_after_clear;
           QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_heap_sorts;
           QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_heap_interleaved;
-        ] );
-      ( "indexed-heap",
-        [
-          Alcotest.test_case "basic" `Quick test_ih_basic;
-          Alcotest.test_case "decrease_key" `Quick test_ih_decrease_key;
-          Alcotest.test_case "push upserts" `Quick test_ih_push_upserts;
-          Alcotest.test_case "deterministic ties" `Quick test_ih_tie_breaks_on_element;
-          Alcotest.test_case "clear reusable" `Quick test_ih_clear_reusable;
-          Alcotest.test_case "rejects duplicates/range" `Quick test_ih_rejects_duplicates_and_range;
-          QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_ih_model;
         ] );
       ( "bitset",
         [
