@@ -45,9 +45,9 @@ let () =
   Pim_core.Router.join_local a group;
   let arrivals = ref [] in
   Pim_core.Router.on_local_data a (fun pkt ->
-      match Pim_mcast.Mdata.info pkt with
-      | Some i -> arrivals := (i.Pim_mcast.Mdata.seq, Engine.now eng) :: !arrivals
-      | None -> ());
+      match pkt.Pim_net.Packet.payload with
+      | Pim_mcast.Mdata.Data i -> arrivals := (i.Pim_mcast.Mdata.seq, Engine.now eng) :: !arrivals
+      | _ -> ());
 
   Engine.run ~until:5. eng;
   let d = Pim_core.Deployment.router dep 3 in

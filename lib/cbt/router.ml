@@ -263,9 +263,8 @@ let local_deliver t pkt =
    interface order, testing each in place.  [exclude] is the arrival
    interface, or [Topology.no_iface] for data injected at this router. *)
 let forward_on_tree t (e : entry) ~exclude pkt =
-  match Packet.decr_ttl pkt with
-  | None -> ()
-  | Some pkt' ->
+  if pkt.Packet.ttl > 1 then begin
+    let pkt' = Packet.decr_ttl pkt in
     let now = now t and core = is_core t e in
     for i = 0 to Topology.degree (Net.topo t.net) t.node - 1 do
       if i <> exclude
@@ -276,6 +275,7 @@ let forward_on_tree t (e : entry) ~exclude pkt =
       end
     done;
     if e.local && exclude <> Topology.no_iface then local_deliver t pkt
+  end
 
 let send_unicast t pkt =
   match pkt.Packet.dst with
@@ -286,9 +286,9 @@ let send_unicast t pkt =
     | Some (iface, next) -> Net.send t.net t.node ~iface ~to_node:next pkt)
 
 let originate t pkt =
-  match Mdata.group pkt with
-  | None -> ()
-  | Some g -> (
+  match pkt.Packet.dst with
+  | Packet.Unicast _ -> ()
+  | Packet.Multicast g -> (
     match t.core_of g with
     | None -> ()
     | Some core -> (
@@ -304,9 +304,9 @@ let originate t pkt =
         else send_unicast t (Packet.unicast ~src:t.addr ~dst:core ~size:(pkt.Packet.size + 28) (Encap pkt))))
 
 let handle_data t ~iface pkt =
-  match Mdata.group pkt with
-  | None -> ()
-  | Some g -> (
+  match pkt.Packet.dst with
+  | Packet.Unicast _ -> ()
+  | Packet.Multicast g -> (
     match Hashtbl.find t.entries g with
     | e
       when on_tree_iface ~now:(now t) ~children:e.children ~parent:e.parent
@@ -316,14 +316,14 @@ let handle_data t ~iface pkt =
       Counters.(incr t.counters ~node:t.node Data_dropped_off_tree))
 
 let handle_encap t inner =
-  match Mdata.group inner with
-  | None -> ()
-  | Some g -> (
+  match (inner.Packet.payload, inner.Packet.dst) with
+  | Mdata.Data _, Packet.Multicast g -> (
     match Hashtbl.find_opt t.entries g with
     | Some e when is_core t e || e.confirmed ->
       forward_on_tree t e ~exclude:Topology.no_iface inner;
       if e.local then local_deliver t inner
     | _ -> ())
+  | _ -> ()
 
 (* {1 Membership} *)
 

@@ -45,6 +45,20 @@ type aux = {
   mutable seen_next : int;  (* next write position *)
 }
 
+(* One upstream neighbor's share of a periodic refresh: the sections
+   closed so far (descending group), and the joins and prunes collected
+   for [group] (reverse visit order).  Kept on the router and emptied by
+   every refresh, so a tick allocates only the messages it sends. *)
+type jp_acc = {
+  acc_iface : Topology.iface;
+  acc_up : Topology.node;
+  acc_target : Addr.t;  (* [Addr.router acc_up] *)
+  mutable group : Group.t;
+  mutable joins : Message.jp_entry list;
+  mutable prunes : Message.jp_entry list;
+  mutable sections : Message.join_prune list;
+}
+
 type t = {
   node : Topology.node;
   addr : Addr.t;
@@ -70,6 +84,8 @@ type t = {
      restart (which wipes the FIB) can re-learn them — the equivalent of
      attached hosts answering the first post-reboot IGMP query. *)
   mutable local_members : (Group.t * Topology.iface) list;
+  mutable jp_accs : jp_acc list;
+      (* one per (iface, upstream) a refresh has used, ascending *)
 }
 
 let node t = t.node
@@ -136,7 +152,9 @@ let rps_for t g =
     | [] -> Pim_igmp.Router.rp_hint t.igmp g
     | rps -> rps)
 
-let is_rp_for t g = List.exists (Addr.equal t.addr) (rps_for t g)
+let rec mem_addr a = function x :: tl -> Addr.equal a x || mem_addr a tl | [] -> false
+
+let is_rp_for t g = mem_addr t.addr (rps_for t g)
 
 let select_rp t g =
   let candidates = rps_for t g in
@@ -388,11 +406,11 @@ let send_data t pkt pkt' i =
 let send_ctrl t pkt () i = if i <> local_iface then Net.send t.net t.node ~iface:i pkt
 
 (* Forward a data packet over [e]'s effective set, or over its shared-tree
-   fallback when [shared]; [pruned] is [e]'s prune mask. *)
+   fallback when [shared]; [pruned] is [e]'s prune mask.  The
+   TTL-decremented copy is all a hop builds. *)
 let forward_data t e ~pruned ~shared ~exclude pkt =
-  match Packet.decr_ttl pkt with
-  | None -> ()
-  | Some pkt' -> ignore (walk_data t e ~pruned ~shared ~exclude send_data t pkt pkt')
+  if pkt.Packet.ttl > 1 then
+    ignore (walk_data t e ~pruned ~shared ~exclude send_data t pkt (Packet.decr_ttl pkt))
 
 (* Forward a data packet matched by an (S,G) entry, suppressing identities
    this entry already forwarded.  During the switchover the same packet can
@@ -402,8 +420,8 @@ let forward_data t e ~pruned ~shared ~exclude pkt =
 let forward_sg t e pkt ~shared ~exclude =
   let a = aux e in
   if walk_data t e ~pruned:a.pruned ~shared ~exclude Fwd.skip () () () > 0 then begin
-    match Mdata.info pkt with
-    | Some i ->
+    match pkt.Packet.payload with
+    | Mdata.Data i ->
       if seen_id a i.Mdata.seq then begin
         Counters.(incr t.counters ~node:t.node Data_dup_suppressed);
         if tracing t then
@@ -420,7 +438,7 @@ let forward_sg t e pkt ~shared ~exclude =
         record_id a i.Mdata.seq;
         forward_data t e ~pruned:a.pruned ~shared ~exclude pkt
       end
-    | None -> forward_data t e ~pruned:a.pruned ~shared ~exclude pkt
+    | _ -> forward_data t e ~pruned:a.pruned ~shared ~exclude pkt
   end
 
 (* A last-hop router with directly connected members notices shared-tree
@@ -460,12 +478,12 @@ let maybe_spt_switch t g src =
       end
 
 let handle_data t ~iface pkt =
-  match Mdata.group pkt with
-  | None -> ()
-  | Some g -> (
+  match pkt.Packet.dst with
+  | Packet.Unicast _ -> ()
+  | Packet.Multicast g -> (
     let src = pkt.Packet.src in
     match Fwd.match_data t.fib g ~src with
-    | None ->
+    | exception Not_found ->
       Counters.(incr t.counters ~node:t.node Data_dropped_no_state);
       if tracing t then
         ev t
@@ -476,13 +494,13 @@ let handle_data t ~iface pkt =
                iface;
                reason = "no-state";
              })
-    | Some e when (not (Fwd.is_star e)) && e.Fwd.iif = None ->
+    | e when (not (Fwd.is_star e)) && e.Fwd.iif = None ->
       (* An (S,G) entry with a null iif means we are the source's first-hop
          router: data for S arriving from the network is a looped copy
          (e.g. decapsulated by the RP) and must fail the incoming-interface
          check. *)
       Counters.(incr t.counters ~node:t.node Data_dropped_iif)
-    | Some e ->
+    | e ->
       keepalive t e;
       if Fwd.is_star e then begin
         if Fwd.iif_is e iface then begin
@@ -588,9 +606,8 @@ let register_suppressed t g src rp =
     | Some i -> List.mem i (Fwd.live_oifs e ~now:(now t)))
 
 let rec handle_register t inner =
-  match Mdata.group inner with
-  | None -> ()
-  | Some g ->
+  match (inner.Packet.payload, inner.Packet.dst) with
+  | Mdata.Data _, Packet.Multicast g ->
     let src = inner.Packet.src in
     if is_rp_for t g then begin
       (* Deliver down the shared tree — unless the source's data is already
@@ -612,21 +629,23 @@ let rec handle_register t inner =
       let e = ensure_sg t g src ~rp_bit:false in
       keepalive t e
     end
+  | _ -> ()
 
+(* Data from a directly connected source ([incoming] is the interface it
+   arrived on, [no_iface] for the router's own members). *)
 and originate_data t ~incoming pkt =
-  match Mdata.group pkt with
-  | None -> ()
-  | Some g ->
+  match pkt.Packet.dst with
+  | Packet.Unicast _ -> ()
+  | Packet.Multicast g ->
     let src = pkt.Packet.src in
     let rps = rps_for t g in
     if rps <> [] then begin
       (* Forward natively wherever state already exists. *)
       (match Fwd.match_data t.fib g ~src with
-      | Some e ->
+      | e ->
         keepalive t e;
-        let exclude = match incoming with Some i -> i | None -> Topology.no_iface in
-        forward_data t e ~pruned:(mask_of t e) ~shared:false ~exclude pkt
-      | None -> ());
+        forward_data t e ~pruned:(mask_of t e) ~shared:false ~exclude:incoming pkt
+      | exception Not_found -> ());
       (* Register (data piggybacked) to every RP of the group. *)
       List.iter
         (fun rp ->
@@ -679,7 +698,7 @@ let send_local_data t ~group ?(host = 1) ?size () =
     Mdata.make ~src:(local_source_addr ~host t) ~group ~seq:t.local_seq ~sent_at:(now t) ?size ()
   in
   t.local_seq <- t.local_seq + 1;
-  originate_data t ~incoming:None pkt
+  originate_data t ~incoming:Topology.no_iface pkt
 
 (* Is this data packet from a host on a directly attached subnet this
    router is DR for?  (First-hop router test, section 3.) *)
@@ -985,150 +1004,166 @@ let compare_jp_entry (a : Message.jp_entry) (b : Message.jp_entry) =
     | c -> c)
   | c -> c
 
-(* Bindings of [tbl] sorted by [cmp] on the key — a deterministic
-   iteration snapshot for tables whose visit order escapes into
-   protocol messages. *)
-let sorted_bindings cmp tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort (fun (k, _) (k', _) -> cmp k k')
-
-let periodic_refresh t =
-  (* Per-group sections, bucketed by upstream neighbor; all of a neighbor's
-     sections leave in one bundled message (section 4's message-size
-     aggregation). *)
-  let buckets : (Topology.iface * Topology.node * Group.t, Message.jp_entry list ref * Message.jp_entry list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let bucket iface up g =
-    let k = (iface, up, g) in
-    match Hashtbl.find_opt buckets k with
-    | Some b -> b
-    | None ->
-      let b = (ref [], ref []) in
-      Hashtbl.replace buckets k b;
-      b
-  in
-  let n = now t in
-  Fwd.iter t.fib (fun (e : Fwd.entry) ->
-      let a = aux e in
-      match a.upstream with
-      | None -> ()
-      | Some (iface, up) ->
-        let suppressed = n < a.suppress_until in
-        if Fwd.is_star e then begin
-          if (not suppressed) && Fwd.has_live_oif e ~now:n then
-            match jp_entry_of e with
-            | Some je ->
-              let joins, _ = bucket iface up e.Fwd.group in
-              joins := je :: !joins
-            | None -> ()
-        end
-        else if e.Fwd.rp_bit then begin
-          (* Negative cache with nothing downstream: keep the prune state
-             alive toward the RP (footnote 13). *)
-          if not (has_shared_oif t e a) then
-            match (jp_entry_of e, e.Fwd.source) with
-            | Some _, Some s ->
-              let _, prunes = bucket iface up e.Fwd.group in
-              prunes := Message.jp_entry ~rp:true s :: !prunes
-            | _ -> ()
-        end
-        else begin
-          let wanted = has_effective_oif t e a || is_rp_for t e.Fwd.group in
-          if (not suppressed) && wanted then begin
-            match e.Fwd.source with
-            | Some s ->
-              let joins, _ = bucket iface up e.Fwd.group in
-              joins := Message.jp_entry s :: !joins
-            | None -> ()
-          end;
-          (* Periodically re-assert the shared-tree prune for diverged
-             sources (section 3.4). *)
-          if e.Fwd.spt_bit then begin
-            match (Fwd.find_star t.fib e.Fwd.group, e.Fwd.source) with
-            | Some star, Some s when star.Fwd.iif <> e.Fwd.iif -> (
-              match (aux star).upstream with
-              | Some (siface, sup) ->
-                let _, prunes = bucket siface sup e.Fwd.group in
-                prunes := Message.jp_entry ~rp:true s :: !prunes
-              | None -> ())
-            | _ -> ()
-          end
-        end);
-  (* Optional source aggregation (section 4): collapse plain /32 joins
-     whose sources share a first-hop subnet into one /24 entry. *)
-  let aggregate entries =
-    if not t.cfg.Config.aggregate_sources then entries
-    else begin
-      let plain, rest =
-        List.partition
-          (fun (e : Message.jp_entry) ->
-            (not e.Message.wc) && (not e.Message.rp) && e.Message.plen = 32)
-          entries
-      in
-      let by_prefix = Hashtbl.create 4 in
-      List.iter
+(* Optional source aggregation (section 4): collapse plain /32 joins
+   whose sources share a first-hop subnet into one /24 entry. *)
+let aggregate t entries =
+  if not t.cfg.Config.aggregate_sources then entries
+  else begin
+    let plain, rest =
+      List.partition
         (fun (e : Message.jp_entry) ->
-          let p = Pim_net.Prefix.make e.Message.addr 24 in
-          let cur = Option.value (Hashtbl.find_opt by_prefix p) ~default:[] in
-          Hashtbl.replace by_prefix p (e :: cur))
-        plain;
-      Hashtbl.fold
-        (fun p es acc ->
-          match es with
-          | [ single ] -> single :: acc
-          | _ :: _ :: _ ->
-            Message.jp_entry ~plen:24 (Pim_net.Prefix.network p) :: acc
-          | [] -> acc)
-        by_prefix rest
-      |> List.sort compare_jp_entry
+          (not e.Message.wc) && (not e.Message.rp) && e.Message.plen = 32)
+        entries
+    in
+    let by_prefix = Hashtbl.create 4 in
+    List.iter
+      (fun (e : Message.jp_entry) ->
+        let p = Pim_net.Prefix.make e.Message.addr 24 in
+        let cur = Option.value (Hashtbl.find_opt by_prefix p) ~default:[] in
+        Hashtbl.replace by_prefix p (e :: cur))
+      plain;
+    Hashtbl.fold
+      (fun p es acc ->
+        match es with
+        | [ single ] -> single :: acc
+        | _ :: _ :: _ -> Message.jp_entry ~plen:24 (Pim_net.Prefix.network p) :: acc
+        | [] -> acc)
+      by_prefix rest
+    |> List.sort compare_jp_entry
+  end
+
+(* Close [a]'s section for [a.group], if it collected anything. *)
+let close_section t a =
+  if a.joins <> [] || a.prunes <> [] then begin
+    a.sections <-
+      {
+        Message.target = a.acc_target;
+        origin = t.node;
+        group = a.group;
+        joins = aggregate t a.joins;
+        prunes = a.prunes;
+        holdtime = t.cfg.oif_holdtime;
+      }
+      :: a.sections;
+    a.joins <- [];
+    a.prunes <- []
+  end
+
+let rec find_acc iface up = function
+  | a :: tl -> if a.acc_iface = iface && a.acc_up = up then a else find_acc iface up tl
+  | [] -> raise Not_found
+
+let rec insert_acc a = function
+  | b :: tl when b.acc_iface < a.acc_iface || (b.acc_iface = a.acc_iface && b.acc_up < a.acc_up) ->
+    b :: insert_acc a tl
+  | l -> a :: l
+
+(* The accumulator for upstream [(iface, up)], collecting for group [g].
+   A refresh visits the FIB group by group in ascending order ([Fwd.iter]),
+   so a contribution for a new group closes the previous group's section:
+   each upstream's sections come out by descending group, with one
+   section per group. *)
+let acc_for t iface up g =
+  match find_acc iface up t.jp_accs with
+  | a ->
+    if not (Group.equal a.group g) then begin
+      close_section t a;
+      a.group <- g
+    end;
+    a
+  | exception Not_found ->
+    let a =
+      {
+        acc_iface = iface;
+        acc_up = up;
+        acc_target = Addr.router up;
+        group = g;
+        joins = [];
+        prunes = [];
+        sections = [];
+      }
+    in
+    t.jp_accs <- insert_acc a t.jp_accs;
+    a
+
+let add_join t iface up g je =
+  let a = acc_for t iface up g in
+  a.joins <- je :: a.joins
+
+let add_prune t iface up g je =
+  let a = acc_for t iface up g in
+  a.prunes <- je :: a.prunes
+
+(* One entry's share of the refresh, charged to its upstream (a diverged
+   source's shared-tree prune to the "(*,G)" entry's upstream). *)
+let refresh_entry t n (e : Fwd.entry) =
+  let a = aux e in
+  match a.upstream with
+  | None -> ()
+  | Some (iface, up) ->
+    let g = e.Fwd.group in
+    let suppressed = n < a.suppress_until in
+    if Fwd.is_star e then begin
+      if (not suppressed) && Fwd.has_live_oif e ~now:n then
+        match e.Fwd.rp with
+        | Some rp -> add_join t iface up g (Message.jp_entry ~wc:true ~rp:true rp)
+        | None -> ()
     end
-  in
-  (* Regroup by upstream and emit one bundle per neighbor. *)
-  let per_upstream : (Topology.iface * Topology.node, Message.join_prune list ref) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let compare_bucket_key (i, u, g) (i', u', g') =
-    match Int.compare i i' with
-    | 0 -> ( match Int.compare u u' with 0 -> Group.compare g g' | c -> c)
-    | c -> c
-  in
-  List.iter
-    (fun ((iface, up, g), (joins, prunes)) ->
-      let joins = ref (aggregate !joins) in
-      if !joins <> [] || !prunes <> [] then begin
-        let sections =
-          match Hashtbl.find_opt per_upstream (iface, up) with
-          | Some l -> l
-          | None ->
-            let l = ref [] in
-            Hashtbl.replace per_upstream (iface, up) l;
-            l
-        in
-        sections :=
-          {
-            Message.target = Addr.router up;
-            origin = t.node;
-            group = g;
-            joins = !joins;
-            prunes = !prunes;
-            holdtime = t.cfg.oif_holdtime;
-          }
-          :: !sections
-      end)
-    (sorted_bindings compare_bucket_key buckets);
-  let compare_upstream_key (i, u) (i', u') =
-    match Int.compare i i' with 0 -> Int.compare u u' | c -> c
-  in
-  List.iter
-    (fun ((iface, _), sections) ->
+    else if e.Fwd.rp_bit then begin
+      (* Negative cache with nothing downstream: keep the prune state
+         alive toward the RP (footnote 13). *)
+      if not (has_shared_oif t e a) then
+        match e.Fwd.source with
+        | Some s -> add_prune t iface up g (Message.jp_entry ~rp:true s)
+        | None -> ()
+    end
+    else begin
+      let wanted = has_effective_oif t e a || is_rp_for t g in
+      if (not suppressed) && wanted then begin
+        match e.Fwd.source with
+        | Some s -> add_join t iface up g (Message.jp_entry s)
+        | None -> ()
+      end;
+      (* Periodically re-assert the shared-tree prune for diverged
+         sources (section 3.4). *)
+      if e.Fwd.spt_bit then begin
+        match (Fwd.find_star t.fib g, e.Fwd.source) with
+        | Some star, Some s when star.Fwd.iif <> e.Fwd.iif -> (
+          match (aux star).upstream with
+          | Some (siface, sup) -> add_prune t siface sup g (Message.jp_entry ~rp:true s)
+          | None -> ())
+        | _ -> ()
+      end
+    end
+
+let rec count_sections t = function
+  | (m : Message.join_prune) :: tl ->
+    Counters.(add t.counters ~node:t.node Joins_sent (List.length m.Message.joins));
+    Counters.(add t.counters ~node:t.node Prunes_sent (List.length m.Message.prunes));
+    count_sections t tl
+  | [] -> ()
+
+(* One bundle per upstream that has sections, in ascending
+   [(iface, upstream)] order; every accumulator is left empty. *)
+let rec send_bundles t = function
+  | a :: tl ->
+    close_section t a;
+    if a.sections <> [] then begin
       Counters.(incr t.counters ~node:t.node Jp_msgs_sent);
-      List.iter
-        (fun (m : Message.join_prune) ->
-          Counters.(add t.counters ~node:t.node Joins_sent (List.length m.Message.joins));
-          Counters.(add t.counters ~node:t.node Prunes_sent (List.length m.Message.prunes)))
-        !sections;
-      Net.send t.net t.node ~iface (Message.bundle_packet ~src:t.addr !sections))
-    (sorted_bindings compare_upstream_key per_upstream)
+      count_sections t a.sections;
+      Net.send t.net t.node ~iface:a.acc_iface (Message.bundle_packet ~src:t.addr a.sections);
+      a.sections <- []
+    end;
+    send_bundles t tl
+  | [] -> ()
+
+(* Per-group sections, bucketed by upstream neighbor; all of a neighbor's
+   sections leave in one bundled message (section 4's message-size
+   aggregation). *)
+let periodic_refresh t =
+  let n = now t in
+  Fwd.iter t.fib (fun e -> refresh_entry t n e);
+  send_bundles t t.jp_accs
 
 let sweep t =
   let n = now t in
@@ -1194,7 +1229,7 @@ let handle_packet t ~iface pkt =
       | Packet.Unicast dst when Addr.equal dst t.addr -> handle_register t inner
       | _ -> send_unicast t pkt)
     | Mdata.Data _ ->
-      if is_local_origin t ~iface pkt.Packet.src then originate_data t ~incoming:(Some iface) pkt
+      if is_local_origin t ~iface pkt.Packet.src then originate_data t ~incoming:iface pkt
       else handle_data t ~iface pkt
     | _ -> (
       (* Transit unicast traffic (e.g. registers using other substrates). *)
@@ -1226,6 +1261,7 @@ let create ?(config = Config.default) ?igmp_config ?trace ?rp_lookup ~net ~rib ~
       local_seq = 0;
       proxy_ifaces = [];
       local_members = [];
+      jp_accs = [];
     }
   in
   Net.set_handler net node (fun ~iface pkt -> handle_packet t ~iface pkt);

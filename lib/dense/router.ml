@@ -220,9 +220,8 @@ let send_data t pkt pkt' i =
 (* Forward a data packet matching [e]; returns the size of the broadcast
    set, which is counted even when the TTL runs out. *)
 let forward_data t (e : Fwd.entry) ~exclude src g pkt =
-  match Packet.decr_ttl pkt with
-  | None -> broadcast t e ~exclude src g Fwd.skip () ()
-  | Some pkt' -> broadcast t e ~exclude src g send_data pkt pkt'
+  if pkt.Packet.ttl > 1 then broadcast t e ~exclude src g send_data pkt (Packet.decr_ttl pkt)
+  else broadcast t e ~exclude src g Fwd.skip () ()
 
 let broadcast_ifaces t (e : Fwd.entry) ~exclude =
   match e.Fwd.source with
@@ -279,9 +278,9 @@ let ensure_entry t g src =
     e
 
 let handle_data t ~iface pkt =
-  match Mdata.group pkt with
-  | None -> ()
-  | Some g ->
+  match pkt.Packet.dst with
+  | Packet.Unicast _ -> ()
+  | Packet.Multicast g ->
     let src = pkt.Packet.src in
     let e = ensure_entry t g src in
     if not (Fwd.iif_is e iface) then begin
@@ -306,14 +305,15 @@ let handle_data t ~iface pkt =
       if sent = 0 && not (has_local_members t g) then send_prune_upstream t e src g
     end
 
+(* Data from a directly connected source ([incoming] is the interface it
+   arrived on, [no_iface] for the router's own members). *)
 let originate_data t ~incoming pkt =
-  match Mdata.group pkt with
-  | None -> ()
-  | Some g ->
+  match pkt.Packet.dst with
+  | Packet.Unicast _ -> ()
+  | Packet.Multicast g ->
     let src = pkt.Packet.src in
     let e = ensure_entry t g src in
-    let exclude = Option.value incoming ~default:Topology.no_iface in
-    ignore (forward_data t e ~exclude src g pkt)
+    ignore (forward_data t e ~exclude:incoming src g pkt)
 
 (* {1 Prune/Join processing with LAN override (section 3.7)} *)
 
@@ -514,7 +514,7 @@ let send_local_data t ~group ?size () =
     Mdata.make ~src:(local_source_addr t) ~group ~seq:t.local_seq ~sent_at:(now t) ?size ()
   in
   t.local_seq <- t.local_seq + 1;
-  originate_data t ~incoming:None pkt
+  originate_data t ~incoming:Topology.no_iface pkt
 
 let is_dr t lid =
   Topology.others_on_link (Net.topo t.net) lid t.node
@@ -593,7 +593,7 @@ let handle_packet t ~iface pkt =
       else overhear_join t ~iface b
     | Member_advert adv -> install_advert t ~iface adv
     | Mdata.Data _ ->
-      if is_local_origin t ~iface pkt.Packet.src then originate_data t ~incoming:(Some iface) pkt
+      if is_local_origin t ~iface pkt.Packet.src then originate_data t ~incoming:iface pkt
       else handle_data t ~iface pkt
     | _ -> ()
   end

@@ -36,9 +36,9 @@ let run_one_policy ~topo ~members ~senders ~name ~spt_policy =
       v.Stack.join m;
       v.Stack.on_data m (fun pkt ->
           incr deliveries;
-          match Mdata.info pkt with
-          | Some i -> delays := (Engine.now eng -. i.Mdata.sent_at) :: !delays
-          | None -> ()))
+          match pkt.Pim_net.Packet.payload with
+          | Mdata.Data i -> delays := (Engine.now eng -. i.Mdata.sent_at) :: !delays
+          | _ -> ()))
     members;
   Engine.run ~until:20. eng;
   Metrics.reset metrics;

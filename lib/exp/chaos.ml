@@ -141,7 +141,7 @@ let run_protocol ~topo ~schedule ~fault_end ~members ~source ~delay_bound ~place
      back to the protocol's strict bound. *)
   let oracle =
     Oracle.create ~max_copies:(s.Stack.max_copies + 2) net ~probe_id:(fun pkt ->
-        Option.map (fun (i : Mdata.info) -> i.Mdata.seq) (Mdata.info pkt))
+        match pkt.Pim_net.Packet.payload with Mdata.Data i -> Some i.Mdata.seq | _ -> None)
   in
   let n_recv = List.length members in
   (* seq -> receivers that got it (dedup), plus completion times. *)
@@ -155,9 +155,8 @@ let run_protocol ~topo ~schedule ~fault_end ~members ~source ~delay_bound ~place
       Hashtbl.replace per_recv m (ref []);
       s.Stack.join m;
       s.Stack.on_data m (fun pkt ->
-          match Mdata.info pkt with
-          | None -> ()
-          | Some { Mdata.seq; sent_at } ->
+          match pkt.Pim_net.Packet.payload with
+          | Mdata.Data { Mdata.seq; sent_at } ->
             Oracle.note_received oracle ~node:m ~probe:seq;
             let tbl =
               match Hashtbl.find_opt recv_log seq with
@@ -175,7 +174,8 @@ let run_protocol ~topo ~schedule ~fault_end ~members ~source ~delay_bound ~place
               | Some l -> l := sent_at :: !l
               | None -> ());
               if Hashtbl.length tbl = n_recv then full_times := sent_at :: !full_times
-            end))
+            end
+          | _ -> ()))
     members;
   (* Steady stream up to the checkpoint, then the probe burst. *)
   let checkpoint_start = fault_end +. Stack.settle_hint ~rp_election ~hops:1 protocol in

@@ -466,7 +466,7 @@ let run ?trace_file ?capture_file ?metrics_file ?protocol ?switchover_fallback (
        drops to the protocol's strict bound (same discipline as the
        chaos harness). *)
     Oracle.create ~max_copies:(stack.Stack.max_copies + 2) net ~probe_id:(fun pkt ->
-        Option.map (fun (i : Mdata.info) -> i.Mdata.seq) (Mdata.info pkt))
+        match pkt.Pim_net.Packet.payload with Mdata.Data i -> Some i.Mdata.seq | _ -> None)
   in
   let faults = Fault.install ~restart:stack.Stack.restart net [] in
   (* Delivery tally: seq -> member -> copies. *)
@@ -515,9 +515,8 @@ let run ?trace_file ?capture_file ?metrics_file ?protocol ?switchover_fallback (
     if not (Hashtbl.mem wired m) then begin
       Hashtbl.replace wired m ();
       stack.Stack.on_data m (fun pkt ->
-          match Mdata.info pkt with
-          | None -> ()
-          | Some { Mdata.seq; _ } ->
+          match pkt.Pim_net.Packet.payload with
+          | Mdata.Data { Mdata.seq; _ } ->
             Oracle.note_received oracle ~node:m ~probe:seq;
             let per_member =
               match Hashtbl.find_opt tally seq with
@@ -530,7 +529,8 @@ let run ?trace_file ?capture_file ?metrics_file ?protocol ?switchover_fallback (
             let n = 1 + Option.value (Hashtbl.find_opt per_member m) ~default:0 in
             Hashtbl.replace per_member m n;
             incr deliveries;
-            if n > 1 then incr duplicates)
+            if n > 1 then incr duplicates
+          | _ -> ())
     end
   in
   let now = ref 0. in

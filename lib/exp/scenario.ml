@@ -80,13 +80,13 @@ let run ?capture_file ?trace_file ?metrics_file spec =
       let r = Deployment.router dep m in
       Router.join_local r group;
       Router.on_local_data r (fun pkt ->
-          match Mdata.info pkt with
-          | Some i ->
+          match pkt.Pim_net.Packet.payload with
+          | Mdata.Data i ->
             let now = Engine.now eng in
             Pim_util.Metrics.observe latency (now -. i.Mdata.sent_at);
             Pim_mcast.Delivery.record delivery ~group ~src:pkt.Pim_net.Packet.src
               ~seq:i.Mdata.seq ~receiver:m ~sent_at:i.Mdata.sent_at ~at:now
-          | None -> ()))
+          | _ -> ()))
     members;
   Engine.run ~until:10. eng;
   let sr = Deployment.router dep source in

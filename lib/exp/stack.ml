@@ -203,8 +203,8 @@ let local_dispatch net register =
         let tbl = Group_tbl.create 4 in
         by_node.(node) <- Some tbl;
         register node (fun pkt ->
-            match Pim_mcast.Mdata.group pkt with
-            | Some g -> (
+            match (pkt.Pim_net.Packet.payload, pkt.Pim_net.Packet.dst) with
+            | Pim_mcast.Mdata.Data _, Pim_net.Packet.Multicast g -> (
               match Group_tbl.find tbl g with
               | cbs ->
                 for i = 0 to Pim_util.Vec.length cbs - 1 do
@@ -212,7 +212,7 @@ let local_dispatch net register =
                   cb pkt
                 done
               | exception Not_found -> ())
-            | None -> ());
+            | _ -> ());
         tbl
     in
     match Group_tbl.find_opt by_group group with

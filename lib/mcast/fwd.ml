@@ -167,14 +167,16 @@ let gid_of t g =
   let gid = Group.Interner.id t.interner g in
   if gid < Array.length t.slots then gid else -1
 
+(* [s]'s entry in a slot's (S,G) list.  @raise Not_found *)
 let rec find_source s = function
   | e :: tl -> (
-    match e.source with Some s' when Addr.equal s' s -> Some e | _ -> find_source s tl)
-  | [] -> None
+    match e.source with Some s' when Addr.equal s' s -> e | _ -> find_source s tl)
+  | [] -> raise Not_found
 
 let find_sg t g s =
   let gid = gid_of t g in
-  if gid < 0 then None else find_source s t.slots.(gid).sgs
+  if gid < 0 then None
+  else match find_source s t.slots.(gid).sgs with e -> Some e | exception Not_found -> None
 
 let find_star t g =
   let gid = gid_of t g in
@@ -182,10 +184,12 @@ let find_star t g =
 
 let match_data t g ~src =
   let gid = gid_of t g in
-  if gid < 0 then None
+  if gid < 0 then raise Not_found
   else
     let sl = t.slots.(gid) in
-    match find_source src sl.sgs with Some _ as e -> e | None -> sl.star
+    match find_source src sl.sgs with
+    | e -> e
+    | exception Not_found -> ( match sl.star with Some e -> e | None -> raise Not_found)
 
 let ensure_slot t gid =
   if gid >= Array.length t.slots then begin

@@ -112,8 +112,10 @@ val find_sg : t -> Pim_net.Group.t -> Pim_net.Addr.t -> entry option
 
 val find_star : t -> Pim_net.Group.t -> entry option
 
-val match_data : t -> Pim_net.Group.t -> src:Pim_net.Addr.t -> entry option
-(** Longest-match rule for data packets: (S,G) if present, else "(*,G)". *)
+val match_data : t -> Pim_net.Group.t -> src:Pim_net.Addr.t -> entry
+(** Longest-match rule for data packets: (S,G) if present, else "(*,G)".
+    A match builds nothing: this runs once per forwarded packet.
+    @raise Not_found when the router has neither entry. *)
 
 val insert : t -> entry -> unit
 (** @raise Invalid_argument if an entry with the same key exists. *)

@@ -16,10 +16,3 @@ let make ~src ~group ~seq ~sent_at ?(size = 1000) () =
   Packet.multicast ~src ~group ~size (Data { seq; sent_at })
 
 let is_data pkt = match pkt.Packet.payload with Data _ -> true | _ -> false
-
-let info pkt = match pkt.Packet.payload with Data i -> Some i | _ -> None
-
-let group pkt =
-  match (pkt.Packet.payload, pkt.Packet.dst) with
-  | Data _, Packet.Multicast g -> Some g
-  | _ -> None

@@ -2,7 +2,9 @@
 
     A single payload constructor shared by every multicast routing protocol
     in the repository, so that link-traversal observers can classify data
-    vs. control traffic uniformly. *)
+    vs. control traffic uniformly.  Readers match it directly — [Data i]
+    in the payload, [Multicast g] in the destination — so the per-hop
+    path builds no option to learn a packet's group or sequence number. *)
 
 type info = {
   seq : int;  (** per-source sequence number *)
@@ -22,8 +24,3 @@ val make :
 (** Build a data packet (default modelled size 1000 bytes). *)
 
 val is_data : Pim_net.Packet.t -> bool
-
-val info : Pim_net.Packet.t -> info option
-
-val group : Pim_net.Packet.t -> Pim_net.Group.t option
-(** The destination group of a data packet. *)

@@ -205,8 +205,8 @@ let plan_for t src_router g =
 
 let local_deliver t pkt =
   Counters.(incr t.counters ~node:t.node Data_delivered_local);
-  (match Mdata.group pkt with
-  | Some g ->
+  (match pkt.Packet.dst with
+  | Packet.Multicast g ->
     if tracing t then
       ev t
         (Event.Pkt_deliver
@@ -215,7 +215,7 @@ let local_deliver t pkt =
              group = Group.to_string g;
              iface = -1;
            })
-  | None -> ());
+  | Packet.Unicast _ -> ());
   for i = 0 to Pim_util.Vec.length t.local_cbs - 1 do
     let cb = Pim_util.Vec.get t.local_cbs i in
     cb pkt
@@ -230,19 +230,16 @@ let rec send_all t pkt' = function
     send_all t pkt' rest
   | [] -> ()
 
-let forward t pkt olist =
-  match Packet.decr_ttl pkt with
-  | None -> ()
-  | Some pkt' -> send_all t pkt' olist
+let forward t pkt olist = if pkt.Packet.ttl > 1 then send_all t (Packet.decr_ttl pkt) olist
 
 let src_router_of pkt =
   match Addr.router_index pkt.Packet.src with
-  | Some r -> Some r
+  | Some _ as r -> r
   | None -> Addr.host_router_index pkt.Packet.src
 
 let handle_data t ~iface pkt =
-  match (Mdata.group pkt, src_router_of pkt) with
-  | Some g, Some src_router ->
+  match (pkt.Packet.dst, src_router_of pkt) with
+  | Packet.Multicast g, Some src_router ->
     let p = plan_for t src_router g in
     if not p.on_tree then Counters.(incr t.counters ~node:t.node Data_dropped_off_tree)
     else if t.node = src_router then begin
@@ -292,12 +289,12 @@ let handle_packet t ~iface pkt =
     | Some r when r = t.node -> (
       (* Data from a directly attached host: act as the source's first
          hop. *)
-      match Mdata.group pkt with
-      | Some g ->
+      match pkt.Packet.dst with
+      | Packet.Multicast g ->
         let p = plan_for t t.node g in
         forward t pkt p.olist;
         if p.member_here then local_deliver t pkt
-      | None -> ())
+      | Packet.Unicast _ -> ())
     | _ -> handle_data t ~iface pkt)
   | _ -> ()
 

@@ -11,7 +11,12 @@
     The queue is a calendar-queue timer wheel ({!Pim_util.Timer_wheel}):
     schedule, fire and {!cancel} are all amortized O(1), and cancellation
     removes the event from its wheel slot immediately rather than leaving
-    a tombstone until its fire time. *)
+    a tombstone until its fire time.
+
+    Allocation: {!schedule} builds one wheel node per event.  Firing an
+    event and cancelling one build nothing, and re-arming a handle
+    ({!rearm_at}, and every {!every} tick) builds only the boxed float of
+    its new time, 2 words. *)
 
 type t
 

@@ -28,7 +28,13 @@
 
    Physical equality is the identity test of the intrusive list (a node is
    its own identity; comparing payloads would be wrong), hence the
-   pimlint H2 allows below. *)
+   pimlint H2 allows below.
+
+   The per-event paths ([link], [find_min], [pop_until], [drain_until],
+   [readd]) allocate nothing.  Their loops ([link_back], [scan],
+   [min_head]) are top-level recursions that take the wheel, bucket and
+   nodes as arguments: a local [let rec] over them would be a closure,
+   built afresh on every call. *)
 
 type 'a node = {
   mutable time : float;
@@ -106,6 +112,27 @@ let[@inline] node_lt a b =
   a.time < b.time
   || (a.time = b.time && a.seq < b.seq)
 
+(* Walk back from [p] toward [head] (the list of bucket [s]) for the last
+   node not after [n], and insert [n] behind it; [n] becomes the head if
+   it precedes everything. *)
+let rec link_back t s head n p =
+  if node_le p n then begin
+    (* insert after [p] *)
+    n.prev <- p;
+    n.next <- p.next;
+    p.next.prev <- n;
+    p.next <- n
+  end
+  else if p == head then begin (* pimlint: allow H2 — intrusive list identity *)
+    (* [n] precedes everything: insert before [head], become the head *)
+    n.prev <- head.prev;
+    n.next <- head;
+    head.prev.next <- n;
+    head.prev <- n;
+    t.buckets.(s) <- n
+  end
+  else link_back t s head n p.prev
+
 (* Link [n] into its bucket, keeping the list sorted by [(time, seq)].
    Scanning starts at the tail: monotone workloads (same-timestamp bursts,
    periodic re-arms) append in O(1), and the resize policy keeps average
@@ -120,27 +147,7 @@ let link t n =
     n.next <- n;
     t.buckets.(s) <- n
   end
-  else begin
-    let rec back p =
-      if node_le p n then begin
-        (* insert after [p] *)
-        n.prev <- p;
-        n.next <- p.next;
-        p.next.prev <- n;
-        p.next <- n
-      end
-      else if p == head then begin (* pimlint: allow H2 — intrusive list identity *)
-        (* [n] precedes everything: insert before [head], become the head *)
-        n.prev <- head.prev;
-        n.next <- head;
-        head.prev.next <- n;
-        head.prev <- n;
-        t.buckets.(s) <- n
-      end
-      else back p.prev
-    in
-    back head.prev
-  end;
+  else link_back t s head n head.prev;
   t.live <- t.live + 1
 
 let unlink t n =
@@ -255,31 +262,33 @@ let add t ~time ~seq v =
 
 let cancel n = if n.abs >= 0 then unlink n.wheel n
 
+(* The earliest bucket head from index [i] on, or [best] if none is
+   strictly earlier: the first strictly smaller head wins ties.
+   [nil.time = infinity] loses every comparison, so empty buckets never
+   win. *)
+let rec min_head buckets i best =
+  if i >= Array.length buckets then best
+  else
+    let h = buckets.(i) in
+    min_head buckets (i + 1) (if node_lt h best then h else best)
+
+(* The first due head from absolute bucket [b] on, looking at most
+   [remaining] buckets ahead.  [nil.abs = max_int] keeps empty buckets
+   non-due.  When a whole revolution holds nothing due (the next event is
+   more than one wheel revolution ahead), an O(buckets) direct search for
+   the global minimum head. *)
+let rec scan t b remaining =
+  if remaining = 0 then min_head t.buckets 0 t.nil
+  else
+    let head = t.buckets.(b land t.mask) in
+    if head.abs <= b then head else scan t (b + 1) (remaining - 1)
+
 (* Find the minimum element WITHOUT mutating the wheel.  The cursor is
    only committed by the popping callers once the horizon check passes:
    committing eagerly would advance it past a never-popped future event,
    and an element added later (earlier in time, but behind the advanced
    cursor) would then fire out of order.  Returns [t.nil] when empty. *)
-let find_min t =
-  let n_buckets = Array.length t.buckets in
-  let nil = t.nil in
-  let rec scan b remaining =
-    if remaining = 0 then begin
-      (* A whole revolution holds nothing due: O(buckets) direct search
-         for the global minimum head (the next event is more than one
-         wheel revolution ahead).  [nil.time = infinity] loses every
-         comparison, so empty buckets never win. *)
-      let best = ref nil in
-      Array.iter (fun h -> if node_lt h !best then best := h) t.buckets;
-      !best
-    end
-    else begin
-      let head = t.buckets.(b land t.mask) in
-      (* [nil.abs = max_int] keeps empty buckets non-due. *)
-      if head.abs <= b then head else scan (b + 1) (remaining - 1)
-    end
-  in
-  scan t.cur_abs n_buckets
+let find_min t = scan t t.cur_abs (Array.length t.buckets)
 
 let maybe_shrink t =
   (* Lazy threshold (1/32 occupancy): a draining queue should not pay a

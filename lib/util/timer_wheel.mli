@@ -24,6 +24,13 @@
       a cancelled or popped node, so its payload is immediately
       collectable.
 
+    Only [add] allocates (the node itself, and the bucket array when the
+    wheel resizes).  Linking a node into its bucket, popping, draining,
+    cancelling and re-adding build nothing: the backward walk of a link
+    and the dequeue scan are top-level recursions, not closures over the
+    wheel, so a recurring timer re-armed with {!readd} costs no garbage
+    per firing.
+
     Same-timestamp events pop in ascending [seq] order — callers thread a
     monotonic sequence number through [add], which keeps runs
     deterministic (the engine's FIFO-on-ties contract). *)

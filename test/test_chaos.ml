@@ -38,9 +38,9 @@ let test_reconverges_after_flap_and_crash () =
   Router.join_local (Deployment.router d 5) group;
   let received = ref [] in
   Router.on_local_data (Deployment.router d 5) (fun pkt ->
-      match Mdata.info pkt with
-      | Some { Mdata.sent_at; _ } -> received := sent_at :: !received
-      | None -> ());
+      match pkt.Pim_net.Packet.payload with
+      | Mdata.Data { Mdata.sent_at; _ } -> received := sent_at :: !received
+      | _ -> ());
   for i = 0 to 109 do
     ignore
       (Engine.schedule_at eng
@@ -180,7 +180,7 @@ let test_oracle_loop_freedom_on_wire () =
   Net.set_handler net 1 (fun ~iface:_ _ -> ());
   let oracle =
     Oracle.create ~max_copies:1 net ~probe_id:(fun pkt ->
-        Option.map (fun (i : Mdata.info) -> i.Mdata.seq) (Mdata.info pkt))
+        match pkt.Pim_net.Packet.payload with Mdata.Data i -> Some i.Mdata.seq | _ -> None)
   in
   let pkt = Mdata.make ~src:(Addr.host ~router:0 1) ~group ~seq:0 ~sent_at:0. () in
   Net.send net 0 ~iface:0 pkt;

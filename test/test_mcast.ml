@@ -35,14 +35,14 @@ let test_mdata () =
   let pkt = Mdata.make ~src:s ~group:g ~seq:5 ~sent_at:1.5 () in
   Alcotest.(check bool) "is_data" true (Mdata.is_data pkt);
   Alcotest.(check int) "default size" 1000 pkt.Packet.size;
-  (match Mdata.info pkt with
-  | Some i ->
+  (match pkt.Packet.payload with
+  | Mdata.Data i ->
     Alcotest.(check int) "seq" 5 i.Mdata.seq;
     Alcotest.(check (float 1e-9)) "sent_at" 1.5 i.Mdata.sent_at
-  | None -> Alcotest.fail "info expected");
-  (match Mdata.group pkt with
-  | Some gg -> Alcotest.(check bool) "group" true (Group.equal g gg)
-  | None -> Alcotest.fail "group expected");
+  | _ -> Alcotest.fail "info expected");
+  (match pkt.Packet.dst with
+  | Packet.Multicast gg -> Alcotest.(check bool) "group" true (Group.equal g gg)
+  | Packet.Unicast _ -> Alcotest.fail "group expected");
   let other = Packet.unicast ~src:s ~dst:rp ~size:1 (Packet.Raw "x") in
   Alcotest.(check bool) "non-data" false (Mdata.is_data other)
 
@@ -110,18 +110,17 @@ let test_fib_match_rules () =
   let fib = Fwd.create () in
   let star = Fwd.make_star ~group:g ~rp ~iif:(Some 0) ~expires:100. in
   Fwd.insert fib star;
-  (match Fwd.match_data fib g ~src:s with
-  | Some e -> Alcotest.(check bool) "star match" true (Fwd.is_star e)
-  | None -> Alcotest.fail "match expected");
+  Alcotest.(check bool) "star match" true (Fwd.is_star (Fwd.match_data fib g ~src:s));
   let sg = Fwd.make_sg ~group:g ~source:s ~iif:(Some 1) ~expires:100. () in
   Fwd.insert fib sg;
-  (match Fwd.match_data fib g ~src:s with
-  | Some e -> Alcotest.(check bool) "sg preferred" false (Fwd.is_star e)
-  | None -> Alcotest.fail "match expected");
-  (match Fwd.match_data fib g ~src:s2 with
-  | Some e -> Alcotest.(check bool) "other source falls to star" true (Fwd.is_star e)
-  | None -> Alcotest.fail "match expected");
-  Alcotest.(check bool) "other group no match" true (Fwd.match_data fib g2 ~src:s = None)
+  Alcotest.(check bool) "sg preferred" false (Fwd.is_star (Fwd.match_data fib g ~src:s));
+  Alcotest.(check bool) "other source falls to star" true
+    (Fwd.is_star (Fwd.match_data fib g ~src:s2));
+  Alcotest.check_raises "other group no match" Not_found (fun () ->
+      ignore (Fwd.match_data fib g2 ~src:s));
+  Fwd.remove fib g None;
+  Alcotest.check_raises "other source, no star" Not_found (fun () ->
+      ignore (Fwd.match_data fib g ~src:s2))
 
 let test_fib_insert_remove () =
   let fib = Fwd.create () in

@@ -152,9 +152,10 @@ let prop_prefix_contains_network =
 let test_packet_ttl () =
   let g = Group.of_index 1 in
   let p = Packet.multicast ~src:(Addr.router 0) ~group:g ~ttl:2 ~size:100 (Packet.Raw "x") in
-  match Packet.decr_ttl p with
-  | None -> Alcotest.fail "ttl 2 should survive one hop"
-  | Some p' -> Alcotest.(check bool) "ttl exhausted" true (Packet.decr_ttl p' = None)
+  let p' = Packet.decr_ttl p in
+  Alcotest.(check int) "ttl 2 survives one hop" 1 p'.Packet.ttl;
+  Alcotest.check_raises "ttl exhausted" (Invalid_argument "Packet.decr_ttl: TTL exhausted")
+    (fun () -> ignore (Packet.decr_ttl p'))
 
 let test_packet_printer () =
   let p = Packet.unicast ~src:(Addr.router 0) ~dst:(Addr.router 1) ~size:10 (Packet.Raw "abc") in

@@ -144,9 +144,9 @@ let test_spt_switch () =
      negative cache stops C from echoing it back down the shared tree.) *)
   let delays = ref [] in
   Router.on_local_data a (fun pkt ->
-      match Mdata.info pkt with
-      | Some i -> delays := (Engine.now eng -. i.Mdata.sent_at) :: !delays
-      | None -> ());
+      match pkt.Pim_net.Packet.payload with
+      | Mdata.Data i -> delays := (Engine.now eng -. i.Mdata.sent_at) :: !delays
+      | _ -> ());
   send_n eng dep ~from:3 ~start:31. ~interval:1. 5;
   Engine.run ~until:45. eng;
   Alcotest.(check int) "late packets delivered" 5 (List.length !delays);
@@ -352,11 +352,11 @@ let test_no_duplicates_random () =
           let r = Deployment.router dep m in
           Router.join_local r g;
           Router.on_local_data r (fun pkt ->
-              match Mdata.info pkt with
-              | Some i ->
+              match pkt.Pim_net.Packet.payload with
+              | Mdata.Data i ->
                 Pim_mcast.Delivery.record delivery ~group:g ~src:pkt.Pim_net.Packet.src
                   ~seq:i.Mdata.seq ~receiver:m ~sent_at:i.Mdata.sent_at ~at:(Engine.now eng)
-              | None -> ()))
+              | _ -> ()))
         members;
       let source = Deployment.router dep ((List.hd members + 1) mod 25) in
       Engine.run ~until:10. eng;
@@ -446,11 +446,11 @@ let prop_random_scenario =
           let r = Deployment.router dep m in
           Router.join_local r g;
           Router.on_local_data r (fun pkt ->
-              match Mdata.info pkt with
-              | Some i ->
+              match pkt.Pim_net.Packet.payload with
+              | Mdata.Data i ->
                 Pim_mcast.Delivery.record delivery ~group:g ~src:pkt.Pim_net.Packet.src
                   ~seq:i.Mdata.seq ~receiver:m ~sent_at:i.Mdata.sent_at ~at:(Engine.now eng)
-              | None -> ()))
+              | _ -> ()))
         members;
       Engine.run ~until:10. eng;
       let sr = Deployment.router dep source in
@@ -599,8 +599,8 @@ let test_large_scale_soak () =
           let r = Deployment.router dep m in
           Router.join_local r gg;
           Router.on_local_data r (fun pkt ->
-              match Mdata.group pkt with
-              | Some g' when Group.equal g' gg -> incr got
+              match (pkt.Pim_net.Packet.payload, pkt.Pim_net.Packet.dst) with
+              | Mdata.Data _, Pim_net.Packet.Multicast g' when Group.equal g' gg -> incr got
               | _ -> ()))
         members)
     workloads;

@@ -210,6 +210,38 @@ let test_engine_rearm () =
   Engine.run eng;
   Alcotest.(check int) "re-armed after firing" 4 !ticks
 
+(* A firing allocates only the boxed re-arm time: the wheel's link and pop
+   build no closure.  Two timers, each alone on its engine and measured
+   over 10000 firings: an [Engine.every] tick, and a one-shot handle
+   re-armed with [rearm_at] from its own callback.  Each costs 2 words a
+   firing (the float crossing [rearm_at]), plus the few words [Engine.run]
+   allocates once per call; a local closure in the wheel's link or dequeue
+   scan costs 6-7 more. *)
+let test_engine_alloc_per_event () =
+  let firings = 10_000 in
+  let words_per_firing name run =
+    let fired = ref 0 in
+    let eng = Engine.create () in
+    run eng fired;
+    Engine.run ~until:1. eng;
+    let w0 = Gc.minor_words () and f0 = !fired in
+    Engine.run ~until:(float_of_int firings +. 1.) eng;
+    let per = (Gc.minor_words () -. w0) /. float_of_int (!fired - f0) in
+    Alcotest.(check int) (name ^ ": fired every second") firings (!fired - f0);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.3f words per firing <= 2.01" name per)
+      true (per <= 2.01)
+  in
+  words_per_firing "every" (fun eng fired ->
+      ignore (Engine.every eng ~start:0.5 ~interval:1. (fun () -> incr fired)));
+  words_per_firing "rearm_at" (fun eng fired ->
+      let hdl = ref None in
+      let rearm () =
+        incr fired;
+        match !hdl with Some h -> Engine.rearm_at eng h (Engine.now eng +. 1.) | None -> ()
+      in
+      hdl := Some (Engine.schedule_at eng 0.5 rearm))
+
 let test_engine_run_until_advances_clock () =
   let eng = Engine.create () in
   Engine.run ~until:7. eng;
@@ -275,6 +307,90 @@ let prop_wheel_matches_heap =
       in
       drain ();
       List.rev !wheel_order = heap_order)
+
+(* The same differential on the paths a uniform draw almost never takes.
+   Times fall on 16 instants a quarter second apart, starting at the last
+   pop, so each instant holds many events and most links land in a
+   non-empty bucket; pops are interleaved with the adds and cancels; and
+   popped or cancelled nodes are re-added with [readd], often at an
+   instant earlier than their bucket's tail, which walks the bucket
+   backward.  The reference re-pushes a re-added node as a new element
+   with a fresh cancellation flag. *)
+let prop_wheel_matches_heap_phases =
+  QCheck.Test.make ~name:"timer wheel executes like the reference heap (16 phases, readd)"
+    ~count:80
+    QCheck.(pair (int_range 0 100000) (int_range 1 2000))
+    (fun (seed, ops) ->
+      let module Tw = Pim_util.Timer_wheel in
+      let prng = Pim_util.Prng.create seed in
+      let cmp (t1, s1, _, _) (t2, s2, _, _) =
+        match Float.compare t1 t2 with 0 -> Int.compare s1 s2 | c -> c
+      in
+      let heap = Heap.create ~cmp in
+      let wheel = Tw.create () in
+      let seq = ref 0 and next_id = ref 0 and last = ref 0. and ok = ref true in
+      (* Scheduled nodes with their reference's cancellation flag, and
+         popped or cancelled nodes available to [readd]. *)
+      let live = ref [] and idle = ref [] in
+      let take l =
+        let k = Pim_util.Prng.int prng (List.length !l) in
+        let x = List.nth !l k in
+        l := List.filteri (fun i _ -> i <> k) !l;
+        x
+      in
+      let instant () = !last +. (0.25 *. float_of_int (Pim_util.Prng.int prng 16)) in
+      let schedule node id time =
+        let s = !seq in
+        incr seq;
+        let cancelled = ref false in
+        Heap.push heap (time, s, id, cancelled);
+        (match node with
+        | None -> live := (Tw.add wheel ~time ~seq:s id, cancelled) :: !live
+        | Some n ->
+          Tw.readd n ~time ~seq:s;
+          live := (n, cancelled) :: !live)
+      in
+      let rec heap_pop () =
+        match Heap.pop heap with Some (_, _, _, c) when !c -> heap_pop () | r -> r
+      in
+      (* Pop one event from both queues: [false] once both are empty or
+         they disagree. *)
+      let pop () =
+        match (heap_pop (), Tw.pop wheel) with
+        | None, None -> false
+        | Some (time, _, id, _), Some n when Tw.value n = id && Tw.time n = time ->
+          last := time;
+          live := List.filter (fun (n', _) -> n' != n) !live;
+          idle := n :: !idle;
+          true
+        | _ ->
+          ok := false;
+          false
+      in
+      for _ = 1 to ops do
+        match Pim_util.Prng.int prng 20 with
+        | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 ->
+          let id = !next_id in
+          incr next_id;
+          schedule None id (instant ())
+        | 8 | 9 | 10 | 11 | 12 -> ignore (pop ())
+        | 13 | 14 | 15 ->
+          if !live <> [] then begin
+            let n, cancelled = take live in
+            cancelled := true;
+            Tw.cancel n;
+            idle := n :: !idle
+          end
+        | _ ->
+          if !idle <> [] then begin
+            let n = take idle in
+            schedule (Some n) (Tw.value n) (instant ())
+          end
+      done;
+      while pop () do
+        ()
+      done;
+      !ok)
 
 let test_engine_rejects_negative () =
   let eng = Engine.create () in
@@ -556,10 +672,12 @@ let test_net_traversals () =
    router of a 3x3 grid gets two no-op handlers; each round, every router
    sends one shared frame on each interface (outside the measurement) and
    the network drains with the minor-words counter running.  What is left
-   per delivered frame is the link layer's own cost, 3.4 words; the
-   budget is that plus ~10%.
+   per delivered frame, 0.42 words, is the boxed deadline each re-arm of
+   a link's flush timer passes to the engine; the budget is that plus
+   ~10%.  (It read 3.4 while the timer wheel built a closure per link
+   into a non-empty bucket and per pop.)
    Applying [Vec.get hs i ~iface pkt] directly builds a partial closure
-   per handler call, 10 words each: 23.4 words a frame. *)
+   per handler call, 10 words each: 20.4 words a frame. *)
 let test_net_dispatch_alloc () =
   let eng = Engine.create () in
   let topo = Pim_graph.Classic.grid 3 3 in
@@ -583,8 +701,8 @@ let test_net_dispatch_alloc () =
   Alcotest.(check int) "every frame delivered" (50 * 2 * Topology.n_links topo) !frames;
   let per = !words /. float_of_int !frames in
   Alcotest.(check bool)
-    (Printf.sprintf "%.1f words per delivered frame <= 3.8" per)
-    true (per <= 3.8)
+    (Printf.sprintf "%.2f words per delivered frame <= 0.46" per)
+    true (per <= 0.46)
 
 (* Counters keep one slot per (node, kind): every kind counts apart at
    every node, totals sum the nodes, and a node outside the table is
@@ -946,7 +1064,9 @@ let () =
           Alcotest.test_case "fifo across wheel reshapes" `Quick test_engine_fifo_across_reschedules;
           Alcotest.test_case "run until advances clock" `Quick test_engine_run_until_advances_clock;
           Alcotest.test_case "rearm in place" `Quick test_engine_rearm;
+          Alcotest.test_case "allocation per firing" `Quick test_engine_alloc_per_event;
           QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_wheel_matches_heap;
+          QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_wheel_matches_heap_phases;
         ] );
       ( "net",
         [
