@@ -1,9 +1,11 @@
 (** Differential chaos experiment: one seeded fault schedule, replayed
     verbatim against PIM sparse mode, PIM dense mode, CBT and MOSPF.
 
-    Each protocol is deployed through {!Stack.create_many} and gets an
-    identical topology, member set, source and {!Pim_sim.Fault} schedule,
-    a steady data stream, and a {!Pim_sim.Oracle} watching the wire.
+    Each protocol's run is a {!Dsl.program} ({!plan}) replayed by
+    {!Dsl.run}, so a chaos run prints and replays like any
+    [.scn].  Every protocol gets an identical topology, member set,
+    source and {!Pim_sim.Fault} schedule (as timed [at] steps), a steady
+    data stream, and a {!Pim_sim.Oracle} watching the wire.
     After the last fault heals and a per-protocol settle time
     ({!Stack.settle_hint}) passes, a probe burst checks loop freedom
     and receiver reachability, protocol-specific state checks run (PIM:
@@ -39,6 +41,36 @@ type report = {
   schedule : Pim_sim.Fault.event list;
   rows : row list;
 }
+
+val plan :
+  ?nodes:int ->
+  ?degree:float ->
+  ?receivers:int ->
+  ?events:int ->
+  ?fault_window:float ->
+  ?mean_outage:float ->
+  ?topology:[ `Random | `Transit_stub ] ->
+  ?fault:[ `Random | `Rp_crash ] ->
+  ?rp_strategy:string ->
+  seed:int ->
+  unit ->
+  Pim_sim.Fault.event list * Pim_graph.Topology.t * (Stack.protocol -> Dsl.program)
+(** Everything {!run} decides before any protocol runs: the fault
+    schedule, the topology, and the program it replays against each
+    protocol, named [chaos-seed<seed>-<protocol>] — declared roles, the
+    members' joins, then every timed step in the order the timeline
+    schedules them (the stream, the [fault-start]/[fault-end] marks, the
+    faults, the checkpoint, the probe burst, the end checks and the
+    leaves), and finally the drain, [assert-drained] and an [end] mark.
+    Arguments and exceptions as for {!run}. *)
+
+val row : Dsl.program -> Dsl.outcome -> row
+(** The report row of one {!Dsl.run} of a {!plan}ned program (or of its
+    re-parsed text): deliveries, gaps and convergence from the
+    outcome's per-seq tally, control counts from its marks, the stream
+    window, fault onsets and restarts from the program's timed steps.
+    @raise Not_found or [Failure] for a program without a send, a
+    checkpoint or the three marks. *)
 
 val run :
   ?nodes:int ->

@@ -52,7 +52,8 @@ let alphabet ~(ctx : Dsl.context) ?(outage = 4.) () =
   let link_fault tag (a, b) =
     add_fault
       (Printf.sprintf "%s %d-%d" tag a b)
-      [ Dsl.Fail_link (node a, node b); Dsl.Advance outage; Dsl.Heal_link (node a, node b) ]
+      Dsl.[ Fail_link { a = node a; b = node b; down_for = None }; Advance outage;
+            Heal_link (node a, node b) ]
   in
   Option.iter
     (fun s -> Option.iter (link_fault "fhr-link") (access_link ctx.Dsl.topo s))
@@ -63,7 +64,7 @@ let alphabet ~(ctx : Dsl.context) ?(outage = 4.) () =
     ->
     add_fault
       (Printf.sprintf "rp-crash %d" rp)
-      [ Dsl.Fail_node (node rp); Dsl.Advance outage; Dsl.Restart (node rp) ]
+      [ Dsl.Fail_node { node = node rp; down_for = None }; Dsl.Advance outage; Dsl.Restart (node rp) ]
   | _ -> ());
   (match targets with
   | m :: _ ->
@@ -148,7 +149,7 @@ let assemble ~(base : Dsl.program) ~(ctx : Dsl.context) ~protocol ~probes ~inter
 let shrink ~base ~ctx ~protocol ~interval ~switchover_fallback perturbations probes =
   let fails ps pr =
     not
-      (Dsl.run ~protocol ~switchover_fallback
+      (Dsl.run ~topo:ctx.Dsl.topo ~protocol ~switchover_fallback
          (assemble ~base ~ctx ~protocol ~probes:pr ~interval ps))
         .Dsl.ok
   in
@@ -213,7 +214,7 @@ let run ~(base : Dsl.program) ~protocol ?(depth = 3) ?(budget = 500) ?(probes = 
       }
     in
     incr runs;
-    let outcome = Dsl.run ~protocol ~switchover_fallback prog in
+    let outcome = Dsl.run ~topo:ctx.Dsl.topo ~protocol ~switchover_fallback prog in
     if not outcome.Dsl.ok then begin
       log
         (Printf.sprintf "violation at depth %d after %d runs: %s" d !runs
@@ -231,7 +232,7 @@ let run ~(base : Dsl.program) ~protocol ?(depth = 3) ?(budget = 500) ?(probes = 
           Dsl.switchover_fallback = Some switchover_fallback;
         }
       in
-      let outcome_min = Dsl.run ~protocol ~switchover_fallback shrunk in
+      let outcome_min = Dsl.run ~topo:ctx.Dsl.topo ~protocol ~switchover_fallback shrunk in
       found := Some { program = prog; shrunk; outcome = outcome_min; depth = d }
     end
     else begin

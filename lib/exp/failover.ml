@@ -132,22 +132,15 @@ let one_strategy ~prng ~seed strategy =
   in
   let static = Pim_routing.Static.create net in
   let endpoints = [ source; receiver ] in
-  let placement =
+  let rp_nodes =
     match strategy with
-    | "static" -> [ (group, [ Addr.router rp_primary; Addr.router rp_alternate ]) ]
-    | "bsr" ->
-      Pim_core.Placement.compute ~topo ~groups:[ (group, endpoints) ] ~forbidden:endpoints
-        ~seed (Pim_core.Placement.Centered 2)
+    | "static" -> [ rp_primary; rp_alternate ]
     | s -> (
-      match Pim_core.Placement.named s with
-      | Some spec ->
-        Pim_core.Placement.compute ~topo ~groups:[ (group, endpoints) ] ~forbidden:endpoints
-          ~seed spec
+      match Stack.place_rps ~topo ~group ~endpoints ~seed s with
+      | Some rps -> rps
       | None -> invalid_arg (Printf.sprintf "Failover.run_strategies: unknown strategy %S" s))
   in
-  let rp_nodes =
-    List.concat_map (fun (_, rps) -> List.filter_map Addr.router_index rps) placement
-  in
+  let placement = [ (group, List.map Addr.router rp_nodes) ] in
   let bsr, rp_set, budget =
     if String.equal strategy "bsr" then begin
       let cbsrs =

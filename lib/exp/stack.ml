@@ -81,6 +81,40 @@ let settle_hint ?(rp_election = false) ?(hops = 8) protocol =
     +. (3. *. c.Pim_cbt.Router.echo_interval)
   | Mospf -> 15.
 
+(* Soft state tears down serially, so each protocol needs its own wait
+   after every member left before leftover state counts as orphaned. *)
+let drain_hint ~topo ~source = function
+  | Pim_sm ->
+    (* The RP's entry lingers past the last data, then each hop toward
+       the source keeps refreshing its upstream until its own oif times
+       out — one oif holdtime per hop, bounded by the source's
+       eccentricity (links cost the same both ways). *)
+    let tree = Pim_graph.Spt.single_source topo source in
+    let ecc =
+      List.init (Topology.n_nodes topo) (Pim_graph.Spt.distance tree)
+      |> List.fold_left (fun acc d -> Option.fold ~none:acc ~some:(max acc) d) 0
+    in
+    Pim_core.Config.(
+      fast.entry_linger +. (float_of_int (ecc + 2) *. fast.oif_holdtime)
+      +. (3. *. fast.sweep_interval))
+  | Pim_dm | Dvmrp ->
+    Pim_dense.Router.(fast_config.entry_linger +. (3. *. fast_config.sweep_interval))
+  | Cbt -> Pim_cbt.Router.(fast_config.child_timeout +. (4. *. fast_config.echo_interval))
+  | Mospf -> 10.
+
+(* One group's RPs by strategy name, off the endpoints; "bsr" is the
+   centered candidate pair an election chooses between. *)
+let place_rps ~topo ~group ~endpoints ~seed name =
+  let spec =
+    match name with "bsr" -> Some (Pim_core.Placement.Centered 2) | s -> Pim_core.Placement.named s
+  in
+  Option.map
+    (fun spec ->
+      Pim_core.Placement.compute ~topo ~groups:[ (group, endpoints) ] ~forbidden:endpoints ~seed
+        spec
+      |> List.concat_map (fun (_, rps) -> List.filter_map Addr.router_index rps))
+    spec
+
 (* {1 Shared state checks} *)
 
 let entry_target (e : Fwd.entry) =
@@ -169,7 +203,8 @@ let pim_state_checks ~net ~rib ~fib =
    restart/state_checks/spt_switches; join/leave/send_from/mroute act per
    group, and on_data callbacks fire only for the view's group. *)
 
-let fwd_mroute fib u = List.map (Format.asprintf "%a" Fwd.pp_entry) (Fwd.entries (fib u))
+(* Eta-expanded: a partial [asprintf] builds a formatter even for a router with no state. *)
+let fwd_mroute fib u = List.map (fun e -> Format.asprintf "%a" Fwd.pp_entry e) (Fwd.entries (fib u))
 
 let rp_nodes_for ~placement ~protocol group =
   match List.find_opt (fun (g, _) -> Group.equal g group) placement with
@@ -348,6 +383,24 @@ let mospf_many ~spt_switches ?lsa_refresh ?trace ~groups net =
   let router u = Pim_mospf.Router.Deployment.router d u in
   let n = Topology.n_nodes (Net.topo net) in
   let on_data = local_dispatch net (fun u f -> Pim_mospf.Router.on_local_data (router u) f) in
+  let knows u m g = Pim_mospf.Router.knows_member (router u) m g in
+  (* MOSPF floods membership, so every live router must know every live
+     member — the whole premise of its design.  A router's own state
+     says whether it is a member. *)
+  let membership_sync () =
+    let live = List.filter (Net.node_up net) (List.init n Fun.id) in
+    List.concat_map
+      (fun g ->
+        let members = List.filter (fun m -> knows m m g) live in
+        List.concat_map
+          (fun u ->
+            List.filter (fun m -> not (knows u m g)) members
+            |> List.map (fun m ->
+                   Printf.sprintf "router %d does not know member %d of %s" u m
+                     (Group.to_string g)))
+          live)
+      groups
+  in
   let view group =
     {
       protocol = Mospf;
@@ -357,13 +410,10 @@ let mospf_many ~spt_switches ?lsa_refresh ?trace ~groups net =
       send_from = (fun u -> Pim_mospf.Router.send_local_data (router u) ~group ());
       entries = (fun () -> Pim_mospf.Router.Deployment.total_membership_entries d);
       restart = (fun u -> Pim_mospf.Router.restart (router u));
-      state_checks = [];
+      state_checks = [ ("membership-sync", membership_sync) ];
       mroute =
         (fun u ->
-          let known =
-            List.init n Fun.id
-            |> List.filter (fun m -> Pim_mospf.Router.knows_member (router u) m group)
-          in
+          let known = List.filter (fun m -> knows u m group) (List.init n Fun.id) in
           match known with
           | [] -> []
           | ms ->

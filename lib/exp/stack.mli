@@ -36,14 +36,16 @@ type t = {
   entries : unit -> int;  (** protocol state entries network-wide *)
   restart : Pim_graph.Topology.node -> unit;  (** wipe and reboot one router *)
   state_checks : (string * (unit -> string list)) list;
-      (** named structural invariants (empty list = invariant holds) *)
+      (** named structural invariants (empty list = invariant holds):
+          PIM-SM's {!pim_state_checks}; MOSPF's [membership-sync], that
+          every live router knows every live member of every group the
+          deployment serves; none for the other protocols *)
   mroute : Pim_graph.Topology.node -> string list;
       (** canonical, timer-free rendering of the node's multicast routing
           state, in a stable order — the unit the {!digest} hashes and
           [assert-mroute] matches against.  MOSPF renders one
           ["<group> members={m1,m2,...}"] line listing the members the
-          router knows (none when it knows no member), which chaos's
-          membership-sync check reads *)
+          router knows (none when it knows no member) *)
   max_copies : int;  (** legitimate per-link copies of one quiet-period packet *)
   residual_floor : int;  (** entries legitimately left after every member leaves *)
   spt_switches : unit -> int;
@@ -109,6 +111,28 @@ val settle_hint : ?rp_election:bool -> ?hops:int -> protocol -> float
     (default 8) bounds the tree depth the recovery may have to walk; it
     only matters for CBT, whose hard-state teardown cascades one
     parent_timeout per level (paper footnote 4). *)
+
+val place_rps :
+  topo:Pim_graph.Topology.t ->
+  group:Pim_net.Group.t ->
+  endpoints:Pim_graph.Topology.node list ->
+  seed:int ->
+  string ->
+  Pim_graph.Topology.node list option
+(** The ordered RP nodes {!Pim_core.Placement} picks for one group whose
+    sources and receivers are [endpoints], never placing an RP on an
+    endpoint.  The name is a {!Pim_core.Placement.named} strategy, or
+    ["bsr"] for the two centered candidates an election chooses between;
+    [None] for any other name. *)
+
+val drain_hint :
+  topo:Pim_graph.Topology.t -> source:Pim_graph.Topology.node -> protocol -> float
+(** Virtual seconds the protocol's state (fast config) needs to decay
+    after every member left, before leftover state above
+    [residual_floor] counts as orphaned — the chaos harness's wait before
+    [assert-drained].  Soft state tears down serially: PIM-SM's bound
+    grows with the source's eccentricity in [topo], one oif holdtime per
+    hop. *)
 
 val pim_state_checks :
   net:Pim_sim.Net.t ->

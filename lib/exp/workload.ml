@@ -114,16 +114,8 @@ let compare_sevent a b =
     match Int.compare a.receiver b.receiver with 0 -> Int.compare a.seq b.seq | c -> c)
   | c -> c
 
-(* One transit router per ~40 total, three stubs each (the chaos harness's
-   sizing): 200 -> 5 transit / stub size 13, 2000 -> 50 / 13. *)
-let transit_stub_sizes ~nodes =
-  let transit = Int.max 2 (nodes / 40) in
-  let stubs_per_transit = 3 in
-  let stub_size = Int.max 1 (((nodes / transit) - 1) / stubs_per_transit) in
-  (transit, stubs_per_transit, stub_size)
-
 let gen_topo spec prng =
-  let transit, stubs_per_transit, stub_size = transit_stub_sizes ~nodes:spec.nodes in
+  let transit, stubs_per_transit, stub_size = Transit_stub.sizes ~nodes:spec.nodes in
   Transit_stub.generate ~transit ~stubs_per_transit ~stub_size ~backbone_delay:0.5
     ~access_delay:0.5 ~prng ()
 

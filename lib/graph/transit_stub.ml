@@ -7,6 +7,14 @@ type t = {
   stubs : Topology.node list list;
 }
 
+(* One transit router per ~40 total, three stubs each; e.g. 200 -> 5
+   transit / stub size 13, 2000 -> 50 / 13 (50 + 50*3*13 = 2000 exactly). *)
+let sizes ~nodes =
+  let transit = Int.max 2 (nodes / 40) in
+  let stubs_per_transit = 3 in
+  let stub_size = Int.max 1 (((nodes / transit) - 1) / stubs_per_transit) in
+  (transit, stubs_per_transit, stub_size)
+
 let generate ?(transit = 4) ?(stubs_per_transit = 2) ?(stub_size = 4) ?(backbone_cost = 3)
     ?(backbone_delay = 5.) ?(access_cost = 2) ?(access_delay = 3.) ~prng () =
   if transit < 1 || stubs_per_transit < 1 || stub_size < 1 then

@@ -16,6 +16,13 @@ type t = {
   stubs : Topology.node list list;  (** per stub domain, all its routers (gateway first) *)
 }
 
+val sizes : nodes:int -> int * int * int
+(** [(transit, stubs_per_transit, stub_size)] for a network of roughly
+    [nodes] routers: one transit router per ~40, three stubs each (2000
+    maps exactly onto 50 transit routers with three 13-router stubs).
+    The chaos harness, the scenario DSL and the workload harness all
+    size their transit-stub networks this way. *)
+
 val generate :
   ?transit:int ->
   ?stubs_per_transit:int ->

@@ -53,16 +53,13 @@ let create ?(max_copies = 1) net ~probe_id =
             (Packet.payload_to_string pkt.Packet.payload));
   t
 
-let set_max_copies t n =
-  if n < 1 then invalid_arg "Oracle.set_max_copies";
-  t.max_copies <- n
-
 let reset_probes t =
   Hashtbl.reset t.copies;
   Hashtbl.reset t.received
 
 let checkpoint t ~max_copies =
-  set_max_copies t max_copies;
+  if max_copies < 1 then invalid_arg "Oracle.checkpoint: max_copies must be >= 1";
+  t.max_copies <- max_copies;
   reset_probes t
 
 let note_received t ~node ~probe =
@@ -75,11 +72,6 @@ let note_received t ~node ~probe =
       tbl
   in
   Hashtbl.replace tbl node ()
-
-let received_by t ~probe =
-  match Hashtbl.find_opt t.received probe with
-  | None -> []
-  | Some tbl -> Hashtbl.fold (fun u () acc -> u :: acc) tbl [] |> List.sort Int.compare
 
 let run_check t ~invariant f = List.iter (record t ~invariant) (f ())
 

@@ -2,9 +2,8 @@
 
     The oracle watches the whole network from outside the protocols: it
     taps {!Net.on_deliver} to verify {b loop freedom} on every probe
-    packet as it flows, collects per-probe delivery reports so an
-    experiment can assert {b receiver reachability} within a delay
-    bound, and accepts protocol-specific state checks ({!run_check}) for
+    packet as it flows, collects per-probe delivery reports to find
+    {b blackholes} ({!check_blackhole}), and accepts protocol-specific state checks ({!run_check}) for
     the invariants only the deployment can phrase — stale oifs, iif/RPF
     consistency, orphaned state.  Violations accumulate with their
     virtual timestamps; a chaos run fails if any are present.
@@ -36,13 +35,6 @@ val create :
     sequence number) for packets subject to tracking, [None] for
     everything else. *)
 
-val set_max_copies : t -> int -> unit
-(** Adjust the duplication threshold mid-run.  During active churn a
-    packet in flight across an RPF change can legitimately cross one
-    link twice, so an experiment raises the threshold to catch only
-    sustained duplication (a real loop revisits links without bound)
-    and restores the strict bound for quiet-period probes. *)
-
 val reset_probes : t -> unit
 (** Start a new probe epoch: forget per-probe traversal counts and
     delivery reports (violations are kept).  Call before a measurement
@@ -51,17 +43,18 @@ val reset_probes : t -> unit
     into the checked window. *)
 
 val checkpoint : t -> max_copies:int -> unit
-(** Begin a quiet-period measurement epoch in one step: restore the
-    strict duplication bound [max_copies] and {!reset_probes}.  The
-    programmatic form of the chaos harness's checkpoint discipline, used
-    by the scenario DSL before each probe window. *)
+(** Begin a quiet-period measurement epoch in one step: set the
+    duplication bound to [max_copies] and {!reset_probes}.  During active
+    churn a packet in flight across an RPF change can legitimately cross
+    one link twice, so a run creates the oracle with a looser bound that
+    catches only sustained duplication (a real loop revisits links
+    without bound) and checkpoints to the protocol's strict bound before
+    its quiet-period probes — the scenario DSL's [checkpoint] step.
+    @raise Invalid_argument if [max_copies < 1]. *)
 
 val note_received : t -> node:Pim_graph.Topology.node -> probe:int -> unit
 (** Report that [node]'s local member received probe [probe] (wired to
     the routers' local-data callbacks by the experiment). *)
-
-val received_by : t -> probe:int -> Pim_graph.Topology.node list
-(** Nodes that reported the probe, sorted. *)
 
 val record : t -> invariant:string -> string -> unit
 (** Record a violation found by the caller. *)

@@ -101,6 +101,163 @@ let test_parse_errors_name_the_line () =
   expect_parse_error ~line:3 "scenario x\ntopology line 4\ndelay-next 0 1\n";
   expect_parse_error ~line:3 "scenario x\ntopology line 4\nassert-mroute 0 count>9\n"
 
+(* The additions the chaos timeline needs: a transit-stub topology, a
+   group, timed steps, composite outages, bursts, marks and the
+   at-least-once reachability check. *)
+let timed_text =
+  {|scenario timed
+topology transit-stub nodes=40 seed=3
+protocol PIM-SM
+group 9
+rp 4
+members 10 20
+source 30
+
+join members
+at 5 send source count=4 interval=0.25
+at 2.5 mark early
+fail-link 0 1 for=3
+fail-node 4 for=2.5
+at 6 loss 0.25 for=1
+at 6 jitter 0.5 for=1
+advance 10
+at 12 assert-reachable
+mark late
+|}
+
+let test_parse_timed_steps () =
+  let p = parse_ok timed_text in
+  Alcotest.(check int) "group" 9 p.Dsl.group;
+  Alcotest.(check bool) "transit-stub" true
+    (p.Dsl.topology = Dsl.Transit_stub { nodes = 40; seed = 3 });
+  Alcotest.(check bool) "steps" true
+    (List.tl p.Dsl.steps
+    = [
+        Dsl.At (5., Dsl.Send { from = Dsl.Source; count = 4; interval = 0.25 });
+        Dsl.At (2.5, Dsl.Mark "early");
+        Dsl.Fail_link { a = Dsl.Node 0; b = Dsl.Node 1; down_for = Some 3. };
+        Dsl.Fail_node { node = Dsl.Node 4; down_for = Some 2.5 };
+        Dsl.At (6., Dsl.Loss { rate = 0.25; duration = 1. });
+        Dsl.At (6., Dsl.Jitter { amplitude = 0.5; duration = 1. });
+        Dsl.Advance 10.;
+        Dsl.At (12., Dsl.Assert_reachable);
+        Dsl.Mark "late";
+      ]);
+  Alcotest.(check bool) "round-trips" true (Dsl.parse (Dsl.to_string p) = Ok p);
+  (* The default group is not printed, so older programs print as before. *)
+  let line = parse_ok "scenario l\ntopology line 3\ngroup 5\nadvance 120\n" in
+  Alcotest.(check bool) "no group line" false (contains ~needle:"group" (Dsl.to_string line));
+  Alcotest.(check bool) "short decimals as %g" true
+    (contains ~needle:"advance 120\n" (Dsl.to_string line))
+
+(* Computed times need more digits than %g gives; they still read back
+   as the same floats. *)
+let test_exact_numbers () =
+  let t = 0.1 +. 0.2 in
+  let p =
+    {
+      (parse_ok "scenario n\ntopology line 3\n") with
+      Dsl.steps =
+        [
+          Dsl.At (t, Dsl.Loss { rate = 1. /. 3.; duration = 20.23810241918493 });
+          Dsl.Advance (t *. 7.);
+        ];
+    }
+  in
+  Alcotest.(check bool) "printed in full" true
+    (contains ~needle:"at 0.30000000000000004 loss" (Dsl.to_string p));
+  Alcotest.(check bool) "round-trips" true (Dsl.parse (Dsl.to_string p) = Ok p)
+
+let test_timed_parse_errors () =
+  let base = "scenario x\ntopology line 4\n" in
+  expect_parse_error ~line:3 (base ^ "at 3 advance 1\n");
+  expect_parse_error ~line:3 (base ^ "at 1 at 2 heal\n");
+  expect_parse_error ~line:4 (base ^ "advance 5\nat 2 join 1\n");
+  expect_parse_error ~line:3 (base ^ "loss 2 for=1\n");
+  expect_parse_error ~line:3 (base ^ "fail-link 0 1 for=0\n");
+  expect_parse_error ~line:3 (base ^ "jitter 1\n")
+
+(* [at T send] schedules its packets from T when the runner reaches it;
+   other timed steps fire at T, after untimed steps at the cursor. *)
+let test_timed_run () =
+  let p =
+    parse_ok
+      {|scenario at
+topology line 4
+protocol PIM-DM
+members 3
+source 0
+join members
+at 5 send source count=2 interval=1
+at 1 mark one
+mark zero
+advance 10
+mark ten
+at 10 assert-reachable
+advance 1
+|}
+  in
+  let o = Dsl.run p in
+  Alcotest.(check (list pass)) "violations" [] o.Dsl.violations;
+  Alcotest.(check (list (pair string (float 0.))))
+    "marks in firing order"
+    [ ("zero", 0.); ("one", 1.); ("ten", 10.) ]
+    (List.map (fun (m : Dsl.mark) -> (m.Dsl.label, m.Dsl.at)) o.Dsl.marks);
+  Alcotest.(check (list (triple int (float 0.) (list int))))
+    "per-seq tally"
+    [ (0, 5., [ 3 ]); (1, 6., [ 3 ]) ]
+    (List.map
+       (fun (pr : Dsl.probe) -> (pr.Dsl.seq, pr.Dsl.sent_at, pr.Dsl.received_by))
+       o.Dsl.probes)
+
+(* A step timed after the last advance and after the last send's
+   delivery window still runs: a failing assertion there is reported. *)
+let test_timed_step_after_last_advance () =
+  let p =
+    parse_ok
+      {|scenario late
+topology line 8
+protocol PIM-SM
+rp 4
+members 0 2
+source 7
+join members
+send source count=2 interval=1
+advance 20
+at 50 mark late
+at 50 assert-mroute 0 count>=99
+|}
+  in
+  let o = Dsl.run p in
+  Alcotest.(check (list (pair string (float 0.))))
+    "mark fired" [ ("late", 50.) ]
+    (List.map (fun (m : Dsl.mark) -> (m.Dsl.label, m.Dsl.at)) o.Dsl.marks);
+  Alcotest.(check (list string))
+    "violation recorded" [ "mroute" ]
+    (List.map (fun (v : Pim_sim.Oracle.violation) -> v.Pim_sim.Oracle.invariant) o.Dsl.violations)
+
+(* MOSPF's membership-sync runs as one of the stack's state checks: a
+   router cut off while a member joins never learns of it. *)
+let test_mospf_membership_sync () =
+  let p =
+    parse_ok
+      {|scenario sync
+topology line 4
+protocol MOSPF
+partition 3
+join 0
+advance 5
+assert-no-loops
+|}
+  in
+  let o = Dsl.run p in
+  Alcotest.(check (list (pair string string)))
+    "router 3 misses member 0"
+    [ ("membership-sync", "router 3 does not know member 0 of 225.0.0.5") ]
+    (List.map
+       (fun (v : Pim_sim.Oracle.violation) -> (v.Pim_sim.Oracle.invariant, v.Pim_sim.Oracle.detail))
+       o.Dsl.violations)
+
 (* {2 Semantic validation at run time} *)
 
 let expect_invalid f =
@@ -311,6 +468,44 @@ let test_explore_rediscovers_switchover_loss () =
 
 (* {2 Chaos protocol filter (satellite)} *)
 
+(* Every chaos run is a program: it prints and re-parses exactly, and
+   replaying the re-parsed text gives the report's row. *)
+let test_chaos_programs_round_trip () =
+  List.iter
+    (fun (seed, topology, fault, rp_strategy) ->
+      let nodes = match topology with `Random -> None | `Transit_stub -> Some 120 in
+      let report = Chaos.run ?nodes ~topology ~fault ~rp_strategy ~seed () in
+      let _, _, program = Chaos.plan ?nodes ~topology ~fault ~rp_strategy ~seed () in
+      List.iter
+        (fun (r : Chaos.row) ->
+          let p = program (Option.get (Stack.of_string r.Chaos.protocol)) in
+          let what = Printf.sprintf "%s %s" p.Dsl.name rp_strategy in
+          let p' =
+            match Dsl.parse (Dsl.to_string p) with
+            | Ok p' -> p'
+            | Error msg -> Alcotest.failf "%s: reparse: %s" what msg
+          in
+          Alcotest.(check bool) (what ^ " round-trips") true (p = p');
+          Alcotest.(check bool) (what ^ " replays to its row") true (Chaos.row p' (Dsl.run p') = r))
+        report.Chaos.rows)
+    (List.concat_map
+       (fun seed ->
+         List.concat_map
+           (fun topology ->
+             List.concat_map
+               (fun fault -> List.map (fun st -> (seed, topology, fault, st)) [ "static"; "bsr" ])
+               [ `Random; `Rp_crash ])
+           [ `Random; `Transit_stub ])
+       [ 1994; 42 ])
+
+(* The committed reproducer is exactly what chaos runs, so it cannot
+   drift from the harness. *)
+let test_chaos_reproducer_pinned () =
+  Alcotest.(check string) "examples/scenarios/chaos-seed1994-PIM-SM.scn"
+    (let _, _, program = Chaos.plan ~seed:1994 () in
+     Dsl.to_string (program Stack.Pim_sm))
+    (slurp "../examples/scenarios/chaos-seed1994-PIM-SM.scn")
+
 let test_chaos_rejects_unknown_protocol () =
   match Chaos.run ~nodes:12 ~receivers:2 ~events:1 ~protocols:[ "PIMX" ] ~seed:1 () with
   | (_ : Chaos.report) -> Alcotest.fail "expected Invalid_argument"
@@ -355,6 +550,9 @@ let () =
           Alcotest.test_case "derived and random topologies" `Quick test_parse_derived_and_random;
           Alcotest.test_case "errors name the line" `Quick test_parse_errors_name_the_line;
           Alcotest.test_case "unreadable file is an error" `Quick test_parse_file_unreadable;
+          Alcotest.test_case "timed steps and outages" `Quick test_parse_timed_steps;
+          Alcotest.test_case "exact numbers" `Quick test_exact_numbers;
+          Alcotest.test_case "timed step errors" `Quick test_timed_parse_errors;
         ] );
       ( "run",
         [
@@ -362,6 +560,10 @@ let () =
           Alcotest.test_case "smoke scenario on all five stacks" `Quick test_runs_on_every_stack;
           Alcotest.test_case "assertion failure detected" `Quick test_assertion_failure_detected;
           Alcotest.test_case "replay is byte-identical" `Quick test_replay_byte_identical;
+          Alcotest.test_case "timed steps fire at their time" `Quick test_timed_run;
+          Alcotest.test_case "timed step after the last advance runs" `Quick
+            test_timed_step_after_last_advance;
+          Alcotest.test_case "MOSPF membership sync" `Quick test_mospf_membership_sync;
         ] );
       ( "explore",
         [
@@ -373,6 +575,9 @@ let () =
       ( "chaos",
         [
           Alcotest.test_case "rejects unknown protocol" `Quick test_chaos_rejects_unknown_protocol;
+          Alcotest.test_case "programs round-trip and replay" `Quick
+            test_chaos_programs_round_trip;
+          Alcotest.test_case "reproducer pinned" `Quick test_chaos_reproducer_pinned;
         ] );
       ( "stack",
         [ Alcotest.test_case "create_many needs an RP" `Quick test_create_many_needs_rp ] );
