@@ -577,6 +577,10 @@ let trace_record_cmd =
     in
     let o =
       or_bad_input "pimsim trace" (fun () ->
+          (* The library accepts 0 (a run that only joins and drains);
+             a recording without data packets captures nothing useful. *)
+          if packets < 1 then
+            invalid_arg (Printf.sprintf "--packets must be >= 1 (got %d)" packets);
           Pim_exp.Scenario.run ~capture_file:capture ?trace_file:trace_out
             ?metrics_file:metrics spec)
     in
@@ -591,7 +595,9 @@ let trace_record_cmd =
   in
   let seed = Arg.(value & opt int 56517 & info [ "seed" ] ~doc:"Scenario seed.") in
   let members = Arg.(value & opt int 6 & info [ "members" ] ~doc:"Group size.") in
-  let packets = Arg.(value & opt int 30 & info [ "packets" ] ~doc:"Data packets to send.") in
+  let packets =
+    Arg.(value & opt int 30 & info [ "packets" ] ~doc:"Data packets to send (at least 1).")
+  in
   let no_fallback =
     Arg.(
       value & flag

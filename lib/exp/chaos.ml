@@ -214,7 +214,8 @@ let row (p : Dsl.program) (o : Dsl.outcome) =
   (* Send times of the packets [got] the member(s) it asks about. *)
   let sent got =
     List.filter_map
-      (fun (pr : Dsl.probe) -> if got pr.Dsl.received_by then Some pr.Dsl.sent_at else None)
+      (fun (pr : Dsl.probe) ->
+        if got (List.map fst pr.Dsl.copies) then Some pr.Dsl.sent_at else None)
       o.Dsl.probes
     |> List.sort Float.compare
   in

@@ -161,6 +161,20 @@ let to_string p =
   List.iter (fun s -> line "%s" (string_of_step s)) p.steps;
   Buffer.contents b
 
+let empty =
+  {
+    name = "unnamed";
+    topology = Line 2;
+    protocol = None;
+    group = default_group;
+    rp = [];
+    rp_election = false;
+    members_decl = [];
+    source_decl = None;
+    switchover_fallback = None;
+    steps = [];
+  }
+
 (* {1 Parser} *)
 
 (* Line-oriented: one directive or step per line, '#' starts a comment,
@@ -413,20 +427,7 @@ let parse text =
           let* s = parse_step ~now:!now ln kw args in
           (match s with Advance d -> now := !now +. d | _ -> ());
           Ok { p with steps = s :: p.steps }))
-    (Ok
-       {
-         name = "unnamed";
-         topology = Line 2;
-         protocol = None;
-         group = default_group;
-         rp = [];
-         rp_election = false;
-         members_decl = [];
-         source_decl = None;
-         switchover_fallback = None;
-         steps = [];
-       })
-    lines
+    (Ok empty) lines
   |> Result.map (fun p -> { p with steps = List.rev p.steps })
 
 let parse_file path =
@@ -471,10 +472,10 @@ let context ?topo:given p =
            ~prng:(Prng.create seed) ())
           .Pim_graph.Transit_stub.topo)
   | Derived { seed; member_count } ->
-    (* The qcheck property's derivation, draw for draw (see
-       Scenario.run): the same seed names the same topology, members,
-       RP and source — and declared overrides shrink the member set
-       without shifting the later draws. *)
+    (* The qcheck property's derivation, draw for draw: the same seed
+       names the same topology, members, RP and source — and declared
+       overrides shrink the member set without shifting the later
+       draws. *)
     let prng = Prng.create seed in
     let nodes = 12 + Prng.int prng 14 in
     let topo = Random_graph.generate ~prng ~nodes ~degree:(3. +. Prng.float prng 2.) () in
@@ -490,7 +491,7 @@ let context ?topo:given p =
 
 (* {1 Runner} *)
 
-type probe = { seq : int; sent_at : float; received_by : int list }
+type probe = { seq : int; sent_at : float; copies : (int * int) list }
 
 type mark = { label : string; at : float; control : int }
 
@@ -506,6 +507,7 @@ type outcome = {
   residual : int;
   probes : probe list;
   marks : mark list;
+  counters : Pim_sim.Counters.t;
   ok : bool;
 }
 
@@ -547,6 +549,15 @@ let run ?topo ?trace_file ?capture_file ?metrics_file ?protocol ?switchover_fall
         match pkt.Pim_net.Packet.payload with Mdata.Data i -> Some i.Mdata.seq | _ -> None)
   in
   let faults = Fault.install ~restart:stack.Stack.restart net [] in
+  (* Only a run that writes metrics observes per-delivery latency. *)
+  let latency =
+    Option.map
+      (fun _ ->
+        Pim_util.Metrics.histogram (Net.metrics net)
+          ~labels:[ ("group", Group.to_string group) ]
+          "delivery_latency")
+      metrics_file
+  in
   (* Delivery tally: (seq, member) -> copies, and each seq's send time. *)
   let tally : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
   let sent_at_of : (int, float) Hashtbl.t = Hashtbl.create 64 in
@@ -593,7 +604,15 @@ let run ?topo ?trace_file ?capture_file ?metrics_file ?protocol ?switchover_fall
             Oracle.note_received oracle ~node:m ~probe:seq;
             Hashtbl.replace sent_at_of seq sent_at;
             Hashtbl.replace tally (seq, m) (1 + copies seq m)
-          | _ -> ())
+          | _ -> ());
+      Option.iter
+        (fun h ->
+          stack.Stack.on_data m (fun pkt ->
+              match pkt.Pim_net.Packet.payload with
+              | Mdata.Data { Mdata.sent_at; _ } ->
+                Pim_util.Metrics.observe h (Engine.now eng -. sent_at)
+              | _ -> ()))
+        latency
     end
   in
   let now = ref 0. in
@@ -772,13 +791,16 @@ let run ?topo ?trace_file ?capture_file ?metrics_file ?protocol ?switchover_fall
   Option.iter (fun path -> Capture.save path (Capture.entries (Option.get capture))) capture_file;
   Option.iter (fun path -> Trace.save path (Option.get trace)) trace_file;
   Option.iter
-    (fun path -> Pim_util.Json.to_file path (Pim_util.Metrics.to_json (Net.metrics net)))
+    (fun path ->
+      stack.Stack.export_metrics (Net.metrics net);
+      Pim_util.Json.to_file path (Pim_util.Metrics.to_json (Net.metrics net)))
     metrics_file;
   let ever_joined = Hashtbl.fold (fun m () acc -> m :: acc) wired [] |> List.sort Int.compare in
   let probes =
     Hashtbl.fold
       (fun seq sent_at acc ->
-        { seq; sent_at; received_by = List.filter (fun m -> copies seq m > 0) ever_joined } :: acc)
+        let got m = match copies seq m with 0 -> None | c -> Some (m, c) in
+        { seq; sent_at; copies = List.filter_map got ever_joined } :: acc)
       sent_at_of []
     |> List.sort (fun a b -> Int.compare a.seq b.seq)
   in
@@ -796,6 +818,7 @@ let run ?topo ?trace_file ?capture_file ?metrics_file ?protocol ?switchover_fall
     residual;
     probes;
     marks = List.rev !marks;
+    counters = Net.counters net;
     ok = violations = [];
   }
 

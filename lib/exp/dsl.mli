@@ -68,8 +68,11 @@ type topology_spec =
   | Line of int
   | Random of { nodes : int; degree : float; seed : int }
   | Derived of { seed : int; member_count : int }
-      (** [Scenario.run]'s seed derivation: nodes, degree, members, RP
-          and source all drawn from one PRNG stream. *)
+      (** The random-scenario derivation of the qcheck property "random
+          scenario: complete, duplicate-free, drains": nodes, degree,
+          members, RP and source all drawn from one PRNG stream.  This is
+          its only copy under [lib/]; [Scenario] builds its programs on
+          it. *)
   | Transit_stub of { nodes : int; seed : int }
       (** {!Pim_graph.Transit_stub.generate} at
           {!Pim_graph.Transit_stub.sizes}[ ~nodes], default link costs and
@@ -121,6 +124,11 @@ type program = {
   steps : step list;
 }
 
+val empty : program
+(** What a text without directives or steps parses to: named
+    ["unnamed"], [topology line 2], group 5, no protocol, roles, config
+    or steps.  Programs built in code start from it. *)
+
 val parse : string -> (program, string) result
 (** Parse scenario text; the error names the offending line. *)
 
@@ -151,7 +159,10 @@ val context : ?topo:Pim_graph.Topology.t -> program -> context
 type probe = {
   seq : int;
   sent_at : float;
-  received_by : int list;  (** members that got it at least once, ascending *)
+  copies : (int * int) list;
+      (** [(member, copies)] for every member that got it at least once,
+          ascending by member; the members a [join] ever named are
+          counted, including those that left since *)
 }
 
 type mark = {
@@ -172,6 +183,9 @@ type outcome = {
   residual : int;
   probes : probe list;  (** every data packet some member received, by seq *)
   marks : mark list;  (** one per [mark] step, in firing order *)
+  counters : Pim_sim.Counters.t;
+      (** the net's protocol counters ({!Pim_sim.Net.counters}) when the
+          run ended *)
   ok : bool;  (** no violations *)
 }
 
@@ -189,7 +203,10 @@ val run :
     [?switchover_fallback] override the program's directives.  [?topo]
     as for {!context}.  Routers emit trace events only when [trace_file]
     is given, and control traffic is tapped only for a program with a
-    [mark] step.
+    [mark] step.  [metrics_file] writes the net's metrics registry with
+    a [delivery_latency] histogram (label [group]) over every member
+    delivery and the deployment's own instruments
+    ({!Stack.field-export_metrics}); only such a run observes latency.
 
     @raise Invalid_argument on semantic errors (no protocol, unknown
     node, no link between the named endpoints, a second sending node, an

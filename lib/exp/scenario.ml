@@ -1,17 +1,3 @@
-module Engine = Pim_sim.Engine
-module Net = Pim_sim.Net
-module Trace = Pim_sim.Trace
-module Capture = Pim_sim.Capture
-module Addr = Pim_net.Addr
-module Group = Pim_net.Group
-module Mdata = Pim_mcast.Mdata
-module Config = Pim_core.Config
-module Router = Pim_core.Router
-module Rp_set = Pim_core.Rp_set
-module Deployment = Pim_core.Deployment
-
-let group = Group.of_index 1
-
 type spec = {
   seed : int;
   member_count : int;
@@ -42,92 +28,73 @@ type outcome = {
   ok : bool;
 }
 
-let run ?capture_file ?trace_file ?metrics_file spec =
+(* The derived roles, the receivers, and the program that replays them.
+   The receivers are named node by node, so an empty override joins no
+   one; the override replaces the derived members but not the RP or
+   the source, which [Dsl.context] drew before it applies. *)
+let plan spec =
   if spec.member_count < 1 then invalid_arg "Scenario.run: member_count must be >= 1";
-  (* Mirror the property's derivation exactly: same PRNG draws in the same
-     order, so the same seed reproduces the same scenario byte for byte. *)
-  let prng = Pim_util.Prng.create spec.seed in
-  let nodes = 12 + Pim_util.Prng.int prng 14 in
-  let topo =
-    Pim_graph.Random_graph.generate ~prng ~nodes
-      ~degree:(3. +. Pim_util.Prng.float prng 2.)
-      ()
+  if spec.packets < 0 then
+    invalid_arg (Printf.sprintf "Scenario.run: packets must be >= 0 (got %d)" spec.packets);
+  let base =
+    {
+      Dsl.empty with
+      name = Printf.sprintf "trace-record-%d" spec.seed;
+      topology = Dsl.Derived { seed = spec.seed; member_count = spec.member_count };
+      protocol = Some Stack.Pim_sm;
+      group = 1;
+      switchover_fallback = Some spec.switchover_fallback;
+    }
   in
-  let derived_members =
-    Pim_graph.Random_graph.pick_members ~prng ~nodes ~count:spec.member_count
+  let ctx = Dsl.context base in
+  let members = Option.value spec.members_override ~default:ctx.Dsl.decl_members in
+  let receivers step = if members = [] then [] else [ step (List.map (fun m -> Dsl.Node m) members) ] in
+  (* One stream from t=10 every 0.5 s, sent as two windows so the last
+     one, which [assert-delivery] checks, is exactly seqs
+     [check_from .. packets-1]. *)
+  let send count = Dsl.Send { from = Dsl.Source; count; interval = 0.5 } in
+  let early = min spec.packets spec.check_from in
+  let checked = spec.packets - early in
+  let steps =
+    receivers (fun ms -> Dsl.Join ms)
+    @ [ Dsl.Advance 10. ]
+    @ (if early > 0 then [ send early ] else [])
+    @ (if checked > 0 then [ Dsl.At (10. +. (0.5 *. float_of_int early), send checked) ] else [])
+    @ [ Dsl.Advance 50. ]
+    @ (if checked > 0 then [ Dsl.Assert_delivery ] else [])
+    @ receivers (fun ms -> Dsl.Leave ms)
+    @ [ Dsl.Advance 160.; Dsl.Assert_drained ]
   in
-  let rp = List.nth derived_members (Pim_util.Prng.int prng spec.member_count) in
-  let source = Pim_util.Prng.int prng nodes in
-  (* The override shrinks the receiver set but must not shift rp/source:
-     both were drawn before it applies. *)
-  let members = Option.value spec.members_override ~default:derived_members in
-  let eng = Engine.create () in
-  let net = Net.create eng topo in
-  let capture = Option.map (fun _ -> Capture.attach net) capture_file in
-  let rp_set = Rp_set.single group (Addr.router rp) in
-  let trace = Trace.create eng in
-  let config = { Config.fast with Config.switchover_fallback = spec.switchover_fallback } in
-  (* pimlint: allow H6 — export_metrics, local_source_addr *)
-  let dep = Deployment.create_static ~config ~trace net ~rp_set in
-  let delivery = Pim_mcast.Delivery.create () in
-  let latency =
-    Pim_util.Metrics.histogram (Net.metrics net)
-      ~labels:[ ("group", Group.to_string group) ]
-      "delivery_latency"
+  (ctx, members, { base with steps })
+
+let program spec =
+  let _, _, p = plan spec in
+  p
+
+let run ?capture_file ?trace_file ?metrics_file spec =
+  let ctx, members, p = plan spec in
+  let o = Dsl.run ?capture_file ?trace_file ?metrics_file p in
+  let copies seq m =
+    match List.find_opt (fun (pr : Dsl.probe) -> pr.Dsl.seq = seq) o.Dsl.probes with
+    | Some pr -> Option.value (List.assoc_opt m pr.Dsl.copies) ~default:0
+    | None -> 0
   in
-  List.iter
-    (fun m ->
-      let r = Deployment.router dep m in
-      Router.join_local r group;
-      Router.on_local_data r (fun pkt ->
-          match pkt.Pim_net.Packet.payload with
-          | Mdata.Data i ->
-            let now = Engine.now eng in
-            Pim_util.Metrics.observe latency (now -. i.Mdata.sent_at);
-            Pim_mcast.Delivery.record delivery ~group ~src:pkt.Pim_net.Packet.src
-              ~seq:i.Mdata.seq ~receiver:m ~sent_at:i.Mdata.sent_at ~at:now
-          | _ -> ()))
-    members;
-  Engine.run ~until:10. eng;
-  let sr = Deployment.router dep source in
-  for i = 0 to spec.packets - 1 do
-    ignore
-      (Engine.schedule_at eng
-         (10. +. (0.5 *. float_of_int i))
-         (fun () -> Router.send_local_data sr ~group ()))
-  done;
-  Engine.run ~until:60. eng;
-  let src = Router.local_source_addr sr in
   let wrong =
-    List.concat_map
-      (fun seq ->
-        List.filter_map
-          (fun m ->
-            let copies = Pim_mcast.Delivery.copies delivery ~group ~src ~seq ~receiver:m in
-            if copies = 1 then None else Some (m, seq, copies))
-          members)
-      (List.init (max 0 (spec.packets - spec.check_from)) (fun i -> spec.check_from + i))
+    List.init (max 0 (spec.packets - spec.check_from)) (fun i -> spec.check_from + i)
+    |> List.concat_map (fun seq ->
+           List.filter_map
+             (fun m -> match copies seq m with 1 -> None | c -> Some (m, seq, c))
+             members)
   in
-  List.iter (fun m -> Router.leave_local (Deployment.router dep m) group) members;
-  Engine.run ~until:220. eng;
-  let residual_entries = Deployment.total_entries dep in
-  let dup_suppressed = Pim_sim.Counters.total (Net.counters net) Data_dup_suppressed in
-  Option.iter (fun path -> Capture.save path (Capture.entries (Option.get capture))) capture_file;
-  Option.iter (fun path -> Trace.save path trace) trace_file;
-  Option.iter
-    (fun path ->
-      Deployment.export_metrics dep (Net.metrics net);
-      Pim_util.Json.to_file path (Pim_util.Metrics.to_json (Net.metrics net)))
-    metrics_file;
   {
-    nodes;
+    nodes = ctx.Dsl.nodes;
     members;
-    rp;
-    source;
+    rp = List.hd ctx.Dsl.rp_nodes;
+    source = Option.get ctx.Dsl.source0;
     wrong;
-    residual_entries;
-    dup_suppressed;
-    ok = wrong = [] && residual_entries = 0;
+    residual_entries = o.Dsl.residual;
+    dup_suppressed = Pim_sim.Counters.total o.Dsl.counters Data_dup_suppressed;
+    ok = wrong = [] && o.Dsl.residual = 0;
   }
 
 let fails spec = not (run spec).ok
@@ -142,9 +109,8 @@ let shrink spec =
   else begin
     let current = ref spec in
     let members () =
-      match !current.members_override with
-      | Some ms -> ms
-      | None -> (run !current).members
+      let _, ms, _ = plan !current in
+      ms
     in
     let progress = ref true in
     while !progress do

@@ -3,10 +3,15 @@
     The qcheck property "random scenario: complete, duplicate-free,
     drains" (test/test_pim.ml) derives a whole scenario — topology,
     member set, RP, source, send schedule — from a single integer seed.
-    This module reproduces that derivation outside the property so a
-    failing case can be replayed on demand under full observability
-    (typed trace, packet capture, metrics registry), and shrunk to a
-    minimal member set and packet count with a delta-debugging pass.
+    This module writes that scenario as a {!Dsl.program} ({!program}):
+    the [topology derived] directive draws the topology and roles (the
+    derivation's one copy, {!Dsl.context}), explicit [join]/[leave]
+    steps name the receivers, two [send] windows carry the stream, and
+    [assert-delivery]/[assert-drained] state the property.  {!run}
+    replays it through {!Dsl.run}, the runner chaos and [pimsim scn run]
+    use, under full observability (typed trace, packet capture, metrics
+    registry), and {!shrink} delta-debugs a failing spec to a minimal
+    member set and packet count.
 
     This is the harness that diagnosed the RP-tree/SPT switchover loss
     (the former ROADMAP open item, seed=56517): replaying the
@@ -14,8 +19,8 @@
     pre-join-chain packets arriving at diverging routers after their SPT
     bit flipped, where the literal incoming-interface check dropped them.
     [pimsim trace record] exposes the same replay on the command line,
-    and test/test_replay.ml pins the shrunk scenario as a regression
-    test. *)
+    examples/scenarios/trace-record-56517.scn is its program, and
+    test/test_replay.ml pins the shrunk scenario as a regression test. *)
 
 type spec = {
   seed : int;  (** scenario seed (the qcheck-generated first component) *)
@@ -46,8 +51,24 @@ type outcome = {
           count that is not exactly 1 *)
   residual_entries : int;  (** multicast state left after everyone leaves *)
   dup_suppressed : int;  (** switchover duplicates suppressed network-wide *)
-  ok : bool;  (** [wrong = \[\]] and [residual_entries = 0] *)
+  ok : bool;
+      (** [wrong = \[\]] and [residual_entries = 0]: with [packets <=
+          check_from] the checked window is empty and [ok] only says the
+          state drained *)
 }
+
+val program : spec -> Dsl.program
+(** The scenario as a program: [topology derived seed= members=],
+    [protocol PIM-SM], [group 1], [config switchover-fallback=];
+    [join] the members, [advance 10]; [send source] the packets before
+    [check_from] and, timed to follow them, the [check_from ..
+    packets-1] window (0.5 s apart); [advance 50], [assert-delivery]
+    (omitted when that window is empty), [leave] the members,
+    [advance 160], [assert-drained].  No [join]/[leave] when the member
+    set is empty.  Draws the topology to name the derived members.
+
+    @raise Invalid_argument when [member_count] is below 1 or above the
+    derived network's size, or [packets] is negative. *)
 
 val run :
   ?capture_file:string ->
@@ -55,13 +76,17 @@ val run :
   ?metrics_file:string ->
   spec ->
   outcome
-(** Replay the scenario.  [capture_file] writes a JSONL packet capture
+(** Replay {!program} through {!Dsl.run} and read the outcome off it:
+    [wrong] from the per-member copy counts of the checked window,
+    [residual_entries] from the run's residual, [dup_suppressed] from
+    the net's counters.  [capture_file] writes a JSONL packet capture
     ({!Pim_sim.Capture}), [trace_file] a JSONL typed-event trace,
     [metrics_file] the metrics-registry JSON — all deterministic, so two
     runs of the same spec produce byte-identical files.
 
     @raise Invalid_argument when [member_count] is below 1 or above the
-    derived network's size. *)
+    derived network's size, [packets] is negative, or an override names
+    a node outside the network. *)
 
 val shrink : spec -> spec
 (** Delta-debug a failing spec: greedily drop members and lower the

@@ -39,6 +39,7 @@ type t = {
   max_copies : int;
   residual_floor : int;
   spt_switches : unit -> int;
+  export_metrics : Pim_util.Metrics.t -> unit;
 }
 
 type config = { sm : Pim_core.Config.t; lsa_refresh : float option }
@@ -200,8 +201,9 @@ let pim_state_checks ~net ~rib ~fib =
    a list of one.  Workloads drive dozens of Zipf-popular groups over
    thousands of routers, where a deployment per group would multiply
    every router's timer load by the group count.  Views share entries/
-   restart/state_checks/spt_switches; join/leave/send_from/mroute act per
-   group, and on_data callbacks fire only for the view's group. *)
+   restart/state_checks/spt_switches/export_metrics; join/leave/
+   send_from/mroute act per group, and on_data callbacks fire only for
+   the view's group. *)
 
 (* Eta-expanded: a partial [asprintf] builds a formatter even for a router with no state. *)
 let fwd_mroute fib u = List.map (fun e -> Format.asprintf "%a" Fwd.pp_entry e) (Fwd.entries (fib u))
@@ -290,6 +292,7 @@ let pim_sm_many ~spt_switches ~rp_election ~cbsr_forbidden ~config ?trace ~place
   let fib u = Pim_core.Router.fib (router u) in
   let checks = pim_state_checks ~net ~rib:ribs ~fib in
   let on_data = local_dispatch net (fun u f -> Pim_core.Router.on_local_data (router u) f) in
+  let export_metrics = Pim_core.Deployment.export_metrics d in
   let view group =
     {
       protocol = Pim_sm;
@@ -307,6 +310,7 @@ let pim_sm_many ~spt_switches ~rp_election ~cbsr_forbidden ~config ?trace ~place
       max_copies = 1;
       residual_floor = 0;
       spt_switches;
+      export_metrics;
     }
   in
   List.map (fun g -> (g, view g)) groups
@@ -333,6 +337,7 @@ let dense_many ~spt_switches ~mode ?trace ~groups net =
       max_copies = 2;
       residual_floor = 0;
       spt_switches;
+      export_metrics = ignore;
     }
   in
   List.map (fun g -> (g, view g)) groups
@@ -374,6 +379,7 @@ let cbt_many ~spt_switches ?trace ~placement ~groups net =
       (* The core never tears down its own entry. *)
       residual_floor = 1;
       spt_switches;
+      export_metrics = ignore;
     }
   in
   List.map (fun g -> (g, view g)) groups
@@ -424,6 +430,7 @@ let mospf_many ~spt_switches ?lsa_refresh ?trace ~groups net =
       max_copies = 1;
       residual_floor = 0;
       spt_switches;
+      export_metrics = ignore;
     }
   in
   List.map (fun g -> (g, view g)) groups

@@ -9,8 +9,8 @@
     protocol over an existing {!Pim_sim.Net}: it returns one view per
     group exposing exactly that surface, and a single-group experiment
     passes a list of one group.  Only the experiments that read PIM-SM
-    internals (aggregation, failover, scenario) build a
-    [Pim_core.Deployment] themselves.  {!digest} is the canonical state
+    internals (aggregation, failover) build a [Pim_core.Deployment]
+    themselves.  {!digest} is the canonical state
     the explorer dedups on. *)
 
 type protocol = Pim_sm | Pim_dm | Dvmrp | Cbt | Mospf
@@ -55,6 +55,11 @@ type t = {
           the other protocols).  The workload harness reads per-window
           deltas to count switchover storms.  Every other counter is read
           from the net's table directly. *)
+  export_metrics : Pim_util.Metrics.t -> unit;
+      (** write the deployment's per-router instruments into a registry:
+          {!Pim_core.Deployment.export_metrics} for PIM-SM (its [router_*]
+          counters and per-group entry gauges), nothing for the other
+          protocols *)
 }
 
 type config = {
@@ -95,8 +100,8 @@ val create_many :
     forwarding fix for the RP-tree/SPT switchover loss; scenarios turn it
     off to reproduce the historical bug.
 
-    Views share the deployment: [entries], [restart], [state_checks] and
-    [spt_switches] are deployment-wide and identical across views, while
+    Views share the deployment: [entries], [restart], [state_checks],
+    [spt_switches] and [export_metrics] are deployment-wide and identical across views, while
     [join]/[leave]/[send_from]/[mroute] act per group and [on_data]
     callbacks only fire for that view's group.
 

@@ -203,12 +203,10 @@ advance 1
     "marks in firing order"
     [ ("zero", 0.); ("one", 1.); ("ten", 10.) ]
     (List.map (fun (m : Dsl.mark) -> (m.Dsl.label, m.Dsl.at)) o.Dsl.marks);
-  Alcotest.(check (list (triple int (float 0.) (list int))))
+  Alcotest.(check (list (triple int (float 0.) (list (pair int int)))))
     "per-seq tally"
-    [ (0, 5., [ 3 ]); (1, 6., [ 3 ]) ]
-    (List.map
-       (fun (pr : Dsl.probe) -> (pr.Dsl.seq, pr.Dsl.sent_at, pr.Dsl.received_by))
-       o.Dsl.probes)
+    [ (0, 5., [ (3, 1) ]); (1, 6., [ (3, 1) ]) ]
+    (List.map (fun (pr : Dsl.probe) -> (pr.Dsl.seq, pr.Dsl.sent_at, pr.Dsl.copies)) o.Dsl.probes)
 
 (* A step timed after the last advance and after the last send's
    delivery window still runs: a failing assertion there is reported. *)
@@ -506,6 +504,13 @@ let test_chaos_reproducer_pinned () =
      Dsl.to_string (program Stack.Pim_sm))
     (slurp "../examples/scenarios/chaos-seed1994-PIM-SM.scn")
 
+(* [pimsim trace record]'s default scenario is committed the same way. *)
+let test_trace_record_reproducer_pinned () =
+  Alcotest.(check string) "examples/scenarios/trace-record-56517.scn"
+    (Dsl.to_string
+       (Pim_exp.Scenario.program (Pim_exp.Scenario.default_spec ~seed:56517 ~member_count:6)))
+    (slurp "../examples/scenarios/trace-record-56517.scn")
+
 let test_chaos_rejects_unknown_protocol () =
   match Chaos.run ~nodes:12 ~receivers:2 ~events:1 ~protocols:[ "PIMX" ] ~seed:1 () with
   | (_ : Chaos.report) -> Alcotest.fail "expected Invalid_argument"
@@ -578,6 +583,8 @@ let () =
           Alcotest.test_case "programs round-trip and replay" `Quick
             test_chaos_programs_round_trip;
           Alcotest.test_case "reproducer pinned" `Quick test_chaos_reproducer_pinned;
+          Alcotest.test_case "trace record reproducer pinned" `Quick
+            test_trace_record_reproducer_pinned;
         ] );
       ( "stack",
         [ Alcotest.test_case "create_many needs an RP" `Quick test_create_many_needs_rp ] );

@@ -200,6 +200,30 @@ let test_replay_single_member () =
   Alcotest.(check int) "source drawn before the override" 21 o.Scenario.source;
   Alcotest.(check bool) "complete, duplicate-free, drains" true o.Scenario.ok
 
+(* With [packets <= check_from] the checked window is empty: [wrong] is
+   empty by construction and [ok] only says the state drained.  Seed
+   56517 without the fallback loses probe 22 at members 4 and 18;
+   checked from 24 on, the same 24-packet run is ok.  A negative packet
+   count is rejected. *)
+let test_replay_empty_window () =
+  let spec =
+    { (Scenario.default_spec ~seed:56517 ~member_count:6) with
+      Scenario.packets = 24;
+      switchover_fallback = false
+    }
+  in
+  let lossy = Scenario.run spec in
+  Alcotest.(check (list (triple int int int)))
+    "checked from 22: the two losses" [ (4, 22, 0); (18, 22, 0) ] lossy.Scenario.wrong;
+  Alcotest.(check bool) "checked from 22: fails" false lossy.Scenario.ok;
+  let o = Scenario.run { spec with Scenario.check_from = 24 } in
+  Alcotest.(check (list pass)) "nothing checked" [] o.Scenario.wrong;
+  Alcotest.(check int) "state drains" 0 o.Scenario.residual_entries;
+  Alcotest.(check bool) "ok = drains" true o.Scenario.ok;
+  Alcotest.check_raises "negative packets"
+    (Invalid_argument "Scenario.run: packets must be >= 0 (got -1)") (fun () ->
+      ignore (Scenario.run { spec with Scenario.packets = -1 }))
+
 let () =
   Alcotest.run "scenarios"
     [
@@ -213,5 +237,6 @@ let () =
         [
           Alcotest.test_case "empty member override" `Quick test_replay_no_members;
           Alcotest.test_case "single member" `Quick test_replay_single_member;
+          Alcotest.test_case "empty checked window" `Quick test_replay_empty_window;
         ] );
     ]
