@@ -343,11 +343,11 @@ let leave_local t g =
 
 let on_local_data t f = Pim_util.Vec.push t.local_cbs f
 
-let local_source_addr t = Addr.host ~router:t.node 1
+let local_source_addr ?(host = 1) t = Addr.host ~router:t.node host
 
-let send_local_data t ~group ?size () =
+let send_local_data t ~group ?host ?size () =
   let pkt =
-    Mdata.make ~src:(local_source_addr t) ~group ~seq:t.local_seq ~sent_at:(now t) ?size ()
+    Mdata.make ~src:(local_source_addr ?host t) ~group ~seq:t.local_seq ~sent_at:(now t) ?size ()
   in
   t.local_seq <- t.local_seq + 1;
   originate t pkt

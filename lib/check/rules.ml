@@ -157,7 +157,7 @@ let is_experiment_file file =
 
 let is_deployment_create path =
   match last_two path with
-  | Some ("Deployment", ("create" | "create_static")) -> true
+  | Some ("Deployment", ("create" | "create_static")) | Some ("Bsr", "deploy") -> true
   | _ -> false
 
 let check_ident st loc path =

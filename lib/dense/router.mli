@@ -73,9 +73,11 @@ val leave_local : t -> Pim_net.Group.t -> unit
 
 val on_local_data : t -> (Pim_net.Packet.t -> unit) -> unit
 
-val send_local_data : t -> group:Pim_net.Group.t -> ?size:int -> unit -> unit
+val send_local_data : t -> group:Pim_net.Group.t -> ?host:int -> ?size:int -> unit -> unit
+(** [host] (default 1): the host on this router's stub subnet to send as. *)
 
-val local_source_addr : t -> Pim_net.Addr.t
+val local_source_addr : ?host:int -> t -> Pim_net.Addr.t
+(** The source address {!send_local_data} uses for [host]. *)
 
 val sweep : t -> unit
 (** One soft-state sweep: expire prune masks, stale join timestamps and

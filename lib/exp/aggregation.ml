@@ -1,7 +1,6 @@
 module Engine = Pim_sim.Engine
 module Net = Pim_sim.Net
 module Group = Pim_net.Group
-module Addr = Pim_net.Addr
 
 type row = {
   sources : int;
@@ -24,21 +23,21 @@ let one ~hops ~sources ~packets ~aggregated =
   in
   (* RP next to the source router so the shared tree is short and the
      interesting joins are the (S,G) refreshes along the path. *)
-  let rp_set = Pim_core.Rp_set.single group (Addr.router 1) in
-  (* pimlint: allow H6 — sends from distinct hosts (~host) *)
-  let dep = Pim_core.Deployment.create_static ~config net ~rp_set in
-  let receiver = Pim_core.Deployment.router dep hops in
-  Pim_core.Router.join_local receiver group;
+  let v =
+    List.assoc group
+      (Stack.create_many ~placement:[ (group, [ 1 ]) ] ~config:{ Stack.fast with sm = config }
+         ~groups:[ group ] ~net Stack.Pim_sm)
+  in
+  v.Stack.join hops;
   let deliveries = ref 0 in
-  Pim_core.Router.on_local_data receiver (fun _ -> incr deliveries);
+  v.Stack.on_data hops (fun _ -> incr deliveries);
   Engine.run ~until:5. eng;
-  let sender = Pim_core.Deployment.router dep 0 in
   for i = 0 to packets - 1 do
     for h = 1 to sources do
       ignore
         (Engine.schedule_at eng
            (5. +. float_of_int i +. (0.02 *. float_of_int h))
-           (fun () -> Pim_core.Router.send_local_data sender ~group ~host:h ()))
+           (fun () -> v.Stack.send_from ~host:h 0))
     done
   done;
   (* Run several holdtimes past the end of the stream so the periodic

@@ -4,6 +4,7 @@ module Group = Pim_net.Group
 module Addr = Pim_net.Addr
 module Prng = Pim_util.Prng
 module Counters = Pim_sim.Counters
+module Fwd = Pim_mcast.Fwd
 
 type row = {
   rp_timeout : float;
@@ -13,11 +14,26 @@ type row = {
   failovers : int;
 }
 
+type strategy_row = {
+  strategy : string;
+  gap : float;
+  budget : float;
+  delivered_before : int;
+  delivered_after : int;
+  failovers : int;
+  elections : int;
+  mapping_changes : int;
+  control : int;
+  orphaned_entries : int;
+}
+
 let group = Group.of_index 9
 
 (* 3x3 grid: source behind 0, receiver behind 8, primary RP in the
    center (4), alternate RP at 2.  Crashing node 4 forces the receiver to
    rendezvous through the alternate. *)
+let grid () = Pim_graph.Classic.grid 3 3
+
 let source = 0
 
 let receiver = 8
@@ -30,10 +46,16 @@ let crash_at = 30.
 
 let stop_at = 75.
 
-let one_timeout ~prng rp_timeout =
-  let topo = Pim_graph.Classic.grid 3 3 in
+(* The run both sweeps share: the receiver joins, the source streams
+   until [stop_at], and the first of [rp_nodes] crashes at [crash_at].
+   With [rp_election] the mapping is advertised by Stack's live BSR
+   election instead of configured, and the detection budget grows by the
+   election's failover budget. *)
+let simulate ~prng ~rp_timeout ~rp_election ~strategy rp_nodes =
+  let topo = grid () in
   let eng = Engine.create () in
   let net = Net.create eng topo in
+  let metrics = Metrics.attach net in
   let config =
     {
       Pim_core.Config.fast with
@@ -47,9 +69,9 @@ let one_timeout ~prng rp_timeout =
   in
   let v =
     List.assoc group
-      (Stack.create_many
-         ~placement:[ (group, [ rp_primary; rp_alternate ]) ]
-         ~config:{ Stack.fast with sm = config } ~groups:[ group ] ~net Stack.Pim_sm)
+      (Stack.create_many ~placement:[ (group, rp_nodes) ] ~rp_election
+         ~cbsr_forbidden:[ source; receiver ] ~config:{ Stack.fast with sm = config }
+         ~groups:[ group ] ~net Stack.Pim_sm)
   in
   v.Stack.join receiver;
   let arrivals = ref [] in
@@ -67,7 +89,8 @@ let one_timeout ~prng rp_timeout =
              send_loop (t0 +. 0.5)))
   in
   send_loop 10.;
-  ignore (Engine.schedule_at eng crash_at (fun () -> Net.set_node_up net rp_primary false));
+  let crashed = List.hd rp_nodes in
+  ignore (Engine.schedule_at eng crash_at (fun () -> Net.set_node_up net crashed false));
   Engine.run ~until:(stop_at +. 10.) eng;
   let times = List.sort Float.compare !arrivals in
   (* Largest inter-arrival gap once delivery is established. *)
@@ -75,21 +98,47 @@ let one_timeout ~prng rp_timeout =
     | a :: (b :: _ as rest) -> max_gap (Float.max acc (b -. a)) rest
     | _ -> acc
   in
-  let established = List.filter (fun t -> t > 15.) times in
-  let gap = max_gap 0. established in
+  (* "(*,G)" entries still pointing at the dead RP are orphans the
+     failover/soft-state machinery failed to re-home or expire. *)
+  let orphan (e : Fwd.entry) = Fwd.is_star e && e.Fwd.rp = Some (Addr.router crashed) in
+  let counters = Net.counters net in
   {
-    rp_timeout;
-    gap;
+    strategy;
+    gap = max_gap 0. (List.filter (fun t -> t > 15.) times);
+    budget =
+      (rp_timeout
+      +. if rp_election then Pim_core.Bsr.failover_budget Pim_core.Bsr.fast else 0.);
     delivered_before = List.length (List.filter (fun t -> t <= crash_at) times);
     delivered_after = List.length (List.filter (fun t -> t > crash_at) times);
-    failovers = Counters.total (Net.counters net) Rp_failovers;
+    failovers = Counters.total counters Rp_failovers;
+    elections = Counters.total counters Elections_won;
+    mapping_changes = Counters.total counters Mapping_changes;
+    control = Metrics.control_traversals metrics;
+    orphaned_entries =
+      List.init (Pim_graph.Topology.n_nodes topo) Fun.id
+      |> List.filter (fun u -> u <> crashed)
+      |> List.concat_map v.Stack.fib_entries
+      |> List.filter orphan |> List.length;
   }
 
 let run ?(timeouts = [ 5.; 10.; 20. ]) ~seed () =
   (* One independent stream per row: adding draws to one timeout's run
      cannot perturb another's. *)
   let prng = Prng.create seed in
-  List.map (fun tmo -> one_timeout ~prng:(Prng.split prng) tmo) timeouts
+  List.map
+    (fun rp_timeout ->
+      let r =
+        simulate ~prng:(Prng.split prng) ~rp_timeout ~rp_election:false ~strategy:"static"
+          [ rp_primary; rp_alternate ]
+      in
+      {
+        rp_timeout;
+        gap = r.gap;
+        delivered_before = r.delivered_before;
+        delivered_after = r.delivered_after;
+        failovers = r.failovers;
+      })
+    timeouts
 
 (* {1 Per-strategy election comparison}
 
@@ -99,139 +148,28 @@ let run ?(timeouts = [ 5.; 10.; 20. ]) ~seed () =
    configuration at all.  The crash always hits the strategy's primary
    RP. *)
 
-type strategy_row = {
-  strategy : string;
-  gap : float;
-  budget : float;
-  delivered_before : int;
-  delivered_after : int;
-  failovers : int;
-  elections : int;
-  mapping_changes : int;
-  control : int;
-  orphaned_entries : int;
-}
-
 let all_strategies = [ "static"; "random"; "center"; "locality"; "vns"; "bsr" ]
-
-let strategy_rp_timeout = 5.
-
-let one_strategy ~prng ~seed strategy =
-  let topo = Pim_graph.Classic.grid 3 3 in
-  let eng = Engine.create () in
-  let net = Net.create eng topo in
-  let metrics = Metrics.attach net in
-  let config =
-    {
-      Pim_core.Config.fast with
-      Pim_core.Config.rp_reach_period = 1.5;
-      rp_timeout = strategy_rp_timeout;
-      sweep_interval = 0.5;
-      spt_policy = Pim_core.Config.Never;
-    }
-  in
-  let static = Pim_routing.Static.create net in
-  let endpoints = [ source; receiver ] in
-  let rp_nodes =
-    match strategy with
-    | "static" -> [ rp_primary; rp_alternate ]
-    | s -> (
-      match Stack.place_rps ~topo ~group ~endpoints ~seed s with
-      | Some rps -> rps
-      | None -> invalid_arg (Printf.sprintf "Failover.run_strategies: unknown strategy %S" s))
-  in
-  let placement = [ (group, List.map Addr.router rp_nodes) ] in
-  let bsr, rp_set, budget =
-    if String.equal strategy "bsr" then begin
-      let cbsrs =
-        List.init (Pim_graph.Topology.n_nodes topo) Fun.id
-        |> List.filter (fun u -> not (List.mem u endpoints) && not (List.mem u rp_nodes))
-        |> List.filteri (fun i _ -> i < 1)
-        |> List.map (fun u -> (u, 1))
-      in
-      let roles =
-        Pim_core.Placement.roles placement ~n_nodes:(Pim_graph.Topology.n_nodes topo) ~cbsrs
-      in
-      let b =
-        Pim_core.Bsr.deploy ~config:Pim_core.Bsr.fast ~net
-          ~ribs:(Pim_routing.Static.rib static) ~roles ()
-      in
-      ( Some b,
-        Pim_core.Rp_set.empty,
-        strategy_rp_timeout +. Pim_core.Bsr.failover_budget Pim_core.Bsr.fast )
-    end
-    else (None, Pim_core.Rp_set.of_list placement, strategy_rp_timeout)
-  in
-  let dep =
-    (* pimlint: allow H6 — its own single-C-BSR choice, FIB walks *)
-    Pim_core.Deployment.create ~config ?bsr ~net ~ribs:(Pim_routing.Static.rib static)
-      ~rp_set ()
-  in
-  let r = Pim_core.Deployment.router dep receiver in
-  Pim_core.Router.join_local r group;
-  let arrivals = ref [] in
-  Pim_core.Router.on_local_data r (fun _ -> arrivals := Engine.now eng :: !arrivals);
-  let s = Pim_core.Deployment.router dep source in
-  let rec send_loop t0 =
-    if t0 < stop_at then
-      ignore
-        (Engine.schedule_at eng
-           (t0 +. Prng.float prng 0.25)
-           (fun () ->
-             Pim_core.Router.send_local_data s ~group ();
-             send_loop (t0 +. 0.5)))
-  in
-  send_loop 10.;
-  let crash_target =
-    match rp_nodes with rp0 :: _ -> rp0 | [] -> rp_primary
-  in
-  ignore (Engine.schedule_at eng crash_at (fun () -> Net.set_node_up net crash_target false));
-  Engine.run ~until:(stop_at +. 10.) eng;
-  let times = List.sort Float.compare !arrivals in
-  let rec max_gap acc = function
-    | a :: (b :: _ as rest) -> max_gap (Float.max acc (b -. a)) rest
-    | _ -> acc
-  in
-  let gap = max_gap 0. (List.filter (fun t -> t > 15.) times) in
-  (* "(*,G)" entries still pointing at the dead RP are orphans the
-     failover/soft-state machinery failed to re-home or expire. *)
-  let crashed = Addr.router crash_target in
-  let orphaned_entries = ref 0 in
-  for u = 0 to Pim_graph.Topology.n_nodes topo - 1 do
-    if u <> crash_target then
-      List.iter
-        (fun (e : Pim_mcast.Fwd.entry) ->
-          if Pim_mcast.Fwd.is_star e && e.Pim_mcast.Fwd.rp = Some crashed then
-            incr orphaned_entries)
-        (Pim_mcast.Fwd.entries (Pim_core.Router.fib (Pim_core.Deployment.router dep u)))
-  done;
-  let counters = Net.counters net in
-  {
-    strategy;
-    gap;
-    budget;
-    delivered_before = List.length (List.filter (fun t -> t <= crash_at) times);
-    delivered_after = List.length (List.filter (fun t -> t > crash_at) times);
-    failovers = Counters.total (Net.counters net) Rp_failovers;
-    elections = Counters.total counters Elections_won;
-    mapping_changes = Counters.total counters Mapping_changes;
-    control = Metrics.control_traversals metrics;
-    orphaned_entries = !orphaned_entries;
-  }
 
 let run_strategies ?(strategies = all_strategies) ~seed () =
   let prng = Prng.create seed in
   (* One split stream per strategy, keyed by the canonical list order, so
      selecting a subset never perturbs another strategy's draw. *)
-  let streams =
-    List.map (fun s -> (s, Prng.split prng)) all_strategies
-  in
-  List.filter_map
-    (fun s ->
-      match List.assoc_opt s streams with
-      | Some stream -> Some (one_strategy ~prng:stream ~seed s)
-      | None ->
-        invalid_arg (Printf.sprintf "Failover.run_strategies: unknown strategy %S" s))
+  let streams = List.map (fun s -> (s, Prng.split prng)) all_strategies in
+  let unknown s = invalid_arg (Printf.sprintf "Failover.run_strategies: unknown strategy %S" s) in
+  List.map
+    (fun strategy ->
+      let prng = match List.assoc_opt strategy streams with Some p -> p | None -> unknown strategy in
+      let rp_nodes =
+        match strategy with
+        | "static" -> [ rp_primary; rp_alternate ]
+        | s -> (
+          match
+            Stack.place_rps ~topo:(grid ()) ~group ~endpoints:[ source; receiver ] ~seed s
+          with
+          | Some rps -> rps
+          | None -> unknown s)
+      in
+      simulate ~prng ~rp_timeout:5. ~rp_election:(String.equal strategy "bsr") ~strategy rp_nodes)
     strategies
 
 let pp_strategy_rows ppf rows =

@@ -44,8 +44,10 @@ val all_strategies : string list
 val run_strategies : ?strategies:string list -> seed:int -> unit -> strategy_row list
 (** The same grid, stream and crash as {!run}, but the group-to-RP
     mapping comes from each {!Pim_core.Placement} strategy in turn —
-    installed statically, or (["bsr"]) advertised through a live
-    bootstrap election with no static configuration.  The crash targets
+    installed statically, or (["bsr"]) advertised through
+    {!Stack.create_many}'s live bootstrap election (its two C-BSRs are
+    neither the source nor the receiver) with no static configuration.
+    Both sweeps share one run function.  The crash targets
     the strategy's primary RP.  Each strategy draws from its own split
     PRNG stream keyed by the canonical order, so running a subset
     reproduces the full run's rows byte for byte. *)

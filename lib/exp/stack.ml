@@ -31,11 +31,12 @@ type t = {
   join : Topology.node -> unit;
   leave : Topology.node -> unit;
   on_data : Topology.node -> (Pim_net.Packet.t -> unit) -> unit;
-  send_from : Topology.node -> unit;
+  send_from : ?host:int -> Topology.node -> unit;
   entries : unit -> int;
   restart : Topology.node -> unit;
   state_checks : (string * (unit -> string list)) list;
   mroute : Topology.node -> string list;
+  fib_entries : Topology.node -> Fwd.entry list;
   max_copies : int;
   residual_floor : int;
   spt_switches : unit -> int;
@@ -201,12 +202,13 @@ let pim_state_checks ~net ~rib ~fib =
    a list of one.  Workloads drive dozens of Zipf-popular groups over
    thousands of routers, where a deployment per group would multiply
    every router's timer load by the group count.  Views share entries/
-   restart/state_checks/spt_switches/export_metrics; join/leave/
-   send_from/mroute act per group, and on_data callbacks fire only for
-   the view's group. *)
+   restart/state_checks/fib_entries/spt_switches/export_metrics; join/
+   leave/send_from/mroute act per group, and on_data callbacks fire only
+   for the view's group. *)
 
 (* Eta-expanded: a partial [asprintf] builds a formatter even for a router with no state. *)
-let fwd_mroute fib u = List.map (fun e -> Format.asprintf "%a" Fwd.pp_entry e) (Fwd.entries (fib u))
+let fwd_mroute fib_entries u =
+  List.map (fun e -> Format.asprintf "%a" Fwd.pp_entry e) (fib_entries u)
 
 let rp_nodes_for ~placement ~protocol group =
   match List.find_opt (fun (g, _) -> Group.equal g group) placement with
@@ -290,6 +292,7 @@ let pim_sm_many ~spt_switches ~rp_election ~cbsr_forbidden ~config ?trace ~place
   let d = Pim_core.Deployment.create ~config ?bsr ?trace ~net ~ribs ~rp_set () in
   let router u = Pim_core.Deployment.router d u in
   let fib u = Pim_core.Router.fib (router u) in
+  let fib_entries u = Fwd.entries (fib u) in
   let checks = pim_state_checks ~net ~rib:ribs ~fib in
   let on_data = local_dispatch net (fun u f -> Pim_core.Router.on_local_data (router u) f) in
   let export_metrics = Pim_core.Deployment.export_metrics d in
@@ -299,14 +302,15 @@ let pim_sm_many ~spt_switches ~rp_election ~cbsr_forbidden ~config ?trace ~place
       join = (fun m -> Pim_core.Router.join_local (router m) group);
       leave = (fun m -> Pim_core.Router.leave_local (router m) group);
       on_data = (fun m cb -> on_data m group cb);
-      send_from = (fun u -> Pim_core.Router.send_local_data (router u) ~group ());
+      send_from = (fun ?host u -> Pim_core.Router.send_local_data (router u) ~group ?host ());
       entries = (fun () -> Pim_core.Deployment.total_entries d);
       restart =
         (fun u ->
           Pim_core.Router.restart (router u);
           Option.iter (fun b -> Pim_core.Bsr.restart b u) bsr);
       state_checks = checks;
-      mroute = fwd_mroute fib;
+      mroute = fwd_mroute fib_entries;
+      fib_entries;
       max_copies = 1;
       residual_floor = 0;
       spt_switches;
@@ -321,17 +325,19 @@ let dense_many ~spt_switches ~mode ?trace ~groups net =
   let router u = Pim_dense.Router.Deployment.router d u in
   let protocol = match mode with Pim_dense.Router.Pim_dm -> Pim_dm | Pim_dense.Router.Dvmrp -> Dvmrp in
   let on_data = local_dispatch net (fun u f -> Pim_dense.Router.on_local_data (router u) f) in
+  let fib_entries u = Fwd.entries (Pim_dense.Router.fib (router u)) in
   let view group =
     {
       protocol;
       join = (fun m -> Pim_dense.Router.join_local (router m) group);
       leave = (fun m -> Pim_dense.Router.leave_local (router m) group);
       on_data = (fun m cb -> on_data m group cb);
-      send_from = (fun u -> Pim_dense.Router.send_local_data (router u) ~group ());
+      send_from = (fun ?host u -> Pim_dense.Router.send_local_data (router u) ~group ?host ());
       entries = (fun () -> Pim_dense.Router.Deployment.total_entries d);
       restart = (fun u -> Pim_dense.Router.restart (router u));
       state_checks = [];
-      mroute = (fun u -> fwd_mroute (fun v -> Pim_dense.Router.fib (router v)) u);
+      mroute = fwd_mroute fib_entries;
+      fib_entries;
       (* Broadcast-and-prune legitimately puts one copy per link direction
          on the wire (the flood, then the re-flood after grow-back). *)
       max_copies = 2;
@@ -361,7 +367,7 @@ let cbt_many ~spt_switches ?trace ~placement ~groups net =
       join = (fun m -> Pim_cbt.Router.join_local (router m) group);
       leave = (fun m -> Pim_cbt.Router.leave_local (router m) group);
       on_data = (fun m cb -> on_data m group cb);
-      send_from = (fun u -> Pim_cbt.Router.send_local_data (router u) ~group ());
+      send_from = (fun ?host u -> Pim_cbt.Router.send_local_data (router u) ~group ?host ());
       entries = (fun () -> Pim_cbt.Router.Deployment.total_entries d);
       restart = (fun u -> Pim_cbt.Router.restart (router u));
       state_checks = [];
@@ -375,6 +381,7 @@ let cbt_many ~spt_switches ?trace ~placement ~groups net =
                 |> List.sort Int.compare |> List.map string_of_int |> String.concat ",");
             ]
           else []);
+      fib_entries = (fun _ -> []);
       max_copies = 1;
       (* The core never tears down its own entry. *)
       residual_floor = 1;
@@ -413,7 +420,7 @@ let mospf_many ~spt_switches ?lsa_refresh ?trace ~groups net =
       join = (fun m -> Pim_mospf.Router.join_local (router m) group);
       leave = (fun m -> Pim_mospf.Router.leave_local (router m) group);
       on_data = (fun m cb -> on_data m group cb);
-      send_from = (fun u -> Pim_mospf.Router.send_local_data (router u) ~group ());
+      send_from = (fun ?host u -> Pim_mospf.Router.send_local_data (router u) ~group ?host ());
       entries = (fun () -> Pim_mospf.Router.Deployment.total_membership_entries d);
       restart = (fun u -> Pim_mospf.Router.restart (router u));
       state_checks = [ ("membership-sync", membership_sync) ];
@@ -427,6 +434,7 @@ let mospf_many ~spt_switches ?lsa_refresh ?trace ~groups net =
               Printf.sprintf "%s members={%s}" (Group.to_string group)
                 (String.concat "," (List.map string_of_int ms));
             ]);
+      fib_entries = (fun _ -> []);
       max_copies = 1;
       residual_floor = 0;
       spt_switches;

@@ -8,10 +8,10 @@
     DVMRP, CBT and MOSPF.  {!create_many} is the one way to deploy a
     protocol over an existing {!Pim_sim.Net}: it returns one view per
     group exposing exactly that surface, and a single-group experiment
-    passes a list of one group.  Only the experiments that read PIM-SM
-    internals (aggregation, failover) build a [Pim_core.Deployment]
-    themselves.  {!digest} is the canonical state
-    the explorer dedups on. *)
+    passes a list of one group.  No experiment builds a deployment
+    itself: failover's BSR election and orphan scan and aggregation's
+    per-host sources go through these views too.  {!digest} is the
+    canonical state the explorer dedups on. *)
 
 type protocol = Pim_sm | Pim_dm | Dvmrp | Cbt | Mospf
 
@@ -32,7 +32,10 @@ type t = {
   on_data : Pim_graph.Topology.node -> (Pim_net.Packet.t -> unit) -> unit;
       (** register a local-delivery callback (register once per node —
           callbacks stack and are never removed) *)
-  send_from : Pim_graph.Topology.node -> unit;  (** inject one data packet *)
+  send_from : ?host:int -> Pim_graph.Topology.node -> unit;
+      (** inject one data packet at the node, sent by its stub host
+          [host] (default 1): distinct hosts are distinct sources sharing
+          the router's /24 *)
   entries : unit -> int;  (** protocol state entries network-wide *)
   restart : Pim_graph.Topology.node -> unit;  (** wipe and reboot one router *)
   state_checks : (string * (unit -> string list)) list;
@@ -46,6 +49,11 @@ type t = {
           [assert-mroute] matches against.  MOSPF renders one
           ["<group> members={m1,m2,...}"] line listing the members the
           router knows (none when it knows no member) *)
+  fib_entries : Pim_graph.Topology.node -> Pim_mcast.Fwd.entry list;
+      (** the node's forwarding entries, every group, as
+          {!Pim_mcast.Fwd.entries} lists them: what PIM-SM's and the dense
+          protocols' [mroute] render; [[]] for CBT and MOSPF, which keep
+          no [Fwd] table *)
   max_copies : int;  (** legitimate per-link copies of one quiet-period packet *)
   residual_floor : int;  (** entries legitimately left after every member leaves *)
   spt_switches : unit -> int;
@@ -101,7 +109,8 @@ val create_many :
     off to reproduce the historical bug.
 
     Views share the deployment: [entries], [restart], [state_checks],
-    [spt_switches] and [export_metrics] are deployment-wide and identical across views, while
+    [fib_entries], [spt_switches] and [export_metrics] are deployment-wide
+    and identical across views, while
     [join]/[leave]/[send_from]/[mroute] act per group and [on_data]
     callbacks only fire for that view's group.
 

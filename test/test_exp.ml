@@ -168,6 +168,96 @@ let test_failover_gap_tracks_timeout () =
       (short.Failover.gap < long.Failover.gap)
   | _ -> Alcotest.fail "expected two rows"
 
+(* [send_from ~host] is honoured by every protocol's view: the member
+   sees the chosen host as the source, and a plain [send_from] is host 1. *)
+let test_send_from_host () =
+  let module Engine = Pim_sim.Engine in
+  let module Stack = Pim_exp.Stack in
+  let g = Pim_net.Group.of_index 3 and u = 0 and member = 8 in
+  List.iter
+    (fun protocol ->
+      let eng = Pim_sim.Engine.create () in
+      let net = Pim_sim.Net.create eng (Pim_graph.Classic.grid 3 3) in
+      let v =
+        List.assoc g (Stack.create_many ~placement:[ (g, [ 4 ]) ] ~groups:[ g ] ~net protocol)
+      in
+      v.Stack.join member;
+      let srcs = ref [] in
+      v.Stack.on_data member (fun pkt ->
+          srcs := Pim_net.Addr.to_string pkt.Pim_net.Packet.src :: !srcs);
+      Engine.run ~until:10. eng;
+      ignore (Engine.schedule_at eng 10. (fun () -> v.Stack.send_from u));
+      ignore (Engine.schedule_at eng 12. (fun () -> v.Stack.send_from ~host:3 u));
+      Engine.run ~until:20. eng;
+      Alcotest.(check (list string))
+        (Stack.to_string protocol ^ " sources seen by the member")
+        (List.map
+           (fun h -> Pim_net.Addr.to_string (Pim_net.Addr.host ~router:u h))
+           [ 1; 3 ])
+        (List.rev !srcs))
+    Stack.all
+
+(* [fib_entries] is the live table, not a copy that reads empty: on
+   failover's grid, crashing the primary RP leaves "(*,G)" entries that
+   name it until the receivers fail over, and none after.  CBT and MOSPF
+   keep no [Fwd] table. *)
+let test_fib_entries_failover () =
+  let module Engine = Pim_sim.Engine in
+  let module Net = Pim_sim.Net in
+  let module Stack = Pim_exp.Stack in
+  let module Fwd = Pim_mcast.Fwd in
+  let g = Pim_net.Group.of_index 9 and source = 0 and receiver = 8 and rp = 4 in
+  let deploy ?config protocol =
+    let eng = Engine.create () in
+    let net = Net.create eng (Pim_graph.Classic.grid 3 3) in
+    let v =
+      List.assoc g
+        (Stack.create_many ?config ~placement:[ (g, [ rp; 2 ]) ] ~groups:[ g ] ~net protocol)
+    in
+    v.Stack.join receiver;
+    (eng, net, v)
+  in
+  let rp_timeout = 5. in
+  let sm =
+    {
+      Pim_core.Config.fast with
+      Pim_core.Config.rp_reach_period = 1.5;
+      rp_timeout;
+      sweep_interval = 0.5;
+      spt_policy = Pim_core.Config.Never;
+    }
+  in
+  let eng, net, v = deploy ~config:{ Stack.fast with sm } Stack.Pim_sm in
+  for i = 0 to 119 do
+    ignore
+      (Engine.schedule_at eng (10. +. (0.5 *. float_of_int i)) (fun () -> v.Stack.send_from source))
+  done;
+  let orphans () =
+    List.init 9 Fun.id
+    |> List.filter (fun u -> u <> rp && Net.node_up net u)
+    |> List.concat_map v.Stack.fib_entries
+    |> List.filter (fun (e : Fwd.entry) ->
+           Fwd.is_star e && e.Fwd.rp = Some (Pim_net.Addr.router rp))
+    |> List.length
+  in
+  Engine.run ~until:30. eng;
+  Net.set_node_up net rp false;
+  Engine.run ~until:(30. +. (rp_timeout /. 2.)) eng;
+  Alcotest.(check bool) "(*,G) names the crashed RP before rp_timeout" true (orphans () > 0);
+  Engine.run ~until:85. eng;
+  Alcotest.(check bool) "the receiver failed over" true
+    (Pim_sim.Counters.total (Net.counters net) Rp_failovers >= 1);
+  Alcotest.(check int) "no (*,G) names it after failover" 0 (orphans ());
+  List.iter
+    (fun protocol ->
+      let eng, _, v = deploy protocol in
+      Engine.run ~until:10. eng;
+      Alcotest.(check int)
+        (Stack.to_string protocol ^ " has no Fwd entries")
+        0
+        (List.length (List.concat_map v.Stack.fib_entries (List.init 9 Fun.id))))
+    [ Stack.Cbt; Stack.Mospf ]
+
 let test_ablation_policy_tradeoff () =
   let rows = Ablation.run_spt_policy ~seed:2 () in
   match rows with
@@ -833,6 +923,11 @@ let () =
       ("fig1", [ Alcotest.test_case "shapes" `Quick test_fig1_shapes ]);
       ("overhead", [ Alcotest.test_case "trends" `Quick test_overhead_trends ]);
       ("failover", [ Alcotest.test_case "gap tracks timeout" `Quick test_failover_gap_tracks_timeout ]);
+      ( "stack",
+        [
+          Alcotest.test_case "send_from honours ~host" `Quick test_send_from_host;
+          Alcotest.test_case "fib_entries across an RP failover" `Quick test_fib_entries_failover;
+        ] );
       ( "ablation",
         [
           Alcotest.test_case "policy tradeoff" `Quick test_ablation_policy_tradeoff;

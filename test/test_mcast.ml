@@ -9,12 +9,10 @@ let qcheck_rand () =
   in
   Random.State.make [| seed |]
 
-(* Tests for Pim_mcast: data packets, forwarding entries, FIB, delivery
-   recorder. *)
+(* Tests for Pim_mcast: data packets, forwarding entries, FIB. *)
 
 module Fwd = Pim_mcast.Fwd
 module Mdata = Pim_mcast.Mdata
-module Delivery = Pim_mcast.Delivery
 module Addr = Pim_net.Addr
 module Group = Pim_net.Group
 module Packet = Pim_net.Packet
@@ -215,22 +213,6 @@ let prop_fib_iter_order =
       && keys (Fwd.entries fib) = keys survivors
       && Fwd.count fib = List.length survivors)
 
-(* Delivery recorder *)
-
-let test_delivery () =
-  let d = Delivery.create () in
-  Delivery.record d ~group:g ~src:s ~seq:0 ~receiver:4 ~sent_at:1. ~at:3.;
-  Delivery.record d ~group:g ~src:s ~seq:0 ~receiver:7 ~sent_at:1. ~at:4.;
-  Delivery.record d ~group:g ~src:s ~seq:0 ~receiver:4 ~sent_at:1. ~at:5.;
-  Alcotest.(check (list int)) "receivers" [ 4; 7 ] (Delivery.receivers d ~group:g ~src:s ~seq:0);
-  Alcotest.(check int) "copies" 2 (Delivery.copies d ~group:g ~src:s ~seq:0 ~receiver:4);
-  Alcotest.(check int) "total" 3 (Delivery.total d);
-  Alcotest.(check (option (float 1e-9))) "first-copy delay" (Some 2.)
-    (Delivery.delay_of d ~group:g ~src:s ~seq:0 ~receiver:4);
-  Alcotest.(check int) "delays recorded" 3 (List.length (Delivery.delays d));
-  Delivery.clear d;
-  Alcotest.(check int) "cleared" 0 (Delivery.total d)
-
 (* The oif list as it was kept before [add_oif] sorted it: newest first,
    with [live_oifs] filtering, mapping and sorting on every call.  The
    sorted list must answer exactly as this reference does. *)
@@ -264,7 +246,7 @@ module Ref_oifs = struct
 end
 
 let prop_oifs_match_reference =
-  QCheck.Test.make ~name:"oifs: sorted list answers like the filter-map-sort reference"
+  QCheck.Test.make ~name:"oifs: sorted list matches the reference"
     ~count:300
     QCheck.(pair (int_bound 100000) (int_range 1 60))
     (fun (seed, steps) ->
@@ -334,5 +316,4 @@ let () =
           QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_fib_find_after_insert;
           QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_fib_iter_order;
         ] );
-      ("delivery", [ Alcotest.test_case "recorder" `Quick test_delivery ]);
     ]

@@ -335,6 +335,17 @@ let test_group_isolation () =
   Alcotest.(check int) "g delivered" 5 !got_g;
   Alcotest.(check int) "g2 delivered" 5 !got_g2
 
+(* Copies of each data packet a member received, keyed by (seq, member):
+   the runs below have one source and one group. *)
+let count_copies copies m pkt =
+  match pkt.Pim_net.Packet.payload with
+  | Mdata.Data i ->
+    let key = (i.Mdata.seq, m) in
+    Hashtbl.replace copies key (1 + Option.value ~default:0 (Hashtbl.find_opt copies key))
+  | _ -> ()
+
+let copies_of copies ~seq m = Option.value ~default:0 (Hashtbl.find_opt copies (seq, m))
+
 (* Steady-state delivery is duplicate-free on arbitrary topologies. *)
 let test_no_duplicates_random () =
   List.iter
@@ -346,17 +357,12 @@ let test_no_duplicates_random () =
       let net = Net.create eng topo in
       let rp_set = Rp_set.single g (Addr.router (List.hd members)) in
       let dep = Deployment.create_static ~config:Config.fast net ~rp_set in
-      let delivery = Pim_mcast.Delivery.create () in
+      let copies = Hashtbl.create 256 in
       List.iter
         (fun m ->
           let r = Deployment.router dep m in
           Router.join_local r g;
-          Router.on_local_data r (fun pkt ->
-              match pkt.Pim_net.Packet.payload with
-              | Mdata.Data i ->
-                Pim_mcast.Delivery.record delivery ~group:g ~src:pkt.Pim_net.Packet.src
-                  ~seq:i.Mdata.seq ~receiver:m ~sent_at:i.Mdata.sent_at ~at:(Engine.now eng)
-              | _ -> ()))
+          Router.on_local_data r (count_copies copies m))
         members;
       let source = Deployment.router dep ((List.hd members + 1) mod 25) in
       Engine.run ~until:10. eng;
@@ -370,14 +376,12 @@ let test_no_duplicates_random () =
              (fun () -> Router.send_local_data source ~group:g ()))
       done;
       Engine.run ~until:60. eng;
-      let src = Router.local_source_addr source in
       for seq = 30 to 39 do
         List.iter
           (fun m ->
-            let copies = Pim_mcast.Delivery.copies delivery ~group:g ~src ~seq ~receiver:m in
             Alcotest.(check int)
               (Printf.sprintf "seed %d seq %d member %d exactly once" seed seq m)
-              1 copies)
+              1 (copies_of copies ~seq m))
           members
       done)
     [ 11; 22; 33 ]
@@ -439,17 +443,12 @@ let reference_scenario ~seed ~member_count =
   let net = Net.create eng topo in
   let rp_set = Rp_set.single g (Addr.router rp) in
   let dep = Deployment.create_static ~config:Config.fast net ~rp_set in
-  let delivery = Pim_mcast.Delivery.create () in
+  let copies = Hashtbl.create 256 in
   List.iter
     (fun m ->
       let r = Deployment.router dep m in
       Router.join_local r g;
-      Router.on_local_data r (fun pkt ->
-          match pkt.Pim_net.Packet.payload with
-          | Mdata.Data i ->
-            Pim_mcast.Delivery.record delivery ~group:g ~src:pkt.Pim_net.Packet.src
-              ~seq:i.Mdata.seq ~receiver:m ~sent_at:i.Mdata.sent_at ~at:(Engine.now eng)
-          | _ -> ()))
+      Router.on_local_data r (count_copies copies m))
     members;
   Engine.run ~until:10. eng;
   let sr = Deployment.router dep source in
@@ -460,14 +459,10 @@ let reference_scenario ~seed ~member_count =
          (fun () -> Router.send_local_data sr ~group:g ()))
   done;
   Engine.run ~until:60. eng;
-  let src = Router.local_source_addr sr in
   (* Steady-state tail: every member exactly one copy of each packet. *)
   let steady_ok =
     List.for_all
-      (fun seq ->
-        List.for_all
-          (fun m -> Pim_mcast.Delivery.copies delivery ~group:g ~src ~seq ~receiver:m = 1)
-          members)
+      (fun seq -> List.for_all (fun m -> copies_of copies ~seq m = 1) members)
       (List.init 8 (fun i -> 22 + i))
   in
   (* Everyone leaves; all multicast state must drain.  The worst-case
