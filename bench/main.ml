@@ -437,6 +437,24 @@ let json_subjects () =
     in
     ignore (Sys.opaque_identity (Pim_exp.Workload.run spec))
   in
+  (* PIM-SM zap at perfbench's multicast size: 200 routers, 32 groups,
+     2000 receivers.  Its control path (join/prune receipt, RP
+     reachability, sweeps) and data hops are most of the multicast
+     side's allocation. *)
+  let workload_zap_200n_pimsm () =
+    let spec =
+      {
+        (Pim_exp.Workload.default_spec Pim_exp.Workload.Zap) with
+        Pim_exp.Workload.nodes = 200;
+        groups = 32;
+        scale = 2000;
+        duration = 60.;
+        protocol = Pim_exp.Stack.Pim_sm;
+        seed;
+      }
+    in
+    ignore (Sys.opaque_identity (Pim_exp.Workload.run spec))
+  in
   (* The same zap spec under CBT and PIM-DM, the two protocols whose data
      path walks tree and interface state in place rather than building an
      oif list per packet. *)
@@ -473,6 +491,7 @@ let json_subjects () =
     ("workload-flashcrowd", workload_flashcrowd);
     ("workload-zap-100n-mospf", workload_zap_mospf);
     ("workload-zap-100n-cbt-dm", workload_zap_cbt_dm);
+    ("workload-zap-200n-pimsm", workload_zap_200n_pimsm);
   ]
 
 let run_json path =
@@ -552,6 +571,7 @@ let check_subjects =
     "workload-flashcrowd";
     "workload-zap-100n-mospf";
     "workload-zap-100n-cbt-dm";
+    "workload-zap-200n-pimsm";
   ]
 
 let wall_budget = 3.0

@@ -8,6 +8,7 @@ module Packet = Pim_net.Packet
 module Addr = Pim_net.Addr
 module Group = Pim_net.Group
 module Mdata = Pim_mcast.Mdata
+module Iface_timers = Pim_mcast.Iface_timers
 module Rib = Pim_routing.Rib
 
 type config = {
@@ -60,7 +61,7 @@ type entry = {
   core : Addr.t;
   mutable parent : (Topology.iface * Topology.node) option;
   mutable confirmed : bool;
-  children : (Topology.iface, float) Hashtbl.t;
+  children : Iface_timers.t;  (* child interface to its timer *)
   mutable pending : Topology.iface list;
   mutable join_outstanding : bool;
   mutable local : bool;
@@ -77,6 +78,10 @@ type t = {
   cfg : config;
   trace : Trace.t option;
   entries : (Group.t, entry) Hashtbl.t;
+  mutable order : entry array;
+      (* [entries] ascending by group in [order.(0 .. n_entries - 1)], kept
+         so at insert and remove: the timer walks it in place *)
+  mutable n_entries : int;
   counters : Counters.t;
   local_cbs : (Packet.t -> unit) Pim_util.Vec.t;
   mutable local_seq : int;
@@ -111,6 +116,41 @@ let send_join t (e : entry) =
     let b = { group = e.group; core = e.core; origin = t.node; target = Addr.router up } in
     Net.send t.net t.node ~iface (ctrl t (Join_request b))
 
+(* {1 The entry table} *)
+
+(* Where [g] goes in [order]: the first slot whose group is not below it. *)
+let rec order_slot t g lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if Group.compare t.order.(mid).group g < 0 then order_slot t g (mid + 1) hi
+    else order_slot t g lo mid
+
+let add_entry t (e : entry) =
+  Hashtbl.replace t.entries e.group e;
+  if t.n_entries = Array.length t.order then begin
+    let a = Array.make (Int.max 8 (2 * t.n_entries)) e in
+    Array.blit t.order 0 a 0 t.n_entries;
+    t.order <- a
+  end;
+  let k = order_slot t e.group 0 t.n_entries in
+  Array.blit t.order k t.order (k + 1) (t.n_entries - k);
+  t.order.(k) <- e;
+  t.n_entries <- t.n_entries + 1
+
+let remove_entry t g =
+  Hashtbl.remove t.entries g;
+  let k = order_slot t g 0 t.n_entries in
+  if k < t.n_entries && Group.equal t.order.(k).group g then begin
+    Array.blit t.order (k + 1) t.order k (t.n_entries - k - 1);
+    t.n_entries <- t.n_entries - 1
+  end
+
+let clear_entries t =
+  Hashtbl.reset t.entries;
+  t.order <- [||];
+  t.n_entries <- 0
+
 let ensure t g ~core =
   match Hashtbl.find_opt t.entries g with
   | Some e -> e
@@ -122,14 +162,14 @@ let ensure t g ~core =
         core;
         parent;
         confirmed = Addr.equal core t.addr;
-        children = Hashtbl.create 4;
+        children = Iface_timers.create ();
         pending = [];
         join_outstanding = false;
         local = false;
         parent_deadline = now t +. t.cfg.parent_timeout;
       }
     in
-    Hashtbl.replace t.entries g e;
+    add_entry t e;
     e
 
 (* Is [iface] on a group's tree: a child whose timer has not run out, or
@@ -137,7 +177,7 @@ let ensure t g ~core =
    forwarding walks the router's interfaces through it instead of
    building the list. *)
 let on_tree_iface ~now ~children ~parent ~confirmed ~core iface =
-  (match Hashtbl.find children iface with exp -> exp > now | exception Not_found -> false)
+  Iface_timers.live children iface ~now
   ||
   match parent with
   | Some (i, _) -> i = iface && confirmed && not core
@@ -161,8 +201,7 @@ let tree_ifaces t g =
 
 let entry_count t = Hashtbl.length t.entries
 
-let add_child t (e : entry) iface =
-  Hashtbl.replace e.children iface (now t +. t.cfg.child_timeout)
+let add_child t (e : entry) iface = Iface_timers.set e.children iface (now t +. t.cfg.child_timeout)
 
 let send_ack t (e : entry) iface =
   Counters.(incr t.counters ~node:t.node Acks_sent);
@@ -207,7 +246,7 @@ let handle_join_ack t ~iface (b : body) =
 let flush t (e : entry) =
   Counters.(incr t.counters ~node:t.node Flushes);
   if tracing t then ev t (Event.Flush { group = Group.to_string e.group });
-  Hashtbl.remove t.entries e.group;
+  remove_entry t e.group;
   if e.local then begin
     let g = e.group and core = e.core in
     ignore
@@ -246,7 +285,7 @@ let handle_echo_reply t ~iface (b : body) =
 let handle_quit t ~iface (b : body) =
   if Addr.equal b.target t.addr then begin
     match Hashtbl.find_opt t.entries b.group with
-    | Some e -> Hashtbl.remove e.children iface
+    | Some e -> Iface_timers.clear e.children iface
     | None -> ()
   end
 
@@ -361,69 +400,64 @@ let send_local_data t ~group ?host ?size () =
    periodic soft-state refresh (paper footnote 4). *)
 let restart t =
   if tracing t then ev t Event.Restart;
-  Hashtbl.reset t.entries;
+  clear_entries t;
   List.iter (fun g -> join_local t g) t.local_joined
 
 (* {1 Timers} *)
 
-(* Entries in canonical group order, so per-tick protocol actions (echo
-   probes, join retransmits, quits) fire in an order independent of
-   hash-bucket layout. *)
-let sorted_entries t =
-  Hashtbl.fold (fun g e acc -> (g, e) :: acc) t.entries []
-  |> List.sort (fun (g, _) (g', _) -> Group.compare g g')
+(* The timer walks [order] in place, in canonical group order, so per-tick
+   protocol actions (echo probes, join retransmits, quits) fire in an
+   order independent of hash-bucket layout and the tick allocates only
+   the messages it sends. *)
+
+let send_echo t (e : entry) =
+  if e.confirmed && not (is_core t e) then begin
+    match e.parent with
+    | Some (iface, up) ->
+      Counters.(incr t.counters ~node:t.node Echoes_sent);
+      let b = { group = e.group; core = e.core; origin = t.node; target = Addr.router up } in
+      Net.send t.net t.node ~iface (ctrl t (Echo_request b))
+    | None -> ()
+  end
+  else if e.join_outstanding && not (is_core t e) then
+    (* CBT is explicit-ack hard state (paper footnote 4): a lost
+       JOIN-REQUEST or JOIN-ACK must be retransmitted, there is no
+       periodic refresh to fall back on. *)
+    send_join t e
+
+let quit t (e : entry) =
+  let g = e.group in
+  match e.parent with
+  | Some (iface, up) ->
+    Counters.(incr t.counters ~node:t.node Quits_sent);
+    if tracing t then ev t (Event.Quit { group = Group.to_string g });
+    let b = { group = g; core = e.core; origin = t.node; target = Addr.router up } in
+    Net.send t.net t.node ~iface (ctrl t (Quit b));
+    remove_entry t g
+  | None -> remove_entry t g
+
+(* Age out [e]'s children, then flush it on a silent parent or quit a
+   branch nothing hangs off any more.  Either removes [e] from [order]. *)
+let age t n (e : entry) =
+  Iface_timers.expire e.children ~now:n;
+  if e.confirmed && (not (is_core t e)) && e.parent_deadline < n then flush t e
+  else if
+    e.confirmed && (not (is_core t e)) && (not e.local)
+    && Iface_timers.count e.children = 0 && e.pending = []
+  then quit t e
 
 let tick t =
-  (* Sends and join retransmits add and remove no entry, so one snapshot
-     serves both passes. *)
-  let entries = sorted_entries t in
-  List.iter
-    (fun (_, (e : entry)) ->
-      if e.confirmed && not (is_core t e) then begin
-        match e.parent with
-        | Some (iface, up) ->
-          Counters.(incr t.counters ~node:t.node Echoes_sent);
-          let b = { group = e.group; core = e.core; origin = t.node; target = Addr.router up } in
-          Net.send t.net t.node ~iface (ctrl t (Echo_request b))
-        | None -> ()
-      end
-      else if e.join_outstanding && not (is_core t e) then
-        (* CBT is explicit-ack hard state (paper footnote 4): a lost
-           JOIN-REQUEST or JOIN-ACK must be retransmitted, there is no
-           periodic refresh to fall back on. *)
-        send_join t e)
-    entries;
-  (* Age out children and flush on silent parents. *)
+  (* Sends and join retransmits add and remove no entry. *)
+  for k = 0 to t.n_entries - 1 do
+    send_echo t t.order.(k)
+  done;
+  (* Flushes and quits leave in descending group order.  Each removes
+     only the entry it is given, whose slot is above every one still to
+     come, and whether an entry goes depends on its state alone. *)
   let n = now t in
-  let doomed = ref [] in
-  List.iter
-    (fun (g, (e : entry)) ->
-      if Hashtbl.length e.children > 0 then begin
-        let dead =
-          Hashtbl.fold (fun i exp acc -> if exp <= n then i :: acc else acc) e.children []
-          |> List.sort Int.compare
-        in
-        List.iter (Hashtbl.remove e.children) dead
-      end;
-      if e.confirmed && (not (is_core t e)) && e.parent_deadline < n then doomed := `Flush e :: !doomed
-      else if
-        e.confirmed && (not (is_core t e)) && (not e.local)
-        && Hashtbl.length e.children = 0 && e.pending = []
-      then doomed := `Quit (g, e) :: !doomed)
-    entries;
-  List.iter
-    (function
-      | `Flush e -> flush t e
-      | `Quit (g, (e : entry)) -> (
-        match e.parent with
-        | Some (iface, up) ->
-          Counters.(incr t.counters ~node:t.node Quits_sent);
-          if tracing t then ev t (Event.Quit { group = Group.to_string g });
-          let b = { group = g; core = e.core; origin = t.node; target = Addr.router up } in
-          Net.send t.net t.node ~iface (ctrl t (Quit b));
-          Hashtbl.remove t.entries g
-        | None -> Hashtbl.remove t.entries g))
-    !doomed
+  for k = t.n_entries - 1 downto 0 do
+    age t n t.order.(k)
+  done
 
 let handle_packet t ~iface pkt =
   match pkt.Packet.payload with
@@ -437,9 +471,9 @@ let handle_packet t ~iface pkt =
     | Packet.Unicast dst when Addr.equal dst t.addr -> handle_encap t inner
     | _ -> send_unicast t pkt)
   | Mdata.Data _ -> (
-    match Addr.host_router_index pkt.Packet.src with
-    | Some r when r = t.node -> originate t pkt
-    | _ -> handle_data t ~iface pkt)
+    match Addr.host_router_index_exn pkt.Packet.src with
+    | r when r = t.node -> originate t pkt
+    | _ | (exception Not_found) -> handle_data t ~iface pkt)
   | _ -> (
     match pkt.Packet.dst with
     | Packet.Unicast dst when not (Addr.equal dst t.addr) -> send_unicast t pkt
@@ -457,6 +491,8 @@ let create ?(config = default_config) ?trace ~net ~rib ~core_of node =
       cfg = config;
       trace;
       entries = Hashtbl.create 16;
+      order = [||];
+      n_entries = 0;
       counters = Net.counters net;
       local_cbs = Pim_util.Vec.create ();
       local_seq = 0;

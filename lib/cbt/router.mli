@@ -60,7 +60,7 @@ val tree_ifaces : t -> Pim_net.Group.t -> Pim_graph.Topology.iface list
 
 val on_tree_iface :
   now:float ->
-  children:(Pim_graph.Topology.iface, float) Hashtbl.t ->
+  children:Pim_mcast.Iface_timers.t ->
   parent:(Pim_graph.Topology.iface * Pim_graph.Topology.node) option ->
   confirmed:bool ->
   core:bool ->
@@ -94,6 +94,12 @@ val restart : t -> unit
     the loss when their echoes go unanswered for [parent_timeout] and
     flush — CBT's hard state has no periodic refresh to heal them sooner
     (paper footnote 4). *)
+
+val tick : t -> unit
+(** One echo-interval timer firing: echo requests to confirmed parents and
+    join retransmits, in group order, then child aging, flushes on silent
+    parents and quits, in descending group order.  The router's own timer
+    runs it every [echo_interval]. *)
 
 module Deployment : sig
   type router := t

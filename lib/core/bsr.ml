@@ -99,8 +99,7 @@ let sorted_recs tbl =
   |> List.sort (fun (k1, _) (k2, _) -> compare_rec_key k1 k2)
 
 let expire_recs tbl ~now =
-  sorted_recs tbl
-  |> List.iter (fun (k, r) -> if r.deadline <= now then Hashtbl.remove tbl k)
+  Hashtbl.filter_map_inplace (fun _ r -> if r.deadline <= now then None else Some r) tbl
 
 let install_rec tbl (rp, coverage) ~priority ~holdtime ~now =
   let key = (rp, List.sort Group.compare coverage) in

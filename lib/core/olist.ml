@@ -1,11 +1,12 @@
 module Fwd = Pim_mcast.Fwd
+module Iface_timers = Pim_mcast.Iface_timers
 
 type iface = Pim_graph.Topology.iface
 
 let iface_or_none = function Some i -> i | None -> Pim_graph.Topology.no_iface
 
 let yield f x y z ~now ~pruned ~mask ~skip1 ~skip2 i n =
-  if i <> skip1 && i <> skip2 && not (mask && Fwd.masked pruned i ~now) then begin
+  if i <> skip1 && i <> skip2 && not (mask && Iface_timers.live pruned i ~now) then begin
     f x y z i;
     n + 1
   end

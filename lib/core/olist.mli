@@ -9,9 +9,9 @@
     environment, so a walk allocates nothing.
 
     An oif is live for its entry by {!Fwd.is_live}.  [pruned] is an
-    (S,G) entry's shared-tree prune mask ({!Fwd.masked}): an interface in
-    it, with a mask time after [now], receives none of that source's
-    traffic.  [exclude] is one more interface to skip, usually the one the
+    (S,G) entry's shared-tree prune mask: an interface live in it
+    ({!Pim_mcast.Iface_timers.live}, a mask time after [now]) receives
+    none of that source's traffic.  [exclude] is one more interface to skip, usually the one the
     packet arrived on; pass {!Pim_graph.Topology.no_iface} to skip
     nothing.  {!Fwd.skip} as [f] only counts. *)
 
@@ -25,7 +25,7 @@ val effective :
   'b ->
   'c ->
   now:float ->
-  pruned:(iface, float) Hashtbl.t ->
+  pruned:Pim_mcast.Iface_timers.t ->
   star:Fwd.entry option ->
   exclude:iface ->
   Fwd.entry ->
@@ -48,7 +48,7 @@ val shared :
   'b ->
   'c ->
   now:float ->
-  pruned:(iface, float) Hashtbl.t ->
+  pruned:Pim_mcast.Iface_timers.t ->
   star:Fwd.entry ->
   exclude:iface ->
   int
@@ -59,7 +59,7 @@ val shared :
 
 val effective_list :
   now:float ->
-  pruned:(iface, float) Hashtbl.t ->
+  pruned:Pim_mcast.Iface_timers.t ->
   star:Fwd.entry option ->
   exclude:iface ->
   Fwd.entry ->
@@ -67,5 +67,5 @@ val effective_list :
 (** {!effective} as a list, in walk order. *)
 
 val shared_list :
-  now:float -> pruned:(iface, float) Hashtbl.t -> star:Fwd.entry -> exclude:iface -> iface list
+  now:float -> pruned:Pim_mcast.Iface_timers.t -> star:Fwd.entry -> exclude:iface -> iface list
 (** {!shared} as a list, in walk order. *)

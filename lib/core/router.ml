@@ -8,6 +8,7 @@ module Packet = Pim_net.Packet
 module Addr = Pim_net.Addr
 module Group = Pim_net.Group
 module Fwd = Pim_mcast.Fwd
+module Iface_timers = Pim_mcast.Iface_timers
 module Mdata = Pim_mcast.Mdata
 module Rib = Pim_routing.Rib
 
@@ -29,7 +30,7 @@ type aux = {
   mutable suppress_until : float;
   mutable override_pending : bool;
   mutable was_wanted : bool;  (* olist was non-empty at the last sweep *)
-  pruned : (Topology.iface, float) Hashtbl.t;
+  pruned : Iface_timers.t;
   (* Ring of recently forwarded data-packet identities (the IP
      Identification field, [Mdata.seq] here).  During the RP-tree/SPT
      switchover the same packet can reach this router over both trees, and
@@ -72,7 +73,7 @@ type t = {
   igmp : Pim_igmp.Router.t;
   fib : Fwd.t;
   trace : Trace.t option;
-  no_mask : (Topology.iface, float) Hashtbl.t;
+  no_mask : Iface_timers.t;
       (* always empty: the mask handed to oif walks over "(*,G)" entries,
          which have none *)
   spt_counters : (key, int ref * float ref) Hashtbl.t;
@@ -123,7 +124,7 @@ let aux (e : Fwd.entry) =
         suppress_until = 0.;
         override_pending = false;
         was_wanted = false;
-        pruned = Hashtbl.create 4;
+        pruned = Iface_timers.create ();
         reg_stop_seen = false;
         seen_ids = [||];
         seen_len = 0;
@@ -156,12 +157,19 @@ let rec mem_addr a = function x :: tl -> Addr.equal a x || mem_addr a tl | [] ->
 
 let is_rp_for t g = mem_addr t.addr (rps_for t g)
 
-let select_rp t g =
-  let candidates = rps_for t g in
-  let reachable rp = Addr.equal rp t.addr || t.rib.Rib.distance rp <> None in
-  match List.find_opt reachable candidates with
-  | Some rp -> Some rp
-  | None -> ( match candidates with rp :: _ -> Some rp | [] -> None)
+let reachable t rp =
+  Addr.equal rp t.addr || match t.rib.Rib.distance rp with Some _ -> true | None -> false
+
+let rec first_reachable t = function
+  | rp :: tl -> if reachable t rp then rp else first_reachable t tl
+  | [] -> raise Not_found
+
+(* The RP a member joins toward: the first reachable candidate, else the
+   first one (section 3.9).  @raise Not_found when the group has none. *)
+let select_rp_exn t g =
+  match rps_for t g with
+  | [] -> raise Not_found
+  | rp :: _ as candidates -> ( match first_reachable t candidates with r -> r | exception Not_found -> rp)
 
 (* [e.rp = Some rp], without building the option. *)
 let rp_is (e : Fwd.entry) rp = match e.Fwd.rp with Some a -> Addr.equal a rp | None -> false
@@ -252,7 +260,10 @@ let divergence_prune t (e : Fwd.entry) =
 
 (* {1 Entry construction} *)
 
-let keepalive t (e : Fwd.entry) = e.Fwd.expires <- Float.max e.Fwd.expires (now t +. t.cfg.entry_linger)
+(* Extend [e]'s entry timer; stores (and boxes) a time only when it moves. *)
+let keepalive t (e : Fwd.entry) =
+  let x = now t +. t.cfg.entry_linger in
+  if x > e.Fwd.expires then e.Fwd.expires <- x
 
 let ensure_star t g ~rp =
   match Fwd.find_star t.fib g with
@@ -270,13 +281,17 @@ let ensure_star t g ~rp =
     e
 
 let ensure_sg t g s ~rp_bit =
-  match Fwd.find_sg t.fib g s with
-  | Some e ->
+  match Fwd.find_sg_exn t.fib g s with
+  | e ->
     keepalive t e;
     e
-  | None ->
+  | exception Not_found ->
     let star = Fwd.find_star t.fib g in
-    let rp = match star with Some st -> st.Fwd.rp | None -> select_rp t g in
+    let rp =
+      match star with
+      | Some st -> st.Fwd.rp
+      | None -> ( match select_rp_exn t g with rp -> Some rp | exception Not_found -> None)
+    in
     let target = if rp_bit then rp else Some s in
     let upstream =
       match target with Some a -> compute_upstream t a | None -> None
@@ -320,30 +335,41 @@ let local_deliver t pkt =
 
 let on_local_data t f = Pim_util.Vec.push t.local_cbs f
 
+let rec mem_member g iface = function
+  | (g', i) :: tl -> (i = iface && Group.equal g' g) || mem_member g iface tl
+  | [] -> false
+
+(* [l] without the membership [(g, iface)], which it holds. *)
+let rec drop_member g iface = function
+  | ((g', i) as m) :: tl -> if i = iface && Group.equal g' g then tl else m :: drop_member g iface tl
+  | [] -> []
+
 let add_local_member t g ~iface =
   (* Remember the membership regardless: with dynamic RP election the
      mapping can arrive after the join, and [sweep] retries then. *)
-  if not (List.mem (g, iface) t.local_members) then
+  if not (mem_member g iface t.local_members) then
     t.local_members <- (g, iface) :: t.local_members;
-  match select_rp t g with
-  | None ->
+  match select_rp_exn t g with
+  | exception Not_found ->
     if tracing t then ev t (Event.No_rp { group = Group.to_string g })
-  | Some rp ->
+  | rp ->
     let e = ensure_star t g ~rp in
     Fwd.add_oif e iface ~expires:(now t) ~local:true;
     keepalive t e;
     if tracing t then ev t (Event.Local_member { group = Group.to_string g; iface })
 
 let drop_local_member t g ~iface =
-  t.local_members <- List.filter (fun m -> m <> (g, iface)) t.local_members;
+  if mem_member g iface t.local_members then
+    t.local_members <- drop_member g iface t.local_members;
   match Fwd.find_star t.fib g with
   | None -> ()
   | Some e -> (
-    match Fwd.find_oif e iface with
-    | Some o ->
+    match Fwd.find_oif_exn e iface with
+    | o ->
+      let n = now t in
       o.Fwd.local <- false;
-      o.Fwd.expires <- Float.min o.Fwd.expires (now t)
-    | None -> ())
+      if n < o.Fwd.expires then o.Fwd.expires <- n
+    | exception Not_found -> ())
 
 let join_local t g = add_local_member t g ~iface:local_iface
 
@@ -369,10 +395,10 @@ let restart t =
   t.local_members <- [];
   List.iter (fun (g, iface) -> add_local_member t g ~iface) members
 
+let rec any_local = function (o : Fwd.oif) :: tl -> o.Fwd.local || any_local tl | [] -> false
+
 let has_local_members t g =
-  match Fwd.find_star t.fib g with
-  | None -> false
-  | Some e -> List.exists (fun (o : Fwd.oif) -> o.local) e.Fwd.oifs
+  match Fwd.find_star t.fib g with None -> false | Some e -> any_local e.Fwd.oifs
 
 (* {1 Data-packet forwarding (section 3.5)} *)
 
@@ -444,19 +470,21 @@ let forward_sg t e pkt ~shared ~exclude =
 (* A last-hop router with directly connected members notices shared-tree
    data from a source it has no (S,G) entry for and may initiate the
    switch to the source's shortest-path tree (section 3.3). *)
+let spt_switch t g src =
+  Counters.(incr t.counters ~node:t.node Spt_switches);
+  if tracing t then
+    ev t (Event.Spt_switch { group = Group.to_string g; source = Addr.to_string src });
+  ignore (ensure_sg t g src ~rp_bit:false)
+
+(* [src] is a host on this router's own subnet. *)
+let own_host t src =
+  match Addr.host_router_index_exn src with r -> r = t.node | exception Not_found -> false
+
 let maybe_spt_switch t g src =
-  let switch () =
-    Counters.(incr t.counters ~node:t.node Spt_switches);
-    if tracing t then
-      ev t (Event.Spt_switch { group = Group.to_string g; source = Addr.to_string src });
-    ignore (ensure_sg t g src ~rp_bit:false)
-  in
-  if has_local_members t g && Fwd.find_sg t.fib g src = None
-     && Addr.host_router_index src <> Some t.node
-  then
+  if has_local_members t g && (not (Fwd.mem_sg t.fib g src)) && not (own_host t src) then
     match t.cfg.spt_policy with
     | Config.Never -> ()
-    | Config.Immediate -> switch ()
+    | Config.Immediate -> spt_switch t g src
     | Config.Threshold { packets; window } ->
       let k = (g, Some src) in
       let count, start =
@@ -474,7 +502,7 @@ let maybe_spt_switch t g src =
       incr count;
       if !count >= packets then begin
         Hashtbl.remove t.spt_counters k;
-        switch ()
+        spt_switch t g src
       end
 
 let handle_data t ~iface pkt =
@@ -722,130 +750,144 @@ let is_local_origin t ~iface src =
 
 let lan_with_peers t iface =
   let link = Topology.link_of_iface (Net.topo t.net) t.node iface in
-  link.Topology.is_lan && List.length (Topology.others_on_link (Net.topo t.net) link.Topology.id t.node) >= 2
+  link.Topology.is_lan
+  && Topology.count_others_on_link (Net.topo t.net) link.Topology.id t.node >= 2
+
+(* Refresh the (S,G)s of the list whose source [prefix] covers. *)
+let rec refresh_prefix t iface ~until prefix = function
+  | (e : Fwd.entry) :: tl ->
+    (match e.Fwd.source with
+    | Some src when (not e.Fwd.rp_bit) && Pim_net.Prefix.contains prefix src ->
+      Fwd.add_oif e iface ~expires:until ~local:false;
+      keepalive t e
+    | _ -> ());
+    refresh_prefix t iface ~until prefix tl
+  | [] -> ()
+
+(* Refresh [iface]'s oif on the (S,G)s of the list that carry it. *)
+let rec refresh_sg_oifs iface ~until = function
+  | (sg : Fwd.entry) :: tl ->
+    (match Fwd.find_oif_exn sg iface with
+    | o -> if (not o.Fwd.local) && until > o.Fwd.expires then o.Fwd.expires <- until
+    | exception Not_found -> ());
+    refresh_sg_oifs iface ~until tl
+  | [] -> ()
 
 let process_join t ~iface (je : Message.jp_entry) g =
-  let holdtime_end = now t +. t.cfg.oif_holdtime in
-  if je.Message.plen < 32 && not je.Message.wc then begin
+  if je.Message.plen < 32 && not je.Message.wc then
     (* Aggregated source join (section 4): refresh every matching (S,G)
        this router already holds.  Aggregates never instantiate state —
        that is what keeps the "large fanout" problem the paper worries
        about at bay; tree construction stays per-source via triggered
        /32 joins. *)
-    let prefix = Pim_net.Prefix.make je.Message.addr je.Message.plen in
-    List.iter
-      (fun (e : Fwd.entry) ->
-        match e.Fwd.source with
-        | Some src when (not e.Fwd.rp_bit) && Pim_net.Prefix.contains prefix src ->
-          Fwd.add_oif e iface ~expires:holdtime_end ~local:false;
-          keepalive t e
-        | _ -> ())
-      (Fwd.group_entries t.fib g)
-  end
+    refresh_prefix t iface ~until:(now t +. t.cfg.oif_holdtime)
+      (Pim_net.Prefix.make je.Message.addr je.Message.plen)
+      (Fwd.sources t.fib g)
   else if je.Message.wc then begin
+    let holdtime_end = now t +. t.cfg.oif_holdtime in
     let e = ensure_star t g ~rp:je.Message.addr in
-    (if e.Fwd.rp <> Some je.Message.addr then begin
-       (* The joiner rendezvouses at a different RP (failover, section
-          3.9): re-target the shared-tree entry toward it. *)
-       let upstream = compute_upstream t je.Message.addr in
-       if tracing t then
-         ev t
-           (Event.Rp_retarget { group = Group.to_string g; rp = Addr.to_string je.Message.addr });
-       e.Fwd.rp <- Some je.Message.addr;
-       e.Fwd.iif <- Option.map fst upstream;
-       (match e.Fwd.iif with Some i -> Fwd.remove_oif e i | None -> ());
-       e.Fwd.rp_deadline <- now t +. t.cfg.rp_timeout;
-       (aux e).upstream <- upstream;
-       triggered_join t e
-     end);
+    if not (rp_is e je.Message.addr) then begin
+      (* The joiner rendezvouses at a different RP (failover, section
+         3.9): re-target the shared-tree entry toward it. *)
+      let upstream = compute_upstream t je.Message.addr in
+      if tracing t then
+        ev t
+          (Event.Rp_retarget { group = Group.to_string g; rp = Addr.to_string je.Message.addr });
+      e.Fwd.rp <- Some je.Message.addr;
+      e.Fwd.iif <- Option.map fst upstream;
+      (match e.Fwd.iif with Some i -> Fwd.remove_oif e i | None -> ());
+      e.Fwd.rp_deadline <- now t +. t.cfg.rp_timeout;
+      (aux e).upstream <- upstream;
+      triggered_join t e
+    end;
     Fwd.add_oif e iface ~expires:holdtime_end ~local:false;
     keepalive t e;
     (* Footnote 12: refreshing a "(*,G)" oif also refreshes the negative
        caches' view of it — our mask representation needs no action, but
        (S,G) SPT entries that explicitly carry the oif are refreshed. *)
-    List.iter
-      (fun (sg : Fwd.entry) ->
-        if not (Fwd.is_star sg) then
-          match Fwd.find_oif sg iface with
-          | Some o when not o.Fwd.local -> o.Fwd.expires <- Float.max o.Fwd.expires holdtime_end
-          | _ -> ())
-      (Fwd.group_entries t.fib g)
+    refresh_sg_oifs iface ~until:holdtime_end (Fwd.sources t.fib g)
   end
   else if je.Message.rp then begin
     (* RP-bit join: cancel a negative cache for this source on this
        interface (prune override on the shared tree). *)
-    match Fwd.find_sg t.fib g je.Message.addr with
-    | Some e when e.Fwd.rp_bit ->
-      Hashtbl.remove (aux e).pruned iface;
+    match Fwd.find_sg_exn t.fib g je.Message.addr with
+    | e when e.Fwd.rp_bit ->
+      Iface_timers.clear (aux e).pruned iface;
       keepalive t e
-    | _ -> ()
+    | _ | (exception Not_found) -> ()
   end
   else begin
     let e = ensure_sg t g je.Message.addr ~rp_bit:false in
-    Fwd.add_oif e iface ~expires:holdtime_end ~local:false;
+    Fwd.add_oif e iface ~expires:(now t +. t.cfg.oif_holdtime) ~local:false;
     keepalive t e
   end
 
+(* A prune for [e] received on [iface]: local members outrank it; on a
+   LAN with peers the oif lives on long enough for another router to
+   override the prune with a join (section 3.7), elsewhere it goes at
+   once. *)
+let window_removal t ~iface ~lan (e : Fwd.entry) =
+  match Fwd.find_oif_exn e iface with
+  | o when o.Fwd.local -> ()
+  | o ->
+    if lan then begin
+      let until = now t +. t.cfg.prune_override_window in
+      if until < o.Fwd.expires then o.Fwd.expires <- until
+    end
+    else begin
+      Fwd.remove_oif e iface;
+      if not (Fwd.has_live_oif e ~now:(now t)) then triggered_prune t e
+    end
+  | exception Not_found -> ()
+
 let process_prune t ~iface (pe : Message.jp_entry) g =
   let lan = lan_with_peers t iface in
-  let window_removal (e : Fwd.entry) =
-    match Fwd.find_oif e iface with
-    | Some o when o.Fwd.local -> ()  (* local members outrank peer prunes *)
-    | Some o ->
-      if lan then
-        (* Keep the oif alive long enough for another LAN router to
-           override the prune with a join (section 3.7). *)
-        o.Fwd.expires <- Float.min o.Fwd.expires (now t +. t.cfg.prune_override_window)
-      else begin
-        Fwd.remove_oif e iface;
-        if not (Fwd.has_live_oif e ~now:(now t)) then triggered_prune t e
-      end
-    | None -> ()
-  in
-  if pe.Message.wc then Option.iter window_removal (Fwd.find_star t.fib g)
+  if pe.Message.wc then
+    match Fwd.find_star t.fib g with Some e -> window_removal t ~iface ~lan e | None -> ()
   else if pe.Message.rp then begin
     (* Negative-cache prune: stop sending this source's shared-tree
        traffic down [iface] (section 3.3). *)
     let e = ensure_sg t g pe.Message.addr ~rp_bit:true in
+    let a = aux e in
+    Iface_timers.set a.pruned iface (now t +. t.cfg.oif_holdtime);
     if e.Fwd.rp_bit then begin
-      let a = aux e in
-      Hashtbl.replace a.pruned iface (now t +. t.cfg.oif_holdtime);
       keepalive t e;
       (* Propagate toward the RP once nothing downstream wants the
          source's RP-tree traffic any more. *)
       if not (has_shared_oif t e a) then triggered_prune t e
     end
-    else begin
+    else
       (* An SPT entry already exists here: the pruned iface must stop
          receiving this source's traffic through the shared limb. *)
-      let a = aux e in
-      Hashtbl.replace a.pruned iface (now t +. t.cfg.oif_holdtime);
-      window_removal e
-    end
+      window_removal t ~iface ~lan e
   end
-  else Option.iter window_removal (Fwd.find_sg t.fib g pe.Message.addr)
+  else
+    match Fwd.find_sg_exn t.fib g pe.Message.addr with
+    | e -> window_removal t ~iface ~lan e
+    | exception Not_found -> ()
 
 (* Overheard messages on multi-access networks: suppress duplicate joins,
    override prunes that would cut us off (section 3.7). *)
-let overhear_join t ~iface (je : Message.jp_entry) g ~target =
-  let consider e =
-    match e with
-    | Some (e : Fwd.entry) ->
-      let a = aux e in
-      let same_upstream =
-        match a.upstream with
-        | Some (i, up) -> i = iface && Addr.equal (Addr.router up) target
-        | None -> false
-      in
-      if same_upstream && Fwd.iif_is e iface then begin
-        a.suppress_until <- now t +. (0.9 *. t.cfg.jp_period);
-        a.override_pending <- false;
-        if tracing t then ev t (Event.Join_suppressed { route = route_of_entry e })
-      end
-    | None -> ()
+let suppress_join t ~iface ~target (e : Fwd.entry) =
+  let a = aux e in
+  let same_upstream =
+    match a.upstream with
+    | Some (i, up) -> i = iface && Addr.equal (Addr.router up) target
+    | None -> false
   in
-  if je.Message.wc then consider (Fwd.find_star t.fib g)
-  else if not je.Message.rp then consider (Fwd.find_sg t.fib g je.Message.addr)
+  if same_upstream && Fwd.iif_is e iface then begin
+    a.suppress_until <- now t +. (0.9 *. t.cfg.jp_period);
+    a.override_pending <- false;
+    if tracing t then ev t (Event.Join_suppressed { route = route_of_entry e })
+  end
+
+let overhear_join t ~iface (je : Message.jp_entry) g ~target =
+  if je.Message.wc then
+    match Fwd.find_star t.fib g with Some e -> suppress_join t ~iface ~target e | None -> ()
+  else if not je.Message.rp then
+    match Fwd.find_sg_exn t.fib g je.Message.addr with
+    | e -> suppress_join t ~iface ~target e
+    | exception Not_found -> ()
 
 let schedule_override t (e : Fwd.entry) ~iface ~target je =
   let a = aux e in
@@ -875,48 +917,81 @@ let overhear_prune t ~iface (pe : Message.jp_entry) g ~target =
     end
     else if pe.Message.rp then begin
       (* A peer pruned source S off the shared tree; if we still depend on
-         the shared tree for S, override with an RP-bit join. *)
-      let wants_via_shared =
-        (* Any (S,G) entry of ours means we either pruned S ourselves or
-           receive it over its SPT; only without one do we depend on the
-           shared tree for S. *)
-        Fwd.find_sg t.fib g pe.Message.addr = None
-      in
+         the shared tree for S, override with an RP-bit join.  Any (S,G)
+         entry of ours means we either pruned S ourselves or receive it
+         over its SPT; only without one do we depend on the shared tree
+         for S. *)
       match Fwd.find_star t.fib g with
       | Some star
-        when wants_via_shared && Fwd.iif_is star iface
+        when (not (Fwd.mem_sg t.fib g pe.Message.addr)) && Fwd.iif_is star iface
              && has_effective_oif t star (aux star) ->
         schedule_override t star ~iface ~target (Message.jp_entry ~rp:true pe.Message.addr)
       | _ -> ()
     end
     else begin
-      match Fwd.find_sg t.fib g pe.Message.addr with
-      | Some e
+      match Fwd.find_sg_exn t.fib g pe.Message.addr with
+      | e
         when (not e.Fwd.rp_bit) && Fwd.iif_is e iface
              && has_effective_oif t e (aux e) ->
         schedule_override t e ~iface ~target (Message.jp_entry pe.Message.addr)
-      | _ -> ()
+      | _ | (exception Not_found) -> ()
     end
   end
 
+(* The entries of one message, in order: top-level recursions, so a
+   receipt builds no closure. *)
+let rec process_joins t ~iface g = function
+  | je :: tl ->
+    process_join t ~iface je g;
+    process_joins t ~iface g tl
+  | [] -> ()
+
+let rec process_prunes t ~iface g = function
+  | pe :: tl ->
+    process_prune t ~iface pe g;
+    process_prunes t ~iface g tl
+  | [] -> ()
+
+let rec overhear_joins t ~iface g ~target = function
+  | je :: tl ->
+    overhear_join t ~iface je g ~target;
+    overhear_joins t ~iface g ~target tl
+  | [] -> ()
+
+let rec overhear_prunes t ~iface g ~target = function
+  | pe :: tl ->
+    overhear_prune t ~iface pe g ~target;
+    overhear_prunes t ~iface g ~target tl
+  | [] -> ()
+
 let handle_jp t ~iface (m : Message.join_prune) =
+  let g = m.Message.group in
   if Addr.equal m.Message.target t.addr then begin
-    List.iter (fun je -> process_join t ~iface je m.Message.group) m.Message.joins;
-    List.iter (fun pe -> process_prune t ~iface pe m.Message.group) m.Message.prunes
+    process_joins t ~iface g m.Message.joins;
+    process_prunes t ~iface g m.Message.prunes
   end
   else begin
-    List.iter (fun je -> overhear_join t ~iface je m.Message.group ~target:m.Message.target) m.Message.joins;
-    List.iter (fun pe -> overhear_prune t ~iface pe m.Message.group ~target:m.Message.target) m.Message.prunes
+    overhear_joins t ~iface g ~target:m.Message.target m.Message.joins;
+    overhear_prunes t ~iface g ~target:m.Message.target m.Message.prunes
   end
+
+(* A bundle's sections, in order. *)
+let rec handle_jps t ~iface = function
+  | m :: tl ->
+    handle_jp t ~iface m;
+    handle_jps t ~iface tl
+  | [] -> ()
 
 (* {1 RP reachability and failover (sections 3.2, 3.9)} *)
 
-let handle_rp_reach t ~iface ~group ~rp =
+(* Forward a received RP-reachability message [pkt] down the shared
+   tree: the same payload, under this router's own address. *)
+let handle_rp_reach t ~iface pkt ~group ~rp =
   match Fwd.find_star t.fib group with
   | Some e when Fwd.iif_is e iface && rp_is e rp ->
     e.Fwd.rp_deadline <- now t +. t.cfg.rp_timeout;
     keepalive t e;
-    let pkt = Message.rp_reachability_packet ~src:t.addr ~group ~rp in
+    let pkt = { pkt with Packet.src = t.addr } in
     ignore (walk_effective t e ~pruned:t.no_mask ~exclude:iface send_ctrl t pkt ())
   | _ -> ()
 
@@ -1165,56 +1240,58 @@ let periodic_refresh t =
   Fwd.iter t.fib (fun e -> refresh_entry t n e);
   send_bundles t t.jp_accs
 
+(* Has a dynamic mapping change dropped [e]'s RP from the group's RP list
+   (BSR churn)? *)
+let rp_stale t (e : Fwd.entry) =
+  match e.Fwd.rp with
+  | Some cur -> ( match rps_for t e.Fwd.group with [] -> false | rps -> not (mem_addr cur rps))
+  | None -> false
+
+let sweep_entry t n (e : Fwd.entry) =
+  let a = aux e in
+  (* Expired shared-tree prune masks grow back (section 1.1 style soft
+     state). *)
+  Iface_timers.expire a.pruned ~now:n;
+  (* Directly connected members are authoritative: their presence keeps
+     the entry alive without downstream joins (section 3.1). *)
+  if any_local e.Fwd.oifs then keepalive t e;
+  ignore (Fwd.prune_expired_oifs e ~now:n);
+  (* "When the outgoing interface list is null a prune message is sent
+     upstream" (section 3.6).  The effective list counts inherited
+     shared-tree interfaces, so a last-hop (S,G) entry whose receivers
+     left via the shared tree also prunes promptly instead of letting the
+     upstream oifs age out one holdtime per hop. *)
+  let wanted = has_effective_oif t e a || is_rp_for t e.Fwd.group in
+  if a.was_wanted && not wanted then triggered_prune t e;
+  a.was_wanted <- wanted;
+  (* RP failover at routers with directly connected members: either the
+     RP stopped proving liveness (deadline passed), or a dynamic mapping
+     change dropped it from the group's RP list — in which case re-target
+     immediately rather than waiting out the reachability timeout. *)
+  if Fwd.is_star e && any_local e.Fwd.oifs && (rp_stale t e || e.Fwd.rp_deadline < n) then
+    rp_failover t e;
+  if e.Fwd.expires < n then delete_entry t e
+
+(* Memberships recorded before any RP mapping was known (election still
+   converging at join time): retry until one appears. *)
+let rec retry_members t n = function
+  | (g, iface) :: tl ->
+    (match Fwd.find_star t.fib g with
+    | Some _ -> ()
+    | None -> (
+      match select_rp_exn t g with
+      | rp ->
+        let e = ensure_star t g ~rp in
+        Fwd.add_oif e iface ~expires:n ~local:true;
+        keepalive t e
+      | exception Not_found -> ()));
+    retry_members t n tl
+  | [] -> ()
+
 let sweep t =
   let n = now t in
-  Fwd.iter t.fib (fun (e : Fwd.entry) ->
-      let a = aux e in
-      (* Expired shared-tree prune masks grow back (section 1.1 style
-         soft state). *)
-      if Hashtbl.length a.pruned > 0 then begin
-        let dead_masks =
-          Hashtbl.fold (fun i exp acc -> if exp <= n then i :: acc else acc) a.pruned []
-          |> List.sort Int.compare
-        in
-        List.iter (Hashtbl.remove a.pruned) dead_masks
-      end;
-      (* Directly connected members are authoritative: their presence keeps
-         the entry alive without downstream joins (section 3.1). *)
-      if List.exists (fun (o : Fwd.oif) -> o.Fwd.local) e.Fwd.oifs then keepalive t e;
-      ignore (Fwd.prune_expired_oifs e ~now:n);
-      (* "When the outgoing interface list is null a prune message is sent
-         upstream" (section 3.6).  The effective list counts inherited
-         shared-tree interfaces, so a last-hop (S,G) entry whose receivers
-         left via the shared tree also prunes promptly instead of letting
-         the upstream oifs age out one holdtime per hop. *)
-      let wanted = has_effective_oif t e a || is_rp_for t e.Fwd.group in
-      if a.was_wanted && not wanted then triggered_prune t e;
-      a.was_wanted <- wanted;
-      (* RP failover at routers with directly connected members: either
-         the RP stopped proving liveness (deadline passed), or a dynamic
-         mapping change dropped it from the group's RP list (BSR churn)
-         — in which case re-target immediately rather than waiting out
-         the reachability timeout. *)
-      (if Fwd.is_star e && List.exists (fun (o : Fwd.oif) -> o.Fwd.local) e.Fwd.oifs then
-         let stale =
-           match (e.Fwd.rp, rps_for t e.Fwd.group) with
-           | Some cur, (_ :: _ as rps) -> not (List.exists (Addr.equal cur) rps)
-           | _ -> false
-         in
-         if stale || e.Fwd.rp_deadline < n then rp_failover t e);
-      if e.Fwd.expires < n then delete_entry t e);
-  (* Memberships recorded before any RP mapping was known (election still
-     converging at join time): retry until one appears. *)
-  List.iter
-    (fun (g, iface) ->
-      if Fwd.find_star t.fib g = None then
-        match select_rp t g with
-        | Some rp ->
-          let e = ensure_star t g ~rp in
-          Fwd.add_oif e iface ~expires:n ~local:true;
-          keepalive t e
-        | None -> ())
-    t.local_members
+  Fwd.iter t.fib (fun e -> sweep_entry t n e);
+  retry_members t n t.local_members
 
 (* {1 Packet dispatch} *)
 
@@ -1222,8 +1299,8 @@ let handle_packet t ~iface pkt =
   if not (Pim_igmp.Router.handle_packet t.igmp ~iface pkt) then begin
     match pkt.Packet.payload with
     | Message.Join_prune m -> handle_jp t ~iface m
-    | Message.Join_prune_bundle ms -> List.iter (fun m -> handle_jp t ~iface m) ms
-    | Message.Rp_reachability { group; rp } -> handle_rp_reach t ~iface ~group ~rp
+    | Message.Join_prune_bundle ms -> handle_jps t ~iface ms
+    | Message.Rp_reachability { group; rp } -> handle_rp_reach t ~iface pkt ~group ~rp
     | Message.Register inner -> (
       match pkt.Packet.dst with
       | Packet.Unicast dst when Addr.equal dst t.addr -> handle_register t inner
@@ -1254,7 +1331,7 @@ let create ?(config = Config.default) ?igmp_config ?trace ?rp_lookup ~net ~rib ~
       igmp;
       fib = Fwd.create ();
       trace;
-      no_mask = Hashtbl.create 1;
+      no_mask = Iface_timers.create ();
       spt_counters = Hashtbl.create 8;
       counters = Net.counters net;
       local_cbs = Pim_util.Vec.create ();

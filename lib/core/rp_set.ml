@@ -12,7 +12,7 @@ let of_list l = List.fold_left (fun acc (g, rps) -> add acc g rps) empty l
 
 let single g rp = of_list [ (g, [ rp ]) ]
 
-let rps t g = Option.value (GroupMap.find_opt g t) ~default:[]
+let rps t g = match GroupMap.find g t with rps -> rps | exception Not_found -> []
 
 let is_sparse t g = rps t g <> []
 

@@ -8,6 +8,7 @@ module Packet = Pim_net.Packet
 module Addr = Pim_net.Addr
 module Group = Pim_net.Group
 module Fwd = Pim_mcast.Fwd
+module Iface_timers = Pim_mcast.Iface_timers
 module Mdata = Pim_mcast.Mdata
 module Rib = Pim_routing.Rib
 
@@ -56,10 +57,12 @@ let fast_config =
     advert_interval = 3.;
   }
 
-(* Per-entry prune and join state, kept on the entry through [Fwd.ext]. *)
+(* Per-entry prune and join state, kept on the entry through [Fwd.ext]:
+   the prune deadline per pruned interface, and the time a join was last
+   heard per interface. *)
 type aux = {
-  pruned : (Topology.iface, float) Hashtbl.t;
-  last_join : (Topology.iface, float) Hashtbl.t;
+  pruned : Iface_timers.t;
+  last_join : Iface_timers.t;
   mutable last_prune_up : float;
   mutable pruned_upstream : bool;
   mutable override_pending : bool;
@@ -133,8 +136,8 @@ let aux (e : Fwd.entry) =
   | _ ->
     let a =
       {
-        pruned = Hashtbl.create 4;
-        last_join = Hashtbl.create 4;
+        pruned = Iface_timers.create ();
+        last_join = Iface_timers.create ();
         last_prune_up = neg_infinity;
         pruned_upstream = false;
         override_pending = false;
@@ -166,7 +169,7 @@ let rec link_has_child t ~ends ~ifaces src k =
 let broadcasts_on t (e : Fwd.entry) a ~now ~exclude src g i lid =
   (not (Fwd.iif_is e i))
   && i <> exclude
-  && (not (Fwd.masked a.pruned i ~now))
+  && (not (Iface_timers.live a.pruned i ~now))
   && Net.link_up t.net lid
   &&
   let topo = Net.topo t.net in
@@ -262,15 +265,16 @@ let send_join_upstream t src g =
     Net.send t.net t.node ~iface pkt
 
 let ensure_entry t g src =
-  match Fwd.find_sg t.fib g src with
-  | Some e ->
-    e.Fwd.expires <- Float.max e.Fwd.expires (now t +. t.cfg.entry_linger);
+  match Fwd.find_sg_exn t.fib g src with
+  | e ->
+    let x = now t +. t.cfg.entry_linger in
+    if x > e.Fwd.expires then e.Fwd.expires <- x;
     e
-  | None ->
+  | exception Not_found ->
     let iif =
-      match Addr.host_router_index src with
-      | Some r when r = t.node -> None  (* local source *)
-      | _ -> Rib.rpf_iface t.rib src
+      match Addr.host_router_index_exn src with
+      | r when r = t.node -> None  (* local source *)
+      | _ | (exception Not_found) -> Rib.rpf_iface t.rib src
     in
     let e = Fwd.make_sg ~group:g ~source:src ~iif ~expires:(now t +. t.cfg.entry_linger) () in
     Fwd.insert t.fib e;
@@ -320,15 +324,15 @@ let originate_data t ~incoming pkt =
 let lan_with_peers t iface =
   let link = Topology.link_of_iface (Net.topo t.net) t.node iface in
   link.Topology.is_lan
-  && List.length (Topology.others_on_link (Net.topo t.net) link.Topology.id t.node) >= 2
+  && Topology.count_others_on_link (Net.topo t.net) link.Topology.id t.node >= 2
 
 let apply_prune t (e : Fwd.entry) ~iface ~holdtime =
-  Hashtbl.replace (aux e).pruned iface (now t +. holdtime)
+  Iface_timers.set (aux e).pruned iface (now t +. holdtime)
 
 let handle_prune t ~iface (b : Message.body) =
-  match Fwd.find_sg t.fib b.Message.group b.Message.source with
-  | None -> ()
-  | Some e ->
+  match Fwd.find_sg_exn t.fib b.Message.group b.Message.source with
+  | exception Not_found -> ()
+  | e ->
     if lan_with_peers t iface then begin
       (* Delay the cut so another LAN router can override with a join. *)
       let asked_at = now t in
@@ -340,19 +344,19 @@ let handle_prune t ~iface (b : Message.body) =
              match Fwd.find_sg t.fib b.Message.group b.Message.source with
              | None -> ()
              | Some e -> (
-               match Hashtbl.find_opt (aux e).last_join iface with
-               | Some tj when tj >= asked_at -> ()
-               | _ -> apply_prune t e ~iface ~holdtime:b.Message.holdtime)))
+               match Iface_timers.find (aux e).last_join iface with
+               | tj when tj >= asked_at -> ()
+               | _ | (exception Not_found) -> apply_prune t e ~iface ~holdtime:b.Message.holdtime)))
     end
     else apply_prune t e ~iface ~holdtime:b.Message.holdtime
 
 let handle_join t ~iface (b : Message.body) =
-  match Fwd.find_sg t.fib b.Message.group b.Message.source with
-  | None -> ()
-  | Some e ->
+  match Fwd.find_sg_exn t.fib b.Message.group b.Message.source with
+  | exception Not_found -> ()
+  | e ->
     let a = aux e in
-    Hashtbl.remove a.pruned iface;
-    Hashtbl.replace a.last_join iface (now t);
+    Iface_timers.clear a.pruned iface;
+    Iface_timers.set a.last_join iface (now t);
     (* Hop-by-hop graft propagation: if we had pruned ourselves off the
        broadcast tree, rejoin it so the revived branch gets data. *)
     if a.pruned_upstream then begin
@@ -394,9 +398,9 @@ let overhear_prune t ~iface (b : Message.body) =
 
 let overhear_join t ~iface (b : Message.body) =
   ignore iface;
-  match Fwd.find_sg t.fib b.Message.group b.Message.source with
-  | Some e -> (aux e).override_pending <- false
-  | None -> ()
+  match Fwd.find_sg_exn t.fib b.Message.group b.Message.source with
+  | e -> (aux e).override_pending <- false
+  | exception Not_found -> ()
 
 (* {1 Region membership advertisements (section 4 interoperation)} *)
 
@@ -528,45 +532,29 @@ let is_local_origin t ~iface src =
      | None -> false)
   && is_dr t link.Topology.id
 
+(* Expired prunes grow back.  Join timestamps need no aging: one is read
+   only by a prune's override window, which asks whether a join came at
+   or after the prune, so a stale one reads as no join at all — and the
+   table holds at most one per interface. *)
+let sweep_entry t n (e : Fwd.entry) =
+  (match e.Fwd.ext with Aux a -> Iface_timers.expire a.pruned ~now:n | _ -> ());
+  if e.Fwd.expires < n then begin
+    if tracing t then
+      ev t
+        (Event.Entry_expire
+           {
+             route =
+               {
+                 Event.group = Group.to_string e.Fwd.group;
+                 source = Option.map Addr.to_string e.Fwd.source;
+               };
+           });
+    Fwd.remove t.fib e.Fwd.group e.Fwd.source
+  end
+
 let sweep t =
   let n = now t in
-  Fwd.iter t.fib (fun (e : Fwd.entry) ->
-      (match e.Fwd.ext with
-      | Aux a ->
-        if Hashtbl.length a.pruned > 0 then begin
-          let dead =
-            Hashtbl.fold (fun i exp acc -> if exp <= n then i :: acc else acc) a.pruned []
-            |> List.sort Int.compare
-          in
-          List.iter (Hashtbl.remove a.pruned) dead
-        end;
-        (* A join timestamp can only override prunes whose window is still
-           open, i.e. callbacks firing by [tj + prune_override_window];
-           strictly past that it is dead soft state. *)
-        if Hashtbl.length a.last_join > 0 then begin
-          let stale_joins =
-            Hashtbl.fold
-              (fun i tj acc ->
-                if tj +. t.cfg.prune_override_window < n then i :: acc else acc)
-              a.last_join []
-            |> List.sort Int.compare
-          in
-          List.iter (Hashtbl.remove a.last_join) stale_joins
-        end
-      | _ -> ());
-      if e.Fwd.expires < n then begin
-        if tracing t then
-          ev t
-            (Event.Entry_expire
-               {
-                 route =
-                   {
-                     Event.group = Group.to_string e.Fwd.group;
-                     source = Option.map Addr.to_string e.Fwd.source;
-                   };
-               });
-        Fwd.remove t.fib e.Fwd.group e.Fwd.source
-      end)
+  Fwd.iter t.fib (fun e -> sweep_entry t n e)
 
 (* Crash-and-reboot: all data-driven state ((S,G) entries, prune state,
    learned region adverts) is lost; configured local memberships survive
@@ -646,13 +634,9 @@ let create ?(config = default_config) ?igmp_config ?trace ~net ~rib ~neighbor_ri
             any resulting presence flips. *)
          if config.advertise_members then begin
            let n = now t in
-           let dead =
-             Hashtbl.fold
-               (fun o (_, _, exp) acc -> if exp <= n then o :: acc else acc)
-               t.region_db []
-             |> List.sort Int.compare
-           in
-           List.iter (Hashtbl.remove t.region_db) dead;
+           Hashtbl.filter_map_inplace
+             (fun _ ((_, _, exp) as adv) -> if exp <= n then None else Some adv)
+             t.region_db;
            sync_presence t
          end));
   if config.advertise_members then

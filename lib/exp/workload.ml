@@ -103,6 +103,7 @@ type sevent = {
 
 type schedule = {
   spec : spec;
+  topology : Transit_stub.t;
   events : sevent array;
   sources : (int * Topology.node) array;
   rp_placement : (int * Topology.node list) list;
@@ -328,10 +329,11 @@ let generate spec =
         let lo = k * spec.scale / nd and hi = (k + 1) * spec.scale / nd in
         Domain.spawn (fun () -> run_range lo hi))
     |> List.iter Domain.join;
-  let events =
-    Array.to_list slots |> List.concat |> List.sort compare_sevent |> Array.of_list
-  in
-  { spec; events; sources; rp_placement = rp_placement_for spec ts }
+  (* One array, one sort: the keys are unique, so the order is the one
+     any sort gives. *)
+  let events = Array.concat (Array.to_list (Array.map Array.of_list slots)) in
+  Array.stable_sort compare_sevent events;
+  { spec; topology = ts; events; sources; rp_placement = rp_placement_for spec ts }
 
 let render_schedule sched =
   let buf = Buffer.create (4096 + (64 * Array.length sched.events)) in
@@ -401,11 +403,7 @@ let concentration loads =
 let run ?trace spec =
   let sched = generate spec in
   let spec = sched.spec in
-  (* Same first split as [generate]: the replay's topology is the one the
-     schedule placed receivers on. *)
-  let master = Prng.create spec.seed in
-  let ts = gen_topo spec (Prng.split master) in
-  let topo = ts.Transit_stub.topo in
+  let topo = sched.topology.Transit_stub.topo in
   let n_nodes = Topology.n_nodes topo in
   let eng = Engine.create () in
   let net = Net.create eng topo in

@@ -82,6 +82,7 @@ type sevent = {
 
 type schedule = {
   spec : spec;
+  topology : Pim_graph.Transit_stub.t;  (** the network the receivers and sources live on *)
   events : sevent array;  (** sorted by [(t, receiver, seq)] *)
   sources : (int * Pim_graph.Topology.node) array;  (** one steady source per group *)
   rp_placement : (int * Pim_graph.Topology.node list) list;

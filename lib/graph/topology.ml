@@ -160,6 +160,12 @@ let others_on_link t lid u =
   let l = t.links.(lid) in
   Array.to_list l.ends |> List.filter (fun v -> v <> u)
 
+let rec others_from ends u k n =
+  if k >= Array.length ends then n
+  else others_from ends u (k + 1) (if Array.unsafe_get ends k <> u then n + 1 else n)
+
+let count_others_on_link t lid u = others_from t.links.(lid).ends u 0 0
+
 let neighbors t u =
   Array.to_list t.adj.(u)
   |> List.concat_map (fun (iface, lid) ->

@@ -108,6 +108,9 @@ val neighbors : t -> node -> (iface * node) list
 val others_on_link : t -> link_id -> node -> node list
 (** The other routers on a link. *)
 
+val count_others_on_link : t -> link_id -> node -> int
+(** [List.length (others_on_link t lid u)], without building the list. *)
+
 val degree : t -> node -> int
 (** Number of interfaces. *)
 

@@ -5,6 +5,7 @@ type t = {
   transit : Topology.node list;
   gateways : Topology.node list;
   stubs : Topology.node list list;
+  stub_members : Topology.node array;
 }
 
 (* One transit router per ~40 total, three stubs each; e.g. 200 -> 5
@@ -76,16 +77,15 @@ let generate ?(transit = 4) ?(stubs_per_transit = 2) ?(stub_size = 4) ?(backbone
         stubs := members :: !stubs
       done)
     transit_nodes;
+  let stubs = List.rev !stubs in
   {
     topo = Topology.freeze b;
     transit = transit_nodes;
     gateways = List.rev !gateways;
-    stubs = List.rev !stubs;
+    stubs;
+    stub_members =
+      Array.of_list
+        (List.concat_map (function _gw :: rest when rest <> [] -> rest | stub -> stub) stubs);
   }
 
-let random_stub_member t ~prng =
-  let candidates =
-    List.concat_map (function _gw :: rest when rest <> [] -> rest | stub -> stub) t.stubs
-  in
-  let arr = Array.of_list candidates in
-  Prng.pick prng arr
+let random_stub_member t ~prng = Prng.pick prng t.stub_members

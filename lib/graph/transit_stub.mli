@@ -14,6 +14,9 @@ type t = {
   transit : Topology.node list;  (** backbone routers *)
   gateways : Topology.node list;  (** one stub gateway per stub domain *)
   stubs : Topology.node list list;  (** per stub domain, all its routers (gateway first) *)
+  stub_members : Topology.node array;
+      (** the routers {!random_stub_member} draws from, stub by stub: each
+          stub's non-gateway routers, or the gateway of a one-router stub *)
 }
 
 val sizes : nodes:int -> int * int * int

@@ -59,23 +59,36 @@ let is_star e = e.source = None
 
 let iif_is e i = match e.iif with Some j -> j = i | None -> false
 
-let find_oif e iface = List.find_opt (fun o -> o.iface = iface) e.oifs
+(* Top-level recursions with explicit arguments rather than local closures
+   or options: a lookup, a refresh and a removal allocate nothing beyond
+   the cells they change. *)
+let rec oif_in iface = function
+  | o :: tl -> if o.iface = iface then o else oif_in iface tl
+  | [] -> raise Not_found
+
+let find_oif_exn e iface = oif_in iface e.oifs
 
 (* [oifs] is kept in ascending interface order, so the live list comes
    out sorted without a sort. *)
-let add_oif e iface ~expires ~local =
-  match find_oif e iface with
-  | Some o ->
-    o.expires <- max o.expires expires;
-    o.local <- o.local || local
-  | None ->
-    let rec ins = function
-      | o :: tl when o.iface < iface -> o :: ins tl
-      | l -> { iface; expires; local } :: l
-    in
-    e.oifs <- ins e.oifs
+let rec ins_oif iface ~expires ~local = function
+  | o :: tl when o.iface < iface -> o :: ins_oif iface ~expires ~local tl
+  | l -> { iface; expires; local } :: l
 
-let remove_oif e iface = e.oifs <- List.filter (fun o -> o.iface <> iface) e.oifs
+let add_oif e iface ~expires ~local =
+  match oif_in iface e.oifs with
+  | o ->
+    if expires > o.expires then o.expires <- expires;
+    if local then o.local <- true
+  | exception Not_found -> e.oifs <- ins_oif iface ~expires ~local e.oifs
+
+(* [l] without [iface]'s oif, which it holds. *)
+let rec drop_oif iface = function
+  | o :: tl -> if o.iface = iface then tl else o :: drop_oif iface tl
+  | [] -> []
+
+let rec has_oif iface = function o :: tl -> o.iface = iface || has_oif iface tl | [] -> false
+
+let remove_oif e iface = if has_oif iface e.oifs then e.oifs <- drop_oif iface e.oifs
 
 let not_iif e i = match e.iif with Some j -> j <> i | None -> true
 
@@ -84,10 +97,6 @@ let oif_live o ~now = o.local || o.expires > now
 let is_live e o ~now = oif_live o ~now && not_iif e o.iface
 
 let expired o ~now = not (oif_live o ~now)
-
-let masked pruned i ~now =
-  Hashtbl.length pruned > 0
-  && match Hashtbl.find pruned i with exp -> exp > now | exception Not_found -> false
 
 let skip _ _ _ _ = ()
 
@@ -105,10 +114,14 @@ let live_oifs e ~now = live_in e ~now e.oifs
 
 let has_live_oif e ~now = any_live e ~now e.oifs
 
+let rec drop_expired ~now = function
+  | o :: tl -> if expired o ~now then drop_expired ~now tl else o :: drop_expired ~now tl
+  | [] -> []
+
 let prune_expired_oifs e ~now =
   any_expired ~now e.oifs
   && begin
-    e.oifs <- List.filter (fun o -> not (expired o ~now)) e.oifs;
+    e.oifs <- drop_expired ~now e.oifs;
     true
   end
 
@@ -173,10 +186,13 @@ let rec find_source s = function
     match e.source with Some s' when Addr.equal s' s -> e | _ -> find_source s tl)
   | [] -> raise Not_found
 
-let find_sg t g s =
+let find_sg_exn t g s =
   let gid = gid_of t g in
-  if gid < 0 then None
-  else match find_source s t.slots.(gid).sgs with e -> Some e | exception Not_found -> None
+  if gid < 0 then raise Not_found else find_source s t.slots.(gid).sgs
+
+let find_sg t g s = match find_sg_exn t g s with e -> Some e | exception Not_found -> None
+
+let mem_sg t g s = match find_sg_exn t g s with _ -> true | exception Not_found -> false
 
 let find_star t g =
   let gid = gid_of t g in
@@ -286,6 +302,10 @@ let entries t =
 let group_entries t g =
   let gid = gid_of t g in
   if gid < 0 then [] else slot_entries t.slots.(gid)
+
+let sources t g =
+  let gid = gid_of t g in
+  if gid < 0 then [] else t.slots.(gid).sgs
 
 let count t = t.size
 

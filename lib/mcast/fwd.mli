@@ -66,7 +66,9 @@ val iif_is : entry -> Pim_graph.Topology.iface -> bool
 (** [iif_is e i] is [e.iif = Some i], as an int test that allocates
     nothing — the data path's incoming-interface check. *)
 
-val find_oif : entry -> Pim_graph.Topology.iface -> oif option
+val find_oif_exn : entry -> Pim_graph.Topology.iface -> oif
+(** [e]'s oif on the interface; a lookup allocates nothing.
+    @raise Not_found when [e] has no oif on the interface. *)
 
 val add_oif : entry -> Pim_graph.Topology.iface -> expires:float -> local:bool -> unit
 (** Add or refresh: an existing oif gets its timer extended (never
@@ -78,11 +80,6 @@ val remove_oif : entry -> Pim_graph.Topology.iface -> unit
 val is_live : entry -> oif -> now:float -> bool
 (** [o] forwards for [e]: it is [local] or its timer has not run out
     ([expires > now]), and it is not [e]'s iif. *)
-
-val masked : (Pim_graph.Topology.iface, float) Hashtbl.t -> Pim_graph.Topology.iface -> now:float -> bool
-(** [masked pruned i ~now]: interface [i] is in the prune mask [pruned]
-    (interface to mask deadline) with a deadline after [now].  An empty
-    mask costs one length test. *)
 
 val skip : 'a -> 'b -> 'c -> Pim_graph.Topology.iface -> unit
 (** A sink that does nothing, for the in-place oif walks (which call
@@ -109,6 +106,14 @@ type t
 val create : unit -> t
 
 val find_sg : t -> Pim_net.Group.t -> Pim_net.Addr.t -> entry option
+
+val find_sg_exn : t -> Pim_net.Group.t -> Pim_net.Addr.t -> entry
+(** {!find_sg} without the option: the lookup the protocols' control and
+    data paths make, which allocates nothing.
+    @raise Not_found when there is no such entry. *)
+
+val mem_sg : t -> Pim_net.Group.t -> Pim_net.Addr.t -> bool
+(** [find_sg t g s <> None], without building the option. *)
 
 val find_star : t -> Pim_net.Group.t -> entry option
 
@@ -142,6 +147,10 @@ val entries : t -> entry list
 val group_entries : t -> Pim_net.Group.t -> entry list
 (** All entries of a group: the "(*,G)" first if present, then (S,G)s in
     source order. *)
+
+val sources : t -> Pim_net.Group.t -> entry list
+(** The group's (S,G) entries in source order: the FIB's own list, so
+    asking allocates nothing.  Valid until the next insert or remove. *)
 
 val count : t -> int
 

@@ -232,14 +232,17 @@ let rec send_all t pkt' = function
 
 let forward t pkt olist = if pkt.Packet.ttl > 1 then send_all t (Packet.decr_ttl pkt) olist
 
+(* The router whose subnet (or self) [pkt]'s source is, [Topology.no_node]
+   for neither: a per-hop test that builds no option for a host source. *)
 let src_router_of pkt =
-  match Addr.router_index pkt.Packet.src with
-  | Some _ as r -> r
-  | None -> Addr.host_router_index pkt.Packet.src
+  let src = pkt.Packet.src in
+  match Addr.host_router_index_exn src with
+  | r -> r
+  | exception Not_found -> ( match Addr.router_index src with Some r -> r | None -> Topology.no_node)
 
-let handle_data t ~iface pkt =
-  match (pkt.Packet.dst, src_router_of pkt) with
-  | Packet.Multicast g, Some src_router ->
+let handle_data t ~iface pkt ~src_router =
+  match pkt.Packet.dst with
+  | Packet.Multicast g when src_router <> Topology.no_node ->
     let p = plan_for t src_router g in
     if not p.on_tree then Counters.(incr t.counters ~node:t.node Data_dropped_off_tree)
     else if t.node = src_router then begin
@@ -285,8 +288,8 @@ let handle_packet t ~iface pkt =
   match pkt.Packet.payload with
   | Membership_lsa l -> install_lsa t ~iface l
   | Mdata.Data _ -> (
-    match src_router_of pkt with
-    | Some r when r = t.node -> (
+    let src_router = src_router_of pkt in
+    if src_router = t.node then
       (* Data from a directly attached host: act as the source's first
          hop. *)
       match pkt.Packet.dst with
@@ -294,8 +297,8 @@ let handle_packet t ~iface pkt =
         let p = plan_for t t.node g in
         forward t pkt p.olist;
         if p.member_here then local_deliver t pkt
-      | Packet.Unicast _ -> ())
-    | _ -> handle_data t ~iface pkt)
+      | Packet.Unicast _ -> ()
+    else handle_data t ~iface pkt ~src_router)
   | _ -> ()
 
 (* Crash-and-reboot: the link-state database and forwarding cache are

@@ -53,10 +53,13 @@ let host ~router:i k =
   assert (k >= 1 && k <= 255);
   of_octets 10 (128 lor (i lsr 8)) (i land 0xFF) k
 
-let host_router_index a =
+let host_router_index_exn a =
   let b = octet a 1 in
-  if octet a 0 = 10 && b land 128 <> 0 then Some (((b land 127) lsl 8) lor octet a 2)
-  else None
+  if octet a 0 = 10 && b land 128 <> 0 then ((b land 127) lsl 8) lor octet a 2
+  else raise Not_found
+
+let host_router_index a =
+  match host_router_index_exn a with r -> Some r | exception Not_found -> None
 
 let is_multicast a = octet a 0 >= 224 && octet a 0 <= 239
 

@@ -52,6 +52,10 @@ val host_router_index : t -> int option
 (** For a host address, the index of the router whose stub subnet it lives
     on. *)
 
+val host_router_index_exn : t -> int
+(** {!host_router_index} without the option, for per-packet tests.
+    @raise Not_found for an address that is not a host's. *)
+
 val is_multicast : t -> bool
 (** True for addresses in 224.0.0.0/4. *)
 

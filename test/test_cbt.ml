@@ -169,12 +169,16 @@ let prop_on_tree_iface_matches_list =
             (pair bool bool) (return deg)))
     (fun (children_l, parent_iface, (confirmed, core), deg) ->
       let now = 10. in
-      let children = Hashtbl.create 4 in
-      List.iter (fun (i, exp) -> Hashtbl.replace children i exp) children_l;
+      let children = Hashtbl.create 4 and timers = Pim_mcast.Iface_timers.create () in
+      List.iter
+        (fun (i, exp) ->
+          Hashtbl.replace children i exp;
+          Pim_mcast.Iface_timers.set timers i exp)
+        children_l;
       let parent = Option.map (fun i -> (i, 7)) parent_iface in
       let walked =
         List.filter
-          (Cbt.on_tree_iface ~now ~children ~parent ~confirmed ~core)
+          (Cbt.on_tree_iface ~now ~children:timers ~parent ~confirmed ~core)
           (List.init deg Fun.id)
       in
       walked = Oif_reference.tree_ifaces_of ~now ~children ~parent ~confirmed ~core)

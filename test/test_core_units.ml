@@ -190,25 +190,30 @@ let build_olist_case (((sg, (rp_bit, spt_bit, iif), oifs, masks), star), exclude
         s)
       star
   in
-  let pruned = Hashtbl.create 4 in
-  List.iter (fun (i, exp) -> Hashtbl.replace pruned i exp) masks;
-  (e, star, pruned, exclude)
+  (* The reference reads the mask as the table it used to be. *)
+  let pruned = Hashtbl.create 4 and mask = Pim_mcast.Iface_timers.create () in
+  List.iter
+    (fun (i, exp) ->
+      Hashtbl.replace pruned i exp;
+      Pim_mcast.Iface_timers.set mask i exp)
+    masks;
+  (e, star, pruned, mask, exclude)
 
 let prop_olist_matches_lists =
   QCheck.Test.make ~count:2000 ~name:"in-place oif walks yield the old lists, in order"
     (QCheck.make olist_case)
     (fun case ->
-      let e, star, pruned, exclude = build_olist_case case in
+      let e, star, pruned, mask, exclude = build_olist_case case in
       let now = 10. in
       let ex = Option.value exclude ~default:Pim_graph.Topology.no_iface in
       let reference = Oif_reference.effective_olist ~now ~pruned ~star e ~exclude in
-      let walked = Olist.effective_list ~now ~pruned ~star ~exclude:ex e in
-      let count = Olist.effective Fwd.skip () () () ~now ~pruned ~star ~exclude:ex e in
+      let walked = Olist.effective_list ~now ~pruned:mask ~star ~exclude:ex e in
+      let count = Olist.effective Fwd.skip () () () ~now ~pruned:mask ~star ~exclude:ex e in
       let shared_ok =
         match star with
         | None -> true
         | Some s ->
-          Olist.shared_list ~now ~pruned ~star:s ~exclude:ex
+          Olist.shared_list ~now ~pruned:mask ~star:s ~exclude:ex
           = Oif_reference.shared_olist ~now ~pruned ~star ~exclude
       in
       walked = reference && count = List.length reference && shared_ok)

@@ -746,13 +746,16 @@ let test_counters_pinned () =
    cached), then 400 packets are forwarded, the network drains, and the
    minor words allocated per link traversal — data, control and timers
    together — must stay under a fixed budget.  The budgets are the figures
-   measured once the timer wheel stopped building a closure per link and
-   per pop, and a data hop stopped building options for its group, its
-   FIB match, its sequence number and its TTL-decremented copy, and the
-   PIM-SM refresh built only its messages (PIM-SM 20.2, PIM-DM 20.6, CBT
-   19.2, MOSPF 16.9 words; before, 46.7, 38.9, 36.0 and 36.8, and before
-   the link layer, the oif walks and the handler calls stopped
-   allocating, 267, 248, 239 and 157) plus ~10%.
+   measured once prune masks and CBT child timers moved to unboxed
+   per-interface tables and the last-hop switch and source-router tests
+   stopped building options (PIM-SM 18.5, PIM-DM 17.3, CBT 16.0, MOSPF
+   13.3 words) plus ~10%.  Before that 20.2, 20.6, 19.2 and 16.9; before
+   the timer wheel stopped building a closure per link and per pop, a
+   data hop stopped building options for its group, its FIB match, its
+   sequence number and its TTL-decremented copy, and the PIM-SM refresh
+   built only its messages, 46.7, 38.9, 36.0 and 36.8; and before the
+   link layer, the oif walks and the handler calls stopped allocating,
+   267, 248, 239 and 157.
    One unguarded per-packet event (e.g. [Pkt_deliver]) costs 70-80 words
    a traversal here, a receiver list built per frame 15-30, and a closure
    per wheel link or pop about 13; any of them breaks the budgets.  The traced run checks the guard still lets events
@@ -817,10 +820,10 @@ let test_forwarding_alloc_budget () =
            seen)
         true (seen > 0))
     [
-      (Pim_exp.Stack.Pim_sm, 22., true);
-      (Pim_exp.Stack.Pim_dm, 23., false);
-      (Pim_exp.Stack.Cbt, 21., false);
-      (Pim_exp.Stack.Mospf, 19., true);
+      (Pim_exp.Stack.Pim_sm, 20.3, true);
+      (Pim_exp.Stack.Pim_dm, 19., false);
+      (Pim_exp.Stack.Cbt, 17.5, false);
+      (Pim_exp.Stack.Mospf, 14.7, true);
     ]
 
 (* {1 Allocation budget of the soft-state ticks}
@@ -831,14 +834,20 @@ let test_forwarding_alloc_budget () =
    snapshot of the table.  A 6x6 grid carries 24 groups.  PIM-SM builds
    its "(*,G)" trees from joins alone.  PIM-DM floods one packet per group
    to build its (S,G) entries and prune state, then forwards no more
-   data.  Each tick is then run by hand on every router, a few rounds,
-   with the network drained between rounds and outside the measurement,
-   and the minor words per FIB entry per tick must stay under a budget:
-   the figures measured with the in-place walks (PIM-SM sweep 3.9,
-   PIM-DM sweep 22.0 words; before, 36.5 and 110.3) and with a refresh
-   that builds its sections group by group on per-upstream accumulators
-   (PIM-SM refresh 20.3; 77.8 with a table of buckets and two sorts per
-   tick, 110.4 before the in-place walk) plus ~10%.  Walking a
+   data.  CBT builds the same trees with its cores at the RPs.  Each tick
+   is then run by hand on every router, a few rounds, with the network
+   drained between rounds and outside the measurement, and the minor
+   words per entry per tick must stay under a budget: the figures
+   measured once prune masks moved from hash tables to unboxed
+   per-interface tables aged in place and the sweeps stopped building
+   options and closures (PIM-SM sweep 1.06, PIM-DM sweep 0.27 words;
+   before, 3.86 and 21.99, and before the in-place walks 36.5 and
+   110.3), with a refresh that builds its sections group by group on
+   per-upstream accumulators (PIM-SM refresh 20.3; 77.8 with a table of
+   buckets and two sorts per tick, 110.4 before the in-place walk), and
+   with a CBT tick that walks its group-ordered entry array in place
+   (24.4, nearly all of it the echo requests it sends; 73.0 with a
+   sorted snapshot of its hash table per tick) plus ~10%.  Walking a
    [Fwd.entries] snapshot instead costs about 6 words an entry, so it
    breaks them. *)
 
@@ -852,16 +861,26 @@ let tick_words ~rounds ~routers ~entries ~drain tick =
   done;
   !words /. float_of_int (rounds * entries)
 
+(* The 6x6 grid both budgets below run on: 24 groups of six members each,
+   spread over the grid, with group [k]'s RP (or core) at router [5k]. *)
+let side = 6
+
+let n_grid = side * side
+
+let grid_groups = List.init 24 (fun k -> (k, Pim_net.Group.of_index (k + 1)))
+
+let grid_members k = List.init 6 (fun j -> ((k * 7) + (j * 11)) mod n_grid)
+
+let grid_rp_set () =
+  Pim_core.Rp_set.of_list
+    (List.map (fun (k, g) -> (g, [ Pim_net.Addr.router ((k * 5) mod n_grid) ])) grid_groups)
+
 let test_tick_alloc_budget () =
   let module Engine = Pim_sim.Engine in
   let module Net = Pim_sim.Net in
   let module Group = Pim_net.Group in
   let module Addr = Pim_net.Addr in
-  let n_groups = 24 and side = 6 in
-  let n = side * side in
-  let groups = List.init n_groups (fun k -> (k, Group.of_index (k + 1))) in
-  (* Members of group [k]: six routers spread over the grid. *)
-  let members k = List.init 6 (fun j -> ((k * 7) + (j * 11)) mod n) in
+  let n = n_grid and groups = grid_groups and members = grid_members in
   let setup () =
     let eng = Engine.create () in
     (eng, Net.create eng (Pim_graph.Classic.grid side side))
@@ -874,11 +893,7 @@ let test_tick_alloc_budget () =
   in
   (* PIM-SM: "(*,G)" trees from joins, no data. *)
   let eng, net = setup () in
-  let rp_set =
-    Pim_core.Rp_set.of_list
-      (List.map (fun (k, g) -> (g, [ Addr.router ((k * 5) mod n) ])) groups)
-  in
-  let d = Pim_core.Deployment.create_static ~config:Pim_core.Config.fast net ~rp_set in
+  let d = Pim_core.Deployment.create_static ~config:Pim_core.Config.fast net ~rp_set:(grid_rp_set ()) in
   List.iter
     (fun (k, g) ->
       List.iter (fun m -> Pim_core.Router.join_local (Pim_core.Deployment.router d m) g) (members k))
@@ -888,7 +903,7 @@ let test_tick_alloc_budget () =
   let entries = Pim_core.Deployment.total_entries d in
   Alcotest.(check bool) (Printf.sprintf "PIM-SM: many entries (%d)" entries) true (entries > 200);
   let tick = tick_words ~rounds:5 ~routers ~entries ~drain:(drain eng) in
-  check "PIM-SM sweep" (tick Pim_core.Router.sweep) 4.3;
+  check "PIM-SM sweep" (tick Pim_core.Router.sweep) 1.2;
   check "PIM-SM refresh" (tick Pim_core.Router.periodic_refresh) 22.;
   (* PIM-DM: one flooded packet per group builds the (S,G) entries and
      the prunes; no data while measuring. *)
@@ -902,7 +917,90 @@ let test_tick_alloc_budget () =
   let routers = Array.init n router in
   let entries = Pim_dense.Router.Deployment.total_entries d in
   Alcotest.(check bool) (Printf.sprintf "PIM-DM: many entries (%d)" entries) true (entries > 200);
-  check "PIM-DM sweep" (tick_words ~rounds:5 ~routers ~entries ~drain:(drain eng) Pim_dense.Router.sweep) 24.
+  check "PIM-DM sweep" (tick_words ~rounds:5 ~routers ~entries ~drain:(drain eng) Pim_dense.Router.sweep) 0.3;
+  (* CBT: the same trees, rooted at the same routers as cores. *)
+  let eng, net = setup () in
+  let core_of g =
+    List.find_map
+      (fun (k, g') -> if Group.equal g g' then Some (Addr.router ((k * 5) mod n)) else None)
+      groups
+  in
+  let d = Pim_cbt.Router.Deployment.create_static ~config:Pim_cbt.Router.fast_config net ~core_of in
+  let router = Pim_cbt.Router.Deployment.router d in
+  List.iter (fun (k, g) -> List.iter (fun m -> Pim_cbt.Router.join_local (router m) g) (members k)) groups;
+  Engine.run ~until:20. eng;
+  let routers = Array.init n router in
+  let entries = Pim_cbt.Router.Deployment.total_entries d in
+  Alcotest.(check bool) (Printf.sprintf "CBT: many entries (%d)" entries) true (entries > 200);
+  check "CBT tick" (tick_words ~rounds:5 ~routers ~entries ~drain:(drain eng) Pim_cbt.Router.tick) 27.
+
+(* {1 Allocation budget of control-message receipt}
+
+   Receiving a Join/Prune or an RP-reachability message touches only the
+   entries it names, through non-allocating lookups and top-level walks,
+   so a receipt allocates the timers it moves and the copies it forwards.
+   On the 6x6 grid with PIM-SM's "(*,G)" trees built, a hook installed on
+   every router before the deployment and one installed after it bracket
+   the protocol's own handler (handlers run in installation order), and
+   the minor words it allocates are charged per join/prune entry received
+   in a bundled refresh and per RP-reachability hop.  The budgets are the
+   figures measured once receipt stopped building closures, options and
+   lists and an RP-reachability hop forwarded the payload it received
+   (5.99 words an entry, nearly all of it the two timers a join moves,
+   and 10.08 a hop, the forwarded copy and two timers; before, 38.3 and
+   16.1) plus ~10%. *)
+
+let receipt_words () =
+  let module Engine = Pim_sim.Engine in
+  let module Net = Pim_sim.Net in
+  let module Message = Pim_core.Message in
+  let eng = Engine.create () in
+  let net = Net.create eng (Pim_graph.Classic.grid side side) in
+  (* Unboxed slots: the hooks themselves allocate nothing. *)
+  let entered = Array.make 1 0. and jp_words = Array.make 1 0. and rp_words = Array.make 1 0. in
+  let jp_entries = ref 0 and rp_hops = ref 0 and measuring = ref false in
+  for u = 0 to n_grid - 1 do
+    Net.set_handler net u (fun ~iface:_ _ -> entered.(0) <- Gc.minor_words ())
+  done;
+  let d = Pim_core.Deployment.create_static ~config:Pim_core.Config.fast net ~rp_set:(grid_rp_set ()) in
+  let rec count_entries acc = function
+    | (m : Message.join_prune) :: tl ->
+      count_entries (acc + List.length m.Message.joins + List.length m.Message.prunes) tl
+    | [] -> acc
+  in
+  for u = 0 to n_grid - 1 do
+    Net.set_handler net u (fun ~iface:_ pkt ->
+        if !measuring then
+          match pkt.Pim_net.Packet.payload with
+          | Message.Join_prune_bundle ms ->
+            jp_words.(0) <- jp_words.(0) +. (Gc.minor_words () -. entered.(0));
+            jp_entries := count_entries !jp_entries ms
+          | Message.Rp_reachability _ ->
+            rp_words.(0) <- rp_words.(0) +. (Gc.minor_words () -. entered.(0));
+            incr rp_hops
+          | _ -> ())
+  done;
+  List.iter
+    (fun (k, g) ->
+      List.iter
+        (fun m -> Pim_core.Router.join_local (Pim_core.Deployment.router d m) g)
+        (grid_members k))
+    grid_groups;
+  Engine.run ~until:20. eng;
+  measuring := true;
+  Engine.run ~until:60. eng;
+  (jp_words.(0) /. float_of_int !jp_entries, !jp_entries, rp_words.(0) /. float_of_int !rp_hops, !rp_hops)
+
+let test_receipt_alloc_budget () =
+  let jp, jp_entries, rp, rp_hops = receipt_words () in
+  let check name words count budget =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.2f words each over %d <= %.1f" name words count budget)
+      true
+      (count > 100 && words <= budget)
+  in
+  check "join/prune entry received" jp jp_entries 6.6;
+  check "RP-reachability hop" rp rp_hops 11.
 
 let () =
   Alcotest.run "pim_exp"
@@ -953,5 +1051,6 @@ let () =
         [
           Alcotest.test_case "forwarding allocation budget" `Quick test_forwarding_alloc_budget;
           Alcotest.test_case "tick allocation budget" `Quick test_tick_alloc_budget;
+          Alcotest.test_case "receipt allocation budget" `Quick test_receipt_alloc_budget;
         ] );
     ]

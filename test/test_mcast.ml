@@ -82,9 +82,9 @@ let test_oif_local_flag () =
   (* Local membership keeps the oif alive past its timer. *)
   Alcotest.(check (list int)) "local oif immortal" [ 3 ] (Fwd.live_oifs e ~now:50.);
   Alcotest.(check bool) "no expiry pruning of local" false (Fwd.prune_expired_oifs e ~now:50.);
-  (match Fwd.find_oif e 3 with
-  | Some o -> o.Fwd.local <- false
-  | None -> Alcotest.fail "oif expected");
+  (match Fwd.find_oif_exn e 3 with
+  | o -> o.Fwd.local <- false
+  | exception Not_found -> Alcotest.fail "oif expected");
   Alcotest.(check (list int)) "dies once non-local" [] (Fwd.live_oifs e ~now:50.);
   Alcotest.(check bool) "now prunable" true (Fwd.prune_expired_oifs e ~now:50.)
 
@@ -98,9 +98,9 @@ let test_oif_or_local_flag_merge () =
   let e = Fwd.make_star ~group:g ~rp ~iif:None ~expires:100. in
   Fwd.add_oif e 1 ~expires:10. ~local:false;
   Fwd.add_oif e 1 ~expires:0. ~local:true;
-  match Fwd.find_oif e 1 with
-  | Some o -> Alcotest.(check bool) "local flag or'ed in" true o.Fwd.local
-  | None -> Alcotest.fail "oif expected"
+  match Fwd.find_oif_exn e 1 with
+  | o -> Alcotest.(check bool) "local flag or'ed in" true o.Fwd.local
+  | exception Not_found -> Alcotest.fail "oif expected"
 
 (* FIB *)
 
@@ -293,6 +293,96 @@ let test_prune_nothing_expired () =
   Alcotest.(check bool) "list untouched" true (e.Fwd.oifs == before);
   Alcotest.(check (list int)) "ascending" [ 1; 4 ] (Fwd.live_oifs e ~now:10.)
 
+(* Iface_timers against the hash table it replaced *)
+
+module Timers = Pim_mcast.Iface_timers
+
+type timer_op =
+  | Set of int * float
+  | Clear of int
+  | Expire of float
+
+(* Interfaces from the pseudo interface -1 up to 7, and times on both
+   sides of each other and equal to each other, so sets land on expired
+   interfaces, expiries hit deadlines exactly, and probes see interfaces
+   that have expired but have not been swept. *)
+let timer_iface = QCheck.Gen.int_range (-1) 7
+
+let timer_time = QCheck.Gen.oneofl [ 5.; 9.99; 10.; 10.01; 15. ]
+
+let timer_ops =
+  QCheck.Gen.(
+    list_size (int_bound 40)
+      (frequency
+         [
+           (5, map2 (fun i d -> Set (i, d)) timer_iface timer_time);
+           (2, map (fun i -> Clear i) timer_iface);
+           (2, map (fun n -> Expire n) timer_time);
+         ]))
+
+(* Every observation the protocols make, at every probe time, on every
+   interface the ops can name and one on each side of them. *)
+let timers_agree t r =
+  let find_opt f x = match f x with d -> Some d | exception Not_found -> None in
+  Timers.count t = Timers_reference.count r
+  && List.for_all
+       (fun i ->
+         find_opt (Timers.find t) i = find_opt (Timers_reference.find r) i
+         && List.for_all
+              (fun now -> Timers.live t i ~now = Timers_reference.live r i ~now)
+              [ 5.; 9.99; 10.; 10.01; 15. ])
+       (List.init 11 (fun i -> i - 2))
+
+let prop_timers_match_reference =
+  QCheck.Test.make ~count:1000 ~name:"timer table: same answers as the hash table"
+    (QCheck.make timer_ops) (fun ops ->
+      let t = Timers.create () and r = Timers_reference.create () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Set (i, d) ->
+            Timers.set t i d;
+            Timers_reference.set r i d
+          | Clear i ->
+            Timers.clear t i;
+            Timers_reference.clear r i
+          | Expire now ->
+            Timers.expire t ~now;
+            Timers_reference.expire r ~now);
+          timers_agree t r)
+        ops)
+
+let test_timers_cases () =
+  (* The empty table a "(*,G)" entry walks with: nothing present, nothing
+     live, and expiring it changes nothing. *)
+  let empty = Timers.create () in
+  Timers.expire empty ~now:10.;
+  Alcotest.(check int) "empty: count" 0 (Timers.count empty);
+  Alcotest.(check bool) "empty: nothing live" false
+    (List.exists (fun i -> Timers.live empty i ~now:0.) [ -1; 0; 1; 7 ]);
+  Alcotest.check_raises "empty: nothing present" Not_found (fun () -> ignore (Timers.find empty 0));
+  (* Expired, not swept: present and counted, but not live. *)
+  let t = Timers.create () in
+  Timers.set t 3 10.;
+  Timers.set t 5 20.;
+  Alcotest.(check bool) "expired: not live" false (Timers.live t 3 ~now:12.);
+  Alcotest.(check (float 0.)) "expired: still present" 10. (Timers.find t 3);
+  Alcotest.(check int) "expired: still counted" 2 (Timers.count t);
+  Timers.expire t ~now:12.;
+  Alcotest.check_raises "swept: gone" Not_found (fun () -> ignore (Timers.find t 3));
+  Alcotest.(check (float 0.)) "swept: the live one stays" 20. (Timers.find t 5);
+  Alcotest.(check int) "swept: counted once" 1 (Timers.count t);
+  (* Re-setting an expired interface makes it live again, counted once. *)
+  Timers.set t 5 11.;
+  Alcotest.(check bool) "re-set: expired at 12" false (Timers.live t 5 ~now:12.);
+  Timers.set t 5 30.;
+  Alcotest.(check bool) "re-set: live again" true (Timers.live t 5 ~now:12.);
+  Alcotest.(check int) "re-set: counted once" 1 (Timers.count t);
+  (* A deadline equal to now has run out. *)
+  Alcotest.(check bool) "deadline = now is out" false (Timers.live t 5 ~now:30.);
+  Alcotest.check_raises "below -1" (Invalid_argument "Iface_timers.set: interface below -1")
+    (fun () -> Timers.set t (-2) 1.)
+
 let () =
   Alcotest.run "pim_mcast"
     [
@@ -315,5 +405,10 @@ let () =
           Alcotest.test_case "group entries order" `Quick test_fib_group_entries_order;
           QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_fib_find_after_insert;
           QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_fib_iter_order;
+        ] );
+      ( "timers",
+        [
+          Alcotest.test_case "empty, expired-unswept, re-set" `Quick test_timers_cases;
+          QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_timers_match_reference;
         ] );
     ]
