@@ -558,8 +558,12 @@ let run_json path =
    them against the committed baseline.  Wall clock differs across machines
    and noisy CI runners, so it only fails on a large factor — chosen so
    that reverting the timer wheel to the old heap (a ~5.8x slowdown on
-   engine-1k-events) trips the gate with margin.  Allocation per run is
-   deterministic and gets a tight bound. *)
+   engine-1k-events) trips the gate with margin.  Allocation and promotion
+   per run are deterministic and get the same tight bound: words promoted
+   to the major heap are what a minor collection copies and the major GC
+   then marks and sweeps, so state kept alive longer than it needs to be
+   (a buffer sized for the worst case, a boxed float written into an old
+   record) shows there before it shows in wall time. *)
 
 let check_subjects =
   [
@@ -595,23 +599,30 @@ let run_check path =
            | _ -> None)
   in
   let failures = ref 0 in
-  Format.printf "# engine regression gate vs %s (wall x%.1f, alloc x%.2f)@." path wall_budget
-    alloc_budget;
+  Format.printf "# engine regression gate vs %s (wall x%.1f, alloc and promoted x%.2f)@." path
+    wall_budget alloc_budget;
   List.iter
     (fun ((name, _) as subj) ->
       let r = measure_subject subj in
-      match (baseline name "wall_ns_per_run", baseline name "alloc_bytes_per_run") with
-      | Some bw, Some ba ->
+      match
+        ( baseline name "wall_ns_per_run",
+          baseline name "alloc_bytes_per_run",
+          baseline name "promoted_words_per_run" )
+      with
+      | Some bw, Some ba, Some bp ->
         let wall_ok = r.wall_ns_per_run <= (wall_budget *. bw) +. 1e4 in
-        (* +4 kB grace: tiny subjects would otherwise fail on measurement
-           noise from the harness itself. *)
+        (* +4 kB (512 words) grace: tiny subjects would otherwise fail on
+           measurement noise from the harness itself. *)
         let alloc_ok = r.alloc_bytes_per_run <= (alloc_budget *. ba) +. 4096. in
+        let promoted_ok = r.promoted_words_per_run <= (alloc_budget *. bp) +. 512. in
+        let verdict ok = if ok then "ok" else "REGRESSED" in
         Format.printf "  %-24s wall %12.0f ns (baseline %12.0f) %s@." name r.wall_ns_per_run bw
-          (if wall_ok then "ok" else "REGRESSED");
+          (verdict wall_ok);
         Format.printf "  %-24s alloc %11.0f B  (baseline %12.0f) %s@." name
-          r.alloc_bytes_per_run ba
-          (if alloc_ok then "ok" else "REGRESSED");
-        if not (wall_ok && alloc_ok) then incr failures
+          r.alloc_bytes_per_run ba (verdict alloc_ok);
+        Format.printf "  %-24s promoted %8.0f w  (baseline %12.0f) %s@." name
+          r.promoted_words_per_run bp (verdict promoted_ok);
+        if not (wall_ok && alloc_ok && promoted_ok) then incr failures
       | _ ->
         Format.printf "  %-24s missing from baseline — regenerate with --json@." name;
         incr failures)

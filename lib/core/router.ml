@@ -9,6 +9,7 @@ module Addr = Pim_net.Addr
 module Group = Pim_net.Group
 module Fwd = Pim_mcast.Fwd
 module Iface_timers = Pim_mcast.Iface_timers
+module Id_ring = Pim_mcast.Id_ring
 module Mdata = Pim_mcast.Mdata
 module Rib = Pim_routing.Rib
 
@@ -31,19 +32,15 @@ type aux = {
   mutable override_pending : bool;
   mutable was_wanted : bool;  (* olist was non-empty at the last sweep *)
   pruned : Iface_timers.t;
-  (* Ring of recently forwarded data-packet identities (the IP
-     Identification field, [Mdata.seq] here).  During the RP-tree/SPT
-     switchover the same packet can reach this router over both trees, and
-     packets sent before the (S,G) join chain completed exist only as
-     RP-tree copies still in flight when the SPT bit flips.  The identity
-     ring lets [handle_data] forward those stragglers over the shared
-     fallback while suppressing true duplicates — the hitless variant of
-     the paper's accept-transient-duplicate-or-loss switchover
-     (section 3.5). *)
   mutable reg_stop_seen : bool;  (* register suppression onset already traced *)
-  mutable seen_ids : int array;  (* ring storage, [||] until first use *)
-  mutable seen_len : int;  (* valid prefix length *)
-  mutable seen_next : int;  (* next write position *)
+  ids : Id_ring.t;
+      (* Identities of the data packets this (S,G) entry forwarded.
+         Packets sent before the (S,G) join chain completed exist only as
+         RP-tree copies still in flight when the SPT bit flips; the ring
+         lets [handle_data] forward those stragglers over the shared
+         fallback while suppressing true duplicates — the hitless variant
+         of the paper's accept-transient-duplicate-or-loss switchover
+         (section 3.5). *)
 }
 
 (* One upstream neighbor's share of a periodic refresh: the sections
@@ -126,9 +123,7 @@ let aux (e : Fwd.entry) =
         was_wanted = false;
         pruned = Iface_timers.create ();
         reg_stop_seen = false;
-        seen_ids = [||];
-        seen_len = 0;
-        seen_next = 0;
+        ids = Id_ring.create ();
       }
     in
     e.Fwd.ext <- Aux a;
@@ -260,10 +255,7 @@ let divergence_prune t (e : Fwd.entry) =
 
 (* {1 Entry construction} *)
 
-(* Extend [e]'s entry timer; stores (and boxes) a time only when it moves. *)
-let keepalive t (e : Fwd.entry) =
-  let x = now t +. t.cfg.entry_linger in
-  if x > e.Fwd.expires then e.Fwd.expires <- x
+let keepalive t e = Fwd.keepalive e ~now:(now t) ~linger:t.cfg.entry_linger
 
 let ensure_star t g ~rp =
   match Fwd.find_star t.fib g with
@@ -273,7 +265,7 @@ let ensure_star t g ~rp =
   | None ->
     let upstream = compute_upstream t rp in
     let e = Fwd.make_star ~group:g ~rp ~iif:(Option.map fst upstream) ~expires:(now t +. t.cfg.entry_linger) in
-    e.Fwd.rp_deadline <- now t +. t.cfg.rp_timeout;
+    e.Fwd.timers.rp_deadline <- now t +. t.cfg.rp_timeout;
     Fwd.insert t.fib e;
     (aux e).upstream <- upstream;
     if tracing t then ev t (Event.Entry_install { route = route_of_entry e });
@@ -402,22 +394,6 @@ let has_local_members t g =
 
 (* {1 Data-packet forwarding (section 3.5)} *)
 
-(* Identity ring for switchover duplicate suppression: capacity bounds the
-   window of remembered packets, which must exceed the number of packets in
-   flight across the RP-tree/SPT path-length skew (a few dozen at realistic
-   rates; 256 leaves ample margin). *)
-let seen_capacity = 256
-
-let rec seen_from ids n id i = i < n && (Array.unsafe_get ids i = id || seen_from ids n id (i + 1))
-
-let seen_id a id = seen_from a.seen_ids a.seen_len id 0
-
-let record_id a id =
-  if Array.length a.seen_ids = 0 then a.seen_ids <- Array.make seen_capacity (-1);
-  a.seen_ids.(a.seen_next) <- id;
-  a.seen_next <- (a.seen_next + 1) mod seen_capacity;
-  if a.seen_len < seen_capacity then a.seen_len <- a.seen_len + 1
-
 (* Oif-walk sink: copy a data packet onto interface [i].  [pkt'] is the
    copy with its TTL decremented; local members get [pkt] itself. *)
 let send_data t pkt pkt' i =
@@ -432,40 +408,50 @@ let send_data t pkt pkt' i =
 let send_ctrl t pkt () i = if i <> local_iface then Net.send t.net t.node ~iface:i pkt
 
 (* Forward a data packet over [e]'s effective set, or over its shared-tree
-   fallback when [shared]; [pruned] is [e]'s prune mask.  The
+   fallback when [shared]; [pruned] is [e]'s prune mask.  Returns the size
+   of that set, whether or not the TTL let the packet through.  The
    TTL-decremented copy is all a hop builds. *)
+let forward_count t e ~pruned ~shared ~exclude pkt =
+  if pkt.Packet.ttl > 1 then walk_data t e ~pruned ~shared ~exclude send_data t pkt (Packet.decr_ttl pkt)
+  else walk_data t e ~pruned ~shared ~exclude Fwd.skip () () ()
+
 let forward_data t e ~pruned ~shared ~exclude pkt =
-  if pkt.Packet.ttl > 1 then
-    ignore (walk_data t e ~pruned ~shared ~exclude send_data t pkt (Packet.decr_ttl pkt))
+  ignore (forward_count t e ~pruned ~shared ~exclude pkt)
 
 (* Forward a data packet matched by an (S,G) entry, suppressing identities
    this entry already forwarded.  During the switchover the same packet can
    arrive over both the shared tree and the SPT; identity (the IP
    Identification field, modelled by [Mdata.seq]) tells a straggler — an
-   RP-tree copy whose SPT twin never existed — from a true duplicate. *)
+   RP-tree copy whose SPT twin never existed — from a true duplicate.
+
+   A fresh identity costs one walk of the set: the packet is forwarded
+   over it and the identity recorded afterwards, when the set was not
+   empty.  Recording after the walk sees the same ring as recording
+   before it: [Net.send] never delivers synchronously, and local delivery
+   runs only the registered callbacks, so nothing the walk does reaches
+   this entry's ring.  Only a duplicate walks without forwarding, to
+   count a suppression only where the packet would have gone somewhere. *)
 let forward_sg t e pkt ~shared ~exclude =
   let a = aux e in
-  if walk_data t e ~pruned:a.pruned ~shared ~exclude Fwd.skip () () () > 0 then begin
-    match pkt.Packet.payload with
-    | Mdata.Data i ->
-      if seen_id a i.Mdata.seq then begin
-        Counters.(incr t.counters ~node:t.node Data_dup_suppressed);
-        if tracing t then
-          ev t
-            (Event.Pkt_drop
-               {
-                 src = Addr.to_string pkt.Packet.src;
-                 group = dst_group_string pkt;
-                 iface = local_iface;
-                 reason = Printf.sprintf "dup id=%d" i.Mdata.seq;
-               })
-      end
-      else begin
-        record_id a i.Mdata.seq;
-        forward_data t e ~pruned:a.pruned ~shared ~exclude pkt
-      end
-    | _ -> forward_data t e ~pruned:a.pruned ~shared ~exclude pkt
-  end
+  match pkt.Packet.payload with
+  | Mdata.Data i ->
+    let id = i.Mdata.seq in
+    if not (Id_ring.seen a.ids id) then begin
+      if forward_count t e ~pruned:a.pruned ~shared ~exclude pkt > 0 then Id_ring.record a.ids id
+    end
+    else if walk_data t e ~pruned:a.pruned ~shared ~exclude Fwd.skip () () () > 0 then begin
+      Counters.(incr t.counters ~node:t.node Data_dup_suppressed);
+      if tracing t then
+        ev t
+          (Event.Pkt_drop
+             {
+               src = Addr.to_string pkt.Packet.src;
+               group = dst_group_string pkt;
+               iface = local_iface;
+               reason = Printf.sprintf "dup id=%d" id;
+             })
+    end
+  | _ -> forward_data t e ~pruned:a.pruned ~shared ~exclude pkt
 
 (* A last-hop router with directly connected members notices shared-tree
    data from a source it has no (S,G) entry for and may initiate the
@@ -623,15 +609,20 @@ let handle_data t ~iface pkt =
 
 (* {1 Register path (section 3)} *)
 
+(* The source's (S,G) entry forwards toward [rp]: the RP has joined the
+   source's tree, so its data reaches the RP natively. *)
 let register_suppressed t g src rp =
   t.cfg.register_suppress
   &&
-  match Fwd.find_sg t.fib g src with
-  | None -> false
-  | Some e -> (
+  match Fwd.find_sg_exn t.fib g src with
+  | exception Not_found -> false
+  | e -> (
     match Rib.rpf_iface t.rib rp with
     | None -> false
-    | Some i -> List.mem i (Fwd.live_oifs e ~now:(now t)))
+    | Some i -> (
+      match Fwd.find_oif_exn e i with
+      | o -> Fwd.is_live e o ~now:(now t)
+      | exception Not_found -> false))
 
 let rec handle_register t inner =
   match (inner.Packet.payload, inner.Packet.dst) with
@@ -675,39 +666,41 @@ and originate_data t ~incoming pkt =
         forward_data t e ~pruned:(mask_of t e) ~shared:false ~exclude:incoming pkt
       | exception Not_found -> ());
       (* Register (data piggybacked) to every RP of the group. *)
-      List.iter
-        (fun rp ->
-          if Addr.equal rp t.addr then
-            (* The RP is the source's first-hop router: the data "needed to
-               be delivered there anyway" (section 4), so no register —
-               the native forwarding above already used the shared tree.
-               Just make sure the (S,G) entry exists. *)
-            ignore (ensure_sg t g src ~rp_bit:false)
-          else if not (register_suppressed t g src rp) then begin
-            Counters.(incr t.counters ~node:t.node Registers_sent);
-            if tracing t then
-              ev t (Event.Register { group = Group.to_string g; source = Addr.to_string src });
-            let reg = Message.register_packet ~src:t.addr ~rp pkt in
-            send_unicast t reg
-          end
-          else
-            (* Suppression onset stands in for the RP's explicit
-               register-stop (the model infers it from the (S,G) oif state
-               rather than exchanging a message): emit the event once per
-               entry so captures show when encapsulation ceased. *)
-            match Fwd.find_sg t.fib g src with
-            | Some e ->
-              let a = aux e in
-              if not a.reg_stop_seen then begin
-                a.reg_stop_seen <- true;
-                if tracing t then
-                  ev t
-                    (Event.Register_stop
-                       { group = Group.to_string g; source = Addr.to_string src })
-              end
-            | None -> ())
-        rps
+      register_each t g src pkt rps
     end
+
+and register_each t g src pkt = function
+  | rp :: tl ->
+    (if Addr.equal rp t.addr then
+       (* The RP is the source's first-hop router: the data "needed to
+          be delivered there anyway" (section 4), so no register —
+          the native forwarding above already used the shared tree.
+          Just make sure the (S,G) entry exists. *)
+       ignore (ensure_sg t g src ~rp_bit:false)
+     else if not (register_suppressed t g src rp) then begin
+       Counters.(incr t.counters ~node:t.node Registers_sent);
+       if tracing t then
+         ev t (Event.Register { group = Group.to_string g; source = Addr.to_string src });
+       let reg = Message.register_packet ~src:t.addr ~rp pkt in
+       send_unicast t reg
+     end
+     else
+       (* Suppression onset stands in for the RP's explicit
+          register-stop (the model infers it from the (S,G) oif state
+          rather than exchanging a message): emit the event once per
+          entry so captures show when encapsulation ceased. *)
+       match Fwd.find_sg_exn t.fib g src with
+       | e ->
+         let a = aux e in
+         if not a.reg_stop_seen then begin
+           a.reg_stop_seen <- true;
+           if tracing t then
+             ev t
+               (Event.Register_stop { group = Group.to_string g; source = Addr.to_string src })
+         end
+       | exception Not_found -> ());
+    register_each t g src pkt tl
+  | [] -> ()
 
 and send_unicast t pkt =
   match pkt.Packet.dst with
@@ -796,7 +789,7 @@ let process_join t ~iface (je : Message.jp_entry) g =
       e.Fwd.rp <- Some je.Message.addr;
       e.Fwd.iif <- Option.map fst upstream;
       (match e.Fwd.iif with Some i -> Fwd.remove_oif e i | None -> ());
-      e.Fwd.rp_deadline <- now t +. t.cfg.rp_timeout;
+      e.Fwd.timers.rp_deadline <- now t +. t.cfg.rp_timeout;
       (aux e).upstream <- upstream;
       triggered_join t e
     end;
@@ -989,7 +982,7 @@ let rec handle_jps t ~iface = function
 let handle_rp_reach t ~iface pkt ~group ~rp =
   match Fwd.find_star t.fib group with
   | Some e when Fwd.iif_is e iface && rp_is e rp ->
-    e.Fwd.rp_deadline <- now t +. t.cfg.rp_timeout;
+    e.Fwd.timers.rp_deadline <- now t +. t.cfg.rp_timeout;
     keepalive t e;
     let pkt = { pkt with Packet.src = t.addr } in
     ignore (walk_effective t e ~pruned:t.no_mask ~exclude:iface send_ctrl t pkt ())
@@ -1011,7 +1004,7 @@ let rp_failover t (e : Fwd.entry) =
     |> List.filter (fun rp -> Addr.equal rp t.addr || t.rib.Rib.distance rp <> None)
   in
   match alternates with
-  | [] -> e.Fwd.rp_deadline <- now t +. t.cfg.rp_timeout (* keep waiting *)
+  | [] -> e.Fwd.timers.rp_deadline <- now t +. t.cfg.rp_timeout (* keep waiting *)
   | rp :: _ ->
     Counters.(incr t.counters ~node:t.node Rp_failovers);
     if tracing t then
@@ -1028,7 +1021,7 @@ let rp_failover t (e : Fwd.entry) =
     (* Only interfaces with directly-connected members survive the move to
        the new RP (section 3.9). *)
     e.Fwd.oifs <- List.filter (fun (o : Fwd.oif) -> o.local) e.Fwd.oifs;
-    e.Fwd.rp_deadline <- now t +. t.cfg.rp_timeout;
+    e.Fwd.timers.rp_deadline <- now t +. t.cfg.rp_timeout;
     (aux e).upstream <- upstream;
     keepalive t e;
     triggered_join t e
@@ -1268,9 +1261,9 @@ let sweep_entry t n (e : Fwd.entry) =
      RP stopped proving liveness (deadline passed), or a dynamic mapping
      change dropped it from the group's RP list — in which case re-target
      immediately rather than waiting out the reachability timeout. *)
-  if Fwd.is_star e && any_local e.Fwd.oifs && (rp_stale t e || e.Fwd.rp_deadline < n) then
+  if Fwd.is_star e && any_local e.Fwd.oifs && (rp_stale t e || e.Fwd.timers.rp_deadline < n) then
     rp_failover t e;
-  if e.Fwd.expires < n then delete_entry t e
+  if e.Fwd.timers.expires < n then delete_entry t e
 
 (* Memberships recorded before any RP mapping was known (election still
    converging at join time): retry until one appears. *)

@@ -267,8 +267,7 @@ let send_join_upstream t src g =
 let ensure_entry t g src =
   match Fwd.find_sg_exn t.fib g src with
   | e ->
-    let x = now t +. t.cfg.entry_linger in
-    if x > e.Fwd.expires then e.Fwd.expires <- x;
+    Fwd.keepalive e ~now:(now t) ~linger:t.cfg.entry_linger;
     e
   | exception Not_found ->
     let iif =
@@ -538,7 +537,7 @@ let is_local_origin t ~iface src =
    table holds at most one per interface. *)
 let sweep_entry t n (e : Fwd.entry) =
   (match e.Fwd.ext with Aux a -> Iface_timers.expire a.pruned ~now:n | _ -> ());
-  if e.Fwd.expires < n then begin
+  if e.Fwd.timers.expires < n then begin
     if tracing t then
       ev t
         (Event.Entry_expire

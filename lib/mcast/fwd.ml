@@ -11,6 +11,11 @@ type ext = ..
 
 type ext += No_ext
 
+type timers = {
+  mutable expires : float;
+  mutable rp_deadline : float;
+}
+
 type entry = {
   group : Group.t;
   source : Addr.t option;
@@ -20,8 +25,7 @@ type entry = {
   mutable wc_bit : bool;
   mutable rp_bit : bool;
   mutable spt_bit : bool;
-  mutable expires : float;
-  mutable rp_deadline : float;
+  timers : timers;
   mutable ext : ext;
 }
 
@@ -35,8 +39,7 @@ let make_star ~group ~rp ~iif ~expires =
     wc_bit = true;
     rp_bit = true;
     spt_bit = false;
-    expires;
-    rp_deadline = infinity;
+    timers = { expires; rp_deadline = infinity };
     ext = No_ext;
   }
 
@@ -50,12 +53,18 @@ let make_sg ~group ~source ?rp ?(rp_bit = false) ~iif ~expires () =
     wc_bit = false;
     rp_bit;
     spt_bit = false;
-    expires;
-    rp_deadline = infinity;
+    timers = { expires; rp_deadline = infinity };
     ext = No_ext;
   }
 
 let is_star e = e.source = None
+
+(* [x] stays unboxed: [timers] is an all-float record, stored flat, so
+   the store allocates nothing and adds no old entry to the remembered
+   set. *)
+let keepalive e ~now ~linger =
+  let x = now +. linger in
+  if x > e.timers.expires then e.timers.expires <- x
 
 let iif_is e i = match e.iif with Some j -> j = i | None -> false
 

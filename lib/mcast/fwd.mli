@@ -27,6 +27,14 @@ type ext = ..
 
 type ext += No_ext  (** nothing attached yet *)
 
+type timers = {
+  mutable expires : float;  (** entry timer *)
+  mutable rp_deadline : float;  (** RP-reachability timer ("(*,G)" at routers with members) *)
+}
+(** An entry's own timers.  All fields are floats, so OCaml stores the
+    record flat: refreshing a timer writes the float in place, with no
+    boxed float allocated and no write barrier on an old entry. *)
+
 type entry = {
   group : Pim_net.Group.t;
   source : Pim_net.Addr.t option;  (** [None] for "(*,G)" *)
@@ -36,8 +44,7 @@ type entry = {
   mutable wc_bit : bool;
   mutable rp_bit : bool;
   mutable spt_bit : bool;
-  mutable expires : float;  (** entry timer *)
-  mutable rp_deadline : float;  (** RP-reachability timer ("(*,G)" at routers with members) *)
+  timers : timers;  (** [rp_deadline] starts at [infinity] *)
   mutable ext : ext;  (** [No_ext] when made *)
 }
 
@@ -61,6 +68,10 @@ val make_sg :
 (** An (S,G) entry; SPT bit initially cleared (section 3.3). *)
 
 val is_star : entry -> bool
+
+val keepalive : entry -> now:float -> linger:float -> unit
+(** Extend the entry timer to [now +. linger]; never shortens it.
+    Allocates nothing. *)
 
 val iif_is : entry -> Pim_graph.Topology.iface -> bool
 (** [iif_is e i] is [e.iif = Some i], as an int test that allocates

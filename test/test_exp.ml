@@ -746,10 +746,13 @@ let test_counters_pinned () =
    cached), then 400 packets are forwarded, the network drains, and the
    minor words allocated per link traversal — data, control and timers
    together — must stay under a fixed budget.  The budgets are the figures
-   measured once prune masks and CBT child timers moved to unboxed
+   measured once the entry timers moved into a flat float record and a
+   PIM-SM (S,G) hop walked its set once (PIM-SM 15.4, PIM-DM 15.3 words),
+   and once prune masks and CBT child timers moved to unboxed
    per-interface tables and the last-hop switch and source-router tests
-   stopped building options (PIM-SM 18.5, PIM-DM 17.3, CBT 16.0, MOSPF
-   13.3 words) plus ~10%.  Before that 20.2, 20.6, 19.2 and 16.9; before
+   stopped building options (CBT 16.0, MOSPF 13.3 words), plus ~10%.
+   Before the flat timers and the one walk PIM-SM read 18.5 and PIM-DM
+   17.3; before the unboxed tables 20.2, 20.6, 19.2 and 16.9; before
    the timer wheel stopped building a closure per link and per pop, a
    data hop stopped building options for its group, its FIB match, its
    sequence number and its TTL-decremented copy, and the PIM-SM refresh
@@ -820,8 +823,8 @@ let test_forwarding_alloc_budget () =
            seen)
         true (seen > 0))
     [
-      (Pim_exp.Stack.Pim_sm, 20.3, true);
-      (Pim_exp.Stack.Pim_dm, 19., false);
+      (Pim_exp.Stack.Pim_sm, 17., true);
+      (Pim_exp.Stack.Pim_dm, 16.9, false);
       (Pim_exp.Stack.Cbt, 17.5, false);
       (Pim_exp.Stack.Mospf, 14.7, true);
     ]
@@ -840,9 +843,11 @@ let test_forwarding_alloc_budget () =
    words per entry per tick must stay under a budget: the figures
    measured once prune masks moved from hash tables to unboxed
    per-interface tables aged in place and the sweeps stopped building
-   options and closures (PIM-SM sweep 1.06, PIM-DM sweep 0.27 words;
-   before, 3.86 and 21.99, and before the in-place walks 36.5 and
-   110.3), with a refresh that builds its sections group by group on
+   options and closures (PIM-DM sweep 0.27 words; before, 21.99, and
+   before the in-place walks 110.3), and the PIM-SM sweep once the entry
+   timers moved into a flat float record, so re-arming one boxes nothing
+   (0.43; 1.06 before, 3.86 with hash-table masks, 36.5 before the
+   in-place walks), with a refresh that builds its sections group by group on
    per-upstream accumulators (PIM-SM refresh 20.3; 77.8 with a table of
    buckets and two sorts per tick, 110.4 before the in-place walk), and
    with a CBT tick that walks its group-ordered entry array in place
@@ -903,7 +908,7 @@ let test_tick_alloc_budget () =
   let entries = Pim_core.Deployment.total_entries d in
   Alcotest.(check bool) (Printf.sprintf "PIM-SM: many entries (%d)" entries) true (entries > 200);
   let tick = tick_words ~rounds:5 ~routers ~entries ~drain:(drain eng) in
-  check "PIM-SM sweep" (tick Pim_core.Router.sweep) 1.2;
+  check "PIM-SM sweep" (tick Pim_core.Router.sweep) 0.5;
   check "PIM-SM refresh" (tick Pim_core.Router.periodic_refresh) 22.;
   (* PIM-DM: one flooded packet per group builds the (S,G) entries and
      the prunes; no data while measuring. *)
@@ -944,11 +949,12 @@ let test_tick_alloc_budget () =
    the protocol's own handler (handlers run in installation order), and
    the minor words it allocates are charged per join/prune entry received
    in a bundled refresh and per RP-reachability hop.  The budgets are the
-   figures measured once receipt stopped building closures, options and
-   lists and an RP-reachability hop forwarded the payload it received
-   (5.99 words an entry, nearly all of it the two timers a join moves,
-   and 10.08 a hop, the forwarded copy and two timers; before, 38.3 and
-   16.1) plus ~10%. *)
+   figures measured once the entry timers moved into a flat float record
+   (4.00 words an entry, the oif timer a join moves, and 6.09 a hop,
+   the forwarded copy and the oif timer) plus ~10%.  Before, with a
+   boxed entry timer, 5.99 and 10.08, and before receipt stopped
+   building closures, options and lists and an RP-reachability hop
+   forwarded the payload it received, 38.3 and 16.1. *)
 
 let receipt_words () =
   let module Engine = Pim_sim.Engine in
@@ -999,8 +1005,48 @@ let test_receipt_alloc_budget () =
       true
       (count > 100 && words <= budget)
   in
-  check "join/prune entry received" jp jp_entries 6.6;
-  check "RP-reachability hop" rp rp_hops 11.
+  check "join/prune entry received" jp jp_entries 4.4;
+  check "RP-reachability hop" rp rp_hops 6.7
+
+(* {1 Words held and allocated by one (S,G) entry}
+
+   An (S,G) entry remembers the identities of the packets it forwarded
+   (switchover duplicate suppression, section 3.5) in an identity ring
+   sized by use: after its first 10 packets it holds the ring record and
+   16 slots, 22 words, where a ring allocated at its full 256 ids on the
+   first packet held 257 words of array alone.  And refreshing an
+   entry's timer, which every data packet and every join does, writes
+   the float into the entry's flat timer record: 0 words, where a boxed
+   [expires] field cost 2 words per refresh that moved it.  The times
+   are boxed before the measurement, as a router's clock reading is. *)
+
+let test_entry_words () =
+  let module Ring = Pim_mcast.Id_ring in
+  let module Fwd = Pim_mcast.Fwd in
+  let ring = Ring.create () in
+  for id = 0 to 9 do
+    Ring.record ring id
+  done;
+  let held = Obj.reachable_words (Obj.repr ring) in
+  Alcotest.(check bool)
+    (Printf.sprintf "identity state after 10 packets: %d words <= 24" held)
+    true (held <= 24);
+  let e =
+    Fwd.make_sg ~group:(Pim_net.Group.of_index 1) ~source:(Pim_net.Addr.host ~router:0 1)
+      ~iif:None ~expires:0. ()
+  in
+  let times = List.init 100 float_of_int and linger = 3.5 in
+  let rec refresh = function
+    | now :: tl ->
+      Fwd.keepalive e ~now ~linger;
+      refresh tl
+    | [] -> ()
+  in
+  let w0 = Gc.minor_words () in
+  refresh times;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "keepalive moved the timer" 102.5 e.Fwd.timers.expires;
+  Alcotest.(check (float 0.)) (Printf.sprintf "100 keepalives: %.0f words" words) 0. words
 
 let () =
   Alcotest.run "pim_exp"
@@ -1052,5 +1098,6 @@ let () =
           Alcotest.test_case "forwarding allocation budget" `Quick test_forwarding_alloc_budget;
           Alcotest.test_case "tick allocation budget" `Quick test_tick_alloc_budget;
           Alcotest.test_case "receipt allocation budget" `Quick test_receipt_alloc_budget;
+          Alcotest.test_case "entry identity and timer words" `Quick test_entry_words;
         ] );
     ]

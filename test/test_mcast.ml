@@ -383,6 +383,59 @@ let test_timers_cases () =
   Alcotest.check_raises "below -1" (Invalid_argument "Iface_timers.set: interface below -1")
     (fun () -> Timers.set t (-2) 1.)
 
+(* Id_ring against a FIFO of the last 256 ids recorded *)
+
+module Ring = Pim_mcast.Id_ring
+
+(* Streams of a few hundred records mixing a source's rising sequence
+   numbers with repeats of recent ids, ids below everything held, and
+   rare spikes far above the rest.  More than 256 records evict, and a
+   spike followed by lower ids is a held maximum evicted while smaller
+   ids stay: the case that makes the ring rescan. *)
+let ring_ids =
+  QCheck.Gen.(
+    int_range 0 700 >>= fun n ->
+    let rec go k next acc =
+      if k = 0 then return (List.rev acc)
+      else
+        frequency
+          [
+            (10, return next);
+            (3, map (fun d -> Int.max 0 (next - 1 - d)) (int_bound 300));
+            (2, map (fun d -> next + d) (int_range 1 4));
+            (1, map (fun d -> 100_000 + d) (int_bound 50));
+          ]
+        >>= fun id -> go (k - 1) (Int.max next (if id < 100_000 then id + 1 else next)) (id :: acc)
+    in
+    go n 0 [])
+
+let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
+
+(* After each record: the same answer for the id just recorded, its
+   neighbours, the id above the largest, a spike and a few lower ids; the
+   same length and largest id; storage within the power of two at or
+   above [max 8 (length)]. *)
+let ring_agrees t r id =
+  Ring.length t = Id_ring_reference.length r
+  && Ring.largest t = Id_ring_reference.largest r
+  && Ring.slots t <= pow2_at_least (Int.max 8 (Ring.length t)) 8
+  && List.for_all
+       (fun x -> Ring.seen t x = Id_ring_reference.seen r x)
+       [ id - 1; id; id + 1; Ring.largest t + 1; 100_025; id / 2; id mod 97 ]
+
+let prop_ring_match_reference =
+  QCheck.Test.make ~count:200 ~name:"id ring: same answers as the FIFO"
+    (QCheck.make ~print:QCheck.Print.(list int) ring_ids) (fun ids ->
+      let t = Ring.create () and r = Id_ring_reference.create () in
+      Ring.slots t = 0
+      && (not (Ring.seen t 0))
+      && List.for_all
+           (fun id ->
+             Ring.record t id;
+             Id_ring_reference.record r id;
+             ring_agrees t r id)
+           ids)
+
 let () =
   Alcotest.run "pim_mcast"
     [
@@ -411,4 +464,5 @@ let () =
           Alcotest.test_case "empty, expired-unswept, re-set" `Quick test_timers_cases;
           QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_timers_match_reference;
         ] );
+      ("ring", [ QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_ring_match_reference ]);
     ]

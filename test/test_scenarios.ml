@@ -91,7 +91,7 @@ let test_figure4_state_table () =
   Alcotest.(check bool) "A rp address = C" true (a.Fwd.rp = Some (Addr.router 2));
   Alcotest.(check (list int)) "A oif = member LAN" [ lan_iface ] (Fwd.live_oifs a ~now:10.);
   Alcotest.(check (option int)) "A iif toward B" (Some 0) a.Fwd.iif;
-  Alcotest.(check bool) "A RP-timer started" true (a.Fwd.rp_deadline < infinity);
+  Alcotest.(check bool) "A RP-timer started" true (a.Fwd.timers.rp_deadline < infinity);
 
   let bb = Option.get (Fwd.find_star (Router.fib (Deployment.router dep 1)) g) in
   Alcotest.(check (list int)) "B oif toward A" [ 0 ] (Fwd.live_oifs bb ~now:10.);
