@@ -57,6 +57,10 @@ type jp_acc = {
   mutable sections : Message.join_prune list;
 }
 
+(* The time of the router's last sweep tick, in a record of floats only,
+   so that the sweep stores it unboxed. *)
+type clock = { mutable last_sweep : float }
+
 type t = {
   node : Topology.node;
   addr : Addr.t;
@@ -84,6 +88,9 @@ type t = {
   mutable local_members : (Group.t * Topology.iface) list;
   mutable jp_accs : jp_acc list;
       (* one per (iface, upstream) a refresh has used, ascending *)
+  clock : clock;
+  mutable hints_seen : int;  (* [Pim_igmp.Router.hint_changes] at the last sweep *)
+  mutable every_entry : bool;  (* sweeps visit every entry, due or not *)
 }
 
 let node t = t.node
@@ -177,13 +184,13 @@ let current_rp t g = Option.bind (Fwd.find_star t.fib g) (fun e -> e.Fwd.rp)
    handed to [f x y z]; returns its size.  [pruned] is [e]'s prune mask
    (its aux's), unused for a "(*,G)" entry. *)
 let walk_effective t (e : Fwd.entry) ~pruned ~exclude f x y z =
-  let star = if Fwd.is_star e then None else Fwd.find_star t.fib e.Fwd.group in
+  let star = if Fwd.is_star e then None else Fwd.star_of e in
   Olist.effective f x y z ~now:(now t) ~pruned ~star ~exclude e
 
 (* The shared-tree set used while an (S,G) entry's SPT bit is clear and
    data still arrives via the RP tree (section 3.5 first exception). *)
 let walk_shared t (e : Fwd.entry) ~pruned ~exclude f x y z =
-  match Fwd.find_star t.fib e.Fwd.group with
+  match Fwd.star_of e with
   | None -> 0
   | Some star -> Olist.shared f x y z ~now:(now t) ~pruned ~star ~exclude
 
@@ -242,7 +249,7 @@ let triggered_prune t e =
 (* The prune sent toward the RP when the SPT transition completes and the
    shared and shortest-path trees diverge at this router (section 3.3). *)
 let divergence_prune t (e : Fwd.entry) =
-  match (Fwd.find_star t.fib e.group, e.source) with
+  match (Fwd.star_of e, e.source) with
   | Some star, Some s when star.Fwd.iif <> e.Fwd.iif -> (
     let a = aux star in
     match a.upstream with
@@ -256,6 +263,19 @@ let divergence_prune t (e : Fwd.entry) =
 (* {1 Entry construction} *)
 
 let keepalive t e = Fwd.keepalive e ~now:(now t) ~linger:t.cfg.entry_linger
+
+(* Every sweep tick keeps an entry with a local oif alive ([sweep_entry]),
+   but a sweep visits such an entry only when something is due, so the
+   keepalive of the ticks that skipped it is applied here, before the
+   entry can lose its last local oif.  Applying only the last tick's is
+   exact: a keepalive never shortens the timer, and one made on a member's
+   arrival covers the ticks before it. *)
+let settle_keepalive t (e : Fwd.entry) =
+  if Fwd.has_local e then Fwd.keepalive e ~now:t.clock.last_sweep ~linger:t.cfg.entry_linger
+
+let entry_expiry t (e : Fwd.entry) =
+  let x = e.Fwd.timers.expires in
+  if Fwd.has_local e then Float.max x (t.clock.last_sweep +. t.cfg.entry_linger) else x
 
 let ensure_star t g ~rp =
   match Fwd.find_star t.fib g with
@@ -359,8 +379,10 @@ let drop_local_member t g ~iface =
     match Fwd.find_oif_exn e iface with
     | o ->
       let n = now t in
+      settle_keepalive t e;
       o.Fwd.local <- false;
-      if n < o.Fwd.expires then o.Fwd.expires <- n
+      if n < o.Fwd.expires then o.Fwd.expires <- n;
+      Fwd.touch e
     | exception Not_found -> ())
 
 let join_local t g = add_local_member t g ~iface:local_iface
@@ -387,10 +409,8 @@ let restart t =
   t.local_members <- [];
   List.iter (fun (g, iface) -> add_local_member t g ~iface) members
 
-let rec any_local = function (o : Fwd.oif) :: tl -> o.Fwd.local || any_local tl | [] -> false
-
 let has_local_members t g =
-  match Fwd.find_star t.fib g with None -> false | Some e -> any_local e.Fwd.oifs
+  match Fwd.find_star t.fib g with None -> false | Some e -> Fwd.has_local e
 
 (* {1 Data-packet forwarding (section 3.5)} *)
 
@@ -466,8 +486,11 @@ let spt_switch t g src =
 let own_host t src =
   match Addr.host_router_index_exn src with r -> r = t.node | exception Not_found -> false
 
-let maybe_spt_switch t g src =
-  if has_local_members t g && (not (Fwd.mem_sg t.fib g src)) && not (own_host t src) then
+(* [star] is the "(*,G)" entry a data packet from [src] matched, so the
+   router has no (S,G) entry for [src]; its local oifs are the group's
+   members here. *)
+let maybe_spt_switch t (star : Fwd.entry) g src =
+  if Fwd.has_local star && not (own_host t src) then
     match t.cfg.spt_policy with
     | Config.Never -> ()
     | Config.Immediate -> spt_switch t g src
@@ -518,7 +541,7 @@ let handle_data t ~iface pkt =
       keepalive t e;
       if Fwd.is_star e then begin
         if Fwd.iif_is e iface then begin
-          maybe_spt_switch t g src;
+          maybe_spt_switch t e g src;
           forward_data t e ~pruned:t.no_mask ~shared:false ~exclude:iface pkt
         end
         else begin
@@ -563,7 +586,7 @@ let handle_data t ~iface pkt =
              stragglers over the shared fallback; the identity ring in
              [forward_sg] suppresses the true duplicates (diagnosed from
              the seed=56517 capture; see test/test_replay.ml). *)
-          match Fwd.find_star t.fib g with
+          match Fwd.star_of e with
           | Some star when t.cfg.switchover_fallback && Fwd.iif_is star iface ->
             forward_sg t e pkt ~shared:true ~exclude:iface
           | _ ->
@@ -591,7 +614,7 @@ let handle_data t ~iface pkt =
       else begin
         (* SPT bit clear: fall back to the shared tree if the packet came
            over it (section 3.5, first exception). *)
-        match Fwd.find_star t.fib g with
+        match Fwd.star_of e with
         | Some star when Fwd.iif_is star iface ->
           forward_sg t e pkt ~shared:true ~exclude:iface
         | _ ->
@@ -788,6 +811,8 @@ let process_join t ~iface (je : Message.jp_entry) g =
           (Event.Rp_retarget { group = Group.to_string g; rp = Addr.to_string je.Message.addr });
       e.Fwd.rp <- Some je.Message.addr;
       e.Fwd.iif <- Option.map fst upstream;
+      Fwd.touch e;
+      settle_keepalive t e;
       (match e.Fwd.iif with Some i -> Fwd.remove_oif e i | None -> ());
       e.Fwd.timers.rp_deadline <- now t +. t.cfg.rp_timeout;
       (aux e).upstream <- upstream;
@@ -806,6 +831,7 @@ let process_join t ~iface (je : Message.jp_entry) g =
     match Fwd.find_sg_exn t.fib g je.Message.addr with
     | e when e.Fwd.rp_bit ->
       Iface_timers.clear (aux e).pruned iface;
+      Fwd.touch e;
       keepalive t e
     | _ | (exception Not_found) -> ()
   end
@@ -825,7 +851,10 @@ let window_removal t ~iface ~lan (e : Fwd.entry) =
   | o ->
     if lan then begin
       let until = now t +. t.cfg.prune_override_window in
-      if until < o.Fwd.expires then o.Fwd.expires <- until
+      if until < o.Fwd.expires then begin
+        o.Fwd.expires <- until;
+        Fwd.touch e
+      end
     end
     else begin
       Fwd.remove_oif e iface;
@@ -843,6 +872,7 @@ let process_prune t ~iface (pe : Message.jp_entry) g =
     let e = ensure_sg t g pe.Message.addr ~rp_bit:true in
     let a = aux e in
     Iface_timers.set a.pruned iface (now t +. t.cfg.oif_holdtime);
+    Fwd.touch e;
     if e.Fwd.rp_bit then begin
       keepalive t e;
       (* Propagate toward the RP once nothing downstream wants the
@@ -988,13 +1018,14 @@ let handle_rp_reach t ~iface pkt ~group ~rp =
     ignore (walk_effective t e ~pruned:t.no_mask ~exclude:iface send_ctrl t pkt ())
   | _ -> ()
 
-let originate_rp_reach t =
-  Fwd.iter t.fib (fun (e : Fwd.entry) ->
-      if Fwd.is_star e && rp_is e t.addr then begin
-        let pkt = Message.rp_reachability_packet ~src:t.addr ~group:e.Fwd.group ~rp:t.addr in
-        Counters.(incr t.counters ~node:t.node Rp_reach_sent);
-        ignore (walk_effective t e ~pruned:t.no_mask ~exclude:Topology.no_iface send_ctrl t pkt ())
-      end)
+let originate_star t (e : Fwd.entry) =
+  if rp_is e t.addr then begin
+    let pkt = Message.rp_reachability_packet ~src:t.addr ~group:e.Fwd.group ~rp:t.addr in
+    Counters.(incr t.counters ~node:t.node Rp_reach_sent);
+    ignore (walk_effective t e ~pruned:t.no_mask ~exclude:Topology.no_iface send_ctrl t pkt ())
+  end
+
+let originate_rp_reach t = Fwd.iter_stars t.fib originate_star t
 
 let rp_failover t (e : Fwd.entry) =
   let current = e.Fwd.rp in
@@ -1021,6 +1052,7 @@ let rp_failover t (e : Fwd.entry) =
     (* Only interfaces with directly-connected members survive the move to
        the new RP (section 3.9). *)
     e.Fwd.oifs <- List.filter (fun (o : Fwd.oif) -> o.local) e.Fwd.oifs;
+    Fwd.touch e;
     e.Fwd.timers.rp_deadline <- now t +. t.cfg.rp_timeout;
     (aux e).upstream <- upstream;
     keepalive t e;
@@ -1052,7 +1084,9 @@ let update_rpf t =
           | _ -> ());
           a.upstream <- fresh;
           e.Fwd.iif <- Option.map fst fresh;
+          Fwd.touch e;
           (* The new incoming interface must not remain an oif. *)
+          settle_keepalive t e;
           (match e.Fwd.iif with Some i -> Fwd.remove_oif e i | None -> ());
           triggered_join t e
         end)
@@ -1195,7 +1229,7 @@ let refresh_entry t n (e : Fwd.entry) =
       (* Periodically re-assert the shared-tree prune for diverged
          sources (section 3.4). *)
       if e.Fwd.spt_bit then begin
-        match (Fwd.find_star t.fib g, e.Fwd.source) with
+        match (Fwd.star_of e, e.Fwd.source) with
         | Some star, Some s when star.Fwd.iif <> e.Fwd.iif -> (
           match (aux star).upstream with
           | Some (siface, sup) -> add_prune t siface sup g (Message.jp_entry ~rp:true s)
@@ -1240,14 +1274,29 @@ let rp_stale t (e : Fwd.entry) =
   | Some cur -> ( match rps_for t e.Fwd.group with [] -> false | rps -> not (mem_addr cur rps))
   | None -> false
 
-let sweep_entry t n (e : Fwd.entry) =
+(* When the entry is next due: its own, its "(*,G)"'s and its prune mask's
+   deadlines — or the next tick [again]: after a failover rewrote it, and
+   while its RP's mapping lacks the RP, as each of those ticks retries the
+   failover. *)
+let plan_sweep e a ~again ~now =
+  Fwd.plan_due e;
+  if Iface_timers.count a.pruned > 0 then Fwd.due_by e (Iface_timers.earliest a.pruned);
+  if again then Fwd.due_by e now
+
+(* One entry's share of a sweep tick, at an entry that is due
+   ([Fwd.iter_due]).  A tick that skips an entry changes nothing a visit
+   would: nothing it reads of its group was written since its last visit
+   ([Fwd.touch]), the RP mapping may not have moved ([sweep]), and no
+   timer it reads has run out ([plan_sweep]). *)
+let sweep_entry t (e : Fwd.entry) =
+  let n = now t in
   let a = aux e in
   (* Expired shared-tree prune masks grow back (section 1.1 style soft
      state). *)
   Iface_timers.expire a.pruned ~now:n;
   (* Directly connected members are authoritative: their presence keeps
      the entry alive without downstream joins (section 3.1). *)
-  if any_local e.Fwd.oifs then keepalive t e;
+  if Fwd.has_local e then keepalive t e;
   ignore (Fwd.prune_expired_oifs e ~now:n);
   (* "When the outgoing interface list is null a prune message is sent
      upstream" (section 3.6).  The effective list counts inherited
@@ -1261,9 +1310,11 @@ let sweep_entry t n (e : Fwd.entry) =
      RP stopped proving liveness (deadline passed), or a dynamic mapping
      change dropped it from the group's RP list — in which case re-target
      immediately rather than waiting out the reachability timeout. *)
-  if Fwd.is_star e && any_local e.Fwd.oifs && (rp_stale t e || e.Fwd.timers.rp_deadline < n) then
-    rp_failover t e;
-  if e.Fwd.timers.expires < n then delete_entry t e
+  let failover =
+    Fwd.is_star e && Fwd.has_local e && (rp_stale t e || e.Fwd.timers.rp_deadline < n)
+  in
+  if failover then rp_failover t e;
+  if e.Fwd.timers.expires < n then delete_entry t e else plan_sweep e a ~again:failover ~now:n
 
 (* Memberships recorded before any RP mapping was known (election still
    converging at join time): retry until one appears. *)
@@ -1281,10 +1332,21 @@ let rec retry_members t n = function
     retry_members t n tl
   | [] -> ()
 
+(* A tick visits the entries that are due, in [Fwd.iter] order.  Every
+   entry is due when the group-to-RP mapping may have moved since the last
+   tick ([is_rp_for] and [rp_stale] read it): always under an elected
+   mapping, whose lookups also age its records, and after an IGMP report
+   changed an RP hint. *)
 let sweep t =
   let n = now t in
-  Fwd.iter t.fib (fun e -> sweep_entry t n e);
+  t.clock.last_sweep <- n;
+  let hints = Pim_igmp.Router.hint_changes t.igmp in
+  let all = t.every_entry || hints <> t.hints_seen || Option.is_some t.rp_lookup in
+  t.hints_seen <- hints;
+  Fwd.iter_due t.fib ~now:n ~all sweep_entry t;
   retry_members t n t.local_members
+
+let visit_every_entry t = t.every_entry <- true
 
 (* {1 Packet dispatch} *)
 
@@ -1332,6 +1394,9 @@ let create ?(config = Config.default) ?igmp_config ?trace ?rp_lookup ~net ~rib ~
       proxy_ifaces = [];
       local_members = [];
       jp_accs = [];
+      clock = { last_sweep = neg_infinity };
+      hints_seen = 0;
+      every_entry = false;
     }
   in
   Net.set_handler net node (fun ~iface pkt -> handle_packet t ~iface pkt);

@@ -112,7 +112,21 @@ val periodic_refresh : t -> unit
 val sweep : t -> unit
 (** One soft-state sweep (sections 3.4, 3.6): expire prune masks, oifs
     and entries, prune when an oif list empties, fail over to another RP.
-    The router's own timer runs it every [sweep_interval]. *)
+    The router's own timer runs it every [sweep_interval].  It visits only
+    the entries with something due ({!Pim_mcast.Fwd.iter_due}) and leaves
+    the FIB, the messages sent and {!entry_expiry} exactly as a visit of
+    every entry would. *)
+
+val visit_every_entry : t -> unit
+(** Make every later {!sweep} visit every entry, due or not: the
+    reference the due-driven sweep is checked against
+    ([test/sweep_reference.ml]). *)
+
+val entry_expiry : t -> Pim_mcast.Fwd.entry -> float
+(** When the sweep would delete the entry if nothing refreshed it: its
+    entry timer, extended to the last sweep tick plus [entry_linger]
+    while it has a directly-connected member (every tick keeps such an
+    entry alive; a skipped tick applies that keepalive lazily). *)
 
 val restart : t -> unit
 (** Crash-and-reboot: wipe the forwarding table and every per-entry

@@ -20,6 +20,7 @@ type t = {
   cfg : config;
   members : (Topology.iface * Group.t, float) Hashtbl.t;  (* expiry *)
   rp_hints : (Group.t, Addr.t list) Hashtbl.t;
+  mutable hint_changes : int;  (* times a report changed a group's hint *)
   join_cbs : (iface:Topology.iface -> Group.t -> unit) Pim_util.Vec.t;
   leave_cbs : (iface:Topology.iface -> Group.t -> unit) Pim_util.Vec.t;
 }
@@ -59,11 +60,18 @@ let sweep t =
       Pim_util.Vec.iter (fun f -> f ~iface g) t.leave_cbs)
     dead
 
+let rp_hint t g = Option.value (Hashtbl.find_opt t.rp_hints g) ~default:[]
+
+let hint_changes t = t.hint_changes
+
 let handle_report t ~iface (r : Message.report) =
   let g = r.Message.group in
   let fresh = not (Hashtbl.mem t.members (iface, g)) in
   Hashtbl.replace t.members (iface, g) (Engine.now t.eng +. hold_time t.cfg);
-  if r.Message.rps <> [] then Hashtbl.replace t.rp_hints g r.Message.rps;
+  if r.Message.rps <> [] && not (List.equal Addr.equal r.Message.rps (rp_hint t g)) then begin
+    Hashtbl.replace t.rp_hints g r.Message.rps;
+    t.hint_changes <- t.hint_changes + 1
+  end;
   if fresh then Pim_util.Vec.iter (fun f -> f ~iface g) t.join_cbs
 
 let handle_packet t ~iface pkt =
@@ -83,6 +91,7 @@ let create ?(config = default_config) net ~node =
       cfg = config;
       members = Hashtbl.create 16;
       rp_hints = Hashtbl.create 8;
+      hint_changes = 0;
       join_cbs = Pim_util.Vec.create ();
       leave_cbs = Pim_util.Vec.create ();
     }
@@ -107,8 +116,6 @@ let member_ifaces t g =
 let groups t =
   Hashtbl.fold (fun (_, g) _ acc -> g :: acc) t.members []
   |> List.sort_uniq Group.compare
-
-let rp_hint t g = Option.value (Hashtbl.find_opt t.rp_hints g) ~default:[]
 
 let on_join t f = Pim_util.Vec.push t.join_cbs f
 

@@ -41,6 +41,11 @@ val rp_hint : t -> Pim_net.Group.t -> Pim_net.Addr.t list
 (** G->RP mapping most recently advertised by a local member's report
     (empty when hosts supplied none). *)
 
+val hint_changes : t -> int
+(** How many reports have changed some group's {!rp_hint}: a reader of
+    the hints that remembers this count knows whether any may have
+    moved since. *)
+
 val on_join : t -> (iface:Pim_graph.Topology.iface -> Pim_net.Group.t -> unit) -> unit
 (** Fired when a group gains its first live member on an interface. *)
 

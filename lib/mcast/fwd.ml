@@ -14,6 +14,7 @@ type ext += No_ext
 type timers = {
   mutable expires : float;
   mutable rp_deadline : float;
+  mutable due : float;
 }
 
 type entry = {
@@ -27,6 +28,14 @@ type entry = {
   mutable spt_bit : bool;
   timers : timers;
   mutable ext : ext;
+  mutable home : slot;
+}
+
+(* Per-group slot: the "(*,G)" entry plus the (S,G) list kept sorted by
+   source address, so group-local enumeration needs no sort. *)
+and slot = {
+  mutable star : entry option;
+  mutable sgs : entry list;
 }
 
 let make_star ~group ~rp ~iif ~expires =
@@ -39,8 +48,9 @@ let make_star ~group ~rp ~iif ~expires =
     wc_bit = true;
     rp_bit = true;
     spt_bit = false;
-    timers = { expires; rp_deadline = infinity };
+    timers = { expires; rp_deadline = infinity; due = neg_infinity };
     ext = No_ext;
+    home = { star = None; sgs = [] };
   }
 
 let make_sg ~group ~source ?rp ?(rp_bit = false) ~iif ~expires () =
@@ -53,11 +63,27 @@ let make_sg ~group ~source ?rp ?(rp_bit = false) ~iif ~expires () =
     wc_bit = false;
     rp_bit;
     spt_bit = false;
-    timers = { expires; rp_deadline = infinity };
+    timers = { expires; rp_deadline = infinity; due = neg_infinity };
     ext = No_ext;
+    home = { star = None; sgs = [] };
   }
 
 let is_star e = e.source = None
+
+let rec due_now = function
+  | e :: tl ->
+    e.timers.due <- neg_infinity;
+    due_now tl
+  | [] -> ()
+
+(* A sweep of a "(*,G)" reads its own state only, and one of an (S,G) its
+   own and its "(*,G)"'s: so a write to a "(*,G)" makes its (S,G)s due
+   too. *)
+let touch e =
+  e.timers.due <- neg_infinity;
+  if is_star e then due_now e.home.sgs
+
+let star_of e = e.home.star
 
 (* [x] stays unboxed: [timers] is an all-float record, stored flat, so
    the store allocates nothing and adds no old entry to the remembered
@@ -83,12 +109,19 @@ let rec ins_oif iface ~expires ~local = function
   | o :: tl when o.iface < iface -> o :: ins_oif iface ~expires ~local tl
   | l -> { iface; expires; local } :: l
 
+(* Only a new oif or a newly set [local] flag changes what a sweep sees;
+   an extended timer just makes the entry due earlier than it needs. *)
 let add_oif e iface ~expires ~local =
   match oif_in iface e.oifs with
   | o ->
     if expires > o.expires then o.expires <- expires;
-    if local then o.local <- true
-  | exception Not_found -> e.oifs <- ins_oif iface ~expires ~local e.oifs
+    if local && not o.local then begin
+      o.local <- true;
+      touch e
+    end
+  | exception Not_found ->
+    e.oifs <- ins_oif iface ~expires ~local e.oifs;
+    touch e
 
 (* [l] without [iface]'s oif, which it holds. *)
 let rec drop_oif iface = function
@@ -97,7 +130,11 @@ let rec drop_oif iface = function
 
 let rec has_oif iface = function o :: tl -> o.iface = iface || has_oif iface tl | [] -> false
 
-let remove_oif e iface = if has_oif iface e.oifs then e.oifs <- drop_oif iface e.oifs
+let remove_oif e iface =
+  if has_oif iface e.oifs then begin
+    e.oifs <- drop_oif iface e.oifs;
+    touch e
+  end
 
 let not_iif e i = match e.iif with Some j -> j <> i | None -> true
 
@@ -108,6 +145,10 @@ let is_live e o ~now = oif_live o ~now && not_iif e o.iface
 let expired o ~now = not (oif_live o ~now)
 
 let skip _ _ _ _ = ()
+
+let rec any_local = function o :: tl -> o.local || any_local tl | [] -> false
+
+let has_local e = any_local e.oifs
 
 (* Top-level recursions with explicit arguments rather than local closures:
    the emptiness tests below allocate nothing. *)
@@ -127,6 +168,8 @@ let rec drop_expired ~now = function
   | o :: tl -> if expired o ~now then drop_expired ~now tl else o :: drop_expired ~now tl
   | [] -> []
 
+(* No {!touch}: the oifs dropped were already dead, so no walk's result
+   changes, and their deadlines made every entry that inherits them due. *)
 let prune_expired_oifs e ~now =
   any_expired ~now e.oifs
   && begin
@@ -157,13 +200,6 @@ let pp_entry ppf e =
     (match e.iif with None -> "-" | Some i -> string_of_int i)
     oifs flags
     (match e.rp with None -> "-" | Some rp -> Addr.to_string rp)
-
-(* Per-group slot: the "(*,G)" entry plus the (S,G) list kept sorted by
-   source address, so group-local enumeration needs no sort. *)
-type slot = {
-  mutable star : entry option;
-  mutable sgs : entry list;
-}
 
 (* The FIB is keyed by dense group id from a per-FIB interner: router
    state for G lives at [slots.(gid)], an array index instead of a
@@ -264,6 +300,8 @@ let insert t e =
       | [] -> [ e ]
     in
     sl.sgs <- ins sl.sgs);
+  e.home <- sl;
+  touch e;
   t.size <- t.size + 1
 
 let remove t g s =
@@ -271,7 +309,12 @@ let remove t g s =
   if gid >= 0 then begin
     let sl = t.slots.(gid) in
     match s with
-    | None -> if sl.star <> None then begin sl.star <- None; t.size <- t.size - 1 end
+    | None ->
+      if sl.star <> None then begin
+        sl.star <- None;
+        due_now sl.sgs;
+        t.size <- t.size - 1
+      end
     | Some s ->
       let before = List.length sl.sgs in
       sl.sgs <-
@@ -302,6 +345,40 @@ let iter t f =
     (match sl.star with Some e -> f e | None -> ());
     List.iter f sl.sgs
   done
+
+let iter_stars t f x =
+  for k = 0 to Group.Interner.count t.interner - 1 do
+    match t.slots.(t.order.(k)).star with Some e -> f x e | None -> ()
+  done
+
+let rec visit_due f x ~now ~all = function
+  | e :: tl ->
+    if all || now >= e.timers.due then f x e;
+    visit_due f x ~now ~all tl
+  | [] -> ()
+
+let iter_due t ~now ~all f x =
+  for k = 0 to Group.Interner.count t.interner - 1 do
+    let sl = t.slots.(t.order.(k)) in
+    (match sl.star with Some e when all || now >= e.timers.due -> f x e | _ -> ());
+    visit_due f x ~now ~all sl.sgs
+  done
+
+(* The earliest non-local deadline among [l], or [d]: boxed floats are
+   passed and chosen, never built, so the walk allocates nothing. *)
+let rec oif_deadline d = function
+  | o :: tl -> oif_deadline (if (not o.local) && o.expires < d then o.expires else d) tl
+  | [] -> d
+
+let plan_due e =
+  let d = oif_deadline infinity e.oifs in
+  let d = match star_of e with Some s when not (is_star e) -> oif_deadline d s.oifs | _ -> d in
+  let tm = e.timers in
+  tm.due <- d;
+  if has_local e then begin if tm.rp_deadline < tm.due then tm.due <- tm.rp_deadline end
+  else if tm.expires < tm.due then tm.due <- tm.expires
+
+let due_by e d = if d < e.timers.due then e.timers.due <- d
 
 let entries t =
   let acc = ref [] in

@@ -30,6 +30,9 @@ type ext += No_ext  (** nothing attached yet *)
 type timers = {
   mutable expires : float;  (** entry timer *)
   mutable rp_deadline : float;  (** RP-reachability timer ("(*,G)" at routers with members) *)
+  mutable due : float;
+      (** when a due-driven walk ({!iter_due}) must next visit the entry
+          ({!plan_due}); [neg_infinity] when made and after a {!touch} *)
 }
 (** An entry's own timers.  All fields are floats, so OCaml stores the
     record flat: refreshing a timer writes the float in place, with no
@@ -46,7 +49,17 @@ type entry = {
   mutable spt_bit : bool;
   timers : timers;  (** [rp_deadline] starts at [infinity] *)
   mutable ext : ext;  (** [No_ext] when made *)
+  mutable home : slot;
+      (** the FIB group slot it was inserted into ({!star_of}); until
+          then, an empty slot of its own.  Kept by the FIB.  An inserted
+          entry is reachable from itself through its slot, so compare
+          entries with [==] or by key ({!compare_entry}), never with
+          polymorphic [=] or [compare], which may not terminate. *)
 }
+
+and slot
+(** A FIB's state for one group: its "(*,G)" and its (S,G)s.  A slot
+    lives as long as its FIB. *)
 
 val make_star :
   group:Pim_net.Group.t ->
@@ -68,6 +81,25 @@ val make_sg :
 (** An (S,G) entry; SPT bit initially cleared (section 3.3). *)
 
 val is_star : entry -> bool
+
+val star_of : entry -> entry option
+(** The "(*,G)" entry of [e]'s group in the FIB [e] was inserted into —
+    [find_star fib e.group], reached through [e]'s slot without hashing
+    the group, also once [e] is removed.  [None] for an entry never
+    inserted. *)
+
+val touch : entry -> unit
+(** Mark a write to [e] that a sweep reads, so that {!iter_due} visits
+    [e] at its next walk, and every (S,G) of [e]'s group too when [e] is
+    a "(*,G)" (an (S,G)'s sweep reads its "(*,G)", and no entry reads an
+    (S,G) but itself): a write to [iif] or [rp], an oif timer shortened
+    or its [local] flag cleared, a prune mask set or cleared, an oif list
+    filtered by hand.  ([spt_bit] steers the data path and the refresh,
+    not the sweep.)  It makes the entries due at once ([due] is
+    [neg_infinity]).  {!add_oif} (a new oif or a newly set [local]),
+    {!remove_oif}, {!insert}, and {!remove} of a "(*,G)" mark their own
+    writes; a removed (S,G) is read by none, and {!clear} leaves nothing
+    to visit. *)
 
 val keepalive : entry -> now:float -> linger:float -> unit
 (** Extend the entry timer to [now +. linger]; never shortens it.
@@ -97,6 +129,10 @@ val skip : 'a -> 'b -> 'c -> Pim_graph.Topology.iface -> unit
     [f x y z i] per interface and return the count): passing it asks only
     whether, or how often, the walk would forward. *)
 
+val has_local : entry -> bool
+(** Some oif of [e] is [local]: the entry serves directly-connected
+    members. *)
+
 val live_oifs : entry -> now:float -> Pim_graph.Topology.iface list
 (** Interfaces whose timers have not expired, excluding the entry's iif,
     in ascending order. *)
@@ -106,7 +142,20 @@ val has_live_oif : entry -> now:float -> bool
 
 val prune_expired_oifs : entry -> now:float -> bool
 (** Drop expired, non-local oifs; returns true if any were dropped.  When
-    none has expired the list is left as it is. *)
+    none has expired the list is left as it is.  Not a {!touch}: the oifs
+    dropped were dead already, and their deadlines were in the [due] of
+    every entry that reads them. *)
+
+val plan_due : entry -> unit
+(** Set [e.timers.due] to the earliest time at which time alone changes
+    what a sweep sees of [e]: a non-local oif deadline of [e] or, for an
+    (S,G), of its "(*,G)" ({!star_of}); then, if [e] has a [local] oif,
+    its [rp_deadline] (members keep the entry alive and watch their RP),
+    otherwise its entry timer.  It overwrites a {!touch}'s mark.
+    Allocates nothing. *)
+
+val due_by : entry -> float -> unit
+(** [due_by e d] makes [e] due no later than [d]. *)
 
 val pp_entry : Format.formatter -> entry -> unit
 
@@ -151,6 +200,21 @@ val iter : t -> (entry -> unit) -> unit
     [f] may remove the entry it is given, and no other; the walk then
     visits exactly the entries a walk over a snapshot would.  [f] must
     insert nothing. *)
+
+val iter_stars : t -> ('a -> entry -> unit) -> 'a -> unit
+(** [iter_stars t f x] applies [f x] to every "(*,G)" entry, in {!iter}
+    order, without visiting an (S,G).  [f] may remove the entry it is
+    given, and must insert nothing. *)
+
+val iter_due : t -> now:float -> all:bool -> ('a -> entry -> unit) -> 'a -> unit
+(** [iter_due t ~now ~all f x] applies [f x], in {!iter} order and under
+    its contract, to the entries that are due: every entry when [all],
+    otherwise those with [now >= e.timers.due] — planned ({!plan_due}),
+    or marked by a {!touch} since.  [f] should plan the entry it keeps;
+    since the plan overwrites a touch, [f] must itself make the entry due
+    at once ({!due_by}) when it wrote what its next visit must see.  A
+    "(*,G)" comes before its (S,G)s, so a touch of it during [f] makes
+    them due in the same walk.  The walk allocates nothing. *)
 
 val entries : t -> entry list
 (** The entries {!iter} visits, in its order, as a list. *)

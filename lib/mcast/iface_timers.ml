@@ -53,4 +53,14 @@ let expire t ~now =
       end
     done
 
+(* [d < m] is false for a nan (absent) slot. *)
+let earliest t =
+  let m = ref infinity in
+  if t.count > 0 then
+    for k = 0 to Array.length t.at - 1 do
+      let d = Array.unsafe_get t.at k in
+      if d < !m then m := d
+    done;
+  !m
+
 let count t = t.count

@@ -45,5 +45,9 @@ val expire : t -> now:float -> unit
 (** Remove, in place, every interface whose deadline is at or before
     [now] — exactly those {!live} calls not live at [now]. *)
 
+val earliest : t -> float
+(** The earliest deadline present, expired or not; [infinity] when none
+    is. *)
+
 val count : t -> int
 (** How many interfaces are present (expired or not). *)

@@ -847,7 +847,8 @@ let test_forwarding_alloc_budget () =
    before the in-place walks 110.3), and the PIM-SM sweep once the entry
    timers moved into a flat float record, so re-arming one boxes nothing
    (0.43; 1.06 before, 3.86 with hash-table masks, 36.5 before the
-   in-place walks), with a refresh that builds its sections group by group on
+   in-place walks; 0.02 since it visits only the entries with something
+   due, and 0 on a tick with nothing due), with a refresh that builds its sections group by group on
    per-upstream accumulators (PIM-SM refresh 20.3; 77.8 with a table of
    buckets and two sorts per tick, 110.4 before the in-place walk), and
    with a CBT tick that walks its group-ordered entry array in place
@@ -910,6 +911,13 @@ let test_tick_alloc_budget () =
   let tick = tick_words ~rounds:5 ~routers ~entries ~drain:(drain eng) in
   check "PIM-SM sweep" (tick Pim_core.Router.sweep) 0.5;
   check "PIM-SM refresh" (tick Pim_core.Router.periodic_refresh) 22.;
+  (* A second sweep at the same instant finds every entry planned past it:
+     nothing is due, and the tick allocates nothing. *)
+  Array.iter Pim_core.Router.sweep routers;
+  let w0 = Gc.minor_words () in
+  Array.iter Pim_core.Router.sweep routers;
+  let idle = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) (Printf.sprintf "PIM-SM sweep with nothing due: %.0f words" idle) 0. idle;
   (* PIM-DM: one flooded packet per group builds the (S,G) entries and
      the prunes; no data while measuring. *)
   let eng, net = setup () in
@@ -1046,7 +1054,28 @@ let test_entry_words () =
   refresh times;
   let words = Gc.minor_words () -. w0 in
   Alcotest.(check (float 0.)) "keepalive moved the timer" 102.5 e.Fwd.timers.expires;
-  Alcotest.(check (float 0.)) (Printf.sprintf "100 keepalives: %.0f words" words) 0. words
+  Alcotest.(check (float 0.)) (Printf.sprintf "100 keepalives: %.0f words" words) 0. words;
+  (* The sweep's plan lives in the same flat record: planning reads the
+     entry's, its "(*,G)"'s and its oifs' timers in place and writes the
+     due time unboxed. *)
+  let fib = Fwd.create () in
+  let star =
+    Fwd.make_star ~group:(Pim_net.Group.of_index 1) ~rp:(Pim_net.Addr.router 2) ~iif:None
+      ~expires:50.
+  in
+  Fwd.insert fib star;
+  Fwd.insert fib e;
+  Fwd.add_oif star 2 ~expires:40. ~local:false;
+  Fwd.add_oif e 1 ~expires:30. ~local:false;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    Fwd.plan_due e
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "planned at the earliest oif deadline" 30. e.Fwd.timers.due;
+  Alcotest.(check (float 0.)) (Printf.sprintf "100 plans: %.0f words" words) 0. words;
+  Alcotest.(check bool) "timer record stays flat" true
+    (Obj.tag (Obj.repr e.Fwd.timers) = Obj.double_array_tag)
 
 let () =
   Alcotest.run "pim_exp"

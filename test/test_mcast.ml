@@ -213,6 +213,89 @@ let prop_fib_iter_order =
       && keys (Fwd.entries fib) = keys survivors
       && Fwd.count fib = List.length survivors)
 
+(* [Fwd.star_of] against a lookup by group: over random inserts, removes
+   and clears, every entry ever inserted, removed ones included, reaches
+   through its slot the "(*,G)" that [find_star] finds for its group. *)
+let prop_fib_star_of =
+  QCheck.Test.make ~name:"fib: star_of is find_star" ~count:300
+    QCheck.(pair (int_bound 100000) (int_range 1 80))
+    (fun (seed, steps) ->
+      let prng = Pim_util.Prng.create seed in
+      let fib = Fwd.create () in
+      let seen = ref [] in
+      let linked (e : Fwd.entry) =
+        match (Fwd.star_of e, Fwd.find_star fib e.Fwd.group) with
+        | Some a, Some b -> a == b
+        | None, None -> true
+        | _ -> false
+      in
+      let ok = ref true in
+      for _ = 1 to steps do
+        let group = Group.of_index (Pim_util.Prng.int prng 5) in
+        let source =
+          if Pim_util.Prng.int prng 3 = 0 then None
+          else Some (Addr.host ~router:(Pim_util.Prng.int prng 4) 1)
+        in
+        (match Pim_util.Prng.int prng 10 with
+        | 0 -> Fwd.clear fib
+        | 1 | 2 | 3 -> Fwd.remove fib group source
+        | _ ->
+          let present =
+            match source with None -> Fwd.find_star fib group <> None | Some s -> Fwd.mem_sg fib group s
+          in
+          if not present then begin
+            let e =
+              match source with
+              | None -> Fwd.make_star ~group ~rp ~iif:None ~expires:1.
+              | Some source -> Fwd.make_sg ~group ~source ~iif:None ~expires:1. ()
+            in
+            if Fwd.star_of e <> None then ok := false;
+            Fwd.insert fib e;
+            seen := e :: !seen
+          end);
+        if not (List.for_all linked !seen) then ok := false
+      done;
+      !ok)
+
+(* [Fwd.iter_due] visits an entry when its group changed since its last
+   visit or its [due] time has come, and [Fwd.iter_stars] only the
+   "(*,G)"s, both in [Fwd.iter] order. *)
+let test_fib_iter_due () =
+  let fib = Fwd.create () in
+  let g1 = Group.of_index 1 and g2 = Group.of_index 2 in
+  let star1 = Fwd.make_star ~group:g1 ~rp ~iif:None ~expires:10. in
+  let sg1 = Fwd.make_sg ~group:g1 ~source:(Addr.host ~router:1 1) ~iif:None ~expires:10. () in
+  let star2 = Fwd.make_star ~group:g2 ~rp ~iif:None ~expires:20. in
+  List.iter (Fwd.insert fib) [ sg1; star2; star1 ];
+  let walk ~now ~all =
+    let v = ref [] in
+    Fwd.iter_due fib ~now ~all
+      (fun () (e : Fwd.entry) ->
+        v := e :: !v;
+        ignore (Fwd.prune_expired_oifs e ~now);
+        Fwd.plan_due e)
+      ();
+    List.rev !v
+  in
+  let same = Alcotest.(check (list bool)) in
+  let is l = List.map (fun e -> List.memq e l) [ star1; sg1; star2 ] in
+  same "new entries are due" [ true; true; true ] (is (walk ~now:1. ~all:false));
+  same "nothing due" [ false; false; false ] (is (walk ~now:2. ~all:false));
+  let order l = List.length l = 3 && List.for_all2 ( == ) l [ star1; sg1; star2 ] in
+  Alcotest.(check bool) "all visits every entry, in order" true (order (walk ~now:2. ~all:true));
+  Fwd.add_oif star1 3 ~expires:5. ~local:false;
+  same "a new oif makes its group due" [ true; true; false ] (is (walk ~now:2. ~all:false));
+  same "its deadline is the (S,G)'s too" [ false; false; false ] (is (walk ~now:4.9 ~all:false));
+  same "deadline reached" [ true; true; false ] (is (walk ~now:5. ~all:false));
+  Fwd.touch star2;
+  same "touch" [ false; false; true ] (is (walk ~now:6. ~all:false));
+  Fwd.touch sg1;
+  same "an (S,G)'s touch is its own" [ false; true; false ] (is (walk ~now:6. ~all:false));
+  same "entry timer" [ true; true; false ] (is (walk ~now:10. ~all:false));
+  let stars = ref [] in
+  Fwd.iter_stars fib (fun () e -> stars := e :: !stars) ();
+  Alcotest.(check bool) "iter_stars" true (List.length !stars = 2 && List.for_all2 ( == ) !stars [ star2; star1 ])
+
 (* The oif list as it was kept before [add_oif] sorted it: newest first,
    with [live_oifs] filtering, mapping and sorting on every call.  The
    sorted list must answer exactly as this reference does. *)
@@ -458,6 +541,8 @@ let () =
           Alcotest.test_case "group entries order" `Quick test_fib_group_entries_order;
           QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_fib_find_after_insert;
           QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_fib_iter_order;
+          QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_fib_star_of;
+          Alcotest.test_case "iter_due and iter_stars" `Quick test_fib_iter_due;
         ] );
       ( "timers",
         [

@@ -763,6 +763,13 @@ let () =
           Alcotest.test_case "join suppression (3.7)" `Quick test_lan_join_suppression;
           Alcotest.test_case "prune override (3.7)" `Quick test_lan_prune_override;
         ] );
+      ( "sweep",
+        [
+          Alcotest.test_case "pinned seeds" `Quick Sweep_reference.test_pinned;
+          QCheck_alcotest.to_alcotest (Sweep_reference.prop Sweep_reference.Static ~count:40);
+          QCheck_alcotest.to_alcotest (Sweep_reference.prop Sweep_reference.Elected ~count:8);
+          QCheck_alcotest.to_alcotest (Sweep_reference.prop Sweep_reference.Hints ~count:20);
+        ] );
       ( "general",
         [
           Alcotest.test_case "group isolation" `Quick test_group_isolation;
