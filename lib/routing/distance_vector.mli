@@ -31,8 +31,8 @@ val metric : t -> Pim_graph.Topology.node -> Pim_graph.Topology.node -> int opti
 
 val converged : t -> against:int array array -> bool
 (** True when every router's table matches the given distance matrix
-    (typically {!Static.distance_matrix} of the same network) — used by
-    tests to assert convergence. *)
+    (typically each router's {!Pim_graph.Spt.single_source} distances over
+    the same live network) — used by tests to assert convergence. *)
 
 val message_count : t -> int
 (** Total advertisements sent since creation (control overhead). *)

@@ -4,13 +4,11 @@ module Net = Pim_sim.Net
 module Bitset = Pim_util.Bitset
 module Vec = Pim_util.Vec
 
-(* One router's routes: its shortest-path tree as unboxed arrays indexed
-   by destination, -1 where there is no route.  The first hop toward a
+(* One router's routes: its shortest-path tree, one packed word per
+   destination (see [create] for the fields).  The first hop toward a
    destination is found on lookup, by walking parents up to the root. *)
 type table = {
-  dist : int array;  (* max_int when unreachable *)
-  parent : int array;
-  via : int array;  (* link from [parent] *)
+  words : int array;
   asked : Bitset.t;  (* destinations the router has looked up *)
 }
 
@@ -21,27 +19,49 @@ type t = {
   tables : table option array;  (* per router, built on its first lookup *)
   subs : (unit -> unit) Vec.t array;  (* per router *)
   mutable dijkstras : int;
+  node_bits : int;  (* width of parent + 1, the lowest field *)
+  node_mask : int;
+  link_mask : int;  (* via + 1, above it *)
+  dist_shift : int;  (* distance, the rest; all ones when unreachable *)
+  unreachable : int;
 }
+
+(* The fields of a packed word, in [Spt.tree]'s terms: [max_int] for an
+   unreachable distance, -1 for no parent or link. *)
+let[@inline] parent t w = (w land t.node_mask) - 1
+let[@inline] via t w = ((w lsr t.node_bits) land t.link_mask) - 1
+
+let[@inline] dist t w =
+  let d = w lsr t.dist_shift in
+  if d = t.unreachable then max_int else d
 
 let build t u ~asked =
   let tree = Spt.single_source_into ~usable:t.usable t.scratch t.topo u in
   t.dijkstras <- t.dijkstras + 1;
-  {
-    dist = Array.copy tree.Spt.dist;
-    parent = Array.copy tree.Spt.parent;
-    via = Array.copy tree.Spt.via;
-    asked;
-  }
+  let n = Array.length tree.Spt.dist in
+  let words = Array.make n 0 in
+  for d = 0 to n - 1 do
+    let dd = tree.Spt.dist.(d) in
+    words.(d) <-
+      ((if dd = max_int then t.unreachable else dd) lsl t.dist_shift)
+      lor ((tree.Spt.via.(d) + 1) lsl t.node_bits)
+      lor (tree.Spt.parent.(d) + 1)
+  done;
+  { words; asked }
 
 (* The first router on the path from [tb]'s root to [d], -1 for the root
    and unreachable nodes: the node on that path whose parent is the root,
    the only node at distance 0. *)
-let hop tb d =
-  if tb.parent.(d) < 0 then -1
+let hop t tb d =
+  let words = tb.words in
+  let p = parent t words.(d) in
+  if p < 0 then -1
   else begin
-    let v = ref d in
-    while tb.dist.(tb.parent.(!v)) > 0 do
-      v := tb.parent.(!v)
+    let v = ref d and p = ref p in
+    (* A parent is reachable, so its raw distance field is its distance. *)
+    while words.(!p) lsr t.dist_shift > 0 do
+      v := !p;
+      p := parent t words.(!p)
     done;
     !v
   end
@@ -62,20 +82,22 @@ let table t u =
    edge over [lids] reaches a node sooner than its parent, or as soon
    but from earlier in that order. *)
 let still_valid t tb lids =
+  let dist_of v = dist t tb.words.(v) and parent_of v = parent t tb.words.(v) in
+  let via_of v = via t tb.words.(v) in
   let earlier a lid b =
-    let p = tb.parent.(b) in
-    tb.dist.(a) < tb.dist.(p)
-    || (tb.dist.(a) = tb.dist.(p)
+    let p = parent_of b in
+    dist_of a < dist_of p
+    || (dist_of a = dist_of p
        && (a < p
           || (a = p
-             && Topology.iface_of_link t.topo a lid < Topology.iface_of_link t.topo a tb.via.(b))))
+             && Topology.iface_of_link t.topo a lid < Topology.iface_of_link t.topo a (via_of b))))
   in
   let edge_holds lid cost a b =
-    if tb.via.(b) = lid && tb.parent.(b) = a then t.usable a b lid
-    else if not (t.usable a b lid) || tb.dist.(a) = max_int then true
+    if via_of b = lid && parent_of b = a then t.usable a b lid
+    else if not (t.usable a b lid) || dist_of a = max_int then true
     else
-      let d = tb.dist.(a) + cost in
-      d > tb.dist.(b) || (d = tb.dist.(b) && (tb.parent.(b) < 0 || not (earlier a lid b)))
+      let d = dist_of a + cost in
+      d > dist_of b || (d = dist_of b && (parent_of b < 0 || not (earlier a lid b)))
   in
   List.for_all
     (fun lid ->
@@ -88,13 +110,16 @@ let still_valid t tb lids =
 (* Same distance and first hop toward every destination [a] asked about.
    The interface toward a hop is the router's interface on the hop's [via]
    link, so equal hops and links mean equal interfaces. *)
-let same_answers a b =
+let same_answers t a b =
   let same = ref true in
   Bitset.iter
     (fun d ->
-      let ha = hop a d and hb = hop b d in
-      if ha <> hb || a.dist.(d) <> b.dist.(d) || (ha >= 0 && a.via.(ha) <> b.via.(hb)) then
-        same := false)
+      let ha = hop t a d and hb = hop t b d in
+      if
+        ha <> hb
+        || dist t a.words.(d) <> dist t b.words.(d)
+        || (ha >= 0 && via t a.words.(ha) <> via t b.words.(hb))
+      then same := false)
     a.asked;
   !same
 
@@ -111,7 +136,7 @@ let reconcile t ~stale =
         else begin
           let fresh = build t u ~asked:tb.asked in
           t.tables.(u) <- Some fresh;
-          if not (same_answers tb fresh) then changed := u :: !changed
+          if not (same_answers t tb fresh) then changed := u :: !changed
         end
       | Some _ | None -> ())
     t.tables;
@@ -119,9 +144,25 @@ let reconcile t ~stale =
 
 let refresh t = reconcile t ~stale:(fun _ -> true)
 
+(* Bits to write every value in [0, v]. *)
+let bits v =
+  let rec go b = if v lsr b = 0 then b else go (b + 1) in
+  go 0
+
+(* A packed word holds, from the low end, parent + 1 in [bits n], via + 1
+   in [bits n_links], and the distance in the rest, all ones when
+   unreachable.  Every reachable distance is at most [max_cost * (n - 1)],
+   which must stay below all ones. *)
 let create net =
   let topo = Net.topo net in
   let n = Topology.n_nodes topo in
+  let link_bits = bits (Topology.n_links topo) and node_bits = bits n in
+  let dist_shift = link_bits + node_bits in
+  let unreachable = -1 lsr dist_shift in
+  if n > 1 && Topology.max_cost topo > (unreachable - 1) / (n - 1) then
+    invalid_arg
+      (Printf.sprintf "Static.create: distances up to %d x %d exceed the %d-bit distance field"
+         (Topology.max_cost topo) (n - 1) (Sys.int_size - dist_shift));
   let t =
     {
       topo;
@@ -132,6 +173,11 @@ let create net =
       tables = Array.make n None;
       subs = Array.init n (fun _ -> Vec.create ());
       dijkstras = 0;
+      node_bits;
+      node_mask = (1 lsl node_bits) - 1;
+      link_mask = (1 lsl link_bits) - 1;
+      dist_shift;
+      unreachable;
     }
   in
   Net.on_change net (fun lids -> reconcile t ~stale:(fun tb -> not (still_valid t tb lids)));
@@ -144,26 +190,25 @@ let lookup t u d =
   tb
 
 let rib t u =
+  (* Routers outside the topology read as unreachable. *)
+  let n = Array.length t.tables in
   let next_hop addr =
     match Rib.resolve addr with
-    | None -> None
-    | Some d when d = u -> None
-    | Some d ->
+    | Some d when d <> u && d < n ->
       let tb = lookup t u d in
-      let h = hop tb d in
-      if h < 0 then None else Some (Topology.iface_of_link t.topo u tb.via.(h), h)
+      let h = hop t tb d in
+      if h < 0 then None else Some (Topology.iface_of_link t.topo u (via t tb.words.(h)), h)
+    | Some _ | None -> None
   in
   let distance addr =
     match Rib.resolve addr with
-    | None -> None
     | Some d when d = u -> Some 0
-    | Some d ->
-      let dd = (lookup t u d).dist.(d) in
+    | Some d when d < n ->
+      let dd = dist t (lookup t u d).words.(d) in
       if dd = max_int then None else Some dd
+    | Some _ | None -> None
   in
   let subscribe f = Vec.push t.subs.(u) f in
   { Rib.node = u; next_hop; distance; subscribe }
-
-let distance_matrix t = Array.init (Topology.n_nodes t.topo) (fun u -> (table t u).dist)
 
 let dijkstras t = t.dijkstras

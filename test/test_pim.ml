@@ -588,6 +588,32 @@ let test_igmp_end_to_end () =
   Engine.run ~until:15. eng;
   Alcotest.(check int) "host delivery, no LAN duplicates" 5 !got
 
+(* An IGMP RP hint naming a router outside the topology: the RP reads as
+   unreachable, so the DR keeps it as its only candidate and has no
+   upstream toward it, instead of failing the lookup. *)
+let test_hint_out_of_range_rp () =
+  let b = Topology.builder 3 in
+  ignore (Topology.add_p2p b 0 1);
+  ignore (Topology.add_p2p b 1 2);
+  let lan = Topology.add_lan ~delay:0.001 b [ 0 ] in
+  let topo = Topology.freeze b in
+  let eng = Engine.create () in
+  let net = Net.create eng topo in
+  let igmp_config =
+    { Pim_igmp.Router.default_config with Pim_igmp.Router.query_interval = 2.; max_resp = 0.5 }
+  in
+  let dep = Deployment.create_static ~config:Config.fast ~igmp_config net ~rp_set:Rp_set.empty in
+  let rp = Addr.router 99 in
+  let host =
+    Pim_igmp.Host.create net ~link:lan ~addr:(Addr.host ~router:0 5) ~rps_for:(fun _ -> [ rp ]) ()
+  in
+  Pim_igmp.Host.join host g;
+  Engine.run ~until:10. eng;
+  Router.send_local_data (Deployment.router dep 2) ~group:g ();
+  Engine.run ~until:20. eng;
+  Alcotest.(check bool) "the hinted RP" true
+    (Option.equal Addr.equal (Router.current_rp (Deployment.router dep 0) g) (Some rp))
+
 (* Large-scale soak: a 100-router wide-area network with 40 sparse groups,
    all sending; delivery must be essentially complete and duplicate-free
    at steady state. *)
@@ -781,6 +807,7 @@ let () =
           Alcotest.test_case "shared tree rendering" `Quick test_pp_shared_tree;
           Alcotest.test_case "protocol independence" `Quick test_protocol_independence;
           Alcotest.test_case "igmp end to end" `Quick test_igmp_end_to_end;
+          Alcotest.test_case "hint naming an out-of-range RP" `Quick test_hint_out_of_range_rp;
           Alcotest.test_case "large-scale soak" `Slow test_large_scale_soak;
           Alcotest.test_case "group without rp ignored" `Quick test_group_without_rp_ignored;
           Alcotest.test_case "sender without receivers" `Quick test_sender_without_receivers;

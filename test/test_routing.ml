@@ -91,24 +91,112 @@ let test_static_node_failure () =
   Net.set_node_up net 1 false;
   Alcotest.(check bool) "unreachable through dead node" true (r0.Rib.next_hop (Addr.router 2) = None)
 
+(* Edges the live network can use: what Static's Dijkstra runs over. *)
+let live net u v lid = Net.link_up net lid && Net.node_up net u && Net.node_up net v
+
+(* Every router's shortest-path distances over the live network
+   ([max_int] = unreachable), rebuilt from scratch: the matrix the
+   dynamic substrates must converge to. *)
+let distance_matrix net =
+  let topo = Net.topo net in
+  Array.init (Topology.n_nodes topo) (fun u ->
+      (Pim_graph.Spt.single_source ~usable:(live net) topo u).Pim_graph.Spt.dist)
+
 let test_static_distance_matrix () =
   let _, net = mk (Classic.line 3) in
-  let s = Static.create net in
-  let m = Static.distance_matrix s in
+  let m = distance_matrix net in
   Alcotest.(check int) "0->2" 2 m.(0).(2);
-  Alcotest.(check int) "2->0" 2 m.(2).(0)
+  Alcotest.(check int) "2->0" 2 m.(2).(0);
+  let s = Static.create net in
+  Array.iteri
+    (fun u row ->
+      Array.iteri
+        (fun d dist ->
+          Alcotest.(check (option int))
+            (Printf.sprintf "%d->%d" u d)
+            (Some dist)
+            ((Static.rib s u).Rib.distance (Addr.router d)))
+        row)
+    m
 
-(* The RIB's work on a fixed wide-area run: a 480-router transit-stub
-   (the workload harness's sizing for 500), nine stub routers asking
-   about every backbone router and three stub routers, then a scripted
-   sequence of link and node flaps.  Each step pins the exact count of
+let test_static_out_of_range_next_hop () =
+  let _, net = mk (Classic.ring 10) in
+  let r0 = Static.rib (Static.create net) 0 in
+  Alcotest.(check bool) "router 99 has no route" true (r0.Rib.next_hop (Addr.router 99) = None);
+  Alcotest.(check bool) "host of router 99 has no route" true
+    (r0.Rib.next_hop (Addr.host ~router:99 1) = None)
+
+let test_static_out_of_range_distance () =
+  let _, net = mk (Classic.ring 10) in
+  let r0 = Static.rib (Static.create net) 0 in
+  Alcotest.(check (option int)) "router 99 unreachable" None (r0.Rib.distance (Addr.router 99));
+  Alcotest.(check (option int)) "router 9 still reachable" (Some 1) (r0.Rib.distance (Addr.router 9))
+
+(* A table's distance field holds [max_cost * (n - 1)] below its all-ones
+   unreachable mark.  Two routers on one link leave all but 1 + 2 bits of
+   a word (60 of 63), so a cost of 2^60 - 2 is the largest [create]
+   accepts. *)
+let test_static_distance_overflow () =
+  let two cost =
+    let b = Topology.builder 2 in
+    ignore (Topology.add_p2p ~cost b 0 1);
+    snd (mk (Topology.freeze b))
+  in
+  let width = Sys.int_size - 3 in
+  let limit = (1 lsl width) - 2 in
+  ignore (Static.create (two limit));
+  Alcotest.check_raises "one past the limit"
+    (Invalid_argument
+       (Printf.sprintf "Static.create: distances up to %d x 1 exceed the %d-bit distance field"
+          (limit + 1) width))
+    (fun () -> ignore (Static.create (two (limit + 1))));
+  match Static.create (two max_int) with
+  | _ -> Alcotest.fail "max_int cost accepted"
+  | exception Invalid_argument _ -> ()
+
+(* The wide-area topology of the work and memory pins: a 480-router
+   transit-stub, the workload harness's sizing for 500. *)
+let transit_stub_480 () =
+  Pim_graph.Transit_stub.generate ~transit:12 ~stubs_per_transit:3 ~stub_size:13
+    ~prng:(Prng.create 500) ()
+
+(* Words allocated by [f ()], minor and major heap together (large arrays
+   go straight to the major heap). *)
+let words_allocated f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+(* A table is one word per destination: a router's first lookup on the
+   480-router transit-stub allocates about n words for its tree, a bitset
+   of the destinations asked about, and the answer.  Three arrays per
+   tree (distance, parent, link) would be about 3n. *)
+let test_static_table_memory () =
+  let ts = transit_stub_480 () in
+  let topo = ts.Pim_graph.Transit_stub.topo in
+  let n = Topology.n_nodes topo in
+  let _, net = mk topo in
+  let s = Static.create net in
+  let warm = Static.rib s 0 in
+  ignore (warm.Rib.next_hop (Addr.router (n - 1)));
+  let u = List.nth (List.hd ts.Pim_graph.Transit_stub.stubs) 1 in
+  let r = Static.rib s u in
+  let answer, words = words_allocated (fun () -> r.Rib.next_hop (Addr.router 0)) in
+  Alcotest.(check bool) "a route" true (answer <> None);
+  Alcotest.(check int) "one table built" 2 (Static.dijkstras s);
+  let budget = (1.2 *. float_of_int n) +. 64. in
+  Alcotest.(check bool)
+    (Printf.sprintf "first lookup: %.0f words <= %.0f (n = %d)" words budget n)
+    true (words <= budget)
+
+(* The RIB's work on a fixed wide-area run: the 480-router transit-stub,
+   nine stub routers asking about every backbone router and three stub
+   routers, then a scripted sequence of link and node flaps.  Each step pins the exact count of
    trees built, so a RIB that builds eagerly, or rebuilds trees a change
    does not alter, fails here. *)
 let test_static_work_pin () =
-  let ts =
-    Pim_graph.Transit_stub.generate ~transit:12 ~stubs_per_transit:3 ~stub_size:13
-      ~prng:(Prng.create 500) ()
-  in
+  let ts = transit_stub_480 () in
   let topo = ts.Pim_graph.Transit_stub.topo in
   let _, net = mk topo in
   let s = Static.create net in
@@ -164,9 +252,8 @@ let test_static_work_pin () =
    did on creation and on every link change. *)
 let all_pairs_answers net =
   let topo = Net.topo net in
-  let usable u v lid = Net.link_up net lid && Net.node_up net u && Net.node_up net v in
   Array.init (Topology.n_nodes topo) (fun u ->
-      let tree = Pim_graph.Spt.single_source ~usable topo u in
+      let tree = Pim_graph.Spt.single_source ~usable:(live net) topo u in
       let hop, hop_iface = Pim_graph.Spt.first_hop topo tree in
       fun d ->
         let next = if hop.(d) < 0 then None else Some (hop_iface.(d), hop.(d)) in
@@ -231,7 +318,7 @@ let test_dv_converges_line () =
   let eng, net = mk (Classic.line 4) in
   let dv = Dv.create ~config:fast_dv net in
   Engine.run ~until:30. eng;
-  let expected = Static.distance_matrix (Static.create net) in
+  let expected = distance_matrix net in
   Alcotest.(check bool) "converged to shortest paths" true (Dv.converged dv ~against:expected);
   Alcotest.(check (option int)) "metric" (Some 3) (Dv.metric dv 0 3)
 
@@ -243,7 +330,7 @@ let test_dv_converges_random () =
       let eng, net = (Engine.create (), ()) |> fun (e, ()) -> (e, Net.create e topo) in
       let dv = Dv.create ~config:fast_dv net in
       Engine.run ~until:60. eng;
-      let expected = Static.distance_matrix (Static.create net) in
+      let expected = distance_matrix net in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d converged" seed)
         true (Dv.converged dv ~against:expected))
@@ -282,7 +369,7 @@ let test_ls_converges_line () =
   let eng, net = mk (Classic.line 4) in
   let ls = Ls.create ~config:fast_ls net in
   Engine.run ~until:20. eng;
-  let expected = Static.distance_matrix (Static.create net) in
+  let expected = distance_matrix net in
   Alcotest.(check bool) "converged" true (Ls.converged ls ~against:expected);
   Alcotest.(check (option int)) "distance" (Some 3) (Ls.distance ls 0 3)
 
@@ -295,7 +382,7 @@ let test_ls_converges_random () =
       let net = Net.create eng topo in
       let ls = Ls.create ~config:fast_ls net in
       Engine.run ~until:30. eng;
-      let expected = Static.distance_matrix (Static.create net) in
+      let expected = distance_matrix net in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d converged" seed)
         true (Ls.converged ls ~against:expected))
@@ -352,15 +439,14 @@ let prop_substrates_converge_after_failures =
           let lid = Prng.int prng n_links in
           if Net.link_up net lid then begin
             Net.set_link_up net lid false;
-            let oracle = Static.create net in
-            let m = Static.distance_matrix oracle in
+            let m = distance_matrix net in
             if Array.exists (fun row -> Array.exists (fun d -> d = max_int) row) m then
               Net.set_link_up net lid true (* would disconnect: revert *)
             else incr killed
           end
         done;
         Engine.run ~until:(60. +. converge_time) eng;
-        let expected = Static.distance_matrix (Static.create net) in
+        let expected = distance_matrix net in
         sub_converged ~against:expected
       in
       check
@@ -386,6 +472,10 @@ let () =
           Alcotest.test_case "node failure" `Quick test_static_node_failure;
           Alcotest.test_case "work pin" `Quick test_static_work_pin;
           Alcotest.test_case "distance matrix" `Quick test_static_distance_matrix;
+          Alcotest.test_case "out-of-range next hop" `Quick test_static_out_of_range_next_hop;
+          Alcotest.test_case "out-of-range distance" `Quick test_static_out_of_range_distance;
+          Alcotest.test_case "distance overflow" `Quick test_static_distance_overflow;
+          Alcotest.test_case "table memory" `Quick test_static_table_memory;
           QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_static_matches_all_pairs;
         ] );
       ( "distance-vector",
