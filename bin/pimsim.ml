@@ -739,10 +739,15 @@ let fallback_override_arg =
 let scn_run_cmd =
   let run path protocol fallback trace_out capture metrics =
     let program = load_program_or_die path in
+    let program =
+      match fallback with
+      | Some f -> { program with Pim_exp.Dsl.switchover_fallback = Some f }
+      | None -> program
+    in
     let outcome =
       or_bad_input ~input:path "pimsim scn" (fun () ->
-          Pim_exp.Dsl.run ?protocol ?switchover_fallback:fallback ?trace_file:trace_out
-            ?capture_file:capture ?metrics_file:metrics program)
+          Pim_exp.Dsl.run ?protocol ?trace_file:trace_out ?capture_file:capture
+            ?metrics_file:metrics program)
     in
     Format.printf "%s: %a" program.Pim_exp.Dsl.name Pim_exp.Dsl.pp_outcome outcome;
     if not outcome.Pim_exp.Dsl.ok then exit 1

@@ -7,8 +7,7 @@
 
    Lines carry a tier tag ("TIER RULE FILE COUNT") so one baseline file
    serves both analysis tiers; the tag is derived from the rule and
-   checked on load.  Legacy three-field lines ("RULE FILE COUNT") are
-   still accepted and upgraded on the next save. *)
+   checked on load. *)
 
 type key = string * string  (* rule id, path with '/' separators *)
 
@@ -22,10 +21,6 @@ let norm_path p = String.map (fun c -> if c = '\\' then '/' else c) p
 
 let line_re line =
   match String.split_on_char ' ' (String.trim line) with
-  | [ rule; path; count ] -> (
-    match (Finding.rule_of_id rule, int_of_string_opt count) with
-    | Some _, Some n when n > 0 -> Some ((rule, norm_path path), n)
-    | _ -> None)
   | [ tier; rule; path; count ] -> (
     match (Finding.tier_of_id tier, Finding.rule_of_id rule, int_of_string_opt count) with
     | Some t, Some r, Some n when n > 0 && Finding.tier_of_rule r = t ->

@@ -1,8 +1,7 @@
 (** Per-(rule, file) finding-count ratchet.  Legacy findings recorded
     here are tolerated; anything beyond the recorded count fails.  Rows
     are tier-tagged ("TIER RULE FILE COUNT") so one file ratchets both
-    the untyped and the typed analysis tier; legacy three-field rows
-    load as before. *)
+    the untyped and the typed analysis tier. *)
 
 type t
 

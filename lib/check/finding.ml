@@ -9,9 +9,9 @@
    S1 (stale suppression) is emitted by the driver for whichever tier is
    running, and is the only warn-by-default rule. *)
 
-type rule = D1 | D2 | H1 | H2 | H3 | H4 | H5 | H6 | S1 | R1 | L1 | L2 | L3 | T1
+type rule = D1 | D2 | H1 | H2 | H3 | H4 | H5 | H6 | H7 | S1 | R1 | L1 | L2 | L3 | T1
 
-let all_rules = [ D1; D2; H1; H2; H3; H4; H5; H6; S1; R1; L1; L2; L3; T1 ]
+let all_rules = [ D1; D2; H1; H2; H3; H4; H5; H6; H7; S1; R1; L1; L2; L3; T1 ]
 
 type tier = Untyped | Typed
 
@@ -25,7 +25,7 @@ let tier_of_id = function
 (* S1 is tier-less in spirit (the driver checks suppressions of the
    active tier) but files under the untyped column in the baseline. *)
 let tier_of_rule = function
-  | D1 | D2 | H1 | H2 | H3 | H4 | H5 | H6 | S1 -> Untyped
+  | D1 | D2 | H1 | H2 | H3 | H4 | H5 | H6 | H7 | S1 -> Untyped
   | R1 | L1 | L2 | L3 | T1 -> Typed
 
 let rule_id = function
@@ -37,6 +37,7 @@ let rule_id = function
   | H4 -> "H4"
   | H5 -> "H5"
   | H6 -> "H6"
+  | H7 -> "H7"
   | S1 -> "S1"
   | R1 -> "R1"
   | L1 -> "L1"
@@ -53,6 +54,7 @@ let rule_of_id = function
   | "H4" -> Some H4
   | "H5" -> Some H5
   | "H6" -> Some H6
+  | "H7" -> Some H7
   | "S1" -> Some S1
   | "R1" -> Some R1
   | "L1" -> Some L1
@@ -70,6 +72,7 @@ let rule_doc = function
   | H4 -> "list append in a loop (quadratic growth)"
   | H5 -> "Vec.get over-applied (partial closure per call in -opaque builds)"
   | H6 -> "experiment deploys a protocol by hand instead of through Stack.create_many"
+  | H7 -> "experiment runs its own engine loop instead of a program through Dsl.run"
   | S1 -> "stale suppression comment (its rule no longer fires)"
   | R1 -> "mutable state shared with a Domain.spawn closure without Atomic/Mutex"
   | L1 -> "timer armed without a cancel path or staleness guard reachable from restart"

@@ -3,7 +3,7 @@
     tier), baseline and drivers.  See [RULES.md] for the rationale
     behind each rule. *)
 
-type rule = D1 | D2 | H1 | H2 | H3 | H4 | H5 | H6 | S1 | R1 | L1 | L2 | L3 | T1
+type rule = D1 | D2 | H1 | H2 | H3 | H4 | H5 | H6 | H7 | S1 | R1 | L1 | L2 | L3 | T1
 
 val all_rules : rule list
 

@@ -12,7 +12,8 @@
      literals passed to iteration combinators (.iter/.fold/...), the
      contexts where a list append (H4) goes quadratic.
 
-   H6 is the one path-scoped rule: [deploy_scoped] is fixed per file. *)
+   H6 and H7 are scoped by path: [deploy_scoped] and [runner_scoped]
+   are fixed per file. *)
 
 open Parsetree
 
@@ -23,6 +24,7 @@ type state = {
   mutable loop_depth : int;
   mutable shadowed_compare : bool;  (* file defines its own [compare] *)
   deploy_scoped : bool;  (* an experiment other than Stack: H6 applies *)
+  runner_scoped : bool;  (* a lib/exp file other than Dsl: H7 applies *)
 }
 
 let path_of_longident lid =
@@ -147,18 +149,21 @@ let is_randomness path =
   | "Stdlib" :: "Random" :: _ :: _ -> true
   | _ -> false
 
-(* H6 scope: a file directly under a [lib/exp] directory, except the
-   deployment adapter itself. *)
-let is_experiment_file file =
+(* H6 and H7 scope: a file directly under a [lib/exp] directory, except
+   the deployment adapter (H6) or the runner (H7) itself. *)
+let is_experiment_file ~except file =
   let dir = Filename.dirname file in
   Filename.basename dir = "exp"
   && Filename.basename (Filename.dirname dir) = "lib"
-  && Filename.basename file <> "stack.ml"
+  && Filename.basename file <> except
 
 let is_deployment_create path =
   match last_two path with
   | Some ("Deployment", ("create" | "create_static")) | Some ("Bsr", "deploy") -> true
   | _ -> false
+
+let is_engine_create path =
+  match last_two path with Some ("Engine", "create") -> true | _ -> false
 
 let check_ident st loc path =
   if st.deploy_scoped && is_deployment_create path then
@@ -167,6 +172,9 @@ let check_ident st loc path =
          "%s in an experiment: deploy through Stack.create_many (or say which PIM-SM-only \
           state the experiment reads)"
          path);
+  if st.runner_scoped && is_engine_create path then
+    report st Finding.H7 loc
+      (Printf.sprintf "%s in an experiment: run it as a Dsl.program through Dsl.run" path);
   if is_randomness path then
     report st Finding.D2 loc
       (Printf.sprintf "%s: use the seeded Pim_util.Prng instead of ambient randomness" path);
@@ -399,7 +407,8 @@ let check ~file structure =
       sanctioned = Hashtbl.create 16;
       loop_depth = 0;
       shadowed_compare = defines_compare structure;
-      deploy_scoped = is_experiment_file file;
+      deploy_scoped = is_experiment_file ~except:"stack.ml" file;
+      runner_scoped = is_experiment_file ~except:"dsl.ml" file;
     }
   in
   let it = make_iterator st in

@@ -1,5 +1,5 @@
 (** The pimlint rule engine: a single untyped-Parsetree traversal
-    producing findings for rules D1, D2, H1–H6 (see [RULES.md]).
+    producing findings for rules D1, D2, H1–H7 (see [RULES.md]).
     Suppression comments and the baseline are applied by {!Lint}, not
     here. *)
 

@@ -1,7 +1,3 @@
-module Engine = Pim_sim.Engine
-module Net = Pim_sim.Net
-module Group = Pim_net.Group
-
 type row = {
   sources : int;
   aggregated : bool;
@@ -11,54 +7,50 @@ type row = {
   expected : int;
 }
 
-let group = Group.of_index 6
+(* The RP sits next to the source router so the shared tree is short
+   and the interesting joins are the (S,G) refreshes along the path.
+   The run goes on several holdtimes past the end of the stream, so the
+   periodic (prefix-)joins are what keeps the trees alive. *)
+let program ~hops ~sources ~packets =
+  let send h =
+    Dsl.At
+      ( 5. +. (0.02 *. float_of_int h),
+        Dsl.Send { from = Dsl.Node 0; count = packets; interval = 1.; host = h } )
+  in
+  {
+    Dsl.empty with
+    name = Printf.sprintf "aggregation-%d" sources;
+    topology = Dsl.Line (hops + 1);
+    group = 6;
+    rp = [ 1 ];
+    steps =
+      [ Dsl.Join [ Dsl.Node hops ]; Dsl.Advance 5. ]
+      @ (if packets > 0 then List.init sources (fun i -> send (i + 1)) else [])
+      @ [ Dsl.Advance (15. +. float_of_int packets); Dsl.Mark "end" ];
+  }
 
-let one ~hops ~sources ~packets ~aggregated =
-  let topo = Pim_graph.Classic.line (hops + 1) in
-  let eng = Engine.create () in
-  let net = Net.create eng topo in
-  let metrics = Metrics.attach net in
-  let config =
-    { (Pim_core.Config.fast) with Pim_core.Config.aggregate_sources = aggregated }
-  in
-  (* RP next to the source router so the shared tree is short and the
-     interesting joins are the (S,G) refreshes along the path. *)
-  let v =
-    List.assoc group
-      (Stack.create_many ~placement:[ (group, [ 1 ]) ] ~config:{ Stack.fast with sm = config }
-         ~groups:[ group ] ~net Stack.Pim_sm)
-  in
-  v.Stack.join hops;
-  let deliveries = ref 0 in
-  v.Stack.on_data hops (fun _ -> incr deliveries);
-  Engine.run ~until:5. eng;
-  for i = 0 to packets - 1 do
-    for h = 1 to sources do
-      ignore
-        (Engine.schedule_at eng
-           (5. +. float_of_int i +. (0.02 *. float_of_int h))
-           (fun () -> v.Stack.send_from ~host:h 0))
-    done
-  done;
-  (* Run several holdtimes past the end of the stream so the periodic
-     (prefix-)joins are what keeps the trees alive. *)
-  Engine.run ~until:(20. +. float_of_int packets) eng;
+let row ~sources ~packets ~aggregated (o : Dsl.outcome) =
+  let fin = List.find (fun (m : Dsl.mark) -> String.equal m.Dsl.label "end") o.Dsl.marks in
   {
     sources;
     aggregated;
-    join_entries = Pim_sim.Counters.total (Net.counters net) Joins_sent;
-    control_bytes = Metrics.control_bytes metrics;
-    deliveries = !deliveries;
+    join_entries = Pim_sim.Counters.total o.Dsl.counters Joins_sent;
+    control_bytes = fin.Dsl.control_bytes;
+    deliveries = o.Dsl.deliveries;
     expected = packets * sources;
   }
 
 let run ?(hops = 6) ?(source_counts = [ 1; 2; 4; 8 ]) ?(packets = 25) ~seed:_ () =
   List.concat_map
     (fun sources ->
-      [
-        one ~hops ~sources ~packets ~aggregated:false;
-        one ~hops ~sources ~packets ~aggregated:true;
-      ])
+      let p = program ~hops ~sources ~packets in
+      let ctx = Dsl.context p in
+      List.map
+        (fun aggregate_sources ->
+          let config = { Stack.fast with sm = { Pim_core.Config.fast with aggregate_sources } } in
+          row ~sources ~packets ~aggregated:aggregate_sources
+            (Dsl.run ~ctx ~protocol:Stack.Pim_sm ~config p))
+        [ false; true ])
     source_counts
 
 let pp_rows ppf rows =

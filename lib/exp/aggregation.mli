@@ -21,6 +21,12 @@ type row = {
   expected : int;
 }
 
+val program : hops:int -> sources:int -> packets:int -> Dsl.program
+(** The run for both settings: one [send 0 host=H] step per source. *)
+
+val row : sources:int -> packets:int -> aggregated:bool -> Dsl.outcome -> row
+(** The report row of one {!Dsl.run} of the {!program}. *)
+
 val run : ?hops:int -> ?source_counts:int list -> ?packets:int -> seed:int -> unit -> row list
 (** Defaults: 6-hop path, source counts [1; 2; 4; 8], 25 packets per
     source. *)

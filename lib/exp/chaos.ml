@@ -179,7 +179,8 @@ let plan ?(nodes = 30) ?(degree = 4.) ?(receivers = 5) ?(events = 8) ?(fault_win
         List.map (fun m -> Dsl.Join [ node m ]) members
         @ [
             at stream_start
-              (Dsl.Send { from = node source; count = n_stream; interval = stream_interval });
+              (Dsl.Send
+                 { from = node source; count = n_stream; interval = stream_interval; host = 1 });
             at fault_start (Dsl.Mark "fault-start");
             at fault_end (Dsl.Mark "fault-end");
           ]
@@ -187,7 +188,8 @@ let plan ?(nodes = 30) ?(degree = 4.) ?(receivers = 5) ?(events = 8) ?(fault_win
         @ [
             at checkpoint_start Dsl.Checkpoint;
             at (checkpoint_start +. 0.01)
-              (Dsl.Send { from = node source; count = burst_probes; interval = burst_spacing });
+              (Dsl.Send
+                 { from = node source; count = burst_probes; interval = burst_spacing; host = 1 });
             at checkpoint_end Dsl.Assert_no_loops;
             at checkpoint_end Dsl.Assert_reachable;
           ]
@@ -289,7 +291,7 @@ let run ?nodes ?degree ?receivers ?events ?fault_window ?mean_outage ?topology ?
     List.filter wanted compared
     |> List.map (fun protocol ->
            let p = program protocol in
-           row p (Dsl.run ~topo p))
+           row p (Dsl.run ~ctx:(Dsl.context ~topo p) p))
   in
   { seed; schedule; rows }
 

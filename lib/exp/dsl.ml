@@ -33,7 +33,7 @@ type mroute_pred =
 type step =
   | Join of node_ref list
   | Leave of node_ref list
-  | Send of { from : node_ref; count : int; interval : float }
+  | Send of { from : node_ref; count : int; interval : float; host : int }
   | Advance of float
   | Fail_link of { a : node_ref; b : node_ref; down_for : float option }
   | Heal_link of node_ref * node_ref
@@ -105,8 +105,9 @@ let nullary =
 let rec string_of_step = function
   | Join rs -> Printf.sprintf "join %s" (refs rs)
   | Leave rs -> Printf.sprintf "leave %s" (refs rs)
-  | Send { from; count; interval } ->
-    Printf.sprintf "send %s count=%d interval=%s" (string_of_ref from) count (num interval)
+  | Send { from; count; interval; host } ->
+    Printf.sprintf "send %s count=%d interval=%s%s" (string_of_ref from) count (num interval)
+      (if host = 1 then "" else Printf.sprintf " host=%d" host)
   | Advance d -> Printf.sprintf "advance %s" (num d)
   | Fail_link { a; b; down_for } ->
     Printf.sprintf "fail-link %s %s%s" (string_of_ref a) (string_of_ref b) (for_ down_for)
@@ -285,11 +286,13 @@ let rec parse_step ~now ln kw args =
   | "leave", toks -> Result.map (fun rs -> Leave rs) (refs_of ln kw toks)
   | "send", from :: opts ->
     let* from = ref_of ln from in
-    let* opts = options ln ~allowed:[ "count"; "interval" ] opts in
+    let* opts = options ln ~allowed:[ "count"; "interval"; "host" ] opts in
     let* count = opt_int ln opts "count" ~default:1 in
     let* interval = opt_float ln opts "interval" ~default:0.5 in
+    let* host = opt_int ln opts "host" ~default:1 in
     if count < 1 then parse_error ln "send: count must be >= 1"
-    else Ok (Send { from; count; interval })
+    else if host < 1 || host > 255 then parse_error ln "send: host must be within 1..255"
+    else Ok (Send { from; count; interval; host })
   | "send", [] -> parse_error ln "send: expected a sending node"
   | "advance", [ d ] ->
     let* d = float_of ln "advance" d in
@@ -493,7 +496,14 @@ let context ?topo:given p =
 
 type probe = { seq : int; sent_at : float; copies : (int * int) list }
 
-type mark = { label : string; at : float; control : int }
+type mark = {
+  label : string;
+  at : float;
+  control : int;
+  control_bytes : int;
+  data : int;
+  max_link_data : int;
+}
 
 type outcome = {
   protocol : string;
@@ -513,21 +523,27 @@ type outcome = {
 
 let fail fmt = Printf.ksprintf (fun s -> invalid_arg ("scenario: " ^ s)) fmt
 
-let run ?topo ?trace_file ?capture_file ?metrics_file ?protocol ?switchover_fallback (p : program) =
+(* What one member got of one probe: its copies, the probe's send time,
+   and the checkpoint epoch its last copy arrived in. *)
+type delivery = { copies : int; sent : float; epoch : int }
+
+let run ?ctx ?trace_file ?capture_file ?metrics_file ?protocol ?config (p : program) =
   let protocol =
     match (protocol, p.protocol) with
     | Some pr, _ | None, Some pr -> pr
     | None, None -> fail "no protocol: pass one or add a protocol directive"
   in
-  let switchover_fallback =
-    match (switchover_fallback, p.switchover_fallback) with
-    | Some f, _ | None, Some f -> f
-    | None, None -> true
+  let config =
+    match (config, p.switchover_fallback) with
+    | Some c, _ -> c
+    | None, Some switchover_fallback ->
+      { Stack.fast with sm = { Pim_core.Config.fast with switchover_fallback } }
+    | None, None -> Stack.fast
   in
-  let ctx = context ?topo p in
+  let ctx = match ctx with Some c -> c | None -> context p in
   let eng = Engine.create () in
   let net = Net.create eng ctx.topo in
-  (* The control-traffic tap costs a callback per traversal: only a
+  (* The traffic tap costs a callback per traversal: only a
      program that marks pays for it. *)
   let rec marks = function Mark _ -> true | At (_, s) -> marks s | _ -> false in
   let metrics = if List.exists marks p.steps then Some (Metrics.attach net) else None in
@@ -539,7 +555,7 @@ let run ?topo ?trace_file ?capture_file ?metrics_file ?protocol ?switchover_fall
       (List.hd
          (Stack.create_many ~placement:[ (group, ctx.rp_nodes) ] ~rp_election:p.rp_election
             ~cbsr_forbidden:(Option.to_list ctx.source0 @ ctx.decl_members)
-            ~config:{ Stack.fast with sm = { Pim_core.Config.fast with switchover_fallback } }
+            ~config
             ?trace ~groups:[ group ] ~net protocol))
   in
   let oracle =
@@ -558,10 +574,12 @@ let run ?topo ?trace_file ?capture_file ?metrics_file ?protocol ?switchover_fall
           "delivery_latency")
       metrics_file
   in
-  (* Delivery tally: (seq, member) -> copies, and each seq's send time. *)
-  let tally : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
-  let sent_at_of : (int, float) Hashtbl.t = Hashtbl.create 64 in
-  let copies seq m = Option.value (Hashtbl.find_opt tally (seq, m)) ~default:0 in
+  (* The one delivery table, (seq, member) -> delivery; [epoch] counts
+     the checkpoints so far. *)
+  let deliveries : (int * int, delivery) Hashtbl.t = Hashtbl.create 256 in
+  let epoch = ref 0 in
+  let find seq m = Hashtbl.find_opt deliveries (seq, m) in
+  let copies seq m = match find seq m with Some d -> d.copies | None -> 0 in
   (* Current members, newest join first. *)
   let current = ref [] in
   let wired = Hashtbl.create 16 in
@@ -601,9 +619,8 @@ let run ?topo ?trace_file ?capture_file ?metrics_file ?protocol ?switchover_fall
       stack.Stack.on_data m (fun pkt ->
           match pkt.Pim_net.Packet.payload with
           | Mdata.Data { Mdata.seq; sent_at } ->
-            Oracle.note_received oracle ~node:m ~probe:seq;
-            Hashtbl.replace sent_at_of seq sent_at;
-            Hashtbl.replace tally (seq, m) (1 + copies seq m)
+            let d = { copies = 1 + copies seq m; sent = sent_at; epoch = !epoch } in
+            Hashtbl.replace deliveries (seq, m) d
           | _ -> ());
       Option.iter
         (fun h ->
@@ -659,7 +676,7 @@ let run ?topo ?trace_file ?capture_file ?metrics_file ?protocol ?switchover_fall
             stack.Stack.leave m
           end)
         (deref_many "leave" rs)
-    | Send { from; count; interval } ->
+    | Send { from; count; interval; host } ->
       let u = deref1 "send" from in
       (* Probes are identified by the per-source data sequence number, so
          a scenario keeps to one sending node. *)
@@ -673,7 +690,7 @@ let run ?topo ?trace_file ?capture_file ?metrics_file ?protocol ?switchover_fall
         ignore
           (Engine.schedule_at eng
              (at +. (interval *. float_of_int i))
-             (fun () -> stack.Stack.send_from u))
+             (fun () -> stack.Stack.send_from ~host u))
       done
     | Advance d ->
       now := !now +. d;
@@ -721,10 +738,13 @@ let run ?topo ?trace_file ?capture_file ?metrics_file ?protocol ?switchover_fall
       let d = Stack.digest stack ~net ~members:(members ()) in
       digests := d :: !digests;
       emit (Event.Checkpoint_digest { digest = d });
+      incr epoch;
       Oracle.checkpoint oracle ~max_copies:stack.Stack.max_copies
     | Mark label ->
-      let control = Metrics.control_traversals (Option.get metrics) in
-      marks := { label; at = Engine.now eng; control } :: !marks
+      let m = Option.get metrics in
+      let control = Metrics.control_traversals m and control_bytes = Metrics.control_bytes m in
+      let data = Metrics.data_traversals m and max_link_data = Metrics.max_link_data m in
+      marks := { label; at = Engine.now eng; control; control_bytes; data; max_link_data } :: !marks
     | Assert_delivery | Assert_reachable ->
       (* Exactly one copy to each member, or at least one. *)
       let exactly = match step with Assert_delivery -> true | _ -> false in
@@ -747,8 +767,11 @@ let run ?topo ?trace_file ?capture_file ?metrics_file ?protocol ?switchover_fall
                   (Printf.sprintf "probe %d not delivered to member %d" seq m))
             (if exactly then members () else List.rev !current))
         probes;
+      (* Only a copy since the last checkpoint counts against a blackhole. *)
+      let received m seq = match find seq m with Some d -> d.epoch = !epoch | None -> false in
       Option.iter
-        (fun source -> Oracle.check_blackhole oracle ~source ~members:(members ()) ~probes)
+        (fun source ->
+          Oracle.check_blackhole oracle ~source ~members:(members ()) ~probes ~received)
         !sender
     | Assert_no_loops ->
       (* On-wire loop freedom is checked continuously by the oracle tap;
@@ -795,16 +818,21 @@ let run ?topo ?trace_file ?capture_file ?metrics_file ?protocol ?switchover_fall
       stack.Stack.export_metrics (Net.metrics net);
       Pim_util.Json.to_file path (Pim_util.Metrics.to_json (Net.metrics net)))
     metrics_file;
-  let ever_joined = Hashtbl.fold (fun m () acc -> m :: acc) wired [] |> List.sort Int.compare in
+  (* Descending by (seq, member), so consing groups them ascending. *)
   let probes =
-    Hashtbl.fold
-      (fun seq sent_at acc ->
-        let got m = match copies seq m with 0 -> None | c -> Some (m, c) in
-        { seq; sent_at; copies = List.filter_map got ever_joined } :: acc)
-      sent_at_of []
-    |> List.sort (fun a b -> Int.compare a.seq b.seq)
+    Hashtbl.fold (fun (seq, m) d acc -> (seq, m, d) :: acc) deliveries []
+    |> List.sort (fun (s1, m1, _) (s2, m2, _) ->
+           match Int.compare s2 s1 with 0 -> Int.compare m2 m1 | c -> c)
+    |> List.fold_left
+         (fun acc (seq, m, d) ->
+           match acc with
+           | pr :: rest when pr.seq = seq -> { pr with copies = (m, d.copies) :: pr.copies } :: rest
+           | _ -> { seq; sent_at = d.sent; copies = [ (m, d.copies) ] } :: acc)
+         []
   in
-  let deliveries, duplicates = Hashtbl.fold (fun _ c (d, u) -> (d + c, u + c - 1)) tally (0, 0) in
+  let deliveries, duplicates =
+    Hashtbl.fold (fun _ d (n, u) -> (n + d.copies, u + d.copies - 1)) deliveries (0, 0)
+  in
   let violations = Oracle.violations oracle in
   {
     protocol = Stack.to_string stack.Stack.protocol;

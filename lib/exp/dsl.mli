@@ -27,7 +27,7 @@ source N
 config switchover-fallback=on|off
 
 join NODES          leave NODES
-send NODE [count=K] [interval=F]
+send NODE [count=K] [interval=F] [host=H]  # H: the node's stub host (default 1)
 advance T
 fail-link A B       heal-link A B
 fail-node U         restart U
@@ -37,7 +37,7 @@ partition NODES     heal
 loss R for=D        jitter A for=D   # loss rate / delay jitter burst
 drop-next A B       dup-next A B     delay-next A B by=F
 at T STEP           # schedule STEP at absolute time T (not advance)
-mark LABEL          # record the time and control traversals so far
+mark LABEL          # record the time and traffic counts so far
 checkpoint          # digest global state, start a strict probe epoch
 assert-delivery     # last send window: exactly-once to every member, no blackholes
 assert-reachable    # last send window: at least once to every member, no blackholes
@@ -57,8 +57,8 @@ assert-drained      # state entries at/below the protocol's residual floor
     and the last send has had 10 s to deliver.  The
     composite outages and bursts restore themselves through
     {!Pim_sim.Fault.apply}, so nested bursts end when the last one does.
-    Scenarios are single-source: all [send] steps must name the same
-    node (probe identity is the per-source data sequence number).
+    Scenarios have one sending node: all [send] steps must name it
+    (probe identity is its data sequence number, which its hosts share).
     Assertion failures are recorded as oracle violations — a scenario
     passes iff its outcome has no violations. *)
 
@@ -87,7 +87,7 @@ type mroute_pred =
 type step =
   | Join of node_ref list
   | Leave of node_ref list
-  | Send of { from : node_ref; count : int; interval : float }
+  | Send of { from : node_ref; count : int; interval : float; host : int }
   | Advance of float
   | Fail_link of { a : node_ref; b : node_ref; down_for : float option }
       (** [fail-link A B]; with [for=D] a {!Pim_sim.Fault.Link_flap} *)
@@ -154,7 +154,8 @@ val context : ?topo:Pim_graph.Topology.t -> program -> context
 (** Build the program's topology and resolve its declared roles without
     running it — the explorer uses this to derive its action alphabet.
     [topo], when given, is used instead of drawing the declared
-    topology again; it must be that topology (not checked). *)
+    topology again; it must be that topology (not checked), and a
+    [derived] one is drawn regardless: pass {!run} the context. *)
 
 type probe = {
   seq : int;
@@ -169,6 +170,9 @@ type mark = {
   label : string;
   at : float;
   control : int;  (** control-packet link traversals so far ({!Metrics}) *)
+  control_bytes : int;
+  data : int;  (** data-packet link traversals so far *)
+  max_link_data : int;  (** data traversals on the busiest link so far *)
 }
 
 type outcome = {
@@ -178,8 +182,8 @@ type outcome = {
   source : int option;
   digests : string list;  (** one per [checkpoint], in order *)
   violations : Pim_sim.Oracle.violation list;
-  deliveries : int;
-  duplicates : int;
+  deliveries : int;  (** copies handed to members, duplicates included *)
+  duplicates : int;  (** copies beyond the first, per (probe, member) *)
   residual : int;
   probes : probe list;  (** every data packet some member received, by seq *)
   marks : mark list;  (** one per [mark] step, in firing order *)
@@ -190,19 +194,22 @@ type outcome = {
 }
 
 val run :
-  ?topo:Pim_graph.Topology.t ->
+  ?ctx:context ->
   ?trace_file:string ->
   ?capture_file:string ->
   ?metrics_file:string ->
   ?protocol:Stack.protocol ->
-  ?switchover_fallback:bool ->
+  ?config:Stack.config ->
   program ->
   outcome
 (** Execute the program.  Deterministic: the same program (and protocol)
-    always yields byte-identical trace/capture files.  [?protocol] and
-    [?switchover_fallback] override the program's directives.  [?topo]
-    as for {!context}.  Routers emit trace events only when [trace_file]
-    is given, and control traffic is tapped only for a program with a
+    always yields byte-identical trace/capture files.  [?protocol]
+    overrides the program's directive.  The deployment runs under
+    [?config] when given, else {!Stack.fast} with the program's
+    [switchover-fallback] directive, if any.  [?ctx] is the program's
+    {!context}, resolved by the caller; without it the runner resolves
+    it.  Routers emit trace events only when [trace_file]
+    is given, and link traffic is tapped only for a program with a
     [mark] step.  [metrics_file] writes the net's metrics registry with
     a [delivery_latency] histogram (label [group]) over every member
     delivery and the deployment's own instruments

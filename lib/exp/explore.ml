@@ -120,10 +120,10 @@ let assemble ~(base : Dsl.program) ~(ctx : Dsl.context) ~protocol ~probes ~inter
   let tail =
     (if perturbations = [] then [] else [ Dsl.Advance settle ])
     @ [
-      Dsl.Send { from = Dsl.Source; count = warm; interval };
+      Dsl.Send { from = Dsl.Source; count = warm; interval; host = 1 };
       Dsl.Advance (float_of_int warm *. interval);
       Dsl.Checkpoint;
-      Dsl.Send { from = Dsl.Source; count = probes; interval };
+      Dsl.Send { from = Dsl.Source; count = probes; interval; host = 1 };
       Dsl.Advance ((float_of_int probes *. interval) +. probe_bound);
       Dsl.Assert_delivery;
       Dsl.Assert_no_loops;
@@ -146,12 +146,9 @@ let assemble ~(base : Dsl.program) ~(ctx : Dsl.context) ~protocol ~probes ~inter
 (* Greedy delta-debugging over the perturbation list (the probe tail is
    fixed), then over the probe count — same discipline as
    Scenario.shrink. *)
-let shrink ~base ~ctx ~protocol ~interval ~switchover_fallback perturbations probes =
+let shrink ~base ~ctx ~protocol ~interval perturbations probes =
   let fails ps pr =
-    not
-      (Dsl.run ~topo:ctx.Dsl.topo ~protocol ~switchover_fallback
-         (assemble ~base ~ctx ~protocol ~probes:pr ~interval ps))
-        .Dsl.ok
+    not (Dsl.run ~ctx (assemble ~base ~ctx ~protocol ~probes:pr ~interval ps)).Dsl.ok
   in
   let current = ref perturbations in
   let progress = ref true in
@@ -182,6 +179,12 @@ let run ~(base : Dsl.program) ~protocol ?(depth = 3) ?(budget = 500) ?(probes = 
     | Some f, _ | None, Some f -> f
     | None, None -> true
   in
+  (* Embed the protocol and the resolved fallback in every candidate, so
+     an emitted [.scn] reproduces standalone, without the CLI flags that
+     found it. *)
+  let base =
+    { base with Dsl.protocol = Some protocol; switchover_fallback = Some switchover_fallback }
+  in
   let at_least name bound v =
     if v < bound then
       invalid_arg (Printf.sprintf "Explore.run: %s must be >= %d (got %d)" name bound v)
@@ -204,35 +207,23 @@ let run ~(base : Dsl.program) ~protocol ?(depth = 3) ?(budget = 500) ?(probes = 
   while (not (Queue.is_empty queue)) && !found = None && !runs < budget do
     let d, rev_ps = Queue.pop queue in
     let ps = List.rev rev_ps in
-    (* Embed the resolved fallback so an emitted [.scn] reproduces
-       standalone, without the CLI flag that found it. *)
-    let prog =
-      {
-        (candidate ps) with
-        Dsl.protocol = Some protocol;
-        Dsl.switchover_fallback = Some switchover_fallback;
-      }
-    in
+    let prog = candidate ps in
     incr runs;
-    let outcome = Dsl.run ~topo:ctx.Dsl.topo ~protocol ~switchover_fallback prog in
+    let outcome = Dsl.run ~ctx prog in
     if not outcome.Dsl.ok then begin
       log
         (Printf.sprintf "violation at depth %d after %d runs: %s" d !runs
            (match outcome.Dsl.violations with
            | v :: _ -> v.Pim_sim.Oracle.invariant
            | [] -> "?"));
-      let kept, best_probes =
-        shrink ~base ~ctx ~protocol ~interval ~switchover_fallback ps probes
-      in
+      let kept, best_probes = shrink ~base ~ctx ~protocol ~interval ps probes in
       let shrunk =
         {
           (assemble ~base ~ctx ~protocol ~probes:best_probes ~interval kept) with
           Dsl.name = base.Dsl.name ^ "-min";
-          Dsl.protocol = Some protocol;
-          Dsl.switchover_fallback = Some switchover_fallback;
         }
       in
-      let outcome_min = Dsl.run ~topo:ctx.Dsl.topo ~protocol ~switchover_fallback shrunk in
+      let outcome_min = Dsl.run ~ctx shrunk in
       found := Some { program = prog; shrunk; outcome = outcome_min; depth = d }
     end
     else begin

@@ -1,7 +1,3 @@
-module Engine = Pim_sim.Engine
-module Net = Pim_sim.Net
-module Group = Pim_net.Group
-
 type result = {
   protocol : string;
   data_traversals : int;
@@ -11,62 +7,62 @@ type result = {
   state_entries : int;
 }
 
-let group = Group.of_index 1
+(* Membership and control state converge before the first packet. *)
+let warm_up = 30.
 
-let members = [ 2; 7; 12 ]
-
-let source = 1  (* a non-member router in domain A *)
-
-let rp_node = 0  (* the domain-A gateway, as the paper's figure 1(c) suggests *)
-
-let run_one ~packets ~interval ?(sm = Pim_core.Config.fast) protocol name =
+let plan ~packets ~interval =
   let topo, _, _ = Pim_graph.Classic.three_domains () in
-  let eng = Engine.create () in
-  let net = Net.create eng topo in
-  let metrics = Metrics.attach net in
-  let v =
-    snd
-      (List.hd
-         (Stack.create_many ~placement:[ (group, [ rp_node ]) ] ~config:{ Stack.fast with sm }
-            ~groups:[ group ] ~net protocol))
+  (* Leave ample drain time: the backbone links are slow (5 s).  The
+     cursor is at [warm_up], so the last advance is [until -. warm_up],
+     exact for any [until] below 2^53. *)
+  let until = 60. +. (interval *. float_of_int packets) in
+  let program =
+    {
+      Dsl.empty with
+      name = "fig1";
+      group = 1;
+      rp = [ 0 ];  (* the domain-A gateway, as the paper's figure 1(c) suggests *)
+      members_decl = [ 2; 7; 12 ];
+      source_decl = Some 1;  (* a non-member router in domain A *)
+      steps =
+        [ Dsl.Join [ Dsl.Members ]; Dsl.Advance warm_up; Dsl.Mark "warm" ]
+        @ (if packets > 0 then
+             [ Dsl.Send { from = Dsl.Source; count = packets; interval; host = 1 } ]
+           else [])
+        @ [ Dsl.Advance (until -. warm_up); Dsl.Mark "end" ];
+    }
   in
-  let deliveries = ref 0 in
-  List.iter
-    (fun m ->
-      v.Stack.join m;
-      v.Stack.on_data m (fun _ -> incr deliveries))
-    members;
-  (* Let membership and control state converge before sending. *)
-  Engine.run ~until:30. eng;
-  Metrics.reset metrics;
-  for i = 0 to packets - 1 do
-    ignore
-      (Engine.schedule_at eng (30. +. (interval *. float_of_int i)) (fun () ->
-           v.Stack.send_from source))
-  done;
-  (* Leave ample drain time: the backbone links are slow (5 s). *)
-  Engine.run ~until:(60. +. (interval *. float_of_int packets)) eng;
+  (Dsl.context ~topo program, program)
+
+let row label (o : Dsl.outcome) =
+  let mark label = List.find (fun (m : Dsl.mark) -> String.equal m.Dsl.label label) o.Dsl.marks in
+  let warm = mark "warm" and fin = mark "end" in
   {
-    protocol = name;
-    data_traversals = Metrics.data_traversals metrics;
-    control_traversals = Metrics.control_traversals metrics;
-    max_link_flows = Metrics.max_link_data metrics;
-    deliveries = !deliveries;
-    state_entries = v.Stack.entries ();
+    protocol = label;
+    data_traversals = fin.Dsl.data - warm.Dsl.data;
+    control_traversals = fin.Dsl.control - warm.Dsl.control;
+    (* No data flows before the first send, so the run's busiest link is
+       the window's. *)
+    max_link_flows = fin.Dsl.max_link_data;
+    deliveries = o.Dsl.deliveries;
+    state_entries = o.Dsl.residual;
   }
 
 let run ?(packets = 40) ?(interval = 1.0) () =
   if packets < 0 then
     invalid_arg (Printf.sprintf "Fig1.run: packets must be >= 0 (got %d)" packets);
+  let ctx, program = plan ~packets ~interval in
   let spt policy = Pim_core.Config.(with_spt_policy policy fast) in
-  [
-    run_one ~packets ~interval Stack.Dvmrp "DVMRP (dense mode)";
-    run_one ~packets ~interval Stack.Pim_dm "PIM dense mode";
-    run_one ~packets ~interval ~sm:(spt Pim_core.Config.Never) Stack.Pim_sm "PIM-SM (shared tree)";
-    run_one ~packets ~interval ~sm:(spt Pim_core.Config.Immediate) Stack.Pim_sm
-      "PIM-SM (SPT switch)";
-    run_one ~packets ~interval Stack.Cbt "CBT (core in domain A)";
-  ]
+  List.map
+    (fun (label, protocol, sm) ->
+      row label (Dsl.run ~ctx ~protocol ~config:{ Stack.fast with sm } program))
+    [
+      ("DVMRP (dense mode)", Stack.Dvmrp, Pim_core.Config.fast);
+      ("PIM dense mode", Stack.Pim_dm, Pim_core.Config.fast);
+      ("PIM-SM (shared tree)", Stack.Pim_sm, spt Pim_core.Config.Never);
+      ("PIM-SM (SPT switch)", Stack.Pim_sm, spt Pim_core.Config.Immediate);
+      ("CBT (core in domain A)", Stack.Cbt, Pim_core.Config.fast);
+    ]
 
 let pp_results ppf results =
   Format.fprintf ppf

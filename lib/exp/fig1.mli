@@ -17,6 +17,13 @@ type result = {
   state_entries : int;  (** multicast forwarding entries at end of run *)
 }
 
+val plan : packets:int -> interval:float -> Dsl.context * Dsl.program
+(** The scenario as one program for every protocol.  The three-domain
+    topology has no [.scn] spelling: run the program with its context. *)
+
+val row : string -> Dsl.outcome -> result
+(** The labelled row of one {!Dsl.run} of the {!plan}. *)
+
 val run : ?packets:int -> ?interval:float -> unit -> result list
 (** Runs DVMRP dense mode, PIM-SM on the shared tree only, PIM-SM with SPT
     switching, and CBT over the identical scenario (default: 40 packets,

@@ -41,6 +41,4 @@ let data_bytes t = t.data_bytes
 
 let control_bytes t = t.control_bytes
 
-let link_data t lid = t.data.(lid)
-
 let max_link_data t = Array.fold_left max 0 t.data

@@ -27,8 +27,6 @@ val data_bytes : t -> int
 
 val control_bytes : t -> int
 
-val link_data : t -> Pim_graph.Topology.link_id -> int
-
 val max_link_data : t -> int
 (** The busiest link's data count — the traffic-concentration measure of
     Figure 2(b). *)

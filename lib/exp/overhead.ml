@@ -1,7 +1,4 @@
-module Engine = Pim_sim.Engine
-module Net = Pim_sim.Net
 module Prng = Pim_util.Prng
-module Group = Pim_net.Group
 module Random_graph = Pim_graph.Random_graph
 
 type row = {
@@ -16,78 +13,78 @@ type row = {
   spf_runs : int;
 }
 
-let group = Group.of_index 42
-
-(* One protocol, one membership set, one sending schedule; returns the
-   overhead counters. *)
-let run_protocol ~topo ~members ~fraction ~packets ~interval ~source ~rp
-    ?(sm = Pim_core.Config.fast) protocol name =
-  let eng = Engine.create () in
-  let net = Net.create eng topo in
-  let metrics = Metrics.attach net in
-  let v =
-    snd
-      (List.hd
-         (Stack.create_many ~placement:[ (group, [ rp ]) ] ~config:{ Stack.sm; lsa_refresh = None }
-            ~groups:[ group ] ~net protocol))
+(* Control is counted from t=0 so that protocols paying their cost up
+   front (MOSPF's membership flooding, CBT's tree building) are charged
+   for it; no data flows during the warm-up, so data counts are
+   unaffected. *)
+let plan ~nodes ~degree ~packets ~interval ~seed fraction =
+  (* Same topology and membership for every protocol at this point of
+     the sweep. *)
+  let seed = seed + int_of_float (fraction *. 1000.) in
+  let prng = Prng.create seed in
+  let topo = Random_graph.generate ~prng ~nodes ~degree () in
+  let count = max 1 (int_of_float (Float.round (fraction *. float_of_int nodes))) in
+  let members = Random_graph.pick_members ~prng ~nodes ~count in
+  let source =
+    (* A fixed sender outside the member set when possible. *)
+    match List.find_opt (fun u -> not (List.mem u members)) (List.init nodes Fun.id) with
+    | Some u -> u
+    | None -> 0
   in
-  let deliveries = ref 0 in
-  List.iter
-    (fun m ->
-      v.Stack.join m;
-      v.Stack.on_data m (fun _ -> incr deliveries))
-    members;
-  (* Control is counted from t=0 so that protocols paying their cost up
-     front (MOSPF's membership flooding, CBT's tree building) are charged
-     for it; no data flows during the warm-up, so data counts are
-     unaffected. *)
-  for i = 0 to packets - 1 do
-    ignore
-      (Engine.schedule_at eng (30. +. (interval *. float_of_int i)) (fun () ->
-           v.Stack.send_from source))
-  done;
-  Engine.run ~until:(50. +. (interval *. float_of_int packets)) eng;
+  let program =
+    {
+      Dsl.empty with
+      name = Printf.sprintf "overhead-%g" fraction;
+      topology = Dsl.Random { nodes; degree; seed };
+      group = 42;
+      rp = [ List.hd members ];
+      members_decl = members;
+      source_decl = Some source;
+      steps =
+        List.map (fun m -> Dsl.Join [ Dsl.Node m ]) members
+        @ (if packets > 0 then
+             [ Dsl.At (30., Dsl.Send { from = Dsl.Source; count = packets; interval; host = 1 }) ]
+           else [])
+        @ [ Dsl.Advance (50. +. (interval *. float_of_int packets)); Dsl.Mark "end" ];
+    }
+  in
+  (Dsl.context ~topo program, program)
+
+let row ~fraction ~packets label (p : Dsl.program) (o : Dsl.outcome) =
+  let fin = List.find (fun (m : Dsl.mark) -> String.equal m.Dsl.label "end") o.Dsl.marks in
+  let members = List.length p.Dsl.members_decl in
   {
-    protocol = name;
+    protocol = label;
     fraction;
-    members = List.length members;
-    data_traversals = Metrics.data_traversals metrics;
-    control_traversals = Metrics.control_traversals metrics;
-    state_entries = v.Stack.entries ();
-    deliveries = !deliveries;
-    expected_deliveries = packets * List.length members;
-    spf_runs = Pim_sim.Counters.total (Net.counters net) Spf_runs;
+    members;
+    data_traversals = fin.Dsl.data;
+    control_traversals = fin.Dsl.control;
+    state_entries = o.Dsl.residual;
+    deliveries = o.Dsl.deliveries;
+    expected_deliveries = packets * members;
+    spf_runs = Pim_sim.Counters.total o.Dsl.counters Spf_runs;
   }
 
 let run ?(nodes = 50) ?(degree = 4.) ?(packets = 30) ?(interval = 1.)
     ?(fractions = [ 0.04; 0.1; 0.2; 0.4; 0.8 ]) ~seed () =
   if packets < 0 then
     invalid_arg (Printf.sprintf "Overhead.run: packets must be >= 0 (got %d)" packets);
+  let spt policy = Pim_core.Config.(with_spt_policy policy fast) in
   List.concat_map
     (fun fraction ->
-      (* Same topology and membership for every protocol at this point of
-         the sweep. *)
-      let prng = Prng.create (seed + int_of_float (fraction *. 1000.)) in
-      let topo = Random_graph.generate ~prng ~nodes ~degree () in
-      let count = max 1 (int_of_float (Float.round (fraction *. float_of_int nodes))) in
-      let members = Random_graph.pick_members ~prng ~nodes ~count in
-      let source =
-        (* A fixed sender outside the member set when possible. *)
-        match List.find_opt (fun u -> not (List.mem u members)) (List.init nodes Fun.id) with
-        | Some u -> u
-        | None -> 0
-      in
-      let rp = List.hd members in
-      let go = run_protocol ~topo ~members ~fraction ~packets ~interval ~source ~rp in
-      let spt policy = Pim_core.Config.(with_spt_policy policy fast) in
-      [
-        go ~sm:(spt Pim_core.Config.Immediate) Stack.Pim_sm "PIM-SM (SPT)";
-        go ~sm:(spt Pim_core.Config.Never) Stack.Pim_sm "PIM-SM (shared)";
-        go Stack.Dvmrp "DVMRP";
-        go Stack.Pim_dm "PIM-DM";
-        go Stack.Cbt "CBT";
-        go Stack.Mospf "MOSPF";
-      ])
+      let ctx, program = plan ~nodes ~degree ~packets ~interval ~seed fraction in
+      List.map
+        (fun (label, protocol, sm) ->
+          row ~fraction ~packets label program
+            (Dsl.run ~ctx ~protocol ~config:{ Stack.sm; lsa_refresh = None } program))
+        [
+          ("PIM-SM (SPT)", Stack.Pim_sm, spt Pim_core.Config.Immediate);
+          ("PIM-SM (shared)", Stack.Pim_sm, spt Pim_core.Config.Never);
+          ("DVMRP", Stack.Dvmrp, Pim_core.Config.fast);
+          ("PIM-DM", Stack.Pim_dm, Pim_core.Config.fast);
+          ("CBT", Stack.Cbt, Pim_core.Config.fast);
+          ("MOSPF", Stack.Mospf, Pim_core.Config.fast);
+        ])
     fractions
   (* Canonical report order: ascending fraction, protocols in the fixed
      order above within each fraction (stable sort), independent of how

@@ -33,6 +33,20 @@ type row = {
   spf_runs : int;  (** MOSPF only; 0 elsewhere *)
 }
 
+val plan :
+  nodes:int ->
+  degree:float ->
+  packets:int ->
+  interval:float ->
+  seed:int ->
+  float ->
+  Dsl.context * Dsl.program
+(** One fraction's program for every protocol; its topology and roles
+    are all declared, so its text replays on its own. *)
+
+val row : fraction:float -> packets:int -> string -> Dsl.program -> Dsl.outcome -> row
+(** The labelled row of one {!Dsl.run} of a {!plan}ned program. *)
+
 val run :
   ?nodes:int ->
   ?degree:float ->

@@ -52,7 +52,7 @@ let plan spec =
   (* One stream from t=10 every 0.5 s, sent as two windows so the last
      one, which [assert-delivery] checks, is exactly seqs
      [check_from .. packets-1]. *)
-  let send count = Dsl.Send { from = Dsl.Source; count; interval = 0.5 } in
+  let send count = Dsl.Send { from = Dsl.Source; count; interval = 0.5; host = 1 } in
   let early = min spec.packets spec.check_from in
   let checked = spec.packets - early in
   let steps =
@@ -73,7 +73,7 @@ let program spec =
 
 let run ?capture_file ?trace_file ?metrics_file spec =
   let ctx, members, p = plan spec in
-  let o = Dsl.run ?capture_file ?trace_file ?metrics_file p in
+  let o = Dsl.run ~ctx ?capture_file ?trace_file ?metrics_file p in
   let copies seq m =
     match List.find_opt (fun (pr : Dsl.probe) -> pr.Dsl.seq = seq) o.Dsl.probes with
     | Some pr -> Option.value (List.assoc_opt m pr.Dsl.copies) ~default:0

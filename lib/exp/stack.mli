@@ -1,16 +1,17 @@
 (** Uniform adapter over the five protocol deployments.
 
-    The chaos harness, the scenario DSL, the explorer, the workload
-    harness and the protocol comparisons (fig1, overhead, groups, loss,
-    churn, ablation) all need the same small surface — join/leave a
+    The scenario DSL's runner ({!Dsl.run}, which also runs chaos, [trace
+    record], fig1, overhead and aggregation), the workload harness and
+    the protocol comparisons still on their own loops (groups, loss,
+    churn, ablation, failover) all need the same small surface — join/leave a
     member, inject data at a node, restart a router, count state, render
     per-node mroute state — phrased identically for PIM-SM, PIM-DM,
     DVMRP, CBT and MOSPF.  {!create_many} is the one way to deploy a
     protocol over an existing {!Pim_sim.Net}: it returns one view per
     group exposing exactly that surface, and a single-group experiment
     passes a list of one group.  No experiment builds a deployment
-    itself: failover's BSR election and orphan scan and aggregation's
-    per-host sources go through these views too.  {!digest} is the
+    itself: failover's BSR election and orphan scan and the DSL's
+    per-host sends ([send NODE host=H]) go through these views too.  {!digest} is the
     canonical state the explorer dedups on. *)
 
 type protocol = Pim_sm | Pim_dm | Dvmrp | Cbt | Mospf

@@ -15,7 +15,6 @@ type t = {
   probe_id : Packet.t -> int option;
   mutable max_copies : int;
   copies : (int * Topology.link_id, int) Hashtbl.t;
-  received : (int, (Topology.node, unit) Hashtbl.t) Hashtbl.t;
   mutable violations : violation list;  (* newest first *)
 }
 
@@ -26,16 +25,7 @@ let record t ~invariant detail =
 let recordf t ~invariant fmt = Format.kasprintf (record t ~invariant) fmt
 
 let create ?(max_copies = 1) net ~probe_id =
-  let t =
-    {
-      net;
-      probe_id;
-      max_copies;
-      copies = Hashtbl.create 256;
-      received = Hashtbl.create 64;
-      violations = [];
-    }
-  in
+  let t = { net; probe_id; max_copies; copies = Hashtbl.create 256; violations = [] } in
   (* Loop freedom, checked on the wire: no single data packet may
      traverse one link more than [max_copies] times.  A forwarding loop
      (or duplicate-delivery bug) shows up here within one packet
@@ -53,25 +43,10 @@ let create ?(max_copies = 1) net ~probe_id =
             (Packet.payload_to_string pkt.Packet.payload));
   t
 
-let reset_probes t =
-  Hashtbl.reset t.copies;
-  Hashtbl.reset t.received
-
 let checkpoint t ~max_copies =
   if max_copies < 1 then invalid_arg "Oracle.checkpoint: max_copies must be >= 1";
   t.max_copies <- max_copies;
-  reset_probes t
-
-let note_received t ~node ~probe =
-  let tbl =
-    match Hashtbl.find_opt t.received probe with
-    | Some tbl -> tbl
-    | None ->
-      let tbl = Hashtbl.create 8 in
-      Hashtbl.replace t.received probe tbl;
-      tbl
-  in
-  Hashtbl.replace tbl node ()
+  Hashtbl.reset t.copies
 
 let run_check t ~invariant f = List.iter (record t ~invariant) (f ())
 
@@ -80,7 +55,7 @@ let run_check t ~invariant f = List.iter (record t ~invariant) (f ())
    silently eats traffic even though a path exists.  Reachability is
    computed over live links and nodes only — a genuinely partitioned
    member is not a blackhole. *)
-let check_blackhole t ~source ~members ~probes =
+let check_blackhole t ~source ~members ~probes ~received =
   if probes <> [] then begin
     let topo = Net.topo t.net in
     let n = Topology.n_nodes topo in
@@ -104,14 +79,7 @@ let check_blackhole t ~source ~members ~probes =
           (Topology.ifaces topo u)
       done
     end;
-    let got_any m =
-      List.exists
-        (fun p ->
-          match Hashtbl.find_opt t.received p with
-          | Some tbl -> Hashtbl.mem tbl m
-          | None -> false)
-        probes
-    in
+    let got_any m = List.exists (received m) probes in
     List.sort_uniq Int.compare members
     |> List.iter (fun m ->
            if m <> source && reachable.(m) && not (got_any m) then
@@ -121,10 +89,3 @@ let check_blackhole t ~source ~members ~probes =
   end
 
 let violations t = List.rev t.violations
-
-let pp ppf t =
-  match violations t with
-  | [] -> Format.fprintf ppf "no violations"
-  | vs ->
-    Format.fprintf ppf "%d violation(s):@." (List.length vs);
-    List.iter (fun v -> Format.fprintf ppf "  %a@." pp_violation v) vs

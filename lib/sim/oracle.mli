@@ -2,8 +2,8 @@
 
     The oracle watches the whole network from outside the protocols: it
     taps {!Net.on_deliver} to verify {b loop freedom} on every probe
-    packet as it flows, collects per-probe delivery reports to find
-    {b blackholes} ({!check_blackhole}), and accepts protocol-specific state checks ({!run_check}) for
+    packet as it flows, finds {b blackholes} from the caller's delivery
+    record ({!check_blackhole}), and accepts protocol-specific state checks ({!run_check}) for
     the invariants only the deployment can phrase — stale oifs, iif/RPF
     consistency, orphaned state.  Violations accumulate with their
     virtual timestamps; a chaos run fails if any are present.
@@ -35,26 +35,18 @@ val create :
     sequence number) for packets subject to tracking, [None] for
     everything else. *)
 
-val reset_probes : t -> unit
-(** Start a new probe epoch: forget per-probe traversal counts and
-    delivery reports (violations are kept).  Call before a measurement
-    burst so earlier traffic — including duplicates that are legitimate
-    during reconvergence, like SPT-switchover overlap — does not bleed
-    into the checked window. *)
-
 val checkpoint : t -> max_copies:int -> unit
-(** Begin a quiet-period measurement epoch in one step: set the
-    duplication bound to [max_copies] and {!reset_probes}.  During active
+(** Begin a quiet-period measurement epoch: set the duplication bound
+    to [max_copies] and forget per-probe traversal counts (violations
+    are kept), so earlier traffic — including duplicates that are
+    legitimate during reconvergence, like SPT-switchover overlap — does
+    not bleed into the checked window.  During active
     churn a packet in flight across an RPF change can legitimately cross
     one link twice, so a run creates the oracle with a looser bound that
     catches only sustained duplication (a real loop revisits links
     without bound) and checkpoints to the protocol's strict bound before
     its quiet-period probes — the scenario DSL's [checkpoint] step.
     @raise Invalid_argument if [max_copies < 1]. *)
-
-val note_received : t -> node:Pim_graph.Topology.node -> probe:int -> unit
-(** Report that [node]'s local member received probe [probe] (wired to
-    the routers' local-data callbacks by the experiment). *)
 
 val record : t -> invariant:string -> string -> unit
 (** Record a violation found by the caller. *)
@@ -64,10 +56,13 @@ val run_check : t -> invariant:string -> (unit -> string list) -> unit
     (empty list = invariant holds) and record the results. *)
 
 val check_blackhole :
-  t -> source:Pim_graph.Topology.node -> members:Pim_graph.Topology.node list -> probes:int list -> unit
+  t -> source:Pim_graph.Topology.node -> members:Pim_graph.Topology.node list -> probes:int list ->
+  received:(Pim_graph.Topology.node -> int -> bool) -> unit
 (** Record a ["blackhole"] violation for every member that is reachable
     from [source] in the {e live} topology (BFS over up links and nodes)
-    yet received none of the probe window [probes].  Weaker than
+    yet, by [received member probe], received none of the probe window
+    [probes].  The scenario DSL counts only copies since its last
+    checkpoint.  Weaker than
     per-probe reachability — it fires only when routing state eats an
     entire convergence window — and exactly the complement of the
     loop-freedom tap: one invariant catches packets that multiply, this
@@ -75,5 +70,3 @@ val check_blackhole :
 
 val violations : t -> violation list
 (** All violations in detection order. *)
-
-val pp : Format.formatter -> t -> unit

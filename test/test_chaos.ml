@@ -192,8 +192,8 @@ let test_oracle_loop_freedom_on_wire () =
   let vs = Oracle.violations oracle in
   Alcotest.(check int) "duplicate traversal flagged" 1 (List.length vs);
   Alcotest.(check string) "as a loop" "loop-freedom" (List.hd vs).Oracle.invariant;
-  (* reset_probes starts a fresh epoch: the old counts are gone. *)
-  Oracle.reset_probes oracle;
+  (* A checkpoint starts a fresh epoch: the old counts are gone. *)
+  Oracle.checkpoint oracle ~max_copies:1;
   Net.send net 0 ~iface:0 pkt;
   Engine.run eng;
   Alcotest.(check int) "fresh epoch, no new violation" 1

@@ -133,7 +133,7 @@ let test_parse_timed_steps () =
   Alcotest.(check bool) "steps" true
     (List.tl p.Dsl.steps
     = [
-        Dsl.At (5., Dsl.Send { from = Dsl.Source; count = 4; interval = 0.25 });
+        Dsl.At (5., Dsl.Send { from = Dsl.Source; count = 4; interval = 0.25; host = 1 });
         Dsl.At (2.5, Dsl.Mark "early");
         Dsl.Fail_link { a = Dsl.Node 0; b = Dsl.Node 1; down_for = Some 3. };
         Dsl.Fail_node { node = Dsl.Node 4; down_for = Some 2.5 };
@@ -358,6 +358,113 @@ let test_replay_byte_identical () =
       Alcotest.(check string) "trace byte-identical" (slurp t1) (slurp t2);
       Alcotest.(check string) "capture byte-identical" (slurp c1) (slurp c2))
 
+(* [host=H] names the sending stub host; host 1, the default, is not
+   printed.  Two hosts behind one router are two sources whose packets
+   share the router's sequence numbers, and every copy counts. *)
+let test_send_host () =
+  let p =
+    parse_ok
+      {|scenario hosts
+topology line 3
+protocol PIM-DM
+members 2
+source 0
+join members
+advance 5
+send source count=2 interval=1
+send source count=2 interval=1 host=2
+advance 20
+|}
+  in
+  let text = Dsl.to_string p in
+  Alcotest.(check bool) "host=2 printed" true (contains ~needle:"interval=1 host=2\n" text);
+  Alcotest.(check bool) "host 1 not printed" true
+    (contains ~needle:"send source count=2 interval=1\n" text);
+  Alcotest.(check bool) "round-trips" true (Dsl.parse text = Ok p);
+  expect_parse_error ~line:3 "scenario x\ntopology line 4\nsend 0 host=0\n";
+  let o = Dsl.run p in
+  Alcotest.(check (list pass)) "violations" [] o.Dsl.violations;
+  Alcotest.(check int) "both hosts' copies" 4 o.Dsl.deliveries;
+  Alcotest.(check (list (pair int (list (pair int int)))))
+    "one copy of each seq"
+    [ (0, [ (2, 1) ]); (1, [ (2, 1) ]); (2, [ (2, 1) ]); (3, [ (2, 1) ]) ]
+    (List.map (fun (pr : Dsl.probe) -> (pr.Dsl.seq, pr.Dsl.copies)) o.Dsl.probes)
+
+(* A mark records the traffic so far: 3 packets down a 3-link line are
+   9 data traversals, 3 on each link. *)
+let test_mark_traffic () =
+  let p =
+    parse_ok
+      {|scenario marks
+topology line 4
+protocol PIM-DM
+join 3
+advance 5
+mark before
+send 0 count=3 interval=1
+advance 20
+mark after
+|}
+  in
+  let o = Dsl.run p in
+  let mark label = List.find (fun (m : Dsl.mark) -> m.Dsl.label = label) o.Dsl.marks in
+  Alcotest.(check int) "no data before" 0 (mark "before").Dsl.data;
+  Alcotest.(check int) "data" 9 (mark "after").Dsl.data;
+  Alcotest.(check int) "max link data" 3 (mark "after").Dsl.max_link_data;
+  Alcotest.(check int) "deliveries" 3 o.Dsl.deliveries
+
+(* [?config] is the deployment's config: the SPT policy decides whether
+   the last hop ever switches to the source's tree. *)
+let test_run_config () =
+  let p = parse_ok smoke in
+  let switches policy =
+    let sm = Pim_core.Config.(with_spt_policy policy fast) in
+    let o = Dsl.run ~protocol:Stack.Pim_sm ~config:{ Stack.fast with sm } p in
+    Pim_sim.Counters.total o.Dsl.counters Spt_switches
+  in
+  Alcotest.(check int) "Never" 0 (switches Pim_core.Config.Never);
+  Alcotest.(check bool) "Immediate" true (switches Pim_core.Config.Immediate > 0)
+
+(* A copy delivered before the last checkpoint does not clear the
+   window of a blackhole: reachability holds, the blackhole check
+   fires. *)
+let test_checkpoint_epoch () =
+  let p =
+    parse_ok
+      {|scenario epoch
+topology line 4
+protocol PIM-DM
+members 3
+source 0
+join members
+advance 5
+send source count=2 interval=1
+advance 10
+checkpoint
+assert-reachable
+|}
+  in
+  let o = Dsl.run p in
+  Alcotest.(check int) "delivered before the checkpoint" 2 o.Dsl.deliveries;
+  Alcotest.(check (list string))
+    "blackhole only" [ "blackhole" ]
+    (List.map (fun (v : Pim_sim.Oracle.violation) -> v.Pim_sim.Oracle.invariant) o.Dsl.violations)
+
+(* [~ctx] supplies the topology and roles: the program declares neither
+   (its topology is the default two-node line). *)
+let test_run_ctx () =
+  let topo = Pim_graph.Classic.line 5 in
+  let ctx = { Dsl.topo; nodes = 5; decl_members = [ 4 ]; source0 = Some 0; rp_nodes = [] } in
+  let p =
+    parse_ok
+      "scenario ctx\nprotocol PIM-DM\njoin members\nadvance 5\nsend source count=2\nadvance 20\n"
+  in
+  let o = Dsl.run ~ctx p in
+  Alcotest.(check int) "nodes" 5 o.Dsl.nodes;
+  Alcotest.(check (list int)) "members" [ 4 ] o.Dsl.members;
+  Alcotest.(check (option int)) "source" (Some 0) o.Dsl.source;
+  Alcotest.(check int) "deliveries" 2 o.Dsl.deliveries
+
 (* {2 Explorer} *)
 
 let explore_base =
@@ -436,7 +543,7 @@ let test_explore_rediscovers_switchover_loss () =
   let base = parse_ok divergence_base in
   (* The discriminator: the very program the explorer asserts is clean
      with the shared-fallback fix on. *)
-  let fixed = Dsl.run ~switchover_fallback:true base in
+  let fixed = Dsl.run ~config:Stack.fast base in
   Alcotest.(check (list pass)) "fallback on: base clean" [] fixed.Dsl.violations;
   let r =
     Explore.run ~base ~protocol:Stack.Pim_sm ~switchover_fallback:false ~depth:1 ~budget:10 ()
@@ -504,6 +611,42 @@ let test_chaos_reproducer_pinned () =
      Dsl.to_string (program Stack.Pim_sm))
     (slurp "../examples/scenarios/chaos-seed1994-PIM-SM.scn")
 
+(* E1's and E6's programs declare everything they run on: re-parsed
+   from their text and run without a context, they give the same rows.
+   Figure 1's topology has no text, so its program replays with its
+   context. *)
+let test_experiment_programs_replay () =
+  let reparse (p : Dsl.program) =
+    match Dsl.parse (Dsl.to_string p) with
+    | Ok p' -> p'
+    | Error msg -> Alcotest.failf "%s: reparse: %s" p.Dsl.name msg
+  in
+  let ctx, p = Pim_exp.Overhead.plan ~nodes:20 ~degree:4. ~packets:5 ~interval:1. ~seed:3 0.2 in
+  let p' = reparse p in
+  Alcotest.(check bool) "overhead round-trips" true (p = p');
+  List.iter
+    (fun protocol ->
+      let row p o = Pim_exp.Overhead.row ~fraction:0.2 ~packets:5 "row" p o in
+      Alcotest.(check bool)
+        (Stack.to_string protocol ^ " overhead row replays")
+        true
+        (row p (Dsl.run ~ctx ~protocol p) = row p' (Dsl.run ~protocol p')))
+    [ Stack.Pim_sm; Stack.Mospf ];
+  let a = Pim_exp.Aggregation.program ~hops:3 ~sources:2 ~packets:4 in
+  let a' = reparse a in
+  Alcotest.(check bool) "aggregation round-trips" true (a = a');
+  let row p =
+    Pim_exp.Aggregation.row ~sources:2 ~packets:4 ~aggregated:false
+      (Dsl.run ~protocol:Stack.Pim_sm p)
+  in
+  Alcotest.(check bool) "aggregation row replays" true (row a = row a');
+  Alcotest.(check int) "both sources delivered" 8 (row a').Pim_exp.Aggregation.deliveries;
+  let ctx, f = Pim_exp.Fig1.plan ~packets:3 ~interval:1. in
+  let row p = Pim_exp.Fig1.row "row" (Dsl.run ~ctx ~protocol:Stack.Cbt p) in
+  let r = row (reparse f) in
+  Alcotest.(check bool) "fig1 row replays" true (row f = r);
+  Alcotest.(check int) "fig1 delivers to all three members" 9 r.Pim_exp.Fig1.deliveries
+
 (* [pimsim trace record]'s default scenario is committed the same way. *)
 let test_trace_record_reproducer_pinned () =
   Alcotest.(check string) "examples/scenarios/trace-record-56517.scn"
@@ -569,6 +712,11 @@ let () =
           Alcotest.test_case "timed step after the last advance runs" `Quick
             test_timed_step_after_last_advance;
           Alcotest.test_case "MOSPF membership sync" `Quick test_mospf_membership_sync;
+          Alcotest.test_case "send from a second host" `Quick test_send_host;
+          Alcotest.test_case "marks record traffic" `Quick test_mark_traffic;
+          Alcotest.test_case "config sets the SPT policy" `Quick test_run_config;
+          Alcotest.test_case "checkpoint starts a delivery epoch" `Quick test_checkpoint_epoch;
+          Alcotest.test_case "runs on the given context" `Quick test_run_ctx;
         ] );
       ( "explore",
         [
@@ -586,6 +734,8 @@ let () =
           Alcotest.test_case "trace record reproducer pinned" `Quick
             test_trace_record_reproducer_pinned;
         ] );
+      ( "experiments",
+        [ Alcotest.test_case "E1 and E6 programs replay" `Quick test_experiment_programs_replay ] );
       ( "stack",
         [ Alcotest.test_case "create_many needs an RP" `Quick test_create_many_needs_rp ] );
     ]

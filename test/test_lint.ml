@@ -57,17 +57,19 @@ let fixture_tests =
     ("lib/exp/h6_bad.ml", [ "H6"; "H6"; "H6" ]);
     ("lib/exp/h6_suppressed.ml", []);
     ("lib/exp/h6_clean.ml", []);
+    ("lib/exp/h7_bad.ml", [ "H7"; "H7" ]);
+    ("lib/exp/h7_suppressed.ml", []);
+    ("lib/exp/h7_clean.ml", []);
   ]
   |> List.map (fun (name, expected) ->
          Alcotest.test_case name `Quick (check_fixture name expected))
 
-(* H6 is scoped by path: the same hand-built deployment is fine in the
-   adapter itself (lib/exp/stack.ml) and outside the experiments. *)
-let test_h6_scope () =
-  let source = In_channel.with_open_bin (fixture "lib/exp/h6_bad.ml") In_channel.input_all in
-  let root = Filename.temp_dir "pimlint_h6" "" in
-  let exp = Filename.concat "lib" "exp" in
-  let dirs = [ "lib"; exp; "bin" ] in
+(* Run [f lint_as], where [lint_as rel] lints fixture [name]'s text as
+   if it lived at [rel] in a tree with lib/exp/ and bin/. *)
+let in_tree name f =
+  let source = In_channel.with_open_bin (fixture name) In_channel.input_all in
+  let root = Filename.temp_dir "pimlint_scope" "" in
+  let dirs = [ "lib"; Filename.concat "lib" "exp"; "bin" ] in
   List.iter (fun d -> Sys.mkdir (Filename.concat root d) 0o755) dirs;
   let lint_as rel =
     let path = Filename.concat root rel in
@@ -78,10 +80,27 @@ let test_h6_scope () =
     ~finally:(fun () ->
       List.iter (fun d -> Sys.rmdir (Filename.concat root d)) (List.rev dirs);
       Sys.rmdir root)
-    (fun () ->
+    (fun () -> f lint_as)
+
+let exp file = Filename.concat (Filename.concat "lib" "exp") file
+
+(* H6 is scoped by path: the same hand-built deployment is fine in the
+   adapter itself (lib/exp/stack.ml) and outside the experiments. *)
+let test_h6_scope () =
+  in_tree "lib/exp/h6_bad.ml" (fun lint_as ->
       Alcotest.(check (list string)) "another experiment" [ "H6"; "H6"; "H6" ]
-        (lint_as (Filename.concat exp "fig9.ml"));
-      Alcotest.(check (list string)) "the adapter" [] (lint_as (Filename.concat exp "stack.ml"));
+        (lint_as (exp "fig9.ml"));
+      Alcotest.(check (list string)) "the adapter" [] (lint_as (exp "stack.ml"));
+      Alcotest.(check (list string)) "outside lib/exp" []
+        (lint_as (Filename.concat "bin" "demo.ml")))
+
+(* H7 likewise: an engine is fine in the runner (lib/exp/dsl.ml) and
+   outside the experiments, but not in the adapter. *)
+let test_h7_scope () =
+  in_tree "lib/exp/h7_bad.ml" (fun lint_as ->
+      Alcotest.(check (list string)) "another experiment" [ "H7"; "H7" ] (lint_as (exp "fig9.ml"));
+      Alcotest.(check (list string)) "the adapter" [ "H7"; "H7" ] (lint_as (exp "stack.ml"));
+      Alcotest.(check (list string)) "the runner" [] (lint_as (exp "dsl.ml"));
       Alcotest.(check (list string)) "outside lib/exp" []
         (lint_as (Filename.concat "bin" "demo.ml")))
 
@@ -202,6 +221,19 @@ let test_baseline_roundtrip () =
       Alcotest.(check int) "H4 b.ml" 1 (Baseline.allowance reloaded ~rule:Finding.H4 ~file:"b.ml");
       Alcotest.(check int) "D2 c.ml" 1 (Baseline.allowance reloaded ~rule:Finding.D2 ~file:"c.ml");
       Alcotest.(check int) "absent" 0 (Baseline.allowance reloaded ~rule:Finding.D1 ~file:"b.ml"))
+
+(* Only tier-tagged rows load: a three-field "RULE FILE COUNT" row is
+   malformed. *)
+let test_baseline_rejects_untagged () =
+  let path = Filename.temp_file "pimlint_untagged" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc "D1 a.ml 2\n");
+      match Baseline.load path with
+      | _ -> Alcotest.fail "loaded a three-field row"
+      | exception Failure msg ->
+        Alcotest.(check bool) msg true (contains msg "malformed baseline line"))
 
 (* One baseline file serves both tiers: rows are tier-tagged, and a
    one-tier rewrite (merge_tier) must not drop the other tier's rows. *)
@@ -327,7 +359,12 @@ let test_capture_digest () =
 let () =
   Alcotest.run "pim_lint"
     [
-      ("fixtures", fixture_tests @ [ Alcotest.test_case "H6 path scope" `Quick test_h6_scope ]);
+      ( "fixtures",
+        fixture_tests
+        @ [
+            Alcotest.test_case "H6 path scope" `Quick test_h6_scope;
+            Alcotest.test_case "H7 path scope" `Quick test_h7_scope;
+          ] );
       ("typed-fixtures", typed_fixture_tests);
       ( "typed-exactness",
         [ Alcotest.test_case "shadowed compare" `Quick test_typed_exactness ] );
@@ -341,6 +378,7 @@ let () =
           Alcotest.test_case "ratchet" `Quick test_baseline_ratchet;
           Alcotest.test_case "save/load roundtrip" `Quick test_baseline_roundtrip;
           Alcotest.test_case "tier-tagged rows and merge" `Quick test_baseline_tiers;
+          Alcotest.test_case "three-field row rejected" `Quick test_baseline_rejects_untagged;
         ] );
       ( "driver",
         [
