@@ -8,7 +8,7 @@ module Packet = Pim_net.Packet
 module Addr = Pim_net.Addr
 module Group = Pim_net.Group
 module Mdata = Pim_mcast.Mdata
-module Iface_timers = Pim_mcast.Iface_timers
+module Fwd = Pim_mcast.Fwd
 module Rib = Pim_routing.Rib
 
 type config = {
@@ -56,17 +56,19 @@ let is_encapsulated_data pkt =
   | Encap inner -> Pim_mcast.Mdata.is_data inner
   | _ -> false
 
-type entry = {
-  group : Group.t;
-  core : Addr.t;
-  mutable parent : (Topology.iface * Topology.node) option;
+(* A group's tree state is its "(*,G)" row in [fib]: [rp] the core, [iif]
+   the parent interface ([None] at the core), one oif per child with the
+   child's timer as its [expires], and a [local] oif on [local_iface] while
+   a member is attached.  The rest of the join state rides in [ext]. *)
+type tree = {
+  up : Topology.node;
   mutable confirmed : bool;
-  children : Iface_timers.t;  (* child interface to its timer *)
   mutable pending : Topology.iface list;
   mutable join_outstanding : bool;
-  mutable local : bool;
   mutable parent_deadline : float;
 }
+
+type Fwd.ext += Tree of tree
 
 type t = {
   node : Topology.node;
@@ -77,20 +79,20 @@ type t = {
   core_of : Group.t -> Addr.t option;
   cfg : config;
   trace : Trace.t option;
-  entries : (Group.t, entry) Hashtbl.t;
-  mutable order : entry array;
-      (* [entries] ascending by group in [order.(0 .. n_entries - 1)], kept
-         so at insert and remove: the timer walks it in place *)
-  mutable n_entries : int;
+  fib : Fwd.t;
   counters : Counters.t;
   local_cbs : (Packet.t -> unit) Pim_util.Vec.t;
   mutable local_seq : int;
-  (* Groups with directly-connected members, remembered outside [entries]
-     so a restart (which wipes them) can rejoin each tree. *)
+  (* Groups with directly-connected members, remembered outside [fib]
+     so a restart (which wipes it) can rejoin each tree. *)
   mutable local_joined : Group.t list;
 }
 
+let local_iface = -1
+
 let node t = t.node
+
+let fib t = t.fib
 
 let now t = Engine.now t.eng
 
@@ -99,173 +101,154 @@ let tracing t = Trace.active t.trace
 let ev t event =
   match t.trace with None -> () | Some trc -> Trace.emit trc ~node:t.node event
 
-let is_core t (e : entry) = Addr.equal e.core t.addr
+(* Every row is made by [ensure], which attaches its tree state. *)
+let tree (e : Fwd.entry) = match e.Fwd.ext with Tree r -> r | _ -> assert false
+
+let core (e : Fwd.entry) = match e.Fwd.rp with Some c -> c | None -> assert false
+
+let is_core t (e : Fwd.entry) = Addr.equal (core e) t.addr
 
 let all_routers = Group.of_addr_exn Addr.all_pim_routers
 
 let ctrl t payload = Packet.multicast ~src:t.addr ~group:all_routers ~ttl:1 ~size:20 payload
 
-let send_join t (e : entry) =
-  match e.parent with
+let body t (e : Fwd.entry) ~target =
+  { group = e.Fwd.group; core = core e; origin = t.node; target }
+
+let send_join t (e : Fwd.entry) =
+  match e.Fwd.iif with
   | None -> ()
-  | Some (iface, up) ->
-    e.join_outstanding <- true;
+  | Some iface ->
+    let r = tree e in
+    r.join_outstanding <- true;
     Counters.(incr t.counters ~node:t.node Joins_sent);
     if tracing t then
-      ev t (Event.Join { route = { Event.group = Group.to_string e.group; source = None }; iface });
-    let b = { group = e.group; core = e.core; origin = t.node; target = Addr.router up } in
-    Net.send t.net t.node ~iface (ctrl t (Join_request b))
-
-(* {1 The entry table} *)
-
-(* Where [g] goes in [order]: the first slot whose group is not below it. *)
-let rec order_slot t g lo hi =
-  if lo >= hi then lo
-  else
-    let mid = (lo + hi) / 2 in
-    if Group.compare t.order.(mid).group g < 0 then order_slot t g (mid + 1) hi
-    else order_slot t g lo mid
-
-let add_entry t (e : entry) =
-  Hashtbl.replace t.entries e.group e;
-  if t.n_entries = Array.length t.order then begin
-    let a = Array.make (Int.max 8 (2 * t.n_entries)) e in
-    Array.blit t.order 0 a 0 t.n_entries;
-    t.order <- a
-  end;
-  let k = order_slot t e.group 0 t.n_entries in
-  Array.blit t.order k t.order (k + 1) (t.n_entries - k);
-  t.order.(k) <- e;
-  t.n_entries <- t.n_entries + 1
-
-let remove_entry t g =
-  Hashtbl.remove t.entries g;
-  let k = order_slot t g 0 t.n_entries in
-  if k < t.n_entries && Group.equal t.order.(k).group g then begin
-    Array.blit t.order (k + 1) t.order k (t.n_entries - k - 1);
-    t.n_entries <- t.n_entries - 1
-  end
-
-let clear_entries t =
-  Hashtbl.reset t.entries;
-  t.order <- [||];
-  t.n_entries <- 0
+      ev t (Event.Join { route = { Event.group = Group.to_string e.Fwd.group; source = None }; iface });
+    Net.send t.net t.node ~iface (ctrl t (Join_request (body t e ~target:(Addr.router r.up))))
 
 let ensure t g ~core =
-  match Hashtbl.find_opt t.entries g with
+  match Fwd.find_star t.fib g with
   | Some e -> e
   | None ->
     let parent = if Addr.equal core t.addr then None else t.rib.Rib.next_hop core in
-    let e =
-      {
-        group = g;
-        core;
-        parent;
-        confirmed = Addr.equal core t.addr;
-        children = Iface_timers.create ();
-        pending = [];
-        join_outstanding = false;
-        local = false;
-        parent_deadline = now t +. t.cfg.parent_timeout;
-      }
-    in
-    add_entry t e;
+    let e = Fwd.make_star ~group:g ~rp:core ~iif:(Option.map fst parent) ~expires:infinity in
+    e.Fwd.ext <-
+      Tree
+        {
+          up = (match parent with Some (_, u) -> u | None -> Topology.no_node);
+          confirmed = Addr.equal core t.addr;
+          pending = [];
+          join_outstanding = false;
+          parent_deadline = now t +. t.cfg.parent_timeout;
+        };
+    Fwd.insert t.fib e;
     e
 
-(* Is [iface] on a group's tree: a child whose timer has not run out, or
-   the parent interface of a confirmed router other than the core?  Data
-   forwarding walks the router's interfaces through it instead of
-   building the list. *)
-let on_tree_iface ~now ~children ~parent ~confirmed ~core iface =
-  Iface_timers.live children iface ~now
-  ||
-  match parent with
-  | Some (i, _) -> i = iface && confirmed && not core
-  | None -> false
+let set_local (e : Fwd.entry) = Fwd.add_oif e local_iface ~expires:infinity ~local:true
 
-let tree_ifaces_of t (e : entry) =
-  let now = now t and core = is_core t e in
-  List.init
-    (Topology.degree (Net.topo t.net) t.node)
-    Fun.id
-  |> List.filter (fun i ->
-         on_tree_iface ~now ~children:e.children ~parent:e.parent ~confirmed:e.confirmed ~core i)
+let rec live_child iface ~now = function
+  | (o : Fwd.oif) :: tl ->
+    if o.Fwd.iface = iface then o.Fwd.expires > now else live_child iface ~now tl
+  | [] -> false
+
+let on_tree_iface ~now (e : Fwd.entry) iface =
+  live_child iface ~now e.Fwd.oifs || (Fwd.iif_is e iface && (tree e).confirmed)
+
+(* [f x y i] for each child interface whose timer runs past [now], merged
+   in ascending order with [up] (the parent interface, or [no_iface]),
+   skipping [exclude] and the local pseudo interface.  Top-level recursion
+   with explicit arguments: the walk allocates nothing. *)
+let rec walk f x y ~now ~exclude ~up = function
+  | (o : Fwd.oif) :: tl ->
+    let i = o.Fwd.iface in
+    if up >= 0 && up < i then f x y up;
+    if i >= 0 && i <> exclude && (i = up || o.Fwd.expires > now) then f x y i;
+    walk f x y ~now ~exclude ~up:(if up <= i then Topology.no_iface else up) tl
+  | [] -> if up >= 0 then f x y up
+
+let walk_tree f x y ~now ~exclude (e : Fwd.entry) =
+  let up =
+    match e.Fwd.iif with
+    | Some i when i <> exclude && (tree e).confirmed -> i
+    | _ -> Topology.no_iface
+  in
+  walk f x y ~now ~exclude ~up e.Fwd.oifs
+
+let tree_ifaces ~now e =
+  let acc = ref [] in
+  walk_tree (fun acc () i -> acc := i :: !acc) acc () ~now ~exclude:Topology.no_iface e;
+  List.rev !acc
 
 let on_tree t g =
-  match Hashtbl.find_opt t.entries g with
-  | Some e -> e.confirmed || is_core t e
+  match Fwd.find_star t.fib g with
+  | Some e -> (tree e).confirmed || is_core t e
   | None -> false
 
-let tree_ifaces t g =
-  match Hashtbl.find_opt t.entries g with Some e -> tree_ifaces_of t e | None -> []
+let add_child t (e : Fwd.entry) iface =
+  Fwd.add_oif e iface ~expires:(now t +. t.cfg.child_timeout) ~local:false
 
-let entry_count t = Hashtbl.length t.entries
-
-let add_child t (e : entry) iface = Iface_timers.set e.children iface (now t +. t.cfg.child_timeout)
-
-let send_ack t (e : entry) iface =
+let send_ack t (e : Fwd.entry) iface =
   Counters.(incr t.counters ~node:t.node Acks_sent);
-  let b = { group = e.group; core = e.core; origin = t.node; target = Addr.all_pim_routers } in
-  Net.send t.net t.node ~iface (ctrl t (Join_ack b))
+  Net.send t.net t.node ~iface (ctrl t (Join_ack (body t e ~target:Addr.all_pim_routers)))
 
-let confirm t (e : entry) =
-  if not e.confirmed then begin
-    e.confirmed <- true;
-    e.join_outstanding <- false;
-    e.parent_deadline <- now t +. t.cfg.parent_timeout;
-    if tracing t then ev t (Event.On_tree { group = Group.to_string e.group });
+let confirm t (e : Fwd.entry) =
+  let r = tree e in
+  if not r.confirmed then begin
+    r.confirmed <- true;
+    r.join_outstanding <- false;
+    r.parent_deadline <- now t +. t.cfg.parent_timeout;
+    if tracing t then ev t (Event.On_tree { group = Group.to_string e.Fwd.group });
     List.iter
       (fun i ->
         add_child t e i;
         send_ack t e i)
-      e.pending;
-    e.pending <- []
+      r.pending;
+    r.pending <- []
   end
 
 let handle_join_request t ~iface (b : body) =
   if Addr.equal b.target t.addr then begin
     let e = ensure t b.group ~core:b.core in
-    if e.confirmed || is_core t e then begin
+    let r = tree e in
+    if r.confirmed || is_core t e then begin
       add_child t e iface;
       send_ack t e iface
     end
     else begin
-      if not (List.mem iface e.pending) then e.pending <- iface :: e.pending;
-      if not e.join_outstanding then send_join t e
+      if not (List.mem iface r.pending) then r.pending <- iface :: r.pending;
+      if not r.join_outstanding then send_join t e
     end
   end
 
 let handle_join_ack t ~iface (b : body) =
-  match Hashtbl.find_opt t.entries b.group with
-  | Some e when e.join_outstanding -> (
-    match e.parent with
-    | Some (pi, _) when pi = iface -> confirm t e
-    | _ -> ())
+  match Fwd.find_star t.fib b.group with
+  | Some e when (tree e).join_outstanding && Fwd.iif_is e iface -> confirm t e
   | _ -> ()
 
-let flush t (e : entry) =
+let flush t (e : Fwd.entry) =
   Counters.(incr t.counters ~node:t.node Flushes);
-  if tracing t then ev t (Event.Flush { group = Group.to_string e.group });
-  remove_entry t e.group;
-  if e.local then begin
-    let g = e.group and core = e.core in
+  if tracing t then ev t (Event.Flush { group = Group.to_string e.Fwd.group });
+  Fwd.remove t.fib e.Fwd.group None;
+  if Fwd.has_local e then begin
+    let g = e.Fwd.group and core = core e in
     ignore
       (Engine.schedule t.eng ~after:t.cfg.rejoin_delay (fun () ->
            (* Re-validate on fire: if the group re-attached meanwhile
               (confirmed or a join already in flight), just restore the
-              local-membership bit instead of re-joining. *)
-           match Hashtbl.find_opt t.entries g with
-           | Some e' when e'.confirmed || e'.join_outstanding -> e'.local <- true
+              local member instead of re-joining. *)
+           match Fwd.find_star t.fib g with
+           | Some e' when (tree e').confirmed || (tree e').join_outstanding -> set_local e'
            | _ ->
              let e' = ensure t g ~core in
-             e'.local <- true;
-             if (not e'.confirmed) && not e'.join_outstanding then send_join t e'))
+             set_local e';
+             let r = tree e' in
+             if (not r.confirmed) && not r.join_outstanding then send_join t e'))
   end
 
 let handle_echo_request t ~iface (b : body) =
   if Addr.equal b.target t.addr then begin
-    match Hashtbl.find_opt t.entries b.group with
-    | Some e when e.confirmed || is_core t e ->
+    match Fwd.find_star t.fib b.group with
+    | Some e when (tree e).confirmed || is_core t e ->
       (* Refresh (or re-learn) the child on this interface and answer. *)
       add_child t e iface;
       let reply = { b with origin = t.node; target = Addr.all_pim_routers } in
@@ -274,19 +257,16 @@ let handle_echo_request t ~iface (b : body) =
   end
 
 let handle_echo_reply t ~iface (b : body) =
-  match Hashtbl.find_opt t.entries b.group with
-  | Some e -> (
-    match e.parent with
-    | Some (pi, up) when pi = iface && b.origin = up ->
-      e.parent_deadline <- now t +. t.cfg.parent_timeout
-    | _ -> ())
+  match Fwd.find_star t.fib b.group with
+  | Some e ->
+    let r = tree e in
+    if Fwd.iif_is e iface && b.origin = r.up then
+      r.parent_deadline <- now t +. t.cfg.parent_timeout
   | None -> ()
 
 let handle_quit t ~iface (b : body) =
   if Addr.equal b.target t.addr then begin
-    match Hashtbl.find_opt t.entries b.group with
-    | Some e -> Iface_timers.clear e.children iface
-    | None -> ()
+    match Fwd.find_star t.fib b.group with Some e -> Fwd.remove_oif e iface | None -> ()
   end
 
 (* {1 Data} *)
@@ -298,22 +278,17 @@ let local_deliver t pkt =
     cb pkt
   done
 
+let send_copy t pkt' i =
+  Counters.(incr t.counters ~node:t.node Data_forwarded);
+  Net.send t.net t.node ~iface:i pkt'
+
 (* Copy the packet onto every tree interface but [exclude], in ascending
-   interface order, testing each in place.  [exclude] is the arrival
-   interface, or [Topology.no_iface] for data injected at this router. *)
-let forward_on_tree t (e : entry) ~exclude pkt =
+   interface order.  [exclude] is the arrival interface, or
+   [Topology.no_iface] for data injected at this router. *)
+let forward_on_tree t (e : Fwd.entry) ~exclude pkt =
   if pkt.Packet.ttl > 1 then begin
-    let pkt' = Packet.decr_ttl pkt in
-    let now = now t and core = is_core t e in
-    for i = 0 to Topology.degree (Net.topo t.net) t.node - 1 do
-      if i <> exclude
-         && on_tree_iface ~now ~children:e.children ~parent:e.parent ~confirmed:e.confirmed ~core i
-      then begin
-        Counters.(incr t.counters ~node:t.node Data_forwarded);
-        Net.send t.net t.node ~iface:i pkt'
-      end
-    done;
-    if e.local && exclude <> Topology.no_iface then local_deliver t pkt
+    walk_tree send_copy t (Packet.decr_ttl pkt) ~now:(now t) ~exclude e;
+    if Fwd.has_local e && exclude <> Topology.no_iface then local_deliver t pkt
   end
 
 let send_unicast t pkt =
@@ -331,10 +306,10 @@ let originate t pkt =
     match t.core_of g with
     | None -> ()
     | Some core -> (
-      match Hashtbl.find_opt t.entries g with
-      | Some e when e.confirmed || is_core t e ->
+      match Fwd.find_star t.fib g with
+      | Some e when (tree e).confirmed || is_core t e ->
         forward_on_tree t e ~exclude:Topology.no_iface pkt;
-        if e.local then local_deliver t pkt
+        if Fwd.has_local e then local_deliver t pkt
       | _ ->
         (* Off-tree sender: tunnel the packet to the core (CBT non-member
            sending). *)
@@ -346,21 +321,18 @@ let handle_data t ~iface pkt =
   match pkt.Packet.dst with
   | Packet.Unicast _ -> ()
   | Packet.Multicast g -> (
-    match Hashtbl.find t.entries g with
-    | e
-      when on_tree_iface ~now:(now t) ~children:e.children ~parent:e.parent
-             ~confirmed:e.confirmed ~core:(is_core t e) iface ->
-      forward_on_tree t e ~exclude:iface pkt
-    | _ | (exception Not_found) ->
+    match Fwd.find_star t.fib g with
+    | Some e when on_tree_iface ~now:(now t) e iface -> forward_on_tree t e ~exclude:iface pkt
+    | _ ->
       Counters.(incr t.counters ~node:t.node Data_dropped_off_tree))
 
 let handle_encap t inner =
   match (inner.Packet.payload, inner.Packet.dst) with
   | Mdata.Data _, Packet.Multicast g -> (
-    match Hashtbl.find_opt t.entries g with
-    | Some e when is_core t e || e.confirmed ->
+    match Fwd.find_star t.fib g with
+    | Some e when is_core t e || (tree e).confirmed ->
       forward_on_tree t e ~exclude:Topology.no_iface inner;
-      if e.local then local_deliver t inner
+      if Fwd.has_local e then local_deliver t inner
     | _ -> ())
   | _ -> ()
 
@@ -373,12 +345,13 @@ let join_local t g =
     if not (List.exists (Group.equal g) t.local_joined) then
       t.local_joined <- g :: t.local_joined;
     let e = ensure t g ~core in
-    e.local <- true;
-    if (not e.confirmed) && (not (is_core t e)) && not e.join_outstanding then send_join t e
+    set_local e;
+    let r = tree e in
+    if (not r.confirmed) && (not (is_core t e)) && not r.join_outstanding then send_join t e
 
 let leave_local t g =
   t.local_joined <- List.filter (fun g' -> not (Group.equal g g')) t.local_joined;
-  match Hashtbl.find_opt t.entries g with Some e -> e.local <- false | None -> ()
+  match Fwd.find_star t.fib g with Some e -> Fwd.remove_oif e local_iface | None -> ()
 
 let on_local_data t f = Pim_util.Vec.push t.local_cbs f
 
@@ -391,7 +364,7 @@ let send_local_data t ~group ?host ?size () =
   t.local_seq <- t.local_seq + 1;
   originate t pkt
 
-(* Crash-and-reboot: CBT is hard state, so losing [entries] severs the
+(* Crash-and-reboot: CBT is hard state, so losing [fib] severs the
    tree at this node on both sides.  Upstream: we rejoin immediately for
    groups with directly-connected members.  Downstream: our former
    children keep believing we are their parent until their echoes go
@@ -400,64 +373,58 @@ let send_local_data t ~group ?host ?size () =
    periodic soft-state refresh (paper footnote 4). *)
 let restart t =
   if tracing t then ev t Event.Restart;
-  clear_entries t;
+  Fwd.clear t.fib;
   List.iter (fun g -> join_local t g) t.local_joined
 
 (* {1 Timers} *)
 
-(* The timer walks [order] in place, in canonical group order, so per-tick
+(* The tick walks [fib] in place, in canonical group order, so per-tick
    protocol actions (echo probes, join retransmits, quits) fire in an
    order independent of hash-bucket layout and the tick allocates only
    the messages it sends. *)
 
-let send_echo t (e : entry) =
-  if e.confirmed && not (is_core t e) then begin
-    match e.parent with
-    | Some (iface, up) ->
+let send_echo t (e : Fwd.entry) =
+  let r = tree e in
+  if r.confirmed && not (is_core t e) then begin
+    match e.Fwd.iif with
+    | Some iface ->
       Counters.(incr t.counters ~node:t.node Echoes_sent);
-      let b = { group = e.group; core = e.core; origin = t.node; target = Addr.router up } in
-      Net.send t.net t.node ~iface (ctrl t (Echo_request b))
+      Net.send t.net t.node ~iface (ctrl t (Echo_request (body t e ~target:(Addr.router r.up))))
     | None -> ()
   end
-  else if e.join_outstanding && not (is_core t e) then
+  else if r.join_outstanding && not (is_core t e) then
     (* CBT is explicit-ack hard state (paper footnote 4): a lost
        JOIN-REQUEST or JOIN-ACK must be retransmitted, there is no
        periodic refresh to fall back on. *)
     send_join t e
 
-let quit t (e : entry) =
-  let g = e.group in
-  match e.parent with
-  | Some (iface, up) ->
+let quit t (e : Fwd.entry) =
+  let g = e.Fwd.group in
+  (match e.Fwd.iif with
+  | Some iface ->
     Counters.(incr t.counters ~node:t.node Quits_sent);
     if tracing t then ev t (Event.Quit { group = Group.to_string g });
-    let b = { group = g; core = e.core; origin = t.node; target = Addr.router up } in
-    Net.send t.net t.node ~iface (ctrl t (Quit b));
-    remove_entry t g
-  | None -> remove_entry t g
+    Net.send t.net t.node ~iface (ctrl t (Quit (body t e ~target:(Addr.router (tree e).up))))
+  | None -> ());
+  Fwd.remove t.fib g None
 
 (* Age out [e]'s children, then flush it on a silent parent or quit a
-   branch nothing hangs off any more.  Either removes [e] from [order]. *)
-let age t n (e : entry) =
-  Iface_timers.expire e.children ~now:n;
-  if e.confirmed && (not (is_core t e)) && e.parent_deadline < n then flush t e
-  else if
-    e.confirmed && (not (is_core t e)) && (not e.local)
-    && Iface_timers.count e.children = 0 && e.pending = []
-  then quit t e
-
-let tick t =
-  (* Sends and join retransmits add and remove no entry. *)
-  for k = 0 to t.n_entries - 1 do
-    send_echo t t.order.(k)
-  done;
-  (* Flushes and quits leave in descending group order.  Each removes
-     only the entry it is given, whose slot is above every one still to
-     come, and whether an entry goes depends on its state alone. *)
+   branch nothing hangs off any more (no child, no local member).  Either
+   removes [e]. *)
+let age t (e : Fwd.entry) =
   let n = now t in
-  for k = t.n_entries - 1 downto 0 do
-    age t n t.order.(k)
-  done
+  ignore (Fwd.prune_expired_oifs e ~now:n);
+  let r = tree e in
+  if r.confirmed && not (is_core t e) then
+    if r.parent_deadline < n then flush t e
+    else if e.Fwd.oifs = [] && r.pending = [] then quit t e
+
+(* Sends and join retransmits add and remove no entry; flushes and quits
+   then leave in descending group order, each removing only the entry it
+   is given, and whether an entry goes depends on its state alone. *)
+let tick t =
+  Fwd.iter_stars t.fib send_echo t;
+  Fwd.iter_stars_rev t.fib age t
 
 let handle_packet t ~iface pkt =
   match pkt.Packet.payload with
@@ -490,9 +457,7 @@ let create ?(config = default_config) ?trace ~net ~rib ~core_of node =
       core_of;
       cfg = config;
       trace;
-      entries = Hashtbl.create 16;
-      order = [||];
-      n_entries = 0;
+      fib = Fwd.create ();
       counters = Net.counters net;
       local_cbs = Pim_util.Vec.create ();
       local_seq = 0;
@@ -524,5 +489,5 @@ module Deployment = struct
 
   let router t u = t.routers.(u)
 
-  let total_entries t = Array.fold_left (fun acc r -> acc + entry_count r) 0 t.routers
+  let total_entries t = Array.fold_left (fun acc r -> acc + Fwd.count r.fib) 0 t.routers
 end

@@ -33,6 +33,18 @@ val fast_config : config
 
 type t
 
+type tree = {
+  up : Pim_graph.Topology.node;  (** the parent router; [no_node] at the core *)
+  mutable confirmed : bool;  (** JOIN-ACK received (always, at the core) *)
+  mutable pending : Pim_graph.Topology.iface list;
+      (** children whose JOIN-REQUEST waits for this router's own ack *)
+  mutable join_outstanding : bool;  (** a JOIN-REQUEST is in flight upstream *)
+  mutable parent_deadline : float;  (** flush when no echo reply came by then *)
+}
+(** The join state of a group's row that the row's own fields do not hold. *)
+
+type Pim_mcast.Fwd.ext += Tree of tree
+
 val create :
   ?config:config ->
   ?trace:Pim_sim.Trace.t ->
@@ -44,6 +56,13 @@ val create :
 
 val node : t -> Pim_graph.Topology.node
 
+val fib : t -> Pim_mcast.Fwd.t
+(** The router's tree state, one "(*,G)" row per group it has seen: [rp]
+    is the group's core and [iif] the parent interface ([None] at the
+    core).  Each child is an oif whose [expires] is the child's timer
+    (refreshed by its echoes); a directly-connected member is the [local]
+    oif on interface [-1], as in PIM-SM.  [ext] is {!Tree}. *)
+
 val join_local : t -> Pim_net.Group.t -> unit
 (** Local member: triggers the JOIN-REQUEST / JOIN-ACK exchange toward the
     core (no-op at the core itself, which is always on-tree). *)
@@ -54,27 +73,15 @@ val on_tree : t -> Pim_net.Group.t -> bool
 (** Confirmed on the group's tree (the core is always on-tree once it has
     seen the group). *)
 
-val tree_ifaces : t -> Pim_net.Group.t -> Pim_graph.Topology.iface list
-(** Parent and confirmed child interfaces, ascending: the interfaces
-    among [0 .. degree - 1] that pass {!on_tree_iface}. *)
+val on_tree_iface : now:float -> Pim_mcast.Fwd.entry -> Pim_graph.Topology.iface -> bool
+(** The per-packet tree test over one row: is the interface a child whose
+    timer runs past [now], or the iif of a confirmed row?  Data is
+    accepted only on such an interface. *)
 
-val on_tree_iface :
-  now:float ->
-  children:Pim_mcast.Iface_timers.t ->
-  parent:(Pim_graph.Topology.iface * Pim_graph.Topology.node) option ->
-  confirmed:bool ->
-  core:bool ->
-  Pim_graph.Topology.iface ->
-  bool
-(** The per-packet tree test over one group's state: is the interface a
-    child whose timer ([children]) runs past [now], or the [parent]
-    interface of a [confirmed] router that is not the group's [core]?
-    Data is accepted only on such an interface and copied onto every
-    other one; forwarding walks the router's interfaces through this test
-    instead of building {!tree_ifaces}. *)
-
-val entry_count : t -> int
-(** Per-group tree state entries held by this router. *)
+val tree_ifaces : now:float -> Pim_mcast.Fwd.entry -> Pim_graph.Topology.iface list
+(** The interfaces data injected at the router is copied onto, in the
+    order forwarding walks them: ascending, each interface that passes
+    {!on_tree_iface}. *)
 
 val on_local_data : t -> (Pim_net.Packet.t -> unit) -> unit
 

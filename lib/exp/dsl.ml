@@ -23,6 +23,7 @@ type topology_spec =
   | Random of { nodes : int; degree : float; seed : int }
   | Derived of { seed : int; member_count : int }
   | Transit_stub of { nodes : int; seed : int }
+  | Three_domains
 
 type mroute_pred =
   | Count_at_least of int
@@ -148,7 +149,8 @@ let to_string p =
   | Random { nodes; degree; seed } ->
     line "topology random nodes=%d degree=%s seed=%d" nodes (num degree) seed
   | Derived { seed; member_count } -> line "topology derived seed=%d members=%d" seed member_count
-  | Transit_stub { nodes; seed } -> line "topology transit-stub nodes=%d seed=%d" nodes seed);
+  | Transit_stub { nodes; seed } -> line "topology transit-stub nodes=%d seed=%d" nodes seed
+  | Three_domains -> line "topology three-domains");
   Option.iter (fun pr -> line "protocol %s" (Stack.to_string pr)) p.protocol;
   if p.group <> default_group then line "group %d" p.group;
   if p.rp <> [] then line "rp %s" (String.concat " " (List.map string_of_int p.rp));
@@ -372,10 +374,11 @@ let parse_topology ln args =
     let* seed = req int_of ln opts "seed" in
     if nodes < 2 then parse_error ln "topology transit-stub: need at least 2 nodes"
     else Ok (Transit_stub { nodes; seed })
+  | [ "three-domains" ] -> Ok Three_domains
   | _ ->
     parse_error ln
       "expected: topology line N | random nodes= degree= seed= | derived seed= members= | \
-       transit-stub nodes= seed="
+       transit-stub nodes= seed= | three-domains"
 
 let parse text =
   let strip_comment l = match String.index_opt l '#' with Some i -> String.sub l 0 i | None -> l in
@@ -453,7 +456,9 @@ type context = {
   rp_nodes : int list;  (** ordered; head is the [rp] symbol *)
 }
 
-let context ?topo:given p =
+let fail fmt = Printf.ksprintf (fun s -> invalid_arg ("scenario: " ^ s)) fmt
+
+let resolve ?topo:given p =
   let declared draw =
     let topo = match given with Some t -> t | None -> draw () in
     {
@@ -468,6 +473,10 @@ let context ?topo:given p =
   | Line n -> declared (fun () -> Pim_graph.Classic.line n)
   | Random { nodes; degree; seed } ->
     declared (fun () -> Random_graph.generate ~prng:(Prng.create seed) ~nodes ~degree ())
+  | Three_domains ->
+    declared (fun () ->
+        let topo, _, _ = Pim_graph.Classic.three_domains () in
+        topo)
   | Transit_stub { nodes; seed } ->
     declared (fun () ->
         let transit, stubs_per_transit, stub_size = Pim_graph.Transit_stub.sizes ~nodes in
@@ -491,6 +500,18 @@ let context ?topo:given p =
       source0 = Some (Option.value p.source_decl ~default:source);
       rp_nodes = (if p.rp <> [] then p.rp else [ rp ]);
     }
+
+(* A declared role past the last node would reach the stack as a bare
+   array index. *)
+let context ?topo p =
+  let ctx = resolve ?topo p in
+  let check what u =
+    if u < 0 || u >= ctx.nodes then fail "%s: node %d outside topology (%d nodes)" what u ctx.nodes
+  in
+  List.iter (check "members") ctx.decl_members;
+  Option.iter (check "source") ctx.source0;
+  List.iter (check "rp") ctx.rp_nodes;
+  ctx
 
 (* {1 Runner} *)
 
@@ -520,8 +541,6 @@ type outcome = {
   counters : Pim_sim.Counters.t;
   ok : bool;
 }
-
-let fail fmt = Printf.ksprintf (fun s -> invalid_arg ("scenario: " ^ s)) fmt
 
 (* What one member got of one probe: its copies, the probe's send time,
    and the checkpoint epoch its last copy arrived in. *)
@@ -562,7 +581,7 @@ let run ?ctx ?trace_file ?capture_file ?metrics_file ?protocol ?config (p : prog
     (* Churn-tolerant bound while the scenario perturbs; [checkpoint]
        drops to the protocol's strict bound. *)
     Oracle.create ~max_copies:(stack.Stack.max_copies + 2) net ~probe_id:(fun pkt ->
-        match pkt.Pim_net.Packet.payload with Mdata.Data i -> Some i.Mdata.seq | _ -> None)
+        match pkt.Pim_net.Packet.payload with Mdata.Data i -> i.Mdata.seq | _ -> -1)
   in
   let faults = Fault.install ~restart:stack.Stack.restart net [] in
   (* Only a run that writes metrics observes per-delivery latency. *)
@@ -782,7 +801,9 @@ let run ?ctx ?trace_file ?capture_file ?metrics_file ?protocol ?config (p : prog
         stack.Stack.state_checks
     | Assert_mroute { node; pred } ->
       let u = deref1 "assert-mroute" node in
-      let lines = stack.Stack.mroute u in
+      let lines =
+        List.map (fun e -> Format.asprintf "%a" Pim_mcast.Fwd.pp_entry e) (stack.Stack.fib_entries u)
+      in
       let n = List.length lines in
       let bad detail =
         Oracle.record oracle ~invariant:"mroute"

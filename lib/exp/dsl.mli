@@ -17,6 +17,7 @@ topology line N
 topology random nodes=N degree=F seed=N
 topology derived seed=N members=N    # the qcheck property's derivation
 topology transit-stub nodes=N seed=N # drawn as the chaos harness draws it
+topology three-domains               # Figure 1's three domains (18 nodes)
 protocol PIM-SM|PIM-DM|DVMRP|CBT|MOSPF
 group N                              # group index (default 5)
 rp N [N ...]                         # ordered RP list / CBT core (first)
@@ -45,6 +46,12 @@ assert-no-loops     # structural state checks (wire loops are checked continuous
 assert-mroute U count>=K|count<=K|count=K|contains=STR
 assert-drained      # state entries at/below the protocol's residual floor
     v}
+
+    [assert-mroute] counts, or searches, node U's forwarding rows
+    ({!Stack.field-fib_entries}), one line each as
+    {!Pim_mcast.Fwd.pp_entry} prints it, for every protocol; the
+    [checkpoint] digest ({!Stack.digest}) hashes the same lines.
+    Declared [members], [source] and [rp] nodes must lie in the topology.
 
     Execution is sequential over a virtual-time cursor: [advance] runs
     the engine forward, every other step acts at the current instant
@@ -77,6 +84,7 @@ type topology_spec =
       (** {!Pim_graph.Transit_stub.generate} at
           {!Pim_graph.Transit_stub.sizes}[ ~nodes], default link costs and
           delays, from a fresh PRNG of [seed] — the chaos harness's draw. *)
+  | Three_domains  (** {!Pim_graph.Classic.three_domains}: Figure 1's topology *)
 
 type mroute_pred =
   | Count_at_least of int
@@ -155,7 +163,10 @@ val context : ?topo:Pim_graph.Topology.t -> program -> context
     running it — the explorer uses this to derive its action alphabet.
     [topo], when given, is used instead of drawing the declared
     topology again; it must be that topology (not checked), and a
-    [derived] one is drawn regardless: pass {!run} the context. *)
+    [derived] one is drawn regardless: pass {!run} the context.
+
+    @raise Invalid_argument when a declared [members], [source] or [rp]
+    node is outside the topology ("node N outside topology (M nodes)"). *)
 
 type probe = {
   seq : int;

@@ -11,7 +11,6 @@ type result = {
 let warm_up = 30.
 
 let plan ~packets ~interval =
-  let topo, _, _ = Pim_graph.Classic.three_domains () in
   (* Leave ample drain time: the backbone links are slow (5 s).  The
      cursor is at [warm_up], so the last advance is [until -. warm_up],
      exact for any [until] below 2^53. *)
@@ -20,6 +19,7 @@ let plan ~packets ~interval =
     {
       Dsl.empty with
       name = "fig1";
+      topology = Dsl.Three_domains;
       group = 1;
       rp = [ 0 ];  (* the domain-A gateway, as the paper's figure 1(c) suggests *)
       members_decl = [ 2; 7; 12 ];
@@ -32,7 +32,7 @@ let plan ~packets ~interval =
         @ [ Dsl.Advance (until -. warm_up); Dsl.Mark "end" ];
     }
   in
-  (Dsl.context ~topo program, program)
+  (Dsl.context program, program)
 
 let row label (o : Dsl.outcome) =
   let mark label = List.find (fun (m : Dsl.mark) -> String.equal m.Dsl.label label) o.Dsl.marks in

@@ -18,8 +18,9 @@ type result = {
 }
 
 val plan : packets:int -> interval:float -> Dsl.context * Dsl.program
-(** The scenario as one program for every protocol.  The three-domain
-    topology has no [.scn] spelling: run the program with its context. *)
+(** The scenario as one program for every protocol, with its resolved
+    context.  The program declares everything it runs on ([topology
+    three-domains], members, RP and source), so its text replays alone. *)
 
 val row : string -> Dsl.outcome -> result
 (** The labelled row of one {!Dsl.run} of the {!plan}. *)

@@ -35,7 +35,6 @@ type t = {
   entries : unit -> int;
   restart : Topology.node -> unit;
   state_checks : (string * (unit -> string list)) list;
-  mroute : Topology.node -> string list;
   fib_entries : Topology.node -> Fwd.entry list;
   max_copies : int;
   residual_floor : int;
@@ -203,12 +202,8 @@ let pim_state_checks ~net ~rib ~fib =
    thousands of routers, where a deployment per group would multiply
    every router's timer load by the group count.  Views share entries/
    restart/state_checks/fib_entries/spt_switches/export_metrics; join/
-   leave/send_from/mroute act per group, and on_data callbacks fire only
-   for the view's group. *)
-
-(* Eta-expanded: a partial [asprintf] builds a formatter even for a router with no state. *)
-let fwd_mroute fib_entries u =
-  List.map (fun e -> Format.asprintf "%a" Fwd.pp_entry e) (fib_entries u)
+   leave/send_from act per group, and on_data callbacks fire only for the
+   view's group. *)
 
 let rp_nodes_for ~placement ~protocol group =
   match List.find_opt (fun (g, _) -> Group.equal g group) placement with
@@ -309,7 +304,6 @@ let pim_sm_many ~spt_switches ~rp_election ~cbsr_forbidden ~config ?trace ~place
           Pim_core.Router.restart (router u);
           Option.iter (fun b -> Pim_core.Bsr.restart b u) bsr);
       state_checks = checks;
-      mroute = fwd_mroute fib_entries;
       fib_entries;
       max_copies = 1;
       residual_floor = 0;
@@ -336,7 +330,6 @@ let dense_many ~spt_switches ~mode ?trace ~groups net =
       entries = (fun () -> Pim_dense.Router.Deployment.total_entries d);
       restart = (fun u -> Pim_dense.Router.restart (router u));
       state_checks = [];
-      mroute = fwd_mroute fib_entries;
       fib_entries;
       (* Broadcast-and-prune legitimately puts one copy per link direction
          on the wire (the flood, then the re-flood after grow-back). *)
@@ -361,6 +354,7 @@ let cbt_many ~spt_switches ?trace ~placement ~groups net =
   let d = Pim_cbt.Router.Deployment.create_static ~config ?trace net ~core_of in
   let router u = Pim_cbt.Router.Deployment.router d u in
   let on_data = local_dispatch net (fun u f -> Pim_cbt.Router.on_local_data (router u) f) in
+  let fib_entries u = Fwd.entries (Pim_cbt.Router.fib (router u)) in
   let view group =
     {
       protocol = Cbt;
@@ -371,17 +365,7 @@ let cbt_many ~spt_switches ?trace ~placement ~groups net =
       entries = (fun () -> Pim_cbt.Router.Deployment.total_entries d);
       restart = (fun u -> Pim_cbt.Router.restart (router u));
       state_checks = [];
-      mroute =
-        (fun u ->
-          let r = router u in
-          if Pim_cbt.Router.on_tree r group then
-            [
-              Printf.sprintf "%s ifaces={%s}" (Group.to_string group)
-                (Pim_cbt.Router.tree_ifaces r group
-                |> List.sort Int.compare |> List.map string_of_int |> String.concat ",");
-            ]
-          else []);
-      fib_entries = (fun _ -> []);
+      fib_entries;
       max_copies = 1;
       (* The core never tears down its own entry. *)
       residual_floor = 1;
@@ -397,6 +381,7 @@ let mospf_many ~spt_switches ?lsa_refresh ?trace ~groups net =
   let n = Topology.n_nodes (Net.topo net) in
   let on_data = local_dispatch net (fun u f -> Pim_mospf.Router.on_local_data (router u) f) in
   let knows u m g = Pim_mospf.Router.knows_member (router u) m g in
+  let fib_entries u = Pim_mospf.Router.rows (router u) in
   (* MOSPF floods membership, so every live router must know every live
      member — the whole premise of its design.  A router's own state
      says whether it is a member. *)
@@ -424,17 +409,7 @@ let mospf_many ~spt_switches ?lsa_refresh ?trace ~groups net =
       entries = (fun () -> Pim_mospf.Router.Deployment.total_membership_entries d);
       restart = (fun u -> Pim_mospf.Router.restart (router u));
       state_checks = [ ("membership-sync", membership_sync) ];
-      mroute =
-        (fun u ->
-          let known = List.filter (fun m -> knows u m group) (List.init n Fun.id) in
-          match known with
-          | [] -> []
-          | ms ->
-            [
-              Printf.sprintf "%s members={%s}" (Group.to_string group)
-                (String.concat "," (List.map string_of_int ms));
-            ]);
-      fib_entries = (fun _ -> []);
+      fib_entries;
       max_copies = 1;
       residual_floor = 0;
       spt_switches;
@@ -459,7 +434,8 @@ let create_many ?(placement = []) ?(rp_election = false) ?(cbsr_forbidden = []) 
 (* {1 State digest} *)
 
 (* Canonical rendering of the global protocol state: per live node its
-   timer-free mroute lines, plus the live-topology bitmap and member set.
+   forwarding rows ({!Fwd.pp_entry}, which prints no timer), plus the
+   live-topology bitmap and member set.
    Two runs reaching the same digest are (for exploration purposes) in
    the same state — the dedup key `pimsim explore` prunes on, and the
    comparison key the future differential-verification work diffs on.
@@ -473,10 +449,10 @@ let digest t ~net ~members =
     if Net.node_up net u then begin
       Buffer.add_string buf (Printf.sprintf "node %d\n" u);
       List.iter
-        (fun line ->
-          Buffer.add_string buf line;
+        (fun e ->
+          Buffer.add_string buf (Format.asprintf "%a" Fwd.pp_entry e);
           Buffer.add_char buf '\n')
-        (t.mroute u)
+        (t.fib_entries u)
     end
     else Buffer.add_string buf (Printf.sprintf "node %d down\n" u)
   done;

@@ -4,9 +4,12 @@
     record], fig1, overhead and aggregation), the workload harness and
     the protocol comparisons still on their own loops (groups, loss,
     churn, ablation, failover) all need the same small surface — join/leave a
-    member, inject data at a node, restart a router, count state, render
-    per-node mroute state — phrased identically for PIM-SM, PIM-DM,
-    DVMRP, CBT and MOSPF.  {!create_many} is the one way to deploy a
+    member, inject data at a node, restart a router, count state, read a
+    node's forwarding rows — phrased identically for PIM-SM, PIM-DM,
+    DVMRP, CBT and MOSPF.  Every protocol's forwarding state reads as
+    {!Pim_mcast.Fwd.entry} rows (section 3's (S,G) and "(*,G)" entries),
+    so one rendering ({!Pim_mcast.Fwd.pp_entry}) serves the {!digest}
+    and the DSL's [assert-mroute] for all five.  {!create_many} is the one way to deploy a
     protocol over an existing {!Pim_sim.Net}: it returns one view per
     group exposing exactly that surface, and a single-group experiment
     passes a list of one group.  No experiment builds a deployment
@@ -37,24 +40,25 @@ type t = {
       (** inject one data packet at the node, sent by its stub host
           [host] (default 1): distinct hosts are distinct sources sharing
           the router's /24 *)
-  entries : unit -> int;  (** protocol state entries network-wide *)
+  entries : unit -> int;
+      (** protocol state entries network-wide: the {!field-fib_entries}
+          rows summed over every node, except for MOSPF, whose count is
+          the (router, group) membership pairs its routers store
+          ({!Pim_mospf.Router.membership_entries}) — the flooded state
+          the paper charges MOSPF with, not its cached plans *)
   restart : Pim_graph.Topology.node -> unit;  (** wipe and reboot one router *)
   state_checks : (string * (unit -> string list)) list;
       (** named structural invariants (empty list = invariant holds):
           PIM-SM's {!pim_state_checks}; MOSPF's [membership-sync], that
           every live router knows every live member of every group the
           deployment serves; none for the other protocols *)
-  mroute : Pim_graph.Topology.node -> string list;
-      (** canonical, timer-free rendering of the node's multicast routing
-          state, in a stable order — the unit the {!digest} hashes and
-          [assert-mroute] matches against.  MOSPF renders one
-          ["<group> members={m1,m2,...}"] line listing the members the
-          router knows (none when it knows no member) *)
   fib_entries : Pim_graph.Topology.node -> Pim_mcast.Fwd.entry list;
-      (** the node's forwarding entries, every group, as
-          {!Pim_mcast.Fwd.entries} lists them: what PIM-SM's and the dense
-          protocols' [mroute] render; [[]] for CBT and MOSPF, which keep
-          no [Fwd] table *)
+      (** the node's forwarding rows, every group, in
+          {!Pim_mcast.Fwd.compare_entry} order: the FIB's entries for
+          PIM-SM, PIM-DM and DVMRP ({!Pim_mcast.Fwd.entries}); CBT's
+          "(*,G)" tree rows ({!Pim_cbt.Router.fib}); MOSPF's cached
+          on-tree plans as (S,G) rows, built on each call
+          ({!Pim_mospf.Router.rows}) *)
   max_copies : int;  (** legitimate per-link copies of one quiet-period packet *)
   residual_floor : int;  (** entries legitimately left after every member leaves *)
   spt_switches : unit -> int;
@@ -112,7 +116,7 @@ val create_many :
     Views share the deployment: [entries], [restart], [state_checks],
     [fib_entries], [spt_switches] and [export_metrics] are deployment-wide
     and identical across views, while
-    [join]/[leave]/[send_from]/[mroute] act per group and [on_data]
+    [join]/[leave]/[send_from] act per group and [on_data]
     callbacks only fire for that view's group.
 
     @raise Invalid_argument if PIM-SM or CBT is given a group without a
@@ -160,7 +164,8 @@ val pim_state_checks :
     deployment. *)
 
 val digest : t -> net:Pim_sim.Net.t -> members:Pim_graph.Topology.node list -> string
-(** Hex MD5 of the canonical global state: every node's {!field-mroute}
-    lines (or its down marker), the link-up bitmap, and the sorted member
+(** Hex MD5 of the canonical global state: every node's
+    {!field-fib_entries} rows as {!Pim_mcast.Fwd.pp_entry} prints them
+    (or its down marker), the link-up bitmap, and the sorted member
     set.  Timer-free by construction, so two interleavings that converge
     to the same forwarding state collide — the explorer's dedup key. *)

@@ -351,6 +351,11 @@ let iter_stars t f x =
     match t.slots.(t.order.(k)).star with Some e -> f x e | None -> ()
   done
 
+let iter_stars_rev t f x =
+  for k = Group.Interner.count t.interner - 1 downto 0 do
+    match t.slots.(t.order.(k)).star with Some e -> f x e | None -> ()
+  done
+
 let rec visit_due f x ~now ~all = function
   | e :: tl ->
     if all || now >= e.timers.due then f x e;

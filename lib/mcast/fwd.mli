@@ -206,6 +206,9 @@ val iter_stars : t -> ('a -> entry -> unit) -> 'a -> unit
     order, without visiting an (S,G).  [f] may remove the entry it is
     given, and must insert nothing. *)
 
+val iter_stars_rev : t -> ('a -> entry -> unit) -> 'a -> unit
+(** {!iter_stars} in the reverse order: groups descending. *)
+
 val iter_due : t -> now:float -> all:bool -> ('a -> entry -> unit) -> 'a -> unit
 (** [iter_due t ~now ~all f x] applies [f x], in {!iter} order and under
     its contract, to the entries that are due: every entry when [all],

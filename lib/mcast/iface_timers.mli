@@ -1,7 +1,7 @@
 (** Per-interface deadlines, unboxed.
 
     The soft state the protocols keep per interface of an entry — PIM-SM
-    and PIM-DM prune masks, PIM-DM join timestamps, CBT child timers — is
+    and PIM-DM prune masks, PIM-DM join timestamps — is
     a map from a router's interfaces to one time each.  Interfaces are
     small dense integers, so the map is a float array indexed by
     interface (grown on demand) with a count of the interfaces present:

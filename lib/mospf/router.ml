@@ -9,6 +9,7 @@ module Packet = Pim_net.Packet
 module Addr = Pim_net.Addr
 module Group = Pim_net.Group
 module Mdata = Pim_mcast.Mdata
+module Fwd = Pim_mcast.Fwd
 
 module GroupSet = Set.Make (Group)
 
@@ -202,6 +203,19 @@ let plan_for t src_router g =
                };
            });
     p
+
+(* A plan's key back as its (S,G) row: S is the source router's address,
+   as its [Entry_install] event names it. *)
+let row key p =
+  let group = Group.of_addr_exn (Addr.of_int32 (Int32.of_int (key land 0xFFFF_FFFF))) in
+  let e = Fwd.make_sg ~group ~source:(Addr.router (key lsr 32)) ~iif:p.iif ~expires:infinity () in
+  let oif iface = { Fwd.iface; expires = infinity; local = iface < 0 } in
+  e.Fwd.oifs <- List.map oif (if p.member_here then -1 :: p.olist else p.olist);
+  e
+
+let rows t =
+  Plan_cache.fold (fun key p acc -> if p.on_tree then row key p :: acc else acc) t.cache []
+  |> List.sort Fwd.compare_entry
 
 let local_deliver t pkt =
   Counters.(incr t.counters ~node:t.node Data_delivered_local);

@@ -77,6 +77,15 @@ val plan_for : t -> Pim_graph.Topology.node -> Pim_net.Group.t -> plan
     router [src]'s subnetwork with.  A cache miss computes it (one
     [Spf_runs] count); membership and topology changes invalidate the cache. *)
 
+val rows : t -> Pim_mcast.Fwd.entry list
+(** The router's cached on-tree plans as (S,G) rows, one per (source
+    router, group) it forwards for, in {!Pim_mcast.Fwd.compare_entry}
+    order: S is the source router's own address ({!Pim_net.Addr.router}),
+    [iif] the plan's, and the oifs are [olist] plus a [local] oif on
+    interface [-1] when [member_here], every timer at [infinity]; no RP,
+    no flag.  Built on each call: reading them neither fills nor drops a
+    cached plan, and counts no [Spf_runs]. *)
+
 val restart : t -> unit
 (** Crash-and-reboot: wipe the LSDB and forwarding cache; local
     memberships survive and the own LSA is re-flooded at once with a

@@ -10,11 +10,13 @@ type violation = {
 let pp_violation ppf v =
   Format.fprintf ppf "t=%.2f [%s] %s" v.time v.invariant v.detail
 
+module Int_tbl = Hashtbl.Make (Int)
+
 type t = {
   net : Net.t;
-  probe_id : Packet.t -> int option;
+  probe_id : Packet.t -> int;
   mutable max_copies : int;
-  copies : (int * Topology.link_id, int) Hashtbl.t;
+  copies : int Int_tbl.t;  (* probe * n_links + link -> traversals *)
   mutable violations : violation list;  (* newest first *)
 }
 
@@ -25,28 +27,30 @@ let record t ~invariant detail =
 let recordf t ~invariant fmt = Format.kasprintf (record t ~invariant) fmt
 
 let create ?(max_copies = 1) net ~probe_id =
-  let t = { net; probe_id; max_copies; copies = Hashtbl.create 256; violations = [] } in
+  let t = { net; probe_id; max_copies; copies = Int_tbl.create 256; violations = [] } in
+  let n_links = Topology.n_links (Net.topo net) in
   (* Loop freedom, checked on the wire: no single data packet may
      traverse one link more than [max_copies] times.  A forwarding loop
      (or duplicate-delivery bug) shows up here within one packet
-     lifetime, long before any state inspection would catch it. *)
+     lifetime, long before any state inspection would catch it.  One int
+     key per (probe, link), so a traversal builds no key. *)
   Net.on_deliver net (fun lid pkt ->
-      match t.probe_id pkt with
-      | None -> ()
-      | Some probe ->
-        let k = (probe, lid) in
-        let n = 1 + Option.value (Hashtbl.find_opt t.copies k) ~default:0 in
-        Hashtbl.replace t.copies k n;
+      let probe = t.probe_id pkt in
+      if probe >= 0 then begin
+        let k = (probe * n_links) + lid in
+        let n = 1 + match Int_tbl.find t.copies k with c -> c | exception Not_found -> 0 in
+        Int_tbl.replace t.copies k n;
         if n = t.max_copies + 1 then
           recordf t ~invariant:"loop-freedom"
             "probe %d traversed link %d %d times (max %d) — %s" probe lid n t.max_copies
-            (Packet.payload_to_string pkt.Packet.payload));
+            (Packet.payload_to_string pkt.Packet.payload)
+      end);
   t
 
 let checkpoint t ~max_copies =
   if max_copies < 1 then invalid_arg "Oracle.checkpoint: max_copies must be >= 1";
   t.max_copies <- max_copies;
-  Hashtbl.reset t.copies
+  Int_tbl.reset t.copies
 
 let run_check t ~invariant f = List.iter (record t ~invariant) (f ())
 

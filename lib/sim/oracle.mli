@@ -26,14 +26,15 @@ type t
 val create :
   ?max_copies:int ->
   Net.t ->
-  probe_id:(Pim_net.Packet.t -> int option) ->
+  probe_id:(Pim_net.Packet.t -> int) ->
   t
 (** Install the on-wire loop-freedom tap: a probe packet traversing any
     single link more than [max_copies] times (default 1 — correct for
     point-to-point topologies, where a tree uses each link once) is a
-    violation.  [probe_id] returns a stable identifier (e.g. the data
-    sequence number) for packets subject to tracking, [None] for
-    everything else. *)
+    violation.  [probe_id] returns a stable non-negative identifier
+    (e.g. the data sequence number) for packets subject to tracking, and
+    a negative number for everything else.  The tap counts under one int
+    per (probe, link), so a traversal builds no key. *)
 
 val checkpoint : t -> max_copies:int -> unit
 (** Begin a quiet-period measurement epoch: set the duplication bound

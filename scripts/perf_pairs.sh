@@ -16,7 +16,11 @@
 # pairs the working tree won (ties count for neither), and whether the gap
 # between the medians is larger than REV's interquartile range.  Claim a
 # gain only when the working tree wins at least nine pairs in ten and the
-# gap exceeds that range.  Exit status: 0 when the comparison ran, 1 when
+# gap exceeds that range.  It also prints the relative change of the
+# working tree's median against REV's next to the metric's regression
+# bound from the working tree's BENCHMARK.json (read only), with "within
+# bound" or "worse than bound": the no-regression check a change that
+# claims no gain must pass.  Exit status: 0 when the comparison ran, 1 when
 # a run failed or reported itself incorrect, 2 on bad arguments.
 set -euo pipefail
 
@@ -78,8 +82,12 @@ for i in $(seq 1 "$pairs"); do
   fi
 done
 
-python3 - "$base.runs" <<'EOF'
-import json, statistics, sys
+python3 - "$base.runs" "$tree/BENCHMARK.json" <<'EOF'
+import json, os, statistics, sys
+
+bounds = {}
+if os.path.exists(sys.argv[2]):
+    bounds = {m["name"]: m for m in json.load(open(sys.argv[2])).get("end_to_end", [])}
 
 runs = {"REV": [], "tree": []}
 for line in open(sys.argv[1]):
@@ -109,4 +117,12 @@ for metric in runs["REV"][0]:
     print(f"tree better in {wins} of {len(before)} pairs")
     verdict = "exceeds" if gap > q3 - q1 else "does not exceed"
     print(f"median gap {gap:+.4f} vs REV iqr {q3 - q1:.4f}: {verdict}")
+    rel = (statistics.median(after) - q2) / q2 if q2 else 0.0
+    spec = bounds.get(metric)
+    if spec is None:
+        print(f"relative change {rel:+.2%} (no bound in BENCHMARK.json)")
+    else:
+        worse = rel > spec["bound"] if spec.get("better", "lower") == "lower" else -rel > spec["bound"]
+        status = "worse than bound" if worse else "within bound"
+        print(f"relative change {rel:+.2%} vs bound {spec['bound']:.0%}: {status}")
 EOF

@@ -32,8 +32,9 @@ let test_join_ack_builds_tree () =
   Alcotest.(check bool) "off-branch router not on tree" false
     (Cbt.on_tree (Cbt.Deployment.router dep 0) g);
   (* Transit router has both parent and child interfaces. *)
+  let transit = Option.get (Pim_mcast.Fwd.find_star (Cbt.fib (Cbt.Deployment.router dep 3)) g) in
   Alcotest.(check int) "transit degree 2" 2
-    (List.length (Cbt.tree_ifaces (Cbt.Deployment.router dep 3) g));
+    (List.length (Cbt.tree_ifaces ~now:(Engine.now eng) transit));
   Alcotest.(check bool) "acks were sent" true
     (Counters.total (Net.counters net) Counters.Acks_sent > 0)
 
@@ -153,10 +154,12 @@ let qcheck_rand () =
   in
   Random.State.make [| seed |]
 
-(* Forwarding walks a router's interfaces through [on_tree_iface]; over
-   random tree state (child timers on both sides of [now] = 10 and exactly
-   at it, a parent or none, confirmed or not, core or not) the interfaces
-   it passes are exactly the list [tree_ifaces_of] used to build. *)
+(* Forwarding walks a row's oifs merged with its iif, and data is
+   accepted on an interface that passes [on_tree_iface]; over random tree
+   state (child timers on both sides of [now] = 10 and exactly at it, a
+   local member or none, a parent or none, confirmed or not, core or not)
+   both yield exactly the list [tree_ifaces_of] used to build.  The core
+   has no parent: its row's iif is [None]. *)
 let prop_on_tree_iface_matches_list =
   QCheck.Test.make ~count:1000 ~name:"on_tree_iface walk yields the old tree list"
     QCheck.(
@@ -166,22 +169,25 @@ let prop_on_tree_iface_matches_list =
           quad
             (list_size (int_bound 6) (pair (int_bound (deg - 1)) (oneofl [ 5.; 10.; 10.01; 15. ])))
             (opt (int_bound (deg - 1)))
-            (pair bool bool) (return deg)))
-    (fun (children_l, parent_iface, (confirmed, core), deg) ->
+            (triple bool bool bool) (return deg)))
+    (fun (children_l, parent_iface, (confirmed, core, local), deg) ->
+      let module Fwd = Pim_mcast.Fwd in
       let now = 10. in
-      let children = Hashtbl.create 4 and timers = Pim_mcast.Iface_timers.create () in
-      List.iter
-        (fun (i, exp) ->
-          Hashtbl.replace children i exp;
-          Pim_mcast.Iface_timers.set timers i exp)
-        children_l;
-      let parent = Option.map (fun i -> (i, 7)) parent_iface in
-      let walked =
-        List.filter
-          (Cbt.on_tree_iface ~now ~children:timers ~parent ~confirmed ~core)
-          (List.init deg Fun.id)
+      let children = Hashtbl.create 4 in
+      List.iter (fun (i, exp) -> Hashtbl.replace children i exp) children_l;
+      let parent = if core then None else Option.map (fun i -> (i, 7)) parent_iface in
+      let e =
+        Fwd.make_star ~group:g ~rp:(Addr.router core_node) ~iif:(Option.map fst parent)
+          ~expires:infinity
       in
-      walked = Oif_reference.tree_ifaces_of ~now ~children ~parent ~confirmed ~core)
+      Hashtbl.iter (fun i exp -> Fwd.add_oif e i ~expires:exp ~local:false) children;
+      if local then Fwd.add_oif e (-1) ~expires:infinity ~local:true;
+      e.Fwd.ext <-
+        Cbt.Tree
+          { up = 7; confirmed; pending = []; join_outstanding = false; parent_deadline = infinity };
+      let expected = Oif_reference.tree_ifaces_of ~now ~children ~parent ~confirmed ~core in
+      List.filter (Cbt.on_tree_iface ~now e) (List.init deg Fun.id) = expected
+      && Cbt.tree_ifaces ~now e = expected)
 
 let () =
   Alcotest.run "pim_cbt"

@@ -125,7 +125,7 @@ let converged_line () =
          (fun () -> Router.send_local_data (Deployment.router d 0) ~group ()))
   done;
   Engine.run ~until:30. eng;
-  let oracle = Oracle.create net ~probe_id:(fun _ -> None) in
+  let oracle = Oracle.create net ~probe_id:(fun _ -> -1) in
   let checks =
     Pim_exp.Stack.pim_state_checks ~net ~rib:(Pim_routing.Static.rib static)
       ~fib:(fun u -> Router.fib (Deployment.router d u))
@@ -180,7 +180,7 @@ let test_oracle_loop_freedom_on_wire () =
   Net.set_handler net 1 (fun ~iface:_ _ -> ());
   let oracle =
     Oracle.create ~max_copies:1 net ~probe_id:(fun pkt ->
-        match pkt.Pim_net.Packet.payload with Mdata.Data i -> Some i.Mdata.seq | _ -> None)
+        match pkt.Pim_net.Packet.payload with Mdata.Data i -> i.Mdata.seq | _ -> -1)
   in
   let pkt = Mdata.make ~src:(Addr.host ~router:0 1) ~group ~seq:0 ~sent_at:0. () in
   Net.send net 0 ~iface:0 pkt;

@@ -613,8 +613,7 @@ let test_chaos_reproducer_pinned () =
 
 (* E1's and E6's programs declare everything they run on: re-parsed
    from their text and run without a context, they give the same rows.
-   Figure 1's topology has no text, so its program replays with its
-   context. *)
+   Figure 1's three domains are spelled [topology three-domains]. *)
 let test_experiment_programs_replay () =
   let reparse (p : Dsl.program) =
     match Dsl.parse (Dsl.to_string p) with
@@ -642,10 +641,32 @@ let test_experiment_programs_replay () =
   Alcotest.(check bool) "aggregation row replays" true (row a = row a');
   Alcotest.(check int) "both sources delivered" 8 (row a').Pim_exp.Aggregation.deliveries;
   let ctx, f = Pim_exp.Fig1.plan ~packets:3 ~interval:1. in
-  let row p = Pim_exp.Fig1.row "row" (Dsl.run ~ctx ~protocol:Stack.Cbt p) in
-  let r = row (reparse f) in
-  Alcotest.(check bool) "fig1 row replays" true (row f = r);
+  let f' = reparse f in
+  Alcotest.(check bool) "fig1 round-trips" true (f = f');
+  let row ?ctx p = Pim_exp.Fig1.row "row" (Dsl.run ?ctx ~protocol:Stack.Cbt p) in
+  let r = row f' in
+  Alcotest.(check bool) "fig1 row replays" true (row ~ctx f = r);
   Alcotest.(check int) "fig1 delivers to all three members" 9 r.Pim_exp.Fig1.deliveries
+
+(* A declared role past the last node is an input error naming the node,
+   both when the context is resolved ([scn check]) and when the program
+   runs ([scn run]). *)
+let role_outside directive () =
+  let p =
+    parse_ok
+      (Printf.sprintf "scenario x\ntopology line 3\nprotocol PIM-SM\n%s\njoin 1\nadvance 5\n"
+         directive)
+  in
+  let expect what f =
+    match f () with
+    | () -> Alcotest.failf "%s: %s accepted" directive what
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (what ^ ": " ^ msg) true
+        (contains ~needle:"outside topology (3 nodes)" msg
+        && contains ~needle:(List.nth (String.split_on_char ' ' directive) 0 ^ ": node") msg)
+  in
+  expect "context" (fun () -> ignore (Dsl.context p));
+  expect "run" (fun () -> ignore (Dsl.run p))
 
 (* [pimsim trace record]'s default scenario is committed the same way. *)
 let test_trace_record_reproducer_pinned () =
@@ -717,6 +738,9 @@ let () =
           Alcotest.test_case "config sets the SPT policy" `Quick test_run_config;
           Alcotest.test_case "checkpoint starts a delivery epoch" `Quick test_checkpoint_epoch;
           Alcotest.test_case "runs on the given context" `Quick test_run_ctx;
+          Alcotest.test_case "members outside the topology" `Quick (role_outside "members 1 5");
+          Alcotest.test_case "source outside the topology" `Quick (role_outside "source 9");
+          Alcotest.test_case "rp outside the topology" `Quick (role_outside "rp 7");
         ] );
       ( "explore",
         [

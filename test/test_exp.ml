@@ -199,8 +199,8 @@ let test_send_from_host () =
 
 (* [fib_entries] is the live table, not a copy that reads empty: on
    failover's grid, crashing the primary RP leaves "(*,G)" entries that
-   name it until the receivers fail over, and none after.  CBT and MOSPF
-   keep no [Fwd] table. *)
+   name it until the receivers fail over, and none after.  CBT's tree
+   rows and MOSPF's plan rows show at the on-tree receiver too. *)
 let test_fib_entries_failover () =
   let module Engine = Pim_sim.Engine in
   let module Net = Pim_sim.Net in
@@ -252,11 +252,155 @@ let test_fib_entries_failover () =
     (fun protocol ->
       let eng, _, v = deploy protocol in
       Engine.run ~until:10. eng;
-      Alcotest.(check int)
-        (Stack.to_string protocol ^ " has no Fwd entries")
-        0
-        (List.length (List.concat_map v.Stack.fib_entries (List.init 9 Fun.id))))
+      (* MOSPF's plans last until the next membership LSA, so data keeps
+         flowing past the check. *)
+      for i = 0 to 39 do
+        ignore
+          (Engine.schedule_at eng (10. +. (0.5 *. float_of_int i)) (fun () -> v.Stack.send_from source))
+      done;
+      Engine.run ~until:20. eng;
+      Alcotest.(check bool)
+        (Stack.to_string protocol ^ " has rows at the receiver")
+        true
+        (v.Stack.fib_entries receiver <> []))
     [ Stack.Cbt; Stack.Mospf ]
+
+(* One settled tree per protocol on the 3x3 grid
+
+     0 - 1 - 2
+     |   |   |
+     3 - 4 - 5
+     |   |   |
+     6 - 7 - 8
+
+   with source 0, members 2, 6 and 8, and the RP (CBT's core) at 4, read
+   as rows (node, S or *, iif, live oifs), each interface named by the
+   neighbor it leads to.  Unicast routes break ties toward the lowest
+   node id at every hop (a node's shortest-path tree settles nodes in
+   (distance, id) order), so the members' paths to 4 run 2-1-4, 6-3-4
+   and 8-5-4, and the routes toward 0 form the tree 0-{1,3}, 1-2, 2-5,
+   5-8, 3-6, with 4 and 7 hanging off 1 and 4.  PIM-SM's RP also joins
+   the source's tree for its registered data (4-1-0, (S,G) rows whose
+   data the RP forwards down its "(*,G)").  MOSPF's tree from 0 is the
+   same one, settled from the source. *)
+let fwd_rows ~topo ~oifs rows_of =
+  let module Fwd = Pim_mcast.Fwd in
+  let module Topology = Pim_graph.Topology in
+  let nb u i =
+    if i < 0 then "local"
+    else
+      let lid = (Topology.link_of_iface topo u i).Topology.id in
+      string_of_int (List.hd (Topology.others_on_link topo lid u))
+  in
+  List.init (Topology.n_nodes topo) Fun.id
+  |> List.concat_map (fun u ->
+         List.map
+           (fun (e : Fwd.entry) ->
+             Printf.sprintf "%d %s iif=%s oifs={%s}" u
+               (if Fwd.is_star e then "*" else "S")
+               (match e.Fwd.iif with Some i -> nb u i | None -> "-")
+               (String.concat "," (List.map (nb u) (oifs u e))))
+           (rows_of u))
+
+let test_rows_match_reference_trees () =
+  let module Engine = Pim_sim.Engine in
+  let module Net = Pim_sim.Net in
+  let module Stack = Pim_exp.Stack in
+  let g = Pim_net.Group.of_index 1 in
+  let star = [ "1 * iif=4 oifs={2}"; "2 * iif=1 oifs={local}"; "3 * iif=4 oifs={6}" ]
+  and star_tail = [ "5 * iif=4 oifs={8}"; "6 * iif=3 oifs={local}"; "8 * iif=5 oifs={local}" ] in
+  let spt ~pruned =
+    [ "0 S iif=- oifs={1,3}"; "1 S iif=0 oifs={2}"; "2 S iif=1 oifs={local,5}"; "3 S iif=0 oifs={6}" ]
+    @ pruned
+    @ [ "5 S iif=2 oifs={8}"; "6 S iif=3 oifs={local}" ]
+    @ (if pruned = [] then [] else [ "7 S iif=4 oifs={}" ])
+    @ [ "8 S iif=5 oifs={local}" ]
+  in
+  let run ~net ~join ~send =
+    let eng = Net.engine net in
+    List.iter join [ 2; 6; 8 ];
+    for i = 0 to 59 do
+      ignore (Engine.schedule_at eng (10. +. (0.5 *. float_of_int i)) (fun () -> send 0))
+    done;
+    Engine.run ~until:30. eng
+  in
+  let topo = Pim_graph.Classic.grid 3 3 in
+  List.iter
+    (fun (protocol, config, expected) ->
+      let net = Net.create (Engine.create ()) topo in
+      let v =
+        List.assoc g (Stack.create_many ~config ~placement:[ (g, [ 4 ]) ] ~groups:[ g ] ~net protocol)
+      in
+      run ~net ~join:v.Stack.join ~send:(fun u -> v.Stack.send_from u);
+      let now = Engine.now (Net.engine net) in
+      Alcotest.(check (list string)) (Stack.to_string protocol) expected
+        (fwd_rows ~topo ~oifs:(fun _ e -> Pim_mcast.Fwd.live_oifs e ~now) v.Stack.fib_entries))
+    [
+      ( Stack.Pim_sm,
+        { Stack.fast with sm = Pim_core.Config.(with_spt_policy Never fast) },
+        [ "0 S iif=- oifs={1}" ] @ [ List.hd star; "1 S iif=0 oifs={4}" ] @ List.tl star
+        @ [ "4 * iif=- oifs={1,3,5}"; "4 S iif=1 oifs={}" ]
+        @ star_tail );
+      (Stack.Cbt, Stack.fast, star @ [ "4 * iif=- oifs={1,3,5}" ] @ star_tail);
+      (Stack.Mospf, Stack.fast, spt ~pruned:[]);
+    ];
+  (* The dense rows hold no oifs: data goes out every interface the
+     router has not pruned ([broadcast_ifaces]), which is what they are
+     compared by. *)
+  List.iter
+    (fun mode ->
+      let module Dense = Pim_dense.Router in
+      let net = Net.create (Engine.create ()) topo in
+      let config = { Dense.fast_config with mode; graft = true } in
+      let d = Dense.Deployment.create_static ~config net in
+      let router = Dense.Deployment.router d in
+      run ~net
+        ~join:(fun u -> Dense.join_local (router u) g)
+        ~send:(fun u -> Dense.send_local_data (router u) ~group:g ());
+      Alcotest.(check (list string))
+        (match mode with Dense.Pim_dm -> "PIM-DM" | Dense.Dvmrp -> "DVMRP")
+        (spt ~pruned:[ "4 S iif=1 oifs={}" ])
+        (fwd_rows ~topo
+           ~oifs:(fun u e -> Dense.broadcast_ifaces (router u) e ~exclude:None)
+           (fun u -> Pim_mcast.Fwd.entries (Dense.fib (router u)))))
+    [ Pim_dense.Router.Pim_dm; Pim_dense.Router.Dvmrp ]
+
+(* [entries ()] counts exactly the rows [fib_entries] shows, summed over
+   every node, through a link flap and a router restart (MOSPF's
+   [entries] counts its flooded membership instead). *)
+let test_entries_count_rows () =
+  let module Engine = Pim_sim.Engine in
+  let module Net = Pim_sim.Net in
+  let module Stack = Pim_exp.Stack in
+  let g = Pim_net.Group.of_index 1 in
+  let topo = Pim_graph.Classic.grid 3 3 in
+  let link_4_5 =
+    (Array.to_list (Pim_graph.Topology.links topo)
+    |> List.find (fun (l : Pim_graph.Topology.link) -> l.Pim_graph.Topology.ends = [| 4; 5 |]))
+      .Pim_graph.Topology.id
+  in
+  List.iter
+    (fun protocol ->
+      let eng = Engine.create () in
+      let net = Net.create eng topo in
+      let v = List.assoc g (Stack.create_many ~placement:[ (g, [ 4 ]) ] ~groups:[ g ] ~net protocol) in
+      List.iter v.Stack.join [ 2; 6; 8 ];
+      for i = 0 to 119 do
+        ignore (Engine.schedule_at eng (5. +. (0.5 *. float_of_int i)) (fun () -> v.Stack.send_from 0))
+      done;
+      let at t f = ignore (Engine.schedule_at eng t f) in
+      at 20. (fun () -> Net.set_link_up net link_4_5 false);
+      at 30. (fun () -> Net.set_link_up net link_4_5 true);
+      at 40. (fun () -> v.Stack.restart 1);
+      List.iter
+        (fun t ->
+          Engine.run ~until:t eng;
+          let rows = List.length (List.concat_map v.Stack.fib_entries (List.init 9 Fun.id)) in
+          Alcotest.(check int)
+            (Printf.sprintf "%s at %g: entries = rows" (Stack.to_string protocol) t)
+            rows (v.Stack.entries ()))
+        [ 8.; 19.; 22.; 29.; 35.; 40.; 41.; 50.; 70. ])
+    [ Stack.Pim_sm; Stack.Pim_dm; Stack.Dvmrp; Stack.Cbt ]
 
 let test_ablation_policy_tradeoff () =
   let rows = Ablation.run_spt_policy ~seed:2 () in
@@ -1100,6 +1244,8 @@ let () =
         [
           Alcotest.test_case "send_from honours ~host" `Quick test_send_from_host;
           Alcotest.test_case "fib_entries across an RP failover" `Quick test_fib_entries_failover;
+          Alcotest.test_case "rows match the reference trees" `Quick test_rows_match_reference_trees;
+          Alcotest.test_case "entries counts the rows" `Quick test_entries_count_rows;
         ] );
       ( "ablation",
         [

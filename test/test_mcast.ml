@@ -294,7 +294,10 @@ let test_fib_iter_due () =
   same "entry timer" [ true; true; false ] (is (walk ~now:10. ~all:false));
   let stars = ref [] in
   Fwd.iter_stars fib (fun () e -> stars := e :: !stars) ();
-  Alcotest.(check bool) "iter_stars" true (List.length !stars = 2 && List.for_all2 ( == ) !stars [ star2; star1 ])
+  Alcotest.(check bool) "iter_stars" true (List.length !stars = 2 && List.for_all2 ( == ) !stars [ star2; star1 ]);
+  let rev = ref [] in
+  Fwd.iter_stars_rev fib (fun () e -> rev := e :: !rev) ();
+  Alcotest.(check bool) "iter_stars_rev" true (List.length !rev = 2 && List.for_all2 ( == ) !rev [ star1; star2 ])
 
 (* The oif list as it was kept before [add_oif] sorted it: newest first,
    with [live_oifs] filtering, mapping and sorting on every call.  The

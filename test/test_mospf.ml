@@ -88,6 +88,39 @@ let test_spf_cached () =
      not one per packet per router. *)
   Alcotest.(check bool) (Printf.sprintf "cached (%d runs)" runs) true (runs <= 8)
 
+(* The cached plans read as (S,G) rows, S the source router's address;
+   reading them computes nothing and leaves the cache as it was. *)
+let test_rows_read_the_cache () =
+  let module Fwd = Pim_mcast.Fwd in
+  let eng, net, dep = mk (Classic.line 4) in
+  Mospf.join_local (Mospf.Deployment.router dep 3) g;
+  Engine.run ~until:5. eng;
+  Alcotest.(check int) "no plan, no row" 0 (List.length (Mospf.rows (Mospf.Deployment.router dep 1)));
+  send_n eng dep ~from:0 ~start:5. 2;
+  Engine.run ~until:15. eng;
+  let runs () = Counters.total (Net.counters net) Counters.Spf_runs in
+  let before = runs () in
+  let render u =
+    List.map (fun e -> Format.asprintf "%a" Fwd.pp_entry e) (Mospf.rows (Mospf.Deployment.router dep u))
+  in
+  let first = List.init 4 render in
+  Alcotest.(check (list (list string))) "rows read twice" first (List.init 4 render);
+  ignore (Mospf.plan_for (Mospf.Deployment.router dep 2) 0 g);
+  Alcotest.(check int) "no SPF run for reading, and the plans stay cached" before (runs ());
+  let row u = List.hd (Mospf.rows (Mospf.Deployment.router dep u)) in
+  let topo = Net.topo net in
+  let toward u v =
+    fst
+      (List.find
+         (fun (_, lid) -> Topology.others_on_link topo lid u = [ v ])
+         (Array.to_list (Topology.ifaces topo u)))
+  in
+  Alcotest.(check bool) "S is router 0" true ((row 2).Fwd.source = Some (Addr.router 0));
+  Alcotest.(check (option int)) "first hop: no iif" None (row 0).Fwd.iif;
+  Alcotest.(check (option int)) "transit iif" (Some (toward 2 1)) (row 2).Fwd.iif;
+  Alcotest.(check (list int)) "transit oif" [ toward 2 3 ] (Fwd.live_oifs (row 2) ~now:15.);
+  Alcotest.(check (list int)) "member's local oif" [ -1 ] (Fwd.live_oifs (row 3) ~now:15.)
+
 (* Membership changes invalidate the cache and reroute. *)
 let test_membership_change_invalidates () =
   let eng, _, dep = mk (Classic.line 4) in
@@ -339,6 +372,7 @@ let () =
             test_membership_floods_everywhere;
           Alcotest.test_case "delivery on spt" `Quick test_delivery_on_spt;
           Alcotest.test_case "spf cached" `Quick test_spf_cached;
+          Alcotest.test_case "rows read the cache" `Quick test_rows_read_the_cache;
           Alcotest.test_case "membership change invalidates" `Quick
             test_membership_change_invalidates;
           Alcotest.test_case "leave stops delivery" `Quick test_leave_stops_delivery;
