@@ -82,7 +82,8 @@ let tier_of_rule_id rule =
 
 let header =
   "# pimlint baseline: TIER RULE FILE COUNT per line.  A run fails when a\n\
-   # (rule, file) pair exceeds its count here; regenerate with\n\
+   # (rule, file) pair exceeds its count here, or falls below it (a stale\n\
+   # row); regenerate with\n\
    # `pimlint [--typed] --update-baseline` after legitimate ratchet-downs\n\
    # (each tier rewrites only its own rows).\n"
 
@@ -101,6 +102,33 @@ let save t path =
         (fun (rule, file, n) ->
           Printf.fprintf oc "%s %s %s %d\n" (tier_of_rule_id rule) rule file n)
         rows)
+
+(* A row of [tier] that allows more findings than its (rule, file) has
+   now is slack: the file improved (or is gone), and the spare allowance
+   would let it regress unseen.  Only rows for files [in_scope] (the
+   paths this run linted) are judged. *)
+let stale t ~tier ~in_scope findings =
+  let now = counts findings in
+  Hashtbl.fold
+    (fun (rule, file) n acc ->
+      match Finding.rule_of_id rule with
+      | Some r when Finding.tier_of_rule r = tier && in_scope file ->
+        let m = Option.value (Hashtbl.find_opt now (rule, file)) ~default:0 in
+        if n <= m then acc
+        else
+          {
+            Finding.rule = r;
+            file;
+            line = 0;
+            col = 0;
+            message =
+              Printf.sprintf
+                "stale baseline row; run --update-baseline (allows %d, %d finding(s) now)" n m;
+          }
+          :: acc
+      | _ -> acc)
+    t []
+  |> List.sort Finding.compare
 
 (* Split [findings] into (overflow, grandfathered): for each (rule, file)
    the first [allowance] findings (in canonical order) are grandfathered,

@@ -27,3 +27,9 @@ val allowance : t -> rule:Finding.rule -> file:string -> int
 val apply : t -> Finding.t list -> Finding.t list * Finding.t list
 (** [apply t findings] is [(overflow, grandfathered)]: findings beyond
     each (rule, file) allowance, and findings covered by it. *)
+
+val stale : t -> tier:Finding.tier -> in_scope:(string -> bool) -> Finding.t list -> Finding.t list
+(** [stale t ~tier ~in_scope findings]: one finding (line 0, the row's
+    rule) per [tier] row for a file [in_scope] whose allowance exceeds
+    that (rule, file)'s count in [findings] — slack that a ported or
+    fixed file must give up with [--update-baseline]. *)

@@ -167,8 +167,17 @@ let print_json ppf opts ~errors ~warnings ~grandfathered ~exit_code =
 
 (* {1 Entry point} *)
 
+(* [file] is one of [paths] or lies below one of them. *)
+let under paths file =
+  List.exists
+    (fun p ->
+      let p = if String.ends_with ~suffix:"/" p then String.sub p 0 (String.length p - 1) else p in
+      String.equal file p || String.starts_with ~prefix:(p ^ "/") file)
+    paths
+
 (* Returns the process exit code: 0 clean (or fully baselined), 1 when
-   non-baselined error findings exist, 2 on parse/IO/cmt failure. *)
+   non-baselined error findings or stale baseline rows exist, 2 on
+   parse/IO/cmt failure. *)
 let run ?(options = default_options) ~paths ppf =
   match lint_paths ~options paths with
   | exception Parse_failure (file, msg) ->
@@ -212,6 +221,12 @@ let run ?(options = default_options) ~paths ppf =
       let overflow, grandfathered = Baseline.apply baseline findings in
       let errors, warnings =
         List.partition (fun f -> severity options f = Finding.Error) overflow
+      in
+      (* A stale row fails whatever its rule's severity. *)
+      let errors =
+        errors
+        @ Baseline.stale baseline ~tier:(finding_tier options.tier) ~in_scope:(under paths)
+            findings
       in
       let exit_code = if errors = [] then 0 else 1 in
       if options.json then

@@ -145,7 +145,8 @@ let plan ?(nodes = 30) ?(degree = 4.) ?(receivers = 5) ?(events = 8) ?(fault_win
     | Fault.Node_crash (u, d) -> Dsl.Fail_node { node = node u; down_for = Some d }
     | Fault.Partition us -> Dsl.Partition (List.map node us)
     | Fault.Heal -> Dsl.Heal
-    | Fault.Loss_burst (rate, duration) -> Dsl.Loss { rate; duration }
+    | Fault.Loss_burst (rate, d) ->
+      Dsl.Loss { rate; duration = Some d; control_only = false; seed = None }
     | Fault.Jitter_burst (amplitude, duration) -> Dsl.Jitter { amplitude; duration }
     | Fault.Drop_next lid -> on_link lid (fun a b -> Dsl.Drop_next (a, b))
     | Fault.Duplicate_next lid -> on_link lid (fun a b -> Dsl.Dup_next (a, b))

@@ -24,6 +24,7 @@ type topology_spec =
   | Derived of { seed : int; member_count : int }
   | Transit_stub of { nodes : int; seed : int }
   | Three_domains
+  | Grid of { rows : int; cols : int }
 
 type mroute_pred =
   | Count_at_least of int
@@ -50,7 +51,7 @@ type step =
   | Assert_no_loops
   | Assert_mroute of { node : node_ref; pred : mroute_pred }
   | Assert_drained
-  | Loss of { rate : float; duration : float }
+  | Loss of { rate : float; duration : float option; control_only : bool; seed : int option }
   | Jitter of { amplitude : float; duration : float }
   | Mark of string
   | Assert_reachable
@@ -128,7 +129,10 @@ let rec string_of_step = function
       | Count_at_most n -> Printf.sprintf "count<=%d" n
       | Count_eq n -> Printf.sprintf "count=%d" n
       | Contains s -> Printf.sprintf "contains=%s" s)
-  | Loss { rate; duration } -> Printf.sprintf "loss %s for=%s" (num rate) (num duration)
+  | Loss { rate; duration; control_only; seed } ->
+    Printf.sprintf "loss %s%s%s%s" (num rate) (for_ duration)
+      (if control_only then " control-only=on" else "")
+      (Option.fold ~none:"" ~some:(Printf.sprintf " seed=%d") seed)
   | Jitter { amplitude; duration } ->
     Printf.sprintf "jitter %s for=%s" (num amplitude) (num duration)
   | Mark label -> Printf.sprintf "mark %s" label
@@ -150,7 +154,8 @@ let to_string p =
     line "topology random nodes=%d degree=%s seed=%d" nodes (num degree) seed
   | Derived { seed; member_count } -> line "topology derived seed=%d members=%d" seed member_count
   | Transit_stub { nodes; seed } -> line "topology transit-stub nodes=%d seed=%d" nodes seed
-  | Three_domains -> line "topology three-domains");
+  | Three_domains -> line "topology three-domains"
+  | Grid { rows; cols } -> line "topology grid %d %d" rows cols);
   Option.iter (fun pr -> line "protocol %s" (Stack.to_string pr)) p.protocol;
   if p.group <> default_group then line "group %d" p.group;
   if p.rp <> [] then line "rp %s" (String.concat " " (List.map string_of_int p.rp));
@@ -197,9 +202,12 @@ let int_of ln what s =
   | Some v -> Ok v
   | None -> parse_error ln "%s: expected an integer, got %S" what s
 
+(* Infinite or NaN times and rates would reach the engine's timer wheel
+   or the net, far from the line that wrote them. *)
 let float_of ln what s =
   match float_of_string_opt s with
-  | Some v -> Ok v
+  | Some v when Float.is_finite v -> Ok v
+  | Some _ -> parse_error ln "%s: expected a finite number, got %S" what s
   | None -> parse_error ln "%s: expected a number, got %S" what s
 
 let bool_of ln what s =
@@ -269,12 +277,15 @@ let parse_mroute_pred ln tok =
   else if starts "contains=" then Ok (Contains (tail "contains="))
   else parse_error ln "expected count>=N, count<=N, count=N or contains=STR, got %S" tok
 
-(* The one option of a burst, or of an outage that restores itself: how
-   long it lasts. *)
+(* The [for=] option of a burst, or of an outage that restores itself:
+   how long it lasts. *)
+let positive_for kw ln _ v =
+  let* d = float_of ln "for" v in
+  if d > 0. then Ok d else parse_error ln "%s: for must be positive" kw
+
 let duration_of ln kw opt =
   let* opts = options ln ~allowed:[ "for" ] [ opt ] in
-  let* d = req float_of ln opts "for" in
-  if d > 0. then Ok d else parse_error ln "%s: for must be positive" kw
+  req (positive_for kw) ln opts "for"
 
 let outage ln kw = function
   | [ opt ] -> Result.map Option.some (duration_of ln kw opt)
@@ -293,6 +304,7 @@ let rec parse_step ~now ln kw args =
     let* interval = opt_float ln opts "interval" ~default:0.5 in
     let* host = opt_int ln opts "host" ~default:1 in
     if count < 1 then parse_error ln "send: count must be >= 1"
+    else if interval < 0. then parse_error ln "send: interval must be >= 0"
     else if host < 1 || host > 255 then parse_error ln "send: host must be within 1..255"
     else Ok (Send { from; count; interval; host })
   | "send", [] -> parse_error ln "send: expected a sending node"
@@ -313,17 +325,29 @@ let rec parse_step ~now ln kw args =
   | "restart", [ u ] -> Result.map (fun u -> Restart u) (ref_of ln u)
   | ("fail-node" | "restart"), _ -> parse_error ln "%s: expected one node" kw
   | "partition", toks -> Result.map (fun rs -> Partition rs) (refs_of ln kw toks)
-  | "loss", [ r; opt ] ->
+  | "loss", r :: opts ->
     let* rate = float_of ln "loss" r in
-    let* duration = duration_of ln kw opt in
-    if rate < 0. || rate > 1. then parse_error ln "loss: rate must be within [0, 1]"
-    else Ok (Loss { rate; duration })
+    let* opts = options ln ~allowed:[ "for"; "control-only"; "seed" ] opts in
+    let opt conv key =
+      match List.assoc_opt key opts with
+      | Some v -> Result.map Option.some (conv ln key v)
+      | None -> Ok None
+    in
+    let* duration = opt (positive_for kw) "for" in
+    let* control_only = opt bool_of "control-only" in
+    let* seed = opt int_of "seed" in
+    let control_only = Option.value control_only ~default:false in
+    if rate < 0. || rate >= 1. then parse_error ln "loss: rate must be within [0, 1)"
+    else if Option.is_some duration && (control_only || Option.is_some seed) then
+      parse_error ln "loss: control-only= and seed= apply to a loss without for="
+    else Ok (Loss { rate; duration; control_only; seed })
   | "jitter", [ a; opt ] ->
     let* amplitude = float_of ln "jitter" a in
     let* duration = duration_of ln kw opt in
     if amplitude < 0. then parse_error ln "jitter: amplitude must be >= 0"
     else Ok (Jitter { amplitude; duration })
-  | ("loss" | "jitter"), _ -> parse_error ln "%s: expected a value and for=SECONDS" kw
+  | "loss", [] -> parse_error ln "loss: expected a rate"
+  | "jitter", _ -> parse_error ln "jitter: expected a value and for=SECONDS"
   | "drop-next", [ a; b ] -> Result.map (fun (a, b) -> Drop_next (a, b)) (pair_of ln a b)
   | "dup-next", [ a; b ] -> Result.map (fun (a, b) -> Dup_next (a, b)) (pair_of ln a b)
   | ("drop-next" | "dup-next"), _ -> parse_error ln "%s: expected two endpoint nodes" kw
@@ -331,7 +355,7 @@ let rec parse_step ~now ln kw args =
     let* a, b = pair_of ln a b in
     let* opts = options ln ~allowed:[ "by" ] [ byopt ] in
     let* by = req float_of ln opts "by" in
-    Ok (Delay_next { a; b; by })
+    if by < 0. then parse_error ln "delay-next: by must be >= 0" else Ok (Delay_next { a; b; by })
   | "delay-next", _ -> parse_error ln "delay-next: expected two endpoints and by=SECONDS"
   | "at", t :: kw' :: args -> (
     let* t = float_of ln "at" t in
@@ -362,12 +386,14 @@ let parse_topology ln args =
     let* nodes = req int_of ln opts "nodes" in
     let* degree = opt_float ln opts "degree" ~default:4. in
     let* seed = req int_of ln opts "seed" in
-    Ok (Random { nodes; degree; seed })
+    if nodes < 2 then parse_error ln "topology random: need at least 2 nodes"
+    else Ok (Random { nodes; degree; seed })
   | "derived" :: opts ->
     let* opts = options ln ~allowed:[ "seed"; "members" ] opts in
     let* seed = req int_of ln opts "seed" in
     let* member_count = opt_int ln opts "members" ~default:6 in
-    Ok (Derived { seed; member_count })
+    if member_count < 1 then parse_error ln "topology derived: members must be >= 1"
+    else Ok (Derived { seed; member_count })
   | "transit-stub" :: opts ->
     let* opts = options ln ~allowed:[ "nodes"; "seed" ] opts in
     let* nodes = req int_of ln opts "nodes" in
@@ -375,10 +401,16 @@ let parse_topology ln args =
     if nodes < 2 then parse_error ln "topology transit-stub: need at least 2 nodes"
     else Ok (Transit_stub { nodes; seed })
   | [ "three-domains" ] -> Ok Three_domains
+  | [ "grid"; r; c ] ->
+    let* rows = int_of ln "grid" r in
+    let* cols = int_of ln "grid" c in
+    if rows < 1 || cols < 1 || rows * cols < 2 then
+      parse_error ln "topology grid: need at least 2 nodes"
+    else Ok (Grid { rows; cols })
   | _ ->
     parse_error ln
       "expected: topology line N | random nodes= degree= seed= | derived seed= members= | \
-       transit-stub nodes= seed= | three-domains"
+       transit-stub nodes= seed= | three-domains | grid R C"
 
 let parse text =
   let strip_comment l = match String.index_opt l '#' with Some i -> String.sub l 0 i | None -> l in
@@ -471,6 +503,7 @@ let resolve ?topo:given p =
   in
   match p.topology with
   | Line n -> declared (fun () -> Pim_graph.Classic.line n)
+  | Grid { rows; cols } -> declared (fun () -> Pim_graph.Classic.grid rows cols)
   | Random { nodes; degree; seed } ->
     declared (fun () -> Random_graph.generate ~prng:(Prng.create seed) ~nodes ~degree ())
   | Three_domains ->
@@ -524,6 +557,7 @@ type mark = {
   control_bytes : int;
   data : int;
   max_link_data : int;
+  dropped : int;
 }
 
 type outcome = {
@@ -537,14 +571,29 @@ type outcome = {
   duplicates : int;
   residual : int;
   probes : probe list;
+  arrivals : float array;
   marks : mark list;
   counters : Pim_sim.Counters.t;
+  fib_entries : int -> Pim_mcast.Fwd.entry list;
   ok : bool;
 }
 
-(* What one member got of one probe: its copies, the probe's send time,
-   and the checkpoint epoch its last copy arrived in. *)
-type delivery = { copies : int; sent : float; epoch : int }
+module Int_table = Pim_util.Int_table
+
+(* A float buffer holding index [i], doubled as often as needed. *)
+let cover a i =
+  if i < Array.length a then a
+  else begin
+    let b = Array.make (max (i + 1) (2 * Array.length a)) 0. in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* A delivery-table value: a member's copies of one probe and the
+   checkpoint epoch its last copy arrived in. *)
+let copies_bits = 31
+
+let copies_of v = v land ((1 lsl copies_bits) - 1)
 
 let run ?ctx ?trace_file ?capture_file ?metrics_file ?protocol ?config (p : program) =
   let protocol =
@@ -593,12 +642,16 @@ let run ?ctx ?trace_file ?capture_file ?metrics_file ?protocol ?config (p : prog
           "delivery_latency")
       metrics_file
   in
-  (* The one delivery table, (seq, member) -> delivery; [epoch] counts
-     the checkpoints so far. *)
-  let deliveries : (int * int, delivery) Hashtbl.t = Hashtbl.create 256 in
+  (* The one delivery table, keyed seq * nodes + member, and each
+     probe's send time by seq; [epoch] counts the checkpoints so far.
+     Neither allocates per copy. *)
+  let deliveries = Int_table.create () in
+  let sent = ref (Array.make 64 0.) in
   let epoch = ref 0 in
-  let find seq m = Hashtbl.find_opt deliveries (seq, m) in
-  let copies seq m = match find seq m with Some d -> d.copies | None -> 0 in
+  let key seq m = (seq * ctx.nodes) + m in
+  let copies seq m = copies_of (Int_table.find deliveries (key seq m)) in
+  (* Every copy's arrival time, in order. *)
+  let arrivals = ref (Array.make 64 0.) and n_arrivals = ref 0 in
   (* Current members, newest join first. *)
   let current = ref [] in
   let wired = Hashtbl.create 16 in
@@ -638,8 +691,13 @@ let run ?ctx ?trace_file ?capture_file ?metrics_file ?protocol ?config (p : prog
       stack.Stack.on_data m (fun pkt ->
           match pkt.Pim_net.Packet.payload with
           | Mdata.Data { Mdata.seq; sent_at } ->
-            let d = { copies = 1 + copies seq m; sent = sent_at; epoch = !epoch } in
-            Hashtbl.replace deliveries (seq, m) d
+            Int_table.replace deliveries (key seq m)
+              ((!epoch lsl copies_bits) lor (1 + copies seq m));
+            sent := cover !sent seq;
+            !sent.(seq) <- sent_at;
+            arrivals := cover !arrivals !n_arrivals;
+            !arrivals.(!n_arrivals) <- Engine.now eng;
+            incr n_arrivals
           | _ -> ());
       Option.iter
         (fun h ->
@@ -705,11 +763,9 @@ let run ?ctx ?trace_file ?capture_file ?metrics_file ?protocol ?config (p : prog
       last_window := Some (List.init count (fun i -> !next_seq + i));
       next_seq := !next_seq + count;
       horizon := Float.max !horizon (at +. (interval *. float_of_int count) +. 10.);
+      let send () = stack.Stack.send_from ~host u in
       for i = 0 to count - 1 do
-        ignore
-          (Engine.schedule_at eng
-             (at +. (interval *. float_of_int i))
-             (fun () -> stack.Stack.send_from ~host u))
+        ignore (Engine.schedule_at eng (at +. (interval *. float_of_int i)) send)
       done
     | Advance d ->
       now := !now +. d;
@@ -741,7 +797,15 @@ let run ?ctx ?trace_file ?capture_file ?metrics_file ?protocol ?config (p : prog
         (Printf.sprintf "partition {%s}" (String.concat "," (List.map string_of_int us)))
         (Fault.Partition us)
     | Heal -> inject "heal" Fault.Heal
-    | Loss { rate; duration } -> inject (string_of_step step) (Fault.Loss_burst (rate, duration))
+    | Loss { rate; duration = Some d; control_only = false; seed = None } ->
+      inject (string_of_step step) (Fault.Loss_burst (rate, d))
+    | Loss { duration = Some _; _ } ->
+      fail "loss: control-only and seed apply to a loss without for="
+    | Loss { rate; duration = None; control_only; seed } ->
+      emit (Event.Fault_injected { action = string_of_step step });
+      Net.set_loss_rate net ?prng:(Option.map Prng.create seed)
+        ~filter:(if control_only then fun pkt -> not (Metrics.is_data pkt) else fun _ -> true)
+        rate
     | Jitter { amplitude; duration } ->
       inject (string_of_step step) (Fault.Jitter_burst (amplitude, duration))
     | Drop_next (a, b) ->
@@ -763,7 +827,10 @@ let run ?ctx ?trace_file ?capture_file ?metrics_file ?protocol ?config (p : prog
       let m = Option.get metrics in
       let control = Metrics.control_traversals m and control_bytes = Metrics.control_bytes m in
       let data = Metrics.data_traversals m and max_link_data = Metrics.max_link_data m in
-      marks := { label; at = Engine.now eng; control; control_bytes; data; max_link_data } :: !marks
+      let dropped = Net.dropped net in
+      marks :=
+        { label; at = Engine.now eng; control; control_bytes; data; max_link_data; dropped }
+        :: !marks
     | Assert_delivery | Assert_reachable ->
       (* Exactly one copy to each member, or at least one. *)
       let exactly = match step with Assert_delivery -> true | _ -> false in
@@ -787,7 +854,10 @@ let run ?ctx ?trace_file ?capture_file ?metrics_file ?protocol ?config (p : prog
             (if exactly then members () else List.rev !current))
         probes;
       (* Only a copy since the last checkpoint counts against a blackhole. *)
-      let received m seq = match find seq m with Some d -> d.epoch = !epoch | None -> false in
+      let received m seq =
+        let v = Int_table.find deliveries (key seq m) in
+        v <> 0 && v lsr copies_bits = !epoch
+      in
       Option.iter
         (fun source ->
           Oracle.check_blackhole oracle ~source ~members:(members ()) ~probes ~received)
@@ -839,21 +909,18 @@ let run ?ctx ?trace_file ?capture_file ?metrics_file ?protocol ?config (p : prog
       stack.Stack.export_metrics (Net.metrics net);
       Pim_util.Json.to_file path (Pim_util.Metrics.to_json (Net.metrics net)))
     metrics_file;
-  (* Descending by (seq, member), so consing groups them ascending. *)
-  let probes =
-    Hashtbl.fold (fun (seq, m) d acc -> (seq, m, d) :: acc) deliveries []
-    |> List.sort (fun (s1, m1, _) (s2, m2, _) ->
-           match Int.compare s2 s1 with 0 -> Int.compare m2 m1 | c -> c)
-    |> List.fold_left
-         (fun acc (seq, m, d) ->
-           match acc with
-           | pr :: rest when pr.seq = seq -> { pr with copies = (m, d.copies) :: pr.copies } :: rest
-           | _ -> { seq; sent_at = d.sent; copies = [ (m, d.copies) ] } :: acc)
-         []
-  in
-  let deliveries, duplicates =
-    Hashtbl.fold (fun _ d (n, u) -> (n + d.copies, u + d.copies - 1)) deliveries (0, 0)
-  in
+  (* Ascending keys are ascending (seq, member): walk them down and cons. *)
+  let keys = Int_table.keys deliveries in
+  let probes = ref [] and copies_total = ref 0 in
+  for i = Array.length keys - 1 downto 0 do
+    let seq = keys.(i) / ctx.nodes and m = keys.(i) mod ctx.nodes in
+    let c = copies_of (Int_table.find deliveries keys.(i)) in
+    copies_total := !copies_total + c;
+    probes :=
+      match !probes with
+      | pr :: rest when pr.seq = seq -> { pr with copies = (m, c) :: pr.copies } :: rest
+      | acc -> { seq; sent_at = !sent.(seq); copies = [ (m, c) ] } :: acc
+  done;
   let violations = Oracle.violations oracle in
   {
     protocol = Stack.to_string stack.Stack.protocol;
@@ -862,12 +929,14 @@ let run ?ctx ?trace_file ?capture_file ?metrics_file ?protocol ?config (p : prog
     source = ctx.source0;
     digests = List.rev !digests;
     violations;
-    deliveries;
-    duplicates;
+    deliveries = !copies_total;
+    duplicates = !copies_total - Array.length keys;
     residual;
-    probes;
+    probes = !probes;
+    arrivals = Array.sub !arrivals 0 !n_arrivals;
     marks = List.rev !marks;
     counters = Net.counters net;
+    fib_entries = stack.Stack.fib_entries;
     ok = violations = [];
   }
 

@@ -18,6 +18,7 @@ topology random nodes=N degree=F seed=N
 topology derived seed=N members=N    # the qcheck property's derivation
 topology transit-stub nodes=N seed=N # drawn as the chaos harness draws it
 topology three-domains               # Figure 1's three domains (18 nodes)
+topology grid R C                    # R x C grid, node r*C+c
 protocol PIM-SM|PIM-DM|DVMRP|CBT|MOSPF
 group N                              # group index (default 5)
 rp N [N ...]                         # ordered RP list / CBT core (first)
@@ -36,6 +37,8 @@ fail-link A B for=D                  # down for D seconds, then restored
 fail-node U for=D                    # down for D seconds, then restarted
 partition NODES     heal
 loss R for=D        jitter A for=D   # loss rate / delay jitter burst
+loss R [control-only=on] [seed=N]    # loss from here to the end of the run:
+                                     # control frames only, PRNG seeded N
 drop-next A B       dup-next A B     delay-next A B by=F
 at T STEP           # schedule STEP at absolute time T (not advance)
 mark LABEL          # record the time and traffic counts so far
@@ -52,6 +55,10 @@ assert-drained      # state entries at/below the protocol's residual floor
     {!Pim_mcast.Fwd.pp_entry} prints it, for every protocol; the
     [checkpoint] digest ({!Stack.digest}) hashes the same lines.
     Declared [members], [source] and [rp] nodes must lie in the topology.
+    Numbers must be finite; a loss rate lies in [\[0, 1)], and a [send]
+    interval and a [delay-next] delay are never negative.  A [loss]
+    without [for=] holds for the rest of the run; a later burst changes
+    only its rate, for the burst's duration.
 
     Execution is sequential over a virtual-time cursor: [advance] runs
     the engine forward, every other step acts at the current instant
@@ -85,6 +92,7 @@ type topology_spec =
           {!Pim_graph.Transit_stub.sizes}[ ~nodes], default link costs and
           delays, from a fresh PRNG of [seed] — the chaos harness's draw. *)
   | Three_domains  (** {!Pim_graph.Classic.three_domains}: Figure 1's topology *)
+  | Grid of { rows : int; cols : int }  (** {!Pim_graph.Classic.grid} *)
 
 type mroute_pred =
   | Count_at_least of int
@@ -113,7 +121,12 @@ type step =
   | Assert_no_loops
   | Assert_mroute of { node : node_ref; pred : mroute_pred }
   | Assert_drained
-  | Loss of { rate : float; duration : float }
+  | Loss of { rate : float; duration : float option; control_only : bool; seed : int option }
+      (** with [duration], a [Pim_sim.Fault.Loss_burst] (neither
+          [control_only] nor [seed]); without, {!Pim_sim.Net.set_loss_rate}
+          for the rest of the run, on control frames only
+          ({!Metrics.is_data}) if [control_only], from a PRNG of [seed]
+          if given *)
   | Jitter of { amplitude : float; duration : float }
   | Mark of string
   | Assert_reachable
@@ -184,6 +197,7 @@ type mark = {
   control_bytes : int;
   data : int;  (** data-packet link traversals so far *)
   max_link_data : int;  (** data traversals on the busiest link so far *)
+  dropped : int;  (** frames lost so far ({!Pim_sim.Net.dropped}) *)
 }
 
 type outcome = {
@@ -197,10 +211,14 @@ type outcome = {
   duplicates : int;  (** copies beyond the first, per (probe, member) *)
   residual : int;
   probes : probe list;  (** every data packet some member received, by seq *)
+  arrivals : float array;  (** the time of every copy handed to a member, in order *)
   marks : mark list;  (** one per [mark] step, in firing order *)
   counters : Pim_sim.Counters.t;
       (** the net's protocol counters ({!Pim_sim.Net.counters}) when the
           run ended *)
+  fib_entries : int -> Pim_mcast.Fwd.entry list;
+      (** a node's forwarding rows ({!Stack.field-fib_entries}) when the
+          run ended, read when called *)
   ok : bool;  (** no violations *)
 }
 

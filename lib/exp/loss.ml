@@ -1,7 +1,5 @@
-module Engine = Pim_sim.Engine
-module Net = Pim_sim.Net
 module Prng = Pim_util.Prng
-module Group = Pim_net.Group
+module Random_graph = Pim_graph.Random_graph
 
 type row = {
   protocol : string;
@@ -12,62 +10,68 @@ type row = {
   control_dropped : int;
 }
 
-let group = Group.of_index 8
+let nodes = 25
 
-let control_only pkt = not (Metrics.is_data pkt)
-
-let run_one ~seed ~loss ~packets ?(sm = Pim_core.Config.fast) protocol name =
+(* Every run redraws the same topology and membership from [seed]; the
+   loss PRNG is seeded [seed + 1].  The loss is set before the joins,
+   which transmit at once.  Generous warm-up: under heavy loss the trees
+   take several refresh rounds to assemble.  The stream is scheduled
+   after running to t=30 (an advance, not an [at]), so each send at a
+   whole second runs after the protocol timers due at that instant. *)
+let plan ~seed ~packets loss =
   let prng = Prng.create seed in
-  let topo = Pim_graph.Random_graph.generate ~prng ~nodes:25 ~degree:4. () in
-  let members = Pim_graph.Random_graph.pick_members ~prng ~nodes:25 ~count:4 in
+  let topo = Random_graph.generate ~prng ~nodes ~degree:4. () in
+  let members = Random_graph.pick_members ~prng ~nodes ~count:4 in
   let source =
     let rec pick () =
-      let s = Prng.int prng 25 in
+      let s = Prng.int prng nodes in
       if List.mem s members then pick () else s
     in
     pick ()
   in
-  let eng = Engine.create () in
-  let net = Net.create eng topo in
-  let metrics = Metrics.attach net in
-  Net.set_loss_rate net ~prng:(Prng.create (seed + 1)) ~filter:control_only loss;
-  let v =
-    snd
-      (List.hd
-         (Stack.create_many ~placement:[ (group, [ List.hd members ]) ]
-            ~config:{ Stack.fast with sm } ~groups:[ group ] ~net protocol))
+  let program =
+    {
+      Dsl.empty with
+      name = Printf.sprintf "loss-%g" loss;
+      topology = Dsl.Random { nodes; degree = 4.; seed };
+      group = 8;
+      rp = [ List.hd members ];
+      members_decl = members;
+      source_decl = Some source;
+      steps =
+        Dsl.Loss { rate = loss; duration = None; control_only = true; seed = Some (seed + 1) }
+        :: List.map (fun m -> Dsl.Join [ Dsl.Node m ]) members
+        @ [ Dsl.Advance 30. ]
+        @ (if packets > 0 then
+             [ Dsl.Send { from = Dsl.Source; count = packets; interval = 1.; host = 1 } ]
+           else [])
+        @ [ Dsl.Advance (30. +. float_of_int packets); Dsl.Mark "end" ];
+    }
   in
-  let deliveries = ref 0 in
-  List.iter
-    (fun m ->
-      v.Stack.join m;
-      v.Stack.on_data m (fun _ -> incr deliveries))
-    members;
-  (* Generous warm-up: under heavy loss the trees take several refresh
-     rounds to assemble. *)
-  Engine.run ~until:30. eng;
-  for i = 0 to packets - 1 do
-    ignore (Engine.schedule_at eng (30. +. float_of_int i) (fun () -> v.Stack.send_from source))
-  done;
-  Engine.run ~until:(60. +. float_of_int packets) eng;
+  (Dsl.context ~topo program, program)
+
+let row ~loss ~packets (p : Dsl.program) (o : Dsl.outcome) =
+  let fin = List.find (fun (m : Dsl.mark) -> String.equal m.Dsl.label "end") o.Dsl.marks in
   {
-    protocol = name;
+    protocol = o.Dsl.protocol;
     loss;
-    deliveries = !deliveries;
-    expected = packets * List.length members;
-    control_traversals = Metrics.control_traversals metrics;
-    control_dropped = Net.dropped net;
+    deliveries = o.Dsl.deliveries;
+    expected = packets * List.length p.Dsl.members_decl;
+    control_traversals = fin.Dsl.control;
+    control_dropped = fin.Dsl.dropped;
   }
 
 let run ?(loss_rates = [ 0.; 0.1; 0.25; 0.4 ]) ?(packets = 60) ~seed () =
-  (* Every run redraws the same topology/membership from [seed]. *)
   List.concat_map
     (fun loss ->
-      [
-        run_one ~seed ~loss ~packets ~sm:Pim_core.Config.(with_spt_policy Never fast) Stack.Pim_sm
-          "PIM-SM";
-        run_one ~seed ~loss ~packets Stack.Cbt "CBT";
-      ])
+      let ctx, p = plan ~seed ~packets loss in
+      List.map
+        (fun (protocol, sm) ->
+          row ~loss ~packets p (Dsl.run ~ctx ~protocol ~config:{ Stack.fast with sm } p))
+        [
+          (Stack.Pim_sm, Pim_core.Config.(with_spt_policy Never fast));
+          (Stack.Cbt, Pim_core.Config.fast);
+        ])
     loss_rates
 
 let pp_rows ppf rows =

@@ -156,11 +156,11 @@ let total_traversals t = Array.fold_left ( + ) 0 t.counts
 
 let offered t = t.offered
 
-let set_loss_rate t ?prng ?(filter = fun _ -> true) rate =
+let set_loss_rate t ?prng ?filter rate =
   if rate < 0. || rate >= 1. then invalid_arg "Net.set_loss_rate: rate must be in [0, 1)";
   t.loss_rate <- rate;
-  t.loss_filter <- filter;
-  (match prng with Some p -> t.loss_prng <- p | None -> ())
+  Option.iter (fun f -> t.loss_filter <- f) filter;
+  Option.iter (fun p -> t.loss_prng <- p) prng
 
 let loss_rate t = t.loss_rate
 

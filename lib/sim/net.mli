@@ -62,11 +62,13 @@ val set_loss_rate :
   t -> ?prng:Pim_util.Prng.t -> ?filter:(Pim_net.Packet.t -> bool) -> float -> unit
 (** Drop each transmission independently with the given probability
     (0 disables, the default).  Deterministic given the PRNG (a fixed-seed
-    one is used when none is supplied).  [filter] (default: every frame)
-    selects which packets are subject to loss — experiments drop control
-    frames only, the regime soft state is designed to survive: "lost
-    packets will be recovered from at the next periodic refresh time"
-    (paper section 3.4). *)
+    one is used until one is supplied).  [filter] (every frame until one
+    is supplied) selects which packets are subject to loss — experiments
+    drop control frames only, the regime soft state is designed to
+    survive: "lost packets will be recovered from at the next periodic
+    refresh time" (paper section 3.4).  The PRNG and filter stay as last
+    supplied, so a change of rate alone (a {!Fault} loss burst and its
+    end) keeps them. *)
 
 val loss_rate : t -> float
 

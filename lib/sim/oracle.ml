@@ -10,13 +10,11 @@ type violation = {
 let pp_violation ppf v =
   Format.fprintf ppf "t=%.2f [%s] %s" v.time v.invariant v.detail
 
-module Int_tbl = Hashtbl.Make (Int)
-
 type t = {
   net : Net.t;
   probe_id : Packet.t -> int;
   mutable max_copies : int;
-  copies : int Int_tbl.t;  (* probe * n_links + link -> traversals *)
+  copies : Pim_util.Int_table.t;  (* probe * n_links + link -> traversals *)
   mutable violations : violation list;  (* newest first *)
 }
 
@@ -27,19 +25,20 @@ let record t ~invariant detail =
 let recordf t ~invariant fmt = Format.kasprintf (record t ~invariant) fmt
 
 let create ?(max_copies = 1) net ~probe_id =
-  let t = { net; probe_id; max_copies; copies = Int_tbl.create 256; violations = [] } in
+  let t = { net; probe_id; max_copies; copies = Pim_util.Int_table.create (); violations = [] } in
   let n_links = Topology.n_links (Net.topo net) in
   (* Loop freedom, checked on the wire: no single data packet may
      traverse one link more than [max_copies] times.  A forwarding loop
      (or duplicate-delivery bug) shows up here within one packet
      lifetime, long before any state inspection would catch it.  One int
-     key per (probe, link), so a traversal builds no key. *)
+     key per (probe, link) in a flat table, so a traversal allocates
+     nothing unless the table grows. *)
   Net.on_deliver net (fun lid pkt ->
       let probe = t.probe_id pkt in
       if probe >= 0 then begin
         let k = (probe * n_links) + lid in
-        let n = 1 + match Int_tbl.find t.copies k with c -> c | exception Not_found -> 0 in
-        Int_tbl.replace t.copies k n;
+        let n = 1 + Pim_util.Int_table.find t.copies k in
+        Pim_util.Int_table.replace t.copies k n;
         if n = t.max_copies + 1 then
           recordf t ~invariant:"loop-freedom"
             "probe %d traversed link %d %d times (max %d) — %s" probe lid n t.max_copies
@@ -50,7 +49,7 @@ let create ?(max_copies = 1) net ~probe_id =
 let checkpoint t ~max_copies =
   if max_copies < 1 then invalid_arg "Oracle.checkpoint: max_copies must be >= 1";
   t.max_copies <- max_copies;
-  Int_tbl.reset t.copies
+  Pim_util.Int_table.clear t.copies
 
 let run_check t ~invariant f = List.iter (record t ~invariant) (f ())
 

@@ -34,7 +34,8 @@ val create :
     violation.  [probe_id] returns a stable non-negative identifier
     (e.g. the data sequence number) for packets subject to tracking, and
     a negative number for everything else.  The tap counts under one int
-    per (probe, link), so a traversal builds no key. *)
+    per (probe, link) in a {!Pim_util.Int_table}, so a traversal builds
+    no key and allocates nothing unless the table grows. *)
 
 val checkpoint : t -> max_copies:int -> unit
 (** Begin a quiet-period measurement epoch: set the duplication bound

@@ -94,6 +94,38 @@ let expect_parse_error ~line text =
       true
       (contains ~needle:(Printf.sprintf "line %d" line) msg)
 
+(* Numbers the runner cannot act on fail at parse time, naming the
+   line: a step with one of them would otherwise hang the run (advance
+   inf), fail inside the engine or the net without a line, or trip an
+   assertion in the topology's derivation. *)
+let bad_numbers =
+  [
+    ("advance inf", "advance inf", "finite number");
+    ("advance nan", "advance nan", "finite number");
+    ("at inf", "at inf heal", "finite number");
+    ("at nan", "at nan send 0", "finite number");
+    ("send interval=nan", "send 0 count=2 interval=nan", "finite number");
+    ("send interval=inf", "send 0 count=2 interval=inf", "finite number");
+    ("jitter inf", "jitter inf for=5", "finite number");
+    ("jitter nan", "jitter nan for=5", "finite number");
+    ("loss 1", "loss 1 for=5", "within [0, 1)");
+    ("negative send interval", "send 0 count=2 interval=-1", "interval must be >= 0");
+    ("negative delay-next", "delay-next 0 1 by=-0.5", "by must be >= 0");
+    ("control-only burst", "loss 0.2 for=5 control-only=on", "without for=");
+    ("derived members=0", "", "members must be >= 1");
+  ]
+
+let test_bad_number (name, step, needle) () =
+  let text, line =
+    if step = "" then ("scenario x\ntopology derived seed=1 members=0\nprotocol PIM-SM\n", 2)
+    else (Printf.sprintf "scenario x\ntopology line 4\nprotocol PIM-SM\n%s\nadvance 5\n" step, 4)
+  in
+  match Dsl.parse text with
+  | Ok _ -> Alcotest.failf "%s: parsed" name
+  | Error msg ->
+    Alcotest.(check bool) msg true
+      (contains ~needle:(Printf.sprintf "line %d:" line) msg && contains ~needle msg)
+
 let test_parse_errors_name_the_line () =
   expect_parse_error ~line:3 "scenario x\ntopology line 4\nfrobnicate\n";
   expect_parse_error ~line:2 "scenario x\ntopology moebius 4\n";
@@ -137,7 +169,8 @@ let test_parse_timed_steps () =
         Dsl.At (2.5, Dsl.Mark "early");
         Dsl.Fail_link { a = Dsl.Node 0; b = Dsl.Node 1; down_for = Some 3. };
         Dsl.Fail_node { node = Dsl.Node 4; down_for = Some 2.5 };
-        Dsl.At (6., Dsl.Loss { rate = 0.25; duration = 1. });
+        Dsl.At
+          (6., Dsl.Loss { rate = 0.25; duration = Some 1.; control_only = false; seed = None });
         Dsl.At (6., Dsl.Jitter { amplitude = 0.5; duration = 1. });
         Dsl.Advance 10.;
         Dsl.At (12., Dsl.Assert_reachable);
@@ -159,7 +192,15 @@ let test_exact_numbers () =
       (parse_ok "scenario n\ntopology line 3\n") with
       Dsl.steps =
         [
-          Dsl.At (t, Dsl.Loss { rate = 1. /. 3.; duration = 20.23810241918493 });
+          Dsl.At
+            ( t,
+              Dsl.Loss
+                {
+                  rate = 1. /. 3.;
+                  duration = Some 20.23810241918493;
+                  control_only = false;
+                  seed = None;
+                } );
           Dsl.Advance (t *. 7.);
         ];
     }
@@ -646,7 +687,40 @@ let test_experiment_programs_replay () =
   let row ?ctx p = Pim_exp.Fig1.row "row" (Dsl.run ?ctx ~protocol:Stack.Cbt p) in
   let r = row f' in
   Alcotest.(check bool) "fig1 row replays" true (row ~ctx f = r);
-  Alcotest.(check int) "fig1 delivers to all three members" 9 r.Pim_exp.Fig1.deliveries
+  Alcotest.(check int) "fig1 delivers to all three members" 9 r.Pim_exp.Fig1.deliveries;
+  (* E2's two sweeps, the bsr row's election included: a grid, timed
+     sends and a crash, under the sweep's config. *)
+  let module F = Pim_exp.Failover in
+  let replays what p config row =
+    let p' = reparse p in
+    Alcotest.(check bool) (what ^ " round-trips") true (p = p');
+    let r = row p (Dsl.run ~config p) in
+    Alcotest.(check bool) (what ^ " row replays") true (r = row p' (Dsl.run ~config p'));
+    r
+  in
+  List.iter
+    (fun (rp_timeout, p) ->
+      let r = replays p.Dsl.name p (F.config ~rp_timeout) (F.row ~strategy:"static" ~rp_timeout) in
+      Alcotest.(check bool) "failover delivers after the crash" true (r.F.delivered_after > 0))
+    (F.plans ~timeouts:[ 5. ] ~seed:1 ());
+  List.iter
+    (fun (strategy, p) ->
+      let r = replays p.Dsl.name p (F.config ~rp_timeout:5.) (F.row ~strategy ~rp_timeout:5.) in
+      Alcotest.(check bool) (strategy ^ " fails over") true (r.F.failovers >= 1))
+    (F.strategy_plans ~strategies:[ "static"; "bsr" ] ~seed:1 ());
+  (* E8: a whole-run control-only loss from the program's seed. *)
+  let ctx, l = Pim_exp.Loss.plan ~seed:4 ~packets:5 0.25 in
+  let l' = reparse l in
+  Alcotest.(check bool) "loss round-trips" true (l = l');
+  List.iter
+    (fun protocol ->
+      let row ?ctx p =
+        Pim_exp.Loss.row ~loss:0.25 ~packets:5 p (Dsl.run ?ctx ~protocol ~config:Stack.fast p)
+      in
+      let r = row ~ctx l in
+      Alcotest.(check bool) (Stack.to_string protocol ^ " loss row replays") true (r = row l');
+      Alcotest.(check bool) "control frames dropped" true (r.Pim_exp.Loss.control_dropped > 0))
+    [ Stack.Pim_sm; Stack.Cbt ]
 
 (* A declared role past the last node is an input error naming the node,
    both when the context is resolved ([scn check]) and when the program
@@ -758,6 +832,10 @@ let () =
           Alcotest.test_case "trace record reproducer pinned" `Quick
             test_trace_record_reproducer_pinned;
         ] );
+      ( "bad numbers",
+        List.map
+          (fun ((name, _, _) as case) -> Alcotest.test_case name `Quick (test_bad_number case))
+          bad_numbers );
       ( "experiments",
         [ Alcotest.test_case "E1 and E6 programs replay" `Quick test_experiment_programs_replay ] );
       ( "stack",

@@ -269,6 +269,47 @@ let test_baseline_tiers () =
 let null_formatter =
   Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
 
+(* A row allowing more findings than its (rule, file) has now is stale:
+   the run fails until --update-baseline gives the slack up.  Only the
+   active tier's rows for linted paths are judged. *)
+let test_baseline_stale () =
+  let base =
+    Baseline.counts
+      [ finding Finding.D1 "a.ml" 3; finding Finding.D1 "a.ml" 9; finding Finding.H4 "b.ml" 1 ]
+  in
+  let now = [ finding Finding.D1 "a.ml" 3; finding Finding.H4 "b.ml" 1 ] in
+  let stale ?(tier = Finding.Untyped) ?(in_scope = fun _ -> true) findings =
+    List.map
+      (fun (f : Finding.t) -> (Finding.rule_id f.rule, f.file))
+      (Baseline.stale base ~tier ~in_scope findings)
+  in
+  Alcotest.(check (list (pair string string))) "one row stale" [ ("D1", "a.ml") ] (stale now);
+  Alcotest.(check (list (pair string string)))
+    "a file gone stales its rows" [ ("D1", "a.ml"); ("H4", "b.ml") ] (stale []);
+  Alcotest.(check (list (pair string string)))
+    "exact counts are not stale" [] (stale (finding Finding.D1 "a.ml" 9 :: now));
+  Alcotest.(check (list (pair string string)))
+    "other tier not judged" [] (stale ~tier:Finding.Typed now);
+  Alcotest.(check (list (pair string string)))
+    "unlinted file not judged" [] (stale ~in_scope:(String.equal "b.ml") now);
+  (* Through Lint.run: a row for a clean fixture fails the run. *)
+  let path = Filename.temp_file "pimlint_stale" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          Printf.fprintf oc "untyped D1 %s 1\n" (fixture "d1_clean.ml"));
+      let buf = Buffer.create 256 in
+      let ppf = Format.formatter_of_buffer buf in
+      let options = { Lint.default_options with baseline_path = Some path } in
+      let code = Lint.run ~options ~paths:[ fixture "d1_clean.ml" ] ppf in
+      Format.pp_print_flush ppf ();
+      Alcotest.(check int) "stale row exits 1" 1 code;
+      Alcotest.(check bool) (Buffer.contents buf) true
+        (contains (Buffer.contents buf) "stale baseline row; run --update-baseline");
+      Alcotest.(check int) "row outside the linted paths is not judged" 0
+        (Lint.run ~options ~paths:[ fixture "d1_suppressed.ml" ] null_formatter))
+
 let test_exit_codes () =
   let run paths = Lint.run ~paths null_formatter in
   Alcotest.(check int) "violating fixture exits 1" 1 (run [ fixture "d1_bad.ml" ]);
@@ -379,6 +420,7 @@ let () =
           Alcotest.test_case "save/load roundtrip" `Quick test_baseline_roundtrip;
           Alcotest.test_case "tier-tagged rows and merge" `Quick test_baseline_tiers;
           Alcotest.test_case "three-field row rejected" `Quick test_baseline_rejects_untagged;
+          Alcotest.test_case "stale row fails" `Quick test_baseline_stale;
         ] );
       ( "driver",
         [

@@ -781,7 +781,14 @@ let test_net_loss_filter () =
     Net.send net 0 ~iface:0 (Packet.unicast ~src:(Addr.router 0) ~dst:(Addr.router 1) ~size:1 raw)
   done;
   Engine.run eng;
-  Alcotest.(check int) "filter exempts" 50 !got
+  Alcotest.(check int) "filter exempts" 50 !got;
+  (* A change of rate alone, as a loss burst makes, keeps the filter. *)
+  Net.set_loss_rate net 0.5;
+  for _ = 1 to 50 do
+    Net.send net 0 ~iface:0 (Packet.unicast ~src:(Addr.router 0) ~dst:(Addr.router 1) ~size:1 raw)
+  done;
+  Engine.run eng;
+  Alcotest.(check int) "filter kept across a rate change" 100 !got
 
 (* Trace *)
 

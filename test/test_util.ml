@@ -470,6 +470,29 @@ let test_vec_bounds_and_clear () =
   Vec.push v "b";
   Alcotest.(check (list string)) "usable after clear" [ "b" ] (Vec.to_list v)
 
+(* Int_table against a Hashtbl model: replace, find, clear, keys,
+   across several growths (keys up to 2^40, clustered and spread). *)
+let prop_int_table_model =
+  QCheck.Test.make ~name:"int table agrees with a Hashtbl" ~count:300
+    QCheck.(list_of_size Gen.(int_range 50 400) (triple (int_bound 99) (int_bound 600) small_int))
+    (fun ops ->
+      let t = Pim_util.Int_table.create () and model = Hashtbl.create 64 in
+      List.iter
+        (fun (op, k, v) ->
+          let k = if k mod 3 = 0 then k lsl 30 else k in
+          match op with
+          | 0 ->
+            Pim_util.Int_table.clear t;
+            Hashtbl.reset model
+          | _ ->
+            Pim_util.Int_table.replace t k v;
+            Hashtbl.replace model k v)
+        ops;
+      let keys = Hashtbl.fold (fun k _ acc -> k :: acc) model [] |> List.sort Int.compare in
+      Array.to_list (Pim_util.Int_table.keys t) = keys
+      && List.for_all (fun k -> Pim_util.Int_table.find t k = Hashtbl.find model k) keys
+      && Pim_util.Int_table.find t 601 = 0)
+
 let () =
   Alcotest.run "pim_util"
     [
@@ -495,6 +518,7 @@ let () =
           Alcotest.test_case "order and growth" `Quick test_vec_order_and_growth;
           Alcotest.test_case "bounds and clear" `Quick test_vec_bounds_and_clear;
         ] );
+      ("int-table", [ QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_int_table_model ]);
       ( "heap",
         [
           Alcotest.test_case "basic" `Quick test_heap_basic;
