@@ -130,7 +130,7 @@ let ensure t g ~core =
   match Fwd.find_star t.fib g with
   | Some e -> e
   | None ->
-    let parent = if Addr.equal core t.addr then None else t.rib.Rib.next_hop core in
+    let parent = if Addr.equal core t.addr then None else Rib.next_hop t.rib core in
     let e = Fwd.make_star ~group:g ~rp:core ~iif:(Option.map fst parent) ~expires:infinity in
     e.Fwd.ext <-
       Tree
@@ -278,26 +278,26 @@ let local_deliver t pkt =
     cb pkt
   done
 
-let send_copy t pkt' i =
+let send_copy t pkt i =
   Counters.(incr t.counters ~node:t.node Data_forwarded);
-  Net.send t.net t.node ~iface:i pkt'
+  Net.forward t.net t.node ~iface:i pkt
 
 (* Copy the packet onto every tree interface but [exclude], in ascending
    interface order.  [exclude] is the arrival interface, or
    [Topology.no_iface] for data injected at this router. *)
 let forward_on_tree t (e : Fwd.entry) ~exclude pkt =
-  if pkt.Packet.ttl > 1 then begin
-    walk_tree send_copy t (Packet.decr_ttl pkt) ~now:(now t) ~exclude e;
+  if Net.ttl t.net pkt > 1 then begin
+    walk_tree send_copy t pkt ~now:(now t) ~exclude e;
     if Fwd.has_local e && exclude <> Topology.no_iface then local_deliver t pkt
   end
 
 let send_unicast t pkt =
   match pkt.Packet.dst with
   | Packet.Multicast _ -> ()
-  | Packet.Unicast dst -> (
-    match t.rib.Rib.next_hop dst with
-    | None -> ()
-    | Some (iface, next) -> Net.send t.net t.node ~iface ~to_node:next pkt)
+  | Packet.Unicast dst ->
+    let r = t.rib.Rib.route dst in
+    if r <> Topology.no_iface then
+      Net.send t.net t.node ~iface:(Rib.route_iface r) ~to_node:(Rib.route_node r) pkt
 
 let originate t pkt =
   match pkt.Packet.dst with
@@ -315,7 +315,10 @@ let originate t pkt =
            sending). *)
         Counters.(incr t.counters ~node:t.node Data_encapsulated);
         if Addr.equal core t.addr then ()
-        else send_unicast t (Packet.unicast ~src:t.addr ~dst:core ~size:(pkt.Packet.size + 28) (Encap pkt))))
+        else
+          send_unicast t
+            (Packet.unicast ~src:t.addr ~dst:core ~size:(pkt.Packet.size + 28)
+               (Encap (Net.with_ttl t.net pkt)))))
 
 let handle_data t ~iface pkt =
   match pkt.Packet.dst with

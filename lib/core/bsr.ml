@@ -258,7 +258,7 @@ let tick t a () =
         let c = Message.crp ~priority ~holdtime:t.cfg.crp_holdtime ~coverage a.addr in
         if elected_self then handle_crp_advert t a c
         else
-          match a.rib.Rib.next_hop bsr_addr with
+          match Rib.next_hop a.rib bsr_addr with
           | None -> ()
           | Some (iface, _) ->
             Counters.(incr t.counters ~node:a.node Adverts_sent);
@@ -305,7 +305,7 @@ let handle_packet t a ~iface pkt =
     | Packet.Unicast dst when t.forward_unicast -> (
       (* Standalone deployments (no PIM router on the node) forward
          transit adverts themselves. *)
-      match a.rib.Rib.next_hop dst with
+      match Rib.next_hop a.rib dst with
       | Some (ifc, _) -> Net.send t.net a.node ~iface:ifc pkt
       | None -> ())
     | _ -> ())

@@ -142,7 +142,7 @@ let entry_target (e : Fwd.entry) =
   match e.source with Some s when not e.rp_bit -> Some s | _ -> e.rp
 
 let compute_upstream t target =
-  if Addr.equal target t.addr then None else t.rib.Rib.next_hop target
+  if Addr.equal target t.addr then None else Rib.next_hop t.rib target
 
 (* G -> RP list: the dynamic (elected) mapping wins when it knows the
    group, then static configuration, then host-advertised hints
@@ -414,13 +414,13 @@ let has_local_members t g =
 
 (* {1 Data-packet forwarding (section 3.5)} *)
 
-(* Oif-walk sink: copy a data packet onto interface [i].  [pkt'] is the
-   copy with its TTL decremented; local members get [pkt] itself. *)
-let send_data t pkt pkt' i =
+(* Oif-walk sink: forward a data packet onto interface [i], or deliver
+   it to local members. *)
+let send_data t pkt () i =
   if i = local_iface then local_deliver t pkt
   else begin
     Counters.(incr t.counters ~node:t.node Data_forwarded);
-    Net.send t.net t.node ~iface:i pkt'
+    Net.forward t.net t.node ~iface:i pkt
   end
 
 (* Oif-walk sink for control messages down the tree: local members are
@@ -429,10 +429,10 @@ let send_ctrl t pkt () i = if i <> local_iface then Net.send t.net t.node ~iface
 
 (* Forward a data packet over [e]'s effective set, or over its shared-tree
    fallback when [shared]; [pruned] is [e]'s prune mask.  Returns the size
-   of that set, whether or not the TTL let the packet through.  The
-   TTL-decremented copy is all a hop builds. *)
+   of that set, whether or not the TTL let the packet through.  A hop
+   forwards the packet it received and builds nothing. *)
 let forward_count t e ~pruned ~shared ~exclude pkt =
-  if pkt.Packet.ttl > 1 then walk_data t e ~pruned ~shared ~exclude send_data t pkt (Packet.decr_ttl pkt)
+  if Net.ttl t.net pkt > 1 then walk_data t e ~pruned ~shared ~exclude send_data t pkt ()
   else walk_data t e ~pruned ~shared ~exclude Fwd.skip () () ()
 
 let forward_data t e ~pruned ~shared ~exclude pkt =
@@ -633,19 +633,17 @@ let handle_data t ~iface pkt =
 (* {1 Register path (section 3)} *)
 
 (* The source's (S,G) entry forwards toward [rp]: the RP has joined the
-   source's tree, so its data reaches the RP natively. *)
+   source's tree, so its data reaches the RP natively.  An unreachable RP
+   reads as [Topology.no_iface], which no oif carries. *)
 let register_suppressed t g src rp =
   t.cfg.register_suppress
   &&
   match Fwd.find_sg_exn t.fib g src with
   | exception Not_found -> false
   | e -> (
-    match Rib.rpf_iface t.rib rp with
-    | None -> false
-    | Some i -> (
-      match Fwd.find_oif_exn e i with
-      | o -> Fwd.is_live e o ~now:(now t)
-      | exception Not_found -> false))
+    match Fwd.find_oif_exn e (Rib.route_iface (t.rib.Rib.route rp)) with
+    | o -> Fwd.is_live e o ~now:(now t)
+    | exception Not_found -> false)
 
 let rec handle_register t inner =
   match (inner.Packet.payload, inner.Packet.dst) with
@@ -704,7 +702,7 @@ and register_each t g src pkt = function
        Counters.(incr t.counters ~node:t.node Registers_sent);
        if tracing t then
          ev t (Event.Register { group = Group.to_string g; source = Addr.to_string src });
-       let reg = Message.register_packet ~src:t.addr ~rp pkt in
+       let reg = Message.register_packet ~src:t.addr ~rp (Net.with_ttl t.net pkt) in
        send_unicast t reg
      end
      else
@@ -728,12 +726,12 @@ and register_each t g src pkt = function
 and send_unicast t pkt =
   match pkt.Packet.dst with
   | Packet.Multicast _ -> ()
-  | Packet.Unicast dst -> (
-    match t.rib.Rib.next_hop dst with
-    | None -> ()
-    | Some (iface, next) ->
+  | Packet.Unicast dst ->
+    let r = t.rib.Rib.route dst in
+    if r <> Topology.no_iface then begin
       Counters.(incr t.counters ~node:t.node Unicast_forwarded);
-      Net.send t.net t.node ~iface ~to_node:next pkt)
+      Net.send t.net t.node ~iface:(Rib.route_iface r) ~to_node:(Rib.route_node r) pkt
+    end
 
 let local_source_addr ?(host = 1) t = Addr.host ~router:t.node host
 
@@ -757,9 +755,9 @@ let is_local_origin t ~iface src =
   ||
   let link = Topology.link_of_iface (Net.topo t.net) t.node iface in
   link.Topology.is_lan
-  && (match Addr.host_router_index src with
-     | Some r -> Array.mem r link.Topology.ends
-     | None -> false)
+  && (match Addr.host_router_index_exn src with
+     | r -> Array.mem r link.Topology.ends
+     | exception Not_found -> false)
   && is_dr t link.Topology.id
 
 (* {1 Join/Prune reception (sections 3.2, 3.3, 3.7)} *)

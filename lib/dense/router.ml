@@ -157,7 +157,7 @@ let rec link_has_child t ~ends ~ifaces src k =
   && (let v = ends.(k) in
       (v <> t.node && Net.node_up t.net v
       &&
-      match (t.neighbor_rib v).Rib.next_hop src with
+      match Rib.next_hop (t.neighbor_rib v) src with
       | Some (vi, next) -> next = t.node && vi = ifaces.(k)
       | None -> false)
       || link_has_child t ~ends ~ifaces src (k + 1))
@@ -211,19 +211,19 @@ let local_deliver t pkt =
     cb pkt
   done
 
-(* Broadcast sink: [pkt'] is the copy with its TTL decremented; local
-   members get [pkt] itself. *)
-let send_data t pkt pkt' i =
+(* Broadcast sink: forward a data packet onto interface [i], or deliver
+   it to local members. *)
+let send_data t pkt () i =
   if i = local_iface then local_deliver t pkt
   else begin
     Counters.(incr t.counters ~node:t.node Data_forwarded);
-    Net.send t.net t.node ~iface:i pkt'
+    Net.forward t.net t.node ~iface:i pkt
   end
 
 (* Forward a data packet matching [e]; returns the size of the broadcast
    set, which is counted even when the TTL runs out. *)
 let forward_data t (e : Fwd.entry) ~exclude src g pkt =
-  if pkt.Packet.ttl > 1 then broadcast t e ~exclude src g send_data pkt (Packet.decr_ttl pkt)
+  if Net.ttl t.net pkt > 1 then broadcast t e ~exclude src g send_data pkt ()
   else broadcast t e ~exclude src g Fwd.skip () ()
 
 let broadcast_ifaces t (e : Fwd.entry) ~exclude =
@@ -237,7 +237,7 @@ let broadcast_ifaces t (e : Fwd.entry) ~exclude =
 
 let send_prune_upstream t (e : Fwd.entry) src g =
   if now t -. (aux e).last_prune_up >= t.cfg.prune_rate_limit then begin
-    match t.rib.Rib.next_hop src with
+    match Rib.next_hop t.rib src with
     | None -> ()
     | Some (iface, up) ->
       let a = aux e in
@@ -253,7 +253,7 @@ let send_prune_upstream t (e : Fwd.entry) src g =
   end
 
 let send_join_upstream t src g =
-  match t.rib.Rib.next_hop src with
+  match Rib.next_hop t.rib src with
   | None -> ()
   | Some (iface, up) ->
     Counters.(incr t.counters ~node:t.node Joins_sent);
@@ -526,9 +526,9 @@ let is_dr t lid =
 let is_local_origin t ~iface src =
   let link = Topology.link_of_iface (Net.topo t.net) t.node iface in
   link.Topology.is_lan
-  && (match Addr.host_router_index src with
-     | Some r -> Array.mem r link.Topology.ends
-     | None -> false)
+  && (match Addr.host_router_index_exn src with
+     | r -> Array.mem r link.Topology.ends
+     | exception Not_found -> false)
   && is_dr t link.Topology.id
 
 (* Expired prunes grow back.  Join timestamps need no aging: one is read

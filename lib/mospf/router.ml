@@ -103,13 +103,8 @@ let knows_member t u g =
   if u = t.node then GroupSet.mem g t.local_groups else mem_group g t.lsdb.(u).groups
 
 (* One packet, sent on every interface but [except] ([Topology.no_iface]
-   for none): LSAs and packets are immutable, so the copies share it. *)
-let flood t ~except lsa_v =
-  let pkt =
-    Packet.unicast ~src:t.addr ~dst:Addr.all_pim_routers
-      ~size:(12 + (4 * List.length lsa_v.groups))
-      (Membership_lsa lsa_v)
-  in
+   for none): packets are immutable, so the copies share it. *)
+let flood t ~except pkt =
   let ifaces = Topology.ifaces (Net.topo t.net) t.node in
   for k = 0 to Array.length ifaces - 1 do
     let iface, _ = ifaces.(k) in
@@ -123,21 +118,27 @@ let originate_lsa t =
   t.own_seq <- t.own_seq + 1;
   let lsa_v = { origin = t.node; seq = t.own_seq; groups = GroupSet.elements t.local_groups } in
   Plan_cache.reset t.cache;
-  flood t ~except:Topology.no_iface lsa_v
+  flood t ~except:Topology.no_iface
+    (Packet.unicast ~src:t.addr ~dst:Addr.all_pim_routers
+       ~size:(12 + (4 * List.length lsa_v.groups))
+       (Membership_lsa lsa_v))
 
-let install_lsa t ~iface (l : lsa) =
+(* [pkt] is the received packet carrying [l]. *)
+let install_lsa t ~iface pkt (l : lsa) =
   (* An echo of our own LSA flooded back around a cycle carries nothing we
      don't already know (local_groups is authoritative); installing it
      would leave a stale self-entry in the database after the final
      origination.  Real OSPF likewise special-cases self-originated
      LSAs.  The database keeps the received record itself, so every
-     router's slot for [l.origin] holds the same LSA. *)
+     router's slot for [l.origin] holds the same LSA, and the re-flood
+     sends the received packet under this router's address: the same
+     payload, size and destination, so the same bytes on the wire. *)
   if l.origin <> t.node then begin
     let held = t.lsdb.(l.origin) in
     if held.origin = Topology.no_node || l.seq > held.seq then begin
       t.lsdb.(l.origin) <- l;
       Plan_cache.reset t.cache;
-      flood t ~except:iface l
+      flood t ~except:iface { pkt with Packet.src = t.addr }
     end
   end
 
@@ -236,23 +237,21 @@ let local_deliver t pkt =
   done
 
 (* Top-level recursion rather than [List.iter] with a closure over the
-   copy: forwarding allocates only the copy. *)
-let rec send_all t pkt' = function
+   packet: forwarding allocates nothing. *)
+let rec send_all t pkt = function
   | i :: rest ->
     Counters.(incr t.counters ~node:t.node Data_forwarded);
-    Net.send t.net t.node ~iface:i pkt';
-    send_all t pkt' rest
+    Net.forward t.net t.node ~iface:i pkt;
+    send_all t pkt rest
   | [] -> ()
 
-let forward t pkt olist = if pkt.Packet.ttl > 1 then send_all t (Packet.decr_ttl pkt) olist
+let forward t pkt olist = if Net.ttl t.net pkt > 1 then send_all t pkt olist
 
 (* The router whose subnet (or self) [pkt]'s source is, [Topology.no_node]
-   for neither: a per-hop test that builds no option for a host source. *)
+   for neither: a per-hop test that builds no option. *)
 let src_router_of pkt =
-  let src = pkt.Packet.src in
-  match Addr.host_router_index_exn src with
-  | r -> r
-  | exception Not_found -> ( match Addr.router_index src with Some r -> r | None -> Topology.no_node)
+  let r = Addr.owner_index pkt.Packet.src in
+  if r < 0 then Topology.no_node else r
 
 let handle_data t ~iface pkt ~src_router =
   match pkt.Packet.dst with
@@ -300,7 +299,7 @@ let send_local_data t ~group ?host ?size () =
 
 let handle_packet t ~iface pkt =
   match pkt.Packet.payload with
-  | Membership_lsa l -> install_lsa t ~iface l
+  | Membership_lsa l -> install_lsa t ~iface pkt l
   | Mdata.Data _ -> (
     let src_router = src_router_of pkt in
     if src_router = t.node then

@@ -33,7 +33,9 @@ type lsa = {
 (** A group-membership LSA.  The record is immutable and shared: the
     origin builds it once, floods one packet carrying it, and every router
     that accepts it stores that same record in its link-state database
-    (one slot per origin router), so installing an LSA copies nothing. *)
+    (one slot per origin router) and re-floods the packet it received
+    under its own source address, so installing an LSA copies only the
+    packet header. *)
 
 type Pim_net.Packet.payload += Membership_lsa of lsa
 

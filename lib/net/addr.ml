@@ -61,6 +61,14 @@ let host_router_index_exn a =
 let host_router_index a =
   match host_router_index_exn a with r -> Some r | exception Not_found -> None
 
+let owner_index a =
+  if octet a 0 <> 10 then -1
+  else
+    let b = octet a 1 in
+    if b = 0 then (octet a 2 lsl 8) lor octet a 3
+    else if b land 128 <> 0 then ((b land 127) lsl 8) lor octet a 2
+    else -1
+
 let is_multicast a = octet a 0 >= 224 && octet a 0 <= 239
 
 let all_pim_routers = of_octets 224 0 0 2

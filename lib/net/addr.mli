@@ -56,6 +56,11 @@ val host_router_index_exn : t -> int
 (** {!host_router_index} without the option, for per-packet tests.
     @raise Not_found for an address that is not a host's. *)
 
+val owner_index : t -> int
+(** The router a unicast address names ({!router_index}) or serves as a
+    host's ({!host_router_index}), -1 for neither: both without an
+    option, for per-packet routing lookups. *)
+
 val is_multicast : t -> bool
 (** True for addresses in 224.0.0.0/4. *)
 

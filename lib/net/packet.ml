@@ -22,10 +22,6 @@ let unicast ~src ~dst ?(ttl = default_ttl) ~size payload =
 let multicast ~src ~group ?(ttl = default_ttl) ~size payload =
   { src; dst = Multicast group; ttl; size; payload }
 
-let decr_ttl t =
-  if t.ttl <= 1 then invalid_arg "Packet.decr_ttl: TTL exhausted";
-  { t with ttl = t.ttl - 1 }
-
 let printers : (payload -> string option) list ref = ref []
 
 let register_printer f = printers := f :: !printers

@@ -19,6 +19,9 @@ type t = {
   src : Addr.t;
   dst : dst;
   ttl : int;
+      (** the TTL at origination.  Routers forward the packet they
+          received rather than a copy, so the network layer tracks a
+          frame's remaining TTL ([Pim_sim.Net.ttl]), not this field. *)
   size : int;  (** modelled size in bytes, headers included *)
   payload : payload;
 }
@@ -28,11 +31,6 @@ val unicast : src:Addr.t -> dst:Addr.t -> ?ttl:int -> size:int -> payload -> t
 
 val multicast : src:Addr.t -> group:Group.t -> ?ttl:int -> size:int -> payload -> t
 (** Build a multicast packet addressed to [group] (default [ttl] 64). *)
-
-val decr_ttl : t -> t
-(** The copy a router forwards: [t] with its TTL one lower.  Only a packet
-    with [ttl > 1] may be forwarded; test that first.
-    @raise Invalid_argument when [ttl <= 1]. *)
 
 val register_printer : (payload -> string option) -> unit
 (** Protocol libraries register printers for their payload constructors so

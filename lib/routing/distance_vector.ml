@@ -188,21 +188,19 @@ let metric t u d =
 
 let rib t u =
   let st = t.states.(u) in
-  let next_hop addr =
-    match Rib.resolve addr with
-    | None -> None
-    | Some d ->
-      if d = u then None
-      else (
-        match Hashtbl.find_opt st.table d with
-        | Some r when r.metric < t.cfg.infinity_metric -> Some (r.via_iface, r.next)
-        | _ -> None)
+  let route addr =
+    let d = Pim_net.Addr.owner_index addr in
+    if d < 0 || d = u then Topology.no_iface
+    else
+      match Hashtbl.find_opt st.table d with
+      | Some r when r.metric < t.cfg.infinity_metric -> Rib.pack_route ~iface:r.via_iface ~node:r.next
+      | _ -> Topology.no_iface
   in
   let distance addr =
     match Rib.resolve addr with None -> None | Some d -> metric t u d
   in
   let subscribe f = Pim_util.Vec.push st.subs f in
-  { Rib.node = u; next_hop; distance; subscribe }
+  { Rib.node = u; route; distance; subscribe }
 
 let converged t ~against =
   let n = Array.length t.states in

@@ -164,20 +164,18 @@ let distance t u d = if t.states.(u).dist.(d) = max_int then None else Some t.st
 
 let rib t u =
   let st = t.states.(u) in
-  let next_hop addr =
-    match Rib.resolve addr with
-    | None -> None
-    | Some d ->
-      if d = u then None
-      else (
-        let v = st.hop_node.(d) in
-        if v < 0 then None else Some (st.hop_iface.(d), v))
+  let route addr =
+    let d = Pim_net.Addr.owner_index addr in
+    if d < 0 || d = u then Topology.no_iface
+    else
+      let v = st.hop_node.(d) in
+      if v < 0 then Topology.no_iface else Rib.pack_route ~iface:st.hop_iface.(d) ~node:v
   in
   let dist_fn addr =
     match Rib.resolve addr with None -> None | Some d -> distance t u d
   in
   let subscribe f = Pim_util.Vec.push st.subs f in
-  { Rib.node = u; next_hop; distance = dist_fn; subscribe }
+  { Rib.node = u; route; distance = dist_fn; subscribe }
 
 let converged t ~against =
   let n = Array.length t.states in

@@ -192,13 +192,14 @@ let lookup t u d =
 let rib t u =
   (* Routers outside the topology read as unreachable. *)
   let n = Array.length t.tables in
-  let next_hop addr =
-    match Rib.resolve addr with
-    | Some d when d <> u && d < n ->
+  let route addr =
+    let d = Pim_net.Addr.owner_index addr in
+    if d < 0 || d = u || d >= n then Topology.no_iface
+    else
       let tb = lookup t u d in
       let h = hop t tb d in
-      if h < 0 then None else Some (Topology.iface_of_link t.topo u (via t tb.words.(h)), h)
-    | Some _ | None -> None
+      if h < 0 then Topology.no_iface
+      else Rib.pack_route ~iface:(Topology.iface_of_link t.topo u (via t tb.words.(h))) ~node:h
   in
   let distance addr =
     match Rib.resolve addr with
@@ -209,6 +210,6 @@ let rib t u =
     | Some _ | None -> None
   in
   let subscribe f = Vec.push t.subs.(u) f in
-  { Rib.node = u; next_hop; distance; subscribe }
+  { Rib.node = u; route; distance; subscribe }
 
 let dijkstras t = t.dijkstras

@@ -11,10 +11,11 @@ type host = {
 }
 
 (* Frames in flight on one link, waiting out its propagation delay: a
-   ring of parallel arrays (unboxed deadline, packet, sending router,
-   target router; [Topology.no_node] for none), grown by doubling, so queueing a frame
-   allocates nothing.  [fire] is the link's flush timer: created with its
-   closure on first use, then re-armed in place. *)
+   ring of parallel arrays (unboxed deadline, packet, sending router and
+   hop count packed by [pack_from], target router; [Topology.no_node] for
+   none), grown by doubling, so queueing a frame allocates nothing.
+   [fire] is the link's flush timer: created with its closure on first
+   use, then re-armed in place. *)
 type ring = {
   mutable deadlines : float array;
   mutable pkts : Packet.t array;
@@ -56,7 +57,24 @@ type t = {
   mutable dropped : int;
   mutable jitter : float;
   mutable jitter_prng : Pim_util.Prng.t;
+  mutable frame : Packet.t;
+  mutable frame_hops : int;
+      (* The frame being delivered and how many routers forwarded it, while
+         that is more than none; [vacant] and 0 otherwise. *)
 }
+
+(* A frame's sending router and hop count share one ring slot: the sender
+   + 1 ([Topology.no_node] is -1) in the low 32 bits, the hops above. *)
+let pack_from from_node hops = (hops lsl 32) lor (from_node + 1)
+
+let sender_of word = (word land 0xFFFF_FFFF) - 1
+
+let hops_in word = word lsr 32
+
+(* Fills vacated ring slots, so a ring never keeps a delivered packet
+   alive. *)
+let vacant =
+  Packet.unicast ~src:(Pim_net.Addr.router 0) ~dst:(Pim_net.Addr.router 0) ~size:0 (Packet.Raw "")
 
 let create eng topo =
   let metrics = Pim_util.Metrics.create () in
@@ -99,6 +117,8 @@ let create eng topo =
     dropped = 0;
     jitter = 0.;
     jitter_prng = Pim_util.Prng.create 0x317e;
+    frame = vacant;
+    frame_hops = 0;
   }
 
 let engine t = t.eng
@@ -198,9 +218,9 @@ let rec index_of ends v k =
 
 (* Propagation complete: hand the frame to routers/hosts on the link.
    [from_node] and [to_node] are [Topology.no_node] for a host sender
-   and a broadcast frame.  Receivers hear it in the link's end order,
-   then its hosts in attach order. *)
-let deliver_one t lid ~from_node ~to_node pkt =
+   and a broadcast frame; [hops] routers forwarded it.  Receivers hear it
+   in the link's end order, then its hosts in attach order. *)
+let deliver_one t lid ~from_node ~to_node ~hops pkt =
   (* The frame only counts as a traversal if the link is still up when
      propagation completes — a frame in flight on a link that died is
      lost, and must not inflate the overhead metrics. *)
@@ -213,6 +233,10 @@ let deliver_one t lid ~from_node ~to_node pkt =
     let ifaces = Topology.end_ifaces t.topo lid in
     t.counts.(lid) <- t.counts.(lid) + 1;
     Pim_util.Metrics.incr t.m_delivered;
+    if hops > 0 then begin
+      t.frame <- pkt;
+      t.frame_hops <- hops
+    end;
     notify_pkt t.deliver_subs lid pkt;
     if to_node <> Topology.no_node then begin
       let k = index_of ends to_node 0 in
@@ -230,13 +254,23 @@ let deliver_one t lid ~from_node ~to_node pkt =
         let h = hs.(i) in
         if from_node <> Topology.no_node || not (Pim_net.Addr.equal h.haddr pkt.Packet.src) then h.hrecv pkt
       done
+    end;
+    if hops > 0 then begin
+      t.frame <- vacant;
+      t.frame_hops <- 0
     end
   end
 
-(* Fills vacated ring slots, so a ring never keeps a delivered packet
-   alive. *)
-let vacant =
-  Packet.unicast ~src:(Pim_net.Addr.router 0) ~dst:(Pim_net.Addr.router 0) ~size:0 (Packet.Raw "")
+(* How many routers forwarded [pkt]: the delivered frame's count, none
+   for any other packet.  Identity, not equality: an equal packet built
+   elsewhere is another frame. *)
+let hops_of t pkt = if pkt == t.frame then t.frame_hops else 0 (* pimlint: allow H2 — frame identity *)
+
+let ttl t pkt = pkt.Packet.ttl - hops_of t pkt
+
+let with_ttl t pkt =
+  let hops = hops_of t pkt in
+  if hops = 0 then pkt else { pkt with Packet.ttl = pkt.Packet.ttl - hops }
 
 let grow r =
   let cap = Array.length r.pkts in
@@ -268,11 +302,11 @@ let rec flush t lid =
   let now = Engine.now t.eng in
   while r.len > 0 && r.deadlines.(r.head) <= now do
     let i = r.head in
-    let pkt = r.pkts.(i) in
+    let pkt = r.pkts.(i) and from = r.froms.(i) in
     r.pkts.(i) <- vacant;
     r.head <- (i + 1) land (Array.length r.pkts - 1);
     r.len <- r.len - 1;
-    deliver_one t lid ~from_node:r.froms.(i) ~to_node:r.tos.(i) pkt
+    deliver_one t lid ~from_node:(sender_of from) ~to_node:r.tos.(i) ~hops:(hops_in from) pkt
   done;
   if r.len > 0 then arm t lid r else r.armed <- false
 
@@ -286,14 +320,14 @@ and arm t lid r =
 (* Normal propagation path: per-frame timer under jitter, otherwise the
    batched per-link ring (deadlines are monotone, so the ring stays in
    deadline order). *)
-let propagate t ~from_node ~lid ~to_node pkt =
+let propagate t ~from_node ~lid ~to_node ~hops pkt =
   let link = Topology.link t.topo lid in
   if t.jitter > 0. then begin
     (* Jitter gives every frame its own deadline: per-frame timer. *)
     let delay = link.Topology.delay +. Pim_util.Prng.float t.jitter_prng t.jitter in
     ignore
       (Engine.schedule t.eng ~after:delay (fun () ->
-           deliver_one t lid ~from_node ~to_node pkt))
+           deliver_one t lid ~from_node ~to_node ~hops pkt))
   end
   else begin
     let r = t.rings.(lid) in
@@ -301,7 +335,7 @@ let propagate t ~from_node ~lid ~to_node pkt =
     let i = (r.head + r.len) land (Array.length r.pkts - 1) in
     r.deadlines.(i) <- Engine.now t.eng +. link.Topology.delay;
     r.pkts.(i) <- pkt;
-    r.froms.(i) <- from_node;
+    r.froms.(i) <- pack_from from_node hops;
     r.tos.(i) <- to_node;
     r.len <- r.len + 1;
     if not r.armed then begin
@@ -318,20 +352,20 @@ let drop t lid pkt =
   notify_pkt t.drop_subs lid pkt
 
 (* The loss roll, then one propagation (two for a [`Duplicate]). *)
-let offer t ~from_node ~lid ~to_node ~duplicate pkt =
+let offer t ~from_node ~lid ~to_node ~hops ~duplicate pkt =
   if t.loss_rate > 0. && t.loss_filter pkt && Pim_util.Prng.float t.loss_prng 1.0 < t.loss_rate
   then drop t lid pkt
   else begin
-    propagate t ~from_node ~lid ~to_node pkt;
-    if duplicate then propagate t ~from_node ~lid ~to_node pkt
+    propagate t ~from_node ~lid ~to_node ~hops pkt;
+    if duplicate then propagate t ~from_node ~lid ~to_node ~hops pkt
   end
 
-let transmit t ~from_node ~lid ~to_node pkt =
+let transmit t ~from_node ~lid ~to_node ~hops pkt =
   t.offered <- t.offered + 1;
   Pim_util.Metrics.incr t.m_offered;
   notify_pkt t.send_subs lid pkt;
   let tampers = t.tampers.(lid) in
-  if Queue.is_empty tampers then offer t ~from_node ~lid ~to_node ~duplicate:false pkt
+  if Queue.is_empty tampers then offer t ~from_node ~lid ~to_node ~hops ~duplicate:false pkt
   else
     match Queue.take tampers with
     | `Drop -> drop t lid pkt
@@ -342,16 +376,23 @@ let transmit t ~from_node ~lid ~to_node pkt =
       let link = Topology.link t.topo lid in
       ignore
         (Engine.schedule t.eng ~after:(link.Topology.delay +. extra) (fun () ->
-             deliver_one t lid ~from_node ~to_node pkt))
-    | `Duplicate -> offer t ~from_node ~lid ~to_node ~duplicate:true pkt
+             deliver_one t lid ~from_node ~to_node ~hops pkt))
+    | `Duplicate -> offer t ~from_node ~lid ~to_node ~hops ~duplicate:true pkt
 
-let send t u ~iface ?to_node pkt =
+let send_hops t u ~iface ~to_node ~hops pkt =
   if t.node_state.(u) then begin
     let link = Topology.link_of_iface t.topo u iface in
-    if t.link_state.(link.Topology.id) then
-      let to_node = match to_node with Some v -> v | None -> Topology.no_node in
-      transmit t ~from_node:u ~lid:link.Topology.id ~to_node pkt
+    if t.link_state.(link.Topology.id) then transmit t ~from_node:u ~lid:link.Topology.id ~to_node ~hops pkt
   end
+
+let send t u ~iface ?to_node pkt =
+  let to_node = match to_node with Some v -> v | None -> Topology.no_node in
+  send_hops t u ~iface ~to_node ~hops:(hops_of t pkt) pkt
+
+let forward t u ~iface pkt =
+  let hops = hops_of t pkt + 1 in
+  if pkt.Packet.ttl - hops < 1 then invalid_arg "Net.forward: TTL exhausted";
+  send_hops t u ~iface ~to_node:Topology.no_node ~hops pkt
 
 let attach_host t lid ~addr recv =
   let h = { hlink = lid; haddr = addr; hrecv = recv } in
@@ -362,7 +403,7 @@ let attach_host t lid ~addr recv =
 let host_send t hid pkt =
   let h = Vec.get t.hosts hid in
   if t.link_state.(h.hlink) then
-    transmit t ~from_node:Topology.no_node ~lid:h.hlink ~to_node:Topology.no_node pkt
+    transmit t ~from_node:Topology.no_node ~lid:h.hlink ~to_node:Topology.no_node ~hops:0 pkt
 
 let host_addr t hid = (Vec.get t.hosts hid).haddr
 

@@ -32,7 +32,26 @@ val send :
 (** Transmit on an interface.  Dropped silently when the sending node or
     the link is down.  Delivery happens after the link's propagation
     delay; receivers whose node went down in the meantime miss the
+    packet.  Re-sending the frame being delivered keeps its {!ttl}. *)
+
+val forward : t -> Pim_graph.Topology.node -> iface:Pim_graph.Topology.iface -> Pim_net.Packet.t -> unit
+(** {!send} the same packet value as a frame one router further on: its
+    {!ttl} at the next receiver is one lower.  This is how a multicast
+    router copies a datagram onto a tree interface without building a
+    copy.  Only a packet whose {!ttl} is above 1 may be forwarded; test
+    that first.
+    @raise Invalid_argument when it is not. *)
+
+val ttl : t -> Pim_net.Packet.t -> int
+(** The remaining TTL of a packet: [pkt.ttl] less the routers that
+    forwarded it when [pkt] is the frame being delivered (to handlers,
+    hosts and {!on_deliver} subscribers), [pkt.ttl] for any other
     packet. *)
+
+val with_ttl : t -> Pim_net.Packet.t -> Pim_net.Packet.t
+(** The packet with its {!ttl} written into its own field: itself when no
+    router has forwarded it.  For a packet kept or encapsulated beyond its
+    delivery. *)
 
 val attach_host :
   t -> Pim_graph.Topology.link_id -> addr:Pim_net.Addr.t -> (Pim_net.Packet.t -> unit) -> host_id

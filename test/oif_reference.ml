@@ -63,7 +63,7 @@ let link_has_child ~net ~node ~neighbor_rib lid src =
   |> List.exists (fun v ->
          Net.node_up net v
          &&
-         match (neighbor_rib v).Rib.next_hop src with
+         match Rib.next_hop (neighbor_rib v) src with
          | Some (vi, next) -> (
            next = node
            &&

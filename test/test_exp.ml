@@ -882,6 +882,89 @@ let test_counters_pinned () =
   let got = List.concat_map counter_rows Pim_exp.Stack.all in
   Alcotest.(check (list string)) "every counter" expected_counters got
 
+(* {1 TTL on a line}
+
+   No golden run lets a TTL run out, so this is the guard on its
+   semantics.  Routers 0..7 form a line of point-to-point links (link i
+   joins routers i and i+1), and a host on a stub LAN at router 0 sends
+   one data packet with TTL 4 once the tree is built.  Every router that
+   forwards it lowers its TTL by one, so it crosses exactly 3 router links.
+   A router that receives it with TTL 1 forwards nothing; under PIM-SM,
+   PIM-DM and CBT it delivers nothing to its own members either, while
+   MOSPF still delivers to them.  A Register (PIM-SM) or [Encap] (CBT)
+   carries the packet to an RP or core two hops away with the TTL it had
+   when the DR encapsulated it, and the packet continues from there with
+   that TTL.  A [`Delay] tamper on the packet's second router link, or
+   jitter on every link, must not change the count. *)
+
+type ttl_fault = No_fault | Delay_tamper | Jitter
+
+let ttl_run protocol ~root ~members ~fault =
+  let module Engine = Pim_sim.Engine in
+  let module Net = Pim_sim.Net in
+  let module Topology = Pim_graph.Topology in
+  let module Packet = Pim_net.Packet in
+  let module Mdata = Pim_mcast.Mdata in
+  let g = Pim_net.Group.of_index 1 in
+  let n = 8 in
+  let b = Topology.builder n in
+  for i = 0 to n - 2 do
+    ignore (Topology.add_p2p b i (i + 1))
+  done;
+  let lan = Topology.add_lan b [ 0 ] in
+  let eng = Engine.create () in
+  let net = Net.create eng (Topology.freeze b) in
+  let s =
+    List.assoc g (Pim_exp.Stack.create_many ~placement:[ (g, [ root ]) ] ~groups:[ g ] ~net protocol)
+  in
+  List.iter s.Pim_exp.Stack.join members;
+  let delivered = ref [] in
+  List.iter (fun m -> s.Pim_exp.Stack.on_data m (fun _ -> delivered := m :: !delivered)) members;
+  let src = Pim_net.Addr.host ~router:0 1 in
+  let host = Net.attach_host net lan ~addr:src (fun _ -> ()) in
+  Engine.run ~until:10. eng;
+  let is_data pkt = match pkt.Packet.payload with Mdata.Data _ -> true | _ -> false in
+  let crossed = ref [] in
+  Net.on_deliver net (fun lid pkt -> if lid <> lan && is_data pkt then crossed := lid :: !crossed);
+  (match fault with
+  | No_fault -> ()
+  | Jitter -> Net.set_jitter net 0.3
+  | Delay_tamper ->
+    (* Armed from the send hook, which runs before a transmission takes
+       its tamper, so the data frame itself is the one held back. *)
+    let data_links = ref 0 in
+    Net.on_send net (fun lid pkt ->
+        if lid <> lan && is_data pkt then begin
+          incr data_links;
+          if !data_links = 2 then Net.tamper_next net lid (`Delay 0.5)
+        end));
+  Net.host_send net host
+    (Packet.multicast ~src ~group:g ~ttl:4 ~size:1000 (Mdata.Data { Mdata.seq = 0; sent_at = 10. }));
+  Engine.run ~until:20. eng;
+  (List.sort compare !crossed, List.sort compare !delivered)
+
+let test_ttl_line () =
+  let faults = [ (No_fault, "plain"); (Delay_tamper, "delay tamper"); (Jitter, "jitter") ] in
+  List.iter
+    (fun (protocol, root, members, links, delivered, what) ->
+      List.iter
+        (fun (fault, fault_name) ->
+          let name =
+            Printf.sprintf "%s %s, %s" (Pim_exp.Stack.to_string protocol) what fault_name
+          in
+          let got_links, got_delivered = ttl_run protocol ~root ~members ~fault in
+          Alcotest.(check (list int)) (name ^ ": router links crossed") links got_links;
+          Alcotest.(check (list int)) (name ^ ": members delivered to") delivered got_delivered)
+        faults)
+    [
+      (Pim_exp.Stack.Pim_sm, 0, [ 1; 2; 3; 4; 5; 6; 7 ], [ 0; 1; 2 ], [ 1; 2 ], "RP at the DR");
+      (Pim_exp.Stack.Pim_dm, 0, [ 1; 2; 3; 4; 5; 6; 7 ], [ 0; 1; 2 ], [ 1; 2 ], "flood");
+      (Pim_exp.Stack.Cbt, 0, [ 1; 2; 3; 4; 5; 6; 7 ], [ 0; 1; 2 ], [ 1; 2 ], "core at the DR");
+      (Pim_exp.Stack.Mospf, 0, [ 1; 2; 3; 4; 5; 6; 7 ], [ 0; 1; 2 ], [ 1; 2; 3 ], "source tree");
+      (Pim_exp.Stack.Pim_sm, 2, [ 3; 4; 5; 6; 7 ], [ 2; 3; 4 ], [ 3; 4 ], "Register to an RP");
+      (Pim_exp.Stack.Cbt, 2, [ 3; 4; 5; 6; 7 ], [ 2; 3; 4 ], [ 3; 4 ], "Encap to a core");
+    ]
+
 (* {1 Allocation budget of the forwarding path}
 
    With no trace attached, forwarding builds no event payloads: every
@@ -890,11 +973,16 @@ let test_counters_pinned () =
    cached), then 400 packets are forwarded, the network drains, and the
    minor words allocated per link traversal — data, control and timers
    together — must stay under a fixed budget.  The budgets are the figures
-   measured once the entry timers moved into a flat float record and a
-   PIM-SM (S,G) hop walked its set once (PIM-SM 15.4, PIM-DM 15.3 words),
-   and once prune masks and CBT child timers moved to unboxed
+   measured once a hop forwarded the packet it received, its hop count
+   riding on the Net frame, instead of a TTL-decremented copy, and the
+   Register/Encap unicast path and the first-hop tests stopped building
+   options (PIM-SM 6.95, PIM-DM 9.77, CBT 8.41, MOSPF 6.81 words), plus
+   ~10%.  With the copy they read 15.06, 15.31, 15.63 and 13.32: the
+   figures measured once the entry timers moved into a flat float record
+   and a PIM-SM (S,G) hop walked its set once (PIM-SM 15.4, PIM-DM 15.3
+   words), and once prune masks and CBT child timers moved to unboxed
    per-interface tables and the last-hop switch and source-router tests
-   stopped building options (CBT 16.0, MOSPF 13.3 words), plus ~10%.
+   stopped building options (CBT 16.0, MOSPF 13.3 words).
    Before the flat timers and the one walk PIM-SM read 18.5 and PIM-DM
    17.3; before the unboxed tables 20.2, 20.6, 19.2 and 16.9; before
    the timer wheel stopped building a closure per link and per pop, a
@@ -967,10 +1055,10 @@ let test_forwarding_alloc_budget () =
            seen)
         true (seen > 0))
     [
-      (Pim_exp.Stack.Pim_sm, 17., true);
-      (Pim_exp.Stack.Pim_dm, 16.9, false);
-      (Pim_exp.Stack.Cbt, 17.5, false);
-      (Pim_exp.Stack.Mospf, 14.7, true);
+      (Pim_exp.Stack.Pim_sm, 7.7, true);
+      (Pim_exp.Stack.Pim_dm, 10.8, false);
+      (Pim_exp.Stack.Cbt, 9.3, false);
+      (Pim_exp.Stack.Mospf, 7.5, true);
     ]
 
 (* {1 Allocation budget of the soft-state ticks}
@@ -1106,7 +1194,10 @@ let test_tick_alloc_budget () =
    the forwarded copy and the oif timer) plus ~10%.  Before, with a
    boxed entry timer, 5.99 and 10.08, and before receipt stopped
    building closures, options and lists and an RP-reachability hop
-   forwarded the payload it received, 38.3 and 16.1. *)
+   forwarded the payload it received, 38.3 and 16.1.  MOSPF's accepted
+   LSA is budgeted the same way: 6.02 words, the re-flooded packet's
+   header, once an install re-flooded the packet it received; 11.02
+   while it built a new packet, destination and payload. *)
 
 let receipt_words () =
   let module Engine = Pim_sim.Engine in
@@ -1149,6 +1240,46 @@ let receipt_words () =
   Engine.run ~until:60. eng;
   (jp_words.(0) /. float_of_int !jp_entries, !jp_entries, rp_words.(0) /. float_of_int !rp_hops, !rp_hops)
 
+(* MOSPF on the same grid and memberships, hooked the same way: the words
+   of every LSA receipt, charged per accepted LSA.  A router accepts an
+   LSA from another origin with a higher sequence number than the one it
+   holds; the hook keeps its own copy of that rule, so a rejected receipt
+   that starts to allocate shows in the figure.  The members join, leave
+   and join again, and only the second join's floods are measured: by
+   then every link's frame ring has grown to the flood's size. *)
+let lsa_receipt_words () =
+  let module Engine = Pim_sim.Engine in
+  let module Net = Pim_sim.Net in
+  let module Mospf = Pim_mospf.Router in
+  let eng = Engine.create () in
+  let net = Net.create eng (Pim_graph.Classic.grid side side) in
+  let entered = Array.make 1 0. and words = Array.make 1 0. in
+  let held = Array.make_matrix n_grid n_grid 0 and accepted = ref 0 and measuring = ref false in
+  for u = 0 to n_grid - 1 do
+    Net.set_handler net u (fun ~iface:_ _ -> entered.(0) <- Gc.minor_words ())
+  done;
+  let d = Mospf.Deployment.create net in
+  for u = 0 to n_grid - 1 do
+    Net.set_handler net u (fun ~iface:_ pkt ->
+        match pkt.Pim_net.Packet.payload with
+        | Mospf.Membership_lsa l ->
+          if !measuring then words.(0) <- words.(0) +. (Gc.minor_words () -. entered.(0));
+          if l.Mospf.origin <> u && l.Mospf.seq > held.(u).(l.Mospf.origin) then begin
+            held.(u).(l.Mospf.origin) <- l.Mospf.seq;
+            if !measuring then incr accepted
+          end
+        | _ -> ())
+  done;
+  let each f =
+    List.iter (fun (k, g) -> List.iter (fun m -> f (Mospf.Deployment.router d m) g) (grid_members k)) grid_groups;
+    Engine.run eng
+  in
+  each Mospf.join_local;
+  each Mospf.leave_local;
+  measuring := true;
+  each Mospf.join_local;
+  (words.(0) /. float_of_int !accepted, !accepted)
+
 let test_receipt_alloc_budget () =
   let jp, jp_entries, rp, rp_hops = receipt_words () in
   let check name words count budget =
@@ -1158,7 +1289,9 @@ let test_receipt_alloc_budget () =
       (count > 100 && words <= budget)
   in
   check "join/prune entry received" jp jp_entries 4.4;
-  check "RP-reachability hop" rp rp_hops 6.7
+  check "RP-reachability hop" rp rp_hops 6.7;
+  let lsa, lsas = lsa_receipt_words () in
+  check "MOSPF LSA accepted" lsa lsas 6.6
 
 (* {1 Words held and allocated by one (S,G) entry}
 
@@ -1268,6 +1401,7 @@ let () =
             test_workload_rp_concentration_contrast;
           QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) prop_workload_domains_identity;
         ] );
+      ("ttl", [ Alcotest.test_case "TTL runs out on a line" `Quick test_ttl_line ]);
       ( "alloc",
         [
           Alcotest.test_case "forwarding allocation budget" `Quick test_forwarding_alloc_budget;

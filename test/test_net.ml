@@ -149,13 +149,42 @@ let prop_prefix_contains_network =
 
 (* Packets *)
 
+(* A packet's [ttl] is its TTL at origination; [Net] counts the routers
+   that forwarded a frame.  On the line 0-1-2-3-4, router 0 sends a TTL-3
+   packet, routers 1 and 3 forward it, router 2 re-sends it with
+   [Net.send], which keeps its TTL, through a [`Delay] tamper, which keeps
+   it too, and router 4 may not forward it. *)
 let test_packet_ttl () =
+  let module Net = Pim_sim.Net in
+  let module Engine = Pim_sim.Engine in
   let g = Group.of_index 1 in
-  let p = Packet.multicast ~src:(Addr.router 0) ~group:g ~ttl:2 ~size:100 (Packet.Raw "x") in
-  let p' = Packet.decr_ttl p in
-  Alcotest.(check int) "ttl 2 survives one hop" 1 p'.Packet.ttl;
-  Alcotest.check_raises "ttl exhausted" (Invalid_argument "Packet.decr_ttl: TTL exhausted")
-    (fun () -> ignore (Packet.decr_ttl p'))
+  let p = Packet.multicast ~src:(Addr.router 0) ~group:g ~ttl:3 ~size:100 (Packet.Raw "x") in
+  let eng = Engine.create () in
+  let net = Net.create eng (Pim_graph.Classic.line 5) in
+  let seen = Array.make 5 0 and kept = ref p and exhausted = ref false in
+  let forward u ~iface:_ pkt =
+    seen.(u) <- Net.ttl net pkt;
+    Net.forward net u ~iface:1 pkt
+  in
+  Net.set_handler net 1 (forward 1);
+  Net.set_handler net 2 (fun ~iface:_ pkt ->
+      seen.(2) <- Net.ttl net pkt;
+      kept := Net.with_ttl net pkt;
+      Net.tamper_next net 2 (`Delay 0.5);
+      Net.send net 2 ~iface:1 pkt);
+  Net.set_handler net 3 (forward 3);
+  Net.set_handler net 4 (fun ~iface pkt ->
+      seen.(4) <- Net.ttl net pkt;
+      match Net.forward net 4 ~iface pkt with
+      | () -> ()
+      | exception Invalid_argument _ -> exhausted := true);
+  Net.send net 0 ~iface:0 p;
+  Engine.run eng;
+  Alcotest.(check (array int)) "remaining TTL at each router" [| 0; 3; 2; 2; 1 |] seen;
+  Alcotest.(check bool) "TTL 1 may not be forwarded" true !exhausted;
+  Alcotest.(check int) "the field keeps the TTL at origination" 3 p.Packet.ttl;
+  Alcotest.(check int) "a kept copy carries the remaining TTL" 2 !kept.Packet.ttl;
+  Alcotest.(check int) "outside a delivery the field is the TTL" 3 (Net.ttl net p)
 
 let test_packet_printer () =
   let p = Packet.unicast ~src:(Addr.router 0) ~dst:(Addr.router 1) ~size:10 (Packet.Raw "abc") in

@@ -42,23 +42,23 @@ let test_static_line () =
   let s = Static.create net in
   let r0 = Static.rib s 0 in
   Alcotest.(check int) "no routes built up front" 0 (Static.dijkstras s);
-  (match r0.Rib.next_hop (Addr.router 3) with
+  (match Rib.next_hop r0 (Addr.router 3) with
   | Some (iface, next) ->
     Alcotest.(check int) "iface" 0 iface;
     Alcotest.(check int) "next hop" 1 next
   | None -> Alcotest.fail "route expected");
   Alcotest.(check (option int)) "distance" (Some 3) (r0.Rib.distance (Addr.router 3));
-  Alcotest.(check bool) "self route none" true (r0.Rib.next_hop (Addr.router 0) = None);
+  Alcotest.(check bool) "self route none" true (Rib.next_hop r0 (Addr.router 0) = None);
   Alcotest.(check (option int)) "self distance" (Some 0) (r0.Rib.distance (Addr.router 0));
   Alcotest.(check int) "one table for router 0" 1 (Static.dijkstras s);
-  ignore ((Static.rib s 2).Rib.next_hop (Addr.router 0));
+  ignore (Rib.next_hop (Static.rib s 2) (Addr.router 0));
   Alcotest.(check int) "router 2 builds its own" 2 (Static.dijkstras s)
 
 let test_static_host_routes () =
   let _, net = mk (Classic.line 3) in
   let s = Static.create net in
   let r0 = Static.rib s 0 in
-  (match r0.Rib.next_hop (Addr.host ~router:2 1) with
+  (match Rib.next_hop r0 (Addr.host ~router:2 1) with
   | Some (_, next) -> Alcotest.(check int) "host via its router path" 1 next
   | None -> Alcotest.fail "host route expected");
   Alcotest.(check (option int)) "rpf iface" (Some 0) (Rib.rpf_iface r0 (Addr.host ~router:2 1))
@@ -67,7 +67,7 @@ let test_static_reroute_on_failure () =
   let _, net = mk (Classic.ring 4) in
   let s = Static.create net in
   let r0 = Static.rib s 0 in
-  let next_to_1 () = Option.map snd (r0.Rib.next_hop (Addr.router 1)) in
+  let next_to_1 () = Option.map snd (Rib.next_hop r0 (Addr.router 1)) in
   Alcotest.(check (option int)) "direct" (Some 1) (next_to_1 ());
   let notified = ref 0 in
   r0.Rib.subscribe (fun () -> incr notified);
@@ -89,7 +89,7 @@ let test_static_node_failure () =
   let s = Static.create net in
   let r0 = Static.rib s 0 in
   Net.set_node_up net 1 false;
-  Alcotest.(check bool) "unreachable through dead node" true (r0.Rib.next_hop (Addr.router 2) = None)
+  Alcotest.(check bool) "unreachable through dead node" true (Rib.next_hop r0 (Addr.router 2) = None)
 
 (* Edges the live network can use: what Static's Dijkstra runs over. *)
 let live net u v lid = Net.link_up net lid && Net.node_up net u && Net.node_up net v
@@ -122,9 +122,9 @@ let test_static_distance_matrix () =
 let test_static_out_of_range_next_hop () =
   let _, net = mk (Classic.ring 10) in
   let r0 = Static.rib (Static.create net) 0 in
-  Alcotest.(check bool) "router 99 has no route" true (r0.Rib.next_hop (Addr.router 99) = None);
+  Alcotest.(check bool) "router 99 has no route" true (Rib.next_hop r0 (Addr.router 99) = None);
   Alcotest.(check bool) "host of router 99 has no route" true
-    (r0.Rib.next_hop (Addr.host ~router:99 1) = None)
+    (Rib.next_hop r0 (Addr.host ~router:99 1) = None)
 
 let test_static_out_of_range_distance () =
   let _, net = mk (Classic.ring 10) in
@@ -179,10 +179,10 @@ let test_static_table_memory () =
   let _, net = mk topo in
   let s = Static.create net in
   let warm = Static.rib s 0 in
-  ignore (warm.Rib.next_hop (Addr.router (n - 1)));
+  ignore (Rib.next_hop warm (Addr.router (n - 1)));
   let u = List.nth (List.hd ts.Pim_graph.Transit_stub.stubs) 1 in
   let r = Static.rib s u in
-  let answer, words = words_allocated (fun () -> r.Rib.next_hop (Addr.router 0)) in
+  let answer, words = words_allocated (fun () -> Rib.next_hop r (Addr.router 0)) in
   Alcotest.(check bool) "a route" true (answer <> None);
   Alcotest.(check int) "one table built" 2 (Static.dijkstras s);
   let budget = (1.2 *. float_of_int n) +. 64. in
@@ -209,7 +209,7 @@ let test_static_work_pin () =
     List.iter
       (fun u ->
         let r = Static.rib s u in
-        List.iter (fun d -> ignore (r.Rib.next_hop (Addr.router d))) dests)
+        List.iter (fun d -> ignore (Rib.next_hop r (Addr.router d))) dests)
       routers
   in
   let link_between u v =
@@ -277,7 +277,7 @@ let prop_static_matches_all_pairs =
       (* A second instance nobody subscribes to drops stale tables instead
          of rebuilding them. *)
       let unwatched = Static.create net in
-      let answer_of rib d = (rib.Rib.next_hop (Addr.router d), rib.Rib.distance (Addr.router d)) in
+      let answer_of rib d = (Rib.next_hop rib (Addr.router d), rib.Rib.distance (Addr.router d)) in
       let answer u d = answer_of ribs.(u) d in
       let asked = ref [] in
       let ok = ref true in
@@ -341,7 +341,7 @@ let test_dv_rib () =
   let dv = Dv.create ~config:fast_dv net in
   Engine.run ~until:20. eng;
   let r0 = Dv.rib dv 0 in
-  (match r0.Rib.next_hop (Addr.router 2) with
+  (match Rib.next_hop r0 (Addr.router 2) with
   | Some (_, next) -> Alcotest.(check int) "next hop" 1 next
   | None -> Alcotest.fail "route expected");
   Alcotest.(check (option int)) "host distance" (Some 2) (r0.Rib.distance (Addr.host ~router:2 1))
@@ -393,7 +393,7 @@ let test_ls_rib_and_counters () =
   let ls = Ls.create ~config:fast_ls net in
   Engine.run ~until:20. eng;
   let r0 = Ls.rib ls 0 in
-  (match r0.Rib.next_hop (Addr.router 1) with
+  (match Rib.next_hop r0 (Addr.router 1) with
   | Some (_, next) -> Alcotest.(check int) "direct" 1 next
   | None -> Alcotest.fail "route expected");
   Alcotest.(check bool) "lsas flooded" true (Ls.lsa_count ls > 0);
