@@ -25,14 +25,13 @@ let timeline name ~setup =
   let metrics = Pim_exp.Metrics.attach net in
   let send = setup net in
   Engine.run ~until:30. eng;
-  Pim_exp.Metrics.reset metrics;
   (* One packet per second for 60 s: with the fast 18 s prune timeout the
      DVMRP branches grow back and re-flood several times. *)
   for i = 0 to 59 do
     ignore (Engine.schedule_at eng (30. +. float_of_int i) send)
   done;
   let buckets = ref [] in
-  let last = ref 0 in
+  let last = ref (Pim_exp.Metrics.data_traversals metrics) in
   for k = 1 to 14 do
     Engine.run ~until:(30. +. (5. *. float_of_int k)) eng;
     let total = Pim_exp.Metrics.data_traversals metrics in

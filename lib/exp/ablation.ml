@@ -1,8 +1,3 @@
-module Engine = Pim_sim.Engine
-module Net = Pim_sim.Net
-module Prng = Pim_util.Prng
-module Group = Pim_net.Group
-module Mdata = Pim_mcast.Mdata
 module Random_graph = Pim_graph.Random_graph
 
 type policy_row = {
@@ -14,71 +9,54 @@ type policy_row = {
   deliveries : int;
 }
 
-let group = Group.of_index 3
+(* PIM-SM on group 3: both ablations vary one knob of the router config. *)
+let program name topology ~rp ~members steps =
+  let protocol = Some Stack.Pim_sm in
+  Dsl.{ empty with name; topology; protocol; group = 3; rp; members_decl = members; steps }
 
-(* PIM-SM alone, one group, the RP at [rp]: both ablations vary one knob
-   of the router config. *)
-let deploy ~rp sm net =
-  snd
-    (List.hd
-       (Stack.create_many ~placement:[ (group, [ rp ]) ] ~config:{ Stack.fast with sm }
-          ~groups:[ group ] ~net Stack.Pim_sm))
+let send ?(count = 1) ?(interval = 0.) u = Dsl.Send { from = Node u; count; interval; host = 1 }
 
-let run_one_policy ~topo ~members ~senders ~name ~spt_policy =
-  let eng = Engine.create () in
-  let net = Net.create eng topo in
-  let metrics = Metrics.attach net in
-  let v = deploy ~rp:(List.hd members) Pim_core.Config.(with_spt_policy spt_policy fast) net in
-  let delays = ref [] in
-  let deliveries = ref 0 in
-  List.iter
-    (fun m ->
-      v.Stack.join m;
-      v.Stack.on_data m (fun pkt ->
-          incr deliveries;
-          match pkt.Pim_net.Packet.payload with
-          | Mdata.Data i -> delays := (Engine.now eng -. i.Mdata.sent_at) :: !delays
-          | _ -> ()))
-    members;
-  Engine.run ~until:20. eng;
-  Metrics.reset metrics;
-  List.iteri
-    (fun k s ->
-      for i = 0 to 19 do
-        ignore
-          (Engine.schedule_at eng
-             (20. +. float_of_int i +. (0.13 *. float_of_int k))
-             (fun () -> v.Stack.send_from s))
-      done)
-    senders;
-  Engine.run ~until:60. eng;
+let policies =
+  let policy p = { Stack.fast with sm = Pim_core.Config.(with_spt_policy p fast) } in
+  Pim_core.Config.
+    [
+      ("shared-only (Never)", policy Never);
+      ("immediate SPT", policy Immediate);
+      ("threshold (5 pkts/10 s)", policy (Threshold { packets = 5; window = 10. }));
+    ]
+
+let plan_policy ?(nodes = 30) ?(degree = 4.) ?(members = 8) ?(senders = 4) ~seed () =
+  let prng = Pim_util.Prng.create seed in
+  (* The program redraws the graph; drawing it here moves [prng] to the members. *)
+  ignore (Random_graph.generate ~prng ~nodes ~degree ());
+  let members = Random_graph.pick_members ~prng ~nodes ~count:members in
+  (* Senders are members, as in the paper's traffic-concentration test. *)
+  let sends k s =
+    List.init 20 (fun i -> Dsl.At (20. +. float_of_int i +. (0.13 *. float_of_int k), send s))
+  in
+  let sends = List.concat (List.mapi sends (List.filteri (fun i _ -> i < senders) members)) in
+  program "ablation-policy" (Dsl.Random { nodes; degree; seed }) ~rp:[ List.hd members ] ~members
+    (List.map (fun m -> Dsl.Join [ Node m ]) members
+    @ (Dsl.Advance 20. :: sends)
+    @ [ Dsl.Advance 40.; Dsl.Mark "end" ])
+
+let policy_row policy (o : Dsl.outcome) =
+  (* Last copy first: the summation order fixes the mean's last bits. *)
+  let delay i t = t -. o.Dsl.departures.(i) in
+  let delays = List.rev (Array.to_list (Array.mapi delay o.Dsl.arrivals)) in
   {
-    policy = name;
-    mean_delay = Pim_util.Stats.mean !delays;
-    max_delay = Pim_util.Stats.maximum !delays;
-    state_entries = v.Stack.entries ();
-    max_link_flows = Metrics.max_link_data metrics;
-    deliveries = !deliveries;
+    policy;
+    mean_delay = Pim_util.Stats.mean delays;
+    max_delay = Pim_util.Stats.maximum delays;
+    state_entries = o.Dsl.residual;
+    max_link_flows = (Dsl.find_mark o "end").Dsl.max_link_data;
+    deliveries = o.Dsl.deliveries;
   }
 
-let run_spt_policy ?(nodes = 30) ?(degree = 4.) ?(members = 8) ?(senders = 4) ~seed () =
-  let prng = Prng.create seed in
-  let topo = Random_graph.generate ~prng ~nodes ~degree () in
-  let member_list = Random_graph.pick_members ~prng ~nodes ~count:members in
-  let sender_list =
-    (* Senders are members, as in the paper's traffic-concentration
-       experiment. *)
-    List.filteri (fun i _ -> i < senders) member_list
-  in
-  [
-    run_one_policy ~topo ~members:member_list ~senders:sender_list ~name:"shared-only (Never)"
-      ~spt_policy:Pim_core.Config.Never;
-    run_one_policy ~topo ~members:member_list ~senders:sender_list ~name:"immediate SPT"
-      ~spt_policy:Pim_core.Config.Immediate;
-    run_one_policy ~topo ~members:member_list ~senders:sender_list
-      ~name:"threshold (5 pkts/10 s)"
-      ~spt_policy:(Pim_core.Config.Threshold { packets = 5; window = 10. });
-  ]
+let replay_policy p = List.map (fun (name, config) -> policy_row name (Dsl.run ~config p)) policies
+
+let run_spt_policy ?nodes ?degree ?members ?senders ~seed () =
+  replay_policy (plan_policy ?nodes ?degree ?members ?senders ~seed ())
 
 let pp_policy_rows ppf rows =
   Format.fprintf ppf "# E3: DR tree-type policy (same workload, 8 members, 4 senders)@.";
@@ -97,39 +75,39 @@ type refresh_row = {
   deliveries : int;
 }
 
-let run_one_refresh period =
-  let topo = Pim_graph.Classic.line 6 in
-  let eng = Engine.create () in
-  let net = Net.create eng topo in
-  let metrics = Metrics.attach net in
-  let v = deploy ~rp:2 Pim_core.Config.(with_jp_period period fast) net in
-  let receiver = 5 in
-  v.Stack.join receiver;
-  let deliveries = ref 0 in
-  v.Stack.on_data receiver (fun _ -> incr deliveries);
-  for i = 0 to 39 do
-    ignore
-      (Engine.schedule_at eng (10. +. (0.5 *. float_of_int i)) (fun () -> v.Stack.send_from 0))
-  done;
-  (* Steady-state control cost over [10, 30). *)
-  ignore (Engine.schedule_at eng 10. (fun () -> Metrics.reset metrics));
-  Engine.run ~until:30. eng;
-  let control = Metrics.control_traversals metrics in
-  (* Receiver silently leaves; watch stale state drain. *)
-  let leave_at = 30. in
-  v.Stack.leave receiver;
-  let baseline = ref None in
-  let probe = Engine.every eng ~start:0.25 ~interval:0.25 (fun () ->
-      if !baseline = None && v.Stack.entries () = 0 then
-        baseline := Some (Engine.now eng))
-  in
-  Engine.run ~until:(leave_at +. (10. *. period) +. 60.) eng;
-  Engine.cancel probe;
-  let cleanup_time = match !baseline with Some t -> t -. leave_at | None -> infinity in
-  { jp_period = period; control_traversals = control; cleanup_time; deliveries = !deliveries }
+let leave_at = 30.
+
+let plan_refresh period =
+  (* An advance reads the state after every event due at that instant. *)
+  let poll _ = Dsl.[ Advance 0.25; Mark "poll" ] in
+  program (Printf.sprintf "refresh-%g" period) (Dsl.Line 6) ~rp:[ 2 ] ~members:[ 5 ]
+    (Dsl.
+       [
+         Join [ Node 5 ];
+         At (10., send ~count:40 ~interval:0.5 0);
+         At (10., Mark "window");
+         Advance leave_at;
+         Mark "left";
+         Leave [ Node 5 ];
+       ]
+    @ List.concat (List.init (int_of_float (((10. *. period) +. 60.) /. 0.25)) poll))
+
+let replay_refresh period p =
+  let o = Dsl.run ~config:{ Stack.fast with sm = Pim_core.Config.(with_jp_period period fast) } p in
+  let drained (m : Dsl.mark) = String.equal m.Dsl.label "poll" && m.Dsl.entries = 0 in
+  let control label = (Dsl.find_mark o label).Dsl.control in
+  {
+    jp_period = period;
+    control_traversals = control "left" - control "window";
+    cleanup_time =
+      (match List.find_opt drained o.Dsl.marks with
+      | Some m -> m.Dsl.at -. leave_at
+      | None -> infinity);
+    deliveries = o.Dsl.deliveries;
+  }
 
 let run_refresh ?(periods = [ 2.; 4.; 8.; 16. ]) ~seed:_ () =
-  List.map run_one_refresh periods
+  List.map (fun t -> replay_refresh t (plan_refresh t)) periods
 
 let pp_refresh_rows ppf rows =
   Format.fprintf ppf "# E4: soft-state refresh period vs control cost and stale-state lifetime@.";

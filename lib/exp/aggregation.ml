@@ -30,12 +30,11 @@ let program ~hops ~sources ~packets =
   }
 
 let row ~sources ~packets ~aggregated (o : Dsl.outcome) =
-  let fin = List.find (fun (m : Dsl.mark) -> String.equal m.Dsl.label "end") o.Dsl.marks in
   {
     sources;
     aggregated;
     join_entries = Pim_sim.Counters.total o.Dsl.counters Joins_sent;
-    control_bytes = fin.Dsl.control_bytes;
+    control_bytes = (Dsl.find_mark o "end").Dsl.control_bytes;
     deliveries = o.Dsl.deliveries;
     expected = packets * sources;
   }

@@ -212,7 +212,7 @@ let row (p : Dsl.program) (o : Dsl.outcome) =
   let counts = List.filter_map (function _, Dsl.Send { count; _ } -> Some count | _ -> None) timed in
   let stream_start = List.hd (times (function Dsl.Send _ -> true | _ -> false)) in
   let checkpoint_start = List.hd (times (function Dsl.Checkpoint -> true | _ -> false)) in
-  let mark label = List.find (fun (m : Dsl.mark) -> String.equal m.Dsl.label label) o.Dsl.marks in
+  let mark = Dsl.find_mark o in
   let members = p.Dsl.members_decl in
   (* Send times of the packets [got] the member(s) it asks about. *)
   let sent got =

@@ -548,7 +548,7 @@ let context ?topo p =
 
 (* {1 Runner} *)
 
-type probe = { seq : int; sent_at : float; copies : (int * int) list }
+type probe = { sender : int; seq : int; sent_at : float; copies : (int * int) list }
 
 type mark = {
   label : string;
@@ -558,6 +558,7 @@ type mark = {
   data : int;
   max_link_data : int;
   dropped : int;
+  entries : int;
 }
 
 type outcome = {
@@ -572,6 +573,7 @@ type outcome = {
   residual : int;
   probes : probe list;
   arrivals : float array;
+  departures : float array;
   marks : mark list;
   counters : Pim_sim.Counters.t;
   fib_entries : int -> Pim_mcast.Fwd.entry list;
@@ -609,6 +611,37 @@ let run ?ctx ?trace_file ?capture_file ?metrics_file ?protocol ?config (p : prog
     | None, None -> Stack.fast
   in
   let ctx = match ctx with Some c -> c | None -> context p in
+  let deref1 what = function
+    | Node i when i >= 0 && i < ctx.nodes -> i
+    | Node i -> fail "%s: node %d outside topology (%d nodes)" what i ctx.nodes
+    | Members -> (
+      match ctx.decl_members with
+      | [ m ] -> m
+      | ms -> fail "%s: 'members' names %d nodes, need exactly one" what (List.length ms))
+    | Source -> (
+      match ctx.source0 with
+      | Some s -> s
+      | None -> fail "%s: no source declared (add a source directive)" what)
+    | Rp -> (
+      match ctx.rp_nodes with
+      | r :: _ -> r
+      | [] -> fail "%s: no rp declared (add an rp directive)" what)
+  in
+  let deref_many what rs =
+    List.sort_uniq Int.compare
+      (List.concat_map (function Members -> ctx.decl_members | r -> [ deref1 what r ]) rs)
+  in
+  (* The sending nodes, ascending, each a slot: probe [seq] of slot [s]
+     is numbered seq * senders + s, so one sender's are its seqs. *)
+  let sends = function Send s | At (_, Send s) -> [ deref1 "send" s.from ] | _ -> [] in
+  let senders = Array.of_list (List.sort_uniq Int.compare (List.concat_map sends p.steps)) in
+  let slot_of = Array.make ctx.nodes (-1) in
+  Array.iteri (fun s u -> slot_of.(u) <- s) senders;
+  let n_senders = max 1 (Array.length senders) in
+  let probe pkt seq =
+    let u = Pim_net.Addr.owner_index pkt.Pim_net.Packet.src in
+    if u < 0 || slot_of.(u) < 0 then -1 else (seq * n_senders) + slot_of.(u)
+  in
   let eng = Engine.create () in
   let net = Net.create eng ctx.topo in
   (* The traffic tap costs a callback per traversal: only a
@@ -630,54 +663,24 @@ let run ?ctx ?trace_file ?capture_file ?metrics_file ?protocol ?config (p : prog
     (* Churn-tolerant bound while the scenario perturbs; [checkpoint]
        drops to the protocol's strict bound. *)
     Oracle.create ~max_copies:(stack.Stack.max_copies + 2) net ~probe_id:(fun pkt ->
-        match pkt.Pim_net.Packet.payload with Mdata.Data i -> i.Mdata.seq | _ -> -1)
+        match pkt.Pim_net.Packet.payload with Mdata.Data i -> probe pkt i.Mdata.seq | _ -> -1)
   in
   let faults = Fault.install ~restart:stack.Stack.restart net [] in
-  (* Only a run that writes metrics observes per-delivery latency. *)
-  let latency =
-    Option.map
-      (fun _ ->
-        Pim_util.Metrics.histogram (Net.metrics net)
-          ~labels:[ ("group", Group.to_string group) ]
-          "delivery_latency")
-      metrics_file
-  in
-  (* The one delivery table, keyed seq * nodes + member, and each
-     probe's send time by seq; [epoch] counts the checkpoints so far.
+  (* The one delivery table, keyed probe * nodes + member, and each
+     probe's send time by probe; [epoch] counts the checkpoints so far.
      Neither allocates per copy. *)
   let deliveries = Int_table.create () in
   let sent = ref (Array.make 64 0.) in
   let epoch = ref 0 in
-  let key seq m = (seq * ctx.nodes) + m in
-  let copies seq m = copies_of (Int_table.find deliveries (key seq m)) in
-  (* Every copy's arrival time, in order. *)
-  let arrivals = ref (Array.make 64 0.) and n_arrivals = ref 0 in
+  let key pr m = (pr * ctx.nodes) + m in
+  let copies pr m = copies_of (Int_table.find deliveries (key pr m)) in
+  (* Every copy's arrival and send time, in order. *)
+  let arrivals = ref (Array.make 64 0.) and departures = ref (Array.make 64 0.) in
+  let n_arrivals = ref 0 in
   (* Current members, newest join first. *)
   let current = ref [] in
   let wired = Hashtbl.create 16 in
   let members () = List.sort Int.compare !current in
-  let deref1 what = function
-    | Node i when i >= 0 && i < ctx.nodes -> i
-    | Node i -> fail "%s: node %d outside topology (%d nodes)" what i ctx.nodes
-    | Members -> (
-      match ctx.decl_members with
-      | [ m ] -> m
-      | ms -> fail "%s: 'members' names %d nodes, need exactly one" what (List.length ms))
-    | Source -> (
-      match ctx.source0 with
-      | Some s -> s
-      | None -> fail "%s: no source declared (add a source directive)" what)
-    | Rp -> (
-      match ctx.rp_nodes with
-      | r :: _ -> r
-      | [] -> fail "%s: no rp declared (add an rp directive)" what)
-  in
-  let deref_many what rs =
-    List.concat_map
-      (fun r -> match r with Members -> ctx.decl_members | r -> [ deref1 what r ])
-      rs
-    |> List.sort_uniq Int.compare
-  in
   let link_between what a b =
     let a = deref1 what a and b = deref1 what b in
     let has u (l : Topology.link) = Array.exists (Int.equal u) l.Topology.ends in
@@ -691,22 +694,17 @@ let run ?ctx ?trace_file ?capture_file ?metrics_file ?protocol ?config (p : prog
       stack.Stack.on_data m (fun pkt ->
           match pkt.Pim_net.Packet.payload with
           | Mdata.Data { Mdata.seq; sent_at } ->
-            Int_table.replace deliveries (key seq m)
-              ((!epoch lsl copies_bits) lor (1 + copies seq m));
-            sent := cover !sent seq;
-            !sent.(seq) <- sent_at;
+            let pr = probe pkt seq in
+            Int_table.replace deliveries (key pr m)
+              ((!epoch lsl copies_bits) lor (1 + copies pr m));
+            sent := cover !sent pr;
+            !sent.(pr) <- sent_at;
             arrivals := cover !arrivals !n_arrivals;
+            departures := cover !departures !n_arrivals;
             !arrivals.(!n_arrivals) <- Engine.now eng;
+            !departures.(!n_arrivals) <- sent_at;
             incr n_arrivals
-          | _ -> ());
-      Option.iter
-        (fun h ->
-          stack.Stack.on_data m (fun pkt ->
-              match pkt.Pim_net.Packet.payload with
-              | Mdata.Data { Mdata.sent_at; _ } ->
-                Pim_util.Metrics.observe h (Engine.now eng -. sent_at)
-              | _ -> ()))
-        latency
+          | _ -> ())
     end
   in
   let now = ref 0. in
@@ -714,9 +712,8 @@ let run ?ctx ?trace_file ?capture_file ?metrics_file ?protocol ?config (p : prog
      matter — the final drain runs to here, not to quiescence, because
      protocol refresh timers never stop. *)
   let horizon = ref 0. in
-  let next_seq = ref 0 in
-  let sender = ref None in
-  (* The seqs of the last send window. *)
+  let next_seq = Array.make n_senders 0 in
+  (* The sending node and probes of the last send window. *)
   let last_window = ref None in
   let digests = ref [] in
   let marks = ref [] in
@@ -755,13 +752,9 @@ let run ?ctx ?trace_file ?capture_file ?metrics_file ?protocol ?config (p : prog
         (deref_many "leave" rs)
     | Send { from; count; interval; host } ->
       let u = deref1 "send" from in
-      (* Probes are identified by the per-source data sequence number, so
-         a scenario keeps to one sending node. *)
-      (match !sender with
-      | Some prev when prev <> u -> fail "send: one sending node per scenario (%d then %d)" prev u
-      | _ -> sender := Some u);
-      last_window := Some (List.init count (fun i -> !next_seq + i));
-      next_seq := !next_seq + count;
+      let s = slot_of.(u) in
+      last_window := Some (u, List.init count (fun i -> ((next_seq.(s) + i) * n_senders) + s));
+      next_seq.(s) <- next_seq.(s) + count;
       horizon := Float.max !horizon (at +. (interval *. float_of_int count) +. 10.);
       let send () = stack.Stack.send_from ~host u in
       for i = 0 to count - 1 do
@@ -824,44 +817,39 @@ let run ?ctx ?trace_file ?capture_file ?metrics_file ?protocol ?config (p : prog
       incr epoch;
       Oracle.checkpoint oracle ~max_copies:stack.Stack.max_copies
     | Mark label ->
-      let m = Option.get metrics in
+      let m = Option.get metrics and at = Engine.now eng in
       let control = Metrics.control_traversals m and control_bytes = Metrics.control_bytes m in
       let data = Metrics.data_traversals m and max_link_data = Metrics.max_link_data m in
-      let dropped = Net.dropped net in
-      marks :=
-        { label; at = Engine.now eng; control; control_bytes; data; max_link_data; dropped }
-        :: !marks
+      let dropped = Net.dropped net and entries = stack.Stack.entries () in
+      marks := { label; at; control; control_bytes; data; max_link_data; dropped; entries } :: !marks
     | Assert_delivery | Assert_reachable ->
       (* Exactly one copy to each member, or at least one. *)
       let exactly = match step with Assert_delivery -> true | _ -> false in
-      let probes =
+      let source, probes =
         match !last_window with
-        | Some seqs -> seqs
+        | Some w -> w
         | None -> fail "%s: no send step before it" (string_of_step step)
       in
       List.iter
-        (fun seq ->
+        (fun pr ->
           List.iter
             (fun m ->
-              let c = copies seq m in
+              let c = copies pr m in
               if exactly && c <> 1 then
                 Oracle.record oracle ~invariant:"delivery"
                   (Printf.sprintf "member %d received %d copies of probe %d (want exactly 1)" m
-                     c seq)
+                     c pr)
               else if c = 0 then
                 Oracle.record oracle ~invariant:"reachability"
-                  (Printf.sprintf "probe %d not delivered to member %d" seq m))
+                  (Printf.sprintf "probe %d not delivered to member %d" pr m))
             (if exactly then members () else List.rev !current))
         probes;
       (* Only a copy since the last checkpoint counts against a blackhole. *)
-      let received m seq =
-        let v = Int_table.find deliveries (key seq m) in
+      let received m pr =
+        let v = Int_table.find deliveries (key pr m) in
         v <> 0 && v lsr copies_bits = !epoch
       in
-      Option.iter
-        (fun source ->
-          Oracle.check_blackhole oracle ~source ~members:(members ()) ~probes ~received)
-        !sender
+      Oracle.check_blackhole oracle ~source ~members:(members ()) ~probes ~received
     | Assert_no_loops ->
       (* On-wire loop freedom is checked continuously by the oracle tap;
          this step additionally runs the protocol's structural state
@@ -904,22 +892,33 @@ let run ?ctx ?trace_file ?capture_file ?metrics_file ?protocol ?config (p : prog
   let residual = stack.Stack.entries () in
   Option.iter (fun path -> Capture.save path (Capture.entries (Option.get capture))) capture_file;
   Option.iter (fun path -> Trace.save path (Option.get trace)) trace_file;
+  let arrivals = Array.sub !arrivals 0 !n_arrivals in
+  let departures = Array.sub !departures 0 !n_arrivals in
   Option.iter
     (fun path ->
+      (* Only a run that writes metrics observes per-delivery latency. *)
+      let h =
+        Pim_util.Metrics.histogram (Net.metrics net)
+          ~labels:[ ("group", Group.to_string group) ]
+          "delivery_latency"
+      in
+      Array.iteri (fun i t -> Pim_util.Metrics.observe h (t -. departures.(i))) arrivals;
       stack.Stack.export_metrics (Net.metrics net);
       Pim_util.Json.to_file path (Pim_util.Metrics.to_json (Net.metrics net)))
     metrics_file;
-  (* Ascending keys are ascending (seq, member): walk them down and cons. *)
+  (* Ascending keys are ascending (probe, member): walk them down and cons. *)
   let keys = Int_table.keys deliveries in
   let probes = ref [] and copies_total = ref 0 in
   for i = Array.length keys - 1 downto 0 do
-    let seq = keys.(i) / ctx.nodes and m = keys.(i) mod ctx.nodes in
+    let pr = keys.(i) / ctx.nodes and m = keys.(i) mod ctx.nodes in
     let c = copies_of (Int_table.find deliveries keys.(i)) in
+    let sender = senders.(pr mod n_senders) and seq = pr / n_senders in
     copies_total := !copies_total + c;
     probes :=
       match !probes with
-      | pr :: rest when pr.seq = seq -> { pr with copies = (m, c) :: pr.copies } :: rest
-      | acc -> { seq; sent_at = !sent.(seq); copies = [ (m, c) ] } :: acc
+      | last :: rest when last.seq = seq && last.sender = sender ->
+        { last with copies = (m, c) :: last.copies } :: rest
+      | acc -> { sender; seq; sent_at = !sent.(pr); copies = [ (m, c) ] } :: acc
   done;
   let violations = Oracle.violations oracle in
   {
@@ -933,12 +932,15 @@ let run ?ctx ?trace_file ?capture_file ?metrics_file ?protocol ?config (p : prog
     duplicates = !copies_total - Array.length keys;
     residual;
     probes = !probes;
-    arrivals = Array.sub !arrivals 0 !n_arrivals;
+    arrivals;
+    departures;
     marks = List.rev !marks;
     counters = Net.counters net;
     fib_entries = stack.Stack.fib_entries;
     ok = violations = [];
   }
+
+let find_mark o label = List.find (fun m -> String.equal m.label label) o.marks
 
 let pp_outcome ppf o =
   Format.fprintf ppf "%s: %d nodes, members {%s}, %d deliveries (%d dup), residual %d@." o.protocol

@@ -41,7 +41,7 @@ loss R [control-only=on] [seed=N]    # loss from here to the end of the run:
                                      # control frames only, PRNG seeded N
 drop-next A B       dup-next A B     delay-next A B by=F
 at T STEP           # schedule STEP at absolute time T (not advance)
-mark LABEL          # record the time and traffic counts so far
+mark LABEL          # record the time, traffic counts and state entries so far
 checkpoint          # digest global state, start a strict probe epoch
 assert-delivery     # last send window: exactly-once to every member, no blackholes
 assert-reachable    # last send window: at least once to every member, no blackholes
@@ -71,8 +71,11 @@ assert-drained      # state entries at/below the protocol's residual floor
     and the last send has had 10 s to deliver.  The
     composite outages and bursts restore themselves through
     {!Pim_sim.Fault.apply}, so nested bursts end when the last one does.
-    Scenarios have one sending node: all [send] steps must name it
-    (probe identity is its data sequence number, which its hosts share).
+    A probe is its sending node and that node's data sequence number,
+    which the node's hosts share.  The [send] nodes get slots in node
+    order; probe [seq] of slot [s] is numbered [seq * senders + s] in
+    the oracle and assertion messages (so one sender's are its seqs),
+    and an assertion over a send window takes its node as the source.
     Assertion failures are recorded as oracle violations — a scenario
     passes iff its outcome has no violations. *)
 
@@ -182,7 +185,8 @@ val context : ?topo:Pim_graph.Topology.t -> program -> context
     node is outside the topology ("node N outside topology (M nodes)"). *)
 
 type probe = {
-  seq : int;
+  sender : int;  (** the sending node *)
+  seq : int;  (** the sender's data sequence number *)
   sent_at : float;
   copies : (int * int) list;
       (** [(member, copies)] for every member that got it at least once,
@@ -198,6 +202,7 @@ type mark = {
   data : int;  (** data-packet link traversals so far *)
   max_link_data : int;  (** data traversals on the busiest link so far *)
   dropped : int;  (** frames lost so far ({!Pim_sim.Net.dropped}) *)
+  entries : int;  (** state entries network-wide ({!Stack.field-entries}) *)
 }
 
 type outcome = {
@@ -210,8 +215,9 @@ type outcome = {
   deliveries : int;  (** copies handed to members, duplicates included *)
   duplicates : int;  (** copies beyond the first, per (probe, member) *)
   residual : int;
-  probes : probe list;  (** every data packet some member received, by seq *)
+  probes : probe list;  (** every data packet some member received, by seq then slot *)
   arrivals : float array;  (** the time of every copy handed to a member, in order *)
+  departures : float array;  (** each of those copies' send time, in the same order *)
   marks : mark list;  (** one per [mark] step, in firing order *)
   counters : Pim_sim.Counters.t;
       (** the net's protocol counters ({!Pim_sim.Net.counters}) when the
@@ -245,8 +251,11 @@ val run :
     ({!Stack.field-export_metrics}); only such a run observes latency.
 
     @raise Invalid_argument on semantic errors (no protocol, unknown
-    node, no link between the named endpoints, a second sending node, an
-    assertion over a send window before any [send], an [at] before the
-    cursor). *)
+    node, raised before the run starts for a [send] step's, no link
+    between the named endpoints, an assertion over a send window before
+    any [send], an [at] before the cursor). *)
+
+val find_mark : outcome -> string -> mark
+(** The first mark with the label.  @raise Not_found if none has it. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -99,7 +99,6 @@ let row ~strategy ~rp_timeout (p : Dsl.program) =
       | _ -> acc
     in
     let total = Counters.total o.Dsl.counters in
-    let fin = List.find (fun (m : Dsl.mark) -> String.equal m.Dsl.label "end") o.Dsl.marks in
     {
       strategy;
       gap = max_gap 0. (List.filter (fun t -> t > 15.) times);
@@ -109,7 +108,7 @@ let row ~strategy ~rp_timeout (p : Dsl.program) =
       failovers = total Rp_failovers;
       elections = total Elections_won;
       mapping_changes = total Mapping_changes;
-      control = fin.Dsl.control;
+      control = (Dsl.find_mark o "end").Dsl.control;
       orphaned_entries =
         List.init o.Dsl.nodes Fun.id
         |> List.filter (fun u -> u <> crashed)

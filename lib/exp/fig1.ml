@@ -35,8 +35,7 @@ let plan ~packets ~interval =
   (Dsl.context program, program)
 
 let row label (o : Dsl.outcome) =
-  let mark label = List.find (fun (m : Dsl.mark) -> String.equal m.Dsl.label label) o.Dsl.marks in
-  let warm = mark "warm" and fin = mark "end" in
+  let warm = Dsl.find_mark o "warm" and fin = Dsl.find_mark o "end" in
   {
     protocol = label;
     data_traversals = fin.Dsl.data - warm.Dsl.data;

@@ -51,7 +51,7 @@ let plan ~seed ~packets loss =
   (Dsl.context ~topo program, program)
 
 let row ~loss ~packets (p : Dsl.program) (o : Dsl.outcome) =
-  let fin = List.find (fun (m : Dsl.mark) -> String.equal m.Dsl.label "end") o.Dsl.marks in
+  let fin = Dsl.find_mark o "end" in
   {
     protocol = o.Dsl.protocol;
     loss;

@@ -27,12 +27,6 @@ let attach net =
       end);
   t
 
-let reset t =
-  Array.fill t.data 0 (Array.length t.data) 0;
-  Array.fill t.control 0 (Array.length t.control) 0;
-  t.data_bytes <- 0;
-  t.control_bytes <- 0
-
 let data_traversals t = Array.fold_left ( + ) 0 t.data
 
 let control_traversals t = Array.fold_left ( + ) 0 t.control

@@ -15,8 +15,6 @@ val is_data : Pim_net.Packet.t -> bool
 val attach : Pim_sim.Net.t -> t
 (** Counters start at zero from the moment of attachment. *)
 
-val reset : t -> unit
-
 val data_traversals : t -> int
 (** Total data-packet link transmissions (registers' encapsulated data
     counts as data). *)

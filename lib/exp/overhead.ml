@@ -51,7 +51,7 @@ let plan ~nodes ~degree ~packets ~interval ~seed fraction =
   (Dsl.context ~topo program, program)
 
 let row ~fraction ~packets label (p : Dsl.program) (o : Dsl.outcome) =
-  let fin = List.find (fun (m : Dsl.mark) -> String.equal m.Dsl.label "end") o.Dsl.marks in
+  let fin = Dsl.find_mark o "end" in
   let members = List.length p.Dsl.members_decl in
   {
     protocol = label;

@@ -114,10 +114,12 @@ let flood t ~except pkt =
     end
   done
 
+(* Plans depend only on membership and the live topology: only a new
+   origin, a membership change or a topology change drops them, so a
+   periodic refresh that changes nothing keeps them. *)
 let originate_lsa t =
   t.own_seq <- t.own_seq + 1;
   let lsa_v = { origin = t.node; seq = t.own_seq; groups = GroupSet.elements t.local_groups } in
-  Plan_cache.reset t.cache;
   flood t ~except:Topology.no_iface
     (Packet.unicast ~src:t.addr ~dst:Addr.all_pim_routers
        ~size:(12 + (4 * List.length lsa_v.groups))
@@ -137,7 +139,8 @@ let install_lsa t ~iface pkt (l : lsa) =
     let held = t.lsdb.(l.origin) in
     if held.origin = Topology.no_node || l.seq > held.seq then begin
       t.lsdb.(l.origin) <- l;
-      Plan_cache.reset t.cache;
+      if held.origin = Topology.no_node || not (List.equal Group.equal held.groups l.groups) then
+        Plan_cache.reset t.cache;
       flood t ~except:iface { pkt with Packet.src = t.addr }
     end
   end
@@ -245,7 +248,14 @@ let rec send_all t pkt = function
     send_all t pkt rest
   | [] -> ()
 
-let forward t pkt olist = if Net.ttl t.net pkt > 1 then send_all t pkt olist
+(* Forward on the plan's olist and deliver locally, as long as the TTL
+   lets the packet go a hop further: the other protocols deliver
+   nothing from a packet that has run out either. *)
+let forward t pkt p =
+  if Net.ttl t.net pkt > 1 then begin
+    send_all t pkt p.olist;
+    if p.member_here then local_deliver t pkt
+  end
 
 (* The router whose subnet (or self) [pkt]'s source is, [Topology.no_node]
    for neither: a per-hop test that builds no option. *)
@@ -258,21 +268,16 @@ let handle_data t ~iface pkt ~src_router =
   | Packet.Multicast g when src_router <> Topology.no_node ->
     let p = plan_for t src_router g in
     if not p.on_tree then Counters.(incr t.counters ~node:t.node Data_dropped_off_tree)
-    else if t.node = src_router then begin
-      (* First-hop router of the source subnetwork. *)
-      forward t pkt p.olist;
-      if p.member_here then local_deliver t pkt
-    end
-    else if (match p.iif with Some i -> i = iface | None -> false) then begin
-      forward t pkt p.olist;
-      if p.member_here then local_deliver t pkt
-    end
+    else if t.node = src_router || (match p.iif with Some i -> i = iface | None -> false) then
+      (* On the tree, or the first-hop router of the source subnetwork. *)
+      forward t pkt p
     else Counters.(incr t.counters ~node:t.node Data_dropped_iif)
   | _ -> ()
 
 let join_local t g =
   if not (GroupSet.mem g t.local_groups) then begin
     t.local_groups <- GroupSet.add g t.local_groups;
+    Plan_cache.reset t.cache;
     if tracing t then ev t (Event.Local_member { group = Group.to_string g; iface = -1 });
     originate_lsa t
   end
@@ -280,6 +285,7 @@ let join_local t g =
 let leave_local t g =
   if GroupSet.mem g t.local_groups then begin
     t.local_groups <- GroupSet.remove g t.local_groups;
+    Plan_cache.reset t.cache;
     originate_lsa t
   end
 
@@ -293,9 +299,7 @@ let send_local_data t ~group ?host ?size () =
       ~sent_at:(Engine.now t.eng) ?size ()
   in
   t.local_seq <- t.local_seq + 1;
-  let p = plan_for t t.node group in
-  forward t pkt p.olist;
-  if p.member_here then local_deliver t pkt
+  forward t pkt (plan_for t t.node group)
 
 let handle_packet t ~iface pkt =
   match pkt.Packet.payload with
@@ -306,10 +310,7 @@ let handle_packet t ~iface pkt =
       (* Data from a directly attached host: act as the source's first
          hop. *)
       match pkt.Packet.dst with
-      | Packet.Multicast g ->
-        let p = plan_for t t.node g in
-        forward t pkt p.olist;
-        if p.member_here then local_deliver t pkt
+      | Packet.Multicast g -> forward t pkt (plan_for t t.node g)
       | Packet.Unicast _ -> ()
     else handle_data t ~iface pkt ~src_router)
   | _ -> ()

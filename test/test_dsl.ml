@@ -312,11 +312,44 @@ let test_run_semantic_errors () =
       Dsl.run ~protocol:Stack.Pim_dm (parse_ok "scenario x\ntopology line 4\njoin 9\n"));
   (* fail-link between unconnected endpoints. *)
   expect_invalid (fun () ->
-      Dsl.run ~protocol:Stack.Pim_dm (parse_ok "scenario x\ntopology line 4\nfail-link 0 3\n"));
-  (* Two distinct sending nodes. *)
-  expect_invalid (fun () ->
-      Dsl.run ~protocol:Stack.Pim_dm
-        (parse_ok "scenario x\ntopology line 4\nsend 0 count=1\nsend 1 count=1\n"))
+      Dsl.run ~protocol:Stack.Pim_dm (parse_ok "scenario x\ntopology line 4\nfail-link 0 3\n"))
+
+(* Both ends of a line send the same seqs, neither on a member's branch
+   of the shared tree: a probe is its sender and its seq, so each window
+   reaches every member exactly once, and the oracle counts each
+   sender's copies on a link apart. *)
+let test_two_senders () =
+  let p =
+    parse_ok
+      {|scenario two-senders
+topology line 8
+rp 4
+members 2 6
+join members
+advance 30
+checkpoint
+send 0 count=4 interval=0.5
+send 7 count=4 interval=0.5
+advance 12
+assert-delivery
+send 7 count=4 interval=0.5
+send 0 count=4 interval=0.5
+advance 12
+assert-delivery
+|}
+  in
+  List.iter
+    (fun protocol ->
+      let o = Dsl.run ~protocol p in
+      let name = Stack.to_string protocol in
+      Alcotest.(check (list pass)) (name ^ " violations") [] o.Dsl.violations;
+      Alcotest.(check int) (name ^ " deliveries") 32 o.Dsl.deliveries;
+      Alcotest.(check (list (triple int int (list (pair int int)))))
+        (name ^ " probes by seq, then sender")
+        (List.concat_map (fun seq -> [ (0, seq, [ (2, 1); (6, 1) ]); (7, seq, [ (2, 1); (6, 1) ]) ])
+           (List.init 8 Fun.id))
+        (List.map (fun (pr : Dsl.probe) -> (pr.Dsl.sender, pr.Dsl.seq, pr.Dsl.copies)) o.Dsl.probes))
+    Stack.all
 
 (* {2 Execution across the stacks} *)
 
@@ -720,7 +753,37 @@ let test_experiment_programs_replay () =
       let r = row ~ctx l in
       Alcotest.(check bool) (Stack.to_string protocol ^ " loss row replays") true (r = row l');
       Alcotest.(check bool) "control frames dropped" true (r.Pim_exp.Loss.control_dropped > 0))
-    [ Stack.Pim_sm; Stack.Cbt ]
+    [ Stack.Pim_sm; Stack.Cbt ];
+  (* E3: four members that send, on a declared random topology; E4: a
+     line with timed marks that read the state entries.  Every node is
+     a literal. *)
+  let module A = Pim_exp.Ablation in
+  let literal (p : Dsl.program) =
+    let rec nodes = function
+      | Dsl.Join rs | Dsl.Leave rs -> rs
+      | Dsl.Send { from; _ } -> [ from ]
+      | Dsl.At (_, s) -> nodes s
+      | _ -> []
+    in
+    List.for_all (function Dsl.Node _ -> true | _ -> false) (List.concat_map nodes p.Dsl.steps)
+  in
+  let e3 = A.plan_policy ~nodes:20 ~seed:2 () in
+  let e3' = reparse e3 in
+  Alcotest.(check bool) "E3 round-trips" true (e3 = e3');
+  Alcotest.(check bool) "E3 on a random topology, literal nodes" true
+    ((match e3'.Dsl.topology with Dsl.Random _ -> true | _ -> false) && literal e3');
+  let rows = A.run_spt_policy ~nodes:20 ~seed:2 () in
+  Alcotest.(check bool) "E3 rows replay" true (rows = A.replay_policy e3');
+  Alcotest.(check bool) "E3 delivers" true (List.for_all (fun (r : A.policy_row) -> r.A.deliveries > 0) rows);
+  List.iter2
+    (fun period r ->
+      let e4' = reparse (A.plan_refresh period) in
+      Alcotest.(check bool) "E4 on a line of six, literal nodes" true
+        (e4'.Dsl.topology = Dsl.Line 6 && literal e4');
+      Alcotest.(check bool) "E4 row replays" true (r = A.replay_refresh period e4');
+      Alcotest.(check bool) "E4 state drains" true (Float.is_finite r.A.cleanup_time))
+    [ 2.; 8. ]
+    (A.run_refresh ~periods:[ 2.; 8. ] ~seed:1 ())
 
 (* A declared role past the last node is an input error naming the node,
    both when the context is resolved ([scn check]) and when the program
@@ -800,6 +863,7 @@ let () =
       ( "run",
         [
           Alcotest.test_case "semantic errors raise" `Quick test_run_semantic_errors;
+          Alcotest.test_case "two senders" `Quick test_two_senders;
           Alcotest.test_case "smoke scenario on all five stacks" `Quick test_runs_on_every_stack;
           Alcotest.test_case "assertion failure detected" `Quick test_assertion_failure_detected;
           Alcotest.test_case "replay is byte-identical" `Quick test_replay_byte_identical;

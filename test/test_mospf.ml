@@ -121,6 +121,28 @@ let test_rows_read_the_cache () =
   Alcotest.(check (list int)) "transit oif" [ toward 2 3 ] (Fwd.live_oifs (row 2) ~now:15.);
   Alcotest.(check (list int)) "member's local oif" [ -1 ] (Fwd.live_oifs (row 3) ~now:15.)
 
+(* A periodic LSA refresh that carries the membership already held keeps
+   the plans: one packet at t=10 still leaves a row at the receiver at
+   t=20, after two refreshes from every router, and a second packet then
+   runs no SPF. *)
+let test_refresh_keeps_plans () =
+  let eng = Engine.create () in
+  let net = Net.create eng (Classic.grid 3 3) in
+  let dep = Mospf.Deployment.create ~lsa_refresh:5. net in
+  let receiver = Mospf.Deployment.router dep 8 in
+  let got = ref 0 in
+  Mospf.join_local receiver g;
+  Mospf.on_local_data receiver (fun _ -> incr got);
+  send_n eng dep ~from:0 ~start:10. 1;
+  Engine.run ~until:20. eng;
+  let runs () = Counters.total (Net.counters net) Counters.Spf_runs in
+  let before = runs () in
+  Alcotest.(check int) "receiver's row survives the refreshes" 1 (List.length (Mospf.rows receiver));
+  send_n eng dep ~from:0 ~start:20. 1;
+  Engine.run ~until:30. eng;
+  Alcotest.(check int) "both packets delivered" 2 !got;
+  Alcotest.(check int) "no SPF run across a refresh" before (runs ())
+
 (* Membership changes invalidate the cache and reroute. *)
 let test_membership_change_invalidates () =
   let eng, _, dep = mk (Classic.line 4) in
@@ -375,6 +397,7 @@ let () =
           Alcotest.test_case "delivery on spt" `Quick test_delivery_on_spt;
           Alcotest.test_case "spf cached" `Quick test_spf_cached;
           Alcotest.test_case "rows read the cache" `Quick test_rows_read_the_cache;
+          Alcotest.test_case "refresh keeps plans" `Quick test_refresh_keeps_plans;
           Alcotest.test_case "membership change invalidates" `Quick
             test_membership_change_invalidates;
           Alcotest.test_case "leave stops delivery" `Quick test_leave_stops_delivery;
